@@ -47,6 +47,7 @@
 #include "bench/bench_report.h"
 #include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/fleet.h"
 #include "src/exp/sweep.h"
 #include "src/sim/arena.h"
@@ -459,35 +460,19 @@ int RunSoak(const char* argv0, Options options) {
 
 int Main(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.quick = true;
-    } else if (arg == "--soak") {
-      options.soak = true;
-    } else if (arg == "--child") {
-      options.child = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      options.out = arg.substr(6);
-    } else if (arg.rfind("--label=", 0) == 0) {
-      options.label = arg.substr(8);
-    } else if (arg.rfind("--workdir=", 0) == 0) {
-      options.workdir = arg.substr(10);
-    } else if (arg.rfind("--resume=", 0) == 0) {
-      options.resume = arg.substr(9);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
-    } else if (arg.rfind("--k=", 0) == 0) {
-      options.k = std::atoi(arg.c_str() + 4);
-    } else if (arg.rfind("--kills=", 0) == 0) {
-      options.kills = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--kill-after-ms=", 0) == 0) {
-      options.kill_after_ms = std::atoi(arg.c_str() + 16);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  FlagSet flags;
+  flags.Switch("quick", &options.quick);
+  flags.Switch("soak", &options.soak);
+  flags.Switch("child", &options.child);
+  flags.String("out", &options.out);
+  flags.String("label", &options.label);
+  flags.String("workdir", &options.workdir);
+  flags.String("resume", &options.resume);
+  flags.Int("threads", &options.threads);
+  flags.Int("k", &options.k);
+  flags.Int("kills", &options.kills);
+  flags.Int("kill-after-ms", &options.kill_after_ms);
+  flags.ParseOrExit(argc, argv);
   if (options.child) {
     return RunChild(options);
   }

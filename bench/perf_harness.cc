@@ -32,6 +32,7 @@
 #include "src/core/governor_registry.h"
 #include "src/daq/daq.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/sweep.h"
 #include "src/hw/itsy.h"
 #include "src/hw/power_tape.h"
@@ -460,23 +461,13 @@ double E2eServerSloSample() {
 
 int Main(int argc, char** argv) {
   HarnessOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.quick = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      options.out = arg.substr(6);
-    } else if (arg.rfind("--label=", 0) == 0) {
-      options.label = arg.substr(8);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      options.only = arg.substr(7);
-    } else if (arg.rfind("--k=", 0) == 0) {
-      options.k = std::atoi(arg.c_str() + 4);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  FlagSet flags;
+  flags.Switch("quick", &options.quick);
+  flags.String("out", &options.out);
+  flags.String("label", &options.label);
+  flags.String("only", &options.only);
+  flags.Int("k", &options.k);
+  flags.ParseOrExit(argc, argv);
 
   BenchReport report(options.label, options.Reps(), options.quick);
 

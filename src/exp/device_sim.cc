@@ -72,11 +72,7 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
                                 "': " + error);
   }
   if (governor_.governor != nullptr) {
-    if (config_.legacy_policy_dispatch) {
-      kernel_.InstallPolicy(governor_.governor.get());
-    } else {
-      kernel_.InstallPolicy(governor_.dispatch);
-    }
+    kernel_.InstallPolicy(governor_.dispatch);
   }
 
   std::string fault_error;

@@ -62,11 +62,6 @@ struct ExperimentConfig {
   // byte-identical with or without an arena, and the field is excluded from
   // the config fingerprint.
   Arena* arena = nullptr;
-  // Use the legacy virtual-call policy dispatch instead of the static
-  // dispatch thunk built by the governor registry.  The two paths are
-  // byte-identical (tests/hotpath/dispatch_equivalence_test.cc); the flag
-  // exists so the differential suite can drive both through RunExperiment.
-  bool legacy_policy_dispatch = false;
 };
 
 // Raw per-run capture for trace export and energy attribution, filled only

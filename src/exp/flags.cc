@@ -157,16 +157,27 @@ bool FlagSet::Parse(int argc, char** argv, std::string* error, bool allow_unknow
   return true;
 }
 
+void FlagSet::PrintFlags(std::FILE* out) const {
+  std::fprintf(out, "flags:");
+  for (const Flag& flag : flags_) {
+    std::fprintf(out, " --%s", flag.name.c_str());
+  }
+  std::fputc('\n', out);
+}
+
 void FlagSet::ParseOrExit(int argc, char** argv, bool allow_unknown) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      PrintFlags(stdout);
+      std::exit(0);
+    }
+  }
   std::string error;
   if (Parse(argc, argv, &error, allow_unknown)) {
     return;
   }
-  std::fprintf(stderr, "error: %s\nflags:", error.c_str());
-  for (const Flag& flag : flags_) {
-    std::fprintf(stderr, " --%s", flag.name.c_str());
-  }
-  std::fputc('\n', stderr);
+  std::fprintf(stderr, "error: %s\n", error.c_str());
+  PrintFlags(stderr);
   std::exit(2);
 }
 

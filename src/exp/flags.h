@@ -13,6 +13,7 @@
 #ifndef SRC_EXP_FLAGS_H_
 #define SRC_EXP_FLAGS_H_
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,7 @@ class FlagSet {
 
   // Parse-or-die wrapper for bench main(): prints the error plus the list of
   // registered flags to stderr and exits with status 2 on bad usage.
+  // `--help` anywhere in argv prints the flag list to stdout and exits 0.
   void ParseOrExit(int argc, char** argv, bool allow_unknown = false);
 
  private:
@@ -65,6 +67,7 @@ class FlagSet {
 
   Flag* Find(const std::string& name);
   bool Fail(std::string* error, const std::string& message);
+  void PrintFlags(std::FILE* out) const;
 
   std::vector<Flag> flags_;
 };

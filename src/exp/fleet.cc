@@ -342,15 +342,19 @@ FleetReport FleetRunner::Run() {
     grid.push_back(ShardConfig(shard));
   }
 
-  CampaignRunner runner(options_);
-  runner.SetJobFunction([this](const ExperimentConfig& config) { return RunShard(config); });
-  const std::vector<SweepJobResult> results = runner.Run(grid);
-  campaign_report_ = runner.report();
+  SweepJobHooks hooks;
+  hooks.execute = [this](const ExperimentConfig& config, int) {
+    SweepJobResult slot;
+    slot.result = RunShard(config);
+    return slot;
+  };
+  SweepRunner runner(options_);
+  const std::vector<SweepJobResult> results = runner.Run(grid, hooks);
 
   FleetReport report;
   report.shards = shards_.size();
-  report.replayed_shards = static_cast<std::uint64_t>(campaign_report_.replayed);
-  report.executed_shards = static_cast<std::uint64_t>(campaign_report_.executed);
+  report.replayed_shards = static_cast<std::uint64_t>(runner.metrics().replayed);
+  report.executed_shards = static_cast<std::uint64_t>(runner.metrics().executed());
 
   std::vector<const MetricsRegistry*> shard_metrics;
   shard_metrics.reserve(results.size());

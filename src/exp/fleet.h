@@ -15,11 +15,11 @@
 //     steady state (tests/hotpath/alloc_steadystate_test.cc), so a worker
 //     clones devices at memcpy speed instead of event-loop speed.
 //
-//   * Sharded execution over the campaign layer.  The fleet spec expands
+//   * Sharded execution over the sweep engine.  The fleet spec expands
 //     lazily into shards of `shard_devices` contiguous device ids; each
-//     shard is one CampaignRunner job (via CampaignRunner::SetJobFunction),
-//     so shards get the watchdog, bounded retry + quarantine, and the
-//     CRC-framed resume journal for free.  Per-device results are never
+//     shard is one SweepRunner job (via SweepJobHooks::execute), so shards
+//     get the watchdog, bounded retry + quarantine, and the CRC-framed
+//     resume journal for free.  Per-device results are never
 //     materialized — a shard returns one ExperimentResult whose metrics
 //     registry carries the shard aggregate, which is exactly what the
 //     journal persists.
@@ -46,7 +46,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exp/campaign.h"
 #include "src/exp/experiment.h"
 #include "src/exp/sweep.h"
 #include "src/obs/metrics.h"
@@ -78,7 +77,7 @@ struct FleetAppMix {
 struct FleetSpec {
   // Total devices across the whole fleet.
   std::uint64_t devices = 1000;
-  // Devices per shard (= per campaign job / journal record).  Smaller shards
+  // Devices per shard (= per sweep job / journal record).  Smaller shards
   // resume at finer granularity; larger shards amortize the warmup better.
   std::uint64_t shard_devices = 256;
   // Master seed: cell warmups and per-device jitter all derive from it.
@@ -112,7 +111,7 @@ struct FleetCell {
   std::uint64_t cell_seed = 0;  // warmup seed (pure function of fleet seed + cell index)
 };
 
-// One shard: a contiguous slice of one cell, executed as one campaign job.
+// One shard: a contiguous slice of one cell, executed as one sweep job.
 struct FleetShard {
   int cell = 0;
   std::uint64_t first_device = 0;
@@ -160,7 +159,7 @@ std::string RenderFleetJson(const FleetReport& report);
 class FleetRunner {
  public:
   // `options.campaign` controls resume/watchdog/retry exactly as for a
-  // config-grid campaign; `options.threads` is the worker count.
+  // config-grid sweep; `options.threads` is the worker count.
   FleetRunner(FleetSpec spec, SweepOptions options);
 
   // Expands the spec into cells and shards (cheap; no simulation).  Exposed
@@ -173,16 +172,13 @@ class FleetRunner {
   // report.  Throws std::invalid_argument on an unusable spec.
   FleetReport Run();
 
-  // Underlying campaign outcome of the last Run().
-  const CampaignReport& campaign_report() const { return campaign_report_; }
-
   // The body of one shard job: warm up the cell, then clone/run/aggregate
   // each device in the shard.  Exposed for the differential tests; `config`
   // must be a shard config produced by Plan() (its seed keys the shard).
   ExperimentResult RunShard(const ExperimentConfig& config) const;
 
  private:
-  // The campaign grid config for shard s (seed = first device id keys the
+  // The sweep grid config for shard s (seed = first device id keys the
   // shard; the rest mirrors the cell so journal fingerprints track the spec).
   ExperimentConfig ShardConfig(const FleetShard& shard) const;
 
@@ -194,7 +190,6 @@ class FleetRunner {
   // first_device, which keys the shard back out of the config in RunShard.
   std::uint64_t seed_base_ = 0;
   std::map<std::uint64_t, std::size_t> shard_by_seed_;
-  CampaignReport campaign_report_;
 };
 
 }  // namespace dcs

@@ -16,10 +16,10 @@ namespace {
 constexpr std::uint8_t kHeaderFrame = 1;
 constexpr std::uint8_t kRecordFrame = 2;
 
-// Guards against absurd lengths from corrupt size fields before any
-// allocation happens.
+// Guards against an absurd frame length from a corrupt size field.  Lengths
+// inside a payload need no cap: SnapshotReader checks each one against the
+// bytes that remain before it allocates.
 constexpr std::uint32_t kMaxPayload = 256u << 20;  // 256 MiB
-constexpr std::uint32_t kMaxString = 64u << 20;
 
 void SetIoError(std::string* error, const std::string& path, const char* op) {
   if (error != nullptr) {
@@ -29,59 +29,6 @@ void SetIoError(std::string* error, const std::string& path, const char* op) {
 }
 
 }  // namespace
-
-// --- ByteReader -------------------------------------------------------------
-
-bool ByteReader::Take(void* p, std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(p, data_.data() + pos_, n);
-  pos_ += n;
-  return true;
-}
-
-std::uint8_t ByteReader::U8() {
-  std::uint8_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::uint32_t ByteReader::U32() {
-  std::uint32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::uint64_t ByteReader::U64() {
-  std::uint64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::int64_t ByteReader::I64() {
-  std::int64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-double ByteReader::F64() {
-  double v = 0.0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::string ByteReader::Str() {
-  const std::uint32_t len = U32();
-  if (!ok_ || len > kMaxString || data_.size() - pos_ < len) {
-    ok_ = false;
-    return std::string();
-  }
-  std::string s(data_, pos_, len);
-  pos_ += len;
-  return s;
-}
 
 // --- Fingerprints -----------------------------------------------------------
 
@@ -243,7 +190,7 @@ std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs) {
 
 namespace {
 
-void SerializeHistogram(const LogHistogram& hist, ByteWriter* out) {
+void SerializeHistogram(const LogHistogram& hist, SnapshotWriter* out) {
   out->U64(hist.count());
   out->F64(hist.sum());
   out->F64(hist.min());
@@ -261,7 +208,7 @@ void SerializeHistogram(const LogHistogram& hist, ByteWriter* out) {
   }
 }
 
-bool DeserializeHistogram(ByteReader* in, LogHistogram* hist) {
+bool DeserializeHistogram(SnapshotReader* in, LogHistogram* hist) {
   const std::uint64_t count = in->U64();
   const double sum = in->F64();
   const double min = in->F64();
@@ -280,7 +227,7 @@ bool DeserializeHistogram(ByteReader* in, LogHistogram* hist) {
   return in->ok();
 }
 
-void SerializeMetrics(const MetricsRegistry& m, ByteWriter* out) {
+void SerializeMetrics(const MetricsRegistry& m, SnapshotWriter* out) {
   out->U32(static_cast<std::uint32_t>(m.counters().size()));
   for (const auto& [name, counter] : m.counters()) {
     out->Str(name);
@@ -299,7 +246,7 @@ void SerializeMetrics(const MetricsRegistry& m, ByteWriter* out) {
   }
 }
 
-bool DeserializeMetrics(ByteReader* in, MetricsRegistry* m) {
+bool DeserializeMetrics(SnapshotReader* in, MetricsRegistry* m) {
   const std::uint32_t counters = in->U32();
   for (std::uint32_t i = 0; i < counters && in->ok(); ++i) {
     const std::string name = in->Str();
@@ -322,7 +269,7 @@ bool DeserializeMetrics(ByteReader* in, MetricsRegistry* m) {
   return in->ok();
 }
 
-void SerializeSink(const TraceSink& sink, ByteWriter* out) {
+void SerializeSink(const TraceSink& sink, SnapshotWriter* out) {
   const std::vector<std::string> names = sink.Names();
   out->U32(static_cast<std::uint32_t>(names.size()));
   for (const std::string& name : names) {
@@ -338,7 +285,7 @@ void SerializeSink(const TraceSink& sink, ByteWriter* out) {
   }
 }
 
-bool DeserializeSink(ByteReader* in, TraceSink* sink) {
+bool DeserializeSink(SnapshotReader* in, TraceSink* sink) {
   const std::uint32_t names = in->U32();
   for (std::uint32_t i = 0; i < names && in->ok(); ++i) {
     const std::string name = in->Str();
@@ -360,7 +307,7 @@ bool DeserializeSink(ByteReader* in, TraceSink* sink) {
 
 }  // namespace
 
-void SerializeResult(const ExperimentResult& r, ByteWriter* out) {
+void SerializeResult(const ExperimentResult& r, SnapshotWriter* out) {
   out->Str(r.app);
   out->Str(r.governor);
   out->Time(r.duration);
@@ -400,7 +347,7 @@ void SerializeResult(const ExperimentResult& r, ByteWriter* out) {
   SerializeMetrics(r.metrics, out);
 
   const FaultReport& f = r.faults;
-  out->U8(f.enabled ? 1 : 0);
+  out->Bool(f.enabled);
   out->Str(f.plan);
   out->U32(static_cast<std::uint32_t>(f.injected.size()));
   for (const auto& [name, count] : f.injected) {
@@ -419,7 +366,7 @@ void SerializeResult(const ExperimentResult& r, ByteWriter* out) {
   }
 }
 
-bool DeserializeResult(ByteReader* in, ExperimentResult* r) {
+bool DeserializeResult(SnapshotReader* in, ExperimentResult* r) {
   r->app = in->Str();
   r->governor = in->Str();
   r->duration = in->Time();
@@ -465,7 +412,7 @@ bool DeserializeResult(ByteReader* in, ExperimentResult* r) {
   }
 
   FaultReport& f = r->faults;
-  f.enabled = in->U8() != 0;
+  f.enabled = in->Bool();
   f.plan = in->Str();
   const std::uint32_t injected = in->U32();
   for (std::uint32_t i = 0; i < injected && in->ok(); ++i) {
@@ -490,31 +437,30 @@ bool DeserializeResult(ByteReader* in, ExperimentResult* r) {
 
 namespace {
 
-std::string EncodeHeader(const JournalHeader& h) {
-  ByteWriter w;
-  w.U8(kHeaderFrame);
-  w.U32(h.version);
-  w.U64(h.grid_fingerprint);
-  w.U32(h.jobs);
-  w.Str(h.label);
-  return w.Take();
+void EncodeHeader(const JournalHeader& h, SnapshotWriter* w) {
+  w->U8(kHeaderFrame);
+  w->U32(h.version);
+  w->U64(h.grid_fingerprint);
+  w->U32(h.jobs);
+  w->Str(h.label);
 }
 
-std::string EncodeRecord(const JournalRecord& r) {
-  ByteWriter w;
-  w.U8(kRecordFrame);
-  w.U32(r.slot);
-  w.U64(r.config_fingerprint);
-  w.U8(r.ok ? 1 : 0);
-  w.U8(r.quarantined ? 1 : 0);
-  w.U32(r.attempts);
-  w.Str(r.error);
+void EncodeRecord(const JournalRecord& r, SnapshotWriter* w) {
+  w->U8(kRecordFrame);
+  w->U32(r.slot);
+  w->U64(r.config_fingerprint);
+  w->Bool(r.ok);
+  w->Bool(r.quarantined);
+  w->U32(r.attempts);
+  w->Str(r.error);
   if (r.ok) {
-    ByteWriter payload;
-    SerializeResult(r.result, &payload);
-    w.Str(payload.Take());
+    // Length-prefixed like a string, so a reader can bound the result before
+    // parsing it.
+    SnapshotWriter result;
+    SerializeResult(r.result, &result);
+    w->U32(static_cast<std::uint32_t>(result.size()));
+    w->Bytes(result.data(), result.size());
   }
-  return w.Take();
 }
 
 }  // namespace
@@ -567,15 +513,15 @@ JournalReadResult ReadJournal(const std::string& path) {
       out.truncated = true;  // torn append: the frame never finished
       break;
     }
-    const std::string payload(data, pos + 12, len);
-    if (Crc32(payload) != crc) {
+    const char* payload = data.data() + pos + 12;
+    if (Crc32(payload, std::size_t{len}) != crc) {
       out.truncated = true;
       out.violations.push_back("frame " + std::to_string(frame_index) +
                                ": crc mismatch; dropping tail");
       break;
     }
 
-    ByteReader reader(payload);
+    SnapshotReader reader(payload, len);
     const std::uint8_t type = reader.U8();
     if (type == kHeaderFrame) {
       JournalSegment segment;
@@ -608,14 +554,14 @@ JournalReadResult ReadJournal(const std::string& path) {
         JournalRecord record;
         record.slot = reader.U32();
         record.config_fingerprint = reader.U64();
-        record.ok = reader.U8() != 0;
-        record.quarantined = reader.U8() != 0;
+        record.ok = reader.Bool();
+        record.quarantined = reader.Bool();
         record.attempts = reader.U32();
         record.error = reader.Str();
         bool valid = reader.ok();
         if (valid && record.ok) {
           const std::string result_bytes = reader.Str();
-          ByteReader result_reader(result_bytes);
+          SnapshotReader result_reader(result_bytes.data(), result_bytes.size());
           valid = reader.ok() && DeserializeResult(&result_reader, &record.result);
         }
         if (!valid) {
@@ -690,14 +636,14 @@ JournalWriter::~JournalWriter() {
   }
 }
 
-bool JournalWriter::AppendFrame(const std::string& payload, std::string* error) {
-  ByteWriter frame;
-  frame.U32(kJournalMagic);
-  frame.U32(static_cast<std::uint32_t>(payload.size()));
-  frame.U32(Crc32(payload));
-  const std::string head = frame.Take();
+bool JournalWriter::AppendFrame(const SnapshotWriter& payload, std::string* error) {
+  SnapshotWriter head;
+  head.U32(kJournalMagic);
+  head.U32(static_cast<std::uint32_t>(payload.size()));
+  head.U32(Crc32(payload.data(), payload.size()));
 
-  for (const std::string* part : {&head, &payload}) {
+  const SnapshotWriter* parts[] = {&head, &payload};
+  for (const SnapshotWriter* part : parts) {
     std::size_t written = 0;
     while (written < part->size()) {
       const ssize_t n = ::write(fd_, part->data() + written, part->size() - written);
@@ -719,11 +665,15 @@ bool JournalWriter::AppendFrame(const std::string& payload, std::string* error) 
 }
 
 bool JournalWriter::AppendHeader(const JournalHeader& header, std::string* error) {
-  return AppendFrame(EncodeHeader(header), error);
+  SnapshotWriter payload;
+  EncodeHeader(header, &payload);
+  return AppendFrame(payload, error);
 }
 
 bool JournalWriter::AppendRecord(const JournalRecord& record, std::string* error) {
-  return AppendFrame(EncodeRecord(record), error);
+  SnapshotWriter payload;
+  EncodeRecord(record, &payload);
+  return AppendFrame(payload, error);
 }
 
 }  // namespace dcs

@@ -1,8 +1,8 @@
-// Append-only, CRC32-framed campaign journal.
+// Append-only, CRC32-framed sweep journal.
 //
-// A campaign (see campaign.h) persists every finished job here so a
-// re-invoked bench with --resume=FILE replays completed slots byte-identically
-// and only runs the remainder.  The format is built for exactly one failure
+// A sweep run with --resume=FILE (see sweep.h) persists every finished job
+// here so a re-invoked bench replays completed slots byte-identically and
+// only runs the remainder.  The format is built for exactly one failure
 // mode: the writing process dies mid-append (SIGKILL, OOM, power).  Frames
 // are self-checking, so the reader accepts the longest valid prefix and
 // reports the torn tail; the writer truncates that tail before appending.
@@ -16,25 +16,25 @@
 //
 // Frame types:
 //   kHeaderFrame:  version, grid fingerprint, job count, free-form label.
-//                  One per campaign run; a journal holds several segments
+//                  One per journaled sweep; a journal holds several segments
 //                  when one bench process runs several grids (e.g. Table 2's
-//                  five RunRepeated rows) or a campaign is resumed.
+//                  five RunRepeated rows) or a sweep is resumed.
 //   kRecordFrame:  slot index, per-config fingerprint, attempts, outcome
 //                  (ok / error / quarantined) and, for successes, the full
 //                  serialized ExperimentResult.
 //
 // Fingerprints are FNV-1a 64 over a canonical serialization of the
 // ExperimentConfig, so a journal written for a different grid (or an edited
-// config) never silently replays into the wrong campaign.
+// config) never silently replays into the wrong sweep.
 //
 // Reading follows the InvariantChecker's record-don't-throw idiom
 // (src/fault/invariants.h): structural problems — record before any header,
 // duplicate slot, slot out of range, version mismatch — are collected as
 // violation strings on the result while the valid frames are still returned.
 //
-// Values are serialized in the host's native byte order: a journal is a
-// crash-resume artifact for the machine that wrote it, not an interchange
-// format.
+// Payloads are written with the snapshot codec (src/sim/snapshot.h), in the
+// host's native byte order: a journal is a crash-resume artifact for the
+// machine that wrote it, not an interchange format.
 
 #ifndef SRC_EXP_JOURNAL_H_
 #define SRC_EXP_JOURNAL_H_
@@ -45,59 +45,9 @@
 #include <vector>
 
 #include "src/exp/experiment.h"
+#include "src/sim/snapshot.h"
 
 namespace dcs {
-
-// --- Byte-stream primitives -------------------------------------------------
-
-class ByteWriter {
- public:
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(std::int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Time(SimTime t) { I64(t.nanos()); }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s);
-  }
-
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Raw(const void* p, std::size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-  }
-  std::string out_;
-};
-
-// Reader over a byte string.  Running past the end (or an oversized string
-// length) latches ok() false and returns zero values; callers check ok()
-// once at the end instead of after every field.
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
-
-  std::uint8_t U8();
-  std::uint32_t U32();
-  std::uint64_t U64();
-  std::int64_t I64();
-  double F64();
-  SimTime Time() { return SimTime::Nanos(I64()); }
-  std::string Str();
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool Take(void* p, std::size_t n);
-
-  const std::string& data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // --- Config fingerprints ----------------------------------------------------
 
@@ -116,13 +66,13 @@ std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs);
 // scalars, step residency, task CPU seconds, deadline streams, every
 // recorded series, the full metrics registry and the fault report — except
 // the raw ObsCapture (power tape + scheduler log), which is orders of
-// magnitude larger than everything else; campaigns therefore don't journal
+// magnitude larger than everything else; sweeps therefore don't journal
 // runs that request capture_obs.
-void SerializeResult(const ExperimentResult& result, ByteWriter* out);
+void SerializeResult(const ExperimentResult& result, SnapshotWriter* out);
 
 // Inverse of SerializeResult.  Returns false (result unspecified) on a
-// malformed payload.
-bool DeserializeResult(ByteReader* in, ExperimentResult* result);
+// malformed or truncated payload, or on one with trailing bytes.
+bool DeserializeResult(SnapshotReader* in, ExperimentResult* result);
 
 // --- Journal frames ---------------------------------------------------------
 
@@ -202,7 +152,7 @@ class JournalWriter {
 
  private:
   explicit JournalWriter(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-  bool AppendFrame(const std::string& payload, std::string* error);
+  bool AppendFrame(const SnapshotWriter& payload, std::string* error);
 
   int fd_ = -1;
   std::string path_;

@@ -10,12 +10,42 @@
 // vector is bit-identical for --threads=1 and --threads=N; only wall-clock
 // time changes.
 //
-// A job that throws fails alone: its slot records the error text and the
-// remaining jobs still run.
+// A sweep also survives its own harness: the process being SIGKILLed
+// mid-run, one config hanging its simulator, a job crashing on one grid
+// point.  Three mechanisms, driven by CampaignOptions:
+//
+//   * Checkpoint/resume (--resume=FILE): every finished job is appended to a
+//     CRC32-framed journal (journal.h) with an fsync before the next job's
+//     result can land.  A re-invoked bench with the same grid replays the
+//     journaled slots byte-identically — same energy numbers, same series,
+//     same metrics JSON — and only runs the remainder.  A journal written
+//     for a different grid fails the fingerprint check and is never replayed.
+//     Grids that request raw observability captures run unjournaled (with a
+//     stderr note): the journal deliberately does not persist an ObsCapture.
+//
+//   * Per-job watchdog (--job-timeout=SECS): each attempt gets a wall-clock
+//     budget, enforced through the cooperative cancellation token threaded
+//     into the job's Simulator event loop.  A runaway job is cancelled
+//     between events and counted as a failed attempt.
+//
+//   * Bounded retry + quarantine (--max-retries=N), for every run: a failed
+//     attempt is retried with exponential backoff (the same 2^k shape as the
+//     Kernel's clock-transition retry); a job that exhausts its retries is
+//     quarantined — listed in SweepMetrics, in the journal and, when asked
+//     for, in a machine-readable quarantine.json — while every other job
+//     still runs to completion.  Invalid configs (unknown governor, bad
+//     fault spec) throw std::invalid_argument, fail the same way every time
+//     and go straight to quarantine without burning retries.
+//
+// Replayed slots are byte-identical to freshly computed ones, so a sweep
+// killed and resumed any number of times produces the same stdout/report
+// bytes as an uninterrupted run (enforced end-to-end by bench/campaign_soak).
+// All diagnostics go to stderr.
 
 #ifndef SRC_EXP_SWEEP_H_
 #define SRC_EXP_SWEEP_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -25,8 +55,8 @@
 
 namespace dcs {
 
-// Campaign-resilience knobs (see campaign.h for the runner).  Parsed from
-// the same argv as the sweep flags, so every sweep bench accepts them.
+// Resilience knobs (see the header comment).  Parsed from the same argv as
+// the sweep flags, so every sweep bench accepts them.
 struct CampaignOptions {
   // --resume=FILE: append-only CRC32-framed journal (journal.h).  Completed
   // slots recorded there are replayed byte-identically instead of re-run; a
@@ -38,18 +68,14 @@ struct CampaignOptions {
   // as a failure (retried, then quarantined).  0 disables the watchdog.
   double job_timeout = 0.0;
   // --max-retries=N: failed/timed-out jobs are retried up to N times with
-  // bounded exponential backoff before being quarantined.  Invalid configs
-  // (bad governor/fault spec) are permanent failures and skip retries.
+  // bounded exponential backoff (25 ms, doubling) before being quarantined.
+  // Invalid configs (bad governor/fault spec) are permanent failures and
+  // skip retries.
   int max_retries = 2;
-  // First retry delay; doubles per retry (the Kernel transition-retry shape).
-  double retry_backoff_ms = 25.0;
   // --quarantine-out=FILE: machine-readable JSON report of quarantined
   // configs.  Defaults to "<resume>.quarantine.json" when --resume is set.
   std::string quarantine_out;
 
-  bool Enabled() const {
-    return !resume.empty() || job_timeout > 0.0 || !quarantine_out.empty();
-  }
   std::string QuarantinePath() const {
     if (!quarantine_out.empty()) {
       return quarantine_out;
@@ -74,9 +100,8 @@ struct SweepOptions {
   // --faults=SPEC: fault-injection spec forwarded to every experiment in the
   // grid (see fault_plan.h for the grammar; "" / "none" injects nothing).
   std::string faults;
-  // Campaign-resilience flags (--resume / --job-timeout / --max-retries /
-  // --quarantine-out).  When any is set, RunSweep routes the grid through
-  // the CampaignRunner instead of a bare SweepRunner.
+  // Resilience flags (--resume / --job-timeout / --max-retries /
+  // --quarantine-out).
   CampaignOptions campaign;
 
   // Whether the experiments must capture raw observability data
@@ -93,36 +118,69 @@ struct SweepJobResult {
   bool ok() const { return result.has_value(); }
 };
 
-// Per-job interception points for the campaign layer (campaign.h).  Both
-// callbacks run on worker threads; `index` is the job's position in the
-// config vector handed to Run().
+// Per-job interception points.  `index` is the job's position in the config
+// vector handed to Run().
 struct SweepJobHooks {
-  // Replaces the default RunExperiment call for each job.  Exceptions it
-  // lets escape are captured into the slot's error like the default path.
+  // Replaces the default RunExperiment call for each job, on a worker
+  // thread.  It runs inside the retry loop and gets the config with the
+  // worker's arena (and, under --job-timeout, the watchdog's cancel token)
+  // bound; exceptions it lets escape, or a returned error, count as a failed
+  // attempt.  It must be a pure function of the config: journal replay hands
+  // back recorded results without calling it.  The fleet layer uses this to
+  // make one job simulate a whole shard of devices (src/exp/fleet.h).
   std::function<SweepJobResult(const ExperimentConfig&, int index)> execute;
-  // Observes each finished slot in completion order (not slot order), after
-  // the slot is written.  Must be internally synchronized.
+  // Observes each executed slot in completion order (not slot order), after
+  // its journal record is written.  Calls are serialized by the runner.
+  // Replayed slots are not observed.
   std::function<void(int index, const SweepJobResult&)> on_result;
 };
 
-// Aggregate engine statistics for the last Run() call.
+// One quarantined config, as written to the quarantine report.
+struct QuarantineEntry {
+  int slot = 0;
+  std::string app;
+  std::string governor;
+  std::uint64_t seed = 0;
+  std::uint64_t config_fingerprint = 0;
+  int attempts = 0;
+  std::string error;
+};
+
+// Outcome of the last Run() call.
 struct SweepMetrics {
   int jobs = 0;
+  // Slots without a result (executed or replayed), each listed in
+  // `quarantined`.
   int failed = 0;
   int threads = 0;
   double wall_seconds = 0.0;
-  // Sum of simulated durations across jobs, and the resulting throughput in
-  // simulated seconds per wall second (the engine's figure of merit).
+  // Sum of simulated durations across executed jobs, and the resulting
+  // throughput in simulated seconds per wall second (the engine's figure of
+  // merit).  Replayed slots cost no wall clock and are excluded.
   double simulated_seconds = 0.0;
   double sim_seconds_per_second = 0.0;
+  // Slots satisfied from the journal without running anything.
+  int replayed = 0;
+  // Retry attempts across all jobs (beyond each job's first attempt).
+  std::uint64_t retries = 0;
+  // True when a journal file existed but matched a different grid.
+  bool journal_mismatch = false;
+  std::vector<QuarantineEntry> quarantined;
+  // Where the quarantine report was written ("" when not requested).
+  std::string quarantine_path;
+
+  int executed() const { return jobs - replayed; }
 };
 
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
-  // Runs every config as one job; result i corresponds to configs[i]
-  // regardless of which worker executed it or in what order jobs finished.
+  // Runs (or resumes) every config as one job; result i corresponds to
+  // configs[i] regardless of which worker executed it or in what order jobs
+  // finished.  Quarantined slots come back with ok() == false and the error
+  // of their final attempt.  Throws only on an unusable journal path or an
+  // unwritable quarantine report, never on job failures.
   std::vector<SweepJobResult> Run(const std::vector<ExperimentConfig>& configs);
   std::vector<SweepJobResult> Run(const std::vector<ExperimentConfig>& configs,
                                   const SweepJobHooks& hooks);
@@ -139,15 +197,13 @@ class SweepRunner {
 };
 
 // Convenience wrapper: runs the grid and unwraps the results, rethrowing the
-// first job error as std::runtime_error.  For benches whose configs are known
-// good, this keeps call sites as simple as the old serial loops.  When
-// options.campaign.Enabled(), the grid runs under the CampaignRunner: the
-// journal replays finished slots, the watchdog bounds each job, and failures
-// land in the quarantine report (the throw then names it).
+// first job error as std::runtime_error (naming the quarantine report when
+// one was written).  For benches whose configs are known good, this keeps
+// call sites as simple as the old serial loops.
 std::vector<ExperimentResult> RunSweep(const std::vector<ExperimentConfig>& configs,
                                        const SweepOptions& options = {});
 
-// Registers the shared sweep/campaign flags ("--threads", "--progress",
+// Registers the shared sweep flags ("--threads", "--progress",
 // "--trace-out", "--metrics-out", "--faults", "--resume", "--job-timeout",
 // "--max-retries", "--quarantine-out") on `flags`, writing into *options.
 // Benches with their own flags call this, add theirs, and parse the whole
@@ -155,12 +211,17 @@ std::vector<ExperimentResult> RunSweep(const std::vector<ExperimentConfig>& conf
 class FlagSet;
 void RegisterSweepFlags(FlagSet& flags, SweepOptions* options);
 
-// Parses the shared sweep/campaign flags from a bench's argv, returning the
+// Parses the shared sweep flags from a bench's argv, returning the
 // corresponding options.  Unrecognised arguments are still ignored (so
 // benches that have not migrated to a full FlagSet can layer their own
 // parsing on top), but malformed or duplicated sweep flags now print the
 // error and exit(2) instead of resolving by atoi-garbage or last-write-wins.
 SweepOptions SweepOptionsFromArgs(int argc, char** argv);
+
+// Renders the quarantine report ({"campaign": ..., "quarantined": [...]})
+// used by --quarantine-out; exposed for tests.
+std::string RenderQuarantineJson(std::uint64_t grid_fingerprint, int jobs,
+                                 const std::vector<QuarantineEntry>& entries);
 
 }  // namespace dcs
 

@@ -75,11 +75,13 @@ class Kernel {
   // pid (1, 2, ...).
   Pid AddTask(std::unique_ptr<Workload> workload);
 
-  // Installs / removes the clock-scaling policy module (non-owning).  The
-  // pointer overload uses legacy vtable dispatch; registry call sites pass a
-  // PolicyDispatch so the per-quantum call is static (see policy.h).
-  void InstallPolicy(ClockPolicy* policy) {
-    InstallPolicy(PolicyDispatch::Virtual(policy));
+  // Installs / removes the clock-scaling policy module (non-owning).  Either
+  // way the per-quantum call is static (see policy.h): the pointer overload
+  // takes a final policy type, registry call sites pass the PolicyDispatch
+  // built for the concrete type a spec resolved to.
+  template <typename P>
+  void InstallPolicy(P* policy) {
+    InstallPolicy(PolicyDispatch::For(policy));
   }
   void InstallPolicy(const PolicyDispatch& dispatch) {
     policy_ = dispatch.policy;

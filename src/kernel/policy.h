@@ -86,12 +86,11 @@ class ClockPolicy {
 // every job of every sweep; with 20 registered governor types the virtual
 // call is a guaranteed indirect branch plus a vtable load per quantum.  A
 // PolicyDispatch pairs the policy pointer with a function pointer built
-// once, at registry time, from the policy's *concrete* type (in the spirit
-// of src/sim/inline_function.h): the thunk's qualified call compiles to a
-// direct, inlinable call into the final class.  The legacy virtual path is
-// retained (Virtual()) as the differential reference — the two are asserted
-// byte-identical over the whole governor slate by
-// tests/hotpath/dispatch_equivalence_test.cc.
+// once, from the policy's *concrete* type (in the spirit of
+// src/sim/inline_function.h): the thunk's qualified call compiles to a
+// direct, inlinable call into the final class.  Requiring P to be final
+// makes "P is the object's dynamic type" a compile-time fact, so the thunk
+// calls exactly the member function the vtable would.
 using PolicyQuantumFn = std::optional<SpeedRequest> (*)(ClockPolicy*,
                                                         const UtilizationSample&);
 
@@ -99,30 +98,19 @@ struct PolicyDispatch {
   ClockPolicy* policy = nullptr;
   PolicyQuantumFn on_quantum = nullptr;
 
-  // Static dispatch thunk for a known concrete policy type.  P must be the
-  // object's dynamic type (registry construction guarantees this); the
-  // qualified call suppresses virtual dispatch.
+  // Static dispatch thunk for a final policy type; the qualified call
+  // suppresses virtual dispatch.
   template <typename P>
   static PolicyDispatch For(P* policy) {
     static_assert(std::is_base_of_v<ClockPolicy, P>,
                   "PolicyDispatch requires a ClockPolicy subclass");
+    static_assert(std::is_final_v<P>,
+                  "PolicyDispatch requires the policy's final (dynamic) type");
     PolicyDispatch d;
     d.policy = policy;
     d.on_quantum = [](ClockPolicy* base, const UtilizationSample& sample) {
       return static_cast<P*>(base)->P::OnQuantum(sample);
     };
-    return d;
-  }
-
-  // Legacy vtable dispatch, kept as the differential reference.
-  static PolicyDispatch Virtual(ClockPolicy* policy) {
-    PolicyDispatch d;
-    d.policy = policy;
-    if (policy != nullptr) {
-      d.on_quantum = [](ClockPolicy* base, const UtilizationSample& sample) {
-        return base->OnQuantum(sample);
-      };
-    }
     return d;
   }
 };

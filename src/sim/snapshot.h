@@ -28,7 +28,8 @@
 // Buffers are reusable: Clear() keeps capacity, so a warmed worker saves and
 // loads device images with zero heap allocations (enforced by the hotpath
 // alloc-count suite).  Images are process-local artifacts, serialized in
-// native byte order like the campaign journal.
+// native byte order.  The sweep journal (src/exp/journal.h) frames its
+// records with the same codec.
 
 #ifndef SRC_SIM_SNAPSHOT_H_
 #define SRC_SIM_SNAPSHOT_H_
@@ -67,6 +68,11 @@ class SnapshotWriter {
   void F64(double v) { Raw(&v, sizeof(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Time(SimTime t) { I64(t.nanos()); }
+  // u32 length + bytes.
+  void Str(const std::string& s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
 
   // Bulk POD span: count + raw bytes.  This is the fast path — power-tape
   // segments, trace points and sched-log records go through here.
@@ -134,6 +140,18 @@ class SnapshotReader {
   }
   bool Bool() { return U8() != 0; }
   SimTime Time() { return SimTime::Nanos(I64()); }
+  // A length beyond the remaining bytes latches ok() false before anything
+  // is allocated, so a hostile length field costs nothing.
+  std::string Str() {
+    const std::uint32_t len = U32();
+    if (!ok_ || len > size_ - pos_) {
+      ok_ = false;
+      return std::string();
+    }
+    std::string s(data_ + pos_, len);
+    pos_ += len;
+    return s;
+  }
 
   // Reads a span saved by SnapshotWriter::Span into `out` (up to `max`
   // elements).  Returns the element count, or 0 with ok() latched false when

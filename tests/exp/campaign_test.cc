@@ -1,14 +1,14 @@
-#include "src/exp/campaign.h"
-
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/exp/journal.h"
 #include "src/exp/sweep.h"
 #include "tests/fault/fingerprint.h"
 
@@ -61,17 +61,15 @@ class CampaignTest : public ::testing::Test {
 TEST_F(CampaignTest, SecondRunReplaysEverySlotByteIdentically) {
   const std::vector<ExperimentConfig> grid = {ShortMpeg(1), ShortMpeg(2, "PAST-peg-peg-93-98"),
                                               ShortMpeg(3, "AVG9-one-one-50-70")};
-  CampaignRunner first(ResumeOptions());
+  SweepRunner first(ResumeOptions());
   const auto first_jobs = first.Run(grid);
-  EXPECT_FALSE(first.report().resumed);
-  EXPECT_EQ(first.report().executed, 3);
-  EXPECT_EQ(first.report().replayed, 0);
+  EXPECT_EQ(first.metrics().executed(), 3);
+  EXPECT_EQ(first.metrics().replayed, 0);
 
-  CampaignRunner second(ResumeOptions());
+  SweepRunner second(ResumeOptions());
   const auto second_jobs = second.Run(grid);
-  EXPECT_TRUE(second.report().resumed);
-  EXPECT_EQ(second.report().executed, 0);
-  EXPECT_EQ(second.report().replayed, 3);
+  EXPECT_EQ(second.metrics().executed(), 0);
+  EXPECT_EQ(second.metrics().replayed, 3);
   // Replayed slots must be indistinguishable from computed ones: same
   // hexfloat fingerprint over every reported number and series.
   EXPECT_EQ(Fingerprints(second_jobs), Fingerprints(first_jobs));
@@ -84,18 +82,18 @@ TEST_F(CampaignTest, ResumeIsByteIdenticalAcrossThreadCounts) {
   }
   // Journal written serially, resumed with four workers — and vice versa a
   // fresh four-worker campaign must agree with both.
-  CampaignRunner serial(ResumeOptions(1));
+  SweepRunner serial(ResumeOptions(1));
   const auto serial_jobs = serial.Run(grid);
-  CampaignRunner resumed(ResumeOptions(4));
+  SweepRunner resumed(ResumeOptions(4));
   const auto resumed_jobs = resumed.Run(grid);
-  EXPECT_EQ(resumed.report().replayed, 5);
+  EXPECT_EQ(resumed.metrics().replayed, 5);
 
   SweepOptions fresh_options;
   fresh_options.threads = 4;
   fresh_options.campaign.resume = (dir_ / "fresh.journal").string();
-  CampaignRunner fresh(fresh_options);
+  SweepRunner fresh(fresh_options);
   const auto fresh_jobs = fresh.Run(grid);
-  EXPECT_EQ(fresh.report().executed, 5);
+  EXPECT_EQ(fresh.metrics().executed(), 5);
 
   EXPECT_EQ(Fingerprints(resumed_jobs), Fingerprints(serial_jobs));
   EXPECT_EQ(Fingerprints(fresh_jobs), Fingerprints(serial_jobs));
@@ -106,7 +104,7 @@ TEST_F(CampaignTest, PartialJournalRunsOnlyTheRemainder) {
   // Seed the journal with a completed campaign over a one-job prefix...
   // no — the grid fingerprint must match, so instead journal two of three
   // slots by hand.
-  CampaignRunner full(ResumeOptions());
+  SweepRunner full(ResumeOptions());
   const auto full_jobs = full.Run(grid);
 
   // Rewrite the journal holding only slots 0 and 2.
@@ -123,26 +121,25 @@ TEST_F(CampaignTest, PartialJournalRunsOnlyTheRemainder) {
   }
   writer.reset();
 
-  CampaignRunner partial(ResumeOptions());
+  SweepRunner partial(ResumeOptions());
   const auto partial_jobs = partial.Run(grid);
-  EXPECT_TRUE(partial.report().resumed);
-  EXPECT_EQ(partial.report().replayed, 2);
-  EXPECT_EQ(partial.report().executed, 1);
+  EXPECT_EQ(partial.metrics().replayed, 2);
+  EXPECT_EQ(partial.metrics().executed(), 1);
   EXPECT_EQ(Fingerprints(partial_jobs), Fingerprints(full_jobs));
 }
 
 TEST_F(CampaignTest, FingerprintMismatchForcesAFreshRun) {
   const std::vector<ExperimentConfig> grid = {ShortMpeg(1), ShortMpeg(2)};
-  CampaignRunner first(ResumeOptions());
+  SweepRunner first(ResumeOptions());
   first.Run(grid);
 
   // Same journal path, different grid: nothing may replay.
   const std::vector<ExperimentConfig> other = {ShortMpeg(7), ShortMpeg(8)};
-  CampaignRunner second(ResumeOptions());
+  SweepRunner second(ResumeOptions());
   const auto jobs = second.Run(other);
-  EXPECT_FALSE(second.report().resumed);
-  EXPECT_TRUE(second.report().journal_mismatch);
-  EXPECT_EQ(second.report().executed, 2);
+  EXPECT_EQ(second.metrics().replayed, 0);
+  EXPECT_TRUE(second.metrics().journal_mismatch);
+  EXPECT_EQ(second.metrics().executed(), 2);
   ASSERT_TRUE(jobs[0].ok());
   EXPECT_EQ(Fingerprint(*jobs[0].result), Fingerprint(RunExperiment(other[0])));
 }
@@ -163,9 +160,8 @@ TEST_F(CampaignTest, HangingJobIsQuarantinedWhileOthersSucceed) {
   options.threads = 2;
   options.campaign.job_timeout = 0.2;
   options.campaign.max_retries = 1;
-  options.campaign.retry_backoff_ms = 1.0;
   options.campaign.quarantine_out = (dir_ / "quarantine.json").string();
-  CampaignRunner runner(options);
+  SweepRunner runner(options);
   const auto jobs = runner.Run(grid);
 
   ASSERT_TRUE(jobs[0].ok()) << jobs[0].error;
@@ -173,8 +169,8 @@ TEST_F(CampaignTest, HangingJobIsQuarantinedWhileOthersSucceed) {
   ASSERT_FALSE(jobs[1].ok());
   EXPECT_NE(jobs[1].error.find("watchdog timeout"), std::string::npos) << jobs[1].error;
 
-  ASSERT_EQ(runner.report().quarantined.size(), 1u);
-  const QuarantineEntry& entry = runner.report().quarantined[0];
+  ASSERT_EQ(runner.metrics().quarantined.size(), 1u);
+  const QuarantineEntry& entry = runner.metrics().quarantined[0];
   EXPECT_EQ(entry.slot, 1);
   EXPECT_EQ(entry.attempts, 2);  // first attempt + one retry, both timed out
   EXPECT_EQ(entry.seed, 2u);
@@ -194,16 +190,43 @@ TEST_F(CampaignTest, InvalidConfigSkipsRetriesAndIsQuarantined) {
   options.threads = 1;
   options.campaign.max_retries = 3;
   options.campaign.quarantine_out = (dir_ / "quarantine.json").string();
-  CampaignRunner runner(options);
+  SweepRunner runner(options);
   const auto jobs = runner.Run(grid);
 
   EXPECT_TRUE(jobs[0].ok());
   EXPECT_FALSE(jobs[1].ok());
-  ASSERT_EQ(runner.report().quarantined.size(), 1u);
+  ASSERT_EQ(runner.metrics().quarantined.size(), 1u);
   // A deterministic rejection (unknown governor) must not burn the retry
   // budget: one attempt, straight to quarantine.
-  EXPECT_EQ(runner.report().quarantined[0].attempts, 1);
-  EXPECT_EQ(runner.report().retries, 0u);
+  EXPECT_EQ(runner.metrics().quarantined[0].attempts, 1);
+  EXPECT_EQ(runner.metrics().retries, 0u);
+}
+
+TEST_F(CampaignTest, TransientFailureIsRetriedInAPlainSweep) {
+  // No campaign flag set: the retry rule still applies to every run, and the
+  // job body sees the worker arena bound on every attempt.
+  const std::vector<ExperimentConfig> grid = {ShortMpeg(1), ShortMpeg(2)};
+  std::vector<int> calls(grid.size(), 0);
+  SweepJobHooks hooks;
+  hooks.execute = [&](const ExperimentConfig& config, int index) {
+    EXPECT_NE(config.arena, nullptr);
+    if (++calls[static_cast<std::size_t>(index)] == 1 && index == 1) {
+      throw std::runtime_error("transient");
+    }
+    SweepJobResult slot;
+    slot.result = RunExperiment(config);
+    return slot;
+  };
+  SweepOptions options;
+  options.threads = 1;
+  SweepRunner runner(options);
+  const auto jobs = runner.Run(grid, hooks);
+
+  ASSERT_TRUE(jobs[1].ok()) << jobs[1].error;
+  EXPECT_EQ(calls, (std::vector<int>{1, 2}));
+  EXPECT_EQ(runner.metrics().retries, 1u);
+  EXPECT_TRUE(runner.metrics().quarantined.empty());
+  EXPECT_EQ(Fingerprint(*jobs[1].result), Fingerprint(RunExperiment(grid[1])));
 }
 
 TEST_F(CampaignTest, QuarantinedSlotReplaysAsQuarantinedOnResume) {
@@ -211,17 +234,17 @@ TEST_F(CampaignTest, QuarantinedSlotReplaysAsQuarantinedOnResume) {
                                               ShortMpeg(2, "definitely-not-a-spec")};
   SweepOptions options = ResumeOptions(1);
   options.campaign.max_retries = 0;
-  CampaignRunner first(options);
+  SweepRunner first(options);
   first.Run(grid);
-  ASSERT_EQ(first.report().quarantined.size(), 1u);
+  ASSERT_EQ(first.metrics().quarantined.size(), 1u);
 
-  CampaignRunner second(options);
+  SweepRunner second(options);
   const auto jobs = second.Run(grid);
   // The journal remembers the quarantine: nothing re-runs, and the slot is
   // still reported as quarantined with its original error.
-  EXPECT_EQ(second.report().executed, 0);
-  EXPECT_EQ(second.report().replayed, 2);
-  ASSERT_EQ(second.report().quarantined.size(), 1u);
+  EXPECT_EQ(second.metrics().executed(), 0);
+  EXPECT_EQ(second.metrics().replayed, 2);
+  ASSERT_EQ(second.metrics().quarantined.size(), 1u);
   EXPECT_FALSE(jobs[1].ok());
   EXPECT_NE(jobs[1].error.find("definitely-not-a-spec"), std::string::npos);
 }

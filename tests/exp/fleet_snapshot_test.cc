@@ -31,9 +31,9 @@ namespace dcs {
 namespace {
 
 std::string ResultBytes(const ExperimentResult& result) {
-  ByteWriter w;
+  SnapshotWriter w;
   SerializeResult(result, &w);
-  return w.Take();
+  return std::string(w.data(), w.size());
 }
 
 ExperimentConfig BaseConfig(const std::string& governor, const std::string& faults) {

@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -80,7 +82,7 @@ class JournalTest : public ::testing::Test {
 };
 
 TEST(ByteStreamTest, RoundTripsEveryFieldType) {
-  ByteWriter w;
+  SnapshotWriter w;
   w.U8(7);
   w.U32(0xDEADBEEFu);
   w.U64(0x0123456789ABCDEFull);
@@ -90,7 +92,7 @@ TEST(ByteStreamTest, RoundTripsEveryFieldType) {
   w.Str("hello");
   w.Str("");
 
-  ByteReader r(w.bytes());
+  SnapshotReader r(w);
   EXPECT_EQ(r.U8(), 7);
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
   EXPECT_EQ(r.U64(), 0x0123456789ABCDEFull);
@@ -103,13 +105,33 @@ TEST(ByteStreamTest, RoundTripsEveryFieldType) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(ByteStreamTest, StrIsALengthPrefixThenTheBytes) {
+  SnapshotWriter w;
+  w.Str("abc");
+  const std::uint32_t len = 3;
+  std::string expected(reinterpret_cast<const char*>(&len), sizeof(len));
+  expected += "abc";
+  EXPECT_EQ(std::string(w.data(), w.size()), expected);
+}
+
 TEST(ByteStreamTest, ReadingPastTheEndLatchesNotOk) {
-  ByteWriter w;
+  SnapshotWriter w;
   w.U32(1);
-  ByteReader r(w.bytes());
+  SnapshotReader r(w);
   EXPECT_EQ(r.U32(), 1u);
   EXPECT_EQ(r.U64(), 0u);  // past the end: zero value, ok() latched false
   EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.Str(), "");
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteStreamTest, OversizedStringLengthLatchesNotOk) {
+  // A length field larger than the bytes that remain is refused before the
+  // reader allocates: the string comes back empty, not 4 GiB long.
+  SnapshotWriter w;
+  w.U32(0xFFFFFFFFu);
+  w.Bytes("abc", 3);
+  SnapshotReader r(w);
   EXPECT_EQ(r.Str(), "");
   EXPECT_FALSE(r.ok());
 }
@@ -155,14 +177,19 @@ TEST(GridFingerprintTest, OrderAndSizeSensitive) {
   EXPECT_NE(GridFingerprint(grid), GridFingerprint(prefix));
 }
 
+std::string SerializedBytes(const ExperimentResult& result) {
+  SnapshotWriter w;
+  SerializeResult(result, &w);
+  return std::string(w.data(), w.size());
+}
+
 TEST(ResultSerializationTest, RoundTripsByteIdentically) {
   ExperimentConfig config = ShortMpeg(5, "PAST-peg-peg-93-98");
   config.faults = "storm=0.3,seed=11";  // exercises the FaultReport fields too
   const ExperimentResult original = RunExperiment(config);
 
-  ByteWriter w;
-  SerializeResult(original, &w);
-  ByteReader r(w.bytes());
+  const std::string bytes = SerializedBytes(original);
+  SnapshotReader r(bytes.data(), bytes.size());
   ExperimentResult restored;
   ASSERT_TRUE(DeserializeResult(&r, &restored));
 
@@ -171,17 +198,47 @@ TEST(ResultSerializationTest, RoundTripsByteIdentically) {
   EXPECT_EQ(Fingerprint(restored), Fingerprint(original));
   EXPECT_EQ(MetricsJson(restored), MetricsJson(original));
   ASSERT_EQ(restored.streams.size(), original.streams.size());
+  EXPECT_EQ(SerializedBytes(restored), bytes);
 }
 
 TEST(ResultSerializationTest, RejectsTruncatedPayload) {
   const ExperimentResult original = RunExperiment(ShortMpeg(1));
-  ByteWriter w;
-  SerializeResult(original, &w);
-  const std::string whole = w.bytes();
+  const std::string whole = SerializedBytes(original);
   const std::string torn = whole.substr(0, whole.size() / 2);
-  ByteReader r(torn);
+  SnapshotReader r(torn.data(), torn.size());
   ExperimentResult restored;
   EXPECT_FALSE(DeserializeResult(&r, &restored));
+}
+
+TEST(ResultSerializationTest, RejectsEveryStrictPrefix) {
+  // Every field boundary and every cut inside a field: no prefix may parse,
+  // crash or read past its end.  A short run keeps the payload small enough
+  // to try all of them.
+  ExperimentConfig config = ShortMpeg(3, "PAST-peg-peg-93-98");
+  config.duration = SimTime::Millis(200);
+  config.faults = "storm=0.3,seed=11";
+  const std::string whole = SerializedBytes(RunExperiment(config));
+  ASSERT_GT(whole.size(), 100u);
+  for (std::size_t len = 0; len < whole.size(); ++len) {
+    // A heap copy of exactly `len` bytes, so an over-read is a real
+    // out-of-bounds access that ASan reports.
+    const std::unique_ptr<char[]> prefix(new char[len + 1]);
+    std::memcpy(prefix.get(), whole.data(), len);
+    SnapshotReader r(prefix.get(), len);
+    ExperimentResult restored;
+    ASSERT_FALSE(DeserializeResult(&r, &restored)) << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(ResultSerializationTest, RejectsAnAllOnesStringLength) {
+  // The app name is the first field; its length field claims 4 GiB.
+  std::string bytes = SerializedBytes(RunExperiment(ShortMpeg(1)));
+  const std::uint32_t hostile = 0xFFFFFFFFu;
+  std::memcpy(bytes.data(), &hostile, sizeof(hostile));
+  SnapshotReader r(bytes.data(), bytes.size());
+  ExperimentResult restored;
+  EXPECT_FALSE(DeserializeResult(&r, &restored));
+  EXPECT_TRUE(restored.app.empty());
 }
 
 TEST_F(JournalTest, WriteReadRoundTrip) {

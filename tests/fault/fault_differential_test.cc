@@ -48,9 +48,9 @@ std::string RunStack(bool bind_zero_injector) {
   Kernel kernel(sim, itsy, kernel_config);
 
   std::string error;
-  std::unique_ptr<ClockPolicy> governor = MakeGovernor("PAST-peg-peg-93-98-vs", &error);
-  EXPECT_NE(governor, nullptr) << error;
-  kernel.InstallPolicy(governor.get());
+  GovernorHandle governor = MakeGovernorDispatch("PAST-peg-peg-93-98-vs", &error);
+  EXPECT_NE(governor.governor, nullptr) << error;
+  kernel.InstallPolicy(governor.dispatch);
 
   std::optional<FaultInjector> injector;
   if (bind_zero_injector) {

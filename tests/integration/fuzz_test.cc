@@ -91,10 +91,10 @@ TEST_P(FuzzTest, InvariantsHoldUnderRandomWorkloads) {
   Kernel kernel(sim, itsy, kernel_config);
 
   std::string error;
-  auto governor = MakeGovernor(fuzz.governor, &error);
-  ASSERT_TRUE(governor != nullptr || error.empty()) << error;
-  if (governor != nullptr) {
-    kernel.InstallPolicy(governor.get());
+  GovernorHandle governor = MakeGovernorDispatch(fuzz.governor, &error);
+  ASSERT_TRUE(governor.governor != nullptr || error.empty()) << error;
+  if (governor.governor != nullptr) {
+    kernel.InstallPolicy(governor.dispatch);
   }
 
   Rng shape_rng(fuzz.seed * 7919);
