@@ -63,7 +63,7 @@ void SaveSampleWindow(SnapshotWriter* w, const Container& c) {
 
 template <typename Container>
 void LoadSampleWindow(SnapshotReader* r, Container* c) {
-  const std::size_t n = static_cast<std::size_t>(r->U64());
+  const std::size_t n = r->Count(sizeof(double));
   c->clear();
   for (std::size_t i = 0; i < n; ++i) {
     c->push_back(r->F64());

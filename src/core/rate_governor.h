@@ -51,7 +51,7 @@ class SaturationAwareGovernor final : public ClockPolicy {
     w->F64(sum_);
   }
   void LoadState(SnapshotReader* r) override {
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(double));
     busy_mhz_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       busy_mhz_.push_back(r->F64());

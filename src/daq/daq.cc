@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/daq/noise_kernel.h"
 #include "src/fault/fault_injector.h"
 
 namespace dcs {
@@ -121,25 +122,23 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
                         double period_s) {
   // Structure-of-arrays pipeline.  Every pass below either (a) performs,
   // per element, exactly the operations the scalar pipeline performs in
-  // exactly the same order — divide/multiply/sqrt/round/clamp, all
-  // correctly rounded per IEEE-754, so reordering *across* elements cannot
-  // change any bit — or (b) is a serial pass whose cross-element order
-  // matters (the RNG stream, the cursor walk) and is kept in stream order.
-  // The only libm calls, log and cos, stay scalar calls into the same glibc
-  // the reference path uses; their loops are split out so everything around
-  // them vectorizes.
+  // exactly the same order — divide/multiply/clamp/round, all correctly
+  // rounded per IEEE-754, so reordering *across* elements cannot change any
+  // bit — (b) is a serial pass whose cross-element order matters (the RNG
+  // stream, the cursor walk) and is kept in stream order, or (c) is the
+  // channel kernel (src/daq/noise_kernel.h), which approximates the noise
+  // and recomputes exactly every reading whose ADC code the approximation
+  // could have moved.
   PowerTape::Cursor cursor(tape);
-  const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
-  const double sigma_supply = config_.noise_lsb * supply_lsb_;
-  const bool shunt_noise = sigma_shunt != 0.0;
-  const bool supply_noise = sigma_supply != 0.0;
+  const noise_kernel::AdcChannel shunt_channel{config_.noise_lsb * shunt_lsb_,
+                                               -config_.shunt_range_volts,
+                                               config_.shunt_range_volts, shunt_lsb_};
+  const noise_kernel::AdcChannel supply_channel{config_.noise_lsb * supply_lsb_, 0.0,
+                                                config_.supply_range_volts, supply_lsb_};
+  const bool shunt_noise = shunt_channel.sigma != 0.0;
+  const bool supply_noise = supply_channel.sigma != 0.0;
   const double supply_volts = config_.supply_volts;
   const double shunt_ohms = config_.shunt_ohms;
-  const double shunt_lo = -config_.shunt_range_volts;
-  const double shunt_hi = config_.shunt_range_volts;
-  const double supply_hi = config_.supply_range_volts;
-  const double shunt_lsb = shunt_lsb_;
-  const double supply_lsb = supply_lsb_;
 
   SimTime* const times = scratch_.times.data();
   double* const supply = scratch_.supply.data();
@@ -180,73 +179,15 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
         }
       }
     }
-    // Pass 4: Gaussian shunt noise, term-for-term the Rng::Gaussian
-    // expression (clamp, log, sqrt, cos, multiply-add) with log/cos in
-    // their own scalar loops.
-    if (shunt_noise) {
-      for (int i = 0; i < n; ++i) {
-        double u = u1[i];
-        if (u < 1e-300) {
-          u = 1e-300;
-        }
-        u1[i] = std::log(u);
-      }
-      for (int i = 0; i < n; ++i) {
-        u1[i] = std::sqrt(-2.0 * u1[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        u2[i] = std::cos(2.0 * M_PI * u2[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        vals[i] += 0.0 + sigma_shunt * u1[i] * u2[i];
-      }
-    }
-    // Pass 5 (vectorizable): shunt-channel ADC quantisation.
+    // Pass 4 (vectorizable): the supply channel (a constant rail) into
+    // `supply`, then the shunt channel into u3, whose draws are spent.
+    noise_kernel::QuantiseChannel([supply_volts](int) { return supply_volts; }, u3, u4,
+                                  supply, n, supply_channel);
+    noise_kernel::QuantiseChannel([vals](int i) { return vals[i]; }, u1, u2, u3, n,
+                                  shunt_channel);
+    // Pass 5 (vectorizable): measured current x measured rail -> power.
     for (int i = 0; i < n; ++i) {
-      double v = vals[i];
-      if (v < shunt_lo) {
-        v = shunt_lo;
-      }
-      if (v > shunt_hi) {
-        v = shunt_hi;
-      }
-      vals[i] = std::round(v / shunt_lsb) * shunt_lsb;
-    }
-    // Pass 6: supply channel — constant rail, optional noise, quantisation.
-    for (int i = 0; i < n; ++i) {
-      supply[i] = supply_volts;
-    }
-    if (supply_noise) {
-      for (int i = 0; i < n; ++i) {
-        double u = u3[i];
-        if (u < 1e-300) {
-          u = 1e-300;
-        }
-        u3[i] = std::log(u);
-      }
-      for (int i = 0; i < n; ++i) {
-        u3[i] = std::sqrt(-2.0 * u3[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        u4[i] = std::cos(2.0 * M_PI * u4[i]);
-      }
-      for (int i = 0; i < n; ++i) {
-        supply[i] += 0.0 + sigma_supply * u3[i] * u4[i];
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      double v = supply[i];
-      if (v < 0.0) {
-        v = 0.0;
-      }
-      if (v > supply_hi) {
-        v = supply_hi;
-      }
-      supply[i] = std::round(v / supply_lsb) * supply_lsb;
-    }
-    // Pass 7 (vectorizable): measured current x measured rail -> power.
-    for (int i = 0; i < n; ++i) {
-      vals[i] = (vals[i] / shunt_ohms) * supply[i];
+      vals[i] = (u3[i] / shunt_ohms) * supply[i];
     }
   }
 }

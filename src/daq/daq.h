@@ -70,11 +70,16 @@ class Daq {
   //
   // The default pipeline is batched: per 2048-sample block, timestamps,
   // cursor watts and the ADC channel values each live in a contiguous array,
-  // and every pass that IEEE-754 guarantees to round identically per element
-  // (divide, multiply, sqrt, round, clamp) is a tight vectorizable loop.
-  // The Gaussian draws and their log/cos stay scalar, in exact stream
-  // order, so the result is bit-for-bit the scalar pipeline's (goldens are
-  // the spec; see tests/hotpath/daq_soa_property_test.cc).
+  // and each pass is a tight loop.  The uniform draws stay serial, in the
+  // scalar pipeline's exact stream order.  The noise pass approximates, then
+  // verifies: each channel's Box-Muller noise comes from vectorised
+  // polynomial log/cos (src/daq/noise_kernel.h), which can only matter
+  // through the integer ADC code it rounds to.  A reading whose pre-round
+  // value lies within the polynomials' error margin of a rounding boundary
+  // is recomputed with the scalar std::log/std::sqrt/std::cos expression.
+  // So the result is bit-for-bit the scalar pipeline's (goldens are the
+  // spec; see tests/hotpath/daq_soa_property_test.cc and
+  // tests/daq/noise_kernel_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
   // next SampleWindow/SamplePowerWatts/MeasureEnergyJoules call.
@@ -151,9 +156,10 @@ class Daq {
   // so only the channel temporaries need scratch.
   struct Scratch {
     std::array<SimTime, kBatch> times;
-    std::array<double, kBatch> supply;  // supply channel volts
-    std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws / noise temps
-    std::array<double, kBatch> u3, u4;  // supply-channel uniform draws / noise temps
+    std::array<double, kBatch> supply;  // quantised supply channel volts
+    std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
+    std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3 then
+                                        // holds the quantised shunt volts
   };
   Scratch scratch_;
 };
@@ -187,7 +193,7 @@ class GpioTrigger {
     const bool open = r->Bool();
     const SimTime open_at = r->Time();
     open_start_ = open ? std::optional<SimTime>(open_at) : std::nullopt;
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(2 * sizeof(std::int64_t));  // two Times each
     windows_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const SimTime start = r->Time();

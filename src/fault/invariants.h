@@ -85,7 +85,7 @@ class InvariantChecker {
   void LoadState(SnapshotReader* r) {
     checks_ = r->U64();
     violation_count_ = r->U64();
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(std::uint64_t));  // each span's length
     violations_.clear();
     char buf[512];
     for (std::size_t i = 0; i < n; ++i) {

@@ -78,7 +78,7 @@ class PowerTape {
     }
   }
   void LoadState(SnapshotReader* r) {
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(Segment) + sizeof(double));
     segments_.resize(n);
     prefix_.resize(n);
     if (n > 0) {

@@ -48,7 +48,7 @@ class RunQueue {
   }
   void LoadState(SnapshotReader* r) {
     queue_.clear();
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(std::int64_t));
     for (std::size_t i = 0; i < n; ++i) {
       queue_.push_back(static_cast<Pid>(r->I64()));
     }

@@ -10,6 +10,7 @@
 #ifndef SRC_KERNEL_SCHED_LOG_H_
 #define SRC_KERNEL_SCHED_LOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +62,11 @@ class SchedLog {
     w->Bool(enabled_);
   }
   void LoadState(SnapshotReader* r) {
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(SchedLogEntry));
+    if (n > capacity_) {
+      r->Fail();
+      return;
+    }
     buffer_.resize(n);
     if (n > 0) {
       r->Bytes(buffer_.data(), n * sizeof(SchedLogEntry));
@@ -69,6 +74,15 @@ class SchedLog {
     next_ = static_cast<std::size_t>(r->U64());
     total_ = r->U64();
     enabled_ = r->Bool();
+    // Record() writes buffer_[next_] and Snapshot() reads min(total_,
+    // capacity_) entries; an image that breaks either bound fails the load
+    // and leaves an empty log.
+    if ((capacity_ > 0 && next_ >= capacity_) ||
+        n < std::min<std::uint64_t>(total_, capacity_)) {
+      r->Fail();
+      buffer_.clear();
+      Clear();
+    }
   }
 
  private:

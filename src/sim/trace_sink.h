@@ -74,7 +74,7 @@ class TraceSeries {
     }
   }
   void LoadState(SnapshotReader* r) {
-    const std::size_t n = static_cast<std::size_t>(r->U64());
+    const std::size_t n = r->Count(sizeof(TracePoint));
     points_.resize(n);
     if (n > 0) {
       r->Bytes(points_.data(), n * sizeof(TracePoint));

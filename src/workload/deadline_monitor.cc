@@ -151,7 +151,7 @@ void DeadlineMonitor::SaveState(SnapshotWriter* w) const {
 
 void DeadlineMonitor::LoadState(SnapshotReader* r) {
   r->Tag(kDeadlineTag);
-  const std::size_t n = static_cast<std::size_t>(r->U64());
+  const std::size_t n = r->Count(sizeof(std::uint64_t));  // each name span's length
   char buf[256];
   if (n == streams_.size()) {
     // Same key set as the image (fleet device cycling): restore each stream

@@ -430,7 +430,8 @@ void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
   supply_bound_ = r->Bool();
   next_arrival_ = static_cast<std::size_t>(r->U64());
   queue_.clear();
-  const std::size_t queued = static_cast<std::size_t>(r->U64());
+  // Each request is a Time, an F64 and a U64.
+  const std::size_t queued = r->Count(3 * sizeof(std::uint64_t));
   for (std::size_t i = 0; i < queued; ++i) {
     Request request;
     request.arrival = r->Time();
