@@ -87,6 +87,9 @@ void BenchReport::WriteJson(std::ostream& os) const {
 #else
   os << ",\"build_type\":\"unknown\"";
 #endif
+  for (const auto& [key, value] : host_fields_) {
+    os << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
+  }
   os << "},\"config\":{\"repetitions\":" << repetitions_
      << ",\"warmup_discarded\":1,\"quick\":" << (quick_ ? "true" : "false") << "}";
   os << ",\"benchmarks\":[";

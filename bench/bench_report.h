@@ -13,6 +13,7 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dcs {
@@ -34,6 +35,12 @@ class BenchReport {
 
   void Add(BenchResult result) { results_.push_back(std::move(result)); }
 
+  // Adds a key to the run's host metadata, after the built-in ones (e.g.
+  // which ISA variant a runtime-dispatched kernel ran).
+  void AddHostField(std::string key, std::string value) {
+    host_fields_.emplace_back(std::move(key), std::move(value));
+  }
+
   // Renders the run object ("dcs-bench/1").  Deterministic field order;
   // numbers via std::to_chars shortest round-trip.
   void WriteJson(std::ostream& os) const;
@@ -44,6 +51,7 @@ class BenchReport {
   std::string label_;
   int repetitions_;
   bool quick_;
+  std::vector<std::pair<std::string, std::string>> host_fields_;
   std::vector<BenchResult> results_;
 };
 

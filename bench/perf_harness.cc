@@ -470,6 +470,9 @@ int Main(int argc, char** argv) {
   flags.ParseOrExit(argc, argv);
 
   BenchReport report(options.label, options.Reps(), options.quick);
+  // The DAQ rows depend on which ISA variant of its block passes this CPU
+  // selects; scripts/bench_diff.py warns when two runs differ in it.
+  report.AddHostField("daq_variant", Daq::IsaVariant());
 
   const int queue_iters = options.quick ? 200'000 : 1'000'000;
   RunBench(report, options, "event_queue.push_pop_cancel", "micro", "Mops/s", true,

@@ -24,6 +24,9 @@ compares two named entries of the history.
 Prints an old-vs-new table for every benchmark present in both runs and
 exits 1 if any "micro" benchmark regressed by more than the threshold
 (default 25%).  "e2e" wall-clock rows are advisory: printed, never gating.
+When both runs record the DAQ's ISA variant (host.daq_variant, written by
+perf_harness) and the two differ, a warning says so: the DAQ rows then
+compare instruction sets as well as code.
 """
 
 import json
@@ -74,6 +77,12 @@ def main(argv):
 
     print(f"old: {old_run.get('label')}  ({old_run.get('host', {}).get('cpu')})")
     print(f"new: {new_run.get('label')}  ({new_run.get('host', {}).get('cpu')})")
+    old_variant = old_run.get("host", {}).get("daq_variant")
+    new_variant = new_run.get("host", {}).get("daq_variant")
+    if old_variant and new_variant and old_variant != new_variant:
+        print(f"warning: the runs used different DAQ block-pass variants "
+              f"({old_variant} vs {new_variant}); the DAQ rows compare ISAs, "
+              f"not code")
     print(f"{'benchmark':<34}{'old':>14}{'new':>14}{'delta':>10}  unit")
 
     regressions = []

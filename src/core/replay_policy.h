@@ -32,7 +32,7 @@ class ScheduleReplayPolicy final : public ClockPolicy {
   void Reset() override { next_ = 0; }
   void SaveState(SnapshotWriter* w) const override { w->U64(next_); }
   void LoadState(SnapshotReader* r) override {
-    next_ = static_cast<std::size_t>(r->U64());
+    next_ = r->Index(steps_.size());
   }
 
   std::size_t schedule_length() const { return steps_.size(); }

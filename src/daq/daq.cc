@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/daq/block_passes.h"
 #include "src/daq/noise_kernel.h"
 #include "src/fault/fault_injector.h"
 
@@ -21,6 +22,115 @@ double Quantise(double volts, double lsb, double lo, double hi) {
 }
 
 }  // namespace
+
+namespace block_passes {
+namespace {
+
+// The element-wise passes of one block, the body of every ISA variant.
+inline int RunPasses(const Block& b) {
+  double* const vals = b.vals;
+  double* const supply = b.supply;
+  double* const u3 = b.u3;
+  const int n = b.n;
+  const double supply_volts = b.supply_volts;
+  const double shunt_ohms = b.shunt_ohms;
+  // True watts -> raw shunt volts.
+  for (int i = 0; i < n; ++i) {
+    vals[i] = (vals[i] / supply_volts) * shunt_ohms;
+  }
+  // The supply channel (a constant rail) into `supply`, then the shunt
+  // channel into u3, whose draws are spent.
+  int recomputed = noise_kernel::QuantiseChannel(
+      [supply_volts](int) { return supply_volts; }, u3, b.u4, supply, n, b.supply_rail);
+  recomputed += noise_kernel::QuantiseChannel([vals](int i) { return vals[i]; }, b.u1, b.u2,
+                                              u3, n, b.shunt);
+  // Measured current x measured rail -> power.
+  for (int i = 0; i < n; ++i) {
+    vals[i] = (u3[i] / shunt_ohms) * supply[i];
+  }
+  return recomputed;
+}
+
+// `flatten` inlines the channel kernel into each variant.  Without it GCC
+// may keep a QuantiseChannel instance out of line, where it runs at the
+// baseline ISA whatever its caller's.
+[[gnu::flatten]] int PassesBaseline(const Block& b) { return RunPasses(b); }
+
+// The ISA-level names in target attributes and __builtin_cpu_supports need
+// GCC 12 or Clang 18.
+#if defined(__x86_64__) && \
+    ((defined(__clang__) && __clang_major__ >= 18) || (!defined(__clang__) && __GNUC__ >= 12))
+#define DCS_DAQ_ISA_LEVELS 1
+[[gnu::flatten, gnu::target("arch=x86-64-v3")]] int PassesV3(const Block& b) {
+  return RunPasses(b);
+}
+[[gnu::flatten, gnu::target("arch=x86-64-v4")]] int PassesV4(const Block& b) {
+  return RunPasses(b);
+}
+#endif
+
+}  // namespace
+
+const char* IsaName(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline:
+      return "baseline";
+    case Isa::kX86_64_V3:
+      return "x86-64-v3";
+    case Isa::kX86_64_V4:
+      return "x86-64-v4";
+  }
+  return "unknown";
+}
+
+PassesFn PassesFor(Isa isa) {
+  switch (isa) {
+    case Isa::kBaseline:
+      return &PassesBaseline;
+#ifdef DCS_DAQ_ISA_LEVELS
+    case Isa::kX86_64_V3:
+      return &PassesV3;
+    case Isa::kX86_64_V4:
+      return &PassesV4;
+#endif
+    default:
+      return nullptr;
+  }
+}
+
+bool Runnable(Isa isa) {
+  if (PassesFor(isa) == nullptr) {
+    return false;
+  }
+#ifdef DCS_DAQ_ISA_LEVELS
+  // The builtins also check that the OS saves the wider register state.
+  __builtin_cpu_init();
+  if (isa == Isa::kX86_64_V3) {
+    return __builtin_cpu_supports("x86-64-v3");
+  }
+  if (isa == Isa::kX86_64_V4) {
+    return __builtin_cpu_supports("x86-64-v4");
+  }
+#endif
+  return true;
+}
+
+Isa Chosen() {
+  static const Isa chosen = [] {
+    Isa widest = Isa::kBaseline;
+    for (const Isa isa : kAllIsas) {
+      if (Runnable(isa)) {
+        widest = isa;
+      }
+    }
+    return widest;
+  }();
+  return chosen;
+}
+
+}  // namespace block_passes
+
+const char* Daq::IsaVariant() { return block_passes::IsaName(block_passes::Chosen()); }
 
 Daq::Daq(const DaqConfig& config, Arena* arena)
     : config_(config), rng_(config.seed),
@@ -128,20 +238,28 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
   // stream, the cursor walk) and is kept in stream order, or (c) is the
   // channel kernel (src/daq/noise_kernel.h), which approximates the noise
   // and recomputes exactly every reading whose ADC code the approximation
-  // could have moved.
+  // could have moved.  The element-wise passes run through the ISA variant
+  // this CPU supports (src/daq/block_passes.h); all variants give the same
+  // bits.
   PowerTape::Cursor cursor(tape);
-  const noise_kernel::AdcChannel shunt_channel{config_.noise_lsb * shunt_lsb_,
-                                               -config_.shunt_range_volts,
-                                               config_.shunt_range_volts, shunt_lsb_};
-  const noise_kernel::AdcChannel supply_channel{config_.noise_lsb * supply_lsb_, 0.0,
-                                                config_.supply_range_volts, supply_lsb_};
-  const bool shunt_noise = shunt_channel.sigma != 0.0;
-  const bool supply_noise = supply_channel.sigma != 0.0;
-  const double supply_volts = config_.supply_volts;
-  const double shunt_ohms = config_.shunt_ohms;
+  const block_passes::PassesFn run_passes =
+      block_passes::PassesFor(block_passes::Chosen());
+  block_passes::Block block{};
+  block.supply = scratch_.supply.data();
+  block.u1 = scratch_.u1.data();
+  block.u2 = scratch_.u2.data();
+  block.u3 = scratch_.u3.data();
+  block.u4 = scratch_.u4.data();
+  block.supply_volts = config_.supply_volts;
+  block.shunt_ohms = config_.shunt_ohms;
+  block.shunt = {config_.noise_lsb * shunt_lsb_, -config_.shunt_range_volts,
+                 config_.shunt_range_volts, shunt_lsb_};
+  block.supply_rail = {config_.noise_lsb * supply_lsb_, 0.0, config_.supply_range_volts,
+                       supply_lsb_};
+  const bool shunt_noise = block.shunt.sigma != 0.0;
+  const bool supply_noise = block.supply_rail.sigma != 0.0;
 
   SimTime* const times = scratch_.times.data();
-  double* const supply = scratch_.supply.data();
   double* const u1 = scratch_.u1.data();
   double* const u2 = scratch_.u2.data();
   double* const u3 = scratch_.u3.data();
@@ -154,17 +272,14 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
 
   for (std::int64_t base = 0; base < count; base += kBatch) {
     const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
-    double* const vals = out + base;
+    block.vals = out + base;
+    block.n = n;
     // Pass 1 (serial): timestamps, then the cursor gather in time order.
     for (int i = 0; i < n; ++i) {
       times[i] = begin + SimTime::FromSecondsF((base + i) * period_s);
     }
-    cursor.GatherWatts(times, static_cast<std::size_t>(n), vals);
-    // Pass 2 (vectorizable): true watts -> raw shunt volts.
-    for (int i = 0; i < n; ++i) {
-      vals[i] = (vals[i] / supply_volts) * shunt_ohms;
-    }
-    // Pass 3 (serial): uniform draws in the scalar pipeline's exact stream
+    cursor.GatherWatts(times, static_cast<std::size_t>(n), block.vals);
+    // Pass 2 (serial): uniform draws in the scalar pipeline's exact stream
     // order — per sample, shunt pair then supply pair, skipping a channel's
     // pair entirely when its noise is disabled.
     if (shunt_noise || supply_noise) {
@@ -179,16 +294,9 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
         }
       }
     }
-    // Pass 4 (vectorizable): the supply channel (a constant rail) into
-    // `supply`, then the shunt channel into u3, whose draws are spent.
-    noise_kernel::QuantiseChannel([supply_volts](int) { return supply_volts; }, u3, u4,
-                                  supply, n, supply_channel);
-    noise_kernel::QuantiseChannel([vals](int i) { return vals[i]; }, u1, u2, u3, n,
-                                  shunt_channel);
-    // Pass 5 (vectorizable): measured current x measured rail -> power.
-    for (int i = 0; i < n; ++i) {
-      vals[i] = (u3[i] / shunt_ohms) * supply[i];
-    }
+    // Pass 3 (element-wise): watts -> shunt volts, both channel kernels,
+    // measured current x measured rail -> power.
+    run_passes(block);
   }
 }
 

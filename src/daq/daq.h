@@ -77,9 +77,14 @@ class Daq {
   // through the integer ADC code it rounds to.  A reading whose pre-round
   // value lies within the polynomials' error margin of a rounding boundary
   // is recomputed with the scalar std::log/std::sqrt/std::cos expression.
-  // So the result is bit-for-bit the scalar pipeline's (goldens are the
-  // spec; see tests/hotpath/daq_soa_property_test.cc and
-  // tests/daq/noise_kernel_test.cc).
+  // The element-wise passes (watts to volts, both channel kernels, current
+  // times rail) are compiled at the baseline, x86-64-v3 (AVX2) and
+  // x86-64-v4 (AVX-512) ISA levels; the process runs the widest its CPU
+  // supports (IsaVariant()), and all three return the same bits
+  // (src/daq/block_passes.h).  So the result is bit-for-bit the scalar
+  // pipeline's (goldens are the spec; see
+  // tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
+  // and tests/daq/block_variant_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
   // next SampleWindow/SamplePowerWatts/MeasureEnergyJoules call.
@@ -102,6 +107,10 @@ class Daq {
 
   // Convenience: sample + integrate in one call.
   double MeasureEnergyJoules(const PowerTape& tape, SimTime begin, SimTime end);
+
+  // The ISA variant of the batched element-wise passes this process runs:
+  // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.
+  static const char* IsaVariant();
 
   // Device-snapshot support (src/sim/snapshot.h): the noise RNG's stream
   // position and drop accounting.  Sample buffers are transient outputs and

@@ -61,7 +61,11 @@ class Cpu {
   }
   void LoadState(SnapshotReader* r) {
     step_ = static_cast<int>(r->U32());
-    state_ = static_cast<ExecState>(r->U8());
+    if (step_ < ClockTable::MinStep() || step_ > ClockTable::MaxStep()) {
+      r->Fail();
+      step_ = ClockTable::MaxStep();
+    }
+    state_ = r->Enum(ExecState::kStalled);
     stall_until_ = r->Time();
     clock_changes_ = static_cast<int>(r->U32());
     total_stall_ = r->Time();

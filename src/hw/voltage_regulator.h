@@ -74,10 +74,10 @@ class VoltageRegulator {
     w->U32(static_cast<std::uint32_t>(transitions_));
   }
   void LoadState(SnapshotReader* r) {
-    target_ = static_cast<CoreVoltage>(r->U8());
+    target_ = r->Enum(CoreVoltage::kLow);
     settle_until_ = r->Time();
     transition_start_ = r->Time();
-    previous_ = static_cast<CoreVoltage>(r->U8());
+    previous_ = r->Enum(CoreVoltage::kLow);
     transitions_ = static_cast<int>(r->U32());
   }
 

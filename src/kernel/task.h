@@ -87,8 +87,8 @@ class Task {
   }
   void LoadState(SnapshotReader* r, Kernel* kernel) {
     rng_.LoadState(r);
-    state_ = static_cast<TaskState>(r->U8());
-    action_.kind = static_cast<Action::Kind>(r->U8());
+    state_ = r->Enum(TaskState::kExited);
+    action_.kind = r->Enum(Action::Kind::kExit);
     action_.base_cycles = r->F64();
     action_.until = r->Time();
     action_.jiffy_rounded = r->Bool();

@@ -166,6 +166,31 @@ class SnapshotReader {
     return static_cast<std::size_t>(count);
   }
 
+  // Reads an enum saved with U8 whose enumerators run 0..`last`.  A value
+  // past `last` latches ok() false and returns the first enumerator, so no
+  // out-of-range state ever reaches a switch.
+  template <typename E>
+  E Enum(E last) {
+    const std::uint8_t v = U8();
+    if (v > static_cast<std::uint8_t>(last)) {
+      ok_ = false;
+      return E{};
+    }
+    return static_cast<E>(v);
+  }
+
+  // Reads an index saved with U64 that may be at most `limit` (e.g. a
+  // position in a sequence of `limit` events, where `limit` means "done").
+  // A larger value latches ok() false and returns 0.
+  std::size_t Index(std::size_t limit) {
+    const std::uint64_t v = U64();
+    if (v > limit) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<std::size_t>(v);
+  }
+
   // Reads a span saved by SnapshotWriter::Span into `out` (up to `max`
   // elements).  Returns the element count, or 0 with ok() latched false when
   // the image claims more elements than `max` — the caller's storage is the

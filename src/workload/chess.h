@@ -55,8 +55,13 @@ class ChessWorkload final : public Workload {
     w->I64(ply_);
   }
   void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = static_cast<std::size_t>(r->U64());
-    state_ = static_cast<State>(r->U8());
+    next_event_ = r->Index(trace_.events().size());
+    state_ = r->Enum(State::kEngineUi);
+    // Every state but kWaitMove works on the move at next_event_.
+    if (state_ != State::kWaitMove && next_event_ == trace_.events().size()) {
+      r->Fail();
+      state_ = State::kWaitMove;
+    }
     origin_ = r->Time();
     primed_ = r->Bool();
     ui_deadline_ = r->Time();

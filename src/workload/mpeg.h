@@ -130,7 +130,7 @@ class MpegVideoWorkload final : public Workload {
     w->I64(dropped_);
   }
   void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    state_ = static_cast<State>(r->U8());
+    state_ = r->Enum(State::kDisplay);
     origin_ = r->Time();
     frame_ = static_cast<int>(r->I64());
     dropped_ = static_cast<int>(r->I64());
@@ -171,7 +171,7 @@ class MpegAudioWorkload final : public Workload {
     w->I64(buffer_);
   }
   void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    state_ = static_cast<State>(r->U8());
+    state_ = r->Enum(State::kWait);
     origin_ = r->Time();
     buffer_ = static_cast<int>(r->I64());
   }

@@ -428,7 +428,7 @@ void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
     admission_->LoadState(r);
   }
   supply_bound_ = r->Bool();
-  next_arrival_ = static_cast<std::size_t>(r->U64());
+  next_arrival_ = r->Index(trace_.events().size());
   queue_.clear();
   // Each request is a Time, an F64 and a U64.
   const std::size_t queued = r->Count(3 * sizeof(std::uint64_t));
@@ -436,14 +436,14 @@ void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
     Request request;
     request.arrival = r->Time();
     request.service_us = r->F64();
-    request.cls = static_cast<std::size_t>(r->U64());
+    request.cls = r->Index(classes_.size() - 1);
     queue_.push_back(request);
   }
   queue_work_us_ = r->F64();
   serving_ = r->Bool();
   current_.arrival = r->Time();
   current_.service_us = r->F64();
-  current_.cls = static_cast<std::size_t>(r->U64());
+  current_.cls = r->Index(classes_.size() - 1);
   origin_ = r->Time();
   primed_ = r->Bool();
   if (supply_bound_ && admission_.has_value() && kernel != nullptr) {

@@ -64,8 +64,8 @@ class TalkingEditorWorkload final : public Workload {
     w->Bool(pipeline_empty_);
   }
   void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = static_cast<std::size_t>(r->U64());
-    state_ = static_cast<State>(r->U8());
+    next_event_ = r->Index(trace_.events().size());
+    state_ = r->Enum(State::kAfterSynth);
     origin_ = r->Time();
     primed_ = r->Bool();
     sentences_left_ = static_cast<int>(r->I64());

@@ -52,7 +52,7 @@ class WebWorkload final : public Workload {
     w->Time(event_deadline_);
   }
   void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = static_cast<std::size_t>(r->U64());
+    next_event_ = r->Index(trace_.events().size());
     handling_ = r->Bool();
     origin_ = r->Time();
     primed_ = r->Bool();

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/exp/journal.h"
 #include "src/exp/sweep.h"
+#include "src/sim/simulator.h"
 #include "tests/fault/fingerprint.h"
 
 namespace dcs {
@@ -144,25 +148,47 @@ TEST_F(CampaignTest, FingerprintMismatchForcesAFreshRun) {
   EXPECT_EQ(Fingerprint(*jobs[0].result), Fingerprint(RunExperiment(other[0])));
 }
 
+// The watchdog's token reaches the simulation: a job whose token is set
+// stops with CancelledError, which the runner reports as a watchdog timeout.
+TEST_F(CampaignTest, CancelTokenStopsTheSimulation) {
+  std::atomic<bool> cancel{true};
+  ExperimentConfig config = ShortMpeg(1);
+  config.cancel = &cancel;
+  EXPECT_THROW(RunExperiment(config), CancelledError);
+}
+
 TEST_F(CampaignTest, HangingJobIsQuarantinedWhileOthersSucceed) {
-  // The hang must keep the *simulation* busy (the watchdog cancels between
-  // events), so the MPEG app decodes for ~28 hours of simulated time with a
-  // full fault storm (invariant sweep every quantum) — wall seconds per
-  // attempt even on a fast machine, ~25x the watchdog budget here.
-  ExperimentConfig hang = ShortMpeg(2);
-  hang.mpeg = MpegConfig{};
-  hang.mpeg->duration = SimTime::Seconds(100000);
-  hang.duration = SimTime::Seconds(100000);
-  hang.faults = "storm=1.0,seed=3";
-  const std::vector<ExperimentConfig> grid = {ShortMpeg(1), hang, ShortMpeg(3)};
+  // Slot 1 hangs until the watchdog cancels it: its job blocks on the cancel
+  // token, so nothing races a long simulation against the budget.  The wait
+  // is bounded, so a watchdog that never fires fails the attempt with another
+  // error (and the test) instead of hanging it.  The healthy slots run a 2 s
+  // MPEG clip in under 10 ms of wall time, over 100x under the 1 s budget.
+  const std::vector<ExperimentConfig> grid = {ShortMpeg(1), ShortMpeg(2), ShortMpeg(3)};
+  SweepJobHooks hooks;
+  hooks.execute = [](const ExperimentConfig& config, int index) {
+    SweepJobResult slot;
+    if (index != 1) {
+      slot.result = RunExperiment(config);
+      return slot;
+    }
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (config.cancel == nullptr || !config.cancel->load()) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        slot.error = "the watchdog never cancelled the hanging job";
+        return slot;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    throw CancelledError("cancelled while blocked");
+  };
 
   SweepOptions options;
   options.threads = 2;
-  options.campaign.job_timeout = 0.2;
+  options.campaign.job_timeout = 1.0;
   options.campaign.max_retries = 1;
   options.campaign.quarantine_out = (dir_ / "quarantine.json").string();
   SweepRunner runner(options);
-  const auto jobs = runner.Run(grid);
+  const auto jobs = runner.Run(grid, hooks);
 
   ASSERT_TRUE(jobs[0].ok()) << jobs[0].error;
   ASSERT_TRUE(jobs[2].ok()) << jobs[2].error;

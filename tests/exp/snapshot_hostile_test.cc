@@ -1,19 +1,33 @@
-// Hostile snapshot images: a count field no image could back, and every
-// truncation of a real device image.  Each load must fail ok() cleanly: no
-// allocation sized from the count, no loop driven by it, no crash.
+// Hostile snapshot images: a count field no image could back, state enums
+// and indices out of range, and every truncation of a real device image.
+// Each load must fail ok() cleanly: no allocation sized from the count, no
+// loop driven by it, no out-of-bounds read, no crash.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include <memory>
+
+#include "src/core/replay_policy.h"
 #include "src/daq/daq.h"
 #include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
+#include "src/hw/cpu.h"
 #include "src/hw/power_tape.h"
+#include "src/hw/voltage_regulator.h"
 #include "src/kernel/run_queue.h"
 #include "src/kernel/sched_log.h"
+#include "src/kernel/task.h"
+#include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/trace_sink.h"
+#include "src/workload/chess.h"
+#include "src/workload/input_trace.h"
+#include "src/workload/mpeg.h"
+#include "src/workload/server.h"
+#include "src/workload/talking_editor.h"
+#include "src/workload/web.h"
 
 namespace dcs {
 namespace {
@@ -127,6 +141,201 @@ TEST(SnapshotHostileTest, SchedLogRejectsRingIndicesOutOfBounds) {
       log.Record(SimTime::Micros(i), 1, 0);
     }
     EXPECT_EQ(log.Snapshot().size(), 16u) << c.what;
+  }
+}
+
+// State enums and event indices come from the image too.  Each component
+// must fail the load on a state past its last enumerator or an index past
+// its event list, and stay safe to run afterwards.
+
+// A three-event trace; an index of 3 means "every event consumed".
+InputTrace ThreeEventTrace(const char* kind) {
+  InputTrace trace;
+  for (int i = 0; i < 3; ++i) {
+    trace.Record(SimTime::Millis(100 * (i + 1)), kind, 1.0);
+  }
+  return trace;
+}
+
+// Chess's saved fields after the index and the state.
+void ChessTail(SnapshotWriter* w) {
+  w->Time(SimTime::Zero());
+  w->Bool(true);
+  w->Time(SimTime::Zero());
+  w->I64(0);
+}
+
+TEST(SnapshotHostileTest, ChessRejectsABadStateOrMoveIndex) {
+  struct Case {
+    const char* what;
+    std::uint64_t next_event;
+    std::uint8_t state;
+  };
+  const Case cases[] = {
+      {"move index past the trace", 4, 0},
+      {"user-UI state with every move consumed", 3, 1},
+      {"state past the last enumerator", 0, 4},
+  };
+  for (const Case& c : cases) {
+    ChessWorkload chess(ThreeEventTrace("move"), ChessConfig{}, nullptr);
+    SnapshotWriter w;
+    w.U64(c.next_event);
+    w.U8(c.state);
+    ChessTail(&w);
+    SnapshotReader r(w);
+    chess.LoadState(&r, nullptr);
+    EXPECT_FALSE(r.ok()) << c.what;
+    // The rejected state never indexes the trace.
+    chess.Next(WorkloadContext{SimTime::Seconds(1)});
+  }
+  // The last move still in flight (index 2, user UI) is a valid image.
+  ChessWorkload chess(ThreeEventTrace("move"), ChessConfig{}, nullptr);
+  SnapshotWriter w;
+  w.U64(2);
+  w.U8(1);
+  ChessTail(&w);
+  SnapshotReader r(w);
+  chess.LoadState(&r, nullptr);
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(SnapshotHostileTest, TalkingEditorRejectsABadStateOrEventIndex) {
+  for (const auto& [next_event, state] :
+       {std::pair<std::uint64_t, std::uint8_t>{4, 0}, {0, 4}}) {
+    TalkingEditorWorkload editor(ThreeEventTrace("ui"), TalkingEditorConfig{}, nullptr);
+    SnapshotWriter w;
+    w.U64(next_event);
+    w.U8(state);
+    w.Time(SimTime::Zero());
+    w.Bool(true);
+    w.I64(0);
+    w.Time(SimTime::Zero());
+    w.Bool(false);
+    w.Bool(true);
+    SnapshotReader r(w);
+    editor.LoadState(&r, nullptr);
+    EXPECT_FALSE(r.ok()) << "index " << next_event << " state " << int{state};
+    editor.Next(WorkloadContext{SimTime::Seconds(1)});
+  }
+}
+
+TEST(SnapshotHostileTest, WebRejectsAnEventIndexPastTheTrace) {
+  WebWorkload web(ThreeEventTrace("load"), WebConfig{}, nullptr);
+  SnapshotWriter w;
+  w.U64(4);
+  w.Bool(false);
+  w.Time(SimTime::Zero());
+  w.Bool(true);
+  w.Time(SimTime::Zero());
+  SnapshotReader r(w);
+  web.LoadState(&r, nullptr);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(SnapshotHostileTest, MpegRejectsAStatePastTheLastEnumerator) {
+  {
+    MpegVideoWorkload video(MpegConfig{}, nullptr);
+    SnapshotWriter w;
+    w.U8(5);
+    w.Time(SimTime::Zero());
+    w.I64(0);
+    w.I64(0);
+    SnapshotReader r(w);
+    video.LoadState(&r, nullptr);
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    MpegAudioWorkload audio(MpegConfig{}, nullptr);
+    SnapshotWriter w;
+    w.U8(3);
+    w.Time(SimTime::Zero());
+    w.I64(0);
+    SnapshotReader r(w);
+    audio.LoadState(&r, nullptr);
+    EXPECT_FALSE(r.ok());
+  }
+}
+
+TEST(SnapshotHostileTest, TaskRejectsABadStateOrActionKind) {
+  for (const auto& [state, kind] : {std::pair<std::uint8_t, std::uint8_t>{3, 0}, {0, 5}}) {
+    Task task(1, std::make_unique<MpegAudioWorkload>(MpegConfig{}, nullptr), Rng(1));
+    SnapshotWriter w;
+    Rng(2).SaveState(&w);
+    w.U8(state);
+    w.U8(kind);
+    SnapshotReader r(w);
+    task.LoadState(&r, nullptr);
+    EXPECT_FALSE(r.ok()) << "state " << int{state} << " kind " << int{kind};
+  }
+}
+
+TEST(SnapshotHostileTest, CpuRejectsABadStepOrExecState) {
+  for (const auto& [step, state] :
+       {std::pair<std::uint32_t, std::uint8_t>{ClockTable::MaxStep() + 1, 0},
+        {0xffffffffu, 0},
+        {0, 3}}) {
+    Cpu cpu;
+    SnapshotWriter w;
+    w.U32(step);
+    w.U8(state);
+    w.Time(SimTime::Zero());
+    w.U32(0);
+    w.Time(SimTime::Zero());
+    SnapshotReader r(w);
+    cpu.LoadState(&r);
+    EXPECT_FALSE(r.ok()) << "step " << step << " state " << int{state};
+    EXPECT_GT(cpu.frequency_mhz(), 0.0);
+  }
+}
+
+TEST(SnapshotHostileTest, VoltageRegulatorRejectsAnUnknownVoltage) {
+  VoltageRegulator regulator;
+  SnapshotWriter w;
+  w.U8(2);
+  w.Time(SimTime::Zero());
+  w.Time(SimTime::Zero());
+  w.U8(0);
+  w.U32(0);
+  SnapshotReader r(w);
+  regulator.LoadState(&r);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(SnapshotHostileTest, ReplayPolicyRejectsAPositionPastTheSchedule) {
+  ScheduleReplayPolicy policy({1, 2, 3});
+  SnapshotWriter w;
+  w.U64(4);
+  SnapshotReader r(w);
+  policy.LoadState(&r);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(SnapshotHostileTest, ServerRejectsAnArrivalOrClassIndexOutOfRange) {
+  // The default config has one stream class and no admission gate.  The
+  // first image is valid: every arrival consumed, class 0.
+  struct Case {
+    std::uint64_t next_arrival, cls;
+    bool valid;
+  };
+  for (const auto& [next_arrival, cls, valid] : {Case{3, 0, true}, {4, 0, false}, {0, 1, false}}) {
+    ServerWorkload server(ThreeEventTrace("arrival"), ServerConfig{}, nullptr);
+    SnapshotWriter w;
+    w.Tag(0x53525652u);  // "SRVR"
+    w.F64(0.0);          // the class's credit
+    w.Bool(false);       // no admission gate
+    w.Bool(false);
+    w.U64(next_arrival);
+    w.U64(0);  // empty queue
+    w.F64(0.0);
+    w.Bool(true);
+    w.Time(SimTime::Zero());
+    w.F64(1.0);
+    w.U64(cls);
+    w.Time(SimTime::Zero());
+    w.Bool(true);
+    SnapshotReader r(w);
+    server.LoadState(&r, nullptr);
+    EXPECT_EQ(r.ok(), valid) << "arrival " << next_arrival << " class " << cls;
   }
 }
 
