@@ -2,18 +2,12 @@
 // SIGKILLing a child campaign mid-run and resuming it, then asserting the
 // resumed run's stdout is byte-identical to an uninterrupted reference run.
 //
-// The parent (default mode) forks this same binary in --child mode three
-// ways:
-//
-//   1. reference: one uninterrupted campaign, stdout captured to ref.txt;
-//   2. victims:   --kills campaigns over a shared journal, each SIGKILLed
-//                 after --kill-after-ms of wall clock;
-//   3. final:     one more resume over the same journal, run to completion,
-//                 stdout captured to soak.txt.
-//
-// Success requires the final child to exit 0 and soak.txt == ref.txt byte
-// for byte — replayed slots must be indistinguishable from computed ones.
-// The journal and quarantine report are left in --workdir for CI to archive.
+// The parent (default mode) runs bench/kill_resume.h's soak over this same
+// binary in --child mode: an uninterrupted reference (ref.txt), --kills
+// SIGKILLed victims over one journal, and a final resume (soak.txt).
+// Success requires soak.txt == ref.txt byte for byte: replayed slots must
+// be indistinguishable from computed ones.  The journal and quarantine
+// report are left in --workdir for CI to archive.
 //
 //   --workdir=DIR        scratch/artifact directory (default: mkdtemp /tmp)
 //   --kills=N            number of SIGKILL rounds (default 2)
@@ -24,24 +18,13 @@
 // MPEG under a moderate fault storm — enough simulated time that a 150 ms
 // kill lands mid-campaign, yet the whole soak stays inside a few seconds.
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/kill_resume.h"
 #include "src/exp/experiment.h"
 #include "src/exp/flags.h"
-#include "src/exp/journal.h"
 #include "src/exp/report.h"
 #include "src/exp/sweep.h"
 
@@ -84,150 +67,6 @@ int RunChild(const SweepOptions& options) {
   return 0;
 }
 
-// --- Parent: kill/resume orchestration -------------------------------------
-
-std::string SelfExe(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
-}
-
-// Spawns `exe --child --resume=journal --threads=N` with stdout truncated
-// into `stdout_path`.  Returns the child pid, or -1.
-pid_t SpawnChild(const std::string& exe, const std::string& journal, int threads,
-                 const std::string& stdout_path) {
-  const pid_t pid = ::fork();
-  if (pid != 0) {
-    return pid;
-  }
-  const int fd = ::open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0) {
-    std::perror("campaign_soak child: redirect stdout");
-    ::_exit(127);
-  }
-  ::close(fd);
-  const std::string resume = "--resume=" + journal;
-  const std::string threads_arg = "--threads=" + std::to_string(threads);
-  ::execl(exe.c_str(), exe.c_str(), "--child", resume.c_str(), threads_arg.c_str(),
-          static_cast<char*>(nullptr));
-  std::perror("campaign_soak child: exec");
-  ::_exit(127);
-}
-
-// Waits for `pid`; returns its exit code, or -signal when signalled.
-int WaitChild(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) < 0) {
-    return -9999;
-  }
-  if (WIFEXITED(status)) {
-    return WEXITSTATUS(status);
-  }
-  if (WIFSIGNALED(status)) {
-    return -WTERMSIG(status);
-  }
-  return -9998;
-}
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return false;
-  }
-  std::ostringstream os;
-  os << is.rdbuf();
-  *out = os.str();
-  return true;
-}
-
-int RunParent(const char* argv0, std::string workdir, int kills, int kill_after_ms,
-              int threads) {
-  if (workdir.empty()) {
-    char tmpl[] = "/tmp/campaign_soak.XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    if (made == nullptr) {
-      std::perror("campaign_soak: mkdtemp");
-      return 1;
-    }
-    workdir = made;
-  } else {
-    const std::string cmd = "mkdir -p '" + workdir + "'";
-    if (std::system(cmd.c_str()) != 0) {
-      std::fprintf(stderr, "campaign_soak: cannot create workdir '%s'\n", workdir.c_str());
-      return 1;
-    }
-  }
-  const std::string exe = SelfExe(argv0);
-  const std::string ref_journal = workdir + "/ref.journal";
-  const std::string soak_journal = workdir + "/soak.journal";
-  const std::string ref_txt = workdir + "/ref.txt";
-  const std::string soak_txt = workdir + "/soak.txt";
-  std::fprintf(stderr, "[soak] workdir %s, %d kill(s) after %d ms, %d thread(s)\n",
-               workdir.c_str(), kills, kill_after_ms, threads);
-
-  // 1. Uninterrupted reference run.
-  const int ref_rc = WaitChild(SpawnChild(exe, ref_journal, threads, ref_txt));
-  if (ref_rc != 0) {
-    std::fprintf(stderr, "[soak] FAIL: reference run exited %d\n", ref_rc);
-    return 1;
-  }
-
-  // 2. Victim runs: kill each mid-campaign, leaving a (possibly torn)
-  //    journal behind for the next round to resume from.
-  for (int round = 0; round < kills; ++round) {
-    const pid_t victim = SpawnChild(exe, soak_journal, threads, soak_txt);
-    std::this_thread::sleep_for(std::chrono::milliseconds(kill_after_ms));
-    ::kill(victim, SIGKILL);
-    const int rc = WaitChild(victim);
-    if (rc == 0) {
-      // Finished before the kill landed: still a valid (if weaker) test —
-      // flag it so a CI log reader knows the timing was off.
-      std::fprintf(stderr, "[soak] round %d: campaign finished before the kill; "
-                   "consider lowering --kill-after-ms\n", round + 1);
-    } else {
-      const JournalReadResult journal = ReadJournal(soak_journal);
-      std::size_t records = 0;
-      for (const JournalSegment& segment : journal.segments) {
-        records += segment.records.size();
-      }
-      std::fprintf(stderr,
-                   "[soak] round %d: killed (status %d); journal holds %zu record(s)%s\n",
-                   round + 1, rc, records, journal.truncated ? " + torn tail" : "");
-    }
-  }
-
-  // 3. Final resume, run to completion.
-  const int final_rc = WaitChild(SpawnChild(exe, soak_journal, threads, soak_txt));
-  if (final_rc != 0) {
-    std::fprintf(stderr, "[soak] FAIL: final resumed run exited %d\n", final_rc);
-    return 1;
-  }
-
-  // 4. Byte-compare the resumed run's stdout against the reference.
-  std::string ref_bytes;
-  std::string soak_bytes;
-  if (!ReadFileBytes(ref_txt, &ref_bytes) || !ReadFileBytes(soak_txt, &soak_bytes)) {
-    std::fprintf(stderr, "[soak] FAIL: cannot read captured outputs\n");
-    return 1;
-  }
-  if (ref_bytes != soak_bytes) {
-    std::fprintf(stderr,
-                 "[soak] FAIL: resumed output differs from reference (%zu vs %zu bytes)\n"
-                 "[soak]   reference: %s\n[soak]   resumed:   %s\n",
-                 ref_bytes.size(), soak_bytes.size(), ref_txt.c_str(), soak_txt.c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "[soak] PASS: %d kill/resume round(s); resumed stdout byte-identical to the "
-               "uninterrupted reference (%zu bytes)\n",
-               kills, ref_bytes.size());
-  return 0;
-}
-
 }  // namespace
 }  // namespace dcs
 
@@ -238,19 +77,17 @@ int main(int argc, char** argv) {
   // typo or duplicate in either mode exits 2 instead of parsing as garbage.
   dcs::SweepOptions options;
   bool child = false;
-  std::string workdir;
-  int kills = 2;
-  int kill_after_ms = 150;
+  dcs::KillResumeOptions soak;
   dcs::FlagSet flags;
   dcs::RegisterSweepFlags(flags, &options);
   flags.Switch("child", &child);
-  flags.String("workdir", &workdir);
-  flags.Int("kills", &kills);
-  flags.Int("kill-after-ms", &kill_after_ms);
+  flags.String("workdir", &soak.workdir);
+  flags.Int("kills", &soak.kills);
+  flags.Int("kill-after-ms", &soak.kill_after_ms);
   flags.ParseOrExit(argc, argv);
   if (child) {
     return dcs::RunChild(options);
   }
-  const int threads = options.threads > 0 ? options.threads : 2;
-  return dcs::RunParent(argv[0], workdir, kills, kill_after_ms, threads);
+  soak.threads = options.threads > 0 ? options.threads : 2;
+  return dcs::RunKillResumeSoak(argv[0], "soak", ".txt", soak);
 }

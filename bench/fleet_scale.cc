@@ -7,44 +7,35 @@
 //   2. The fleet report must be byte-identical across --threads and shard
 //      sizes (the merge-algebra contract); the run fails on any mismatch.
 //
-// The sweep then runs fleet size x governor combinations and records
-// devices/sec plus peak RSS as fleet.* rows of a dcs-bench/1 run object —
-// the same format perf_harness emits, appended to the committed
-// BENCH_dcs.json trajectory and gated by scripts/bench_diff.py.
+// The sweep then runs fleet size x governor combinations and prints
+// devices/sec and the peak RSS to stderr.  Its speed is measured and gated
+// by perfbench's fleet_clone workload, not here.
 //
 // Flags (bench mode):
-//   --out=FILE     write the JSON run object to FILE (default: stdout)
-//   --label=STR    label recorded in the run object (default: "local")
 //   --quick        ~10k devices total: CI-friendly.  Full mode sweeps
 //                  {1k, 100k, 1M} devices per governor; the 1M rows are the
 //                  headline (target: >= 100k devices/min on one box).
 //   --k=N          override the repetition count for the small rows
 //   --threads=N    fleet worker threads (default: all hardware threads)
 //
-// Soak mode (--soak) reuses the campaign_soak pattern to prove the fleet
-// journal end-to-end: a child fleet (--child) is SIGKILLed mid-run and
-// resumed over the same journal; the final resumed fleet JSON must be
-// byte-identical to an uninterrupted reference run.
+// Soak mode (--soak) runs bench/kill_resume.h's soak, as campaign_soak
+// does, to prove the fleet journal end-to-end: a child fleet (--child) is
+// SIGKILLed mid-run and resumed over the same journal; the final resumed
+// fleet JSON must be byte-identical to an uninterrupted reference run.
 //
 //   --soak --workdir=DIR --kills=N --kill-after-ms=MS --threads=N
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench/bench_report.h"
+#include "bench/kill_resume.h"
 #include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
 #include "src/exp/flags.h"
@@ -75,15 +66,11 @@ struct Options {
   bool quick = false;
   int k = 0;  // 0: default (3 full, 2 quick)
   int threads = 0;
-  std::string out;
-  std::string label = "local";
   // soak/child plumbing
   bool soak = false;
   bool child = false;
-  std::string workdir;
   std::string resume;
-  int kills = 2;
-  int kill_after_ms = 150;
+  KillResumeOptions soak_run;
 
   int Reps() const { return k > 0 ? k : (quick ? 2 : 3); }
 };
@@ -123,16 +110,10 @@ double PeakRssMb() {
   return 0.0;
 }
 
-void AddRow(BenchReport& report, const std::string& name, const std::string& kind,
-            const std::string& unit, bool higher_is_better, std::vector<double> samples) {
-  BenchResult result;
-  result.name = name;
-  result.kind = kind;
-  result.unit = unit;
-  result.higher_is_better = higher_is_better;
-  result.median = Median(samples);
-  result.samples = std::move(samples);
-  report.Add(std::move(result));
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2] : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
 }
 
 // --- Contract 1: byte-identity across threads and shard sizes --------------
@@ -245,9 +226,8 @@ int RunBenchMode(const Options& options) {
     return 1;
   }
 
-  BenchReport report(options.label, options.Reps(), options.quick);
-
-  // Clone-vs-warmup rates, repeated so the rows carry noise information.
+  // Clone-vs-warmup rates over Reps() repetitions; the median speedup must
+  // clear the 5x floor.
   std::vector<double> restore_samples;
   std::vector<double> warmup_samples;
   std::vector<double> speedup_samples;
@@ -268,15 +248,10 @@ int RunBenchMode(const Options& options) {
     std::fprintf(stderr, "[fleet] FAIL: snapshot-clone speedup %.2fx < 5x floor\n", speedup);
     return 1;
   }
-  AddRow(report, "fleet.clone.restores_per_s", "micro", "devices/s", true, restore_samples);
-  AddRow(report, "fleet.clone.warmups_per_s", "micro", "devices/s", true, warmup_samples);
-  AddRow(report, "fleet.clone_speedup", "micro", "x", true, speedup_samples);
 
   // Fleet size sweep.  Quick stays near 10k devices total; full mode climbs
   // to the 1M headline.  Large fleets run once — at that scale the run is
   // its own noise amortization.
-  // Quick keeps only the 1k rows so its row names stay comparable (and
-  // therefore gateable) against a committed full run of the same sweep.
   std::vector<std::uint64_t> sizes;
   if (options.quick) {
     sizes = {1'000};
@@ -293,30 +268,17 @@ int RunBenchMode(const Options& options) {
       const double rate = Median(samples);
       std::fprintf(stderr, "[fleet] %s x %s: %.0f devices/s (%.0f devices/min)\n",
                    SizeName(devices).c_str(), governor, rate, rate * 60.0);
-      AddRow(report, "fleet." + SizeName(devices) + "." + governor + ".devices_per_s",
-             "micro", "devices/s", true, std::move(samples));
     }
   }
   // Peak RSS after the largest fleet: the lazily-expanded shards and
   // streaming aggregates must keep memory flat in the fleet size.
-  AddRow(report, "fleet.peak_rss_mb", "micro", "MiB", false, {PeakRssMb()});
-
-  if (options.out.empty()) {
-    report.WriteJson(std::cout);
-  } else {
-    std::ofstream os(options.out, std::ios::binary);
-    if (!os) {
-      std::fprintf(stderr, "[fleet] cannot open --out=%s\n", options.out.c_str());
-      return 1;
-    }
-    report.WriteJson(os);
-  }
+  std::fprintf(stderr, "[fleet] peak RSS %.1f MiB\n", PeakRssMb());
   return 0;
 }
 
 // --- Soak: SIGKILL a journaled child fleet and resume it -------------------
-// Same choreography as bench/campaign_soak.cc, but the child is a fleet and
-// the byte-compared artifact is the rendered fleet report.
+// The child of bench/kill_resume.h's soak: a journaled fleet whose
+// rendered report is the byte-compared artifact.
 
 int RunChild(const Options& options) {
   SweepOptions sweep;
@@ -329,155 +291,25 @@ int RunChild(const Options& options) {
   return 0;
 }
 
-std::string SelfExe(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
-}
-
-pid_t SpawnChild(const std::string& exe, const std::string& journal, int threads,
-                 const std::string& stdout_path) {
-  const pid_t pid = ::fork();
-  if (pid != 0) {
-    return pid;
-  }
-  const int fd = ::open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0) {
-    std::perror("fleet_scale child: redirect stdout");
-    ::_exit(127);
-  }
-  ::close(fd);
-  const std::string resume = "--resume=" + journal;
-  const std::string threads_arg = "--threads=" + std::to_string(threads);
-  ::execl(exe.c_str(), exe.c_str(), "--child", resume.c_str(), threads_arg.c_str(),
-          static_cast<char*>(nullptr));
-  std::perror("fleet_scale child: exec");
-  ::_exit(127);
-}
-
-int WaitChild(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) < 0) {
-    return -9999;
-  }
-  if (WIFEXITED(status)) {
-    return WEXITSTATUS(status);
-  }
-  if (WIFSIGNALED(status)) {
-    return -WTERMSIG(status);
-  }
-  return -9998;
-}
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return false;
-  }
-  std::ostringstream os;
-  os << is.rdbuf();
-  *out = os.str();
-  return true;
-}
-
-int RunSoak(const char* argv0, Options options) {
-  if (options.workdir.empty()) {
-    char tmpl[] = "/tmp/fleet_soak.XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    if (made == nullptr) {
-      std::perror("fleet_scale: mkdtemp");
-      return 1;
-    }
-    options.workdir = made;
-  } else {
-    const std::string cmd = "mkdir -p '" + options.workdir + "'";
-    if (std::system(cmd.c_str()) != 0) {
-      std::fprintf(stderr, "fleet_scale: cannot create workdir '%s'\n",
-                   options.workdir.c_str());
-      return 1;
-    }
-  }
-  const int threads = options.threads > 0 ? options.threads : 2;
-  const std::string exe = SelfExe(argv0);
-  const std::string ref_journal = options.workdir + "/ref.journal";
-  const std::string soak_journal = options.workdir + "/soak.journal";
-  const std::string ref_json = options.workdir + "/ref.json";
-  const std::string soak_json = options.workdir + "/soak.json";
-  std::fprintf(stderr, "[fleet-soak] workdir %s, %d kill(s) after %d ms, %d thread(s)\n",
-               options.workdir.c_str(), options.kills, options.kill_after_ms, threads);
-
-  const int ref_rc = WaitChild(SpawnChild(exe, ref_journal, threads, ref_json));
-  if (ref_rc != 0) {
-    std::fprintf(stderr, "[fleet-soak] FAIL: reference fleet exited %d\n", ref_rc);
-    return 1;
-  }
-
-  for (int round = 0; round < options.kills; ++round) {
-    const pid_t victim = SpawnChild(exe, soak_journal, threads, soak_json);
-    std::this_thread::sleep_for(std::chrono::milliseconds(options.kill_after_ms));
-    ::kill(victim, SIGKILL);
-    const int rc = WaitChild(victim);
-    if (rc == 0) {
-      std::fprintf(stderr,
-                   "[fleet-soak] round %d: fleet finished before the kill; consider "
-                   "lowering --kill-after-ms\n",
-                   round + 1);
-    } else {
-      std::fprintf(stderr, "[fleet-soak] round %d: killed (status %d)\n", round + 1, rc);
-    }
-  }
-
-  const int final_rc = WaitChild(SpawnChild(exe, soak_journal, threads, soak_json));
-  if (final_rc != 0) {
-    std::fprintf(stderr, "[fleet-soak] FAIL: resumed fleet exited %d\n", final_rc);
-    return 1;
-  }
-
-  std::string ref_bytes;
-  std::string soak_bytes;
-  if (!ReadFileBytes(ref_json, &ref_bytes) || !ReadFileBytes(soak_json, &soak_bytes)) {
-    std::fprintf(stderr, "[fleet-soak] FAIL: cannot read captured reports\n");
-    return 1;
-  }
-  if (ref_bytes != soak_bytes) {
-    std::fprintf(stderr,
-                 "[fleet-soak] FAIL: resumed fleet report differs from reference "
-                 "(%zu vs %zu bytes)\n[fleet-soak]   reference: %s\n"
-                 "[fleet-soak]   resumed:   %s\n",
-                 ref_bytes.size(), soak_bytes.size(), ref_json.c_str(), soak_json.c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "[fleet-soak] PASS: %d kill/resume round(s); resumed fleet report "
-               "byte-identical to the uninterrupted reference (%zu bytes)\n",
-               options.kills, ref_bytes.size());
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   Options options;
   FlagSet flags;
   flags.Switch("quick", &options.quick);
   flags.Switch("soak", &options.soak);
   flags.Switch("child", &options.child);
-  flags.String("out", &options.out);
-  flags.String("label", &options.label);
-  flags.String("workdir", &options.workdir);
+  flags.String("workdir", &options.soak_run.workdir);
   flags.String("resume", &options.resume);
   flags.Int("threads", &options.threads);
   flags.Int("k", &options.k);
-  flags.Int("kills", &options.kills);
-  flags.Int("kill-after-ms", &options.kill_after_ms);
+  flags.Int("kills", &options.soak_run.kills);
+  flags.Int("kill-after-ms", &options.soak_run.kill_after_ms);
   flags.ParseOrExit(argc, argv);
   if (options.child) {
     return RunChild(options);
   }
   if (options.soak) {
-    return RunSoak(argv[0], options);
+    options.soak_run.threads = options.threads > 0 ? options.threads : 2;
+    return RunKillResumeSoak(argv[0], "fleet-soak", ".json", options.soak_run);
   }
   return RunBenchMode(options);
 }

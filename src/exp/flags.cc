@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +33,9 @@ bool ParseDouble(const std::string& s, double* out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) {
+  // inf and nan parse, but no flag means them: a budget of inf seconds
+  // would overflow the clock it is added to.
+  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v)) {
     return false;
   }
   *out = v;

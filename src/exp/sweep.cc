@@ -69,8 +69,20 @@ SweepJobResult RunJobWithWatchdog(const ExperimentConfig& config, int index,
       job.cancel = &cancel;
       watchdog = std::thread([&] {
         std::unique_lock<std::mutex> lock(mutex);
-        const auto budget = std::chrono::duration<double>(campaign.job_timeout);
-        if (!cv.wait_for(lock, budget, [&] { return finished; })) {
+        const auto done = [&] { return finished; };
+        // wait_for converts the budget to the clock's int64 ticks, so one
+        // past the clock's range (about 9.2e9 s from now) would overflow
+        // into a deadline in the past.  Half the range left still lies
+        // centuries out: saturate there and wait without a deadline.
+        using Clock = std::chrono::steady_clock;
+        const auto now = Clock::now();
+        const double room_s = std::chrono::duration<double>(Clock::time_point::max() - now).count();
+        if (campaign.job_timeout >= room_s / 2) {
+          cv.wait(lock, done);
+        } else if (!cv.wait_until(lock,
+                                  now + std::chrono::duration_cast<Clock::duration>(
+                                            std::chrono::duration<double>(campaign.job_timeout)),
+                                  done)) {
           cancel.store(true, std::memory_order_relaxed);
         }
       });

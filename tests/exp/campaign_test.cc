@@ -209,6 +209,33 @@ TEST_F(CampaignTest, HangingJobIsQuarantinedWhileOthersSucceed) {
   EXPECT_NE(json.str().find("watchdog timeout"), std::string::npos) << json.str();
 }
 
+// 1e10 s lies past steady_clock's range in int64 nanoseconds.  A watchdog
+// that converted it as is would wrap to a deadline in the past and cancel
+// the job at once; the job idles 200 ms first so that such a watchdog fires.
+TEST_F(CampaignTest, BudgetPastTheClockRangeNeverFires) {
+  SweepJobHooks hooks;
+  hooks.execute = [](const ExperimentConfig& config, int) {
+    const auto idle_until = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (std::chrono::steady_clock::now() < idle_until) {
+      if (config.cancel != nullptr && config.cancel->load()) {
+        throw CancelledError("cancelled while idle");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    SweepJobResult slot;
+    slot.result = RunExperiment(config);
+    return slot;
+  };
+
+  SweepOptions options;
+  options.threads = 1;
+  options.campaign.job_timeout = 1e10;
+  options.campaign.max_retries = 0;
+  SweepRunner runner(options);
+  const auto jobs = runner.Run({ShortMpeg(1)}, hooks);
+  ASSERT_TRUE(jobs[0].ok()) << jobs[0].error;
+}
+
 TEST_F(CampaignTest, InvalidConfigSkipsRetriesAndIsQuarantined) {
   const std::vector<ExperimentConfig> grid = {ShortMpeg(1),
                                               ShortMpeg(2, "definitely-not-a-spec")};
