@@ -26,9 +26,7 @@ void Battery::Drain(double watts, SimTime dt) {
   const double peukert_rate = std::pow(amps, params_.peukert_exponent) / params_.peukert_capacity;
   // The "ideal" drain an effect-free battery would see at the same current,
   // expressed against the capacity available at the reference current.
-  const double ideal_rate =
-      amps * std::pow(params_.reference_current_a, params_.peukert_exponent - 1.0) /
-      params_.peukert_capacity;
+  const double ideal_rate = (amps * reference_penalty_) / params_.peukert_capacity;
   depth_ += peukert_rate * hours;
   if (!died_ && depth_ >= 1.0) {
     died_ = true;

@@ -20,6 +20,8 @@
 #ifndef SRC_HW_BATTERY_H_
 #define SRC_HW_BATTERY_H_
 
+#include <cmath>
+
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
@@ -81,7 +83,10 @@ class Battery {
   // time to apply per-device capacity jitter: the shared warmup charge state
   // (depth, recoverable pool — both capacity fractions) carries over, future
   // drain follows the device's own capacity.
-  void SetParams(const BatteryParams& params) { params_ = params; }
+  void SetParams(const BatteryParams& params) {
+    params_ = params;
+    reference_penalty_ = ReferencePenalty(params_);
+  }
 
   // Device-snapshot support (src/sim/snapshot.h).  Params are config and not
   // saved; SetParams above reapplies any per-device jitter after a load.
@@ -101,7 +106,15 @@ class Battery {
   }
 
  private:
+  // I_ref^(k-1), which scales the ideal (effect-free) drain rate in Drain().
+  // Fixed for a parameter set, so it is computed whenever the params are
+  // set (the initializer below follows params_'s), not per power segment.
+  static double ReferencePenalty(const BatteryParams& p) {
+    return std::pow(p.reference_current_a, p.peukert_exponent - 1.0);
+  }
+
   BatteryParams params_;
+  double reference_penalty_ = ReferencePenalty(params_);
   double depth_ = 0.0;        // fraction of usable capacity consumed
   double recoverable_ = 0.0;  // fraction banked for recovery
   SimTime life_;              // total drained (simulated) time so far

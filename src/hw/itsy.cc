@@ -145,7 +145,15 @@ double Itsy::CurrentProcessorWatts() const {
 void Itsy::SyncBattery() {
   const SimTime now = sim_.Now();
   if (battery_) {
-    battery_->Drain(tape_.WattsAt(last_battery_update_), now - last_battery_update_);
+    // Every power change syncs first, so the last sync normally lies in the
+    // open (last) segment and its power is read without a search.  Other
+    // cases, such as a restored image, take WattsAt's search; both paths
+    // return the same value.
+    const PowerTape::SegmentVector& segs = tape_.segments();
+    const double watts = !segs.empty() && last_battery_update_ >= segs.back().start
+                             ? segs.back().watts
+                             : tape_.WattsAt(last_battery_update_);
+    battery_->Drain(watts, now - last_battery_update_);
   }
   last_battery_update_ = now;
 }

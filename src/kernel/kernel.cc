@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "src/fault/fault_injector.h"
 #include "src/sim/logger.h"
@@ -481,7 +482,9 @@ void Kernel::ProcessNextActions() {
       }
     }
   }
-  assert(false && "workload produced too many instantaneous actions");
+  // A workload that never lets time advance would otherwise re-enter this
+  // loop every quantum forever; fail the run in every build type.
+  throw std::runtime_error("workload produced too many instantaneous actions");
 }
 
 void Kernel::WakeTask(Pid pid) {

