@@ -22,7 +22,7 @@ std::optional<SpeedRequest> DeadlineGovernor::OnQuantum(const UtilizationSample&
   if (kernel_ == nullptr) {
     return std::nullopt;
   }
-  const auto pending = kernel_->PendingDeadlines();
+  const auto& pending = kernel_->PendingDeadlines();
   const SimTime now = sample.quantum_end;
   // Slacks shorter than one quantum cannot be reacted to any finer than a
   // quantum; flooring them avoids division blow-ups and requests the top

@@ -29,7 +29,7 @@ double FeedbackGovernor::DeadlineSpeed(const UtilizationSample& sample) const {
   if (kernel_ == nullptr) {
     return 0.0;
   }
-  const auto pending = kernel_->PendingDeadlines();
+  const auto& pending = kernel_->PendingDeadlines();
   if (pending.empty()) {
     return 0.0;
   }

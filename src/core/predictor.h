@@ -16,10 +16,10 @@
 #ifndef SRC_CORE_PREDICTOR_H_
 #define SRC_CORE_PREDICTOR_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 
+#include "src/sim/ring.h"
 #include "src/sim/snapshot.h"
 
 namespace dcs {
@@ -50,14 +50,15 @@ class UtilizationPredictor {
   virtual void LoadState(SnapshotReader* r) { (void)r; }
 };
 
-// Serializes a deque/vector of doubles (predictor history windows).  Loads
-// clear-then-push within the container's retained chunk storage, so device
-// cycling with a same-shape window does not allocate in steady state.
+// Serializes a window of doubles (predictor history: a Ring or a deque).
+// Loads clear, then push.  A Ring keeps its storage through that, so device
+// cycling with a same-shape window does not allocate in steady state;
+// libstdc++'s deque frees its chunks on clear() and reallocates them.
 template <typename Container>
 void SaveSampleWindow(SnapshotWriter* w, const Container& c) {
   w->U64(c.size());
-  for (const double v : c) {
-    w->F64(v);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    w->F64(c[i]);
   }
 }
 
@@ -130,7 +131,7 @@ class SlidingWindowPredictor final : public UtilizationPredictor {
  private:
   int window_;
   std::string name_;
-  std::deque<double> samples_;
+  Ring<double> samples_;
   double sum_ = 0.0;
 };
 

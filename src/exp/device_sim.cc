@@ -12,10 +12,13 @@ constexpr std::uint32_t kDeviceTag = 0x44455649u;  // "DEVI"
 
 // The experiment seed drives every stochastic element: per-task workload
 // jitter (via the kernel's forked RNG streams) and the DAQ noise in
-// Finish().
-KernelConfig SeededKernelConfig(const ExperimentConfig& config) {
+// Finish().  A device nobody reads the sched log of gives it no capacity.
+KernelConfig DeviceKernelConfig(const ExperimentConfig& config, bool sched_log) {
   KernelConfig kernel_config = config.kernel;
   kernel_config.rng_seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
+  if (!sched_log) {
+    kernel_config.sched_log_capacity = 0;
+  }
   return kernel_config;
 }
 
@@ -31,22 +34,35 @@ AppBundle MakeBundle(const ExperimentConfig& config, DeadlineMonitor* deadlines)
 
 }  // namespace
 
-DeviceSim::DeviceSim(const ExperimentConfig& config)
-    : DeviceSim(config, AppBundle{}, nullptr, /*own_deadlines=*/true) {}
+// The full result reads everything.  Fleet totals read none of the
+// recordings, but an active fault plan's invariant checker walks the tape's
+// segments (CheckTape) and attributes energy through the sched log, so it
+// keeps both whatever the caller reads.
+DeviceSim::Recording DeviceSim::RecordingFor(Reads reads, const ExperimentConfig& config) {
+  FaultPlan plan;
+  std::string error;
+  const bool checked = FaultPlan::Parse(config.faults, &plan, &error) && plan.Active();
+  const bool full = reads == Reads::kFullResult;
+  return Recording{full || checked, (full && config.capture_obs) || checked, full};
+}
+
+DeviceSim::DeviceSim(const ExperimentConfig& config, Reads reads)
+    : DeviceSim(config, AppBundle{}, nullptr, /*own_deadlines=*/true, reads) {}
 
 DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
-                     DeadlineMonitor* deadlines)
-    : DeviceSim(config, std::move(bundle), deadlines, /*own_deadlines=*/false) {}
+                     DeadlineMonitor* deadlines, Reads reads)
+    : DeviceSim(config, std::move(bundle), deadlines, /*own_deadlines=*/false, reads) {}
 
 DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
-                     DeadlineMonitor* deadlines, bool own_deadlines)
+                     DeadlineMonitor* deadlines, bool own_deadlines, Reads reads)
     : config_(config),
+      recording_(RecordingFor(reads, config_)),
       own_deadlines_(own_deadlines ? std::optional<DeadlineMonitor>(std::in_place)
                                    : std::nullopt),
       deadlines_(own_deadlines ? &*own_deadlines_ : deadlines),
       sim_(config_.arena),
       itsy_(sim_, config_.itsy, config_.arena),
-      kernel_config_(SeededKernelConfig(config_)),
+      kernel_config_(DeviceKernelConfig(config_, recording_.sched_log)),
       kernel_(sim_, itsy_, kernel_config_, config_.arena),
       trigger_(kTriggerPin) {
   if (own_deadlines) {
@@ -58,10 +74,16 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
 
   sim_.BindCancel(config_.cancel);
 
-  // Bind the observability registry before the policy is installed so
-  // governors can pick up their instruments in OnInstall.
-  kernel_.BindMetrics(&metrics_);
-  itsy_.BindMetrics(&metrics_);
+  if (!recording_.tape_history) {
+    itsy_.DropTapeHistory();
+  }
+  kernel_.RecordTraces(recording_.full_result);
+  if (recording_.full_result) {
+    // Bind the observability registry before the policy is installed so
+    // governors can pick up their instruments in OnInstall.
+    kernel_.BindMetrics(&metrics_);
+    itsy_.BindMetrics(&metrics_);
+  }
 
   std::string error;
   governor_ = MakeGovernorDispatch(config_.governor, &error);
@@ -101,7 +123,7 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
   itsy_.gpio().Toggle(kTriggerPin, sim_.Now());
 
   // Pre-size the per-quantum trace series so the tick path never reallocates.
-  if (kernel_config_.quantum.nanos() > 0) {
+  if (recording_.full_result && kernel_config_.quantum.nanos() > 0) {
     kernel_.ReserveTraces(
         static_cast<std::size_t>(duration_.nanos() / kernel_config_.quantum.nanos()));
   }
@@ -127,6 +149,9 @@ ExperimentResult DeviceSim::Run() {
 }
 
 ExperimentResult DeviceSim::Finish() {
+  if (!recording_.full_result) {
+    throw std::logic_error("DeviceSim::Finish on a fleet-totals device, which records no result");
+  }
   if (sim_.CancelRequested()) {
     // The watchdog pulled the token mid-run: everything below would report a
     // half-simulated experiment as if it finished.  Fail the job instead.
@@ -316,7 +341,9 @@ void DeviceSim::SaveState(SnapshotWriter* w) const {
   }
   trigger_.SaveState(w);
   deadlines_->SaveState(w);
-  metrics_.SaveState(w);
+  if (recording_.full_result) {
+    metrics_.SaveState(w);
+  }
 }
 
 void DeviceSim::LoadState(SnapshotReader* r) {
@@ -364,7 +391,9 @@ void DeviceSim::LoadState(SnapshotReader* r) {
   // Registry last: Kernel::LoadState re-binds workload instruments (the
   // server admission gate Set()s its gauges there), so restoring the
   // registry afterwards makes the final gauge values exactly the image's.
-  metrics_.LoadState(r);
+  if (recording_.full_result) {
+    metrics_.LoadState(r);
+  }
 
   rearm.FireInOrder();
 }

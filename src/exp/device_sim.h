@@ -13,6 +13,13 @@
 //     dev.LoadState(&r);         // rewind/fork from an image, in place
 //     dev.Finish();              // measure + build the ExperimentResult
 //
+// The caller declares what it will read (Reads), and the device records
+// only that.  The default, kFullResult, records everything Finish() reports.
+// A fleet worker declares kFleetTotals: it reads a handful of totals
+// straight off the components, so its devices keep no power-tape history,
+// sched log, trace series or metrics registry, and their images shrink to
+// the state that drives the simulation (DESIGN §8).
+//
 // Run() stitches the phases back together and is what RunExperiment() now
 // wraps — statement for statement the old body, so results are byte-
 // identical (the golden suite holds this).
@@ -26,8 +33,8 @@
 // (tests/hotpath/alloc_steadystate_test.cc locks the cycle down).
 //
 // Finish() is destructive (it moves the trace sink and metrics registry into
-// the result) and may be called once; fleet workers that only need aggregate
-// statistics skip it and read the components directly instead.
+// the result) and may be called once; a kFleetTotals device has no result to
+// build, so its Finish() throws.
 
 #ifndef SRC_EXP_DEVICE_SIM_H_
 #define SRC_EXP_DEVICE_SIM_H_
@@ -57,16 +64,29 @@ class DeviceSim {
   // The paper's measurement-window trigger wire.
   static constexpr int kTriggerPin = 5;
 
+  // What the caller reads from the device.
+  enum class Reads {
+    // Finish()'s ExperimentResult: RunExperiment, sweeps, tests and traced
+    // benchmark passes.
+    kFullResult,
+    // FleetRunner's per-device totals, read off the components after
+    // RunUntil: tape().EnergyJoules(0, now), the deadline monitor's totals,
+    // quanta, clock changes and the battery's death.  A fault plan's
+    // invariant checker still gets the tape history and sched log it walks.
+    kFleetTotals,
+  };
+
   // Builds the device from `config`, constructing the application bundle the
   // way RunExperiment(config) did (app/mpeg/server selection) with an owned
   // deadline monitor.  Throws std::invalid_argument on a bad governor, fault
   // or app spec.
-  explicit DeviceSim(const ExperimentConfig& config);
+  explicit DeviceSim(const ExperimentConfig& config, Reads reads = Reads::kFullResult);
 
   // Same, with a caller-built bundle reporting to an external monitor
   // (`deadlines` must outlive the DeviceSim).  `config.app` / `.mpeg` /
   // `.server` are ignored.
-  DeviceSim(const ExperimentConfig& config, AppBundle bundle, DeadlineMonitor* deadlines);
+  DeviceSim(const ExperimentConfig& config, AppBundle bundle, DeadlineMonitor* deadlines,
+            Reads reads = Reads::kFullResult);
 
   DeviceSim(const DeviceSim&) = delete;
   DeviceSim& operator=(const DeviceSim&) = delete;
@@ -82,7 +102,8 @@ class DeviceSim {
   // ExperimentResult — the second half of the old RunExperiment body.
   // Destructive (moves the sink and metrics into the result); call at most
   // once, and don't snapshot afterwards.  Throws CancelledError when the
-  // cancellation token was pulled mid-run.
+  // cancellation token was pulled mid-run, and std::logic_error on a
+  // kFleetTotals device.
   ExperimentResult Finish();
 
   // Start + RunUntil(duration()) + Finish: the full RunExperiment sequence.
@@ -91,13 +112,14 @@ class DeviceSim {
   // --- Device snapshots ----------------------------------------------------
   // Complete device image at a quiescent point: simulator clock, hardware,
   // kernel (tasks, workloads, pending events), governor, fault machinery,
-  // measurement trigger, deadline monitor and metrics registry.
+  // measurement trigger, deadline monitor and metrics registry — less
+  // whatever the declared Reads leave unrecorded.
   void SaveState(SnapshotWriter* w) const;
   // Restores in place: cancels pending events, rewinds the clock, loads
   // every component (metrics last — workload re-binds touch gauges) and
   // re-arms pending events in original-sequence order.  The target must be
-  // built from the same config as the image's source; reader ok() reports
-  // image/stack mismatches.
+  // built from the same config and Reads as the image's source; reader ok()
+  // reports image/stack mismatches.
   void LoadState(SnapshotReader* r);
 
   // --- Accessors (fleet aggregation, tests) --------------------------------
@@ -109,10 +131,21 @@ class DeviceSim {
   DeadlineMonitor& deadlines() { return *deadlines_; }
   const std::string& app_name() const { return app_name_; }
   ClockPolicy* governor() { return governor_.governor.get(); }
+  // The fault plan's invariant checker; null when no plan is active.
+  const InvariantChecker* checker() const { return checker_ ? &*checker_ : nullptr; }
 
  private:
+  // What the device records: RecordingFor derives it from the caller's Reads
+  // and from whether the fault plan arms the invariant checker.
+  struct Recording {
+    bool tape_history;  // every power-tape segment, not just the last two
+    bool sched_log;     // the kernel's scheduler activity ring
+    bool full_result;   // trace series and metrics registry
+  };
+  static Recording RecordingFor(Reads reads, const ExperimentConfig& config);
+
   DeviceSim(const ExperimentConfig& config, AppBundle bundle, DeadlineMonitor* deadlines,
-            bool own_deadlines);
+            bool own_deadlines, Reads reads);
 
   // Invariant sweep for faulted runs: checks, then re-arms itself one
   // quantum later (the old RunExperiment check_tick closure).
@@ -120,6 +153,7 @@ class DeviceSim {
   void ArmCheckTick();
 
   ExperimentConfig config_;
+  Recording recording_;
   std::optional<DeadlineMonitor> own_deadlines_;
   DeadlineMonitor* deadlines_;
   std::string app_name_;

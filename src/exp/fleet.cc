@@ -225,7 +225,7 @@ ExperimentResult FleetRunner::RunShard(const ExperimentConfig& config) const {
   dev_config.cancel = config.cancel;
   dev_config.arena = config.arena;
 
-  DeviceSim dev(dev_config);
+  DeviceSim dev(dev_config, DeviceSim::Reads::kFleetTotals);
   dev.Start();
   dev.RunUntil(spec_.warmup);
   if (dev.sim().CancelRequested()) {

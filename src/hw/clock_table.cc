@@ -3,33 +3,8 @@
 #include <cmath>
 
 namespace dcs {
-namespace {
 
-constexpr std::array<double, kNumClockSteps> BuildFrequencies() {
-  std::array<double, kNumClockSteps> f{};
-  for (int k = 0; k < kNumClockSteps; ++k) {
-    f[static_cast<std::size_t>(k)] = (16 + 4 * k) * kCrystalMhz;
-  }
-  return f;
-}
-
-constexpr std::array<double, kNumClockSteps> kFrequencies = BuildFrequencies();
-
-}  // namespace
-
-int ClockTable::Clamp(int step) {
-  if (step < 0) {
-    return 0;
-  }
-  if (step >= kNumClockSteps) {
-    return kNumClockSteps - 1;
-  }
-  return step;
-}
-
-double ClockTable::FrequencyMhz(int step) {
-  return kFrequencies[static_cast<std::size_t>(Clamp(step))];
-}
+using clock_table_internal::kFrequencies;
 
 int ClockTable::StepForAtLeastMhz(double mhz) {
   for (int k = 0; k < kNumClockSteps; ++k) {

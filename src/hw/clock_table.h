@@ -11,6 +11,7 @@
 #define SRC_HW_CLOCK_TABLE_H_
 
 #include <array>
+#include <cstddef>
 
 #include "src/sim/time.h"
 
@@ -27,19 +28,45 @@ inline constexpr double kCrystalMhz = 3.6864;
 // clock change, regardless of endpoints (paper: ~200 us).
 inline constexpr SimTime kClockSwitchStall = SimTime::Micros(200);
 
+namespace clock_table_internal {
+
+constexpr std::array<double, kNumClockSteps> BuildFrequencies() {
+  std::array<double, kNumClockSteps> f{};
+  for (int k = 0; k < kNumClockSteps; ++k) {
+    f[static_cast<std::size_t>(k)] = (16 + 4 * k) * kCrystalMhz;
+  }
+  return f;
+}
+
+inline constexpr std::array<double, kNumClockSteps> kFrequencies = BuildFrequencies();
+
+}  // namespace clock_table_internal
+
 // Static facts about the clock steps.  All functions clamp/validate their
-// step argument so governors can be sloppy about bounds.
+// step argument so governors can be sloppy about bounds.  The per-step
+// lookups are inline: the kernel and the memory model call them on every
+// executed segment.
 class ClockTable {
  public:
   // Frequency of `step` in MHz; steps outside [0, kNumClockSteps) are
   // clamped.
-  static double FrequencyMhz(int step);
+  static double FrequencyMhz(int step) {
+    return clock_table_internal::kFrequencies[static_cast<std::size_t>(Clamp(step))];
+  }
 
   // Frequency in Hz.
   static double FrequencyHz(int step) { return FrequencyMhz(step) * 1e6; }
 
   // Clamps a step index into the valid range.
-  static int Clamp(int step);
+  static int Clamp(int step) {
+    if (step < 0) {
+      return 0;
+    }
+    if (step >= kNumClockSteps) {
+      return kNumClockSteps - 1;
+    }
+    return step;
+  }
 
   // The lowest step whose frequency is >= mhz; returns the top step if no
   // step is fast enough.

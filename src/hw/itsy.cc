@@ -224,9 +224,9 @@ void Itsy::RefreshPower() {
   // Drain the battery over the segment that just ended, at that segment's
   // power (the tape still holds the old value).
   SyncBattery();
-  const std::size_t segments_before = tape_.segments().size();
+  const std::size_t segments_before = tape_.size();
   tape_.Set(sim_.Now(), CurrentSystemWatts());
-  if (ctr_power_segments_ != nullptr && tape_.segments().size() > segments_before) {
+  if (ctr_power_segments_ != nullptr && tape_.size() > segments_before) {
     ctr_power_segments_->Inc();
   }
 }

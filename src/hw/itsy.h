@@ -75,6 +75,9 @@ class Itsy {
   double CurrentSystemWatts() const;
   double CurrentProcessorWatts() const;
   const PowerTape& tape() const { return tape_; }
+  // For a device whose caller reads only the tape's running total
+  // (PowerTape::DropHistory).  Call before anything reads a window.
+  void DropTapeHistory() { tape_.DropHistory(); }
   const PowerModel& power_model() const { return power_model_; }
 
   // --- Components ---------------------------------------------------------

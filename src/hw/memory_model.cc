@@ -3,44 +3,11 @@
 #include <cassert>
 
 namespace dcs {
-namespace {
-
-// Paper Table 3, verbatim.
-constexpr std::array<int, kNumClockSteps> kWordCycles = {11, 11, 11, 11, 13, 14,
-                                                         14, 15, 18, 19, 20};
-constexpr std::array<int, kNumClockSteps> kLineCycles = {39, 39, 39, 39, 41, 42,
-                                                         49, 50, 60, 61, 69};
-
-}  // namespace
-
-int MemoryModel::WordAccessCycles(int step) {
-  return kWordCycles[static_cast<std::size_t>(ClockTable::Clamp(step))];
-}
-
-int MemoryModel::LineFillCycles(int step) {
-  return kLineCycles[static_cast<std::size_t>(ClockTable::Clamp(step))];
-}
-
-double MemoryModel::MixFactor(int step, const MemoryProfile& profile) {
-  return 1.0 + profile.word_refs_per_kilocycle * WordAccessCycles(step) / 1000.0 +
-         profile.line_fills_per_kilocycle * LineFillCycles(step) / 1000.0;
-}
-
-double MemoryModel::EffectiveBaseHz(int step, const MemoryProfile& profile) {
-  return ClockTable::FrequencyHz(step) / MixFactor(step, profile);
-}
 
 SimTime MemoryModel::WallTimeForWork(double base_cycles, int step,
                                      const MemoryProfile& profile) {
   assert(base_cycles >= 0.0);
   return SimTime::FromSecondsF(base_cycles / EffectiveBaseHz(step, profile));
-}
-
-double MemoryModel::WorkCompletedIn(SimTime wall, int step, const MemoryProfile& profile) {
-  if (wall <= SimTime::Zero()) {
-    return 0.0;
-  }
-  return wall.ToSeconds() * EffectiveBaseHz(step, profile);
 }
 
 }  // namespace dcs

@@ -24,6 +24,7 @@
 #define SRC_HW_MEMORY_MODEL_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/hw/clock_table.h"
@@ -41,32 +42,58 @@ struct MemoryProfile {
   bool operator==(const MemoryProfile&) const = default;
 };
 
+namespace memory_model_internal {
+
+// Paper Table 3, verbatim.
+inline constexpr std::array<int, kNumClockSteps> kWordCycles = {11, 11, 11, 11, 13, 14,
+                                                                14, 15, 18, 19, 20};
+inline constexpr std::array<int, kNumClockSteps> kLineCycles = {39, 39, 39, 39, 41, 42,
+                                                                49, 50, 60, 61, 69};
+
+}  // namespace memory_model_internal
+
+// The lookups are inline: the kernel converts between wall time and work
+// through them on every executed segment.
 class MemoryModel {
  public:
   // Measured cycles for an individual uncached word read at `step`
   // (paper Table 3, first column).
-  static int WordAccessCycles(int step);
+  static int WordAccessCycles(int step) {
+    return memory_model_internal::kWordCycles[static_cast<std::size_t>(ClockTable::Clamp(step))];
+  }
 
   // Measured cycles for a full cache-line fill at `step` (Table 3, second
   // column).
-  static int LineFillCycles(int step);
+  static int LineFillCycles(int step) {
+    return memory_model_internal::kLineCycles[static_cast<std::size_t>(ClockTable::Clamp(step))];
+  }
 
   // Total CPU cycles consumed per base cycle of computation for `profile` at
   // `step`; always >= 1.  This is the factor by which memory stalls inflate
   // execution time.
-  static double MixFactor(int step, const MemoryProfile& profile);
+  static double MixFactor(int step, const MemoryProfile& profile) {
+    return 1.0 + profile.word_refs_per_kilocycle * WordAccessCycles(step) / 1000.0 +
+           profile.line_fills_per_kilocycle * LineFillCycles(step) / 1000.0;
+  }
 
   // Effective throughput in base cycles per second at `step`: frequency
   // divided by the mix factor.  Not monotone gains: between steps 7 and 8
   // (162.2 -> 176.9 MHz) the gain nearly vanishes for memory-heavy profiles.
-  static double EffectiveBaseHz(int step, const MemoryProfile& profile);
+  static double EffectiveBaseHz(int step, const MemoryProfile& profile) {
+    return ClockTable::FrequencyHz(step) / MixFactor(step, profile);
+  }
 
   // Wall time to execute `base_cycles` of work at `step`.
   static SimTime WallTimeForWork(double base_cycles, int step, const MemoryProfile& profile);
 
   // Base cycles completed in `wall` time at `step` (inverse of
   // WallTimeForWork; non-negative).
-  static double WorkCompletedIn(SimTime wall, int step, const MemoryProfile& profile);
+  static double WorkCompletedIn(SimTime wall, int step, const MemoryProfile& profile) {
+    if (wall <= SimTime::Zero()) {
+      return 0.0;
+    }
+    return wall.ToSeconds() * EffectiveBaseHz(step, profile);
+  }
 };
 
 }  // namespace dcs

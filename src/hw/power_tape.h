@@ -14,12 +14,22 @@
 // pattern) produce bitwise-identical joules.  Windows that open mid-segment
 // fall back to a scan bounded to the overlapped segments, again with the
 // original expressions, so those too are bitwise-unchanged.
+//
+// A caller that only ever reads energy from the tape's start up to now (a
+// fleet device's total) drops the history: the tape then keeps just the open
+// segment, the one before it (a same-instant collapse can re-merge with it)
+// and their prefixes.  The prefix grows by the same expression either way,
+// so EnergyJoules(0, now) returns the same bits.  A query that reaches back
+// past the retained segments throws instead of answering from a partial
+// record.
 
 #ifndef SRC_HW_POWER_TAPE_H_
 #define SRC_HW_POWER_TAPE_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/sim/arena.h"
@@ -52,38 +62,69 @@ class PowerTape {
   // equal-power segments are merged; `now` must be >= the last segment start.
   void Set(SimTime now, double watts);
 
-  // Instantaneous power at `t` (0 before the first segment).
+  // Instantaneous power at `t` (0 before the first segment).  Throws
+  // std::logic_error for a `t` before the segments a history-free tape kept.
   double WattsAt(SimTime t) const;
 
   // Exact energy in joules over [begin, end), extending the last segment to
-  // `end`.
+  // `end`.  Throws std::logic_error when a history-free tape no longer holds
+  // what the window needs: a window opening inside the dropped segments, or
+  // one from the start that closes inside them.
   double EnergyJoules(SimTime begin, SimTime end) const;
 
   // Mean power over [begin, end).
   double AverageWatts(SimTime begin, SimTime end) const;
 
+  // Keeps only the last two segments from now on (see the file comment).
+  // Call on a tape nothing will read a window or a cursor from.
+  void DropHistory();
+  bool keeps_history() const { return history_; }
+
+  // The retained segments: all of them, or a history-free tape's last two.
   const SegmentVector& segments() const { return segments_; }
+  // Segments recorded so far, dropped ones included.
+  std::size_t size() const { return dropped_ + segments_.size(); }
   bool empty() const { return segments_.empty(); }
 
   // Device-snapshot support (src/sim/snapshot.h): the segment and prefix
   // arrays as raw POD spans — the bulk of a device image, and the part the
   // "contiguous image" clone path memcpys.  LoadState restores in place:
   // resizing within the reserved capacity never allocates, so a warmed fleet
-  // worker reloads tapes heap-free.
+  // worker reloads tapes heap-free.  A history-free tape also saves how many
+  // segments it dropped and where the first one started; an image taken in
+  // the other mode fails the load.
   void SaveState(SnapshotWriter* w) const {
     w->U64(segments_.size());
     if (!segments_.empty()) {
       w->Bytes(segments_.data(), segments_.size() * sizeof(Segment));
       w->Bytes(prefix_.data(), prefix_.size() * sizeof(double));
     }
+    w->Bool(history_);
+    if (!history_) {
+      w->U64(dropped_);
+      w->Time(origin_);
+    }
   }
   void LoadState(SnapshotReader* r) {
-    const std::size_t n = r->Count(sizeof(Segment) + sizeof(double));
+    std::size_t n = r->Count(sizeof(Segment) + sizeof(double));
+    if (!history_ && n > 2) {
+      r->Fail();
+      n = 0;
+    }
     segments_.resize(n);
     prefix_.resize(n);
     if (n > 0) {
       r->Bytes(segments_.data(), n * sizeof(Segment));
       r->Bytes(prefix_.data(), n * sizeof(double));
+    }
+    if (r->Bool() != history_) {
+      r->Fail();
+    }
+    dropped_ = 0;
+    origin_ = n > 0 ? segments_.front().start : SimTime::Zero();
+    if (!history_) {
+      dropped_ = r->U64();
+      origin_ = r->Time();
     }
   }
 
@@ -92,10 +133,15 @@ class PowerTape {
   // costs amortised O(1) per read instead of a binary search each.  Reads
   // see segments appended to the tape after the cursor was created; a query
   // time earlier than the previous one is handled by falling back to a
-  // binary search re-sync.
+  // binary search re-sync.  Needs the tape's history: a history-free tape
+  // throws std::logic_error here.
   class Cursor {
    public:
-    explicit Cursor(const PowerTape& tape) : tape_(&tape) {}
+    explicit Cursor(const PowerTape& tape) : tape_(&tape) {
+      if (!tape.keeps_history()) {
+        throw std::logic_error("PowerTape::Cursor on a tape without history");
+      }
+    }
 
     double WattsAt(SimTime t) {
       const SegmentVector& segs = tape_->segments();
@@ -157,9 +203,15 @@ class PowerTape {
 
  private:
   SegmentVector segments_;
-  // prefix_[i]: joules accumulated from segments_[0].start to
-  // segments_[i].start (so prefix_[0] == 0).  Always segments_.size() long.
+  // prefix_[i]: joules accumulated from the first segment's start to
+  // segments_[i].start (so a full tape's prefix_[0] == 0).  Always
+  // segments_.size() long.
   ArenaVector<double> prefix_;
+  bool history_ = true;
+  // Segments a history-free tape shifted out, and the first segment's start
+  // (the tape's origin, which a full tape also holds as segments_[0].start).
+  std::uint64_t dropped_ = 0;
+  SimTime origin_;
 };
 
 }  // namespace dcs

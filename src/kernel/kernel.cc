@@ -74,12 +74,11 @@ void Kernel::Start() {
   start_time_ = sim_.Now();
   quantum_start_ = start_time_;
   segment_start_ = start_time_;
-  series_utilization_ = &sink_.Series("utilization");
-  series_work_fs_us_ = &sink_.Series("work_fs_us");
-  series_freq_mhz_ = &sink_.Series("freq_mhz");
-  series_core_volts_ = &sink_.Series("core_volts");
-  series_freq_mhz_->Append(start_time_, itsy_.frequency_mhz());
-  series_core_volts_->Append(start_time_, VoltageVolts(itsy_.voltage()));
+  ResolveSeries();
+  if (series_freq_mhz_ != nullptr) {
+    series_freq_mhz_->Append(start_time_, itsy_.frequency_mhz());
+    series_core_volts_->Append(start_time_, VoltageVolts(itsy_.voltage()));
+  }
   tick_at_ = start_time_ + config_.quantum;
   tick_event_ = sim_.At(tick_at_, [this] { Tick(); });
   Dispatch();
@@ -105,8 +104,22 @@ Task* Kernel::FindTask(Pid pid) {
   return it == tasks_.end() ? nullptr : it->second.get();
 }
 
-std::vector<Kernel::PendingDeadline> Kernel::PendingDeadlines() const {
-  std::vector<PendingDeadline> pending;
+void Kernel::ResolveSeries() {
+  // Map nodes are stable, so re-resolving is idempotent on a warm kernel and
+  // necessary on a fresh one (Start() is never called on the restore path).
+  if (!record_traces_) {
+    series_utilization_ = series_work_fs_us_ = series_freq_mhz_ = series_core_volts_ = nullptr;
+    return;
+  }
+  series_utilization_ = &sink_.Series("utilization");
+  series_work_fs_us_ = &sink_.Series("work_fs_us");
+  series_freq_mhz_ = &sink_.Series("freq_mhz");
+  series_core_volts_ = &sink_.Series("core_volts");
+}
+
+const std::vector<Kernel::PendingDeadline>& Kernel::PendingDeadlines() const {
+  std::vector<PendingDeadline>& pending = pending_deadlines_;
+  pending.clear();
   for (const auto& [pid, task] : tasks_) {
     if (task->state() == TaskState::kExited) {
       continue;
@@ -169,8 +182,10 @@ void Kernel::Tick() {
   double utilization = busy_in_quantum_.ToSeconds() / quantum_seconds;
   utilization = std::clamp(utilization, 0.0, 1.0);
   last_utilization_ = utilization;
-  series_utilization_->Append(quantum_start_, utilization);
-  series_work_fs_us_->Append(quantum_start_, work_in_quantum_us_);
+  if (series_utilization_ != nullptr) {
+    series_utilization_->Append(quantum_start_, utilization);
+    series_work_fs_us_->Append(quantum_start_, work_in_quantum_us_);
+  }
   if (ctr_quanta_ != nullptr) {
     ctr_quanta_->Inc();
     hist_quantum_busy_us_->Observe(static_cast<double>(busy_in_quantum_.micros()));
@@ -289,10 +304,12 @@ SimTime Kernel::RetryTransition(SimTime dispatch_at) {
       retry_due_quantum_ = quantum_index_ + (std::uint64_t{1} << retry_attempts_);
     }
   } else {
-    series_freq_mhz_->Append(sim_.Now(), itsy_.frequency_mhz());
+    if (series_freq_mhz_ != nullptr) {
+      series_freq_mhz_->Append(sim_.Now(), itsy_.frequency_mhz());
+    }
     retry_step_.reset();
   }
-  if (itsy_.voltage_transitions() != transitions_before) {
+  if (series_core_volts_ != nullptr && itsy_.voltage_transitions() != transitions_before) {
     series_core_volts_->Append(sim_.Now(), VoltageVolts(itsy_.voltage()));
   }
   return dispatch_at;
@@ -319,14 +336,16 @@ SimTime Kernel::ApplyRequest(const SpeedRequest& request, SimTime earliest_dispa
       retry_attempts_ = 0;
       retry_due_quantum_ = quantum_index_ + 1;
     } else if (itsy_.step() != old_step) {
-      series_freq_mhz_->Append(sim_.Now(), itsy_.frequency_mhz());
+      if (series_freq_mhz_ != nullptr) {
+        series_freq_mhz_->Append(sim_.Now(), itsy_.frequency_mhz());
+      }
       earliest_dispatch = std::max(earliest_dispatch, stall_end);
     }
   }
   if (request.voltage.has_value() && *request.voltage == CoreVoltage::kLow) {
     itsy_.SetVoltage(CoreVoltage::kLow);
   }
-  if (itsy_.voltage_transitions() != transitions_before) {
+  if (series_core_volts_ != nullptr && itsy_.voltage_transitions() != transitions_before) {
     series_core_volts_->Append(sim_.Now(), VoltageVolts(itsy_.voltage()));
   }
   return earliest_dispatch;
@@ -607,12 +626,7 @@ void Kernel::LoadState(SnapshotReader* r, RearmList* rearm) {
   started_ = r->Bool();
   start_time_ = r->Time();
   segment_start_ = r->Time();
-  // Map nodes are stable, so re-resolving is idempotent on a warm kernel and
-  // necessary on a fresh one (Start() was never called on the restore path).
-  series_utilization_ = &sink_.Series("utilization");
-  series_work_fs_us_ = &sink_.Series("work_fs_us");
-  series_freq_mhz_ = &sink_.Series("freq_mhz");
-  series_core_volts_ = &sink_.Series("core_volts");
+  ResolveSeries();
   tick_event_ = kInvalidEventId;
   if (r->Bool()) {
     const SimTime at = r->Time();

@@ -116,14 +116,16 @@ class Kernel {
 
   // --- Deadline registry (section 6 future work) -----------------------------
   // Announced-but-unfinished compute work: every live task whose current
-  // compute action carries a deadline and still has cycles remaining.
+  // compute action carries a deadline and still has cycles remaining.  The
+  // list lives in a kernel-owned buffer that the next call refills, so the
+  // governors that read it every quantum never allocate.
   struct PendingDeadline {
     Pid pid = 0;
     double remaining_cycles = 0.0;
     SimTime deadline;
     MemoryProfile profile;
   };
-  std::vector<PendingDeadline> PendingDeadlines() const;
+  const std::vector<PendingDeadline>& PendingDeadlines() const;
 
   const SchedLog& sched_log() const { return sched_log_; }
   SchedLog& sched_log() { return sched_log_; }
@@ -136,6 +138,11 @@ class Kernel {
   // trace never overstates executed work), "freq_mhz" (one point per clock
   // change) and "core_volts" (one point per rail transition).
   TraceSink& sink() { return sink_; }
+
+  // Whether the series above are recorded (default on).  A caller that never
+  // reads sink() turns them off before Start(); the tick path then pays one
+  // null check per series, as it does for unbound metrics instruments.
+  void RecordTraces(bool on) { record_traces_ = on; }
 
   // Pre-sizes the recorded series for an expected number of quanta so the
   // per-tick Appends never reallocate mid-run.  Capacity only; call before
@@ -213,6 +220,8 @@ class Kernel {
   }
 
  private:
+  // Points the series_* handles at sink_'s series, or nulls them.
+  void ResolveSeries();
   // Clock interrupt: account the ended quantum, run the policy, round-robin.
   void Tick();
   // Retries a stuck clock transition once its backoff expires.
@@ -253,13 +262,16 @@ class Kernel {
   std::uint64_t transition_retries_ = 0;
   SchedLog sched_log_;
   TraceSink sink_;
+  bool record_traces_ = true;
   // The per-tick series, resolved once (map nodes are stable) so the tick
-  // path never does a map lookup.
+  // path never does a map lookup; all null when traces are not recorded.
   TraceSeries* series_utilization_ = nullptr;
   TraceSeries* series_work_fs_us_ = nullptr;
   TraceSeries* series_freq_mhz_ = nullptr;
   TraceSeries* series_core_volts_ = nullptr;
   Rng rng_;
+  // PendingDeadlines()'s reused buffer (scratch, never snapshotted).
+  mutable std::vector<PendingDeadline> pending_deadlines_;
 
   // Observability instruments (all null until BindMetrics).
   MetricsRegistry* metrics_ = nullptr;

@@ -6,7 +6,7 @@ SchedLog::SchedLog(std::size_t capacity, Arena* arena)
     : buffer_(ArenaAllocator<SchedLogEntry>(arena)), capacity_(capacity) {}
 
 void SchedLog::Record(SimTime at, Pid pid, int clock_step) {
-  if (!enabled_ || capacity_ == 0) {
+  if (capacity_ == 0) {
     return;
   }
   const SchedLogEntry entry{at.micros(), pid, clock_step};

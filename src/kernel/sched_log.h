@@ -29,13 +29,11 @@ struct SchedLogEntry {
 
 class SchedLog {
  public:
-  // `capacity` bounds kernel memory; older entries are overwritten.  The
-  // backing store grows lazily up to `capacity` (short runs never pay for
-  // the full ring) and is routed through `arena` when one is bound.
+  // `capacity` bounds kernel memory; older entries are overwritten, and a
+  // zero capacity records nothing.  The backing store grows lazily up to
+  // `capacity` (short runs never pay for the full ring) and is routed
+  // through `arena` when one is bound.
   explicit SchedLog(std::size_t capacity = 1 << 18, Arena* arena = nullptr);
-
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
 
   void Record(SimTime at, Pid pid, int clock_step);
 
@@ -59,7 +57,6 @@ class SchedLog {
     }
     w->U64(next_);
     w->U64(total_);
-    w->Bool(enabled_);
   }
   void LoadState(SnapshotReader* r) {
     const std::size_t n = r->Count(sizeof(SchedLogEntry));
@@ -73,7 +70,6 @@ class SchedLog {
     }
     next_ = static_cast<std::size_t>(r->U64());
     total_ = r->U64();
-    enabled_ = r->Bool();
     // Record() writes buffer_[next_] and Snapshot() reads min(total_,
     // capacity_) entries; an image that breaks either bound fails the load
     // and leaves an empty log.
@@ -90,7 +86,6 @@ class SchedLog {
   std::size_t capacity_ = 0;
   std::size_t next_ = 0;  // always total_ % capacity_
   std::uint64_t total_ = 0;
-  bool enabled_ = true;
 };
 
 }  // namespace dcs

@@ -26,8 +26,10 @@
 //     run.
 //
 // Buffers are reusable: Clear() keeps capacity, so a warmed worker saves and
-// loads device images with zero heap allocations (enforced by the hotpath
-// alloc-count suite).  Images are process-local artifacts, serialized in
+// loads device images with zero heap allocations, and a warmed fleet device
+// cycle (restore, fork, run the tail) allocates nothing either (both
+// enforced by the hotpath alloc-count suite, for every fleet_clone governor
+// and app).  Images are process-local artifacts, serialized in
 // native byte order.  The sweep journal (src/exp/journal.h) frames its
 // records with the same codec.
 

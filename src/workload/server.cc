@@ -402,7 +402,8 @@ void ServerWorkload::SaveState(SnapshotWriter* w) const {
   w->Bool(supply_bound_);
   w->U64(next_arrival_);
   w->U64(queue_.size());
-  for (const Request& request : queue_) {
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Request& request = queue_[i];
     w->Time(request.arrival);
     w->F64(request.service_us);
     w->U64(request.cls);

@@ -30,12 +30,12 @@
 #define SRC_WORKLOAD_SERVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/kernel/workload_api.h"
+#include "src/sim/ring.h"
 #include "src/workload/admission.h"
 #include "src/workload/deadline_monitor.h"
 #include "src/workload/input_trace.h"
@@ -167,7 +167,7 @@ class ServerWorkload final : public Workload {
   std::optional<AdmissionController> admission_;
   bool supply_bound_ = false;
   std::size_t next_arrival_ = 0;
-  std::deque<Request> queue_;
+  Ring<Request> queue_;
   // Demand queued ahead of a new arrival, µs at the top step (the gate's
   // backlog input), maintained incrementally.
   double queue_work_us_ = 0.0;

@@ -132,7 +132,6 @@ TEST(SnapshotHostileTest, SchedLogRejectsRingIndicesOutOfBounds) {
     }
     w.U64(c.next);
     w.U64(c.total);
-    w.Bool(true);
     SchedLog log(16);
     SnapshotReader r(w);
     log.LoadState(&r);
@@ -355,17 +354,15 @@ ExperimentConfig ServerConfig() {
   return config;
 }
 
-TEST(SnapshotHostileTest, EveryTruncationOfADeviceImageFails) {
-  const ExperimentConfig config = ServerConfig();
-  DeviceSim source(config);
+// The full image restores onto `target`; every proper prefix must not, and
+// the stack still takes the full image after all the failed loads.
+void ExpectEveryTruncationFails(DeviceSim& source, DeviceSim& target) {
   source.Start();
   source.RunUntil(SimTime::Millis(150));
   SnapshotWriter image;
   source.SaveState(&image);
   ASSERT_GT(image.size(), 0u);
 
-  // The full image restores; every proper prefix must not.
-  DeviceSim target(config);
   {
     SnapshotReader r(image);
     target.LoadState(&r);
@@ -377,10 +374,28 @@ TEST(SnapshotHostileTest, EveryTruncationOfADeviceImageFails) {
     target.LoadState(&r);
     ASSERT_FALSE(r.ok()) << "prefix of " << len << " of " << image.size() << " bytes loaded";
   }
-  // The stack still takes a good image after all the failed loads.
   SnapshotReader r(image);
   target.LoadState(&r);
   EXPECT_TRUE(r.ok());
+}
+
+TEST(SnapshotHostileTest, EveryTruncationOfADeviceImageFails) {
+  const ExperimentConfig config = ServerConfig();
+  DeviceSim source(config);
+  DeviceSim target(config);
+  ExpectEveryTruncationFails(source, target);
+}
+
+// A fleet-totals image is laid out differently: a history-free tape with
+// its dropped-segment count and origin, an empty sched log and trace sink,
+// no metrics registry.  Fault-free, so nothing keeps the history.
+TEST(SnapshotHostileTest, EveryTruncationOfAFleetTotalsImageFails) {
+  ExperimentConfig config = ServerConfig();
+  config.faults = "";
+  DeviceSim source(config, DeviceSim::Reads::kFleetTotals);
+  DeviceSim target(config, DeviceSim::Reads::kFleetTotals);
+  ASSERT_FALSE(source.itsy().tape().keeps_history());
+  ExpectEveryTruncationFails(source, target);
 }
 
 }  // namespace

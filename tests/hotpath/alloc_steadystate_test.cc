@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/governor_registry.h"
@@ -119,26 +121,24 @@ TEST(AllocSteadyStateTest, SweepWorkerReachesAllocationSteadyState) {
   EXPECT_EQ(third, second) << "steady-state jobs differ in allocation count";
 }
 
-TEST(AllocSteadyStateTest, FleetDeviceCycleRunsHeapFree) {
-  if (!testing::AllocCounterAvailable()) {
-    GTEST_SKIP() << "alloc counter unavailable under sanitizers";
-  }
-
-  // The fleet worker's inner loop: one DeviceSim cycled through many devices
-  // by restoring a shared warmup image, forking the RNG streams and running
-  // the tail.  After the first cycle grows containers to their steady-state
-  // capacity, a device cycle must be a zero-heap-allocation operation — this
-  // is what makes snapshot-clone forking memcpy-speed.
+// The fleet worker's inner loop: one DeviceSim cycled through many devices
+// by restoring a shared warmup image, forking the RNG streams and running
+// the tail.  After the first cycle grows containers to their steady-state
+// capacity, a device cycle must be a zero-heap-allocation operation — this
+// is what makes snapshot-clone forking memcpy-speed.
+void ExpectDeviceCycleHeapFree(ExperimentConfig config, DeviceSim::Reads reads) {
   Arena arena;
-  ExperimentConfig config;
-  config.app = "mpeg";
-  config.governor = "PAST-peg-peg-93-98";
   config.seed = 5;
   config.duration = SimTime::Seconds(1);
   config.itsy.battery = BatteryParams{};
   config.arena = &arena;
+  if (config.app == "server") {
+    // As FleetRunner builds a server cell: arrivals span the horizon.
+    config.server.emplace();
+    config.server->duration = *config.duration;
+  }
 
-  DeviceSim dev(config);
+  DeviceSim dev(config, reads);
   dev.Start();
   dev.RunUntil(SimTime::Millis(500));
   SnapshotWriter image;
@@ -160,6 +160,55 @@ TEST(AllocSteadyStateTest, FleetDeviceCycleRunsHeapFree) {
   EXPECT_EQ(delta[1], 0u) << "second device cycle allocated";
   EXPECT_EQ(delta[2], 0u) << "third device cycle allocated";
 }
+
+TEST(AllocSteadyStateTest, FleetDeviceCycleRunsHeapFree) {
+  if (!testing::AllocCounterAvailable()) {
+    GTEST_SKIP() << "alloc counter unavailable under sanitizers";
+  }
+  ExperimentConfig config;
+  config.app = "mpeg";
+  config.governor = "PAST-peg-peg-93-98";
+  ExpectDeviceCycleHeapFree(config, DeviceSim::Reads::kFullResult);
+}
+
+// Every fleet_clone governor on every fleet_clone app, for both what a
+// fleet device records (fleet totals) and what a sweep device records (the
+// full result).  Deadline-aware governors read the kernel's pending-deadline
+// list every quantum; the sliding-window experts of adaptive-vs and the
+// server's request queue drain and refill: each used to allocate per cycle.
+using DeviceCycleCase = std::tuple<const char*, const char*, DeviceSim::Reads>;
+
+class DeviceCycleHeapFreeTest : public ::testing::TestWithParam<DeviceCycleCase> {};
+
+TEST_P(DeviceCycleHeapFreeTest, WarmCyclesNeverAllocate) {
+  if (!testing::AllocCounterAvailable()) {
+    GTEST_SKIP() << "alloc counter unavailable under sanitizers";
+  }
+  ExperimentConfig config;
+  config.governor = std::get<0>(GetParam());
+  config.app = std::get<1>(GetParam());
+  ExpectDeviceCycleHeapFree(config, std::get<2>(GetParam()));
+}
+
+std::string DeviceCycleName(const ::testing::TestParamInfo<DeviceCycleCase>& info) {
+  std::string name = std::string(std::get<0>(info.param)) + "_" + std::get<1>(info.param) +
+                     (std::get<2>(info.param) == DeviceSim::Reads::kFleetTotals ? "_fleet"
+                                                                                : "_full");
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FleetGovernors, DeviceCycleHeapFreeTest,
+    ::testing::Combine(::testing::Values("fixed-132.7", "pid-vs", "adaptive-vs", "deadline-vs"),
+                       ::testing::Values("mpeg", "web", "server"),
+                       ::testing::Values(DeviceSim::Reads::kFleetTotals,
+                                         DeviceSim::Reads::kFullResult)),
+    DeviceCycleName);
 
 }  // namespace
 }  // namespace dcs

@@ -1,7 +1,10 @@
 #include "src/hw/power_tape.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -335,6 +338,153 @@ TEST(PowerTapePropertyTest, DaqSamplingConvergesOnAnalyticEnergy) {
     }
     EXPECT_LT(previous_error, 2e-3);
   }
+}
+
+// --- History-free tapes -------------------------------------------------------
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Differential: random Set sequences through a full tape and a history-free
+// one.  Time never runs backwards but often stands still, and the watts come
+// from a three-value palette, so same-instant collapses, merges with the
+// previous segment and collapses that re-merge with it are all frequent.
+// After every Set the history-free tape must hold exactly the full tape's
+// last two segments and answer EnergyJoules(0, t) and the open segment's
+// watts with the same bits; a snapshot round trip midway changes nothing.
+TEST(PowerTapePropertyTest, HistoryFreeTapeMatchesFullTapeBitwise) {
+  const double palette[] = {0.7, 1.3, 2.9};
+  for (std::uint64_t trial = 0; trial < 40; ++trial) {
+    Rng rng(0x7A9E + trial);
+    PowerTape full;
+    PowerTape lean;
+    lean.DropHistory();
+    SimTime t = SimTime::Micros(rng.UniformInt(0, 3) * 250);
+    const SimTime origin = t;
+    std::uint64_t collapses = 0;
+    for (int i = 0; i < 400; ++i) {
+      if (i == 200) {
+        SnapshotWriter w;
+        lean.SaveState(&w);
+        PowerTape restored;
+        restored.DropHistory();
+        SnapshotReader r(w);
+        restored.LoadState(&r);
+        ASSERT_TRUE(r.ok());
+        ASSERT_TRUE(r.AtEnd());
+        lean = restored;
+      }
+      if (rng.NextDouble() < 0.6) {
+        t += SimTime::Micros(rng.UniformInt(1, 4'000));
+      } else if (!full.empty() && full.segments().back().start == t) {
+        ++collapses;
+      }
+      const double watts = palette[rng.UniformInt(0, 2)];
+      full.Set(t, watts);
+      lean.Set(t, watts);
+
+      ASSERT_EQ(lean.size(), full.size()) << "trial " << trial << " step " << i;
+      const auto& all = full.segments();
+      const auto& kept = lean.segments();
+      // Two segments, or one right after a collapse re-merged the open
+      // segment into its predecessor.
+      ASSERT_GE(kept.size(), 1u);
+      ASSERT_LE(kept.size(), std::min<std::size_t>(all.size(), 2));
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        const PowerTape::Segment& want = all[all.size() - kept.size() + k];
+        EXPECT_EQ(kept[k].start, want.start);
+        EXPECT_EQ(Bits(kept[k].watts), Bits(want.watts));
+      }
+      EXPECT_EQ(Bits(lean.segments().back().watts), Bits(full.segments().back().watts));
+      for (const SimTime end : {t, t + SimTime::Micros(1), t + SimTime::Millis(7)}) {
+        EXPECT_EQ(Bits(lean.EnergyJoules(SimTime::Zero(), end)),
+                  Bits(full.EnergyJoules(SimTime::Zero(), end)))
+            << "trial " << trial << " step " << i;
+        EXPECT_EQ(Bits(lean.EnergyJoules(origin, end)), Bits(full.EnergyJoules(origin, end)));
+      }
+      EXPECT_EQ(Bits(lean.WattsAt(t)), Bits(full.WattsAt(t)));
+    }
+    EXPECT_GT(collapses, 0u) << "trial " << trial << " never collapsed";
+    EXPECT_GT(full.segments().size(), 2u);
+  }
+}
+
+// Dropping the history of a tape that already holds many segments keeps
+// the last two and the running total.
+TEST(PowerTapeTest, DropHistoryKeepsTheRunningTotal) {
+  Rng rng(0xD209);
+  PowerTape full;
+  const SimTime last = BuildRandomTape(rng, &full, 100);
+  PowerTape lean = full;
+  lean.DropHistory();
+  EXPECT_FALSE(lean.keeps_history());
+  EXPECT_EQ(lean.segments().size(), 2u);
+  EXPECT_EQ(lean.size(), full.size());
+  EXPECT_EQ(Bits(lean.EnergyJoules(SimTime::Zero(), last)),
+            Bits(full.EnergyJoules(SimTime::Zero(), last)));
+  lean.Set(last, 9.0);
+  full.Set(last, 9.0);
+  EXPECT_EQ(Bits(lean.EnergyJoules(SimTime::Zero(), last + SimTime::Seconds(1))),
+            Bits(full.EnergyJoules(SimTime::Zero(), last + SimTime::Seconds(1))));
+}
+
+// A history-free tape answers only what its retained segments determine.
+// Everything else throws rather than answering from a partial record.
+TEST(PowerTapeTest, HistoryFreeTapeRefusesWhatItDropped) {
+  PowerTape lean;
+  lean.DropHistory();
+  lean.Set(SimTime::Seconds(1), 1.0);
+  lean.Set(SimTime::Seconds(2), 2.0);
+  lean.Set(SimTime::Seconds(3), 3.0);  // shifts the 1 s segment out
+  ASSERT_EQ(lean.segments().front().start, SimTime::Seconds(2));
+
+  // Answerable: before the origin, inside the retained segments, and any
+  // window from the start that closes inside them.
+  EXPECT_EQ(lean.WattsAt(SimTime::Millis(500)), 0.0);
+  EXPECT_EQ(lean.WattsAt(SimTime::Millis(2'500)), 2.0);
+  EXPECT_DOUBLE_EQ(lean.EnergyJoules(SimTime::Zero(), SimTime::Seconds(4)), 6.0);
+  EXPECT_DOUBLE_EQ(lean.EnergyJoules(SimTime::Seconds(2), SimTime::Seconds(4)), 5.0);
+  EXPECT_EQ(lean.EnergyJoules(SimTime::Zero(), SimTime::Millis(900)), 0.0);
+
+  // Not answerable: anything that needs the dropped 1 s segment.
+  EXPECT_THROW(lean.WattsAt(SimTime::Millis(1'500)), std::logic_error);
+  EXPECT_THROW(lean.EnergyJoules(SimTime::Zero(), SimTime::Millis(1'500)), std::logic_error);
+  EXPECT_THROW(lean.EnergyJoules(SimTime::Millis(1'500), SimTime::Seconds(4)),
+               std::logic_error);
+  EXPECT_THROW(lean.AverageWatts(SimTime::Millis(1'500), SimTime::Seconds(4)),
+               std::logic_error);
+  EXPECT_THROW(PowerTape::Cursor cursor(lean), std::logic_error);
+
+  // A collapse can reach the dropped segment only if time ran backwards.
+  lean.Set(SimTime::Seconds(3), 2.0);  // re-merges with the 2 s segment
+  ASSERT_EQ(lean.segments().size(), 1u);
+  EXPECT_THROW(lean.Set(SimTime::Seconds(2), 1.0), std::logic_error);
+}
+
+// Images carry the mode: a full tape's image does not load into a
+// history-free tape or the other way round, and a history-free image
+// claiming more than two segments fails.
+TEST(PowerTapeTest, SnapshotModeMismatchFails) {
+  PowerTape full;
+  full.Set(SimTime::Zero(), 1.0);
+  full.Set(SimTime::Seconds(1), 2.0);
+  full.Set(SimTime::Seconds(2), 3.0);
+  SnapshotWriter full_image;
+  full.SaveState(&full_image);
+  PowerTape lean;
+  lean.DropHistory();
+  SnapshotReader r(full_image);
+  lean.LoadState(&r);
+  EXPECT_FALSE(r.ok());
+
+  PowerTape lean_source;
+  lean_source.DropHistory();
+  lean_source.Set(SimTime::Zero(), 1.0);
+  SnapshotWriter lean_image;
+  lean_source.SaveState(&lean_image);
+  PowerTape other;
+  SnapshotReader r2(lean_image);
+  other.LoadState(&r2);
+  EXPECT_FALSE(r2.ok());
 }
 
 }  // namespace

@@ -38,16 +38,6 @@ TEST(SchedLogTest, RingBufferOverwritesOldest) {
   EXPECT_EQ(log.total_recorded(), 10u);
 }
 
-TEST(SchedLogTest, DisabledLogRecordsNothing) {
-  SchedLog log(4);
-  log.set_enabled(false);
-  log.Record(SimTime::Millis(1), 1, 0);
-  EXPECT_TRUE(log.Snapshot().empty());
-  log.set_enabled(true);
-  log.Record(SimTime::Millis(2), 2, 0);
-  EXPECT_EQ(log.Snapshot().size(), 1u);
-}
-
 TEST(SchedLogTest, ClearResets) {
   SchedLog log(4);
   log.Record(SimTime::Millis(1), 1, 0);
