@@ -59,29 +59,14 @@ class AdaptiveGovernor final : public ClockPolicy {
   void Reset() override;
   // Expert pool composition is ctor-fixed, so weights/predictions restore
   // positionally and each expert serializes its own history in order.
-  void SaveState(SnapshotWriter* w) const override {
+  void Snapshot(SnapshotIo& io) override {
     for (const auto& expert : experts_) {
-      expert->SaveState(w);
+      expert->Snapshot(io);
     }
-    for (const double v : weights_) {
-      w->F64(v);
-    }
-    for (const double v : predictions_) {
-      w->F64(v);
-    }
-    w->F64(mixed_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    for (const auto& expert : experts_) {
-      expert->LoadState(r);
-    }
-    for (double& v : weights_) {
-      v = r->F64();
-    }
-    for (double& v : predictions_) {
-      v = r->F64();
-    }
-    mixed_ = r->F64();
+    // One weight and one prediction per expert.
+    io.Bytes(weights_.data(), weights_.size() * sizeof(double));
+    io.Bytes(predictions_.data(), predictions_.size() * sizeof(double));
+    io(mixed_);
   }
 
   // Introspection for tests: expert names and their current weights.

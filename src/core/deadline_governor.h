@@ -54,10 +54,7 @@ class DeadlineGovernor final : public ClockPolicy {
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
   void Reset() override {}
   // kernel_ is re-established by OnInstall on the restore target.
-  void SaveState(SnapshotWriter* w) const override { w->I64(last_chosen_step_); }
-  void LoadState(SnapshotReader* r) override {
-    last_chosen_step_ = static_cast<int>(r->I64());
-  }
+  void Snapshot(SnapshotIo& io) override { io.As<std::int64_t>(last_chosen_step_); }
 
   // The step the density test selected at the last quantum (diagnostics).
   int last_chosen_step() const { return last_chosen_step_; }

@@ -70,19 +70,8 @@ class FeedbackGovernor final : public ClockPolicy {
   void OnInstall(Kernel& kernel) override { kernel_ = &kernel; }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
   void Reset() override;
-  void SaveState(SnapshotWriter* w) const override {
-    w->F64(error1_);
-    w->F64(error2_);
-    w->F64(last_command_);
-    w->Bool(pinned_high_);
-    w->Bool(pinned_low_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    error1_ = r->F64();
-    error2_ = r->F64();
-    last_command_ = r->F64();
-    pinned_high_ = r->Bool();
-    pinned_low_ = r->Bool();
+  void Snapshot(SnapshotIo& io) override {
+    io(error1_, error2_, last_command_, pinned_high_, pinned_low_);
   }
 
   // Last commanded relative speed, pre-quantization (diagnostics).

@@ -19,8 +19,7 @@ class FixedPolicy final : public ClockPolicy {
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
   void Reset() override { applied_ = false; }
-  void SaveState(SnapshotWriter* w) const override { w->Bool(applied_); }
-  void LoadState(SnapshotReader* r) override { applied_ = r->Bool(); }
+  void Snapshot(SnapshotIo& io) override { io(applied_); }
 
   int step() const { return step_; }
   CoreVoltage voltage() const { return voltage_; }

@@ -60,15 +60,10 @@ class IntervalGovernor final : public ClockPolicy {
   void Reset() override;
   // Counter instruments are not serialized: they live in the (separately
   // snapshotted) metrics registry and re-resolve through OnInstall.
-  void SaveState(SnapshotWriter* w) const override {
-    predictor_->SaveState(w);
-    w->I64(scale_ups_);
-    w->I64(scale_downs_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    predictor_->LoadState(r);
-    scale_ups_ = static_cast<int>(r->I64());
-    scale_downs_ = static_cast<int>(r->I64());
+  void Snapshot(SnapshotIo& io) override {
+    predictor_->Snapshot(io);
+    io.As<std::int64_t>(scale_ups_);
+    io.As<std::int64_t>(scale_downs_);
   }
 
   // Introspection for tests and benches.

@@ -41,13 +41,9 @@ class OndemandGovernor final : public ClockPolicy {
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
   void Reset() override;
-  void SaveState(SnapshotWriter* w) const override {
-    w->I64(quanta_since_decision_);
-    w->F64(max_util_in_window_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    quanta_since_decision_ = static_cast<int>(r->I64());
-    max_util_in_window_ = r->F64();
+  void Snapshot(SnapshotIo& io) override {
+    io.As<std::int64_t>(quanta_since_decision_);
+    io(max_util_in_window_);
   }
 
  private:
@@ -75,13 +71,9 @@ class SchedutilGovernor final : public ClockPolicy {
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
   void Reset() override;
-  void SaveState(SnapshotWriter* w) const override {
-    w->F64(scaled_util_);
-    w->I64(quanta_since_change_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    scaled_util_ = r->F64();
-    quanta_since_change_ = static_cast<int>(r->I64());
+  void Snapshot(SnapshotIo& io) override {
+    io(scaled_util_);
+    io.As<std::int64_t>(quanta_since_change_);
   }
 
   // Smoothed capacity-scaled utilization (fraction of f_max in use).

@@ -44,32 +44,10 @@ class UtilizationPredictor {
   // Deep copy, for sweeps that reuse a configured prototype.
   virtual std::unique_ptr<UtilizationPredictor> Clone() const = 0;
 
-  // Device-snapshot support (src/sim/snapshot.h): mutable history only —
+  // Device-snapshot image (src/sim/snapshot.h): mutable history only —
   // windows/decay constants are ctor-owned and must match the image.
-  virtual void SaveState(SnapshotWriter* w) const { (void)w; }
-  virtual void LoadState(SnapshotReader* r) { (void)r; }
+  virtual void Snapshot(SnapshotIo& io) { (void)io; }
 };
-
-// Serializes a window of doubles (predictor history: a Ring or a deque).
-// Loads clear, then push.  A Ring keeps its storage through that, so device
-// cycling with a same-shape window does not allocate in steady state;
-// libstdc++'s deque frees its chunks on clear() and reallocates them.
-template <typename Container>
-void SaveSampleWindow(SnapshotWriter* w, const Container& c) {
-  w->U64(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    w->F64(c[i]);
-  }
-}
-
-template <typename Container>
-void LoadSampleWindow(SnapshotReader* r, Container* c) {
-  const std::size_t n = r->Count(sizeof(double));
-  c->clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    c->push_back(r->F64());
-  }
-}
 
 // PAST: prediction == previous interval's utilization.
 class PastPredictor final : public UtilizationPredictor {
@@ -80,8 +58,7 @@ class PastPredictor final : public UtilizationPredictor {
   double Current() const override { return last_; }
   void Reset() override { last_ = 0.0; }
   std::unique_ptr<UtilizationPredictor> Clone() const override;
-  void SaveState(SnapshotWriter* w) const override { w->F64(last_); }
-  void LoadState(SnapshotReader* r) override { last_ = r->F64(); }
+  void Snapshot(SnapshotIo& io) override { io(last_); }
 
  private:
   std::string name_;
@@ -97,8 +74,7 @@ class AvgNPredictor final : public UtilizationPredictor {
   double Current() const override { return weighted_; }
   void Reset() override { weighted_ = 0.0; }
   std::unique_ptr<UtilizationPredictor> Clone() const override;
-  void SaveState(SnapshotWriter* w) const override { w->F64(weighted_); }
-  void LoadState(SnapshotReader* r) override { weighted_ = r->F64(); }
+  void Snapshot(SnapshotIo& io) override { io(weighted_); }
 
   int n() const { return n_; }
 
@@ -117,13 +93,9 @@ class SlidingWindowPredictor final : public UtilizationPredictor {
   double Current() const override;
   void Reset() override;
   std::unique_ptr<UtilizationPredictor> Clone() const override;
-  void SaveState(SnapshotWriter* w) const override {
-    SaveSampleWindow(w, samples_);
-    w->F64(sum_);
-  }
-  void LoadState(SnapshotReader* r) override {
-    LoadSampleWindow(r, &samples_);
-    sum_ = r->F64();
+  void Snapshot(SnapshotIo& io) override {
+    io.Window(samples_, static_cast<std::size_t>(window_));
+    io(sum_);
   }
 
   int window() const { return window_; }

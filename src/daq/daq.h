@@ -112,18 +112,6 @@ class Daq {
   // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.
   static const char* IsaVariant();
 
-  // Device-snapshot support (src/sim/snapshot.h): the noise RNG's stream
-  // position and drop accounting.  Sample buffers are transient outputs and
-  // are not serialized.
-  void SaveState(SnapshotWriter* w) const {
-    rng_.SaveState(w);
-    w->U64(dropped_samples_);
-  }
-  void LoadState(SnapshotReader* r) {
-    rng_.LoadState(r);
-    dropped_samples_ = r->U64();
-  }
-
  private:
   // SoA block size: big enough to amortise loop overhead and fill vector
   // lanes, small enough that the scratch arrays stay cache-resident.
@@ -188,27 +176,11 @@ class GpioTrigger {
   // Window currently open (started but not yet ended), if any.
   std::optional<SimTime> open_window_start() const { return open_start_; }
 
-  // Device-snapshot support (src/sim/snapshot.h).
-  void SaveState(SnapshotWriter* w) const {
-    w->Bool(open_start_.has_value());
-    w->Time(open_start_.value_or(SimTime::Zero()));
-    w->U64(windows_.size());
-    for (const auto& [start, end] : windows_) {
-      w->Time(start);
-      w->Time(end);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    const bool open = r->Bool();
-    const SimTime open_at = r->Time();
-    open_start_ = open ? std::optional<SimTime>(open_at) : std::nullopt;
-    const std::size_t n = r->Count(2 * sizeof(std::int64_t));  // two Times each
-    windows_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const SimTime start = r->Time();
-      const SimTime end = r->Time();
-      windows_.emplace_back(start, end);
-    }
+  // Device-snapshot image (src/sim/snapshot.h).
+  void Snapshot(SnapshotIo& io) {
+    io.Optional<SimTime>(open_start_);
+    io.Window(windows_, SnapshotIo::kNoBound, 2 * sizeof(std::int64_t),
+              [&io](std::pair<SimTime, SimTime>& w) { io(w.first, w.second); });
   }
 
  private:

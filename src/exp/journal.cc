@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -190,246 +192,117 @@ std::uint64_t GridFingerprint(const std::vector<ExperimentConfig>& configs) {
 
 namespace {
 
-void SerializeHistogram(const LogHistogram& hist, SnapshotWriter* out) {
-  out->U64(hist.count());
-  out->F64(hist.sum());
-  out->F64(hist.min());
-  out->F64(hist.max());
-  std::uint32_t nonzero = 0;
-  for (const std::uint64_t b : hist.buckets()) {
-    nonzero += b != 0 ? 1 : 0;
-  }
-  out->U32(nonzero);
-  for (int b = 0; b < LogHistogram::kBuckets; ++b) {
-    if (hist.buckets()[static_cast<std::size_t>(b)] != 0) {
-      out->U32(static_cast<std::uint32_t>(b));
-      out->U64(hist.buckets()[static_cast<std::size_t>(b)]);
-    }
-  }
-}
-
-bool DeserializeHistogram(SnapshotReader* in, LogHistogram* hist) {
-  const std::uint64_t count = in->U64();
-  const double sum = in->F64();
-  const double min = in->F64();
-  const double max = in->F64();
+// The journal's histogram: the summary, then only the non-empty buckets, as
+// (U32 index, U64 count) pairs.
+void Histogram(SnapshotIo& io, LogHistogram& hist) {
+  std::uint64_t count = hist.count();
+  double sum = hist.sum();
+  double min = hist.min();
+  double max = hist.max();
+  io(count, sum, min, max);
   std::array<std::uint64_t, LogHistogram::kBuckets> buckets{};
-  const std::uint32_t nonzero = in->U32();
-  for (std::uint32_t b = 0; b < nonzero && in->ok(); ++b) {
-    const std::uint32_t idx = in->U32();
-    const std::uint64_t value = in->U64();
-    if (idx >= static_cast<std::uint32_t>(LogHistogram::kBuckets)) {
-      return false;
+  if (io.saving()) {
+    buckets = hist.buckets();
+  }
+  std::size_t nonzero = static_cast<std::size_t>(
+      std::count_if(buckets.begin(), buckets.end(), [](std::uint64_t b) { return b != 0; }));
+  io.Count<std::uint32_t>(nonzero, LogHistogram::kBuckets,
+                          sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  std::uint32_t index = 0;
+  for (std::size_t i = 0; i < nonzero; ++i) {
+    while (io.saving() && buckets[index] == 0) {
+      ++index;
     }
-    buckets[idx] = value;
+    std::uint64_t value = buckets[index];
+    io(index, value);
+    if (!io.Check(index < static_cast<std::uint32_t>(LogHistogram::kBuckets))) {
+      return;
+    }
+    buckets[index++] = value;
   }
-  hist->Restore(buckets, count, sum, min, max);
-  return in->ok();
-}
-
-void SerializeMetrics(const MetricsRegistry& m, SnapshotWriter* out) {
-  out->U32(static_cast<std::uint32_t>(m.counters().size()));
-  for (const auto& [name, counter] : m.counters()) {
-    out->Str(name);
-    out->U64(counter.value());
-  }
-  out->U32(static_cast<std::uint32_t>(m.gauges().size()));
-  for (const auto& [name, gauge] : m.gauges()) {
-    out->Str(name);
-    out->F64(gauge.sum());
-    out->U64(gauge.samples());
-  }
-  out->U32(static_cast<std::uint32_t>(m.histograms().size()));
-  for (const auto& [name, hist] : m.histograms()) {
-    out->Str(name);
-    SerializeHistogram(hist, out);
+  if (io.loading()) {
+    hist.Restore(buckets, count, sum, min, max);
   }
 }
 
-bool DeserializeMetrics(SnapshotReader* in, MetricsRegistry* m) {
-  const std::uint32_t counters = in->U32();
-  for (std::uint32_t i = 0; i < counters && in->ok(); ++i) {
-    const std::string name = in->Str();
-    m->Counter(name).Inc(in->U64());
+template <typename Map>
+std::vector<std::string> Keys(const Map& map) {
+  std::vector<std::string> keys;
+  for (const auto& entry : map) {
+    keys.push_back(entry.first);
   }
-  const std::uint32_t gauges = in->U32();
-  for (std::uint32_t i = 0; i < gauges && in->ok(); ++i) {
-    const std::string name = in->Str();
-    const double sum = in->F64();
-    const std::uint64_t samples = in->U64();
-    m->Gauge(name).Restore(sum, samples);
-  }
-  const std::uint32_t histograms = in->U32();
-  for (std::uint32_t i = 0; i < histograms && in->ok(); ++i) {
-    const std::string name = in->Str();
-    if (!DeserializeHistogram(in, &m->Histogram(name))) {
-      return false;
-    }
-  }
-  return in->ok();
+  return keys;
 }
 
-void SerializeSink(const TraceSink& sink, SnapshotWriter* out) {
-  const std::vector<std::string> names = sink.Names();
-  out->U32(static_cast<std::uint32_t>(names.size()));
-  for (const std::string& name : names) {
-    const TraceSeries* series = sink.Find(name);
-    out->Str(name);
-    out->U32(series != nullptr ? static_cast<std::uint32_t>(series->size()) : 0);
-    if (series != nullptr) {
-      for (const TracePoint& p : series->points()) {
-        out->Time(p.at);
-        out->F64(p.value);
-      }
-    }
+// A string-keyed collection: a U32 count, then each entry's name and value.
+// Saves walk `names`; loads read the names from the image.  `slot(name)`
+// finds the entry (creating it on load), and `value` describes it.
+template <typename Slot, typename Value>
+void Named(SnapshotIo& io, std::vector<std::string> names, Slot&& slot, Value&& value) {
+  std::size_t n = names.size();
+  io.Count<std::uint32_t>(n, SnapshotIo::kNoBound, sizeof(std::uint32_t));
+  for (std::size_t i = 0; i < n && io.ok(); ++i) {
+    std::string name = io.saving() ? names[i] : std::string();
+    io(name);
+    value(slot(name));
   }
 }
 
-bool DeserializeSink(SnapshotReader* in, TraceSink* sink) {
-  const std::uint32_t names = in->U32();
-  for (std::uint32_t i = 0; i < names && in->ok(); ++i) {
-    const std::string name = in->Str();
-    const std::uint32_t points = in->U32();
-    if (!in->ok()) {
-      return false;
-    }
-    TraceSeries& series = sink->Series(name);
-    for (std::uint32_t p = 0; p < points && in->ok(); ++p) {
-      const SimTime at = in->Time();
-      const double value = in->F64();
-      if (in->ok()) {
-        series.Append(at, value);
-      }
-    }
-  }
-  return in->ok();
+void Metrics(SnapshotIo& io, MetricsRegistry& m) {
+  const auto field = [&io](auto& instrument) { instrument.Snapshot(io); };
+  Named(io, Keys(m.counters()),
+        [&m](const std::string& name) -> MetricsCounter& { return m.Counter(name); }, field);
+  Named(io, Keys(m.gauges()),
+        [&m](const std::string& name) -> MetricsGauge& { return m.Gauge(name); }, field);
+  Named(io, Keys(m.histograms()),
+        [&m](const std::string& name) -> LogHistogram& { return m.Histogram(name); },
+        [&io](LogHistogram& hist) { Histogram(io, hist); });
+}
+
+void Result(SnapshotIo& io, ExperimentResult& r) {
+  const auto field = [&io](auto& v) { io(v); };
+  io(r.app, r.governor, r.duration, r.energy_joules, r.exact_energy_joules, r.average_watts,
+     r.avg_utilization, r.quanta);
+  io.As<std::int64_t>(r.clock_changes);
+  io.As<std::int64_t>(r.voltage_transitions);
+  io(r.total_stall, r.step_residency);
+  Named(io, Keys(r.task_cpu_seconds),
+        [&r](const std::string& task) -> double& { return r.task_cpu_seconds[task]; }, field);
+  io(r.deadline_events, r.deadline_misses, r.worst_lateness, r.worst_overrun);
+  Named(io, Keys(r.streams),
+        [&r](const std::string& stream) -> DeadlineMonitor::StreamStats& {
+          return r.streams[stream];
+        },
+        [&io](DeadlineMonitor::StreamStats& stats) {
+          io(stats.total, stats.missed, stats.worst_lateness, stats.total_lateness,
+             stats.worst_overrun, stats.rejected, stats.shed);
+          Histogram(io, stats.latency_us);
+        });
+  Named(io, r.sink.Names(),
+        [&r](const std::string& name) -> TraceSeries& { return r.sink.Series(name); },
+        [&io](TraceSeries& series) { series.Snapshot<std::uint32_t>(io); });
+  Metrics(io, r.metrics);
+
+  FaultReport& f = r.faults;
+  io(f.enabled, f.plan);
+  Named(io, Keys(f.injected),
+        [&f](const std::string& name) -> std::uint64_t& { return f.injected[name]; }, field);
+  io(f.injected_total, f.transition_retries);
+  io.As<std::int64_t>(f.brownouts);
+  io(f.dropped_samples, f.invariant_checks, f.invariant_violations);
+  io.Window<std::uint32_t>(f.violations, SnapshotIo::kNoBound, sizeof(std::uint32_t), field);
 }
 
 }  // namespace
 
 void SerializeResult(const ExperimentResult& r, SnapshotWriter* out) {
-  out->Str(r.app);
-  out->Str(r.governor);
-  out->Time(r.duration);
-  out->F64(r.energy_joules);
-  out->F64(r.exact_energy_joules);
-  out->F64(r.average_watts);
-  out->F64(r.avg_utilization);
-  out->U64(r.quanta);
-  out->I64(r.clock_changes);
-  out->I64(r.voltage_transitions);
-  out->Time(r.total_stall);
-  for (const double share : r.step_residency) {
-    out->F64(share);
-  }
-  out->U32(static_cast<std::uint32_t>(r.task_cpu_seconds.size()));
-  for (const auto& [task, seconds] : r.task_cpu_seconds) {
-    out->Str(task);
-    out->F64(seconds);
-  }
-  out->I64(r.deadline_events);
-  out->I64(r.deadline_misses);
-  out->Time(r.worst_lateness);
-  out->Time(r.worst_overrun);
-  out->U32(static_cast<std::uint32_t>(r.streams.size()));
-  for (const auto& [stream, stats] : r.streams) {
-    out->Str(stream);
-    out->I64(stats.total);
-    out->I64(stats.missed);
-    out->Time(stats.worst_lateness);
-    out->Time(stats.total_lateness);
-    out->Time(stats.worst_overrun);
-    out->I64(stats.rejected);
-    out->I64(stats.shed);
-    SerializeHistogram(stats.latency_us, out);
-  }
-  SerializeSink(r.sink, out);
-  SerializeMetrics(r.metrics, out);
-
-  const FaultReport& f = r.faults;
-  out->Bool(f.enabled);
-  out->Str(f.plan);
-  out->U32(static_cast<std::uint32_t>(f.injected.size()));
-  for (const auto& [name, count] : f.injected) {
-    out->Str(name);
-    out->U64(count);
-  }
-  out->U64(f.injected_total);
-  out->U64(f.transition_retries);
-  out->I64(f.brownouts);
-  out->U64(f.dropped_samples);
-  out->U64(f.invariant_checks);
-  out->U64(f.invariant_violations);
-  out->U32(static_cast<std::uint32_t>(f.violations.size()));
-  for (const std::string& v : f.violations) {
-    out->Str(v);
-  }
+  SnapshotIo io(out);
+  Result(io, const_cast<ExperimentResult&>(r));
 }
 
 bool DeserializeResult(SnapshotReader* in, ExperimentResult* r) {
-  r->app = in->Str();
-  r->governor = in->Str();
-  r->duration = in->Time();
-  r->energy_joules = in->F64();
-  r->exact_energy_joules = in->F64();
-  r->average_watts = in->F64();
-  r->avg_utilization = in->F64();
-  r->quanta = in->U64();
-  r->clock_changes = static_cast<int>(in->I64());
-  r->voltage_transitions = static_cast<int>(in->I64());
-  r->total_stall = in->Time();
-  for (double& share : r->step_residency) {
-    share = in->F64();
-  }
-  const std::uint32_t tasks = in->U32();
-  for (std::uint32_t i = 0; i < tasks && in->ok(); ++i) {
-    const std::string task = in->Str();
-    const double seconds = in->F64();
-    r->task_cpu_seconds.emplace(task, seconds);
-  }
-  r->deadline_events = in->I64();
-  r->deadline_misses = in->I64();
-  r->worst_lateness = in->Time();
-  r->worst_overrun = in->Time();
-  const std::uint32_t streams = in->U32();
-  for (std::uint32_t i = 0; i < streams && in->ok(); ++i) {
-    const std::string stream = in->Str();
-    DeadlineMonitor::StreamStats stats;
-    stats.total = in->I64();
-    stats.missed = in->I64();
-    stats.worst_lateness = in->Time();
-    stats.total_lateness = in->Time();
-    stats.worst_overrun = in->Time();
-    stats.rejected = in->I64();
-    stats.shed = in->I64();
-    if (!DeserializeHistogram(in, &stats.latency_us)) {
-      return false;
-    }
-    r->streams.emplace(stream, stats);
-  }
-  if (!DeserializeSink(in, &r->sink) || !DeserializeMetrics(in, &r->metrics)) {
-    return false;
-  }
-
-  FaultReport& f = r->faults;
-  f.enabled = in->Bool();
-  f.plan = in->Str();
-  const std::uint32_t injected = in->U32();
-  for (std::uint32_t i = 0; i < injected && in->ok(); ++i) {
-    const std::string name = in->Str();
-    const std::uint64_t count = in->U64();
-    f.injected.emplace(name, count);
-  }
-  f.injected_total = in->U64();
-  f.transition_retries = in->U64();
-  f.brownouts = static_cast<int>(in->I64());
-  f.dropped_samples = in->U64();
-  f.invariant_checks = in->U64();
-  f.invariant_violations = in->U64();
-  const std::uint32_t violations = in->U32();
-  for (std::uint32_t i = 0; i < violations && in->ok(); ++i) {
-    f.violations.push_back(in->Str());
-  }
+  SnapshotIo io(in);
+  Result(io, *r);
   return in->ok() && in->AtEnd();
 }
 
@@ -437,29 +310,26 @@ bool DeserializeResult(SnapshotReader* in, ExperimentResult* r) {
 
 namespace {
 
-void EncodeHeader(const JournalHeader& h, SnapshotWriter* w) {
-  w->U8(kHeaderFrame);
-  w->U32(h.version);
-  w->U64(h.grid_fingerprint);
-  w->U32(h.jobs);
-  w->Str(h.label);
-}
+// Frame bodies, after the frame-type byte.
+void Frame(SnapshotIo& io, JournalHeader& h) { io(h.version, h.grid_fingerprint, h.jobs, h.label); }
 
-void EncodeRecord(const JournalRecord& r, SnapshotWriter* w) {
-  w->U8(kRecordFrame);
-  w->U32(r.slot);
-  w->U64(r.config_fingerprint);
-  w->Bool(r.ok);
-  w->Bool(r.quarantined);
-  w->U32(r.attempts);
-  w->Str(r.error);
-  if (r.ok) {
-    // Length-prefixed like a string, so a reader can bound the result before
-    // parsing it.
-    SnapshotWriter result;
-    SerializeResult(r.result, &result);
-    w->U32(static_cast<std::uint32_t>(result.size()));
-    w->Bytes(result.data(), result.size());
+void Frame(SnapshotIo& io, JournalRecord& r) {
+  io(r.slot, r.config_fingerprint, r.ok, r.quarantined, r.attempts, r.error);
+  if (!r.ok) {
+    return;
+  }
+  // The result is length-prefixed like a string, so a reader can bound it
+  // before parsing it.
+  std::string result;
+  if (io.saving()) {
+    SnapshotWriter w;
+    SerializeResult(r.result, &w);
+    result.assign(w.data(), w.size());
+  }
+  io(result);
+  if (io.loading() && io.ok()) {
+    SnapshotReader in(result.data(), result.size());
+    io.Check(DeserializeResult(&in, &r.result));
   }
 }
 
@@ -522,13 +392,11 @@ JournalReadResult ReadJournal(const std::string& path) {
     }
 
     SnapshotReader reader(payload, len);
+    SnapshotIo io(&reader);
     const std::uint8_t type = reader.U8();
     if (type == kHeaderFrame) {
       JournalSegment segment;
-      segment.header.version = reader.U32();
-      segment.header.grid_fingerprint = reader.U64();
-      segment.header.jobs = reader.U32();
-      segment.header.label = reader.Str();
+      Frame(io, segment.header);
       if (!reader.ok() || !reader.AtEnd()) {
         out.truncated = true;
         out.violations.push_back("frame " + std::to_string(frame_index) +
@@ -552,19 +420,8 @@ JournalReadResult ReadJournal(const std::string& path) {
       } else {
         JournalSegment& segment = out.segments.back();
         JournalRecord record;
-        record.slot = reader.U32();
-        record.config_fingerprint = reader.U64();
-        record.ok = reader.Bool();
-        record.quarantined = reader.Bool();
-        record.attempts = reader.U32();
-        record.error = reader.Str();
-        bool valid = reader.ok();
-        if (valid && record.ok) {
-          const std::string result_bytes = reader.Str();
-          SnapshotReader result_reader(result_bytes.data(), result_bytes.size());
-          valid = reader.ok() && DeserializeResult(&result_reader, &record.result);
-        }
-        if (!valid) {
+        Frame(io, record);
+        if (!reader.ok()) {
           out.violations.push_back("frame " + std::to_string(frame_index) +
                                    ": malformed record; ignored");
         } else if (record.slot >= segment.header.jobs) {
@@ -666,13 +523,17 @@ bool JournalWriter::AppendFrame(const SnapshotWriter& payload, std::string* erro
 
 bool JournalWriter::AppendHeader(const JournalHeader& header, std::string* error) {
   SnapshotWriter payload;
-  EncodeHeader(header, &payload);
+  payload.U8(kHeaderFrame);
+  SnapshotIo io(&payload);
+  Frame(io, const_cast<JournalHeader&>(header));
   return AppendFrame(payload, error);
 }
 
 bool JournalWriter::AppendRecord(const JournalRecord& record, std::string* error) {
   SnapshotWriter payload;
-  EncodeRecord(record, &payload);
+  payload.U8(kRecordFrame);
+  SnapshotIo io(&payload);
+  Frame(io, const_cast<JournalRecord&>(record));
   return AppendFrame(payload, error);
 }
 

@@ -73,21 +73,11 @@ class FaultInjector {
   // --- Device snapshots (src/sim/snapshot.h) -------------------------------
   // Per-class stream positions and trigger counts; the plan itself is config
   // and must match on the restore target.
-  void SaveState(SnapshotWriter* w) const {
-    for (const Rng& rng : streams_) {
-      rng.SaveState(w);
-    }
-    for (const std::uint64_t n : injected_) {
-      w->U64(n);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
+  void Snapshot(SnapshotIo& io) {
     for (Rng& rng : streams_) {
-      rng.LoadState(r);
+      rng.Snapshot(io);
     }
-    for (std::uint64_t& n : injected_) {
-      n = r->U64();
-    }
+    io(injected_);
   }
 
   // --- Accounting ----------------------------------------------------------

@@ -66,38 +66,14 @@ class InvariantChecker {
 
   // Device-snapshot support (src/sim/snapshot.h).  The watched components
   // are reference-bound at construction; only the checker's own history
-  // serializes.  Violation strings allocate on load, but a clean run (the
-  // fleet steady state) carries none.
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(checks_);
-    w->U64(violation_count_);
-    w->U64(violations_.size());
-    for (const std::string& v : violations_) {
-      w->Span(v.data(), v.size());
-    }
-    w->Bool(has_last_);
-    w->Time(last_now_);
-    w->Time(last_busy_);
-    w->Time(last_idle_);
-    w->U64(last_tape_segments_);
-    w->Time(last_tape_start_);
-  }
-  void LoadState(SnapshotReader* r) {
-    checks_ = r->U64();
-    violation_count_ = r->U64();
-    const std::size_t n = r->Count(sizeof(std::uint64_t));  // each span's length
-    violations_.clear();
-    char buf[512];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t len = r->SpanInto(buf, sizeof(buf));
-      violations_.emplace_back(buf, len);
-    }
-    has_last_ = r->Bool();
-    last_now_ = r->Time();
-    last_busy_ = r->Time();
-    last_idle_ = r->Time();
-    last_tape_segments_ = static_cast<std::size_t>(r->U64());
-    last_tape_start_ = r->Time();
+  // is in the image.  Violation strings allocate on load, but a clean run
+  // (the fleet steady state) carries none.  Each is a U64 length and at
+  // most 512 bytes.
+  void Snapshot(SnapshotIo& io) {
+    io(checks_, violation_count_);
+    io.Window(violations_, SnapshotIo::kNoBound, sizeof(std::uint64_t),
+              [&io](std::string& v) { io.Window(v, 512); });
+    io(has_last_, last_now_, last_busy_, last_idle_, last_tape_segments_, last_tape_start_);
   }
 
  private:

@@ -90,20 +90,7 @@ class Battery {
 
   // Device-snapshot support (src/sim/snapshot.h).  Params are config and not
   // saved; SetParams above reapplies any per-device jitter after a load.
-  void SaveState(SnapshotWriter* w) const {
-    w->F64(depth_);
-    w->F64(recoverable_);
-    w->Time(life_);
-    w->Bool(died_);
-    w->Time(died_at_);
-  }
-  void LoadState(SnapshotReader* r) {
-    depth_ = r->F64();
-    recoverable_ = r->F64();
-    life_ = r->Time();
-    died_ = r->Bool();
-    died_at_ = r->Time();
-  }
+  void Snapshot(SnapshotIo& io) { io(depth_, recoverable_, life_, died_, died_at_); }
 
  private:
   // I_ref^(k-1), which scales the ideal (effect-free) drain rate in Drain().

@@ -52,23 +52,15 @@ class Cpu {
 
   // Device-snapshot support (src/sim/snapshot.h).  switch_stall_ is config,
   // not state — a restored Cpu keeps the value it was constructed with.
-  void SaveState(SnapshotWriter* w) const {
-    w->U32(static_cast<std::uint32_t>(step_));
-    w->U8(static_cast<std::uint8_t>(state_));
-    w->Time(stall_until_);
-    w->U32(static_cast<std::uint32_t>(clock_changes_));
-    w->Time(total_stall_);
-  }
-  void LoadState(SnapshotReader* r) {
-    step_ = static_cast<int>(r->U32());
-    if (step_ < ClockTable::MinStep() || step_ > ClockTable::MaxStep()) {
-      r->Fail();
+  void Snapshot(SnapshotIo& io) {
+    io.As<std::uint32_t>(step_);
+    if (!io.Check(step_ >= ClockTable::MinStep() && step_ <= ClockTable::MaxStep())) {
       step_ = ClockTable::MaxStep();
     }
-    state_ = r->Enum(ExecState::kStalled);
-    stall_until_ = r->Time();
-    clock_changes_ = static_cast<int>(r->U32());
-    total_stall_ = r->Time();
+    io.Enum(state_, ExecState::kStalled);
+    io(stall_until_);
+    io.As<std::uint32_t>(clock_changes_);
+    io(total_stall_);
   }
 
  private:

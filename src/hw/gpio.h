@@ -38,16 +38,7 @@ class Gpio {
 
   // Device-snapshot support (src/sim/snapshot.h).  Pin levels only;
   // observers are wiring, re-attached when the stack is built.
-  void SaveState(SnapshotWriter* w) const {
-    for (const bool level : levels_) {
-      w->Bool(level);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    for (bool& level : levels_) {
-      level = r->Bool();
-    }
-  }
+  void Snapshot(SnapshotIo& io) { io(levels_); }
 
  private:
   std::array<bool, kNumGpioPins> levels_{};

@@ -88,43 +88,27 @@ class PowerTape {
 
   // Device-snapshot support (src/sim/snapshot.h): the segment and prefix
   // arrays as raw POD spans — the bulk of a device image, and the part the
-  // "contiguous image" clone path memcpys.  LoadState restores in place:
+  // "contiguous image" clone path memcpys.  A load restores in place:
   // resizing within the reserved capacity never allocates, so a warmed fleet
   // worker reloads tapes heap-free.  A history-free tape also saves how many
   // segments it dropped and where the first one started; an image taken in
   // the other mode fails the load.
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(segments_.size());
-    if (!segments_.empty()) {
-      w->Bytes(segments_.data(), segments_.size() * sizeof(Segment));
-      w->Bytes(prefix_.data(), prefix_.size() * sizeof(double));
+  void Snapshot(SnapshotIo& io) {
+    std::size_t n = segments_.size();
+    io.Count(n, history_ ? SnapshotIo::kNoBound : 2, sizeof(Segment) + sizeof(double));
+    if (io.loading()) {
+      segments_.resize(n);
+      prefix_.resize(n);
     }
-    w->Bool(history_);
+    io.Bytes(segments_.data(), n * sizeof(Segment));
+    io.Bytes(prefix_.data(), n * sizeof(double));
+    io.Expect(history_);
+    if (io.loading()) {
+      dropped_ = 0;
+      origin_ = n > 0 ? segments_.front().start : SimTime::Zero();
+    }
     if (!history_) {
-      w->U64(dropped_);
-      w->Time(origin_);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    std::size_t n = r->Count(sizeof(Segment) + sizeof(double));
-    if (!history_ && n > 2) {
-      r->Fail();
-      n = 0;
-    }
-    segments_.resize(n);
-    prefix_.resize(n);
-    if (n > 0) {
-      r->Bytes(segments_.data(), n * sizeof(Segment));
-      r->Bytes(prefix_.data(), n * sizeof(double));
-    }
-    if (r->Bool() != history_) {
-      r->Fail();
-    }
-    dropped_ = 0;
-    origin_ = n > 0 ? segments_.front().start : SimTime::Zero();
-    if (!history_) {
-      dropped_ = r->U64();
-      origin_ = r->Time();
+      io(dropped_, origin_);
     }
   }
 

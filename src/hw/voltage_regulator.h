@@ -66,19 +66,11 @@ class VoltageRegulator {
   static bool StepAllowedAt(CoreVoltage v, int step);
 
   // Device-snapshot support (src/sim/snapshot.h).
-  void SaveState(SnapshotWriter* w) const {
-    w->U8(static_cast<std::uint8_t>(target_));
-    w->Time(settle_until_);
-    w->Time(transition_start_);
-    w->U8(static_cast<std::uint8_t>(previous_));
-    w->U32(static_cast<std::uint32_t>(transitions_));
-  }
-  void LoadState(SnapshotReader* r) {
-    target_ = r->Enum(CoreVoltage::kLow);
-    settle_until_ = r->Time();
-    transition_start_ = r->Time();
-    previous_ = r->Enum(CoreVoltage::kLow);
-    transitions_ = static_cast<int>(r->U32());
+  void Snapshot(SnapshotIo& io) {
+    io.Enum(target_, CoreVoltage::kLow);
+    io(settle_until_, transition_start_);
+    io.Enum(previous_, CoreVoltage::kLow);
+    io.As<std::uint32_t>(transitions_);
   }
 
  private:

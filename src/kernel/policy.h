@@ -72,12 +72,11 @@ class ClockPolicy {
   // Clears predictor history (e.g. between repeated experiment runs).
   virtual void Reset() {}
 
-  // Device-snapshot support (src/sim/snapshot.h).  Stateful policies
-  // serialize every mutable field; stateless ones keep these defaults.
-  // Config (thresholds, windows, gains) is ctor-owned and not serialized —
-  // a restore target must be built from the same spec as the image.
-  virtual void SaveState(SnapshotWriter* w) const { (void)w; }
-  virtual void LoadState(SnapshotReader* r) { (void)r; }
+  // Device-snapshot image (src/sim/snapshot.h).  Stateful policies
+  // describe every mutable field; stateless ones keep this default.  Config
+  // (thresholds, windows, gains) is ctor-owned and not in the image — a
+  // restore target must be built from the same spec as the image.
+  virtual void Snapshot(SnapshotIo& io) { (void)io; }
 };
 
 // Type-erased static dispatch for the per-quantum policy call.

@@ -40,18 +40,9 @@ class RunQueue {
 
   // Device-snapshot support (src/sim/snapshot.h).  Order matters — it is the
   // round-robin dispatch order — so pids are replayed front to back.
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(queue_.size());
-    for (const Pid pid : queue_) {
-      w->I64(pid);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    queue_.clear();
-    const std::size_t n = r->Count(sizeof(std::int64_t));
-    for (std::size_t i = 0; i < n; ++i) {
-      queue_.push_back(static_cast<Pid>(r->I64()));
-    }
+  void Snapshot(SnapshotIo& io) {
+    io.Window(queue_, SnapshotIo::kNoBound, sizeof(std::int64_t),
+              [&io](Pid& pid) { io.As<std::int64_t>(pid); });
   }
 
  private:

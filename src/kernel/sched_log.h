@@ -47,35 +47,18 @@ class SchedLog {
 
   void Clear();
 
-  // Device-snapshot support (src/sim/snapshot.h): the raw ring contents plus
+  // Device-snapshot image (src/sim/snapshot.h): the raw ring contents plus
   // the wrap counters.  In-place restore shrinks into the lazily-grown
   // buffer's existing capacity.
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(buffer_.size());
-    if (!buffer_.empty()) {
-      w->Bytes(buffer_.data(), buffer_.size() * sizeof(SchedLogEntry));
-    }
-    w->U64(next_);
-    w->U64(total_);
-  }
-  void LoadState(SnapshotReader* r) {
-    const std::size_t n = r->Count(sizeof(SchedLogEntry));
-    if (n > capacity_) {
-      r->Fail();
-      return;
-    }
-    buffer_.resize(n);
-    if (n > 0) {
-      r->Bytes(buffer_.data(), n * sizeof(SchedLogEntry));
-    }
-    next_ = static_cast<std::size_t>(r->U64());
-    total_ = r->U64();
+  void Snapshot(SnapshotIo& io) {
+    io.Window(buffer_, capacity_);
+    io(next_, total_);
     // Record() writes buffer_[next_] and Snapshot() reads min(total_,
-    // capacity_) entries; an image that breaks either bound fails the load
-    // and leaves an empty log.
-    if ((capacity_ > 0 && next_ >= capacity_) ||
-        n < std::min<std::uint64_t>(total_, capacity_)) {
-      r->Fail();
+    // capacity_) entries; an image that breaks either bound, or fails to
+    // load at all, leaves an empty log.
+    if (!io.Check((capacity_ == 0 || next_ < capacity_) &&
+                  buffer_.size() >= std::min<std::uint64_t>(total_, capacity_)) ||
+        !io.ok()) {
       buffer_.clear();
       Clear();
     }

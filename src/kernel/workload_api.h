@@ -136,20 +136,21 @@ class Workload {
   // Memory behaviour of this task's compute phases.
   virtual MemoryProfile Profile() const { return {}; }
 
-  // --- Device-snapshot support (src/sim/snapshot.h) ------------------------
-  // Serializes / reinstates the workload's mutable progress state (frame
-  // counters, phase machines, queue contents).  Configuration and traces are
-  // rebuilt when the stack is constructed and must not be written here.  The
-  // defaults cover stateless workloads; every stateful implementation
-  // overrides both (the snapshot differential test catches omissions).
-  // `kernel` lets implementations re-establish kernel-side bindings on a
-  // fresh stack (the server re-registers its admission controller as the
-  // supply observer); it may be null when no re-binding is possible.
-  virtual void SaveState(SnapshotWriter* w) const { (void)w; }
-  virtual void LoadState(SnapshotReader* r, Kernel* kernel) {
-    (void)r;
-    (void)kernel;
-  }
+  // --- Device-snapshot image (src/sim/snapshot.h) --------------------------
+  // The workload's mutable progress state (frame counters, phase machines,
+  // queue contents), described once: the same Snapshot body saves and
+  // loads.  Configuration and traces are rebuilt when the stack is
+  // constructed and are not in the image.  The default covers stateless
+  // workloads.
+  virtual void Snapshot(SnapshotIo& io) { (void)io; }
+
+  // The entry points the kernel calls.  Both run Snapshot; a workload that
+  // wraps another forwards them.  `kernel` lets LoadState re-establish
+  // kernel-side bindings on a fresh stack (the server re-registers its
+  // admission controller as the supply observer); it may be null when no
+  // re-binding is possible.
+  virtual void SaveState(SnapshotWriter* w) const { SaveSnapshot(*this, w); }
+  virtual void LoadState(SnapshotReader* r, Kernel* /*kernel*/) { LoadSnapshot(*this, r); }
 };
 
 }  // namespace dcs

@@ -52,79 +52,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
 }
 
-namespace {
-
-constexpr std::uint32_t kMetricsTag = 0x4D455452u;  // "METR"
-
-std::uint64_t NameHash(const std::string& name) { return SnapshotNameHash(name); }
-
-}  // namespace
-
-void MetricsRegistry::SaveState(SnapshotWriter* w) const {
-  w->Tag(kMetricsTag);
-  w->U64(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    w->U64(NameHash(name));
-    w->U64(counter.value());
-  }
-  w->U64(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    w->U64(NameHash(name));
-    w->F64(gauge.sum());
-    w->U64(gauge.samples());
-  }
-  w->U64(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    w->U64(NameHash(name));
-    w->Bytes(histogram.buckets().data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
-    w->U64(histogram.count());
-    w->F64(histogram.sum());
-    w->F64(histogram.min());
-    w->F64(histogram.max());
-  }
-}
-
-void MetricsRegistry::LoadState(SnapshotReader* r) {
-  r->Tag(kMetricsTag);
-  bool aligned = true;
-  if (r->U64() != counters_.size()) {
-    aligned = false;
-  }
-  for (auto& [name, counter] : counters_) {
-    if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
-    counter.Restore(r->U64());
-  }
-  if (aligned && r->U64() != gauges_.size()) {
-    aligned = false;
-  }
-  for (auto& [name, gauge] : gauges_) {
-    if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
-    const double sum = r->F64();
-    gauge.Restore(sum, r->U64());
-  }
-  if (aligned && r->U64() != histograms_.size()) {
-    aligned = false;
-  }
-  std::array<std::uint64_t, LogHistogram::kBuckets> buckets;
-  for (auto& [name, histogram] : histograms_) {
-    if (!aligned) break;
-    aligned = r->U64() == NameHash(name);
-    r->Bytes(buckets.data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
-    const std::uint64_t count = r->U64();
-    const double sum = r->F64();
-    const double min = r->F64();
-    const double max = r->F64();
-    histogram.Restore(buckets, count, sum, min, max);
-  }
-  if (!aligned) {
-    // The registry's key set does not match the image's (a producer bound
-    // after the snapshot was taken, or vice versa).
-    r->Fail();
-  }
-}
-
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) {
     return "0";

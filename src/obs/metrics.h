@@ -32,9 +32,8 @@ class MetricsCounter {
   void Inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
 
-  // Reinstates a serialized counter exactly (device-snapshot restore);
-  // regular producers use Inc().
-  void Restore(std::uint64_t value) { value_ = value; }
+  // Snapshot image (device images and the campaign journal).
+  void Snapshot(SnapshotIo& io) { io(value_); }
 
  private:
   std::uint64_t value_ = 0;
@@ -57,12 +56,8 @@ class MetricsGauge {
     samples_ += other.samples_;
   }
 
-  // Reinstates a serialized gauge exactly (campaign journal replay); regular
-  // producers use Set().
-  void Restore(double sum, std::uint64_t samples) {
-    sum_ = sum;
-    samples_ = samples;
-  }
+  // Snapshot image (device images and the campaign journal).
+  void Snapshot(SnapshotIo& io) { io(sum_, samples_); }
 
  private:
   double sum_ = 0.0;
@@ -109,6 +104,9 @@ class LogHistogram {
   static double BucketUpperBound(int i) { return std::ldexp(1.0, i); }
 
   void MergeFrom(const LogHistogram& other);
+
+  // Device-snapshot image: every bucket, then the summary.
+  void Snapshot(SnapshotIo& io) { io(buckets_, count_, sum_, min_, max_); }
 
   // Reinstates a serialized histogram exactly (campaign journal replay);
   // regular producers use Observe().
@@ -168,17 +166,22 @@ class MetricsRegistry {
   // Human-readable "name value" lines, one instrument per line.
   void WriteText(std::ostream& os) const;
 
-  // Device-snapshot support (src/sim/snapshot.h).  Positional: instruments
-  // are written in map (sorted-name) order with a name hash per entry, and
-  // LoadState walks the live registry in the same order, verifying each
-  // hash.  The key set is fixed at stack-build time (producers resolve their
-  // instruments at bind/install), so save and load always see the same
-  // sequence — and restoring by position instead of by name keeps the load
-  // path free of string allocations for fleet device cycling.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
+  // Device-snapshot image (src/sim/snapshot.h).  Positional (SnapshotIo::
+  // Keyed): instruments in map (sorted-name) order with a name hash per
+  // entry.  The key set is fixed at stack-build time (producers resolve
+  // their instruments at bind/install), so save and load always see the
+  // same sequence — and restoring by position instead of by name keeps the
+  // load path free of string allocations for fleet device cycling.
+  void Snapshot(SnapshotIo& io) {
+    io.Tag(kSnapshotTag);
+    if (io.Keyed(counters_) && io.Keyed(gauges_)) {
+      io.Keyed(histograms_);
+    }
+  }
 
  private:
+  static constexpr std::uint32_t kSnapshotTag = 0x4D455452u;  // "METR"
+
   std::map<std::string, MetricsCounter> counters_;
   std::map<std::string, MetricsGauge> gauges_;
   std::map<std::string, LogHistogram> histograms_;

@@ -2,17 +2,27 @@
 
 namespace dcs {
 
-std::uint64_t EventQueue::SeqOf(EventId id) const {
+const EventQueue::Pending* EventQueue::Find(EventId id) const {
   if (!IsLive(id)) {
-    return 0;
+    return nullptr;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(id);
   for (const Pending& entry : pending_) {
     if (entry.slot == slot) {
-      return entry.seq;
+      return &entry;
     }
   }
-  return 0;
+  return nullptr;
+}
+
+std::uint64_t EventQueue::SeqOf(EventId id) const {
+  const Pending* entry = Find(id);
+  return entry != nullptr ? entry->seq : 0;
+}
+
+SimTime EventQueue::TimeOf(EventId id) const {
+  const Pending* entry = Find(id);
+  return entry != nullptr ? entry->at : SimTime::Zero();
 }
 
 void EventQueue::Clear() {

@@ -111,6 +111,8 @@ class EventQueue {
   // original FIFO tie-break order (src/sim/snapshot.h).  Returns 0 for ids
   // that are no longer live.
   std::uint64_t SeqOf(EventId id) const;
+  // Fire time of a live event (zero for ids that are no longer live).
+  SimTime TimeOf(EventId id) const;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -139,6 +141,9 @@ class EventQueue {
   EventId IdOf(std::uint32_t slot) const {
     return (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
   }
+
+  // The pending entry of a live event, or null.
+  const Pending* Find(EventId id) const;
 
   // True if `id` names an event that is still pending.
   bool IsLive(EventId id) const {

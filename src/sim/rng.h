@@ -108,16 +108,9 @@ class Rng {
     return Rng(s_[0] ^ 0x9e3779b97f4a7c15ULL * (stream + 1));
   }
 
-  // State capture for device snapshots (src/sim/snapshot.h): the four
-  // xoshiro words, so a restored generator continues its stream exactly.
-  void SaveState(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = s_[i];
-  }
-  void LoadState(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) s_[i] = in[i];
-  }
-  void SaveState(SnapshotWriter* w) const { w->Bytes(s_, sizeof(s_)); }
-  void LoadState(SnapshotReader* r) { r->Bytes(s_, sizeof(s_)); }
+  // Device-snapshot image (src/sim/snapshot.h): the four xoshiro words, so
+  // a restored generator continues its stream exactly.
+  void Snapshot(SnapshotIo& io) { io(s_); }
 
   // Fisher-Yates shuffle.
   template <typename T>

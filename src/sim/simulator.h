@@ -90,6 +90,9 @@ class Simulator {
   // Original insertion sequence of a live event; components record it at
   // save time so restored events re-arm in their original tie-break order.
   std::uint64_t EventSeq(EventId id) const { return queue_.SeqOf(id); }
+  // Absolute fire time of a live event, read off the queue at save time, so
+  // no component keeps its own copy of when its events fire.
+  SimTime EventAt(EventId id) const { return queue_.TimeOf(id); }
 
   // Restores the clock and the sim.* counters from a snapshot.  Only legal
   // when no events are pending: a device being recycled cancels all its

@@ -63,22 +63,14 @@ class TraceSeries {
   // with no samples repeat the previous bucket's value.
   TraceSeries Rebucket(SimTime interval) const;
 
-  // Device-snapshot support (src/sim/snapshot.h): the points as one raw POD
-  // span.  LoadState restores in place — shrinking back to the snapshot
-  // length reuses the reserved capacity, so fleet device cycling never
-  // reallocates a series.
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(points_.size());
-    if (!points_.empty()) {
-      w->Bytes(points_.data(), points_.size() * sizeof(TracePoint));
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    const std::size_t n = r->Count(sizeof(TracePoint));
-    points_.resize(n);
-    if (n > 0) {
-      r->Bytes(points_.data(), n * sizeof(TracePoint));
-    }
+  // Device-snapshot image (src/sim/snapshot.h): the points as one raw POD
+  // span.  A load restores in place — shrinking back to the snapshot length
+  // reuses the reserved capacity, so fleet device cycling never reallocates
+  // a series.
+  // The campaign journal writes the count as a U32.
+  template <typename CountT = std::uint64_t>
+  void Snapshot(SnapshotIo& io) {
+    io.Window<CountT>(points_);
   }
 
  private:
@@ -101,29 +93,10 @@ class TraceSink {
   // Writes one series as two-column CSV ("time_us,value").
   void WriteCsv(const std::string& name, std::ostream& os) const;
 
-  // Device-snapshot support: positional restore over the sorted series map,
-  // each entry verified by name hash (the series set is fixed once the
-  // kernel has bound and reserved its traces).
-  void SaveState(SnapshotWriter* w) const {
-    w->U64(series_.size());
-    for (const auto& [name, series] : series_) {
-      w->U64(SnapshotNameHash(name));
-      series.SaveState(w);
-    }
-  }
-  void LoadState(SnapshotReader* r) {
-    if (r->U64() != series_.size()) {
-      r->Fail();
-      return;
-    }
-    for (auto& [name, series] : series_) {
-      if (r->U64() != SnapshotNameHash(name)) {
-        r->Fail();
-        return;
-      }
-      series.LoadState(r);
-    }
-  }
+  // Device-snapshot image: positional over the sorted series map, each
+  // entry verified by name hash (the series set is fixed once the kernel
+  // has bound and reserved its traces).
+  void Snapshot(SnapshotIo& io) { io.Keyed(series_); }
 
  private:
   std::map<std::string, TraceSeries> series_;

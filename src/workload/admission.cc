@@ -227,50 +227,17 @@ namespace {
 constexpr std::uint32_t kAdmissionTag = 0x41444D54u;  // "ADMT"
 }  // namespace
 
-void AdmissionController::SaveState(SnapshotWriter* w) const {
-  w->Tag(kAdmissionTag);
-  w->F64(demand_ewma_us_);
-  w->F64(interarrival_ewma_us_);
-  w->Bool(have_arrival_);
-  w->Time(last_arrival_);
-  w->F64(speed_ewma_);
-  w->I64(max_step_);
-  w->Bool(degraded_);
-  w->I64(shed_level_);
-  w->I64(last_brownouts_);
-  w->Time(shed_until_);
-  w->Bool(battery_sagging_);
-  w->F64(bound_);
-  w->I64(window_outcomes_);
-  w->I64(window_violations_);
-  w->U64(considered_);
-  w->U64(admitted_);
-  w->U64(rejected_overload_);
-  w->U64(rejected_shed_);
-  w->F64(rejected_work_fs_us_);
-}
-
-void AdmissionController::LoadState(SnapshotReader* r) {
-  r->Tag(kAdmissionTag);
-  demand_ewma_us_ = r->F64();
-  interarrival_ewma_us_ = r->F64();
-  have_arrival_ = r->Bool();
-  last_arrival_ = r->Time();
-  speed_ewma_ = r->F64();
-  max_step_ = static_cast<int>(r->I64());
-  degraded_ = r->Bool();
-  shed_level_ = static_cast<int>(r->I64());
-  last_brownouts_ = static_cast<int>(r->I64());
-  shed_until_ = r->Time();
-  battery_sagging_ = r->Bool();
-  bound_ = r->F64();
-  window_outcomes_ = static_cast<int>(r->I64());
-  window_violations_ = static_cast<int>(r->I64());
-  considered_ = r->U64();
-  admitted_ = r->U64();
-  rejected_overload_ = r->U64();
-  rejected_shed_ = r->U64();
-  rejected_work_fs_us_ = r->F64();
+void AdmissionController::Snapshot(SnapshotIo& io) {
+  io.Tag(kAdmissionTag);
+  io(demand_ewma_us_, interarrival_ewma_us_, have_arrival_, last_arrival_, speed_ewma_);
+  io.As<std::int64_t>(max_step_);
+  io(degraded_);
+  io.As<std::int64_t>(shed_level_);
+  io.As<std::int64_t>(last_brownouts_);
+  io(shed_until_, battery_sagging_, bound_);
+  io.As<std::int64_t>(window_outcomes_);
+  io.As<std::int64_t>(window_violations_);
+  io(considered_, admitted_, rejected_overload_, rejected_shed_, rejected_work_fs_us_);
 }
 
 }  // namespace dcs

@@ -166,8 +166,7 @@ class AdmissionController final : public SupplyObserver {
   // -mode and counter field.  Config-derived tables (step ratios, class
   // ranks) are rebuilt by the constructor and not serialized; metric
   // instruments re-bind through BindMetrics.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
+  void Snapshot(SnapshotIo& io);
 
  private:
   void RefreshDegraded(SimTime now);

@@ -46,26 +46,15 @@ class ChessWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->U64(next_event_);
-    w->U8(static_cast<std::uint8_t>(state_));
-    w->Time(origin_);
-    w->Bool(primed_);
-    w->Time(ui_deadline_);
-    w->I64(ply_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = r->Index(trace_.events().size());
-    state_ = r->Enum(State::kEngineUi);
+  void Snapshot(SnapshotIo& io) override {
+    io.Index(next_event_, trace_.events().size());
+    io.Enum(state_, State::kEngineUi);
     // Every state but kWaitMove works on the move at next_event_.
-    if (state_ != State::kWaitMove && next_event_ == trace_.events().size()) {
-      r->Fail();
+    if (!io.Check(state_ == State::kWaitMove || next_event_ < trace_.events().size())) {
       state_ = State::kWaitMove;
     }
-    origin_ = r->Time();
-    primed_ = r->Bool();
-    ui_deadline_ = r->Time();
-    ply_ = static_cast<int>(r->I64());
+    io(origin_, primed_, ui_deadline_);
+    io.As<std::int64_t>(ply_);
   }
 
  private:

@@ -106,63 +106,34 @@ namespace {
 
 constexpr std::uint32_t kDeadlineTag = 0x444C4D4Eu;  // "DLMN"
 
-void SaveStats(SnapshotWriter* w, const DeadlineMonitor::StreamStats& s) {
-  w->I64(s.total);
-  w->I64(s.missed);
-  w->Time(s.worst_lateness);
-  w->Time(s.total_lateness);
-  w->Time(s.worst_overrun);
-  w->Bytes(s.latency_us.buckets().data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
-  w->U64(s.latency_us.count());
-  w->F64(s.latency_us.sum());
-  w->F64(s.latency_us.min());
-  w->F64(s.latency_us.max());
-  w->I64(s.rejected);
-  w->I64(s.shed);
+void StreamImage(SnapshotIo& io, DeadlineMonitor::StreamStats& s) {
+  io(s.total, s.missed, s.worst_lateness, s.total_lateness, s.worst_overrun);
+  s.latency_us.Snapshot(io);
+  io(s.rejected, s.shed);
 }
 
-void LoadStats(SnapshotReader* r, DeadlineMonitor::StreamStats* s) {
-  s->total = r->I64();
-  s->missed = r->I64();
-  s->worst_lateness = r->Time();
-  s->total_lateness = r->Time();
-  s->worst_overrun = r->Time();
-  std::array<std::uint64_t, LogHistogram::kBuckets> buckets;
-  r->Bytes(buckets.data(), sizeof(std::uint64_t) * LogHistogram::kBuckets);
-  const std::uint64_t count = r->U64();
-  const double sum = r->F64();
-  const double min = r->F64();
-  const double max = r->F64();
-  s->latency_us.Restore(buckets, count, sum, min, max);
-  s->rejected = r->I64();
-  s->shed = r->I64();
+// A stream name: U64 length, then at most 256 bytes.
+bool Name(SnapshotIo& io, std::string& name) {
+  io.Window(name, 256);
+  return io.ok();
 }
 
 }  // namespace
 
-void DeadlineMonitor::SaveState(SnapshotWriter* w) const {
-  w->Tag(kDeadlineTag);
-  w->U64(streams_.size());
-  for (const auto& [name, stats] : streams_) {
-    w->Span(name.data(), name.size());
-    SaveStats(w, stats);
-  }
-}
-
-void DeadlineMonitor::LoadState(SnapshotReader* r) {
-  r->Tag(kDeadlineTag);
-  const std::size_t n = r->Count(sizeof(std::uint64_t));  // each name span's length
-  char buf[256];
+void DeadlineMonitor::Snapshot(SnapshotIo& io) {
+  io.Tag(kDeadlineTag);
+  std::size_t n = streams_.size();
+  io.Count(n, SnapshotIo::kNoBound, sizeof(std::uint64_t));  // each name's length
   if (n == streams_.size()) {
-    // Same key set as the image (fleet device cycling): restore each stream
-    // in place, verifying the names line up, with no allocation.
+    // Same key set as the image (every save, and fleet device cycling):
+    // each stream in place, its name verified against the image's, with no
+    // allocation.
     for (auto& [name, stats] : streams_) {
-      const std::size_t len = r->SpanInto(buf, sizeof(buf));
-      if (!r->ok() || len != name.size() || std::memcmp(buf, name.data(), len) != 0) {
-        r->Fail();
+      std::string& image_name = io.saving() ? const_cast<std::string&>(name) : name_scratch_;
+      if (!Name(io, image_name) || !io.Check(image_name == name)) {
         return;
       }
-      LoadStats(r, &stats);
+      StreamImage(io, stats);
     }
     return;
   }
@@ -170,11 +141,10 @@ void DeadlineMonitor::LoadState(SnapshotReader* r) {
   // one restore path that allocates; it runs once per worker, not per device.
   streams_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t len = r->SpanInto(buf, sizeof(buf));
-    if (!r->ok()) {
+    if (!Name(io, name_scratch_)) {
       return;
     }
-    LoadStats(r, &streams_[std::string(buf, len)]);
+    StreamImage(io, streams_[name_scratch_]);
   }
 }
 

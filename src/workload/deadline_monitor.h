@@ -107,11 +107,12 @@ class DeadlineMonitor {
   // report, so a fresh monitor must be able to rebuild the key set.  When
   // the live key set already matches (fleet device cycling), stats restore
   // in place without allocating.
-  void SaveState(SnapshotWriter* w) const;
-  void LoadState(SnapshotReader* r);
+  void Snapshot(SnapshotIo& io);
 
  private:
   std::map<std::string, StreamStats> streams_;
+  // A loaded stream name, reused so in-place loads do not allocate.
+  std::string name_scratch_;
 };
 
 }  // namespace dcs

@@ -26,16 +26,7 @@ class JavaPollWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->Time(next_poll_);
-    w->Bool(computing_);
-    w->Bool(primed_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_poll_ = r->Time();
-    computing_ = r->Bool();
-    primed_ = r->Bool();
-  }
+  void Snapshot(SnapshotIo& io) override { io(next_poll_, computing_, primed_); }
 
  private:
   SimTime period_;

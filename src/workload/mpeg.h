@@ -42,16 +42,6 @@ class AvSyncTracker {
   // Positive when video lags behind audio.
   SimTime Drift() const { return audio_position_ - video_position_; }
 
-  // Device-snapshot support (src/sim/snapshot.h).
-  void SaveState(SnapshotWriter* w) const {
-    w->Time(video_position_);
-    w->Time(audio_position_);
-  }
-  void LoadState(SnapshotReader* r) {
-    video_position_ = r->Time();
-    audio_position_ = r->Time();
-  }
-
  private:
   SimTime video_position_;
   SimTime audio_position_;
@@ -123,17 +113,11 @@ class MpegVideoWorkload final : public Workload {
   // Frames actually shown on time-ish: decoded minus dropped.
   int frames_delivered() const { return frame_ - dropped_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->U8(static_cast<std::uint8_t>(state_));
-    w->Time(origin_);
-    w->I64(frame_);
-    w->I64(dropped_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    state_ = r->Enum(State::kDisplay);
-    origin_ = r->Time();
-    frame_ = static_cast<int>(r->I64());
-    dropped_ = static_cast<int>(r->I64());
+  void Snapshot(SnapshotIo& io) override {
+    io.Enum(state_, State::kDisplay);
+    io(origin_);
+    io.As<std::int64_t>(frame_);
+    io.As<std::int64_t>(dropped_);
   }
 
  private:
@@ -165,15 +149,10 @@ class MpegAudioWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->U8(static_cast<std::uint8_t>(state_));
-    w->Time(origin_);
-    w->I64(buffer_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    state_ = r->Enum(State::kWait);
-    origin_ = r->Time();
-    buffer_ = static_cast<int>(r->I64());
+  void Snapshot(SnapshotIo& io) override {
+    io.Enum(state_, State::kWait);
+    io(origin_);
+    io.As<std::int64_t>(buffer_);
   }
 
  private:

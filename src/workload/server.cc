@@ -392,61 +392,30 @@ namespace {
 constexpr std::uint32_t kServerTag = 0x53525652u;  // "SRVR"
 }  // namespace
 
-void ServerWorkload::SaveState(SnapshotWriter* w) const {
-  w->Tag(kServerTag);
-  w->Bytes(class_credit_.data(), class_credit_.size() * sizeof(double));
-  w->Bool(admission_.has_value());
-  if (admission_.has_value()) {
-    admission_->SaveState(w);
-  }
-  w->Bool(supply_bound_);
-  w->U64(next_arrival_);
-  w->U64(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const Request& request = queue_[i];
-    w->Time(request.arrival);
-    w->F64(request.service_us);
-    w->U64(request.cls);
-  }
-  w->F64(queue_work_us_);
-  w->Bool(serving_);
-  w->Time(current_.arrival);
-  w->F64(current_.service_us);
-  w->U64(current_.cls);
-  w->Time(origin_);
-  w->Bool(primed_);
-}
-
-void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
-  r->Tag(kServerTag);
-  r->Bytes(class_credit_.data(), class_credit_.size() * sizeof(double));
-  if (r->Bool() != admission_.has_value()) {
-    // The image came from a scenario with a different admission policy.
-    r->Fail();
+void ServerWorkload::Snapshot(SnapshotIo& io) {
+  io.Tag(kServerTag);
+  io.Bytes(class_credit_.data(), class_credit_.size() * sizeof(double));
+  // The image must come from a scenario with the same admission policy.
+  if (!io.Expect(admission_.has_value())) {
     return;
   }
   if (admission_.has_value()) {
-    admission_->LoadState(r);
+    admission_->Snapshot(io);
   }
-  supply_bound_ = r->Bool();
-  next_arrival_ = r->Index(trace_.events().size());
-  queue_.clear();
-  // Each request is a Time, an F64 and a U64.
-  const std::size_t queued = r->Count(3 * sizeof(std::uint64_t));
-  for (std::size_t i = 0; i < queued; ++i) {
-    Request request;
-    request.arrival = r->Time();
-    request.service_us = r->F64();
-    request.cls = r->Index(classes_.size() - 1);
-    queue_.push_back(request);
-  }
-  queue_work_us_ = r->F64();
-  serving_ = r->Bool();
-  current_.arrival = r->Time();
-  current_.service_us = r->F64();
-  current_.cls = r->Index(classes_.size() - 1);
-  origin_ = r->Time();
-  primed_ = r->Bool();
+  io(supply_bound_);
+  io.Index(next_arrival_, trace_.events().size());
+  const std::size_t last_class = classes_.size() - 1;
+  io.Window(queue_, trace_.events().size(), sizeof(Request), [&](Request& request) {
+    io(request.arrival, request.service_us);
+    io.Index(request.cls, last_class);
+  });
+  io(queue_work_us_, serving_, current_.arrival, current_.service_us);
+  io.Index(current_.cls, last_class);
+  io(origin_, primed_);
+}
+
+void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
+  Workload::LoadState(r, kernel);
   if (supply_bound_ && admission_.has_value() && kernel != nullptr) {
     // Re-establish the binding Next() made on its first call: a fresh stack
     // has never run the workload, so the kernel's observer slot is empty.

@@ -140,11 +140,11 @@ class ServerWorkload final : public Workload {
     return admission_.has_value() ? &*admission_ : nullptr;
   }
 
-  // Device-snapshot support: queue contents, class credits, serving state
-  // and the admission controller's estimators.  LoadState re-registers the
+  // Device-snapshot image: queue contents, class credits, serving state and
+  // the admission controller's estimators.  LoadState also re-registers the
   // controller as the kernel's supply observer when the saved state had
   // bound it (a fresh stack has never run Next()).
-  void SaveState(SnapshotWriter* w) const override;
+  void Snapshot(SnapshotIo& io) override;
   void LoadState(SnapshotReader* r, Kernel* kernel) override;
 
  private:

@@ -28,13 +28,9 @@ class RectangleWaveWorkload final : public Workload {
   const char* Name() const override { return name_.c_str(); }
   Action Next(const WorkloadContext& ctx) override;
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->I64(cycles_remaining_);
-    w->Bool(in_busy_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    cycles_remaining_ = static_cast<int>(r->I64());
-    in_busy_ = r->Bool();
+  void Snapshot(SnapshotIo& io) override {
+    io.As<std::int64_t>(cycles_remaining_);
+    io(in_busy_);
   }
 
  private:
@@ -55,8 +51,7 @@ class ConstantUtilizationWorkload final : public Workload {
   const char* Name() const override { return name_.c_str(); }
   Action Next(const WorkloadContext& ctx) override;
 
-  void SaveState(SnapshotWriter* w) const override { w->Bool(spun_); }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override { spun_ = r->Bool(); }
+  void Snapshot(SnapshotIo& io) override { io(spun_); }
 
  private:
   double utilization_;
@@ -78,16 +73,7 @@ class ComputeOnceWorkload final : public Workload {
   bool done() const { return done_; }
   SimTime completed_at() const { return completed_at_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->Bool(started_);
-    w->Bool(done_);
-    w->Time(completed_at_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    started_ = r->Bool();
-    done_ = r->Bool();
-    completed_at_ = r->Time();
-  }
+  void Snapshot(SnapshotIo& io) override { io(started_, done_, completed_at_); }
 
  private:
   double base_cycles_;
@@ -108,8 +94,7 @@ class PoissonBurstWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override { w->Bool(bursting_); }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override { bursting_ = r->Bool(); }
+  void Snapshot(SnapshotIo& io) override { io(bursting_); }
 
  private:
   SimTime idle_mean_;

@@ -53,25 +53,12 @@ class TalkingEditorWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->U64(next_event_);
-    w->U8(static_cast<std::uint8_t>(state_));
-    w->Time(origin_);
-    w->Bool(primed_);
-    w->I64(sentences_left_);
-    w->Time(audio_ends_);
-    w->Bool(audio_on_);
-    w->Bool(pipeline_empty_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = r->Index(trace_.events().size());
-    state_ = r->Enum(State::kAfterSynth);
-    origin_ = r->Time();
-    primed_ = r->Bool();
-    sentences_left_ = static_cast<int>(r->I64());
-    audio_ends_ = r->Time();
-    audio_on_ = r->Bool();
-    pipeline_empty_ = r->Bool();
+  void Snapshot(SnapshotIo& io) override {
+    io.Index(next_event_, trace_.events().size());
+    io.Enum(state_, State::kAfterSynth);
+    io(origin_, primed_);
+    io.As<std::int64_t>(sentences_left_);
+    io(audio_ends_, audio_on_, pipeline_empty_);
   }
 
  private:

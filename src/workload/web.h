@@ -44,19 +44,9 @@ class WebWorkload final : public Workload {
   Action Next(const WorkloadContext& ctx) override;
   MemoryProfile Profile() const override { return profile_; }
 
-  void SaveState(SnapshotWriter* w) const override {
-    w->U64(next_event_);
-    w->Bool(handling_);
-    w->Time(origin_);
-    w->Bool(primed_);
-    w->Time(event_deadline_);
-  }
-  void LoadState(SnapshotReader* r, Kernel* /*kernel*/) override {
-    next_event_ = r->Index(trace_.events().size());
-    handling_ = r->Bool();
-    origin_ = r->Time();
-    primed_ = r->Bool();
-    event_deadline_ = r->Time();
+  void Snapshot(SnapshotIo& io) override {
+    io.Index(next_event_, trace_.events().size());
+    io(handling_, origin_, primed_, event_deadline_);
   }
 
  private:

@@ -364,11 +364,11 @@ TEST(PowerTapePropertyTest, HistoryFreeTapeMatchesFullTapeBitwise) {
     for (int i = 0; i < 400; ++i) {
       if (i == 200) {
         SnapshotWriter w;
-        lean.SaveState(&w);
+        SaveSnapshot(lean, &w);
         PowerTape restored;
         restored.DropHistory();
         SnapshotReader r(w);
-        restored.LoadState(&r);
+        LoadSnapshot(restored, &r);
         ASSERT_TRUE(r.ok());
         ASSERT_TRUE(r.AtEnd());
         lean = restored;
@@ -469,21 +469,21 @@ TEST(PowerTapeTest, SnapshotModeMismatchFails) {
   full.Set(SimTime::Seconds(1), 2.0);
   full.Set(SimTime::Seconds(2), 3.0);
   SnapshotWriter full_image;
-  full.SaveState(&full_image);
+  SaveSnapshot(full, &full_image);
   PowerTape lean;
   lean.DropHistory();
   SnapshotReader r(full_image);
-  lean.LoadState(&r);
+  LoadSnapshot(lean, &r);
   EXPECT_FALSE(r.ok());
 
   PowerTape lean_source;
   lean_source.DropHistory();
   lean_source.Set(SimTime::Zero(), 1.0);
   SnapshotWriter lean_image;
-  lean_source.SaveState(&lean_image);
+  SaveSnapshot(lean_source, &lean_image);
   PowerTape other;
   SnapshotReader r2(lean_image);
-  other.LoadState(&r2);
+  LoadSnapshot(other, &r2);
   EXPECT_FALSE(r2.ok());
 }
 
