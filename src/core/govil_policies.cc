@@ -62,8 +62,8 @@ double LongShortPredictor::Update(double utilization) {
     short_sum += history_[history_.size() - 1 - static_cast<std::size_t>(i)];
   }
   double long_sum = 0.0;
-  for (const double u : history_) {
-    long_sum += u;
+  for (std::size_t i = 0; i < history_.size(); ++i) {
+    long_sum += history_[i];
   }
   const double short_avg = short_sum / short_n;
   const double long_avg = long_sum / static_cast<double>(history_.size());
@@ -92,9 +92,12 @@ CyclePredictor::CyclePredictor(int cycle_length, double tolerance)
 }
 
 double CyclePredictor::Update(double utilization) {
-  history_.push_back(Clamp01(utilization));
-  const std::size_t n = history_.size();
   const std::size_t len = static_cast<std::size_t>(cycle_length_);
+  history_.push_back(Clamp01(utilization));
+  if (history_.size() > 2 * len) {
+    history_.pop_front();
+  }
+  const std::size_t n = history_.size();
   cycle_matched_ = false;
   if (n >= 2 * len) {
     // Compare the last cycle with the one before it.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "src/core/governor_registry.h"
 #include "src/sim/rng.h"
 #include "src/exp/experiment.h"
@@ -150,6 +155,64 @@ TEST(CyclePredictorTest, WrongCycleLengthDoesNotMatch) {
 }
 
 // --- PEAK ----------------------------------------------------------------------
+
+// CyclePredictor keeps only the last 2 * cycle_length samples, which is all
+// Update() reads.  This reference keeps every sample, as the predictor once
+// did; on any input both must predict the same bits.
+class UntrimmedCycleReference {
+ public:
+  UntrimmedCycleReference(std::size_t len, double tolerance) : len_(len), tolerance_(tolerance) {}
+
+  double Update(double utilization) {
+    history_.push_back(std::clamp(utilization, 0.0, 1.0));
+    const std::size_t n = history_.size();
+    if (n >= 2 * len_) {
+      double err = 0.0;
+      for (std::size_t i = 0; i < len_; ++i) {
+        err += std::abs(history_[n - 1 - i] - history_[n - 1 - i - len_]);
+      }
+      if (err / static_cast<double>(len_) <= tolerance_) {
+        return history_[n - len_];
+      }
+    }
+    double sum = 0.0;
+    const std::size_t take = std::min(n, len_);
+    for (std::size_t i = 0; i < take; ++i) {
+      sum += history_[n - 1 - i];
+    }
+    return sum / static_cast<double>(take);
+  }
+
+ private:
+  std::size_t len_;
+  double tolerance_;
+  std::vector<double> history_;
+};
+
+TEST(CyclePredictorTest, TrimmedHistoryPredictsTheUntrimmedBits) {
+  for (const int len : {2, 5, 10}) {
+    CyclePredictor predictor(len, 0.10);
+    UntrimmedCycleReference reference(static_cast<std::size_t>(len), 0.10);
+    Rng rng(static_cast<std::uint64_t>(len));
+    // Stretches of noise alternate with stretches of a repeated cycle, so
+    // both the matched and the fallback branches run.
+    std::vector<double> cycle(static_cast<std::size_t>(len));
+    for (int stretch = 0; stretch < 40; ++stretch) {
+      for (double& u : cycle) {
+        u = rng.NextDouble();
+      }
+      const bool periodic = stretch % 2 == 1;
+      for (int i = 0; i < 6 * len; ++i) {
+        const double u = periodic ? cycle[static_cast<std::size_t>(i % len)] + 0.01 * rng.NextDouble()
+                                  : 1.2 * rng.NextDouble() - 0.1;
+        const double got = predictor.Update(u);
+        const double want = reference.Update(u);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "len " << len << " stretch " << stretch << " sample " << i;
+      }
+    }
+  }
+}
 
 TEST(PeakPredictorTest, RisingEdgePredictsFallBack) {
   PeakPredictor predictor;
