@@ -37,7 +37,7 @@ std::optional<SpeedRequest> DeadlineGovernor::OnQuantum(const UtilizationSample&
       for (const auto& item : pending) {
         const double slack =
             std::max((item.deadline - now).ToSeconds(), min_slack);
-        const double rate = MemoryModel::EffectiveBaseHz(step, item.profile);
+        const double rate = item.rates->Hz(step);
         density += item.remaining_cycles / rate / slack;
       }
       if (density <= config_.density_cap) {

@@ -40,7 +40,7 @@ double FeedbackGovernor::DeadlineSpeed(const UtilizationSample& sample) const {
   double density = 0.0;
   for (const auto& item : pending) {
     const double slack = std::max((item.deadline - now).ToSeconds(), min_slack);
-    const double rate = MemoryModel::EffectiveBaseHz(config_.max_step, item.profile);
+    const double rate = item.rates->Hz(config_.max_step);
     density += item.remaining_cycles / rate / slack;
   }
   return density / config_.density_target;

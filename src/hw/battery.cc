@@ -1,10 +1,28 @@
 #include "src/hw/battery.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 namespace dcs {
+
+inline double Battery::PeukertPower(double amps) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(amps);
+  std::size_t slot = MemoSlot(amps);
+  for (std::size_t probe = 0; probe < kMemoProbes; ++probe) {
+    MemoEntry& entry = memo_[slot];
+    if (entry.amps_bits == bits) {
+      return entry.power;
+    }
+    if (entry.amps_bits == 0) {
+      entry = MemoEntry{bits, std::pow(amps, params_.peukert_exponent)};
+      return entry.power;
+    }
+    slot = (slot + 1) & (kMemoSize - 1);
+  }
+  return std::pow(amps, params_.peukert_exponent);
+}
 
 void Battery::Drain(double watts, SimTime dt) {
   if (dt <= SimTime::Zero() || watts < 0.0) {
@@ -23,7 +41,7 @@ void Battery::Drain(double watts, SimTime dt) {
     return;
   }
   // Peukert drain: depth accrues at I^k / Cp per hour.
-  const double peukert_rate = std::pow(amps, params_.peukert_exponent) / params_.peukert_capacity;
+  const double peukert_rate = PeukertPower(amps) / params_.peukert_capacity;
   // The "ideal" drain an effect-free battery would see at the same current,
   // expressed against the capacity available at the reference current.
   const double ideal_rate = (amps * reference_penalty_) / params_.peukert_capacity;

@@ -20,7 +20,11 @@
 #ifndef SRC_HW_BATTERY_H_
 #define SRC_HW_BATTERY_H_
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
@@ -82,17 +86,48 @@ class Battery {
   // Replaces the parameter set.  The fleet layer uses this at device-fork
   // time to apply per-device capacity jitter: the shared warmup charge state
   // (depth, recoverable pool — both capacity fractions) carries over, future
-  // drain follows the device's own capacity.
+  // drain follows the device's own capacity.  The Peukert memo (below) is
+  // kept across a change that keeps the exponent.
   void SetParams(const BatteryParams& params) {
+    if (params.peukert_exponent != params_.peukert_exponent) {
+      memo_.fill(MemoEntry{});
+    }
     params_ = params;
     reference_penalty_ = ReferencePenalty(params_);
   }
 
   // Device-snapshot support (src/sim/snapshot.h).  Params are config and not
   // saved; SetParams above reapplies any per-device jitter after a load.
+  // The Peukert memo is a pure function of the exponent and is not saved.
   void Snapshot(SnapshotIo& io) { io(depth_, recoverable_, life_, died_, died_at_); }
 
+  // The memo slot `amps` hashes to (its first probe).  Public so tests can
+  // force two currents into one slot.
+  static std::size_t MemoSlot(double amps) {
+    return static_cast<std::size_t>((std::bit_cast<std::uint64_t>(amps) * kMemoHashMultiplier) >>
+                                    (64 - kMemoBits));
+  }
+
  private:
+  // pow(amps, k), memoised by the exact bits of `amps`.  A device draws from
+  // a few dozen discrete power levels (clock step x rail x busy/nap x
+  // peripherals), so nearly every Drain() finds its level here instead of
+  // calling pow.  Open addressing over a fixed table: a level is stored in
+  // the first free slot of its probe run, and one that finds no free slot in
+  // kMemoProbes is computed without being stored.
+  double PeukertPower(double amps);
+
+  // Key 0 (the bits of +0.0) marks a free slot; Drain() never asks for a
+  // current <= 0.
+  struct MemoEntry {
+    std::uint64_t amps_bits = 0;
+    double power = 0.0;
+  };
+  static constexpr int kMemoBits = 7;
+  static constexpr std::size_t kMemoSize = std::size_t{1} << kMemoBits;
+  static constexpr std::size_t kMemoProbes = 8;
+  static constexpr std::uint64_t kMemoHashMultiplier = 0x9E3779B97F4A7C15u;
+
   // I_ref^(k-1), which scales the ideal (effect-free) drain rate in Drain().
   // Fixed for a parameter set, so it is computed whenever the params are
   // set (the initializer below follows params_'s), not per power segment.
@@ -107,6 +142,7 @@ class Battery {
   SimTime life_;              // total drained (simulated) time so far
   bool died_ = false;
   SimTime died_at_;
+  std::array<MemoEntry, kMemoSize> memo_{};
 };
 
 }  // namespace dcs

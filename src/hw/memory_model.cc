@@ -1,13 +1,11 @@
 #include "src/hw/memory_model.h"
 
-#include <cassert>
-
 namespace dcs {
 
-SimTime MemoryModel::WallTimeForWork(double base_cycles, int step,
-                                     const MemoryProfile& profile) {
-  assert(base_cycles >= 0.0);
-  return SimTime::FromSecondsF(base_cycles / EffectiveBaseHz(step, profile));
+MemoryModel::RateRow::RateRow(const MemoryProfile& profile) {
+  for (int step = 0; step < kNumClockSteps; ++step) {
+    hz_[static_cast<std::size_t>(step)] = EffectiveBaseHz(step, profile);
+  }
 }
 
 }  // namespace dcs

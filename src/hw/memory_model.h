@@ -17,13 +17,15 @@
 //
 // Workloads are characterised by a MemoryProfile: how many uncached word
 // references and cache-line fills they issue per 1000 cycles of pure
-// computation.  The model converts "base cycles" of work into wall time at a
-// given clock step and back.
+// computation.  A profile's effective rate at each step is fixed, so a task
+// computes it once, as a RateRow, and converts "base cycles" of work into
+// wall time at a given clock step and back through that row.
 
 #ifndef SRC_HW_MEMORY_MODEL_H_
 #define SRC_HW_MEMORY_MODEL_H_
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -52,8 +54,8 @@ inline constexpr std::array<int, kNumClockSteps> kLineCycles = {39, 39, 39, 39, 
 
 }  // namespace memory_model_internal
 
-// The lookups are inline: the kernel converts between wall time and work
-// through them on every executed segment.
+// The table lookups are inline.  The per-segment conversions between wall
+// time and work read a task's RateRow, built once from these functions.
 class MemoryModel {
  public:
   // Measured cycles for an individual uncached word read at `step`
@@ -83,17 +85,36 @@ class MemoryModel {
     return ClockTable::FrequencyHz(step) / MixFactor(step, profile);
   }
 
-  // Wall time to execute `base_cycles` of work at `step`.
-  static SimTime WallTimeForWork(double base_cycles, int step, const MemoryProfile& profile);
+  // EffectiveBaseHz of one fixed profile at every step, computed once.  A
+  // Task builds its row from its workload's profile; the kernel's segment
+  // accounting and completion arming, and the deadline and feedback
+  // governors' density loops, read it instead of re-deriving the mix factor.
+  class RateRow {
+   public:
+    explicit RateRow(const MemoryProfile& profile);
 
-  // Base cycles completed in `wall` time at `step` (inverse of
-  // WallTimeForWork; non-negative).
-  static double WorkCompletedIn(SimTime wall, int step, const MemoryProfile& profile) {
-    if (wall <= SimTime::Zero()) {
-      return 0.0;
+    // EffectiveBaseHz(step, profile), bit for bit; steps outside
+    // [0, kNumClockSteps) clamp, as there.
+    double Hz(int step) const { return hz_[static_cast<std::size_t>(ClockTable::Clamp(step))]; }
+
+    // Wall time to execute `base_cycles` of work at `step`.
+    SimTime WallTimeForWork(double base_cycles, int step) const {
+      assert(base_cycles >= 0.0);
+      return SimTime::FromSecondsF(base_cycles / Hz(step));
     }
-    return wall.ToSeconds() * EffectiveBaseHz(step, profile);
-  }
+
+    // Base cycles completed in `wall` time at `step` (inverse of
+    // WallTimeForWork; non-negative).
+    double WorkCompletedIn(SimTime wall, int step) const {
+      if (wall <= SimTime::Zero()) {
+        return 0.0;
+      }
+      return wall.ToSeconds() * Hz(step);
+    }
+
+   private:
+    std::array<double, kNumClockSteps> hz_;
+  };
 };
 
 }  // namespace dcs

@@ -127,7 +127,7 @@ const std::vector<Kernel::PendingDeadline>& Kernel::PendingDeadlines() const {
     if (action.kind == Action::Kind::kCompute && action.has_deadline &&
         task->remaining_cycles() > 0.0) {
       pending.push_back(
-          PendingDeadline{pid, task->remaining_cycles(), action.deadline, task->profile()});
+          PendingDeadline{pid, task->remaining_cycles(), action.deadline, &task->rates()});
     }
   }
   return pending;
@@ -158,7 +158,7 @@ void Kernel::AccountSegment() {
     total_busy_ += elapsed;
     current_->AddCpuTime(elapsed);
     if (current_->action().kind == Action::Kind::kCompute) {
-      double work = MemoryModel::WorkCompletedIn(elapsed, itsy_.step(), current_->profile());
+      double work = current_->rates().WorkCompletedIn(elapsed, itsy_.step());
       if (mem_spike_factor_ != 1.0) {
         work /= mem_spike_factor_;
       }
@@ -397,8 +397,7 @@ void Kernel::ArmCompletion() {
   SimTime at;
   switch (current_->action().kind) {
     case Action::Kind::kCompute: {
-      SimTime wall = MemoryModel::WallTimeForWork(current_->remaining_cycles(), itsy_.step(),
-                                                  current_->profile());
+      SimTime wall = current_->rates().WallTimeForWork(current_->remaining_cycles(), itsy_.step());
       if (mem_spike_factor_ != 1.0) {
         wall = SimTime::FromSecondsF(wall.ToSeconds() * mem_spike_factor_);
       }

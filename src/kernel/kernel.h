@@ -118,12 +118,14 @@ class Kernel {
   // Announced-but-unfinished compute work: every live task whose current
   // compute action carries a deadline and still has cycles remaining.  The
   // list lives in a kernel-owned buffer that the next call refills, so the
-  // governors that read it every quantum never allocate.
+  // governors that read it every quantum never allocate.  `rates` is the
+  // task's own rate row (valid while the task lives), so a governor turns
+  // remaining cycles into time at any step with one table read.
   struct PendingDeadline {
     Pid pid = 0;
     double remaining_cycles = 0.0;
     SimTime deadline;
-    MemoryProfile profile;
+    const MemoryModel::RateRow* rates = nullptr;
   };
   const std::vector<PendingDeadline>& PendingDeadlines() const;
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "src/hw/memory_model.h"
 #include "src/kernel/workload_api.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
@@ -35,6 +36,9 @@ class Task {
 
   Workload& workload() { return *workload_; }
   const MemoryProfile& profile() const { return profile_; }
+  // The profile's EffectiveBaseHz per step, built once: the workload's
+  // profile is fixed for the task's life.
+  const MemoryModel::RateRow& rates() const { return rates_; }
   Rng& rng() { return rng_; }
 
   // --- Current action bookkeeping (managed by the kernel) -----------------
@@ -85,6 +89,7 @@ class Task {
   Pid pid_;
   std::unique_ptr<Workload> workload_;
   MemoryProfile profile_;
+  MemoryModel::RateRow rates_;
   Rng rng_;
   TaskState state_ = TaskState::kRunnable;
   Action action_{};

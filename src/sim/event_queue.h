@@ -69,9 +69,9 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   // Push / Cancel / Pop are defined inline below: they run once per
-  // simulated event, and keeping them visible to callers lets the compiler
-  // build each callback directly in its slot instead of bouncing it through
-  // a by-value parameter.
+  // simulated event.  Push's one caller, Simulator::At, takes its callback
+  // as a by-value EventFn and is defined out of line, so a kernel event's
+  // callback is built on the caller's stack and then moved into its slot.
 
   // Schedules `fn` at absolute time `at`.  Events that tie on time fire in
   // insertion order.  Accepts any callable (built directly in its slot) or

@@ -33,6 +33,9 @@ InputTrace MakeChessGameTrace(std::uint64_t seed) {
 ChessWorkload::ChessWorkload(InputTrace trace, const ChessConfig& config,
                              DeadlineMonitor* deadlines)
     : trace_(std::move(trace)), config_(config), deadlines_(deadlines) {
+  if (deadlines_ != nullptr) {
+    stream_ = deadlines_->Intern("interactive");
+  }
   // Board evaluation and move generation hit hash tables: moderate memory.
   profile_ = MemoryProfile{15.0, 6.0};
 }
@@ -61,7 +64,7 @@ Action ChessWorkload::Next(const WorkloadContext& ctx) {
 
     case State::kUserUi: {
       if (deadlines_ != nullptr) {
-        deadlines_->Report("interactive", ui_deadline_, ctx.now);
+        deadlines_->Report(stream_, ui_deadline_, ctx.now);
       }
       // Crafty searches for its time budget (wall-clock bounded: a slower
       // clock explores fewer nodes but takes the same time).

@@ -63,6 +63,7 @@ class ChessWorkload final : public Workload {
   InputTrace trace_;
   ChessConfig config_;
   DeadlineMonitor* deadlines_;
+  DeadlineMonitor::Stream stream_;  // "interactive"
   MemoryProfile profile_;
   std::size_t next_event_ = 0;
   State state_ = State::kWaitMove;

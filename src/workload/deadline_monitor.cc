@@ -6,9 +6,24 @@
 
 namespace dcs {
 
-void DeadlineMonitor::Report(const std::string& stream, SimTime deadline, SimTime completed,
+DeadlineMonitor::Index::iterator DeadlineMonitor::FindOrAdd(std::string_view name) {
+  auto it = index_.find(name);
+  if (it == index_.end()) {
+    it = index_.emplace(std::string(name), static_cast<std::uint32_t>(entries_.size())).first;
+    entries_.emplace_back();
+  }
+  return it;
+}
+
+DeadlineMonitor::Stream DeadlineMonitor::Intern(std::string_view name) {
+  return Stream(FindOrAdd(name)->second);
+}
+
+void DeadlineMonitor::Report(Stream stream, SimTime deadline, SimTime completed,
                              SimTime tolerance) {
-  StreamStats& stats = streams_[stream];
+  Entry& entry = entries_[stream.index_];
+  entry.reported = true;
+  StreamStats& stats = entry.stats;
   ++stats.total;
   // Miss and lateness share one threshold (see header): an event inside the
   // tolerance window contributes neither.
@@ -25,79 +40,87 @@ void DeadlineMonitor::Report(const std::string& stream, SimTime deadline, SimTim
   stats.worst_overrun = std::max(stats.worst_overrun, overrun);
 }
 
-void DeadlineMonitor::ReportRequest(const std::string& stream, SimTime arrival, SimTime slo,
+void DeadlineMonitor::ReportRequest(Stream stream, SimTime arrival, SimTime slo,
                                     SimTime completed, SimTime tolerance) {
   Report(stream, arrival + slo, completed, tolerance);
   const SimTime latency = completed > arrival ? completed - arrival : SimTime::Zero();
-  streams_[stream].latency_us.Observe(latency.ToMicrosF());
+  entries_[stream.index_].stats.latency_us.Observe(latency.ToMicrosF());
 }
 
-void DeadlineMonitor::ReportRejected(const std::string& stream, bool shed) {
-  StreamStats& stats = streams_[stream];
-  ++stats.rejected;
+void DeadlineMonitor::ReportRejected(Stream stream, bool shed) {
+  Entry& entry = entries_[stream.index_];
+  entry.reported = true;
+  ++entry.stats.rejected;
   if (shed) {
-    ++stats.shed;
+    ++entry.stats.shed;
   }
 }
 
 DeadlineMonitor::StreamStats DeadlineMonitor::Stats(const std::string& stream) const {
-  const auto it = streams_.find(stream);
-  return it == streams_.end() ? StreamStats{} : it->second;
+  const auto it = index_.find(stream);
+  return it == index_.end() ? StreamStats{} : entries_[it->second].stats;
 }
 
 std::vector<std::string> DeadlineMonitor::Streams() const {
   std::vector<std::string> names;
-  names.reserve(streams_.size());
-  for (const auto& [name, stats] : streams_) {
-    names.push_back(name);
+  for (const auto& [name, index] : index_) {
+    if (entries_[index].reported) {
+      names.push_back(name);
+    }
   }
   return names;
 }
 
+void DeadlineMonitor::Clear() {
+  for (Entry& entry : entries_) {
+    entry = Entry{};
+  }
+}
+
 std::int64_t DeadlineMonitor::TotalEvents() const {
   std::int64_t n = 0;
-  for (const auto& [name, stats] : streams_) {
-    n += stats.total;
+  for (const Entry& entry : entries_) {
+    n += entry.stats.total;
   }
   return n;
 }
 
 std::int64_t DeadlineMonitor::TotalMissed() const {
   std::int64_t n = 0;
-  for (const auto& [name, stats] : streams_) {
-    n += stats.missed;
+  for (const Entry& entry : entries_) {
+    n += entry.stats.missed;
   }
   return n;
 }
 
 std::int64_t DeadlineMonitor::TotalRejected() const {
   std::int64_t n = 0;
-  for (const auto& [name, stats] : streams_) {
-    n += stats.rejected;
+  for (const Entry& entry : entries_) {
+    n += entry.stats.rejected;
   }
   return n;
 }
 
 std::int64_t DeadlineMonitor::TotalShed() const {
   std::int64_t n = 0;
-  for (const auto& [name, stats] : streams_) {
-    n += stats.shed;
+  for (const Entry& entry : entries_) {
+    n += entry.stats.shed;
   }
   return n;
 }
 
 SimTime DeadlineMonitor::WorstLateness() const {
   SimTime worst;
-  for (const auto& [name, stats] : streams_) {
-    worst = std::max(worst, stats.worst_lateness);
+  for (const Entry& entry : entries_) {
+    worst = std::max(worst, entry.stats.worst_lateness);
   }
   return worst;
 }
 
 SimTime DeadlineMonitor::WorstOverrun() const {
   SimTime worst;
-  for (const auto& [name, stats] : streams_) {
-    worst = std::max(worst, stats.worst_overrun);
+  for (const Entry& entry : entries_) {
+    worst = std::max(worst, entry.stats.worst_overrun);
   }
   return worst;
 }
@@ -122,29 +145,36 @@ bool Name(SnapshotIo& io, std::string& name) {
 
 void DeadlineMonitor::Snapshot(SnapshotIo& io) {
   io.Tag(kDeadlineTag);
-  std::size_t n = streams_.size();
+  std::size_t n = 0;
+  for (const Entry& entry : entries_) {
+    n += entry.reported ? 1 : 0;
+  }
   io.Count(n, SnapshotIo::kNoBound, sizeof(std::uint64_t));  // each name's length
-  if (n == streams_.size()) {
-    // Same key set as the image (every save, and fleet device cycling):
-    // each stream in place, its name verified against the image's, with no
-    // allocation.
-    for (auto& [name, stats] : streams_) {
-      std::string& image_name = io.saving() ? const_cast<std::string&>(name) : name_scratch_;
-      if (!Name(io, image_name) || !io.Check(image_name == name)) {
-        return;
+  if (io.saving()) [[unlikely]] {
+    for (const auto& [name, index] : index_) {
+      Entry& entry = entries_[index];
+      if (entry.reported) {
+        Name(io, const_cast<std::string&>(name));
+        StreamImage(io, entry.stats);
       }
-      StreamImage(io, stats);
     }
     return;
   }
-  // Fresh (or differently-shaped) monitor: rebuild the key set.  This is the
-  // one restore path that allocates; it runs once per worker, not per device.
-  streams_.clear();
+  Clear();
+  const std::string* previous = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!Name(io, name_scratch_)) {
+    // Names come in strictly ascending order, as saved, so no stream loads
+    // twice.
+    if (!Name(io, name_scratch_) || !io.Check(previous == nullptr || *previous < name_scratch_)) {
       return;
     }
-    StreamImage(io, streams_[name_scratch_]);
+    // A name this monitor has not interned yet (a fresh monitor) is the one
+    // load path that allocates; it runs once per worker, not per device.
+    const auto it = FindOrAdd(name_scratch_);
+    previous = &it->first;
+    Entry& entry = entries_[it->second];
+    entry.reported = true;
+    StreamImage(io, entry.stats);
   }
 }
 

@@ -26,8 +26,10 @@
 #define SRC_WORKLOAD_DEADLINE_MONITOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -68,27 +70,47 @@ class DeadlineMonitor {
     }
   };
 
+  // A stream's handle.  Each workload interns its stream names once, when
+  // it is built, and reports through the handles, so a report neither builds
+  // a string nor looks a name up.  A handle stays valid for the monitor's
+  // lifetime: Clear() and snapshot loads keep every interned stream where it
+  // is.
+  class Stream {
+   public:
+    Stream() = default;
+
+   private:
+    friend class DeadlineMonitor;
+    explicit Stream(std::uint32_t index) : index_(index) {}
+    std::uint32_t index_ = 0;
+  };
+
+  // The handle of stream `name`, added if new.  An interned stream shows in
+  // Streams(), the totals and the image only once it has reported.
+  Stream Intern(std::string_view name);
+
   // Reports one deadline event on `stream`.  The event is a miss if
   // `completed` is later than `deadline + tolerance`, and its lateness is
   // measured from the same `deadline + tolerance` threshold.
-  void Report(const std::string& stream, SimTime deadline, SimTime completed,
+  void Report(Stream stream, SimTime deadline, SimTime completed,
               SimTime tolerance = SimTime::Zero());
 
   // Reports one open-loop request on `stream`: the deadline is
   // `arrival + slo`, and the request's latency (`completed - arrival`, in
   // microseconds) is recorded into the stream's latency histogram.
-  void ReportRequest(const std::string& stream, SimTime arrival, SimTime slo,
-                     SimTime completed, SimTime tolerance = SimTime::Zero());
+  void ReportRequest(Stream stream, SimTime arrival, SimTime slo, SimTime completed,
+                     SimTime tolerance = SimTime::Zero());
 
   // Reports one request the admission gate refused on `stream` (`shed` when
   // the degraded brownout mode, not the schedulability test, rejected it).
   // Rejected requests never count as deadline events or misses.
-  void ReportRejected(const std::string& stream, bool shed = false);
+  void ReportRejected(Stream stream, bool shed = false);
 
   // Stats for one stream (zeroes if the stream never reported).
   StreamStats Stats(const std::string& stream) const;
 
-  // All stream names that reported at least one event (or rejection).
+  // All stream names that reported at least one event (or rejection), in
+  // name order.
   std::vector<std::string> Streams() const;
 
   // Aggregates across every stream.
@@ -100,17 +122,30 @@ class DeadlineMonitor {
   SimTime WorstOverrun() const;
   bool AnyMissed() const { return TotalMissed() > 0; }
 
-  void Clear() { streams_.clear(); }
+  // Forgets every report; interned handles stay valid.
+  void Clear();
 
-  // Device-snapshot support (src/sim/snapshot.h).  Stream names are stored
-  // in full — unlike the fixed-key metrics registry, streams appear on first
-  // report, so a fresh monitor must be able to rebuild the key set.  When
-  // the live key set already matches (fleet device cycling), stats restore
-  // in place without allocating.
+  // Device-snapshot support (src/sim/snapshot.h).  The image lists the
+  // streams that reported, in name order, each name stored in full: a
+  // fresh monitor interns the names it has not seen.  Every other load
+  // finds each name among the interned streams and restores its stats in
+  // place, without allocating (fleet device cycling).
   void Snapshot(SnapshotIo& io);
 
  private:
-  std::map<std::string, StreamStats> streams_;
+  struct Entry {
+    StreamStats stats;
+    bool reported = false;  // since construction, the last Clear() or load
+  };
+  using Index = std::map<std::string, std::uint32_t, std::less<>>;
+
+  Index::iterator FindOrAdd(std::string_view name);
+
+  // Stream name -> its entry in entries_, in name order (the order of
+  // Streams() and of the image).  Entries are never removed, so a handle's
+  // index never moves.
+  Index index_;
+  std::vector<Entry> entries_;
   // A loaded stream name, reused so in-place loads do not allocate.
   std::string name_scratch_;
 };

@@ -12,6 +12,10 @@ namespace dcs {
 MpegVideoWorkload::MpegVideoWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
                                      AvSyncTracker* sync)
     : config_(config), deadlines_(deadlines), sync_(sync) {
+  if (deadlines_ != nullptr) {
+    video_frame_stream_ = deadlines_->Intern("video_frame");
+    av_sync_stream_ = deadlines_->Intern("av_sync");
+  }
   // Frame decode walks the whole frame buffer and motion-compensation
   // sources: memory-heavy (this is what puts MPEG on the Figure 9 plateau).
   profile_ = config.video_profile;
@@ -60,7 +64,7 @@ Action MpegVideoWorkload::Next(const WorkloadContext& ctx) {
       // Decode of frame_ completed at ctx.now.
       const SimTime display = DisplayTime(frame_);
       if (deadlines_ != nullptr) {
-        deadlines_->Report("video_frame", display, ctx.now, config_.frame_tolerance);
+        deadlines_->Report(video_frame_stream_, display, ctx.now, config_.frame_tolerance);
       }
       if (sync_ != nullptr) {
         // Video stream position: this frame is (or will be) shown at
@@ -69,7 +73,7 @@ Action MpegVideoWorkload::Next(const WorkloadContext& ctx) {
         sync_->PublishVideo(frame_period_ * (frame_ + 1));
         if (deadlines_ != nullptr) {
           const SimTime shown = std::max(ctx.now, display);
-          deadlines_->Report("av_sync", display + config_.av_sync_tolerance, shown,
+          deadlines_->Report(av_sync_stream_, display + config_.av_sync_tolerance, shown,
                              SimTime::Zero());
         }
       }
@@ -125,6 +129,9 @@ Action MpegVideoWorkload::Next(const WorkloadContext& ctx) {
 MpegAudioWorkload::MpegAudioWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
                                      AvSyncTracker* sync)
     : config_(config), deadlines_(deadlines), sync_(sync) {
+  if (deadlines_ != nullptr) {
+    audio_stream_ = deadlines_->Intern("audio");
+  }
   // Audio decode is a streaming kernel over a small buffer: light memory.
   profile_ = config.audio_profile;
   refill_cycles_ = BaseCyclesForMsAtTop(config_.audio_refill_ms_at_top, profile_);
@@ -147,7 +154,7 @@ Action MpegAudioWorkload::Next(const WorkloadContext& ctx) {
       // at origin + (buffer_+1) periods.
       const SimTime drain = origin_ + config_.audio_period * (buffer_ + 1);
       if (deadlines_ != nullptr) {
-        deadlines_->Report("audio", drain, ctx.now, SimTime::Millis(20));
+        deadlines_->Report(audio_stream_, drain, ctx.now, SimTime::Millis(20));
       }
       if (sync_ != nullptr) {
         // Audio plays in real time as long as refills land: its stream

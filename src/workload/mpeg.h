@@ -128,6 +128,8 @@ class MpegVideoWorkload final : public Workload {
 
   MpegConfig config_;
   DeadlineMonitor* deadlines_;
+  DeadlineMonitor::Stream video_frame_stream_;
+  DeadlineMonitor::Stream av_sync_stream_;
   AvSyncTracker* sync_;
   MemoryProfile profile_;
   State state_ = State::kStart;
@@ -160,6 +162,7 @@ class MpegAudioWorkload final : public Workload {
 
   MpegConfig config_;
   DeadlineMonitor* deadlines_;
+  DeadlineMonitor::Stream audio_stream_;
   AvSyncTracker* sync_;
   MemoryProfile profile_;
   double refill_cycles_ = 0.0;

@@ -286,6 +286,9 @@ ServerWorkload::ServerWorkload(InputTrace trace, const ServerConfig& config,
   class_credit_.assign(classes_.size(), 0.0);
   for (const ServerStreamClass& cls : classes_) {
     total_weight_ += cls.weight;
+    if (deadlines_ != nullptr) {
+      class_streams_.push_back(deadlines_->Intern(cls.name));
+    }
   }
   if (config_.admission.policy != AdmissionPolicy::kNone) {
     std::vector<double> values;
@@ -334,7 +337,7 @@ Action ServerWorkload::Next(const WorkloadContext& ctx) {
     serving_ = false;
     const bool violated = ctx.now > current_.arrival + config_.slo;
     if (deadlines_ != nullptr) {
-      deadlines_->ReportRequest(classes_[current_.cls].name, current_.arrival, config_.slo,
+      deadlines_->ReportRequest(class_streams_[current_.cls], current_.arrival, config_.slo,
                                 ctx.now);
     }
     if (admission_.has_value()) {
@@ -360,7 +363,7 @@ Action ServerWorkload::Next(const WorkloadContext& ctx) {
           admission_->Consider(ctx.now, at, service_us, queue_work_us_, cls);
       admit = outcome == AdmissionController::Outcome::kAdmitted;
       if (!admit && deadlines_ != nullptr) {
-        deadlines_->ReportRejected(classes_[cls].name,
+        deadlines_->ReportRejected(class_streams_[cls],
                                    outcome == AdmissionController::Outcome::kRejectedShed);
       }
     }

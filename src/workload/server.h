@@ -161,6 +161,8 @@ class ServerWorkload final : public Workload {
   DeadlineMonitor* deadlines_;
   // Resolved request classes (config_.streams, or the single default).
   std::vector<ServerStreamClass> classes_;
+  // Each class's deadline-monitor stream, interned once.
+  std::vector<DeadlineMonitor::Stream> class_streams_;
   // Deficit counters for the weighted round-robin class assignment.
   std::vector<double> class_credit_;
   double total_weight_ = 0.0;

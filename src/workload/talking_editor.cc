@@ -36,6 +36,9 @@ TalkingEditorWorkload::TalkingEditorWorkload(InputTrace trace,
                                              const TalkingEditorConfig& config,
                                              DeadlineMonitor* deadlines)
     : trace_(std::move(trace)), config_(config), deadlines_(deadlines) {
+  if (deadlines_ != nullptr) {
+    stream_ = deadlines_->Intern("speech");
+  }
   // Concatenative synthesis streams diphone tables: fairly memory-heavy.
   profile_ = MemoryProfile{18.0, 6.0};
 }
@@ -115,7 +118,7 @@ Action TalkingEditorWorkload::Next(const WorkloadContext& ctx) {
       if (deadlines_ != nullptr) {
         const SimTime deadline =
             pipeline_empty_ ? ctx.now : audio_ends_;
-        deadlines_->Report("speech", deadline, ctx.now, config_.speech_tolerance);
+        deadlines_->Report(stream_, deadline, ctx.now, config_.speech_tolerance);
       }
       pipeline_empty_ = false;
       if (ctx.kernel != nullptr && !audio_on_) {

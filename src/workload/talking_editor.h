@@ -67,6 +67,7 @@ class TalkingEditorWorkload final : public Workload {
   InputTrace trace_;
   TalkingEditorConfig config_;
   DeadlineMonitor* deadlines_;
+  DeadlineMonitor::Stream stream_;  // "speech"
   MemoryProfile profile_;
   std::size_t next_event_ = 0;
   State state_ = State::kWaitEvent;

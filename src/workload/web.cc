@@ -38,6 +38,9 @@ InputTrace MakeWebBrowseTrace(std::uint64_t seed) {
 WebWorkload::WebWorkload(InputTrace trace, const WebConfig& config,
                          DeadlineMonitor* deadlines)
     : trace_(std::move(trace)), config_(config), deadlines_(deadlines) {
+  if (deadlines_ != nullptr) {
+    stream_ = deadlines_->Intern("interactive");
+  }
   // Layout over large DOM/tables: the most memory-heavy of the workloads.
   profile_ = MemoryProfile{25.0, 10.0};
 }
@@ -51,7 +54,7 @@ Action WebWorkload::Next(const WorkloadContext& ctx) {
     // The burst for the current event just completed.
     handling_ = false;
     if (deadlines_ != nullptr) {
-      deadlines_->Report("interactive", event_deadline_, ctx.now);
+      deadlines_->Report(stream_, event_deadline_, ctx.now);
     }
     ++next_event_;
   }

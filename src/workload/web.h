@@ -53,6 +53,7 @@ class WebWorkload final : public Workload {
   InputTrace trace_;
   WebConfig config_;
   DeadlineMonitor* deadlines_;
+  DeadlineMonitor::Stream stream_;  // "interactive"
   MemoryProfile profile_;
   std::size_t next_event_ = 0;
   bool handling_ = false;

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -178,39 +179,69 @@ struct ReferenceBattery {
 };
 
 TEST(BatteryTest, DrainIsBitwiseEqualToPerCallPowReference) {
-  // Random power segments, with a per-device capacity jitter applied midway
-  // the way the fleet layer forks devices, then an exponent change: the
-  // cached Peukert penalty must follow SetParams and never move a bit.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    Rng rng(seed);
-    Battery battery;
-    ReferenceBattery ref;
-    for (int step = 0; step < 20'000; ++step) {
-      if (step == 5'000 || step == 12'000) {
-        BatteryParams params = battery.params();
-        params.peukert_capacity *= rng.Uniform(0.9, 1.1);
-        if (step == 12'000) {
-          params.peukert_exponent = rng.Uniform(1.2, 1.9);
+  // Each input applies a per-device capacity jitter midway, the way the
+  // fleet layer forks devices (the Peukert memo survives it), then an
+  // exponent change (the memo must forget every power it holds).
+  //
+  // Continuous watts never repeat a current, so every Drain() misses the
+  // memo, and once the table is full it computes without storing.
+  const auto continuous = [](Rng& rng) {
+    return rng.UniformInt(0, 9) == 0 ? 0.0 : rng.Uniform(0.05, 3.0);
+  };
+  // Fixed levels are revisited in random order, as a fleet device revisits
+  // its (step, rail, busy/nap, peripheral) states, so nearly every Drain()
+  // is a memo hit.  Two of them are forced into the same memo slot.
+  const double volts = BatteryParams{}.supply_volts;
+  Rng level_rng(99);
+  std::vector<double> levels = {0.0};
+  while (levels.size() < 48) {
+    levels.push_back(level_rng.Uniform(0.05, 3.0));
+  }
+  const double base = 0.9;
+  double twin = base;
+  do {
+    twin = std::nextafter(twin, 2.0);
+  } while (twin / volts == base / volts ||
+           Battery::MemoSlot(twin / volts) != Battery::MemoSlot(base / volts));
+  levels.push_back(base);
+  levels.push_back(twin);
+  const auto fixed = [&levels](Rng& rng) {
+    return levels[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int>(levels.size()) - 1))];
+  };
+
+  for (const bool fixed_levels : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      Rng rng(seed);
+      Battery battery;
+      ReferenceBattery ref;
+      for (int step = 0; step < 20'000; ++step) {
+        if (step == 5'000 || step == 12'000) {
+          BatteryParams params = battery.params();
+          params.peukert_capacity *= rng.Uniform(0.9, 1.1);
+          if (step == 12'000) {
+            params.peukert_exponent = rng.Uniform(1.2, 1.9);
+          }
+          battery.SetParams(params);
+          ref.params = params;
         }
-        battery.SetParams(params);
-        ref.params = params;
+        // Some rests (zero watts), currents on both sides of the reference.
+        const double watts = fixed_levels ? fixed(rng) : continuous(rng);
+        const SimTime dt = SimTime::Micros(rng.UniformInt(1, 2'000'000));
+        battery.Drain(watts, dt);
+        ref.Drain(watts, dt);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.DepthOfDischarge()),
+                  std::bit_cast<std::uint64_t>(ref.depth))
+            << "fixed " << fixed_levels << " seed " << seed << " step " << step;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.RecoverablePool()),
+                  std::bit_cast<std::uint64_t>(ref.recoverable))
+            << "fixed " << fixed_levels << " seed " << seed << " step " << step;
+        ASSERT_EQ(battery.Died(), ref.died);
+        ASSERT_EQ(battery.DiedAt(), ref.died_at);
       }
-      // Some rests (zero watts), currents on both sides of the reference.
-      const double watts = rng.UniformInt(0, 9) == 0 ? 0.0 : rng.Uniform(0.05, 3.0);
-      const SimTime dt = SimTime::Micros(rng.UniformInt(1, 2'000'000));
-      battery.Drain(watts, dt);
-      ref.Drain(watts, dt);
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.DepthOfDischarge()),
-                std::bit_cast<std::uint64_t>(ref.depth))
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(battery.RecoverablePool()),
-                std::bit_cast<std::uint64_t>(ref.recoverable))
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(battery.Died(), ref.died);
-      ASSERT_EQ(battery.DiedAt(), ref.died_at);
+      // The run must have crossed empty, so DiedAt() was really compared.
+      EXPECT_TRUE(ref.died) << "fixed " << fixed_levels << " seed " << seed;
     }
-    // The run must have crossed empty, so DiedAt() was really compared.
-    EXPECT_TRUE(ref.died) << "seed " << seed;
   }
 }
 

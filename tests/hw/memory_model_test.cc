@@ -84,29 +84,29 @@ TEST(MemoryModelTest, Figure9PlateauBetween162And177) {
 }
 
 TEST(MemoryModelTest, WallTimeForWorkRoundTrip) {
-  const MemoryProfile p{15.0, 6.0};
+  const MemoryModel::RateRow rates(MemoryProfile{15.0, 6.0});
   for (int k = 0; k < kNumClockSteps; ++k) {
     const double cycles = 1e6;
-    const SimTime wall = MemoryModel::WallTimeForWork(cycles, k, p);
-    EXPECT_NEAR(MemoryModel::WorkCompletedIn(wall, k, p), cycles, cycles * 1e-6);
+    const SimTime wall = rates.WallTimeForWork(cycles, k);
+    EXPECT_NEAR(rates.WorkCompletedIn(wall, k), cycles, cycles * 1e-6);
   }
 }
 
 TEST(MemoryModelTest, WallTimeMonotoneDecreasingInStep) {
-  const MemoryProfile p{10.0, 4.0};
+  const MemoryModel::RateRow rates(MemoryProfile{10.0, 4.0});
   for (int k = 1; k < kNumClockSteps; ++k) {
-    EXPECT_LE(MemoryModel::WallTimeForWork(1e7, k, p),
-              MemoryModel::WallTimeForWork(1e7, k - 1, p));
+    EXPECT_LE(rates.WallTimeForWork(1e7, k), rates.WallTimeForWork(1e7, k - 1));
   }
 }
 
 TEST(MemoryModelTest, ZeroWorkTakesZeroTime) {
-  EXPECT_EQ(MemoryModel::WallTimeForWork(0.0, 5, {}), SimTime::Zero());
+  EXPECT_EQ(MemoryModel::RateRow(MemoryProfile{}).WallTimeForWork(0.0, 5), SimTime::Zero());
 }
 
 TEST(MemoryModelTest, WorkCompletedInNonPositiveTimeIsZero) {
-  EXPECT_EQ(MemoryModel::WorkCompletedIn(SimTime::Zero(), 5, {}), 0.0);
-  EXPECT_EQ(MemoryModel::WorkCompletedIn(SimTime::Zero() - SimTime::Millis(1), 5, {}), 0.0);
+  const MemoryModel::RateRow rates(MemoryProfile{});
+  EXPECT_EQ(rates.WorkCompletedIn(SimTime::Zero(), 5), 0.0);
+  EXPECT_EQ(rates.WorkCompletedIn(SimTime::Zero() - SimTime::Millis(1), 5), 0.0);
 }
 
 // Property sweep: for every step and a grid of profiles, time(work)/work is
@@ -119,7 +119,7 @@ TEST_P(MemoryModelPropertyTest, EffectiveHzConsistency) {
     for (double fills : {0.0, 2.0, 8.0, 20.0}) {
       const MemoryProfile p{refs, fills};
       const double hz = MemoryModel::EffectiveBaseHz(step, p);
-      const SimTime wall = MemoryModel::WallTimeForWork(hz, step, p);  // 1 second of work
+      const SimTime wall = MemoryModel::RateRow(p).WallTimeForWork(hz, step);  // 1 second of work
       EXPECT_NEAR(wall.ToSeconds(), 1.0, 1e-6);
     }
   }

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/hw/memory_model.h"
+#include "src/workload/apps.h"
+#include "src/workload/server.h"
 #include "src/workload/synthetic.h"
 
 namespace dcs {
@@ -59,6 +69,33 @@ TEST(TaskTest, ProfileComesFromWorkload) {
       1, std::make_unique<ComputeOnceWorkload>(1.0, MemoryProfile{12.0, 3.0}), Rng(1));
   EXPECT_DOUBLE_EQ(task->profile().word_refs_per_kilocycle, 12.0);
   EXPECT_DOUBLE_EQ(task->profile().line_fills_per_kilocycle, 3.0);
+
+  // The task's rate row is EffectiveBaseHz of its profile, bit for bit, for
+  // every task the app factories build.  Governor configs carry their own
+  // step bounds, so steps outside the table clamp as EffectiveBaseHz does.
+  DeadlineMonitor monitor;
+  std::vector<AppBundle> bundles;
+  for (const std::string& app : AllAppNames()) {
+    bundles.push_back(MakeApp(app, &monitor, 1));
+  }
+  ServerConfig server;
+  server.profile = MemoryProfile{30.0, 12.0};
+  bundles.push_back(MakeServerApp(server, &monitor, 1));
+  std::vector<std::unique_ptr<Task>> tasks;
+  tasks.push_back(std::move(task));
+  for (AppBundle& bundle : bundles) {
+    for (std::unique_ptr<Workload>& workload : bundle.tasks) {
+      tasks.push_back(std::make_unique<Task>(2, std::move(workload), Rng(1)));
+    }
+  }
+  ASSERT_GE(tasks.size(), 10u);
+  for (const std::unique_ptr<Task>& t : tasks) {
+    for (int step = -3; step < kNumClockSteps + 3; ++step) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(t->rates().Hz(step)),
+                std::bit_cast<std::uint64_t>(MemoryModel::EffectiveBaseHz(step, t->profile())))
+          << t->name() << " step " << step;
+    }
+  }
 }
 
 TEST(ActionTest, FactoriesSetFields) {
