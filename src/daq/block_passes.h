@@ -1,9 +1,9 @@
 // ISA variants of the batched DAQ's element-wise block passes.
 //
-// Daq::SampleBatched runs the serial passes of each block itself (the
-// timestamps, the tape cursor gather, the uniform draws) and hands the rest
-// to one function: watts to shunt volts, the two channel kernels
-// (noise_kernel.h), and measured current times measured rail to power.
+// Daq::SampleBatched runs the serial passes of each block itself (the tape
+// walked by runs into raw shunt volts, the uniform draws) and hands the rest
+// to one function: the two channel kernels (noise_kernel.h), and measured
+// current times measured rail to power.
 // daq.cc compiles that function at three x86-64 ISA levels, and the process
 // runs the widest one its CPU supports, chosen once on first use.  Nothing
 // else selects it.
@@ -13,7 +13,7 @@
 // and an add into an FMA: each variant performs the same correctly rounded
 // IEEE-754 operations per element, only more of them per instruction.
 // tests/daq/block_variant_test.cc checks every variant the host can run
-// against the scalar reference pipeline.
+// against the scalar reference pipeline (tests/support/reference_daq.h).
 //
 // This header is private to src/daq/daq.cc and its tests.
 
@@ -27,7 +27,8 @@ namespace block_passes {
 
 // One block of n samples.  The arrays must not overlap one another.
 struct Block {
-  double* vals;       // in: true watts; out: measured watts
+  double* vals;       // in: raw shunt volts, (watts / supply_volts) * shunt_ohms;
+                      // out: measured watts
   double* supply;     // scratch: the quantised supply volts
   const double* u1;   // shunt-channel draws (read only when the channel is noisy)
   const double* u2;

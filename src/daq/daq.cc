@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/daq/block_passes.h"
 #include "src/daq/noise_kernel.h"
@@ -10,16 +11,106 @@
 namespace dcs {
 namespace {
 
-// Quantises `volts` to an ADC step of `lsb`, clamped to [lo, hi].
-double Quantise(double volts, double lsb, double lo, double hi) {
-  if (volts < lo) {
-    volts = lo;
+// The uniform draws of one block, in the reference pipeline's stream order:
+// per sample the shunt pair, then the supply pair, each pair only when its
+// channel is noisy.  `rng` is the caller's local copy of the DAQ generator,
+// so its state stays in registers for the whole loop.
+template <bool kShuntNoise, bool kSupplyNoise>
+inline void DrawUniforms(Rng& rng, int n, double* u1, double* u2, double* u3, double* u4) {
+  for (int i = 0; i < n; ++i) {
+    if constexpr (kShuntNoise) {
+      u1[i] = rng.NextDouble();
+      u2[i] = rng.NextDouble();
+    }
+    if constexpr (kSupplyNoise) {
+      u3[i] = rng.NextDouble();
+      u4[i] = rng.NextDouble();
+    }
   }
-  if (volts > hi) {
-    volts = hi;
-  }
-  return std::round(volts / lsb) * lsb;
 }
+
+// The tape as runs of sample indices.  Sample k is taken at
+// begin + FromSecondsF(k * period_s), which never decreases as k grows, so
+// each power segment covers a contiguous run of indices, possibly empty.
+// FillTo writes the raw shunt volts of every sample up to `stop` into
+// `window`, continuing where the previous call stopped: one volts expression
+// per run, and each run's end is estimated, then corrected against that
+// exact instant.
+class TapeRuns {
+ public:
+  TapeRuns(const PowerTape& tape, SimTime begin, double period_s, std::int64_t count,
+           double supply_volts, double shunt_ohms)
+      : segs_(tape.segments()), begin_(begin), period_s_(period_s), count_(count),
+        supply_volts_(supply_volts), shunt_ohms_(shunt_ohms) {
+    if (!tape.keeps_history()) {
+      throw std::logic_error("Daq: sampling a tape without history");
+    }
+    // One binary search finds the segment in force at sample 0, so a window
+    // that opens deep into a long tape does not walk its head.  A sample
+    // before the first segment reads 0 W.
+    next_ = static_cast<std::size_t>(
+        std::upper_bound(segs_.begin(), segs_.end(), At(0),
+                         [](SimTime x, const PowerTape::Segment& s) { return x < s.start; }) -
+        segs_.begin());
+    StartRun(next_ == 0 ? 0.0 : segs_[next_ - 1].watts);
+  }
+
+  void FillTo(double* window, std::int64_t stop) {
+    while (k_ < stop) {
+      if (k_ == run_end_) {
+        // The run ended where segment next_ starts (run_end_ < count_, so
+        // there is one); its own run may be empty.
+        StartRun(segs_[next_++].watts);
+        continue;
+      }
+      const std::int64_t fill_end = std::min(run_end_, stop);
+      std::fill(window + k_, window + fill_end, volts_);
+      k_ = fill_end;
+    }
+  }
+
+ private:
+  // Sample k's instant: the one expression every run boundary is judged by.
+  SimTime At(std::int64_t k) const { return begin_ + SimTime::FromSecondsF(k * period_s_); }
+
+  // Starts the run from sample k_ at `watts`, up to where segment next_
+  // starts.
+  void StartRun(double watts) {
+    volts_ = (watts / supply_volts_) * shunt_ohms_;
+    run_end_ = next_ < segs_.size() ? FirstAtOrAfter(segs_[next_].start, k_) : count_;
+  }
+
+  // The first index in [lo, count_] whose instant is at or after `t`, given
+  // that every instant below lo is before it.  The estimate comes from the
+  // real-valued quotient; At() is non-decreasing, so stepping down while the
+  // previous instant is not before `t`, then up while this one is, lands on
+  // the exact answer.
+  std::int64_t FirstAtOrAfter(SimTime t, std::int64_t lo) const {
+    const double estimate = std::ceil((t - begin_).ToSeconds() / period_s_);
+    std::int64_t k = count_;
+    if (estimate < static_cast<double>(count_)) {
+      k = estimate > static_cast<double>(lo) ? static_cast<std::int64_t>(estimate) : lo;
+    }
+    while (k > lo && At(k - 1) >= t) {
+      --k;
+    }
+    while (k < count_ && At(k) < t) {
+      ++k;
+    }
+    return k;
+  }
+
+  const PowerTape::SegmentVector& segs_;
+  SimTime begin_;
+  double period_s_;
+  std::int64_t count_;
+  double supply_volts_;
+  double shunt_ohms_;
+  std::int64_t k_ = 0;        // the next sample to fill
+  std::int64_t run_end_ = 0;  // one past the current run's last sample
+  std::size_t next_ = 0;      // the segment starting where the current run ends
+  double volts_ = 0.0;        // the current run's raw shunt volts
+};
 
 }  // namespace
 
@@ -34,10 +125,6 @@ inline int RunPasses(const Block& b) {
   const int n = b.n;
   const double supply_volts = b.supply_volts;
   const double shunt_ohms = b.shunt_ohms;
-  // True watts -> raw shunt volts.
-  for (int i = 0; i < n; ++i) {
-    vals[i] = (vals[i] / supply_volts) * shunt_ohms;
-  }
   // The supply channel (a constant rail) into `supply`, then the shunt
   // channel into u3, whose draws are spent.
   int recomputed = noise_kernel::QuantiseChannel(
@@ -142,29 +229,6 @@ Daq::Daq(const DaqConfig& config, Arena* arena)
   supply_lsb_ = config_.supply_range_volts / steps;
 }
 
-double Daq::ReadPower(double watts, double sigma_shunt, double sigma_supply) {
-  const double amps = watts / config_.supply_volts;
-  // Channel 1: shunt voltage drop.  A zero-sigma Gaussian only ever adds a
-  // signed zero, which cannot change any reachable reading, so the draws are
-  // skipped entirely when noise is disabled (nothing else observes rng_).
-  double shunt_v = amps * config_.shunt_ohms;
-  if (sigma_shunt != 0.0) {
-    shunt_v += rng_.Gaussian(0.0, sigma_shunt);
-  }
-  shunt_v = Quantise(shunt_v, shunt_lsb_, -config_.shunt_range_volts,
-                     config_.shunt_range_volts);
-  // Channel 2: supply voltage.
-  double supply_v = config_.supply_volts;
-  if (sigma_supply != 0.0) {
-    supply_v += rng_.Gaussian(0.0, sigma_supply);
-  }
-  supply_v = Quantise(supply_v, supply_lsb_, 0.0, config_.supply_range_volts);
-  // "The current was then calculated by dividing the voltage by the
-  // resistance."
-  const double measured_amps = shunt_v / config_.shunt_ohms;
-  return measured_amps * supply_v;
-}
-
 std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
                                           SimTime end) {
   samples_.clear();
@@ -175,12 +239,8 @@ std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
   const std::int64_t count = static_cast<std::int64_t>(
       std::floor((end - begin).ToSeconds() / period_s));
   samples_.reserve(static_cast<std::size_t>(count));
-  if (config_.reference_sampling) {
-    SampleScalar(tape, begin, count, period_s);
-  } else {
-    SampleBatched(tape, begin, count, period_s);
-    ApplyDrops();
-  }
+  SampleBatched(tape, begin, count, period_s);
+  ApplyDrops();
   return {samples_.data(), samples_.size()};
 }
 
@@ -190,58 +250,20 @@ std::vector<double> Daq::SamplePowerWatts(const PowerTape& tape, SimTime begin,
   return std::vector<double>(window.begin(), window.end());
 }
 
-void Daq::SampleScalar(const PowerTape& tape, SimTime begin, std::int64_t count,
-                       double period_s) {
-  // Sample times are non-decreasing, so a tape cursor makes each lookup
-  // amortised O(1) instead of a fresh binary search per sample.  The noise
-  // sigmas are loop-invariant; hoisting them keeps the per-sample additions
-  // bitwise-identical (same product, same order of draws).
-  PowerTape::Cursor cursor(tape);
-  const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
-  const double sigma_supply = config_.noise_lsb * supply_lsb_;
-  if (faults_ == nullptr) {
-    // Fast path: without an injector no sample can drop, so skip the drop
-    // checks and never materialise the dropped-index bookkeeping.
-    for (std::int64_t i = 0; i < count; ++i) {
-      const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
-      samples_.push_back(ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply));
-    }
-    return;
-  }
-  dropped_.clear();
-  for (std::int64_t i = 0; i < count; ++i) {
-    const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
-    // The reading is always taken (the ADC ran; its noise stream must not
-    // shift) — a drop loses the value on the way to the host.
-    const double reading = ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply);
-    if (faults_->DropSample()) {
-      dropped_.push_back(samples_.size());
-      samples_.push_back(0.0);
-    } else {
-      samples_.push_back(reading);
-    }
-  }
-  if (!dropped_.empty()) {
-    dropped_samples_ += dropped_.size();
-    InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(),
-                       dropped_.size());
-  }
-}
-
 void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
                         double period_s) {
   // Structure-of-arrays pipeline.  Every pass below either (a) performs,
-  // per element, exactly the operations the scalar pipeline performs in
-  // exactly the same order — divide/multiply/clamp/round, all correctly
-  // rounded per IEEE-754, so reordering *across* elements cannot change any
-  // bit — (b) is a serial pass whose cross-element order matters (the RNG
-  // stream, the cursor walk) and is kept in stream order, or (c) is the
-  // channel kernel (src/daq/noise_kernel.h), which approximates the noise
-  // and recomputes exactly every reading whose ADC code the approximation
-  // could have moved.  The element-wise passes run through the ISA variant
-  // this CPU supports (src/daq/block_passes.h); all variants give the same
-  // bits.
-  PowerTape::Cursor cursor(tape);
+  // per element, exactly the operations the scalar reference pipeline
+  // (tests/support/reference_daq.h) performs in exactly the same order —
+  // divide/multiply/clamp/round, all correctly rounded per IEEE-754, so
+  // reordering *across* elements cannot change any bit — (b) is a serial
+  // pass whose cross-element order matters (the RNG stream) and is kept in
+  // stream order, or (c) is the channel kernel (src/daq/noise_kernel.h),
+  // which approximates the noise and recomputes exactly every reading whose
+  // ADC code the approximation could have moved.  The element-wise passes
+  // run through the ISA variant this CPU supports (src/daq/block_passes.h);
+  // all variants give the same bits.
+  TapeRuns runs(tape, begin, period_s, count, config_.supply_volts, config_.shunt_ohms);
   const block_passes::PassesFn run_passes =
       block_passes::PassesFor(block_passes::Chosen());
   block_passes::Block block{};
@@ -259,7 +281,6 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
   const bool shunt_noise = block.shunt.sigma != 0.0;
   const bool supply_noise = block.supply_rail.sigma != 0.0;
 
-  SimTime* const times = scratch_.times.data();
   double* const u1 = scratch_.u1.data();
   double* const u2 = scratch_.u2.data();
   double* const u3 = scratch_.u3.data();
@@ -270,34 +291,27 @@ void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count
   samples_.resize(static_cast<std::size_t>(count));
   double* const out = samples_.data();
 
+  Rng rng = rng_;
   for (std::int64_t base = 0; base < count; base += kBatch) {
     const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
     block.vals = out + base;
     block.n = n;
-    // Pass 1 (serial): timestamps, then the cursor gather in time order.
-    for (int i = 0; i < n; ++i) {
-      times[i] = begin + SimTime::FromSecondsF((base + i) * period_s);
+    // Pass 1 (serial, per run): each power segment's raw shunt volts, once
+    // per run of samples it covers.
+    runs.FillTo(out, base + n);
+    // Pass 2 (serial): uniform draws in the reference's stream order.
+    if (shunt_noise && supply_noise) {
+      DrawUniforms<true, true>(rng, n, u1, u2, u3, u4);
+    } else if (shunt_noise) {
+      DrawUniforms<true, false>(rng, n, u1, u2, u3, u4);
+    } else if (supply_noise) {
+      DrawUniforms<false, true>(rng, n, u1, u2, u3, u4);
     }
-    cursor.GatherWatts(times, static_cast<std::size_t>(n), block.vals);
-    // Pass 2 (serial): uniform draws in the scalar pipeline's exact stream
-    // order — per sample, shunt pair then supply pair, skipping a channel's
-    // pair entirely when its noise is disabled.
-    if (shunt_noise || supply_noise) {
-      for (int i = 0; i < n; ++i) {
-        if (shunt_noise) {
-          u1[i] = rng_.NextDouble();
-          u2[i] = rng_.NextDouble();
-        }
-        if (supply_noise) {
-          u3[i] = rng_.NextDouble();
-          u4[i] = rng_.NextDouble();
-        }
-      }
-    }
-    // Pass 3 (element-wise): watts -> shunt volts, both channel kernels,
-    // measured current x measured rail -> power.
+    // Pass 3 (element-wise): both channel kernels, then measured current x
+    // measured rail -> power.
     run_passes(block);
   }
+  rng_ = rng;
 }
 
 void Daq::ApplyDrops() {

@@ -44,11 +44,6 @@ struct DaqConfig {
   // Additive Gaussian noise on each channel, in LSBs.
   double noise_lsb = 1.0;
   std::uint64_t seed = 0x0DA05EEDULL;
-  // When true, sampling runs the original one-reading-at-a-time scalar
-  // pipeline instead of the batched structure-of-arrays pipeline.  The two
-  // are bitwise-identical (enforced by tests/hotpath/daq_soa_property_test);
-  // the scalar path is retained as the differential reference.
-  bool reference_sampling = false;
 };
 
 class Daq {
@@ -61,28 +56,35 @@ class Daq {
   SimTime SamplePeriod() const { return SimTime::FromSecondsF(1.0 / config_.sample_hz); }
 
   // Samples instantaneous power over [begin, end) at sample_hz, applying the
-  // shunt/ADC model.  Sample i is taken at begin + i/sample_hz; the tape is
-  // read through a PowerTape::Cursor, so a whole window costs amortised O(1)
-  // per sample.  Samples the bound fault injector drops are reconstructed by
-  // linear interpolation between their surviving neighbours (edge runs copy
-  // the nearest survivor); without a bound injector the drop bookkeeping is
+  // shunt/ADC model.  Sample i is taken at
+  // begin + FromSecondsF(i * (1 / sample_hz)), an instant that never
+  // decreases as i grows, so each power segment covers a contiguous run of
+  // sample indices.  The tape is read by runs: one
+  // binary search places sample 0, each run's end is estimated and then
+  // corrected against that exact instant expression, and the run's raw shunt
+  // volts are computed once and filled in.  A sample before the first
+  // segment reads 0 W; a tape without history throws std::logic_error.
+  // Samples the bound fault injector drops are reconstructed by linear
+  // interpolation between their surviving neighbours (edge runs copy the
+  // nearest survivor); without a bound injector the drop bookkeeping is
   // never materialised.
   //
-  // The default pipeline is batched: per 2048-sample block, timestamps,
-  // cursor watts and the ADC channel values each live in a contiguous array,
-  // and each pass is a tight loop.  The uniform draws stay serial, in the
-  // scalar pipeline's exact stream order.  The noise pass approximates, then
-  // verifies: each channel's Box-Muller noise comes from vectorised
-  // polynomial log/cos (src/daq/noise_kernel.h), which can only matter
-  // through the integer ADC code it rounds to.  A reading whose pre-round
-  // value lies within the polynomials' error margin of a rounding boundary
-  // is recomputed with the scalar std::log/std::sqrt/std::cos expression.
-  // The element-wise passes (watts to volts, both channel kernels, current
-  // times rail) are compiled at the baseline, x86-64-v3 (AVX2) and
+  // Per 2048-sample block, the shunt volts and the ADC channel values each
+  // live in a contiguous array, and each pass is a tight loop.  The uniform
+  // draws stay serial, in the reference pipeline's exact stream order, from
+  // a local copy of the generator so its state stays in registers.  The
+  // noise pass approximates, then verifies: each channel's Box-Muller noise
+  // comes from vectorised polynomial log/cos (src/daq/noise_kernel.h), which
+  // can only matter through the integer ADC code it rounds to.  A reading
+  // whose pre-round value lies within the polynomials' error margin of a
+  // rounding boundary is recomputed with the scalar std::log/std::sqrt/
+  // std::cos expression.  The element-wise passes (both channel kernels,
+  // current times rail) are compiled at the baseline, x86-64-v3 (AVX2) and
   // x86-64-v4 (AVX-512) ISA levels; the process runs the widest its CPU
   // supports (IsaVariant()), and all three return the same bits
-  // (src/daq/block_passes.h).  So the result is bit-for-bit the scalar
-  // pipeline's (goldens are the spec; see
+  // (src/daq/block_passes.h).  So the result is bit-for-bit that of the
+  // one-reading-at-a-time scalar pipeline the tests keep as the reference
+  // (tests/support/reference_daq.h; see
   // tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
   // and tests/daq/block_variant_test.cc).
   //
@@ -112,31 +114,24 @@ class Daq {
   // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.
   static const char* IsaVariant();
 
+  // Reconstructs the samples at `dropped` (sorted indices) in place.  The
+  // test reference pipeline (tests/support/reference_daq.h) shares it.
+  static void InterpolateDropped(double* samples, std::size_t n,
+                                 const std::size_t* dropped, std::size_t dropped_n);
+
  private:
   // SoA block size: big enough to amortise loop overhead and fill vector
   // lanes, small enough that the scratch arrays stay cache-resident.
   static constexpr int kBatch = 2048;
 
-  // One power reading of true power `watts` through the ADC pipeline, with
-  // per-channel noise sigmas (hoisted by the caller; zero skips the draw).
-  double ReadPower(double watts, double sigma_shunt, double sigma_supply);
-
-  // The retained scalar reference pipeline: the original per-sample loop,
-  // including the interleaved fault-drop decisions.  Appends to samples_.
-  void SampleScalar(const PowerTape& tape, SimTime begin, std::int64_t count,
-                    double period_s);
   // The batched SoA pipeline (no drop handling; see ApplyDrops).
   void SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
                      double period_s);
-  // Drop overlay for the batched path.  The injector's drop stream is
-  // isolated from the DAQ noise stream, so deciding drops after the batch
-  // (instead of interleaved per sample) reads both streams in the same
-  // per-stream order and yields identical values.
+  // Drops overlaid after sampling.  The injector's drop stream is isolated
+  // from the DAQ noise stream, so deciding drops after the batch (instead of
+  // interleaved per sample, as the reference does) reads both streams in the
+  // same per-stream order and yields identical values.
   void ApplyDrops();
-
-  // Reconstructs the samples at `dropped` (sorted indices) in place.
-  static void InterpolateDropped(double* samples, std::size_t n,
-                                 const std::size_t* dropped, std::size_t dropped_n);
 
   DaqConfig config_;
   Rng rng_;
@@ -149,10 +144,9 @@ class Daq {
   ArenaVector<double> samples_;
   ArenaVector<std::size_t> dropped_;
   // Per-block SoA scratch.  Fixed arrays: sampling never allocates for them.
-  // The watts column lives directly in samples_ (batches write in place),
-  // so only the channel temporaries need scratch.
+  // The shunt-volts column lives directly in samples_ (batches write in
+  // place), so only the channel temporaries need scratch.
   struct Scratch {
-    std::array<SimTime, kBatch> times;
     std::array<double, kBatch> supply;  // quantised supply channel volts
     std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
     std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3 then

@@ -1,9 +1,10 @@
 // Vectorisable DAQ channel kernel: Gaussian noise plus ADC quantisation,
 // bit-identical to the scalar reference pipeline.
 //
-// The scalar pipeline (Daq::ReadPower) adds Box-Muller noise built from two
-// glibc calls, std::log and std::cos, and then quantises.  Those calls do
-// not vectorise, and they cost most of a sampled run.  The kernel here
+// The scalar reference pipeline (tests/support/reference_daq.cc) adds
+// Box-Muller noise built from two glibc calls, std::log and std::cos, and
+// then quantises.  Those calls do not vectorise, and they cost most of a
+// sampled run.  The kernel here
 // relies on one fact: noise reaches the output only through the integer ADC
 // code round(clamp(v) / lsb).  So the noise can come from polynomials whose
 // error is bounded:
@@ -159,7 +160,8 @@ struct AdcChannel {
   double lsb;     // quantisation step, volts
 };
 
-// The reference reading, term for term Daq::ReadPower's channel:
+// The reference reading, term for term the reference pipeline's channel
+// (tests/support/reference_daq.cc):
 // raw += Rng::Gaussian(0.0, sigma) on the draws (u1, u2), clamp, quantise.
 inline double ExactReading(double raw, double u1, double u2, const AdcChannel& ch) {
   if (u1 < 1e-300) {

@@ -36,10 +36,6 @@
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
-// Feature probe for call sites (bench harness) that want the sequential
-// cursor when present.
-#define DCS_POWER_TAPE_HAS_CURSOR 1
-
 namespace dcs {
 
 class PowerTape {
@@ -113,7 +109,7 @@ class PowerTape {
   }
 
   // Sequential reader: remembers the segment the previous lookup landed in,
-  // so a non-decreasing stream of query times (the DAQ's sampling pattern)
+  // so a non-decreasing stream of query times (a DAQ's sampling pattern)
   // costs amortised O(1) per read instead of a binary search each.  Reads
   // see segments appended to the tape after the cursor was created; a query
   // time earlier than the previous one is handled by falling back to a
@@ -147,37 +143,6 @@ class PowerTape {
         ++index_;
       }
       return segs[index_].watts;
-    }
-
-    // Batched sequential gather: out[i] = WattsAt(times[i]) for `n`
-    // non-decreasing query times, one amortised-O(1) advance per element.
-    // The SoA companion to WattsAt — the DAQ fills a contiguous timestamp
-    // array and reads a contiguous watts array back.
-    void GatherWatts(const SimTime* times, std::size_t n, double* out) {
-      const SegmentVector& segs = tape_->segments();
-      const std::size_t count = segs.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const SimTime t = times[i];
-        if (count == 0 || t < segs.front().start) {
-          out[i] = 0.0;
-          continue;
-        }
-        if (index_ >= count) {
-          index_ = count - 1;
-        }
-        if (t < segs[index_].start) {
-          auto it = std::upper_bound(
-              segs.begin(), segs.end(), t,
-              [](SimTime x, const Segment& s) { return x < s.start; });
-          index_ = static_cast<std::size_t>(it - segs.begin()) - 1;
-          out[i] = segs[index_].watts;
-          continue;
-        }
-        while (index_ + 1 < count && segs[index_ + 1].start <= t) {
-          ++index_;
-        }
-        out[i] = segs[index_].watts;
-      }
     }
 
    private:

@@ -4,11 +4,12 @@
 //
 // The process only ever runs one variant, the widest its CPU supports, so
 // the SoA property suite covers that one alone.  Here each variant the host
-// can run is driven directly: the test performs the serial passes exactly
-// as Daq::SampleBatched does (timestamps, cursor gather, uniform draws in
-// stream order), hands the blocks to the variant, and compares the samples
-// with a Daq running the scalar reference pipeline.  A variant the host
-// cannot run is skipped by name, so the log shows what was covered.
+// can run is driven directly: the test computes each sample's raw shunt
+// volts from a tape cursor, draws the uniforms in stream order as
+// Daq::SampleBatched does, hands the blocks to the variant, and compares the
+// samples with the scalar reference pipeline (tests/support/reference_daq.h).
+// A variant the host cannot run is skipped by name, so the log shows what
+// was covered.
 
 #include "src/daq/block_passes.h"
 
@@ -28,6 +29,7 @@
 #include "src/hw/power_tape.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
+#include "tests/support/reference_daq.h"
 
 namespace dcs {
 namespace block_passes {
@@ -42,7 +44,8 @@ struct VariantRun {
 };
 
 // The batched pipeline over [begin, end) with `passes` as its element-wise
-// passes: the serial passes are Daq::SampleBatched's, step for step.
+// passes.  The block comes in as raw shunt volts, one cursor read per
+// sample; the draws are Daq::SampleBatched's, in stream order.
 VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const PowerTape& tape,
                              SimTime begin, SimTime end) {
   const double period_s = 1.0 / config.sample_hz;
@@ -52,7 +55,6 @@ VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const Pow
   const double shunt_lsb = 2.0 * config.shunt_range_volts / steps;
   const double supply_lsb = config.supply_range_volts / steps;
 
-  std::vector<SimTime> times(kBatch);
   std::vector<double> supply(kBatch), u1(kBatch), u2(kBatch), u3(kBatch), u4(kBatch);
   Block block{};
   block.supply = supply.data();
@@ -78,9 +80,9 @@ VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const Pow
     block.vals = run.samples.data() + base;
     block.n = n;
     for (int i = 0; i < n; ++i) {
-      times[i] = begin + SimTime::FromSecondsF((base + i) * period_s);
+      const double watts = cursor.WattsAt(begin + SimTime::FromSecondsF((base + i) * period_s));
+      block.vals[i] = (watts / config.supply_volts) * config.shunt_ohms;
     }
-    cursor.GatherWatts(times.data(), static_cast<std::size_t>(n), block.vals);
     for (int i = 0; i < n; ++i) {
       if (shunt_noise) {
         u1[i] = rng.NextDouble();
@@ -97,10 +99,9 @@ VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const Pow
 }
 
 // The scalar reference pipeline's samples over the same window.
-std::vector<double> ReferenceSamples(DaqConfig config, const PowerTape& tape, SimTime begin,
-                                     SimTime end) {
-  config.reference_sampling = true;
-  Daq daq(config);
+std::vector<double> ReferenceSamples(const DaqConfig& config, const PowerTape& tape,
+                                     SimTime begin, SimTime end) {
+  testing::ReferenceDaq daq(config);
   const std::span<const double> window = daq.SampleWindow(tape, begin, end);
   return std::vector<double>(window.begin(), window.end());
 }

@@ -40,7 +40,7 @@ double LnRelErr(double u) {
 
 double CosAbsErr(double u) { return std::fabs(Cos2PiKernel(u) - std::cos(2.0 * M_PI * u)); }
 
-// The reference quantiser, as Daq::ReadPower's Quantise writes it.
+// The reference quantiser, as tests/support/reference_daq.cc writes it.
 double Quantise(double volts, double lsb, double lo, double hi) {
   if (volts < lo) {
     volts = lo;
@@ -176,7 +176,7 @@ TEST(NoiseKernelTest, BoundaryTieTakesTheExactRecompute) {
     ASSERT_EQ(raw / ch.lsb, k + 0.5);  // t lands exactly on the boundary
     const double u1 = 0.3;
     const double u2 = 0.25;
-    // The reference, written out as Rng::Gaussian and Daq::ReadPower do.
+    // The reference, written out as Rng::Gaussian and ReferenceDaq do.
     const double mag = std::sqrt(-2.0 * std::log(u1));
     const double expected =
         Quantise(raw + (0.0 + ch.sigma * mag * std::cos(2.0 * M_PI * u2)), ch.lsb, ch.lo, ch.hi);

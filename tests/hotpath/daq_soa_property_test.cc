@@ -1,18 +1,22 @@
-// SoA-vs-scalar differential property suite for the DAQ.
+// Batched-vs-reference differential property suite for the DAQ.
 //
-// The batched sampling pipeline (Daq::SampleBatched) restructures the
-// per-sample loop into contiguous-array passes for the auto-vectoriser; its
-// contract is *bitwise* equality with the retained scalar reference
-// (DaqConfig::reference_sampling).  This suite hammers that contract across
-// randomized power tapes, every noise/rate/resolution combination the
-// experiments use, window edge cases, and fault-injected sample drops.
+// The batched sampling pipeline (Daq::SampleWindow) walks the tape by runs
+// and restructures the per-sample loop into contiguous-array passes for the
+// auto-vectoriser; its contract is *bitwise* equality with the scalar
+// reference pipeline kept in tests/support/reference_daq.h.  This suite
+// hammers that contract across randomized power tapes, every
+// noise/rate/resolution combination the experiments use, window edge cases,
+// the run walk's boundaries, and fault-injected sample drops.
 
 #include "src/daq/daq.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/fault/fault_injector.h"
@@ -21,6 +25,7 @@
 #include "src/sim/arena.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
+#include "tests/support/reference_daq.h"
 
 namespace dcs {
 namespace {
@@ -40,13 +45,8 @@ PowerTape RandomTape(std::uint64_t seed, int segments) {
 // Runs both pipelines over the same window and asserts bitwise equality.
 void ExpectBitwiseEqual(const DaqConfig& config, const PowerTape& tape, SimTime begin,
                         SimTime end, const std::string& label) {
-  DaqConfig scalar_config = config;
-  scalar_config.reference_sampling = true;
-  DaqConfig batched_config = config;
-  batched_config.reference_sampling = false;
-
-  Daq scalar(scalar_config);
-  Daq batched(batched_config);
+  testing::ReferenceDaq scalar(config);
+  Daq batched(config);
   const std::span<const double> a = scalar.SampleWindow(tape, begin, end);
   const std::span<const double> b = batched.SampleWindow(tape, begin, end);
 
@@ -124,6 +124,104 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   no_supply_noise.supply_range_volts = 0.0;
   ExpectBitwiseEqual(no_supply_noise, tape, SimTime::Millis(1), SimTime::Millis(200),
                      "supply sigma 0");
+  // A tape without history cannot be sampled: both pipelines throw, even
+  // for a window shorter than one period, and an empty window reads nothing.
+  PowerTape lean = RandomTape(7, 50);
+  lean.DropHistory();
+  Daq batched(config);
+  testing::ReferenceDaq scalar(config);
+  const SimTime from = SimTime::Millis(1);
+  for (const SimTime to : {SimTime::Millis(2), from + SimTime::Nanos(1)}) {
+    EXPECT_THROW(batched.SampleWindow(lean, from, to), std::logic_error);
+    EXPECT_THROW(scalar.SampleWindow(lean, from, to), std::logic_error);
+  }
+  EXPECT_TRUE(batched.SampleWindow(lean, from, from).empty());
+  EXPECT_TRUE(scalar.SampleWindow(lean, from, from).empty());
+}
+
+// The batched pipeline reads the tape one segment run at a time: it
+// estimates where each run ends, then corrects the estimate against the
+// exact instant expression begin + FromSecondsF(k / hz).  These tapes put
+// segment starts exactly on that expression's values and one nanosecond to
+// either side of them, so a run end off by one sample in either direction
+// changes a reading.  44.1 kHz and 3 kHz have periods that are not a whole
+// number of nanoseconds, so FromSecondsF's rounding decides where their runs
+// end.  Each tape runs with and without noise.
+TEST(DaqSoaPropertyTest, RunWalkBoundariesMatchReference) {
+  // Sample indices where a segment starts: runs of 1, 2, 4 and more
+  // samples, and runs ending just before, on and after the 2048-sample
+  // batch boundaries or crossing them.
+  const std::int64_t starts[] = {3, 4, 6, 10, 37, 100, 1000, 2047, 2048,
+                                 2049, 2100, 4095, 4097, 4200, 8500};
+  for (const double hz : {5000.0, 44100.0, 3000.0}) {
+    const double period_s = 1.0 / hz;
+    const SimTime begin = SimTime::Micros(1500);
+    const auto at = [&](std::int64_t k) { return begin + SimTime::FromSecondsF(k * period_s); };
+    const SimTime end = at(9000) + SimTime::Nanos(1);
+    DaqConfig noisy;
+    noisy.sample_hz = hz;
+    DaqConfig quiet = noisy;
+    quiet.noise_lsb = 0.0;
+    const auto check = [&](const PowerTape& tape, SimTime from, SimTime to,
+                           const std::string& label) {
+      const std::string rate = " hz=" + std::to_string(hz);
+      ExpectBitwiseEqual(noisy, tape, from, to, label + rate + " noisy");
+      ExpectBitwiseEqual(quiet, tape, from, to, label + rate + " quiet");
+    };
+
+    // Starts on a sample instant, 1 ns before and 1 ns after.  The first
+    // segment starts after sample 0, so the window opens before the tape.
+    for (const std::int64_t offset_ns : {-1, 0, 1}) {
+      PowerTape tape;
+      int level = 0;
+      for (const std::int64_t k : starts) {
+        tape.Set(at(k) + SimTime::Nanos(offset_ns), 0.25 + 0.37 * (level++ % 7));
+      }
+      check(tape, begin, end, "offset " + std::to_string(offset_ns) + " ns");
+      // The same tape from a window that opens mid-segment.
+      check(tape, at(50) + SimTime::Nanos(37), end, "mid-segment, offset " +
+                                                        std::to_string(offset_ns) + " ns");
+    }
+
+    // Several segments inside one sample period, around a batch boundary
+    // too; only the last one before the next instant is ever read.
+    {
+      PowerTape tape;
+      tape.Set(SimTime::Zero(), 0.5);
+      int level = 0;
+      for (const std::int64_t k : {5, 6, 2047, 2048}) {
+        const SimTime step = (at(k + 1) - at(k)) / 5;
+        for (int m = 0; m < 5; ++m) {
+          tape.Set(at(k) + step * m, 1.0 + 0.3 * (level++ % 5));
+        }
+      }
+      check(tape, begin, end, "segments within one period");
+    }
+
+    // Same-instant Sets collapse to the last; a collapse back to the
+    // previous level merges the two segments.
+    {
+      PowerTape tape;
+      tape.Set(SimTime::Zero(), 0.7);
+      tape.Set(at(20), 1.9);
+      tape.Set(at(20), 2.4);
+      tape.Set(at(2048), 1.1);
+      tape.Set(at(2048), 2.4);  // merges back into the segment at sample 20
+      tape.Set(at(2049) + SimTime::Nanos(1), 2.2);
+      tape.Set(at(2049) + SimTime::Nanos(1), 2.3);
+      tape.Set(at(3000), 0.4);
+      ASSERT_EQ(tape.segments().size(), 4u);
+      check(tape, begin, end, "same-instant collapse");
+    }
+
+    // A one-segment tape, from a window before it and one inside it.
+    {
+      PowerTape tape;
+      tape.Set(at(700) - SimTime::Nanos(1), 1.3);
+      check(tape, begin, end, "one segment, window before it");
+      check(tape, at(900), end, "one segment, window inside it");
+    }
+  }
 }
 
 TEST(DaqSoaPropertyTest, BatchedMatchesScalarUnderFaultDrops) {
@@ -134,9 +232,7 @@ TEST(DaqSoaPropertyTest, BatchedMatchesScalarUnderFaultDrops) {
 
     const PowerTape tape = RandomTape(21, 300);
     DaqConfig config;
-    config.reference_sampling = true;
-    Daq scalar(config);
-    config.reference_sampling = false;
+    testing::ReferenceDaq scalar(config);
     Daq batched(config);
 
     // Each pipeline gets its own injector at the same seed: the drop stream

@@ -17,6 +17,8 @@
 // Directories default to the build/source trees (baked in at configure
 // time) and can be overridden with DCS_BENCH_DIR / DCS_GOLDEN_DIR.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -200,9 +202,14 @@ std::string GoldenShaFor(const std::string& artifact_name) {
 
 void ExpectArtifactsGolden(const std::string& bench, const std::string& artifact,
                            const std::string& args) {
-  const std::string dir = ::testing::TempDir();
-  const std::string trace_path = dir + "/" + artifact + ".trace.json";
-  const std::string metrics_path = dir + "/" + artifact + ".metrics.json";
+  // Cases that export the same artifact run as separate processes under
+  // `ctest -j`, so each writes its own files: one case must not remove what
+  // another is about to read.
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string stem = ::testing::TempDir() + "/" + artifact + "." + info->name() + "." +
+                           std::to_string(static_cast<long>(::getpid()));
+  const std::string trace_path = stem + ".trace.json";
+  const std::string metrics_path = stem + ".metrics.json";
   const std::string command = BenchDir() + "/" + bench + " " + args +
                               " --trace-out=" + trace_path +
                               " --metrics-out=" + metrics_path +

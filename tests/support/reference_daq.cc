@@ -1,0 +1,89 @@
+#include "tests/support/reference_daq.h"
+
+#include <cmath>
+
+#include "src/fault/fault_injector.h"
+
+namespace dcs::testing {
+namespace {
+
+// Quantises `volts` to an ADC step of `lsb`, clamped to [lo, hi].
+double Quantise(double volts, double lsb, double lo, double hi) {
+  if (volts < lo) {
+    volts = lo;
+  }
+  if (volts > hi) {
+    volts = hi;
+  }
+  return std::round(volts / lsb) * lsb;
+}
+
+}  // namespace
+
+ReferenceDaq::ReferenceDaq(const DaqConfig& config) : config_(config), rng_(config.seed) {
+  const double steps = std::pow(2.0, config_.adc_bits);
+  // Shunt channel is bipolar (+/- range); supply channel unipolar.
+  shunt_lsb_ = 2.0 * config_.shunt_range_volts / steps;
+  supply_lsb_ = config_.supply_range_volts / steps;
+}
+
+double ReferenceDaq::ReadPower(double watts, double sigma_shunt, double sigma_supply) {
+  const double amps = watts / config_.supply_volts;
+  // Channel 1: shunt voltage drop.  A zero-sigma Gaussian only ever adds a
+  // signed zero, which cannot change any reachable reading, so the draws are
+  // skipped entirely when noise is disabled (nothing else observes rng_).
+  double shunt_v = amps * config_.shunt_ohms;
+  if (sigma_shunt != 0.0) {
+    shunt_v += rng_.Gaussian(0.0, sigma_shunt);
+  }
+  shunt_v = Quantise(shunt_v, shunt_lsb_, -config_.shunt_range_volts,
+                     config_.shunt_range_volts);
+  // Channel 2: supply voltage.
+  double supply_v = config_.supply_volts;
+  if (sigma_supply != 0.0) {
+    supply_v += rng_.Gaussian(0.0, sigma_supply);
+  }
+  supply_v = Quantise(supply_v, supply_lsb_, 0.0, config_.supply_range_volts);
+  // "The current was then calculated by dividing the voltage by the
+  // resistance."
+  const double measured_amps = shunt_v / config_.shunt_ohms;
+  return measured_amps * supply_v;
+}
+
+std::span<const double> ReferenceDaq::SampleWindow(const PowerTape& tape, SimTime begin,
+                                                   SimTime end) {
+  samples_.clear();
+  if (end <= begin) {
+    return {};
+  }
+  const double period_s = 1.0 / config_.sample_hz;
+  const std::int64_t count = static_cast<std::int64_t>(
+      std::floor((end - begin).ToSeconds() / period_s));
+  samples_.reserve(static_cast<std::size_t>(count));
+  // Sample times are non-decreasing, so a tape cursor makes each lookup
+  // amortised O(1).  The noise sigmas are loop-invariant.
+  PowerTape::Cursor cursor(tape);
+  const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
+  const double sigma_supply = config_.noise_lsb * supply_lsb_;
+  dropped_.clear();
+  for (std::int64_t i = 0; i < count; ++i) {
+    const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
+    // The reading is always taken (the ADC ran; its noise stream must not
+    // shift) — a drop loses the value on the way to the host.
+    const double reading = ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply);
+    if (faults_ != nullptr && faults_->DropSample()) {
+      dropped_.push_back(samples_.size());
+      samples_.push_back(0.0);
+    } else {
+      samples_.push_back(reading);
+    }
+  }
+  if (!dropped_.empty()) {
+    dropped_samples_ += dropped_.size();
+    Daq::InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(),
+                            dropped_.size());
+  }
+  return {samples_.data(), samples_.size()};
+}
+
+}  // namespace dcs::testing
