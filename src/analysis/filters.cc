@@ -17,22 +17,6 @@ std::vector<double> AvgNFilter(std::span<const double> input, int n, double init
   return out;
 }
 
-std::vector<double> SlidingAverageFilter(std::span<const double> input, int window) {
-  assert(window >= 1);
-  std::vector<double> out;
-  out.reserve(input.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    sum += input[i];
-    if (i >= static_cast<std::size_t>(window)) {
-      sum -= input[i - static_cast<std::size_t>(window)];
-    }
-    const std::size_t count = std::min(i + 1, static_cast<std::size_t>(window));
-    out.push_back(sum / static_cast<double>(count));
-  }
-  return out;
-}
-
 std::vector<double> AvgNKernel(int n, int length) {
   assert(n >= 0 && length >= 0);
   std::vector<double> kernel;

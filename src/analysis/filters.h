@@ -20,9 +20,6 @@ namespace dcs {
 // is W after consuming input[0..i].
 std::vector<double> AvgNFilter(std::span<const double> input, int n, double initial = 0.0);
 
-// Simple trailing mean over the last `window` samples (fewer at the start).
-std::vector<double> SlidingAverageFilter(std::span<const double> input, int window);
-
 // The explicit AVG_N convolution weights w_k = (1/(N+1)) * (N/(N+1))^k for
 // k = 0..length-1 (most recent sample first).
 std::vector<double> AvgNKernel(int n, int length);

@@ -7,7 +7,7 @@ namespace dcs {
 namespace {
 
 // In-place iterative Cooley-Tukey on a power-of-two-sized buffer.
-void FftInPlace(std::vector<std::complex<double>>& a, bool inverse) {
+void FftInPlace(std::vector<std::complex<double>>& a) {
   const std::size_t n = a.size();
   assert((n & (n - 1)) == 0 && "FFT length must be a power of two");
   // Bit-reversal permutation.
@@ -22,7 +22,7 @@ void FftInPlace(std::vector<std::complex<double>>& a, bool inverse) {
     }
   }
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const double angle = -2.0 * M_PI / static_cast<double>(len);
     const std::complex<double> wlen(std::cos(angle), std::sin(angle));
     for (std::size_t i = 0; i < n; i += len) {
       std::complex<double> w(1.0, 0.0);
@@ -33,11 +33,6 @@ void FftInPlace(std::vector<std::complex<double>>& a, bool inverse) {
         a[i + k + len / 2] = u - v;
         w *= wlen;
       }
-    }
-  }
-  if (inverse) {
-    for (auto& x : a) {
-      x /= static_cast<double>(n);
     }
   }
 }
@@ -61,19 +56,8 @@ std::vector<std::complex<double>> Dft(std::span<const double> input) {
 
 std::vector<std::complex<double>> Fft(std::span<const double> input) {
   std::vector<std::complex<double>> a(input.begin(), input.end());
-  FftInPlace(a, /*inverse=*/false);
+  FftInPlace(a);
   return a;
-}
-
-std::vector<double> InverseFftReal(std::span<const std::complex<double>> input) {
-  std::vector<std::complex<double>> a(input.begin(), input.end());
-  FftInPlace(a, /*inverse=*/true);
-  std::vector<double> out;
-  out.reserve(a.size());
-  for (const auto& x : a) {
-    out.push_back(x.real());
-  }
-  return out;
 }
 
 std::size_t NextPowerOfTwo(std::size_t n) {

@@ -22,9 +22,6 @@ std::vector<std::complex<double>> Dft(std::span<const double> input);
 // Iterative radix-2 FFT; input length must be a power of two.
 std::vector<std::complex<double>> Fft(std::span<const double> input);
 
-// Inverse FFT (length must be a power of two); returns the real parts.
-std::vector<double> InverseFftReal(std::span<const std::complex<double>> input);
-
 // Smallest power of two >= n (n >= 1).
 std::size_t NextPowerOfTwo(std::size_t n);
 

@@ -27,24 +27,6 @@ AdaptiveGovernor::AdaptiveGovernor(const AdaptiveGovernorConfig& config) : confi
   predictions_.assign(experts_.size(), 0.0);
 }
 
-void AdaptiveGovernor::Reset() {
-  for (auto& expert : experts_) {
-    expert->Reset();
-  }
-  weights_.assign(experts_.size(), 1.0 / static_cast<double>(experts_.size()));
-  predictions_.assign(experts_.size(), 0.0);
-  mixed_ = 0.0;
-}
-
-std::vector<std::string> AdaptiveGovernor::ExpertNames() const {
-  std::vector<std::string> names;
-  names.reserve(experts_.size());
-  for (const auto& expert : experts_) {
-    names.push_back(expert->Name());
-  }
-  return names;
-}
-
 std::optional<SpeedRequest> AdaptiveGovernor::OnQuantum(const UtilizationSample& sample) {
   const double u = std::clamp(sample.utilization, 0.0, 1.0);
 

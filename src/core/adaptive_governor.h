@@ -56,7 +56,6 @@ class AdaptiveGovernor final : public ClockPolicy {
   const char* Name() const override { return name_.c_str(); }
   void OnInstall(Kernel& /*kernel*/) override {}
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   // Expert pool composition is ctor-fixed, so weights/predictions restore
   // positionally and each expert serializes its own history in order.
   void Snapshot(SnapshotIo& io) override {
@@ -69,8 +68,7 @@ class AdaptiveGovernor final : public ClockPolicy {
     io(mixed_);
   }
 
-  // Introspection for tests: expert names and their current weights.
-  std::vector<std::string> ExpertNames() const;
+  // Introspection for tests: the experts' current weights.
   const std::vector<double>& weights() const { return weights_; }
   double mixed_prediction() const { return mixed_; }
 

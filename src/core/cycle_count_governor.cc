@@ -27,11 +27,6 @@ std::optional<SpeedRequest> CycleCountGovernor::OnQuantum(const UtilizationSampl
   return request;
 }
 
-void CycleCountGovernor::Reset() {
-  busy_mhz_.clear();
-  sum_ = 0.0;
-}
-
 double CycleCountGovernor::AverageBusyMhz() const {
   if (busy_mhz_.empty()) {
     return 0.0;

@@ -34,7 +34,6 @@ class CycleCountGovernor final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   void Snapshot(SnapshotIo& io) override {
     io.Window(busy_mhz_, static_cast<std::size_t>(window_));
     io(sum_);

@@ -52,7 +52,6 @@ class DeadlineGovernor final : public ClockPolicy {
   // rather than assumed; jittered/late quanta only shrink the slacks fed to
   // the test, which the min_slack floor keeps finite.
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override {}
   // kernel_ is re-established by OnInstall on the restore target.
   void Snapshot(SnapshotIo& io) override { io.As<std::int64_t>(last_chosen_step_); }
 

@@ -17,14 +17,6 @@ FeedbackGovernor::FeedbackGovernor(const FeedbackGovernorConfig& config) : confi
   }
 }
 
-void FeedbackGovernor::Reset() {
-  error1_ = 0.0;
-  error2_ = 0.0;
-  last_command_ = 1.0;
-  pinned_high_ = false;
-  pinned_low_ = false;
-}
-
 double FeedbackGovernor::DeadlineSpeed(const UtilizationSample& sample) const {
   if (kernel_ == nullptr) {
     return 0.0;

@@ -69,7 +69,6 @@ class FeedbackGovernor final : public ClockPolicy {
   const char* Name() const override { return name_.c_str(); }
   void OnInstall(Kernel& kernel) override { kernel_ = &kernel; }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   void Snapshot(SnapshotIo& io) override {
     io(error1_, error2_, last_command_, pinned_high_, pinned_low_);
   }

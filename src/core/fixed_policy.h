@@ -18,7 +18,6 @@ class FixedPolicy final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override { applied_ = false; }
   void Snapshot(SnapshotIo& io) override { io(applied_); }
 
   int step() const { return step_; }

@@ -277,15 +277,6 @@ GovernorHandle MakeGovernorDispatch(const std::string& spec, std::string* error)
   return interval != nullptr ? Handle(std::move(interval)) : GovernorHandle{};
 }
 
-std::vector<std::string> PaperGovernorSpecs() {
-  return {
-      "fixed-206.4",         "fixed-132.7",          "fixed-132.7@1.23",
-      "PAST-peg-peg-93-98",  "PAST-peg-peg-93-98-vs", "PAST-one-one-50-70",
-      "AVG3-one-one-50-70",  "AVG9-one-one-50-70",    "AVG9-peg-peg-50-70",
-      "cycles4",             "ondemand",              "schedutil",
-  };
-}
-
 std::vector<std::string> AllGovernorSpecs() {
   return {
       "none",

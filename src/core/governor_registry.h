@@ -50,9 +50,6 @@ struct GovernorHandle {
 // MakeGovernor (null governor, null dispatch.policy).
 GovernorHandle MakeGovernorDispatch(const std::string& spec, std::string* error = nullptr);
 
-// Specs of the policies highlighted by the paper, for sweep benches.
-std::vector<std::string> PaperGovernorSpecs();
-
 // The full 20-governor slate: every policy family the registry can build —
 // fixed points, the PAST/AVG/WIN/LS/CYCLE/PEAK interval variants, cycle- and
 // saturation-counters, the deadline pair, the Linux-style governors, flat

@@ -76,13 +76,6 @@ void LongShortPredictor::Reset() {
   current_ = 0.0;
 }
 
-std::unique_ptr<UtilizationPredictor> LongShortPredictor::Clone() const {
-  auto clone = std::make_unique<LongShortPredictor>(short_window_, long_window_);
-  clone->history_ = history_;
-  clone->current_ = current_;
-  return clone;
-}
-
 // --- CYCLE ----------------------------------------------------------------------
 
 CyclePredictor::CyclePredictor(int cycle_length, double tolerance)
@@ -129,14 +122,6 @@ void CyclePredictor::Reset() {
   cycle_matched_ = false;
 }
 
-std::unique_ptr<UtilizationPredictor> CyclePredictor::Clone() const {
-  auto clone = std::make_unique<CyclePredictor>(cycle_length_, tolerance_);
-  clone->history_ = history_;
-  clone->current_ = current_;
-  clone->cycle_matched_ = cycle_matched_;
-  return clone;
-}
-
 // --- PEAK ----------------------------------------------------------------------
 
 PeakPredictor::PeakPredictor() : name_("PEAK") {}
@@ -167,14 +152,6 @@ void PeakPredictor::Reset() {
   previous_ = 0.0;
   current_ = 0.0;
   primed_ = false;
-}
-
-std::unique_ptr<UtilizationPredictor> PeakPredictor::Clone() const {
-  auto clone = std::make_unique<PeakPredictor>();
-  clone->previous_ = previous_;
-  clone->current_ = current_;
-  clone->primed_ = primed_;
-  return clone;
 }
 
 }  // namespace dcs

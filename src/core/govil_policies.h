@@ -48,7 +48,6 @@ class FlatGovernor final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override {}
 
  private:
   FlatGovernorConfig config_;
@@ -66,7 +65,6 @@ class LongShortPredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override { return current_; }
   void Reset() override;
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
   void Snapshot(SnapshotIo& io) override {
     io.Window(history_, static_cast<std::size_t>(long_window_));
     io(current_);
@@ -93,7 +91,6 @@ class CyclePredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override { return current_; }
   void Reset() override;
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
 
   void Snapshot(SnapshotIo& io) override {
     io.Window(history_, 2 * static_cast<std::size_t>(cycle_length_));
@@ -123,7 +120,6 @@ class PeakPredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override { return current_; }
   void Reset() override;
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
   void Snapshot(SnapshotIo& io) override { io(previous_, current_, primed_); }
 
  private:

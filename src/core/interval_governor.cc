@@ -66,20 +66,4 @@ std::optional<SpeedRequest> IntervalGovernor::OnQuantum(const UtilizationSample&
   return request;
 }
 
-void IntervalGovernor::Reset() {
-  predictor_->Reset();
-  scale_ups_ = 0;
-  scale_downs_ = 0;
-}
-
-std::unique_ptr<IntervalGovernor> MakePastPegPeg(double scale_down, double scale_up,
-                                                 bool voltage_scaling) {
-  IntervalGovernorConfig config;
-  config.thresholds = Thresholds{scale_down, scale_up};
-  config.voltage_scaling = voltage_scaling;
-  return std::make_unique<IntervalGovernor>(std::make_unique<PastPredictor>(),
-                                            std::make_unique<PegStepPolicy>(),
-                                            std::make_unique<PegStepPolicy>(), config);
-}
-
 }  // namespace dcs

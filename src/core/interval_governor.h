@@ -57,7 +57,6 @@ class IntervalGovernor final : public ClockPolicy {
   // fault injection simply re-enters the decision from reality next quantum;
   // an unsafe rail drop is refused by the hardware layer.
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   // Counter instruments are not serialized: they live in the (separately
   // snapshotted) metrics registry and re-resolve through OnInstall.
   void Snapshot(SnapshotIo& io) override {
@@ -84,12 +83,6 @@ class IntervalGovernor final : public ClockPolicy {
   MetricsCounter* ctr_scale_ups_ = nullptr;
   MetricsCounter* ctr_scale_downs_ = nullptr;
 };
-
-// Convenience factory for the paper's named configurations, e.g.
-// MakePastPegPeg(0.93, 0.98, /*voltage_scaling=*/false) — the "best policy"
-// of section 5.4.
-std::unique_ptr<IntervalGovernor> MakePastPegPeg(double scale_down, double scale_up,
-                                                 bool voltage_scaling);
 
 }  // namespace dcs
 

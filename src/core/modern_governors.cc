@@ -34,11 +34,6 @@ std::optional<SpeedRequest> OndemandGovernor::OnQuantum(const UtilizationSample&
   return request;
 }
 
-void OndemandGovernor::Reset() {
-  quanta_since_decision_ = 0;
-  max_util_in_window_ = 0.0;
-}
-
 SchedutilGovernor::SchedutilGovernor(const SchedutilConfig& config)
     : config_(config), name_("schedutil") {}
 
@@ -65,11 +60,6 @@ std::optional<SpeedRequest> SchedutilGovernor::OnQuantum(const UtilizationSample
   SpeedRequest request;
   request.step = step;
   return request;
-}
-
-void SchedutilGovernor::Reset() {
-  scaled_util_ = 0.0;
-  quanta_since_change_ = 0;
 }
 
 }  // namespace dcs

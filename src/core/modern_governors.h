@@ -40,7 +40,6 @@ class OndemandGovernor final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   void Snapshot(SnapshotIo& io) override {
     io.As<std::int64_t>(quanta_since_decision_);
     io(max_util_in_window_);
@@ -70,7 +69,6 @@ class SchedutilGovernor final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override;
   void Snapshot(SnapshotIo& io) override {
     io(scaled_util_);
     io.As<std::int64_t>(quanta_since_change_);

@@ -17,12 +17,6 @@ double PastPredictor::Update(double utilization) {
   return last_;
 }
 
-std::unique_ptr<UtilizationPredictor> PastPredictor::Clone() const {
-  auto clone = std::make_unique<PastPredictor>();
-  clone->last_ = last_;
-  return clone;
-}
-
 AvgNPredictor::AvgNPredictor(int n) : n_(n), name_("AVG" + std::to_string(n)) {
   assert(n >= 0);
 }
@@ -30,12 +24,6 @@ AvgNPredictor::AvgNPredictor(int n) : n_(n), name_("AVG" + std::to_string(n)) {
 double AvgNPredictor::Update(double utilization) {
   weighted_ = (n_ * weighted_ + ClampUtilization(utilization)) / (n_ + 1);
   return weighted_;
-}
-
-std::unique_ptr<UtilizationPredictor> AvgNPredictor::Clone() const {
-  auto clone = std::make_unique<AvgNPredictor>(n_);
-  clone->weighted_ = weighted_;
-  return clone;
 }
 
 SlidingWindowPredictor::SlidingWindowPredictor(int window)
@@ -63,13 +51,6 @@ double SlidingWindowPredictor::Current() const {
 void SlidingWindowPredictor::Reset() {
   samples_.clear();
   sum_ = 0.0;
-}
-
-std::unique_ptr<UtilizationPredictor> SlidingWindowPredictor::Clone() const {
-  auto clone = std::make_unique<SlidingWindowPredictor>(window_);
-  clone->samples_ = samples_;
-  clone->sum_ = sum_;
-  return clone;
 }
 
 }  // namespace dcs

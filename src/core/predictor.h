@@ -41,9 +41,6 @@ class UtilizationPredictor {
   // Clears all history.
   virtual void Reset() = 0;
 
-  // Deep copy, for sweeps that reuse a configured prototype.
-  virtual std::unique_ptr<UtilizationPredictor> Clone() const = 0;
-
   // Device-snapshot image (src/sim/snapshot.h): mutable history only —
   // windows/decay constants are ctor-owned and must match the image.
   virtual void Snapshot(SnapshotIo& io) { (void)io; }
@@ -57,7 +54,6 @@ class PastPredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override { return last_; }
   void Reset() override { last_ = 0.0; }
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
   void Snapshot(SnapshotIo& io) override { io(last_); }
 
  private:
@@ -73,7 +69,6 @@ class AvgNPredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override { return weighted_; }
   void Reset() override { weighted_ = 0.0; }
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
   void Snapshot(SnapshotIo& io) override { io(weighted_); }
 
   int n() const { return n_; }
@@ -92,7 +87,6 @@ class SlidingWindowPredictor final : public UtilizationPredictor {
   double Update(double utilization) override;
   double Current() const override;
   void Reset() override;
-  std::unique_ptr<UtilizationPredictor> Clone() const override;
   void Snapshot(SnapshotIo& io) override {
     io.Window(samples_, static_cast<std::size_t>(window_));
     io(sum_);

@@ -39,11 +39,6 @@ std::optional<SpeedRequest> SaturationAwareGovernor::OnQuantum(
   return request;
 }
 
-void SaturationAwareGovernor::Reset() {
-  busy_mhz_.clear();
-  sum_ = 0.0;
-}
-
 double SaturationAwareGovernor::AverageBusyMhz() const {
   if (busy_mhz_.empty()) {
     return 0.0;

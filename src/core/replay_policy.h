@@ -29,7 +29,6 @@ class ScheduleReplayPolicy final : public ClockPolicy {
 
   const char* Name() const override { return name_.c_str(); }
   std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) override;
-  void Reset() override { next_ = 0; }
   void Snapshot(SnapshotIo& io) override { io.Index(next_, steps_.size()); }
 
   std::size_t schedule_length() const { return steps_.size(); }

@@ -31,8 +31,6 @@ class SpeedPolicy {
   // is clamped to [min_step, max_step].
   virtual int Next(int current, ScaleDirection direction, int min_step,
                    int max_step) const = 0;
-
-  virtual std::unique_ptr<SpeedPolicy> Clone() const = 0;
 };
 
 // Increments / decrements by one clock step.
@@ -40,9 +38,6 @@ class OneStepPolicy final : public SpeedPolicy {
  public:
   const std::string& Name() const override { return name_; }
   int Next(int current, ScaleDirection direction, int min_step, int max_step) const override;
-  std::unique_ptr<SpeedPolicy> Clone() const override {
-    return std::make_unique<OneStepPolicy>();
-  }
 
  private:
   std::string name_ = "one";
@@ -54,9 +49,6 @@ class DoubleStepPolicy final : public SpeedPolicy {
  public:
   const std::string& Name() const override { return name_; }
   int Next(int current, ScaleDirection direction, int min_step, int max_step) const override;
-  std::unique_ptr<SpeedPolicy> Clone() const override {
-    return std::make_unique<DoubleStepPolicy>();
-  }
 
  private:
   std::string name_ = "double";
@@ -67,9 +59,6 @@ class PegStepPolicy final : public SpeedPolicy {
  public:
   const std::string& Name() const override { return name_; }
   int Next(int current, ScaleDirection direction, int min_step, int max_step) const override;
-  std::unique_ptr<SpeedPolicy> Clone() const override {
-    return std::make_unique<PegStepPolicy>();
-  }
 
  private:
   std::string name_ = "peg";

@@ -70,7 +70,6 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
   }
   app_name_ = bundle.name;
   app_duration_ = bundle.duration;
-  shared_state_ = std::move(bundle.shared_state);
 
   sim_.BindCancel(config_.cancel);
 

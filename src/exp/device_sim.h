@@ -161,9 +161,6 @@ class DeviceSim {
   DeadlineMonitor* deadlines_;
   std::string app_name_;
   SimTime app_duration_;
-  // Keeps the bundle's cross-task shared state (e.g. the MPEG A/V sync
-  // tracker) alive for the device's lifetime.
-  std::shared_ptr<void> shared_state_;
   Simulator sim_;
   Itsy itsy_;
   KernelConfig kernel_config_;

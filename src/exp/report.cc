@@ -58,22 +58,6 @@ void TextTable::Print(std::ostream& os) const {
   print_rule();
 }
 
-void TextTable::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << row[c];
-    }
-    os << "\n";
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 void PrintHeading(std::ostream& os, const std::string& title) {
   os << "\n=== " << title << " ===\n\n";
 }

@@ -23,7 +23,6 @@ class TextTable {
   static std::string Percent(double fraction, int decimals = 1);
 
   void Print(std::ostream& os) const;
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -146,15 +146,4 @@ void InvariantChecker::CheckEnergyConservation(const std::vector<SchedLogEntry>&
   }
 }
 
-void InvariantChecker::Report(std::ostream& os) const {
-  os << "invariant checks: " << checks_ << "\n";
-  os << "violations: " << violation_count_ << "\n";
-  for (const std::string& v : violations_) {
-    os << "  " << v << "\n";
-  }
-  if (violation_count_ > violations_.size()) {
-    os << "  ... " << (violation_count_ - violations_.size()) << " more suppressed\n";
-  }
-}
-
 }  // namespace dcs

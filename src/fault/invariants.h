@@ -24,7 +24,6 @@
 #define SRC_FAULT_INVARIANTS_H_
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -60,9 +59,6 @@ class InvariantChecker {
   std::uint64_t checks() const { return checks_; }
   std::uint64_t violation_count() const { return violation_count_; }
   const std::vector<std::string>& violations() const { return violations_; }
-
-  // Human-readable summary (used by bench/fault_storm --report-out).
-  void Report(std::ostream& os) const;
 
   // Device-snapshot support (src/sim/snapshot.h).  The watched components
   // are reference-bound at construction; only the checker's own history

@@ -73,12 +73,4 @@ double Battery::LifetimeHoursAtConstantPower(double watts) const {
   return params_.peukert_capacity / std::pow(amps, params_.peukert_exponent);
 }
 
-void Battery::Reset() {
-  depth_ = 0.0;
-  recoverable_ = 0.0;
-  life_ = SimTime::Zero();
-  died_ = false;
-  died_at_ = SimTime::Zero();
-}
-
 }  // namespace dcs

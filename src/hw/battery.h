@@ -80,9 +80,6 @@ class Battery {
   // hours until empty.
   double LifetimeHoursAtConstantPower(double watts) const;
 
-  // Resets to a full battery.
-  void Reset();
-
   // Replaces the parameter set.  The fleet layer uses this at device-fork
   // time to apply per-device capacity jitter: the shared warmup charge state
   // (depth, recoverable pool — both capacity fractions) carries over, future

@@ -28,6 +28,4 @@ int ClockTable::NearestStep(double mhz) {
   return best;
 }
 
-const std::array<double, kNumClockSteps>& ClockTable::Frequencies() { return kFrequencies; }
-
 }  // namespace dcs

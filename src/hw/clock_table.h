@@ -75,9 +75,6 @@ class ClockTable {
   // The step whose frequency is closest to mhz.
   static int NearestStep(double mhz);
 
-  // All step frequencies, ascending.
-  static const std::array<double, kNumClockSteps>& Frequencies();
-
   static constexpr int MinStep() { return 0; }
   static constexpr int MaxStep() { return kNumClockSteps - 1; }
 };

@@ -140,11 +140,6 @@ double Itsy::CurrentSystemWatts() const {
                                   VoltageVolts(regulator_.target()), peripherals_);
 }
 
-double Itsy::CurrentProcessorWatts() const {
-  return power_model_.ProcessorWatts(cpu_.state(), cpu_.step(),
-                                     VoltageVolts(regulator_.target()));
-}
-
 void Itsy::SyncBattery() {
   const SimTime now = sim_.Now();
   if (battery_) {

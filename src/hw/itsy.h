@@ -73,7 +73,6 @@ class Itsy {
 
   // --- Power --------------------------------------------------------------
   double CurrentSystemWatts() const;
-  double CurrentProcessorWatts() const;
   const PowerTape& tape() const { return tape_; }
   // For a device whose caller reads only the tape's running total
   // (PowerTape::DropHistory).  Call before anything reads a window.

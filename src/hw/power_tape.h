@@ -26,10 +26,8 @@
 #ifndef SRC_HW_POWER_TAPE_H_
 #define SRC_HW_POWER_TAPE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "src/sim/arena.h"
@@ -72,7 +70,7 @@ class PowerTape {
   double AverageWatts(SimTime begin, SimTime end) const;
 
   // Keeps only the last two segments from now on (see the file comment).
-  // Call on a tape nothing will read a window or a cursor from.
+  // Call on a tape nothing will read a window from.
   void DropHistory();
   bool keeps_history() const { return history_; }
 
@@ -107,48 +105,6 @@ class PowerTape {
       io(dropped_, origin_);
     }
   }
-
-  // Sequential reader: remembers the segment the previous lookup landed in,
-  // so a non-decreasing stream of query times (a DAQ's sampling pattern)
-  // costs amortised O(1) per read instead of a binary search each.  Reads
-  // see segments appended to the tape after the cursor was created; a query
-  // time earlier than the previous one is handled by falling back to a
-  // binary search re-sync.  Needs the tape's history: a history-free tape
-  // throws std::logic_error here.
-  class Cursor {
-   public:
-    explicit Cursor(const PowerTape& tape) : tape_(&tape) {
-      if (!tape.keeps_history()) {
-        throw std::logic_error("PowerTape::Cursor on a tape without history");
-      }
-    }
-
-    double WattsAt(SimTime t) {
-      const SegmentVector& segs = tape_->segments();
-      if (segs.empty() || t < segs.front().start) {
-        return 0.0;
-      }
-      if (index_ >= segs.size()) {
-        index_ = segs.size() - 1;
-      }
-      if (t < segs[index_].start) {
-        // Query time went backwards: re-sync with a binary search.
-        auto it = std::upper_bound(
-            segs.begin(), segs.end(), t,
-            [](SimTime x, const Segment& s) { return x < s.start; });
-        index_ = static_cast<std::size_t>(it - segs.begin()) - 1;
-        return segs[index_].watts;
-      }
-      while (index_ + 1 < segs.size() && segs[index_ + 1].start <= t) {
-        ++index_;
-      }
-      return segs[index_].watts;
-    }
-
-   private:
-    const PowerTape* tape_;
-    std::size_t index_ = 0;
-  };
 
  private:
   SegmentVector segments_;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/fault/fault_injector.h"
-#include "src/sim/logger.h"
 
 namespace dcs {
 namespace {
@@ -13,9 +12,6 @@ namespace {
 // A workload returning this many zero-duration actions at one instant is
 // broken (e.g. SpinUntil a past time in a loop); fail loudly.
 constexpr int kMaxInstantActions = 100000;
-
-// gettimeofday granularity: one period of the 3.6864 MHz timer.
-constexpr std::int64_t kTimerGranularityNs = 271;  // 1e9 / 3.6864e6 ~= 271.3
 
 }  // namespace
 
@@ -81,11 +77,6 @@ void Kernel::Start() {
   }
   ArmTick(start_time_ + config_.quantum);
   Dispatch();
-}
-
-SimTime Kernel::GetTimeOfDay() const {
-  const std::int64_t ns = sim_.Now().nanos();
-  return SimTime::Nanos(ns - ns % kTimerGranularityNs);
 }
 
 SimTime Kernel::JiffyAlign(SimTime t) const {

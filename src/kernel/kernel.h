@@ -90,10 +90,6 @@ class Kernel {
       policy_->OnInstall(*this);
     }
   }
-  void RemovePolicy() {
-    policy_ = nullptr;
-    policy_on_quantum_ = nullptr;
-  }
   ClockPolicy* policy() const { return policy_; }
 
   // Schedules the first clock interrupt and dispatches.  Call once.
@@ -104,9 +100,6 @@ class Kernel {
   SimTime quantum() const { return config_.quantum; }
   Simulator& sim() { return sim_; }
   Itsy& itsy() { return itsy_; }
-
-  // gettimeofday with the 3.6864 MHz timer granularity the paper used.
-  SimTime GetTimeOfDay() const;
 
   // Next tick boundary at or after `t` (jiffy rounding for sleeps).
   SimTime JiffyAlign(SimTime t) const;

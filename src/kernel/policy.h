@@ -69,9 +69,6 @@ class ClockPolicy {
   // std::nullopt) to leave the clock alone.
   virtual std::optional<SpeedRequest> OnQuantum(const UtilizationSample& sample) = 0;
 
-  // Clears predictor history (e.g. between repeated experiment runs).
-  virtual void Reset() {}
-
   // Device-snapshot image (src/sim/snapshot.h).  Stateful policies
   // describe every mutable field; stateless ones keep this default.  Config
   // (thresholds, windows, gains) is ctor-owned and not in the image — a

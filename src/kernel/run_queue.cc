@@ -17,15 +17,6 @@ Pid RunQueue::Pop() {
   return pid;
 }
 
-bool RunQueue::Remove(Pid pid) {
-  const auto it = std::find(queue_.begin(), queue_.end(), pid);
-  if (it == queue_.end()) {
-    return false;
-  }
-  queue_.erase(it);
-  return true;
-}
-
 bool RunQueue::Contains(Pid pid) const {
   return std::find(queue_.begin(), queue_.end(), pid) != queue_.end();
 }

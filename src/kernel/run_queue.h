@@ -29,10 +29,6 @@ class RunQueue {
   // Removes and returns the pid at the front.  Requires !Empty().
   Pid Pop();
 
-  // Removes a pid anywhere in the queue (used when a queued task exits).
-  // Returns true if it was present.
-  bool Remove(Pid pid);
-
   bool Contains(Pid pid) const;
 
   // Front-to-back dispatch order (read-only; used by the invariant checker).

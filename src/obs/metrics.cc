@@ -145,21 +145,4 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   os << "}}";
 }
 
-void MetricsRegistry::WriteText(std::ostream& os) const {
-  for (const auto& [name, counter] : counters_) {
-    os << name << " " << counter.value() << "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    os << name << " " << JsonNumber(gauge.value()) << "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    os << name << " count=" << histogram.count() << " mean=" << JsonNumber(histogram.mean())
-       << " min=" << JsonNumber(histogram.min()) << " max=" << JsonNumber(histogram.max())
-       << " p50=" << JsonNumber(histogram.ApproxQuantile(0.50))
-       << " p95=" << JsonNumber(histogram.ApproxQuantile(0.95))
-       << " p99=" << JsonNumber(histogram.ApproxQuantile(0.99))
-       << " p999=" << JsonNumber(histogram.ApproxQuantile(0.999)) << "\n";
-  }
-}
-
 }  // namespace dcs

@@ -163,9 +163,6 @@ class MetricsRegistry {
   // non-empty buckets as [upper_bound, count] pairs.
   void WriteJson(std::ostream& os) const;
 
-  // Human-readable "name value" lines, one instrument per line.
-  void WriteText(std::ostream& os) const;
-
   // Device-snapshot image (src/sim/snapshot.h).  Positional (SnapshotIo::
   // Keyed): instruments in map (sorted-name) order with a name hash per
   // entry.  The key set is fixed at stack-build time (producers resolve

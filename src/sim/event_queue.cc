@@ -25,15 +25,4 @@ SimTime EventQueue::TimeOf(EventId id) const {
   return entry != nullptr ? entry->at : SimTime::Zero();
 }
 
-void EventQueue::Clear() {
-  for (const Pending& entry : pending_) {
-    ReleaseSlot(entry.slot);
-  }
-  pending_.clear();
-  // Restart the FIFO tie-break counter so a cleared queue orders simultaneous
-  // events exactly like a fresh one (slot generations are deliberately left
-  // advanced, so ids stay unique for the queue's lifetime).
-  next_seq_ = 0;
-}
-
 }  // namespace dcs

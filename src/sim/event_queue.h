@@ -22,7 +22,7 @@
 //
 // EventId encoding: bits [63:32] hold the slot's generation, bits [31:0] the
 // slot index.  Generations start at 1 and advance every time a slot is freed
-// (cancel, pop, or Clear), so an id is live iff its generation matches its
+// (cancel or pop), so an id is live iff its generation matches its
 // slot's current one — stale ids from any earlier lifetime of the slot fail
 // the match, and kInvalidEventId (0) can never collide because no issued id
 // has generation 0.  A single slot would need 2^32 free transitions for its
@@ -102,9 +102,6 @@ class EventQueue {
     EventFn fn;
   };
   Entry Pop();
-
-  // Removes everything (the queue can be reused afterwards).
-  void Clear();
 
   // Original insertion sequence number of a live event.  The snapshot layer
   // records it at save time so restored events can be re-armed in their

@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/snapshot.h"
 
@@ -111,15 +110,6 @@ class Rng {
   // Device-snapshot image (src/sim/snapshot.h): the four xoshiro words, so
   // a restored generator continues its stream exactly.
   void Snapshot(SnapshotIo& io) { io(s_); }
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(UniformInt(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {

@@ -35,24 +35,17 @@ bool Simulator::Step() {
 }
 
 void Simulator::Run() {
-  // A stop requested before the loop starts (or during a previous callback)
-  // is sticky: it halts this run immediately and is consumed on exit, so the
-  // next Run()/RunUntil() proceeds normally.  A cancellation token is
-  // checked between events too but is never consumed.
-  while (!stop_requested_ && !CancelRequested() && Step()) {
+  while (!CancelRequested() && Step()) {
   }
-  stop_requested_ = false;
 }
 
 void Simulator::RunUntil(SimTime deadline) {
-  while (!stop_requested_ && !CancelRequested() && !queue_.Empty() &&
-         queue_.NextTime() <= deadline) {
+  while (!CancelRequested() && !queue_.Empty() && queue_.NextTime() <= deadline) {
     Step();
   }
-  const bool stopped = std::exchange(stop_requested_, false);
   // A cancelled run leaves now_ wherever the last event put it: the
   // simulation did not reach the deadline and must not pretend it did.
-  if (!stopped && !CancelRequested() && now_ < deadline) {
+  if (!CancelRequested() && now_ < deadline) {
     now_ = deadline;
   }
 }

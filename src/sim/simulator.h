@@ -48,30 +48,22 @@ class Simulator {
   // Cancels a pending event.  Returns true if it was still pending.
   bool Cancel(EventId id);
 
-  // Runs events until the queue is empty or a stop was requested.  A pending
-  // stop (requested before the call) is sticky: it halts the run before any
-  // event executes, and is consumed when the run observes it.
+  // Runs events until the queue is empty or the run is cancelled.
   void Run();
 
-  // Runs events with time <= deadline; afterwards Now() == deadline unless a
-  // stop was requested earlier.  Events scheduled exactly at the deadline do
-  // fire.  Like Run(), honours and consumes a stop requested before entry.
+  // Runs events with time <= deadline; afterwards Now() == deadline unless
+  // the run was cancelled.  Events scheduled exactly at the deadline do fire.
   void RunUntil(SimTime deadline);
 
   // Runs exactly one event if one is pending.  Returns false if idle.
   bool Step();
 
-  // Requests that Run()/RunUntil() return after the current callback.  If no
-  // run is active, the request stays pending and stops the next one.
-  void RequestStop() { stop_requested_ = true; }
-  bool StopRequested() const { return stop_requested_; }
-
   // Binds a cooperative cancellation token (non-owning; null unbinds).  The
   // event loops check it between events: once another thread sets it, the
   // run exits after the current callback, time stops advancing, and
-  // CancelRequested() stays true (unlike a stop, cancellation is never
-  // consumed — a cancelled simulation is over).  Unbound, the loops pay one
-  // null check per event.
+  // CancelRequested() stays true (cancellation is never consumed — a
+  // cancelled simulation is over).  Unbound, the loops pay one null check
+  // per event.
   void BindCancel(const std::atomic<bool>* token) { cancel_ = token; }
   bool CancelRequested() const {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
@@ -108,7 +100,6 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_;
-  bool stop_requested_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
   std::uint64_t events_executed_ = 0;
   std::uint64_t events_cancelled_ = 0;

@@ -154,19 +154,6 @@ class SnapshotReader {
     return s;
   }
 
-  // Reads a container's element count (written with U64) when each element
-  // takes at least `min_element_bytes` of the image.  Like Str(), a count
-  // the remaining bytes cannot hold latches ok() false and returns 0, so a
-  // hostile count field sizes no allocation and no loop.
-  std::size_t Count(std::size_t min_element_bytes) {
-    const std::uint64_t count = U64();
-    if (!ok_ || count > (size_ - pos_) / min_element_bytes) {
-      ok_ = false;
-      return 0;
-    }
-    return static_cast<std::size_t>(count);
-  }
-
   // Reads an enum saved with U8 whose enumerators run 0..`last`.  A value
   // past `last` latches ok() false and returns the first enumerator, so no
   // out-of-range state ever reaches a switch.

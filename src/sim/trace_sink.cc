@@ -12,99 +12,6 @@ void TraceSeries::Append(SimTime at, double value) {
   points_.push_back(TracePoint{at, value});
 }
 
-double TraceSeries::ValueAt(SimTime at, double fallback) const {
-  if (points_.empty() || at < points_.front().at) {
-    return fallback;
-  }
-  // First point with time > at, then step back one.
-  auto it = std::upper_bound(points_.begin(), points_.end(), at,
-                             [](SimTime t, const TracePoint& p) { return t < p.at; });
-  return std::prev(it)->value;
-}
-
-double TraceSeries::Min() const {
-  if (points_.empty()) {
-    return 0.0;
-  }
-  double m = points_.front().value;
-  for (const TracePoint& p : points_) {
-    m = std::min(m, p.value);
-  }
-  return m;
-}
-
-double TraceSeries::Max() const {
-  if (points_.empty()) {
-    return 0.0;
-  }
-  double m = points_.front().value;
-  for (const TracePoint& p : points_) {
-    m = std::max(m, p.value);
-  }
-  return m;
-}
-
-double TraceSeries::TimeWeightedMean(SimTime begin, SimTime end) const {
-  if (points_.empty() || end <= begin) {
-    return 0.0;
-  }
-  double weighted_sum = 0.0;
-  std::int64_t total_ns = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const SimTime seg_begin = std::max(points_[i].at, begin);
-    const SimTime seg_end =
-        std::min(i + 1 < points_.size() ? points_[i + 1].at : end, end);
-    if (seg_end > seg_begin) {
-      const std::int64_t ns = (seg_end - seg_begin).nanos();
-      weighted_sum += points_[i].value * static_cast<double>(ns);
-      total_ns += ns;
-    }
-  }
-  // Extend the first sample's value backwards over [begin, first.at).
-  if (begin < points_.front().at) {
-    const SimTime seg_end = std::min(points_.front().at, end);
-    if (seg_end > begin) {
-      const std::int64_t ns = (seg_end - begin).nanos();
-      weighted_sum += points_.front().value * static_cast<double>(ns);
-      total_ns += ns;
-    }
-  }
-  if (total_ns == 0) {
-    return 0.0;
-  }
-  return weighted_sum / static_cast<double>(total_ns);
-}
-
-TraceSeries TraceSeries::Rebucket(SimTime interval) const {
-  assert(interval > SimTime::Zero());
-  TraceSeries out(name_ + "/rebucket");
-  if (points_.empty()) {
-    return out;
-  }
-  std::int64_t bucket = points_.front().at.nanos() / interval.nanos();
-  double sum = 0.0;
-  std::size_t count = 0;
-  double last_value = points_.front().value;
-  auto flush = [&](std::int64_t b) {
-    const double v = count > 0 ? sum / static_cast<double>(count) : last_value;
-    out.Append(SimTime::Nanos(b * interval.nanos()), v);
-    last_value = v;
-    sum = 0.0;
-    count = 0;
-  };
-  for (const TracePoint& p : points_) {
-    const std::int64_t b = p.at.nanos() / interval.nanos();
-    while (b > bucket) {
-      flush(bucket);
-      ++bucket;
-    }
-    sum += p.value;
-    ++count;
-  }
-  flush(bucket);
-  return out;
-}
-
 TraceSeries& TraceSink::Series(const std::string& name) {
   auto it = series_.find(name);
   if (it == series_.end()) {

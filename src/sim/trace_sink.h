@@ -43,26 +43,6 @@ class TraceSeries {
   // never reallocates mid-run.
   void Reserve(std::size_t points) { points_.reserve(points); }
 
-  // Value as of time `at` under sample-and-hold semantics (the value of the
-  // most recent sample at or before `at`).  Returns `fallback` before the
-  // first sample — unlike TimeWeightedMean, which extends the first point's
-  // value backwards instead of consulting a fallback.
-  double ValueAt(SimTime at, double fallback = 0.0) const;
-
-  // Min / max / time-weighted mean over [begin, end) under sample-and-hold
-  // semantics.  The series value before its first point is taken as the first
-  // point's value (deliberately different from ValueAt's fallback: a mean of
-  // "whatever the series starts at" is more useful than mixing in a sentinel).
-  // Returns 0 for an empty series or an empty window.
-  double Min() const;
-  double Max() const;
-  double TimeWeightedMean(SimTime begin, SimTime end) const;
-
-  // Downsamples to a fixed-interval moving average: the mean of all samples
-  // whose time falls in each [k*interval, (k+1)*interval) bucket.  Buckets
-  // with no samples repeat the previous bucket's value.
-  TraceSeries Rebucket(SimTime interval) const;
-
   // Device-snapshot image (src/sim/snapshot.h): the points as one raw POD
   // span.  A load restores in place — shrinking back to the snapshot length
   // reuses the reserved capacity, so fleet device cycling never reallocates

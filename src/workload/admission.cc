@@ -1,24 +1,9 @@
 #include "src/workload/admission.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace dcs {
-
-AdmissionPolicy AdmissionPolicyFromName(const std::string& name) {
-  if (name == "none") {
-    return AdmissionPolicy::kNone;
-  }
-  if (name == "static-u") {
-    return AdmissionPolicy::kStaticU;
-  }
-  if (name == "feedback") {
-    return AdmissionPolicy::kFeedback;
-  }
-  throw std::invalid_argument("unknown admission policy '" + name +
-                              "' (expected none|static-u|feedback)");
-}
 
 const char* AdmissionPolicyName(AdmissionPolicy policy) {
   switch (policy) {

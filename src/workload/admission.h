@@ -67,8 +67,7 @@ namespace dcs {
 
 enum class AdmissionPolicy { kNone, kStaticU, kFeedback };
 
-// "none" | "static-u" | "feedback"; throws std::invalid_argument otherwise.
-AdmissionPolicy AdmissionPolicyFromName(const std::string& name);
+// "none" | "static-u" | "feedback".
 const char* AdmissionPolicyName(AdmissionPolicy policy);
 
 struct AdmissionConfig {

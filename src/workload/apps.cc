@@ -22,13 +22,8 @@ AppBundle MakeMpegApp(const MpegConfig& config, DeadlineMonitor* deadlines,
   AppBundle bundle;
   bundle.name = "mpeg";
   bundle.duration = config.duration;
-  // The tracker outlives the tasks (owned by the bundle's shared state).
-  auto sync = std::make_shared<AvSyncTracker>();
-  bundle.shared_state = sync;
-  bundle.tasks.push_back(
-      std::make_unique<MpegVideoWorkload>(config, deadlines, sync.get()));
-  bundle.tasks.push_back(
-      std::make_unique<MpegAudioWorkload>(config, deadlines, sync.get()));
+  bundle.tasks.push_back(std::make_unique<MpegVideoWorkload>(config, deadlines));
+  bundle.tasks.push_back(std::make_unique<MpegAudioWorkload>(config, deadlines));
   return bundle;
 }
 

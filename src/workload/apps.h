@@ -23,9 +23,6 @@ struct AppBundle {
   std::vector<std::unique_ptr<Workload>> tasks;
   // How long the scenario runs (experiments simulate a little past this).
   SimTime duration;
-  // Keeps cross-task shared state (e.g. the MPEG A/V sync tracker) alive for
-  // the lifetime of the run.
-  std::shared_ptr<void> shared_state;
 };
 
 // 60 s of 15 fps MPEG-1 video + audio (runs directly on Linux, no JVM).

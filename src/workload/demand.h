@@ -18,11 +18,6 @@ inline double BaseCyclesForMsAtTop(double ms, const MemoryProfile& profile) {
   return ms * 1e-3 * MemoryModel::EffectiveBaseHz(ClockTable::MaxStep(), profile);
 }
 
-// Milliseconds the given base cycles take at `step` with `profile`.
-inline double MsForBaseCycles(double base_cycles, int step, const MemoryProfile& profile) {
-  return base_cycles / MemoryModel::EffectiveBaseHz(step, profile) * 1e3;
-}
-
 }  // namespace dcs
 
 #endif  // SRC_WORKLOAD_DEMAND_H_

@@ -9,9 +9,8 @@
 
 namespace dcs {
 
-MpegVideoWorkload::MpegVideoWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
-                                     AvSyncTracker* sync)
-    : config_(config), deadlines_(deadlines), sync_(sync) {
+MpegVideoWorkload::MpegVideoWorkload(const MpegConfig& config, DeadlineMonitor* deadlines)
+    : config_(config), deadlines_(deadlines) {
   if (deadlines_ != nullptr) {
     video_frame_stream_ = deadlines_->Intern("video_frame");
     av_sync_stream_ = deadlines_->Intern("av_sync");
@@ -65,17 +64,12 @@ Action MpegVideoWorkload::Next(const WorkloadContext& ctx) {
       const SimTime display = DisplayTime(frame_);
       if (deadlines_ != nullptr) {
         deadlines_->Report(video_frame_stream_, display, ctx.now, config_.frame_tolerance);
-      }
-      if (sync_ != nullptr) {
-        // Video stream position: this frame is (or will be) shown at
-        // max(now, display); drift against the audio clock beyond the sync
-        // tolerance is the paper's "audio and video became unsynchronized".
-        sync_->PublishVideo(frame_period_ * (frame_ + 1));
-        if (deadlines_ != nullptr) {
-          const SimTime shown = std::max(ctx.now, display);
-          deadlines_->Report(av_sync_stream_, display + config_.av_sync_tolerance, shown,
-                             SimTime::Zero());
-        }
+        // This frame is (or will be) shown at max(now, display); audio plays
+        // in real time, so showing it more than the sync tolerance late is
+        // the paper's "audio and video became unsynchronized".
+        const SimTime shown = std::max(ctx.now, display);
+        deadlines_->Report(av_sync_stream_, display + config_.av_sync_tolerance, shown,
+                           SimTime::Zero());
       }
       if (ctx.now >= display) {
         if (config_.elastic) {
@@ -126,9 +120,8 @@ Action MpegVideoWorkload::Next(const WorkloadContext& ctx) {
   return Action::Exit();
 }
 
-MpegAudioWorkload::MpegAudioWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
-                                     AvSyncTracker* sync)
-    : config_(config), deadlines_(deadlines), sync_(sync) {
+MpegAudioWorkload::MpegAudioWorkload(const MpegConfig& config, DeadlineMonitor* deadlines)
+    : config_(config), deadlines_(deadlines) {
   if (deadlines_ != nullptr) {
     audio_stream_ = deadlines_->Intern("audio");
   }
@@ -155,11 +148,6 @@ Action MpegAudioWorkload::Next(const WorkloadContext& ctx) {
       const SimTime drain = origin_ + config_.audio_period * (buffer_ + 1);
       if (deadlines_ != nullptr) {
         deadlines_->Report(audio_stream_, drain, ctx.now, SimTime::Millis(20));
-      }
-      if (sync_ != nullptr) {
-        // Audio plays in real time as long as refills land: its stream
-        // position is the buffer count.
-        sync_->PublishAudio(config_.audio_period * (buffer_ + 1));
       }
       ++buffer_;
       if (buffer_ >= total_buffers_) {

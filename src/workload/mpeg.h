@@ -31,27 +31,6 @@
 
 namespace dcs {
 
-// Shared between the video and audio tasks: each publishes how far its
-// stream has progressed, and the video side reports the drift as the
-// "av_sync" deadline stream.  The paper's failure symptom — "the MPEG audio
-// and video became unsynchronized" — is a drift beyond the sync tolerance.
-class AvSyncTracker {
- public:
-  void PublishVideo(SimTime position) { video_position_ = position; }
-  void PublishAudio(SimTime position) { audio_position_ = position; }
-  // Positive when video lags behind audio.
-  SimTime Drift() const { return audio_position_ - video_position_; }
-
- private:
-  SimTime video_position_;
-  SimTime audio_position_;
-};
-
-}  // namespace dcs
-
-
-namespace dcs {
-
 // How the player waits for a frame's display time (ablation knob; the real
 // player used the spin/sleep hybrid of section 5.3).
 enum class MpegPacing {
@@ -93,15 +72,16 @@ struct MpegConfig {
   SimTime audio_period = SimTime::Millis(100);
   double audio_refill_ms_at_top = 4.0;
   // Audio/video drift beyond this is audibly out of sync (reported on the
-  // "av_sync" stream when a tracker is attached).
+  // "av_sync" stream).  The paper's failure symptom — "the MPEG audio and
+  // video became unsynchronized" — is a frame shown this late.
   SimTime av_sync_tolerance = SimTime::Millis(100);
 };
 
-// Video decode/pace/display loop.  Reports "video_frame" deadlines.
+// Video decode/pace/display loop.  Reports "video_frame" and "av_sync"
+// deadlines.
 class MpegVideoWorkload final : public Workload {
  public:
-  MpegVideoWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
-                    AvSyncTracker* sync = nullptr);
+  MpegVideoWorkload(const MpegConfig& config, DeadlineMonitor* deadlines);
 
   const char* Name() const override { return "mpeg_video"; }
   Action Next(const WorkloadContext& ctx) override;
@@ -130,7 +110,6 @@ class MpegVideoWorkload final : public Workload {
   DeadlineMonitor* deadlines_;
   DeadlineMonitor::Stream video_frame_stream_;
   DeadlineMonitor::Stream av_sync_stream_;
-  AvSyncTracker* sync_;
   MemoryProfile profile_;
   State state_ = State::kStart;
   SimTime origin_;
@@ -144,8 +123,7 @@ class MpegVideoWorkload final : public Workload {
 // "audio" deadlines and switches the audio path on while running.
 class MpegAudioWorkload final : public Workload {
  public:
-  MpegAudioWorkload(const MpegConfig& config, DeadlineMonitor* deadlines,
-                    AvSyncTracker* sync = nullptr);
+  MpegAudioWorkload(const MpegConfig& config, DeadlineMonitor* deadlines);
 
   const char* Name() const override { return "mpeg_audio"; }
   Action Next(const WorkloadContext& ctx) override;
@@ -163,7 +141,6 @@ class MpegAudioWorkload final : public Workload {
   MpegConfig config_;
   DeadlineMonitor* deadlines_;
   DeadlineMonitor::Stream audio_stream_;
-  AvSyncTracker* sync_;
   MemoryProfile profile_;
   double refill_cycles_ = 0.0;
   State state_ = State::kStart;

@@ -116,20 +116,6 @@ std::vector<double> SelfSimilarArrivalTimes(Rng& rng, const ServerConfig& config
 
 }  // namespace
 
-ArrivalProcess ArrivalProcessFromName(const std::string& name) {
-  if (name == "poisson") {
-    return ArrivalProcess::kPoisson;
-  }
-  if (name == "bursty") {
-    return ArrivalProcess::kBursty;
-  }
-  if (name == "selfsimilar") {
-    return ArrivalProcess::kSelfSimilar;
-  }
-  throw std::invalid_argument("unknown arrival process '" + name +
-                              "' (expected poisson|bursty|selfsimilar)");
-}
-
 const char* ArrivalProcessName(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kPoisson:

@@ -44,9 +44,7 @@ namespace dcs {
 
 enum class ArrivalProcess { kPoisson, kBursty, kSelfSimilar };
 
-// "poisson" | "bursty" | "selfsimilar"; throws std::invalid_argument on
-// anything else.
-ArrivalProcess ArrivalProcessFromName(const std::string& name);
+// "poisson" | "bursty" | "selfsimilar".
 const char* ArrivalProcessName(ArrivalProcess process);
 
 // A value class of requests sharing one deadline-monitor stream.  Requests

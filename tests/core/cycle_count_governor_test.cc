@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/image_copy.h"
+
 namespace dcs {
 namespace {
 
@@ -111,12 +113,13 @@ TEST(CycleCountGovernorTest, HeadroomRequestsFasterStep) {
   EXPECT_EQ(*request->step, 10);
 }
 
+// Reset: a fresh governor's snapshot image loaded into a used one.
 TEST(CycleCountGovernorTest, ResetForgetsWindow) {
   CycleCountGovernor gov(4);
   for (int i = 0; i < 4; ++i) {
     gov.OnQuantum(Sample(1.0, 10));
   }
-  gov.Reset();
+  ASSERT_TRUE(testing::CopyThroughImage(CycleCountGovernor(4), gov));
   EXPECT_DOUBLE_EQ(gov.AverageBusyMhz(), 0.0);
 }
 

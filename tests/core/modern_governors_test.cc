@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/image_copy.h"
+
 namespace dcs {
 namespace {
 
@@ -50,8 +52,9 @@ TEST(OndemandGovernorTest, ResetRestartsWindow) {
   config.sampling_quanta = 2;
   OndemandGovernor gov(config);
   gov.OnQuantum(Sample(1.0, 5));
-  gov.Reset();
-  // After reset the window restarts; one more sample is not enough.
+  // Reset: a fresh governor's snapshot image loaded into the used one.  The
+  // window restarts; one more sample is not enough.
+  ASSERT_TRUE(testing::CopyThroughImage(OndemandGovernor(config), gov));
   EXPECT_FALSE(gov.OnQuantum(Sample(1.0, 5)).has_value());
 }
 
@@ -137,7 +140,8 @@ TEST(SchedutilGovernorTest, RateLimitBlocksBackToBackChanges) {
 TEST(SchedutilGovernorTest, ResetClearsState) {
   SchedutilGovernor gov;
   gov.OnQuantum(Sample(1.0, 10));
-  gov.Reset();
+  // Reset: a fresh governor's snapshot image loaded into the used one.
+  ASSERT_TRUE(testing::CopyThroughImage(SchedutilGovernor(), gov));
   EXPECT_DOUBLE_EQ(gov.scaled_utilization(), 0.0);
 }
 

@@ -5,10 +5,13 @@
 #include <cmath>
 
 #include "src/sim/rng.h"
+#include "tests/support/image_copy.h"
 #include <vector>
 
 namespace dcs {
 namespace {
+
+using testing::CopyThroughImage;
 
 TEST(PastPredictorTest, ReturnsLastUtilization) {
   PastPredictor past;
@@ -34,8 +37,9 @@ TEST(PastPredictorTest, NameAndClone) {
   PastPredictor past;
   EXPECT_EQ(past.Name(), "PAST");
   past.Update(0.4);
-  auto clone = past.Clone();
-  EXPECT_DOUBLE_EQ(clone->Current(), 0.4);
+  PastPredictor clone;
+  ASSERT_TRUE(CopyThroughImage(past, clone));
+  EXPECT_DOUBLE_EQ(clone.Current(), 0.4);
 }
 
 TEST(AvgNPredictorTest, Avg0EquivalentToPast) {
@@ -120,9 +124,10 @@ TEST(AvgNPredictorTest, ConvergesToConstantInput) {
 TEST(AvgNPredictorTest, CloneIsIndependent) {
   AvgNPredictor avg(4);
   avg.Update(0.8);
-  auto clone = avg.Clone();
+  AvgNPredictor clone(4);
+  ASSERT_TRUE(CopyThroughImage(avg, clone));
   avg.Update(0.0);
-  EXPECT_NE(clone->Current(), avg.Current());
+  EXPECT_NE(clone.Current(), avg.Current());
 }
 
 TEST(AvgNPredictorTest, NameIncludesN) {
@@ -155,7 +160,9 @@ TEST(SlidingWindowPredictorTest, ResetAndName) {
 }
 
 // Property sweep: every predictor maps [0,1] inputs to [0,1] outputs and
-// converges on constant input.
+// converges on constant input.  A clone is a fresh predictor of the same
+// configuration loaded with the original's snapshot image, as the fleet
+// clones a device.
 class PredictorPropertyTest : public ::testing::TestWithParam<int> {
  protected:
   std::unique_ptr<UtilizationPredictor> Make() const {
@@ -194,7 +201,8 @@ TEST_P(PredictorPropertyTest, CloneMatchesOriginal) {
   for (int i = 0; i < 50; ++i) {
     predictor->Update(rng.NextDouble());
   }
-  auto clone = predictor->Clone();
+  auto clone = Make();
+  ASSERT_TRUE(CopyThroughImage(*predictor, *clone));
   EXPECT_DOUBLE_EQ(clone->Current(), predictor->Current());
   // Both evolve identically afterwards.
   for (int i = 0; i < 50; ++i) {
@@ -221,16 +229,16 @@ TEST_P(PredictorPropertyTest, ResetRoundTripMatchesFreshInstance) {
 }
 
 TEST_P(PredictorPropertyTest, CloneResetRoundTrip) {
-  // Clone() -> Reset() on the clone leaves the original untouched, and the
-  // reset clone behaves like a fresh instance (sweeps rely on both when
-  // cloning a configured prototype per job).
+  // Clone -> Reset() on the clone leaves the original untouched, and the
+  // reset clone behaves like a fresh instance.
   auto original = Make();
   Rng rng(GetParam() + 400);
   for (int i = 0; i < 60; ++i) {
     original->Update(rng.NextDouble());
   }
   const double before = original->Current();
-  auto clone = original->Clone();
+  auto clone = Make();
+  ASSERT_TRUE(CopyThroughImage(*original, *clone));
   clone->Reset();
   EXPECT_DOUBLE_EQ(original->Current(), before);
   EXPECT_DOUBLE_EQ(clone->Current(), 0.0);
@@ -245,17 +253,20 @@ TEST_P(PredictorPropertyTest, CloneResetRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(AllPredictors, PredictorPropertyTest, ::testing::Range(0, 16));
 
 TEST(AvgNPredictorTest, Avg0TracksPastThroughCloneAndReset) {
-  // AVG_0 degenerates to PAST, and the equivalence survives Clone()/Reset().
+  // AVG_0 degenerates to PAST, and the equivalence survives a clone through
+  // the snapshot image and Reset().
   AvgNPredictor avg0(0);
   PastPredictor past;
   for (double u : {0.2, 0.8, 0.5}) {
     EXPECT_DOUBLE_EQ(avg0.Update(u), past.Update(u));
   }
-  auto avg0_clone = avg0.Clone();
-  auto past_clone = past.Clone();
-  EXPECT_DOUBLE_EQ(avg0_clone->Current(), past_clone->Current());
+  AvgNPredictor avg0_clone(0);
+  PastPredictor past_clone;
+  ASSERT_TRUE(CopyThroughImage(avg0, avg0_clone));
+  ASSERT_TRUE(CopyThroughImage(past, past_clone));
+  EXPECT_DOUBLE_EQ(avg0_clone.Current(), past_clone.Current());
   for (double u : {1.0, 0.0, 0.66}) {
-    EXPECT_DOUBLE_EQ(avg0_clone->Update(u), past_clone->Update(u));
+    EXPECT_DOUBLE_EQ(avg0_clone.Update(u), past_clone.Update(u));
   }
   avg0.Reset();
   past.Reset();

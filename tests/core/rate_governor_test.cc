@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/exp/experiment.h"
+#include "tests/support/image_copy.h"
 
 namespace dcs {
 namespace {
@@ -69,7 +70,8 @@ TEST(SaturationAwareGovernorTest, ResetAndName) {
   SaturationAwareGovernor governor;
   EXPECT_STREQ(governor.Name(), "satrate4");
   governor.OnQuantum(Sample(0.5, 10));
-  governor.Reset();
+  // Reset: a fresh governor's snapshot image loaded into the used one.
+  ASSERT_TRUE(testing::CopyThroughImage(SaturationAwareGovernor(), governor));
   EXPECT_DOUBLE_EQ(governor.AverageBusyMhz(), 0.0);
 }
 

@@ -11,6 +11,7 @@
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/apps.h"
+#include "tests/support/image_copy.h"
 
 namespace dcs {
 namespace {
@@ -23,6 +24,7 @@ UtilizationSample Sample(int step) {
 
 TEST(ScheduleReplayPolicyTest, FollowsScheduleInOrder) {
   ScheduleReplayPolicy policy({3, 5, 5, 0});
+  EXPECT_STREQ(policy.Name(), "replay[4]");
   EXPECT_EQ(policy.OnQuantum(Sample(10))->step, 3);
   EXPECT_EQ(policy.OnQuantum(Sample(3))->step, 5);
   EXPECT_FALSE(policy.OnQuantum(Sample(5)).has_value());  // already at 5
@@ -53,7 +55,8 @@ TEST(ScheduleReplayPolicyTest, ResetRestartsSchedule) {
   ScheduleReplayPolicy policy({2, 9});
   policy.OnQuantum(Sample(10));
   policy.OnQuantum(Sample(2));
-  policy.Reset();
+  // Reset: a fresh policy's snapshot image loaded into the used one.
+  ASSERT_TRUE(testing::CopyThroughImage(ScheduleReplayPolicy({2, 9}), policy));
   EXPECT_EQ(policy.OnQuantum(Sample(10))->step, 2);
 }
 

@@ -82,19 +82,6 @@ TEST(SpeedPolicyFactoryTest, NamesRoundTrip) {
   }
 }
 
-TEST(SpeedPolicyCloneTest, ClonesPreserveBehaviour) {
-  for (const char* name : {"one", "double", "peg"}) {
-    auto policy = MakeSpeedPolicy(name);
-    auto clone = policy->Clone();
-    for (int step = 0; step <= 10; ++step) {
-      EXPECT_EQ(policy->Next(step, ScaleDirection::kUp, kMin, kMax),
-                clone->Next(step, ScaleDirection::kUp, kMin, kMax));
-      EXPECT_EQ(policy->Next(step, ScaleDirection::kDown, kMin, kMax),
-                clone->Next(step, ScaleDirection::kDown, kMin, kMax));
-    }
-  }
-}
-
 // Property: every policy's output is within bounds and moves (weakly) in the
 // requested direction.
 class SpeedPolicyPropertyTest : public ::testing::TestWithParam<const char*> {};

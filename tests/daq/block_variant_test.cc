@@ -74,13 +74,12 @@ VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const Pow
   VariantRun run;
   run.samples.resize(static_cast<std::size_t>(std::max<std::int64_t>(count, 0)));
   Rng rng(config.seed);
-  PowerTape::Cursor cursor(tape);
   for (std::int64_t base = 0; base < count; base += kBatch) {
     const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
     block.vals = run.samples.data() + base;
     block.n = n;
     for (int i = 0; i < n; ++i) {
-      const double watts = cursor.WattsAt(begin + SimTime::FromSecondsF((base + i) * period_s));
+      const double watts = tape.WattsAt(begin + SimTime::FromSecondsF((base + i) * period_s));
       block.vals[i] = (watts / config.supply_volts) * config.shunt_ohms;
     }
     for (int i = 0; i < n; ++i) {

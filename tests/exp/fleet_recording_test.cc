@@ -12,12 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/exp/device_sim.h"
 #include "src/exp/fleet.h"
+#include "src/obs/metrics.h"
 #include "src/sim/snapshot.h"
 
 namespace dcs {
@@ -201,6 +206,79 @@ TEST(FleetRecordingTest, FaultedFleetDeviceKeepsTapeHistory) {
   const FleetReport report = runner.Run();
   EXPECT_EQ(report.devices, spec.devices);
   EXPECT_EQ(report.failed_shards, 0u);
+}
+
+// A fleet whose batteries die mid-run: a Peukert capacity a few thousandths
+// of the default.  Devices die at different times, so the death count, its
+// histogram and the per-device artifact's died_at_s column all carry data.
+FleetSpec DyingFleet() {
+  FleetSpec spec = MixedFleet("fixed-132.7");
+  spec.base.itsy.battery->peukert_capacity = 1.5e-4;
+  spec.duration = SimTime::Seconds(6);
+  return spec;
+}
+
+// Parses the died_at_s column of every per-device artifact under `prefix`
+// (one file per shard); "-" marks a device that survived.
+std::vector<std::uint64_t> DeathTimesFromRows(const FleetRunner& runner,
+                                              const std::string& prefix,
+                                              std::uint64_t* rows) {
+  std::vector<std::uint64_t> deaths;
+  *rows = 0;
+  for (const FleetShard& shard : runner.shards()) {
+    std::ifstream in(prefix + ".shard" + std::to_string(shard.first_device) + ".csv");
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "device_id,app,energy_uj,deadline_events,deadline_misses,died_at_s");
+    while (std::getline(in, line)) {
+      ++*rows;
+      const std::string died_at = line.substr(line.rfind(',') + 1);
+      if (died_at != "-") {
+        deaths.push_back(std::stoull(died_at));
+      }
+    }
+  }
+  return deaths;
+}
+
+// FNV-1a 64 of the dying fleet's rendered report, recorded before the
+// fleet's death aggregation was first exercised by a test.
+TEST(FleetRecordingTest, DyingFleetReportIsPinnedAndMatchesItsRows) {
+  FleetSpec spec = DyingFleet();
+  spec.per_device_out =
+      ::testing::TempDir() + "dying_fleet." + std::to_string(::getpid());
+  FleetRunner runner(spec, SweepOptions{});
+  const FleetReport report = runner.Run();
+  const std::string json = RenderFleetJson(report);
+  EXPECT_EQ(Hex(SnapshotNameHash(json)), "b18af48b79e434d0") << json;
+  ASSERT_GT(report.battery_deaths, 0u);
+  ASSERT_LT(report.battery_deaths, spec.devices);
+
+  std::uint64_t rows = 0;
+  const std::vector<std::uint64_t> deaths = DeathTimesFromRows(runner, spec.per_device_out, &rows);
+  EXPECT_EQ(rows, spec.devices);
+  EXPECT_EQ(deaths.size(), report.battery_deaths);
+  // Death times are whole seconds inside the 6 s horizon.
+  for (const std::uint64_t s : deaths) {
+    EXPECT_GE(s, 1u);
+    EXPECT_LE(s, 6u);
+  }
+  // The rows rebuild the merged death histogram exactly.
+  LogHistogram from_rows;
+  for (const std::uint64_t s : deaths) {
+    from_rows.Observe(static_cast<double>(s));
+  }
+  const LogHistogram* merged = report.merged.FindHistogram("fleet.battery_death_s");
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->count(), from_rows.count());
+  EXPECT_EQ(merged->buckets(), from_rows.buckets());
+  EXPECT_EQ(merged->sum(), from_rows.sum());
+  EXPECT_EQ(merged->min(), from_rows.min());
+  EXPECT_EQ(merged->max(), from_rows.max());
+  for (const FleetShard& shard : runner.shards()) {
+    std::remove((spec.per_device_out + ".shard" + std::to_string(shard.first_device) + ".csv")
+                    .c_str());
+  }
 }
 
 }  // namespace

@@ -120,5 +120,21 @@ TEST(FleetSnapshotServerTest, ServerAppSurvivesSnapshotRoundTrip) {
   ExpectSnapshotPathsIdentical(config);
 }
 
+// A feedback admission gate puts the controller's own state (its adapted
+// bound and violation window) into the image.
+TEST(FleetSnapshotServerTest, FeedbackAdmissionSurvivesSnapshotRoundTrip) {
+  ExperimentConfig config;
+  config.app = "server";
+  config.governor = "pid-vs";
+  config.seed = 11;
+  config.duration = SimTime::Seconds(2);
+  config.server.emplace();
+  config.server->rate_rps = 320.0;
+  config.server->duration = SimTime::Seconds(2);
+  config.server->admission.policy = AdmissionPolicy::kFeedback;
+  config.itsy.battery = BatteryParams{};
+  ExpectSnapshotPathsIdentical(config);
+}
+
 }  // namespace
 }  // namespace dcs

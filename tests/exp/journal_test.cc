@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,12 @@ ExperimentConfig ShortMpeg(std::uint64_t seed, const std::string& governor = "fi
   config.seed = seed;
   config.duration = SimTime::Seconds(2);
   return config;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+  return buf;
 }
 
 std::string MetricsJson(const ExperimentResult& r) {
@@ -155,6 +162,63 @@ TEST(ConfigFingerprintTest, SensitiveToEverySimulationRelevantField) {
   changed = base;
   changed.kernel.quantum = changed.kernel.quantum * 2;
   EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(base));
+}
+
+// An mpeg config with its MpegConfig section present.
+ExperimentConfig MpegSection() {
+  ExperimentConfig config = ShortMpeg(1);
+  config.mpeg.emplace();
+  return config;
+}
+
+// A server config with two stream classes, a feedback admission gate, a
+// battery and the DAQ: every remaining optional section.
+ExperimentConfig ServerAdmissionSection() {
+  ExperimentConfig config;
+  config.app = "server";
+  config.governor = "pid-vs";
+  config.seed = 7;
+  config.duration = SimTime::Seconds(4);
+  config.server.emplace();
+  config.server->rate_rps = 80.0;
+  config.server->duration = SimTime::Seconds(4);
+  config.server->streams = {{"interactive", 2.0, 1.0}, {"batch", 0.5, 3.0}};
+  config.server->admission.policy = AdmissionPolicy::kFeedback;
+  config.itsy.battery = BatteryParams{};
+  return config;
+}
+
+TEST(ConfigFingerprintTest, SensitiveToEverySection) {
+  const ExperimentConfig mpeg = MpegSection();
+  EXPECT_NE(ConfigFingerprint(mpeg), ConfigFingerprint(ShortMpeg(1)));
+  ExperimentConfig changed = mpeg;
+  changed.mpeg->video_profile.line_fills_per_kilocycle += 1.0;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(mpeg)) << "mpeg";
+
+  const ExperimentConfig server = ServerAdmissionSection();
+  changed = server;
+  changed.server->rate_rps = 81.0;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(server)) << "server";
+  changed = server;
+  changed.server->streams[1].weight = 2.0;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(server)) << "stream class";
+  changed = server;
+  changed.server->admission.utilization_bound += 0.05;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(server)) << "admission";
+  changed = server;
+  changed.itsy.battery->recovery_per_hour = 0.25;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(server)) << "battery";
+  changed = server;
+  changed.daq.noise_lsb += 0.5;
+  EXPECT_NE(ConfigFingerprint(changed), ConfigFingerprint(server)) << "daq";
+}
+
+// Recorded before the fingerprint's sections were first run by a test; a
+// rewrite of ConfigFingerprint must keep these bytes, or every journal on
+// disk stops resuming.
+TEST(ConfigFingerprintTest, SectionFingerprintsArePinned) {
+  EXPECT_EQ(Hex(ConfigFingerprint(MpegSection())), "7c8058ced741c0c8");
+  EXPECT_EQ(Hex(ConfigFingerprint(ServerAdmissionSection())), "8429a594096682af");
 }
 
 TEST(ConfigFingerprintTest, IgnoresHowNotWhatFields) {
@@ -341,6 +405,21 @@ TEST_F(JournalTest, MissingFileIsNotReadable) {
   EXPECT_FALSE(journal.readable);
   EXPECT_TRUE(journal.segments.empty());
   EXPECT_EQ(journal.valid_bytes, 0u);
+}
+
+TEST_F(JournalTest, UnopenablePathFailsWithTheOperationAndPath) {
+  // The journal's parent is a regular file, so neither open can succeed.
+  const fs::path not_a_dir = dir_ / "plain_file";
+  std::ofstream(not_a_dir) << "x";
+  const std::string path = (not_a_dir / "campaign.journal").string();
+
+  std::string error;
+  EXPECT_EQ(JournalWriter::Create(path, &error), nullptr);
+  EXPECT_EQ(error.rfind("create journal '" + path + "': ", 0), 0u) << error;
+  error.clear();
+  EXPECT_EQ(JournalWriter::Append(path, 0, &error), nullptr);
+  EXPECT_EQ(error.rfind("open journal '" + path + "': ", 0), 0u) << error;
+  EXPECT_FALSE(ReadJournal(path).readable);
 }
 
 TEST_F(JournalTest, RecordBeforeAnyHeaderIsAStructuralViolation) {

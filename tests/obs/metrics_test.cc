@@ -180,17 +180,6 @@ TEST(MetricsRegistryTest, WriteJsonIsValidAndDeterministic) {
   EXPECT_EQ(json.back(), '}');
 }
 
-TEST(MetricsRegistryTest, WriteTextOneLinePerInstrument) {
-  MetricsRegistry r;
-  r.Counter("a.count").Inc(2);
-  r.Gauge("b.level").Set(0.5);
-  std::ostringstream os;
-  r.WriteText(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("a.count"), std::string::npos);
-  EXPECT_NE(text.find("b.level"), std::string::npos);
-}
-
 TEST(JsonNumberTest, RoundTripsAndSanitises) {
   EXPECT_EQ(JsonNumber(0.0), "0");
   EXPECT_EQ(JsonNumber(0.25), "0.25");

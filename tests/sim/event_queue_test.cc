@@ -100,62 +100,6 @@ TEST(EventQueueTest, SizeCountsOnlyLiveEvents) {
   EXPECT_EQ(q.Size(), 1u);
 }
 
-TEST(EventQueueTest, ClearRemovesEverything) {
-  EventQueue q;
-  q.Push(SimTime::Millis(1), [] {});
-  q.Push(SimTime::Millis(2), [] {});
-  q.Clear();
-  EXPECT_TRUE(q.Empty());
-  // Queue is reusable after Clear.
-  q.Push(SimTime::Millis(3), [] {});
-  EXPECT_EQ(q.NextTime(), SimTime::Millis(3));
-}
-
-TEST(EventQueueTest, ClearedQueueOrdersTiesLikeAFreshOne) {
-  // Regression: Clear() used to leave next_seq_ running, so the FIFO
-  // tie-break state of a cleared queue diverged from a fresh queue's — a
-  // reproducibility hazard for back-to-back runs reusing a simulator.  Replay
-  // the same schedule on both and demand identical pop order.
-  auto replay = [](EventQueue& q) {
-    std::vector<int> order;
-    const SimTime t = SimTime::Millis(4);
-    for (int i = 0; i < 5; ++i) {
-      q.Push(t, [&order, i] { order.push_back(i); });
-    }
-    q.Push(SimTime::Millis(2), [&order] { order.push_back(99); });
-    while (!q.Empty()) {
-      q.Pop().fn();
-    }
-    return order;
-  };
-
-  EventQueue fresh;
-  const std::vector<int> fresh_order = replay(fresh);
-
-  EventQueue reused;
-  reused.Push(SimTime::Millis(1), [] {});
-  reused.Push(SimTime::Millis(1), [] {});
-  reused.Pop();
-  reused.Clear();
-  const std::vector<int> reused_order = replay(reused);
-
-  EXPECT_EQ(reused_order, fresh_order);
-  EXPECT_EQ(fresh_order, (std::vector<int>{99, 0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, IdsStayUniqueAcrossClear) {
-  // Clear() resets tie-break state but must not recycle EventIds: a stale id
-  // from before the Clear() may still be held by a caller and must not
-  // cancel a new event.
-  EventQueue q;
-  const EventId before = q.Push(SimTime::Millis(1), [] {});
-  q.Clear();
-  const EventId after = q.Push(SimTime::Millis(1), [] {});
-  EXPECT_NE(before, after);
-  EXPECT_FALSE(q.Cancel(before));
-  EXPECT_TRUE(q.Cancel(after));
-}
-
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   EventQueue q;
   for (int i = 999; i >= 0; --i) {
@@ -241,18 +185,14 @@ struct RefModel {
     events.erase(events.begin());
     return front;
   }
-  void Clear() {
-    events.clear();
-    next_seq = 0;  // a cleared queue ties like a fresh one
-  }
 };
 
 TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
-  // Drives random push/cancel/pop/Clear interleavings against the reference
-  // model above and demands identical observable behaviour: sizes, pop order
-  // (including FIFO tie-breaks — times are drawn from a tiny range so ties
-  // are common), which callback fired, and cancel return values for live,
-  // popped, cancelled, and pre-Clear ids.
+  // Drives random push/cancel/pop/cancel-all interleavings against the
+  // reference model above and demands identical observable behaviour: sizes,
+  // pop order (including FIFO tie-breaks — times are drawn from a tiny range
+  // so ties are common), which callback fired, and cancel return values for
+  // live, popped and cancelled ids.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     EventQueue q;
     RefModel ref;
@@ -293,10 +233,10 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
         }
       } else {
         for (const RefModel::Ev& ev : ref.events) {
+          ASSERT_TRUE(q.Cancel(ev.id)) << "step " << step << " seed " << seed;
           stale.push_back(ev.id);
         }
-        ref.Clear();
-        q.Clear();
+        ref.events.clear();
       }
       ASSERT_EQ(q.Size(), ref.events.size());
       ASSERT_EQ(q.Empty(), ref.events.empty());

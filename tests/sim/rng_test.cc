@@ -185,27 +185,6 @@ TEST(RngTest, ForksAreMutuallyDecorrelated) {
   EXPECT_LT(same, 2);
 }
 
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(47);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> original = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, original);
-}
-
-TEST(RngTest, ShuffleChangesOrderEventually) {
-  Rng rng(53);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const std::vector<int> original = v;
-  bool changed = false;
-  for (int i = 0; i < 10 && !changed; ++i) {
-    rng.Shuffle(v);
-    changed = (v != original);
-  }
-  EXPECT_TRUE(changed);
-}
-
 TEST(RngForkTest, NumberedForksAreDeterministic) {
   const Rng base(123);
   Rng a = base.Fork(7);

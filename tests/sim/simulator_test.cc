@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -87,60 +88,37 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
-TEST(SimulatorTest, RequestStopEndsRunEarly) {
+TEST(SimulatorTest, CancelEndsRunAfterTheCurrentCallback) {
+  std::atomic<bool> cancel{false};
   Simulator sim;
+  sim.BindCancel(&cancel);
   int fired = 0;
   sim.At(SimTime::Millis(1), [&] {
     ++fired;
-    sim.RequestStop();
+    cancel = true;
   });
   sim.At(SimTime::Millis(2), [&] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.PendingEvents(), 1u);
-}
-
-TEST(SimulatorTest, StopBeforeRunIsStickyUntilObserved) {
-  // Regression: Run() used to clear stop_requested_ on entry, silently
-  // losing a Stop() issued before the loop started.
-  Simulator sim;
-  int fired = 0;
-  sim.At(SimTime::Millis(1), [&] { ++fired; });
-  sim.RequestStop();
-  EXPECT_TRUE(sim.StopRequested());
-  sim.Run();
-  EXPECT_EQ(fired, 0);  // the pending stop halted the run before any event
-  EXPECT_FALSE(sim.StopRequested());  // ...and was consumed by it
-  sim.Run();
-  EXPECT_EQ(fired, 1);  // the next run proceeds normally
-}
-
-TEST(SimulatorTest, StopBeforeRunUntilIsStickyAndHoldsClock) {
-  Simulator sim;
-  int fired = 0;
-  sim.At(SimTime::Millis(5), [&] { ++fired; });
-  sim.RequestStop();
-  sim.RunUntil(SimTime::Millis(10));
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(sim.Now(), SimTime::Zero());  // a stopped run does not jump the clock
-  sim.RunUntil(SimTime::Millis(10));
+  sim.Run();  // a cancellation is never consumed
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.Now(), SimTime::Millis(10));
 }
 
-TEST(SimulatorTest, StopThatEndedARunDoesNotLeakIntoTheNext) {
+TEST(SimulatorTest, CancelledRunUntilHoldsTheClock) {
+  std::atomic<bool> cancel{false};
   Simulator sim;
+  sim.BindCancel(&cancel);
   int fired = 0;
-  sim.At(SimTime::Millis(1), [&] {
+  sim.At(SimTime::Millis(5), [&] {
     ++fired;
-    sim.RequestStop();
+    cancel = true;
   });
-  sim.At(SimTime::Millis(2), [&] { ++fired; });
-  sim.Run();
+  sim.At(SimTime::Millis(6), [&] { ++fired; });
+  sim.RunUntil(SimTime::Millis(10));
   EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(sim.StopRequested());
-  sim.Run();
-  EXPECT_EQ(fired, 2);
+  // The run did not reach the deadline, so the clock stays where it stopped.
+  EXPECT_EQ(sim.Now(), SimTime::Millis(5));
 }
 
 TEST(SimulatorTest, EventsExecutedCounter) {

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
-
-#include "src/sim/rng.h"
 
 namespace dcs {
 namespace {
@@ -17,112 +14,6 @@ TEST(TraceSeriesTest, AppendAndRead) {
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s.points()[0].value, 0.5);
   EXPECT_EQ(s.points()[1].at, SimTime::Millis(2));
-}
-
-TEST(TraceSeriesTest, ValueAtSampleAndHold) {
-  TraceSeries s("test");
-  s.Append(SimTime::Millis(10), 1.0);
-  s.Append(SimTime::Millis(20), 2.0);
-  EXPECT_EQ(s.ValueAt(SimTime::Millis(5), -1.0), -1.0);  // before first
-  EXPECT_EQ(s.ValueAt(SimTime::Millis(10)), 1.0);
-  EXPECT_EQ(s.ValueAt(SimTime::Millis(15)), 1.0);
-  EXPECT_EQ(s.ValueAt(SimTime::Millis(20)), 2.0);
-  EXPECT_EQ(s.ValueAt(SimTime::Seconds(9)), 2.0);
-}
-
-TEST(TraceSeriesTest, MinMax) {
-  TraceSeries s("test");
-  EXPECT_EQ(s.Min(), 0.0);
-  EXPECT_EQ(s.Max(), 0.0);
-  s.Append(SimTime::Millis(1), 3.0);
-  s.Append(SimTime::Millis(2), -1.0);
-  s.Append(SimTime::Millis(3), 2.0);
-  EXPECT_EQ(s.Min(), -1.0);
-  EXPECT_EQ(s.Max(), 3.0);
-}
-
-TEST(TraceSeriesTest, TimeWeightedMeanOverWindow) {
-  TraceSeries s("test");
-  s.Append(SimTime::Millis(0), 1.0);
-  s.Append(SimTime::Millis(10), 3.0);
-  // [0,10): 1.0, [10,20): 3.0 -> mean over [0,20) is 2.0.
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Zero(), SimTime::Millis(20)), 2.0);
-  // Partial windows weight proportionally: [5,15) = 5ms@1 + 5ms@3 = 2.0.
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Millis(5), SimTime::Millis(15)), 2.0);
-}
-
-TEST(TraceSeriesTest, TimeWeightedMeanExtendsFirstValueBackwards) {
-  TraceSeries s("test");
-  s.Append(SimTime::Millis(10), 4.0);
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Zero(), SimTime::Millis(20)), 4.0);
-}
-
-TEST(TraceSeriesTest, TimeWeightedMeanEmptyWindowIsZero) {
-  TraceSeries s("test");
-  s.Append(SimTime::Millis(1), 5.0);
-  EXPECT_EQ(s.TimeWeightedMean(SimTime::Millis(3), SimTime::Millis(3)), 0.0);
-}
-
-// The documented difference between the two read paths: before the first
-// sample, ValueAt reports the caller's fallback while TimeWeightedMean
-// extends the first value backwards.  A window wholly before the first
-// sample therefore averages to the first value, not to the fallback/zero.
-TEST(TraceSeriesTest, WindowBeforeFirstSampleAveragesToFirstValueNotFallback) {
-  TraceSeries s("test");
-  s.Append(SimTime::Millis(100), 7.0);
-  s.Append(SimTime::Millis(200), 9.0);
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Millis(10), SimTime::Millis(50)), 7.0);
-  EXPECT_EQ(s.ValueAt(SimTime::Millis(10), -1.0), -1.0);
-  // Straddling windows weight the backward extension like a real segment:
-  // [50,150) = 50ms@7 (extension) + 50ms@7 (sample) -> 7; [150,250) =
-  // 50ms@7 + 50ms@9 -> 8.
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Millis(50), SimTime::Millis(150)), 7.0);
-  EXPECT_DOUBLE_EQ(s.TimeWeightedMean(SimTime::Millis(150), SimTime::Millis(250)), 8.0);
-}
-
-// Brute-force cross-check of the documented semantics: integrate the
-// sample-and-hold step function (first value extended backwards) on a fine
-// grid and compare, for random series and random windows including ones
-// starting before the first sample and ending after the last.
-TEST(TraceSeriesTest, TimeWeightedMeanMatchesBruteForceIntegration) {
-  Rng rng(0x7317);
-  for (int trial = 0; trial < 25; ++trial) {
-    TraceSeries s("test");
-    SimTime at = SimTime::Micros(rng.UniformInt(100, 2'000));
-    const int n = static_cast<int>(rng.UniformInt(1, 12));
-    for (int i = 0; i < n; ++i) {
-      s.Append(at, rng.Uniform(-2.0, 2.0));
-      // Occasionally repeat a timestamp: equal-time samples are legal.
-      at += SimTime::Micros(rng.NextDouble() < 0.2 ? 0 : rng.UniformInt(1, 3'000));
-    }
-    const std::int64_t last_us = s.points().back().at.micros();
-    const SimTime begin = SimTime::Micros(rng.UniformInt(0, last_us + 1'000));
-    const SimTime end = begin + SimTime::Micros(rng.UniformInt(1, last_us + 2'000));
-
-    // Riemann sum at 1 us steps of the held value; before the first sample
-    // the held value is the first sample's (per the header contract).
-    double sum = 0.0;
-    std::int64_t steps = 0;
-    for (SimTime t = begin; t < end; t += SimTime::Micros(1)) {
-      sum += s.ValueAt(t, s.points().front().value);
-      ++steps;
-    }
-    const double brute = sum / static_cast<double>(steps);
-    EXPECT_NEAR(s.TimeWeightedMean(begin, end), brute, 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(TraceSeriesTest, RebucketAveragesPerInterval) {
-  TraceSeries s("test");
-  // Two samples in bucket 0, one in bucket 2 (bucket 1 empty).
-  s.Append(SimTime::Millis(1), 1.0);
-  s.Append(SimTime::Millis(9), 3.0);
-  s.Append(SimTime::Millis(25), 10.0);
-  const TraceSeries out = s.Rebucket(SimTime::Millis(10));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out.points()[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(out.points()[1].value, 2.0);  // empty bucket repeats
-  EXPECT_DOUBLE_EQ(out.points()[2].value, 10.0);
 }
 
 TEST(TraceSinkTest, SeriesCreatedOnFirstUse) {

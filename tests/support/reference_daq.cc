@@ -1,6 +1,7 @@
 #include "tests/support/reference_daq.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/fault/fault_injector.h"
 
@@ -60,9 +61,11 @@ std::span<const double> ReferenceDaq::SampleWindow(const PowerTape& tape, SimTim
   const std::int64_t count = static_cast<std::int64_t>(
       std::floor((end - begin).ToSeconds() / period_s));
   samples_.reserve(static_cast<std::size_t>(count));
-  // Sample times are non-decreasing, so a tape cursor makes each lookup
-  // amortised O(1).  The noise sigmas are loop-invariant.
-  PowerTape::Cursor cursor(tape);
+  // The batched DAQ refuses a tape without history, and so does the
+  // reference.  The noise sigmas are loop-invariant.
+  if (!tape.keeps_history()) {
+    throw std::logic_error("ReferenceDaq: sampling a tape without history");
+  }
   const double sigma_shunt = config_.noise_lsb * shunt_lsb_;
   const double sigma_supply = config_.noise_lsb * supply_lsb_;
   dropped_.clear();
@@ -70,7 +73,7 @@ std::span<const double> ReferenceDaq::SampleWindow(const PowerTape& tape, SimTim
     const SimTime t = begin + SimTime::FromSecondsF(i * period_s);
     // The reading is always taken (the ADC ran; its noise stream must not
     // shift) — a drop loses the value on the way to the host.
-    const double reading = ReadPower(cursor.WattsAt(t), sigma_shunt, sigma_supply);
+    const double reading = ReadPower(tape.WattsAt(t), sigma_shunt, sigma_supply);
     if (faults_ != nullptr && faults_->DropSample()) {
       dropped_.push_back(samples_.size());
       samples_.push_back(0.0);

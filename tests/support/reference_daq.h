@@ -1,7 +1,7 @@
 // The DAQ's scalar reference pipeline, kept for the differential tests.
 //
-// One reading at a time, in sample order: the tape read through a
-// PowerTape::Cursor, true watts to shunt volts, Gaussian noise and ADC
+// One reading at a time, in sample order: the tape read through
+// PowerTape::WattsAt, true watts to shunt volts, Gaussian noise and ADC
 // quantisation on each channel, measured current times measured rail, and
 // each sample's fault-drop decision interleaved right after its reading.
 // Daq::SampleWindow restructures this loop into tape runs and SoA passes;

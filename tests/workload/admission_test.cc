@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,14 +20,6 @@
 
 namespace dcs {
 namespace {
-
-TEST(AdmissionPolicyTest, NamesRoundTrip) {
-  for (const auto policy : {AdmissionPolicy::kNone, AdmissionPolicy::kStaticU,
-                            AdmissionPolicy::kFeedback}) {
-    EXPECT_EQ(AdmissionPolicyFromName(AdmissionPolicyName(policy)), policy);
-  }
-  EXPECT_THROW(AdmissionPolicyFromName("magic"), std::invalid_argument);
-}
 
 AdmissionController MakeController(const AdmissionConfig& config,
                                    std::vector<double> class_values = {1.0}) {

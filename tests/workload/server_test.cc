@@ -20,14 +20,6 @@ ServerConfig QuickConfig() {
   return config;
 }
 
-TEST(ServerTraceTest, ArrivalProcessNamesRoundTrip) {
-  for (const auto process : {ArrivalProcess::kPoisson, ArrivalProcess::kBursty,
-                             ArrivalProcess::kSelfSimilar}) {
-    EXPECT_EQ(ArrivalProcessFromName(ArrivalProcessName(process)), process);
-  }
-  EXPECT_THROW(ArrivalProcessFromName("fractal"), std::invalid_argument);
-}
-
 TEST(ServerTraceTest, TraceIsSeededDeterministic) {
   const ServerConfig config = QuickConfig();
   const InputTrace a = MakeServerRequestTrace(config, 7);

@@ -120,9 +120,11 @@ TEST(PoissonBurstWorkloadTest, DifferentSeedsDifferentTimelines) {
 TEST(DemandHelpersTest, RoundTrip) {
   const MemoryProfile p{20.0, 8.0};
   const double cycles = BaseCyclesForMsAtTop(10.0, p);
-  EXPECT_NEAR(MsForBaseCycles(cycles, ClockTable::MaxStep(), p), 10.0, 1e-9);
+  // Milliseconds the demand takes at `step` under the memory model.
+  auto ms_at = [&](int step) { return cycles / MemoryModel::EffectiveBaseHz(step, p) * 1e3; };
+  EXPECT_NEAR(ms_at(ClockTable::MaxStep()), 10.0, 1e-9);
   // At a lower step the same demand takes longer.
-  EXPECT_GT(MsForBaseCycles(cycles, 0, p), 10.0);
+  EXPECT_GT(ms_at(0), 10.0);
 }
 
 }  // namespace
