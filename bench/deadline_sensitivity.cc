@@ -17,6 +17,7 @@
 #include "src/analysis/step_response.h"
 #include "src/core/govil_policies.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/obs_export.h"
 #include "src/exp/report.h"
 #include "src/exp/sweep.h"
@@ -111,7 +112,10 @@ void StreamBreakdown() {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  const dcs::SweepOptions options = dcs::SweepOptionsFromArgs(argc, argv);
+  dcs::SweepOptions options;
+  dcs::FlagSet flags;
+  dcs::RegisterSweepFlags(flags, &options);
+  flags.ParseOrExit(argc, argv);
   dcs::PrintHeading(std::cout,
                     "Section 5.2 — Long prediction windows miss inelastic deadlines");
   std::vector<dcs::ExperimentResult> all_results = dcs::SweepApp("mpeg", 30.0, options);

@@ -15,6 +15,7 @@
 #include "src/exp/artifacts.h"
 #include "src/exp/ascii_plot.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/obs_export.h"
 #include "src/exp/report.h"
 #include "src/exp/sweep.h"
@@ -80,7 +81,11 @@ void Run(const SweepOptions& options) {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
+  dcs::SweepOptions options;
+  dcs::FlagSet flags;
+  dcs::RegisterSweepFlags(flags, &options);
+  flags.ParseOrExit(argc, argv);
   dcs::PrintHeading(std::cout, "Figure 8 — Best policy clock trace (PAST, peg-peg, 93/98)");
-  dcs::Run(dcs::SweepOptionsFromArgs(argc, argv));
+  dcs::Run(options);
   return 0;
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/obs_export.h"
 #include "src/exp/report.h"
 #include "src/exp/sweep.h"
@@ -88,9 +89,13 @@ void Run(const SweepOptions& options) {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
+  dcs::SweepOptions options;
+  dcs::FlagSet flags;
+  dcs::RegisterSweepFlags(flags, &options);
+  flags.ParseOrExit(argc, argv);
   dcs::PrintHeading(std::cout,
                     "Section 5.3 sweep — AVG_N x {one,double,peg}^2, thresholds 50/70, "
                     "30 s MPEG");
-  dcs::Run(dcs::SweepOptionsFromArgs(argc, argv));
+  dcs::Run(options);
   return 0;
 }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/exp/flags.h"
 #include "src/exp/obs_export.h"
 #include "src/exp/repeat.h"
 #include "src/exp/report.h"
@@ -100,9 +101,13 @@ void Run(const SweepOptions& options) {
 }  // namespace dcs
 
 int main(int argc, char** argv) {
+  dcs::SweepOptions options;
+  dcs::FlagSet flags;
+  dcs::RegisterSweepFlags(flags, &options);
+  flags.ParseOrExit(argc, argv);
   dcs::PrintHeading(std::cout,
                     "Table 2 — Energy of best clock scaling algorithms (60 s MPEG, "
                     "5 runs each)");
-  dcs::Run(dcs::SweepOptionsFromArgs(argc, argv));
+  dcs::Run(options);
   return 0;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <cstring>
 
 #include "src/core/adaptive_governor.h"
 #include "src/core/cycle_count_governor.h"
@@ -16,6 +16,7 @@
 #include "src/core/rate_governor.h"
 #include "src/core/speed_policy.h"
 #include "src/hw/clock_table.h"
+#include "src/sim/parse.h"
 
 namespace dcs {
 namespace {
@@ -39,24 +40,6 @@ std::vector<std::string> Split(const std::string& s, char sep) {
     begin = end + 1;
   }
   return parts;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  double d = 0.0;
-  if (!ParseDouble(s, &d) || d != static_cast<int>(d)) {
-    return false;
-  }
-  *out = static_cast<int>(d);
-  return true;
 }
 
 void SetError(std::string* error, const std::string& message) {
@@ -164,6 +147,169 @@ std::unique_ptr<IntervalGovernor> MakeInterval(const std::string& spec, std::str
                                             std::move(down), config);
 }
 
+bool StartsWith(const std::string& s, const char* prefix) { return s.rfind(prefix, 0) == 0; }
+
+// Strips an optional "-vs" (1.23 V voltage scaling) suffix from `body` and
+// reports whether it was there.
+bool StripVs(std::string* body) {
+  if (body->size() < 3 || body->compare(body->size() - 3, 3, "-vs") != 0) {
+    return false;
+  }
+  body->resize(body->size() - 3);
+  return true;
+}
+
+// An interval spec's predictor token: "past" in "past-peg-peg-93-98".
+std::string PredictorToken(const std::string& lower) { return lower.substr(0, lower.find('-')); }
+
+// A numbered predictor token such as "avg9": `name` followed by an integer.
+bool NumberedToken(const std::string& lower, const char* name) {
+  const std::string token = PredictorToken(lower);
+  int n = 0;
+  return StartsWith(token, name) && ParseInt(token.substr(std::strlen(name)), &n);
+}
+
+GovernorHandle BuildInterval(const std::string&, const std::string& spec, std::string* error) {
+  auto interval = MakeInterval(spec, error);
+  return interval != nullptr ? Handle(std::move(interval)) : GovernorHandle{};
+}
+
+// One governor family: the syntactic claim on the lower-cased spec that
+// routes it here, and the builder that validates it and constructs the
+// governor.  Builders get the lower-cased spec and the spec as given, which
+// their error messages quote.
+struct Family {
+  const char* name;
+  bool (*claims)(const std::string& lower);
+  GovernorHandle (*build)(const std::string& lower, const std::string& spec, std::string* error);
+};
+
+// The registry: MakeGovernorDispatch and GovernorFamilyOf both take the first
+// row that claims a spec, so they agree by construction.  A spec no row
+// claims is parsed as an interval spec, which reports the error.
+constexpr Family kFamilies[] = {
+    {"none", [](const std::string& lower) { return lower.empty() || lower == "none"; },
+     [](const std::string&, const std::string&, std::string*) { return GovernorHandle{}; }},
+    {"ondemand", [](const std::string& lower) { return lower == "ondemand"; },
+     [](const std::string&, const std::string&, std::string*) {
+       return Handle(std::make_unique<OndemandGovernor>());
+     }},
+    {"schedutil", [](const std::string& lower) { return lower == "schedutil"; },
+     [](const std::string&, const std::string&, std::string*) {
+       return Handle(std::make_unique<SchedutilGovernor>());
+     }},
+    {"fixed", [](const std::string& lower) { return StartsWith(lower, "fixed-"); },
+     [](const std::string& lower, const std::string&, std::string* error) {
+       auto fixed = MakeFixed(lower, error);
+       return fixed != nullptr ? Handle(std::move(fixed)) : GovernorHandle{};
+     }},
+    {"cycles", [](const std::string& lower) { return StartsWith(lower, "cycles"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       int window = 0;
+       if (!ParseInt(lower.substr(6), &window) || window < 1) {
+         SetError(error, "bad window in '" + spec + "' (e.g. cycles4)");
+         return GovernorHandle{};
+       }
+       return Handle(std::make_unique<CycleCountGovernor>(window));
+     }},
+    {"flat", [](const std::string& lower) { return StartsWith(lower, "flat-"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       double target = 0.0;
+       if (!ParseDouble(lower.substr(5), &target) || target <= 0.0 || target > 100.0) {
+         SetError(error, "bad target in '" + spec + "' (e.g. flat-75)");
+         return GovernorHandle{};
+       }
+       FlatGovernorConfig config;
+       config.target = target / 100.0;
+       return Handle(std::make_unique<FlatGovernor>(config));
+     }},
+    {"satrate", [](const std::string& lower) { return StartsWith(lower, "satrate"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       int window = 0;
+       if (!ParseInt(lower.substr(7), &window) || window < 1) {
+         SetError(error, "bad window in '" + spec + "' (e.g. satrate4)");
+         return GovernorHandle{};
+       }
+       RateGovernorConfig config;
+       config.window = window;
+       return Handle(std::make_unique<SaturationAwareGovernor>(config));
+     }},
+    // "deadline" | "deadline-<cap%>", either with an optional "-vs" suffix.
+    {"deadline", [](const std::string& lower) { return StartsWith(lower, "deadline"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       DeadlineGovernorConfig config;
+       std::string body = lower.substr(8);
+       config.voltage_scaling = StripVs(&body);
+       if (!body.empty()) {
+         double cap = 0.0;
+         if (body[0] != '-' || !ParseDouble(body.substr(1), &cap) || cap <= 0.0 ||
+             cap > 100.0) {
+           SetError(error, "bad density cap in '" + spec + "' (e.g. deadline-85)");
+           return GovernorHandle{};
+         }
+         config.density_cap = cap / 100.0;
+       }
+       return Handle(std::make_unique<DeadlineGovernor>(config));
+     }},
+    // "pid" | "pid-<kp>-<ki>-<kd>", either with an optional "-vs" suffix.
+    {"pid", [](const std::string& lower) { return StartsWith(lower, "pid"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       FeedbackGovernorConfig config;
+       std::string body = lower.substr(3);
+       config.voltage_scaling = StripVs(&body);
+       if (!body.empty()) {
+         bool ok = body[0] == '-';
+         std::vector<std::string> gains;
+         if (ok) {
+           gains = Split(body.substr(1), '-');
+           ok = gains.size() == 3 && ParseDouble(gains[0], &config.kp) &&
+                ParseDouble(gains[1], &config.ki) && ParseDouble(gains[2], &config.kd) &&
+                config.kp >= 0.0 && config.ki >= 0.0 && config.kd >= 0.0;
+         }
+         if (!ok) {
+           SetError(error, "bad gains in '" + spec + "' (e.g. pid-0.5-0.4-0.05)");
+           return GovernorHandle{};
+         }
+       }
+       return Handle(std::make_unique<FeedbackGovernor>(config));
+     }},
+    // "adaptive" | "adaptive-<eta>", either with an optional "-vs" suffix.
+    {"adaptive", [](const std::string& lower) { return StartsWith(lower, "adaptive"); },
+     [](const std::string& lower, const std::string& spec, std::string* error) {
+       AdaptiveGovernorConfig config;
+       std::string body = lower.substr(8);
+       config.voltage_scaling = StripVs(&body);
+       if (!body.empty() &&
+           (body[0] != '-' || !ParseDouble(body.substr(1), &config.eta) || config.eta <= 0.0)) {
+         SetError(error, "bad learning rate in '" + spec + "' (e.g. adaptive-2.0)");
+         return GovernorHandle{};
+       }
+       return Handle(std::make_unique<AdaptiveGovernor>(config));
+     }},
+    // The interval grammar, one family per predictor token.
+    {"interval-past", [](const std::string& lower) { return PredictorToken(lower) == "past"; },
+     BuildInterval},
+    {"interval-ls", [](const std::string& lower) { return PredictorToken(lower) == "ls"; },
+     BuildInterval},
+    {"interval-peak", [](const std::string& lower) { return PredictorToken(lower) == "peak"; },
+     BuildInterval},
+    {"interval-avg", [](const std::string& lower) { return NumberedToken(lower, "avg"); },
+     BuildInterval},
+    {"interval-win", [](const std::string& lower) { return NumberedToken(lower, "win"); },
+     BuildInterval},
+    {"interval-cycle", [](const std::string& lower) { return NumberedToken(lower, "cycle"); },
+     BuildInterval},
+};
+
+const Family* FamilyOf(const std::string& lower) {
+  for (const Family& family : kFamilies) {
+    if (family.claims(lower)) {
+      return &family;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 std::unique_ptr<ClockPolicy> MakeGovernor(const std::string& spec, std::string* error) {
@@ -173,108 +319,13 @@ std::unique_ptr<ClockPolicy> MakeGovernor(const std::string& spec, std::string* 
 GovernorHandle MakeGovernorDispatch(const std::string& spec, std::string* error) {
   SetError(error, "");
   const std::string lower = Lower(spec);
-  if (lower.empty() || lower == "none") {
-    return {};
-  }
-  if (lower == "ondemand") {
-    return Handle(std::make_unique<OndemandGovernor>());
-  }
-  if (lower == "schedutil") {
-    return Handle(std::make_unique<SchedutilGovernor>());
-  }
-  if (lower.rfind("fixed-", 0) == 0) {
-    auto fixed = MakeFixed(lower, error);
-    return fixed != nullptr ? Handle(std::move(fixed)) : GovernorHandle{};
-  }
-  if (lower.rfind("cycles", 0) == 0) {
-    int window = 0;
-    if (!ParseInt(lower.substr(6), &window) || window < 1) {
-      SetError(error, "bad window in '" + spec + "' (e.g. cycles4)");
-      return {};
-    }
-    return Handle(std::make_unique<CycleCountGovernor>(window));
-  }
-  if (lower.rfind("flat-", 0) == 0) {
-    double target = 0.0;
-    if (!ParseDouble(lower.substr(5), &target) || target <= 0.0 || target > 100.0) {
-      SetError(error, "bad target in '" + spec + "' (e.g. flat-75)");
-      return {};
-    }
-    FlatGovernorConfig config;
-    config.target = target / 100.0;
-    return Handle(std::make_unique<FlatGovernor>(config));
-  }
-  if (lower.rfind("satrate", 0) == 0) {
-    int window = 0;
-    if (!ParseInt(lower.substr(7), &window) || window < 1) {
-      SetError(error, "bad window in '" + spec + "' (e.g. satrate4)");
-      return {};
-    }
-    RateGovernorConfig config;
-    config.window = window;
-    return Handle(std::make_unique<SaturationAwareGovernor>(config));
-  }
-  if (lower.rfind("deadline", 0) == 0) {
-    // "deadline" | "deadline-<cap%>" | with optional "-vs" suffix.
-    DeadlineGovernorConfig config;
-    std::string body = lower.substr(8);
-    if (body.size() >= 3 && body.substr(body.size() - 3) == "-vs") {
-      config.voltage_scaling = true;
-      body = body.substr(0, body.size() - 3);
-    }
-    if (!body.empty()) {
-      double cap = 0.0;
-      if (body[0] != '-' || !ParseDouble(body.substr(1), &cap) || cap <= 0.0 ||
-          cap > 100.0) {
-        SetError(error, "bad density cap in '" + spec + "' (e.g. deadline-85)");
-        return {};
-      }
-      config.density_cap = cap / 100.0;
-    }
-    return Handle(std::make_unique<DeadlineGovernor>(config));
-  }
-  if (lower.rfind("pid", 0) == 0) {
-    // "pid" | "pid-<kp>-<ki>-<kd>" | with optional "-vs" suffix.
-    FeedbackGovernorConfig config;
-    std::string body = lower.substr(3);
-    if (body.size() >= 3 && body.substr(body.size() - 3) == "-vs") {
-      config.voltage_scaling = true;
-      body = body.substr(0, body.size() - 3);
-    }
-    if (!body.empty()) {
-      bool ok = body[0] == '-';
-      std::vector<std::string> gains;
-      if (ok) {
-        gains = Split(body.substr(1), '-');
-        ok = gains.size() == 3 && ParseDouble(gains[0], &config.kp) &&
-             ParseDouble(gains[1], &config.ki) && ParseDouble(gains[2], &config.kd) &&
-             config.kp >= 0.0 && config.ki >= 0.0 && config.kd >= 0.0;
-      }
-      if (!ok) {
-        SetError(error, "bad gains in '" + spec + "' (e.g. pid-0.5-0.4-0.05)");
-        return {};
-      }
-    }
-    return Handle(std::make_unique<FeedbackGovernor>(config));
-  }
-  if (lower.rfind("adaptive", 0) == 0) {
-    // "adaptive" | "adaptive-<eta>" | with optional "-vs" suffix.
-    AdaptiveGovernorConfig config;
-    std::string body = lower.substr(8);
-    if (body.size() >= 3 && body.substr(body.size() - 3) == "-vs") {
-      config.voltage_scaling = true;
-      body = body.substr(0, body.size() - 3);
-    }
-    if (!body.empty()) {
-      if (body[0] != '-' || !ParseDouble(body.substr(1), &config.eta) || config.eta <= 0.0) {
-        SetError(error, "bad learning rate in '" + spec + "' (e.g. adaptive-2.0)");
-        return {};
-      }
-    }
-    return Handle(std::make_unique<AdaptiveGovernor>(config));
-  }
-  auto interval = MakeInterval(spec, error);
-  return interval != nullptr ? Handle(std::move(interval)) : GovernorHandle{};
+  const Family* family = FamilyOf(lower);
+  return (family != nullptr ? family->build : BuildInterval)(lower, spec, error);
+}
+
+std::string GovernorFamilyOf(const std::string& spec) {
+  const Family* family = FamilyOf(Lower(spec));
+  return family != nullptr ? family->name : "";
 }
 
 std::vector<std::string> AllGovernorSpecs() {
@@ -300,90 +351,6 @@ std::vector<std::string> AllGovernorSpecs() {
       "pid-vs",
       "adaptive-vs",
   };
-}
-
-std::vector<GovernorFamily> GovernorFamilies() {
-  return {
-      {"none", "none"},
-      {"fixed", "fixed-206.4"},
-      {"cycles", "cycles4"},
-      {"satrate", "satrate4"},
-      {"deadline", "deadline"},
-      {"ondemand", "ondemand"},
-      {"schedutil", "schedutil"},
-      {"flat", "flat-75"},
-      {"pid", "pid-vs"},
-      {"adaptive", "adaptive-vs"},
-      {"interval-past", "PAST-peg-peg-93-98"},
-      {"interval-avg", "AVG9-one-one-50-70"},
-      {"interval-win", "WIN10-peg-peg-93-98"},
-      {"interval-ls", "LS-peg-peg-93-98"},
-      {"interval-cycle", "CYCLE10-peg-peg-93-98"},
-      {"interval-peak", "PEAK-peg-peg-93-98"},
-  };
-}
-
-std::string GovernorFamilyOf(const std::string& spec) {
-  // Mirrors MakeGovernor's dispatch order exactly; a new constructor branch
-  // there needs a matching branch here (and a GovernorFamilies() row) or the
-  // registry-completeness test fails.
-  const std::string lower = Lower(spec);
-  if (lower.empty() || lower == "none") {
-    return "none";
-  }
-  if (lower == "ondemand") {
-    return "ondemand";
-  }
-  if (lower == "schedutil") {
-    return "schedutil";
-  }
-  if (lower.rfind("fixed-", 0) == 0) {
-    return "fixed";
-  }
-  if (lower.rfind("cycles", 0) == 0) {
-    return "cycles";
-  }
-  if (lower.rfind("flat-", 0) == 0) {
-    return "flat";
-  }
-  if (lower.rfind("satrate", 0) == 0) {
-    return "satrate";
-  }
-  if (lower.rfind("deadline", 0) == 0) {
-    return "deadline";
-  }
-  if (lower.rfind("pid", 0) == 0) {
-    return "pid";
-  }
-  if (lower.rfind("adaptive", 0) == 0) {
-    return "adaptive";
-  }
-  // Interval grammar: classify by the predictor token.
-  const std::vector<std::string> parts = Split(lower, '-');
-  if (parts.empty()) {
-    return "";
-  }
-  const std::string& pred = parts[0];
-  if (pred == "past") {
-    return "interval-past";
-  }
-  if (pred == "ls") {
-    return "interval-ls";
-  }
-  if (pred == "peak") {
-    return "interval-peak";
-  }
-  int n = 0;
-  if (pred.rfind("avg", 0) == 0 && ParseInt(pred.substr(3), &n)) {
-    return "interval-avg";
-  }
-  if (pred.rfind("win", 0) == 0 && ParseInt(pred.substr(3), &n)) {
-    return "interval-win";
-  }
-  if (pred.rfind("cycle", 0) == 0 && ParseInt(pred.substr(5), &n)) {
-    return "interval-cycle";
-  }
-  return "";
 }
 
 }  // namespace dcs

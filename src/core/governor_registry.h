@@ -58,19 +58,10 @@ GovernorHandle MakeGovernorDispatch(const std::string& spec, std::string* error 
 // harness so "all governors" means the same thing everywhere.
 std::vector<std::string> AllGovernorSpecs();
 
-// One entry per constructor family the registry's grammar can reach, with an
-// example spec that builds it.  The registry-completeness test cross-checks
-// this table against AllGovernorSpecs(): registering a new governor family
-// without representing it in the slate (or here) fails that test loudly.
-struct GovernorFamily {
-  std::string family;        // e.g. "interval-avg", "pid"
-  std::string example_spec;  // a spec MakeGovernor accepts for this family
-};
-std::vector<GovernorFamily> GovernorFamilies();
-
-// Classifies `spec` into the family its constructor branch belongs to
-// (syntactic dispatch only — the spec may still fail detailed validation in
-// MakeGovernor).  Returns "" for specs no branch claims.
+// The family `spec` belongs to ("fixed", "pid", "interval-avg", ...): the
+// name of the registry row that claims it, by syntax alone (the spec may
+// still fail validation in MakeGovernor).  Returns "" for specs no row
+// claims.
 std::string GovernorFamilyOf(const std::string& spec);
 
 }  // namespace dcs

@@ -25,6 +25,7 @@
 #include "src/hw/gpio.h"
 #include "src/hw/power_tape.h"
 #include "src/sim/arena.h"
+#include "src/sim/fields.h"
 #include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
@@ -45,6 +46,14 @@ struct DaqConfig {
   double noise_lsb = 1.0;
   std::uint64_t seed = 0x0DA05EEDULL;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const DaqConfig*) {
+  return std::tuple{&DaqConfig::sample_hz, &DaqConfig::shunt_ohms, &DaqConfig::supply_volts,
+                    &DaqConfig::shunt_range_volts, &DaqConfig::supply_range_volts,
+                    &DaqConfig::adc_bits, &DaqConfig::noise_lsb, &DaqConfig::seed};
+}
+static_assert(ListsEveryField<DaqConfig>());
 
 class Daq {
  public:

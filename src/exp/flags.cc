@@ -1,48 +1,13 @@
 #include "src/exp/flags.h"
 
 #include <cassert>
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "src/sim/parse.h"
+
 namespace dcs {
-namespace {
-
-// Full-string numeric parses: "4abc" and "" are errors, unlike atoi/atof.
-bool ParseInt(const std::string& s, int* out) {
-  if (s.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size() || v < INT_MIN || v > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  // inf and nan parse, but no flag means them: a budget of inf seconds
-  // would overflow the clock it is added to.
-  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v)) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 FlagSet::Flag* FlagSet::Find(const std::string& name) {
   for (Flag& flag : flags_) {
@@ -58,9 +23,9 @@ void FlagSet::String(const std::string& name, std::string* target) {
   flags_.push_back(Flag{name, Kind::kString, target, -1, {}});
 }
 
-void FlagSet::Int(const std::string& name, int* target) {
+void FlagSet::Int(const std::string& name, int* target, int min, int max) {
   assert(Find(name) == nullptr && "flag registered twice");
-  flags_.push_back(Flag{name, Kind::kInt, target, -1, {}});
+  flags_.push_back(Flag{name, Kind::kInt, target, -1, {}, min, max});
 }
 
 void FlagSet::Double(const std::string& name, double* target) {
@@ -90,26 +55,20 @@ bool FlagSet::Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-bool FlagSet::Parse(int argc, char** argv, std::string* error, bool allow_unknown) {
+bool FlagSet::Parse(int argc, char** argv, std::string* error) {
   for (Flag& flag : flags_) {
     flag.seen_as.clear();
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.size() < 3 || arg[0] != '-' || arg[1] != '-') {
-      if (!allow_unknown) {
-        return Fail(error, "unexpected argument '" + arg + "'");
-      }
-      continue;
+      return Fail(error, "unexpected argument '" + arg + "'");
     }
     const std::size_t eq = arg.find('=');
     const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
     Flag* flag = Find(name);
     if (flag == nullptr) {
-      if (!allow_unknown) {
-        return Fail(error, "unknown flag '--" + name + "'");
-      }
-      continue;
+      return Fail(error, "unknown flag '--" + name + "'");
     }
     // Duplicate / alias-conflict detection keys on the canonical flag so
     // "--out" after "--report-out" is caught even though the spellings differ.
@@ -143,11 +102,19 @@ bool FlagSet::Parse(int argc, char** argv, std::string* error, bool allow_unknow
       case Kind::kString:
         *static_cast<std::string*>(flag->target) = value;
         break;
-      case Kind::kInt:
-        if (!ParseInt(value, static_cast<int*>(flag->target))) {
+      case Kind::kInt: {
+        int n = 0;
+        if (!ParseInt(value, &n)) {
           return Fail(error, "'--" + name + "' needs an integer, got '" + value + "'");
         }
+        if (n < flag->min || n > flag->max) {
+          return Fail(error, "'--" + name + "' needs an integer in [" +
+                                 std::to_string(flag->min) + ", " + std::to_string(flag->max) +
+                                 "], got '" + value + "'");
+        }
+        *static_cast<int*>(flag->target) = n;
         break;
+      }
       case Kind::kDouble:
         if (!ParseDouble(value, static_cast<double*>(flag->target))) {
           return Fail(error, "'--" + name + "' needs a number, got '" + value + "'");
@@ -168,7 +135,7 @@ void FlagSet::PrintFlags(std::FILE* out) const {
   std::fputc('\n', out);
 }
 
-void FlagSet::ParseOrExit(int argc, char** argv, bool allow_unknown) {
+void FlagSet::ParseOrExit(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
       PrintFlags(stdout);
@@ -176,7 +143,7 @@ void FlagSet::ParseOrExit(int argc, char** argv, bool allow_unknown) {
     }
   }
   std::string error;
-  if (Parse(argc, argv, &error, allow_unknown)) {
+  if (Parse(argc, argv, &error)) {
     return;
   }
   std::fprintf(stderr, "error: %s\n", error.c_str());

@@ -7,12 +7,13 @@
 // option (`--out` vs `--report-out`) overwrote each other without a word.
 // FlagSet makes the full argv surface of a bench declarative and loud: every
 // registered flag knows its type, duplicates and alias conflicts are
-// detected by name, numbers must parse in full, and (in strict mode) any
-// unknown `--flag` is an error instead of a no-op.
+// detected by name, numbers must parse in full and in range, and any unknown
+// `--flag` is an error instead of a no-op.
 
 #ifndef SRC_EXP_FLAGS_H_
 #define SRC_EXP_FLAGS_H_
 
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,7 +26,8 @@ class FlagSet {
   // ("threads" for --threads).  The target keeps its current value as the
   // default and is only written when the flag appears.
   void String(const std::string& name, std::string* target);
-  void Int(const std::string& name, int* target);
+  // An int flag; a value outside [min, max] is a parse error.
+  void Int(const std::string& name, int* target, int min = INT_MIN, int max = INT_MAX);
   void Double(const std::string& name, double* target);
   // A valueless switch: `--progress` sets *target to true; `--progress=x`
   // is a parse error.
@@ -40,15 +42,14 @@ class FlagSet {
   // Parses argv.  Flags accept "--name=value" or "--name value" (switches
   // take no value).  Returns false and fills *error (when non-null) on the
   // first problem: a duplicate or alias-conflicting occurrence, a missing
-  // value, an unparsable or out-of-range number, or — unless `allow_unknown`
-  // — an argument that is not a registered flag.  With `allow_unknown` set,
-  // unregistered arguments are skipped so another parser can layer on top.
-  bool Parse(int argc, char** argv, std::string* error, bool allow_unknown = false);
+  // value, an unparsable or out-of-range number, or an argument that is not a
+  // registered flag.
+  bool Parse(int argc, char** argv, std::string* error);
 
   // Parse-or-die wrapper for bench main(): prints the error plus the list of
   // registered flags to stderr and exits with status 2 on bad usage.
   // `--help` anywhere in argv prints the flag list to stdout and exits 0.
-  void ParseOrExit(int argc, char** argv, bool allow_unknown = false);
+  void ParseOrExit(int argc, char** argv);
 
  private:
   enum class Kind { kString, kInt, kDouble, kSwitch };
@@ -63,6 +64,9 @@ class FlagSet {
     // empty until then.  Duplicate detection keys on the canonical flag, so
     // "--out" followed by "--report-out" still collides.
     std::string seen_as;
+    // Bounds of an int flag.
+    int min = INT_MIN;
+    int max = INT_MAX;
   };
 
   Flag* Find(const std::string& name);

@@ -1,6 +1,5 @@
 #include "src/exp/fleet.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <sstream>
@@ -31,13 +30,6 @@ std::uint64_t Mix(std::uint64_t x) {
 
 // Jitter stream tags (arbitrary constants, fixed forever for determinism).
 constexpr std::uint64_t kBatteryJitterTag = 0xba77e21fULL;
-
-// Shortest round-trip decimal rendering, matching the other JSON emitters.
-std::string FormatDouble(double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
 
 // Exact per-shard aggregate.  Every field is integer-valued (histograms
 // observe pre-rounded integers), so folding shards is associative and
@@ -186,10 +178,6 @@ void FleetRunner::Plan() {
   identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.jitter.battery_capacity * 1e9));
   identity = Mix(identity ^ static_cast<std::uint64_t>(spec_.jitter.arrival_rate * 1e9));
   seed_base_ = identity;
-  shard_by_seed_.clear();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shard_by_seed_.emplace(seed_base_ + shards_[s].first_device, s);
-  }
 }
 
 ExperimentConfig FleetRunner::ShardConfig(const FleetShard& shard) const {
@@ -209,12 +197,8 @@ ExperimentConfig FleetRunner::ShardConfig(const FleetShard& shard) const {
   return config;
 }
 
-ExperimentResult FleetRunner::RunShard(const ExperimentConfig& config) const {
-  const auto it = shard_by_seed_.find(config.seed);
-  if (it == shard_by_seed_.end()) {
-    throw std::invalid_argument("fleet: config does not key a planned shard");
-  }
-  const FleetShard& shard = shards_[it->second];
+ExperimentResult FleetRunner::RunShard(std::size_t index, const ExperimentConfig& config) const {
+  const FleetShard& shard = shards_[index];
   const FleetCell& cell = cells_[static_cast<std::size_t>(shard.cell)];
 
   // The cell's device stack: seeded by the cell (never the shard), so every
@@ -343,9 +327,9 @@ FleetReport FleetRunner::Run() {
   }
 
   SweepJobHooks hooks;
-  hooks.execute = [this](const ExperimentConfig& config, int) {
+  hooks.execute = [this](const ExperimentConfig& config, int index) {
     SweepJobResult slot;
-    slot.result = RunShard(config);
+    slot.result = RunShard(static_cast<std::size_t>(index), config);
     return slot;
   };
   SweepRunner runner(options_);
@@ -411,17 +395,17 @@ std::string RenderFleetJson(const FleetReport& report) {
   os << "{\"fleet\":{";
   os << "\"devices\":" << report.devices;
   os << ",\"missing_devices\":" << report.missing_devices;
-  os << ",\"energy_mean_j\":" << FormatDouble(report.energy_mean_j);
-  os << ",\"energy_stddev_j\":" << FormatDouble(report.energy_stddev_j);
+  os << ",\"energy_mean_j\":" << JsonNumber(report.energy_mean_j);
+  os << ",\"energy_stddev_j\":" << JsonNumber(report.energy_stddev_j);
   os << ",\"deadline_events\":" << report.deadline_events;
   os << ",\"deadline_misses\":" << report.deadline_misses;
   os << ",\"deadline_rejected\":" << report.deadline_rejected;
   os << ",\"deadline_shed\":" << report.deadline_shed;
-  os << ",\"miss_rate\":" << FormatDouble(report.miss_rate);
+  os << ",\"miss_rate\":" << JsonNumber(report.miss_rate);
   os << ",\"battery_deaths\":" << report.battery_deaths;
-  os << ",\"death_fraction\":" << FormatDouble(report.death_fraction);
-  os << ",\"death_time_p50_s\":" << FormatDouble(report.death_time_p50_s);
-  os << ",\"death_time_p95_s\":" << FormatDouble(report.death_time_p95_s);
+  os << ",\"death_fraction\":" << JsonNumber(report.death_fraction);
+  os << ",\"death_time_p50_s\":" << JsonNumber(report.death_time_p50_s);
+  os << ",\"death_time_p95_s\":" << JsonNumber(report.death_time_p95_s);
   os << ",\"quanta\":" << report.quanta;
   os << ",\"clock_changes\":" << report.clock_changes;
   os << "},\"metrics\":";

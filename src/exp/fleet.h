@@ -41,8 +41,8 @@
 #ifndef SRC_EXP_FLEET_H_
 #define SRC_EXP_FLEET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -172,24 +172,25 @@ class FleetRunner {
   // report.  Throws std::invalid_argument on an unusable spec.
   FleetReport Run();
 
-  // The body of one shard job: warm up the cell, then clone/run/aggregate
-  // each device in the shard.  Exposed for the differential tests; `config`
-  // must be a shard config produced by Plan() (its seed keys the shard).
-  ExperimentResult RunShard(const ExperimentConfig& config) const;
-
  private:
-  // The sweep grid config for shard s (seed = first device id keys the
-  // shard; the rest mirrors the cell so journal fingerprints track the spec).
+  // The sweep grid config for a shard.  Its seed, seed_base_ plus the
+  // shard's first device id, is unique per shard and fleet, so the grid
+  // fingerprint tells fleets apart; the rest mirrors the cell so journal
+  // fingerprints track the spec.
   ExperimentConfig ShardConfig(const FleetShard& shard) const;
+
+  // The body of shard job `index`: warm up the cell, then clone/run/aggregate
+  // each device in the shard.  `config` is the job's grid config, which
+  // carries the watchdog's cancel token and the worker's arena.
+  ExperimentResult RunShard(std::size_t index, const ExperimentConfig& config) const;
 
   FleetSpec spec_;
   SweepOptions options_;
   std::vector<FleetCell> cells_;
   std::vector<FleetShard> shards_;
-  // Fleet-identity mix: shard s's grid config carries seed_base_ +
-  // first_device, which keys the shard back out of the config in RunShard.
+  // Fleet-identity mix (seed, horizon, warmup, jitter) under ShardConfig's
+  // seeds.
   std::uint64_t seed_base_ = 0;
-  std::map<std::uint64_t, std::size_t> shard_by_seed_;
 };
 
 }  // namespace dcs

@@ -5,12 +5,17 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 
 #include "src/exp/atomic_io.h"
+#include "src/sim/fields.h"
 
 namespace dcs {
 namespace {
@@ -61,12 +66,45 @@ class Fnv1a {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-void HashMemoryProfile(Fnv1a& h, const MemoryProfile& p) {
-  h.F64(p.word_refs_per_kilocycle);
-  h.F64(p.line_fills_per_kilocycle);
+// Hashes a field by its type: the encoding every journal on disk was written
+// with.  Struct fields walk their field list (src/sim/fields.h).
+template <typename T>
+void Hash(Fnv1a& h, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    h.F64(v);
+  } else if constexpr (std::is_same_v<T, int> || std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    h.I32(static_cast<std::int32_t>(v));
+  } else if constexpr (std::is_same_v<T, std::uint64_t> || std::is_same_v<T, std::size_t>) {
+    h.U64(v);
+  } else if constexpr (std::is_same_v<T, SimTime>) {
+    h.Time(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    h.Str(v);
+  } else if constexpr (OptionalField<T>) {
+    h.I32(v.has_value() ? 1 : 0);
+    if (v.has_value()) {
+      Hash(h, *v);
+    }
+  } else if constexpr (VectorField<T>) {
+    h.U64(v.size());
+    for (const auto& element : v) {
+      Hash(h, element);
+    }
+  } else {
+    std::apply([&h, &v](auto... member) { (Hash(h, v.*member), ...); }, Fields(&v));
+  }
 }
 
 }  // namespace
+
+// The top-level fields are listed here: `duration` hashes as -1 when absent,
+// and `capture_obs`, `cancel` and `arena` change how a job runs, not what it
+// computes.  A new field breaks this assert until it is placed.
+static_assert(sizeof(ExperimentConfig) ==
+              LaidOutSize<std::string, std::string, std::uint64_t, std::optional<SimTime>,
+                          std::optional<MpegConfig>, std::optional<ServerConfig>, ItsyConfig,
+                          KernelConfig, DaqConfig, std::string, bool, const std::atomic<bool>*,
+                          Arena*>());
 
 std::uint64_t ConfigFingerprint(const ExperimentConfig& c) {
   Fnv1a h;
@@ -75,107 +113,11 @@ std::uint64_t ConfigFingerprint(const ExperimentConfig& c) {
   h.U64(c.seed);
   h.I64(c.duration.has_value() ? c.duration->nanos() : std::int64_t{-1});
   h.Str(c.faults);
-
-  h.I32(c.mpeg.has_value() ? 1 : 0);
-  if (c.mpeg.has_value()) {
-    const MpegConfig& m = *c.mpeg;
-    h.F64(m.fps);
-    h.Time(m.duration);
-    h.F64(m.mean_decode_ms_at_top);
-    h.I32(m.gop_length);
-    h.F64(m.i_factor);
-    h.F64(m.p_factor);
-    h.F64(m.b_factor);
-    h.F64(m.jitter_stddev);
-    h.Time(m.spin_threshold);
-    h.I32(static_cast<std::int32_t>(m.pacing));
-    h.I32(m.elastic ? 1 : 0);
-    HashMemoryProfile(h, m.video_profile);
-    HashMemoryProfile(h, m.audio_profile);
-    h.Time(m.frame_tolerance);
-    h.Time(m.audio_period);
-    h.F64(m.audio_refill_ms_at_top);
-    h.Time(m.av_sync_tolerance);
-  }
-
-  h.I32(c.server.has_value() ? 1 : 0);
-  if (c.server.has_value()) {
-    const ServerConfig& s = *c.server;
-    h.I32(static_cast<std::int32_t>(s.arrivals));
-    h.F64(s.rate_rps);
-    h.Time(s.duration);
-    h.Time(s.slo);
-    h.F64(s.service_ms_at_top);
-    h.F64(s.max_service_factor);
-    HashMemoryProfile(h, s.profile);
-    h.F64(s.burst_rate_factor);
-    h.Time(s.calm_dwell_mean);
-    h.Time(s.burst_dwell_mean);
-    h.I32(s.onoff_sources);
-    h.F64(s.pareto_shape);
-    h.Time(s.pareto_on_min);
-    h.Time(s.pareto_off_min);
-    h.U64(s.streams.size());
-    for (const ServerStreamClass& cls : s.streams) {
-      h.Str(cls.name);
-      h.F64(cls.value);
-      h.F64(cls.weight);
-    }
-    const AdmissionConfig& a = s.admission;
-    h.I32(static_cast<std::int32_t>(a.policy));
-    h.F64(a.utilization_bound);
-    h.F64(a.target_violation_rate);
-    h.F64(a.decrease_factor);
-    h.F64(a.increase_step);
-    h.F64(a.min_bound);
-    h.F64(a.max_bound);
-    h.I32(a.feedback_window);
-    h.F64(a.demand_ewma_weight);
-    h.F64(a.speed_ewma_weight);
-    h.F64(a.battery_shed_dod);
-    h.Time(a.brownout_shed_hold);
-    h.F64(a.degraded_bound_factor);
-  }
-
-  const ItsyConfig& i = c.itsy;
-  h.F64(i.power.core_dynamic_mw_per_v2mhz);
-  h.F64(i.power.core_static_busy_mw);
-  h.F64(i.power.nap_mw_per_v2mhz);
-  h.F64(i.power.stall_mw);
-  h.F64(i.power.peripherals_mw);
-  h.F64(i.power.audio_mw);
-  h.F64(i.power.peripherals_display_off_mw);
-  h.F64(i.power.peripherals_bus_mw_per_mhz);
-  h.I32(i.initial_step);
-  h.Time(i.clock_switch_stall);
-  h.I32(static_cast<std::int32_t>(i.initial_voltage));
-  h.I32(i.battery.has_value() ? 1 : 0);
-  if (i.battery.has_value()) {
-    h.F64(i.battery->peukert_capacity);
-    h.F64(i.battery->peukert_exponent);
-    h.F64(i.battery->reference_current_a);
-    h.F64(i.battery->supply_volts);
-    h.F64(i.battery->recoverable_fraction);
-    h.F64(i.battery->recovery_per_hour);
-  }
-
-  const KernelConfig& k = c.kernel;
-  h.Time(k.quantum);
-  h.Time(k.tick_overhead);
-  h.Time(k.yield_cost);
-  h.U64(k.sched_log_capacity);
-  h.U64(k.rng_seed);
-
-  const DaqConfig& d = c.daq;
-  h.F64(d.sample_hz);
-  h.F64(d.shunt_ohms);
-  h.F64(d.supply_volts);
-  h.F64(d.shunt_range_volts);
-  h.F64(d.supply_range_volts);
-  h.I32(d.adc_bits);
-  h.F64(d.noise_lsb);
-  h.U64(d.seed);
-
+  Hash(h, c.mpeg);
+  Hash(h, c.server);
+  Hash(h, c.itsy);
+  Hash(h, c.kernel);
+  Hash(h, c.daq);
   return h.hash();
 }
 

@@ -202,7 +202,14 @@ std::unique_ptr<JournalWriter> OpenJournal(const std::string& path,
 
 }  // namespace
 
-SweepRunner::SweepRunner(SweepOptions options) : options_(options) {}
+SweepRunner::SweepRunner(SweepOptions options) : options_(options) {
+  const int retries = options_.campaign.max_retries;
+  if (retries < 0 || retries > CampaignOptions::kMaxRetries) {
+    throw std::invalid_argument("max_retries must lie in [0, " +
+                                std::to_string(CampaignOptions::kMaxRetries) + "], got " +
+                                std::to_string(retries));
+  }
+}
 
 int SweepRunner::threads() const {
   return options_.threads > 0 ? options_.threads : HardwareThreads();
@@ -414,25 +421,8 @@ void RegisterSweepFlags(FlagSet& flags, SweepOptions* options) {
   flags.String("faults", &options->faults);
   flags.String("resume", &options->campaign.resume);
   flags.Double("job-timeout", &options->campaign.job_timeout);
-  flags.Int("max-retries", &options->campaign.max_retries);
+  flags.Int("max-retries", &options->campaign.max_retries, 0, CampaignOptions::kMaxRetries);
   flags.String("quarantine-out", &options->campaign.quarantine_out);
-}
-
-SweepOptions SweepOptionsFromArgs(int argc, char** argv) {
-  SweepOptions options;
-  FlagSet flags;
-  RegisterSweepFlags(flags, &options);
-  flags.ParseOrExit(argc, argv, /*allow_unknown=*/true);
-  if (options.threads < 0) {
-    options.threads = 0;
-  }
-  if (options.campaign.job_timeout < 0.0) {
-    options.campaign.job_timeout = 0.0;
-  }
-  if (options.campaign.max_retries < 0) {
-    options.campaign.max_retries = 0;
-  }
-  return options;
 }
 
 std::string RenderQuarantineJson(std::uint64_t grid_fingerprint, int jobs,

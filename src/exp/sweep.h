@@ -70,7 +70,9 @@ struct CampaignOptions {
   // --max-retries=N: failed/timed-out jobs are retried up to N times with
   // bounded exponential backoff (25 ms, doubling) before being quarantined.
   // Invalid configs (bad governor/fault spec) are permanent failures and
-  // skip retries.
+  // skip retries.  N must lie in [0, kMaxRetries]: the last backoff is then
+  // 25 ms * 2^15, about 14 minutes.
+  static constexpr int kMaxRetries = 16;
   int max_retries = 2;
   // --quarantine-out=FILE: machine-readable JSON report of quarantined
   // configs.  Defaults to "<resume>.quarantine.json" when --resume is set.
@@ -174,6 +176,8 @@ struct SweepMetrics {
 
 class SweepRunner {
  public:
+  // Throws std::invalid_argument when options.campaign.max_retries lies
+  // outside [0, CampaignOptions::kMaxRetries].
   explicit SweepRunner(SweepOptions options = {});
 
   // Runs (or resumes) every config as one job; result i corresponds to
@@ -206,17 +210,10 @@ std::vector<ExperimentResult> RunSweep(const std::vector<ExperimentConfig>& conf
 // Registers the shared sweep flags ("--threads", "--progress",
 // "--trace-out", "--metrics-out", "--faults", "--resume", "--job-timeout",
 // "--max-retries", "--quarantine-out") on `flags`, writing into *options.
-// Benches with their own flags call this, add theirs, and parse the whole
-// argv with one strict FlagSet so duplicates and typos fail loudly.
+// Each bench calls this, adds its own flags, and parses the whole argv with
+// one strict FlagSet so duplicates and typos fail loudly.
 class FlagSet;
 void RegisterSweepFlags(FlagSet& flags, SweepOptions* options);
-
-// Parses the shared sweep flags from a bench's argv, returning the
-// corresponding options.  Unrecognised arguments are still ignored (so
-// benches that have not migrated to a full FlagSet can layer their own
-// parsing on top), but malformed or duplicated sweep flags now print the
-// error and exit(2) instead of resolving by atoi-garbage or last-write-wins.
-SweepOptions SweepOptionsFromArgs(int argc, char** argv);
 
 // Renders the quarantine report ({"campaign": ..., "quarantined": [...]})
 // used by --quarantine-out; exposed for tests.

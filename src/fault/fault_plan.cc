@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/sim/parse.h"
+
 namespace dcs {
 namespace {
 
@@ -53,12 +55,8 @@ bool ParseFraction(const std::string& s, double* out) {
     percent = true;
     body.pop_back();
   }
-  if (body.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  double value = std::strtod(body.c_str(), &end);
-  if (end != body.c_str() + body.size()) {
+  double value = 0.0;
+  if (!ParseDouble(body, &value)) {
     return false;
   }
   if (percent) {

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/sim/fields.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
@@ -50,6 +51,14 @@ struct BatteryParams {
   // low-current (< reference) periods, as a fraction of the pool per hour.
   double recovery_per_hour = 0.5;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const BatteryParams*) {
+  return std::tuple{&BatteryParams::peukert_capacity, &BatteryParams::peukert_exponent,
+                    &BatteryParams::reference_current_a, &BatteryParams::supply_volts,
+                    &BatteryParams::recoverable_fraction, &BatteryParams::recovery_per_hour};
+}
+static_assert(ListsEveryField<BatteryParams>());
 
 class Battery {
  public:

@@ -17,6 +17,7 @@
 #include "src/hw/power_tape.h"
 #include "src/hw/voltage_regulator.h"
 #include "src/obs/metrics.h"
+#include "src/sim/fields.h"
 #include "src/sim/simulator.h"
 
 namespace dcs {
@@ -32,6 +33,13 @@ struct ItsyConfig {
   // When set, every power segment also drains this battery model.
   std::optional<BatteryParams> battery;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const ItsyConfig*) {
+  return std::tuple{&ItsyConfig::power, &ItsyConfig::initial_step, &ItsyConfig::clock_switch_stall,
+                    &ItsyConfig::initial_voltage, &ItsyConfig::battery};
+}
+static_assert(ListsEveryField<ItsyConfig>());
 
 class Itsy {
  public:

@@ -30,6 +30,7 @@
 #include <cstdint>
 
 #include "src/hw/clock_table.h"
+#include "src/sim/fields.h"
 #include "src/sim/time.h"
 
 namespace dcs {
@@ -43,6 +44,13 @@ struct MemoryProfile {
 
   bool operator==(const MemoryProfile&) const = default;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const MemoryProfile*) {
+  return std::tuple{&MemoryProfile::word_refs_per_kilocycle,
+                    &MemoryProfile::line_fills_per_kilocycle};
+}
+static_assert(ListsEveryField<MemoryProfile>());
 
 namespace memory_model_internal {
 

@@ -25,6 +25,7 @@
 
 #include "src/hw/clock_table.h"
 #include "src/hw/voltage_regulator.h"
+#include "src/sim/fields.h"
 
 namespace dcs {
 
@@ -56,6 +57,16 @@ struct PowerModelParams {
   // dominates, making idle power roughly proportional to clock frequency.
   double peripherals_bus_mw_per_mhz = 0.0;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const PowerModelParams*) {
+  return std::tuple{&PowerModelParams::core_dynamic_mw_per_v2mhz,
+                    &PowerModelParams::core_static_busy_mw, &PowerModelParams::nap_mw_per_v2mhz,
+                    &PowerModelParams::stall_mw, &PowerModelParams::peripherals_mw,
+                    &PowerModelParams::audio_mw, &PowerModelParams::peripherals_display_off_mw,
+                    &PowerModelParams::peripherals_bus_mw_per_mhz};
+}
+static_assert(ListsEveryField<PowerModelParams>());
 
 // Peripheral activity toggled by workloads.
 struct PeripheralState {

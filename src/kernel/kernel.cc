@@ -124,16 +124,6 @@ const std::vector<Kernel::PendingDeadline>& Kernel::PendingDeadlines() const {
   return pending;
 }
 
-std::size_t Kernel::LiveTasks() const {
-  std::size_t n = 0;
-  for (const auto& [pid, task] : tasks_) {
-    if (task->state() != TaskState::kExited) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 void Kernel::AccountSegment() {
   const SimTime now = sim_.Now();
   if (now <= segment_start_) {

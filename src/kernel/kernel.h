@@ -35,6 +35,7 @@
 #include "src/kernel/task.h"
 #include "src/kernel/workload_api.h"
 #include "src/obs/metrics.h"
+#include "src/sim/fields.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/trace_sink.h"
 
@@ -56,6 +57,13 @@ struct KernelConfig {
   // Seed for per-task RNG streams.
   std::uint64_t rng_seed = 1;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const KernelConfig*) {
+  return std::tuple{&KernelConfig::quantum, &KernelConfig::tick_overhead, &KernelConfig::yield_cost,
+                    &KernelConfig::sched_log_capacity, &KernelConfig::rng_seed};
+}
+static_assert(ListsEveryField<KernelConfig>());
 
 class Kernel {
  public:
@@ -105,7 +113,6 @@ class Kernel {
   SimTime JiffyAlign(SimTime t) const;
 
   Task* FindTask(Pid pid);
-  std::size_t LiveTasks() const;
 
   // --- Deadline registry (section 6 future work) -----------------------------
   // Announced-but-unfinished compute work: every live task whose current

@@ -61,6 +61,7 @@
 #include "src/hw/memory_model.h"
 #include "src/kernel/workload_api.h"
 #include "src/obs/metrics.h"
+#include "src/sim/fields.h"
 #include "src/sim/time.h"
 
 namespace dcs {
@@ -109,6 +110,18 @@ struct AdmissionConfig {
   // Bound multiplier applied to whatever degraded mode still admits.
   double degraded_bound_factor = 0.5;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const AdmissionConfig*) {
+  return std::tuple{&AdmissionConfig::policy, &AdmissionConfig::utilization_bound,
+                    &AdmissionConfig::target_violation_rate, &AdmissionConfig::decrease_factor,
+                    &AdmissionConfig::increase_step, &AdmissionConfig::min_bound,
+                    &AdmissionConfig::max_bound, &AdmissionConfig::feedback_window,
+                    &AdmissionConfig::demand_ewma_weight, &AdmissionConfig::speed_ewma_weight,
+                    &AdmissionConfig::battery_shed_dod, &AdmissionConfig::brownout_shed_hold,
+                    &AdmissionConfig::degraded_bound_factor};
+}
+static_assert(ListsEveryField<AdmissionConfig>());
 
 // Online schedulability estimator + admission gate.  One per ServerWorkload;
 // the workload registers it as the kernel's SupplyObserver and consults

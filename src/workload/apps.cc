@@ -82,6 +82,4 @@ AppBundle MakeApp(const std::string& name, DeadlineMonitor* deadlines, std::uint
                               "' (expected mpeg|web|chess|editor|server)");
 }
 
-std::vector<std::string> AllAppNames() { return {"mpeg", "web", "chess", "editor", "server"}; }
-
 }  // namespace dcs

@@ -47,9 +47,6 @@ AppBundle MakeTalkingEditorApp(DeadlineMonitor* deadlines, std::uint64_t seed);
 // std::invalid_argument for unknown names.
 AppBundle MakeApp(const std::string& name, DeadlineMonitor* deadlines, std::uint64_t seed);
 
-// The paper's four apps in paper order, plus "server".
-std::vector<std::string> AllAppNames();
-
 }  // namespace dcs
 
 #endif  // SRC_WORKLOAD_APPS_H_

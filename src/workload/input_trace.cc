@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
+#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+
+#include "src/sim/parse.h"
 
 namespace dcs {
 namespace {
@@ -45,7 +46,7 @@ void WriteTimeMicros(std::ostream& os, SimTime at) {
   os << ns / 1000;
   const std::int64_t frac = ns % 1000;
   if (frac != 0) {
-    char buf[5];
+    char buf[6];  // ".nnn" and its NUL, plus a sign for a negative fraction
     std::snprintf(buf, sizeof(buf), ".%03lld", static_cast<long long>(frac));
     os << buf;
   }
@@ -147,20 +148,6 @@ bool ParseTimeMicros(const std::string& s, SimTime* out) {
   return true;
 }
 
-bool ParseMagnitude(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 void InputTrace::Record(SimTime at, std::string kind, double magnitude) {
@@ -237,7 +224,7 @@ InputTrace InputTrace::ReadCsv(std::istream& is) {
       RowError(line_number, "bad time_us '" + fields[0] + "'");
     }
     double magnitude = 0.0;
-    if (!ParseMagnitude(fields[2], &magnitude)) {
+    if (!ParseDouble(fields[2], &magnitude)) {
       RowError(line_number, "bad magnitude '" + fields[2] + "'");
     }
     if (!trace.events_.empty() && at < trace.events_.back().at) {

@@ -27,6 +27,7 @@
 #include <memory>
 
 #include "src/kernel/workload_api.h"
+#include "src/sim/fields.h"
 #include "src/workload/deadline_monitor.h"
 
 namespace dcs {
@@ -76,6 +77,18 @@ struct MpegConfig {
   // video became unsynchronized" — is a frame shown this late.
   SimTime av_sync_tolerance = SimTime::Millis(100);
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const MpegConfig*) {
+  return std::tuple{&MpegConfig::fps, &MpegConfig::duration, &MpegConfig::mean_decode_ms_at_top,
+                    &MpegConfig::gop_length, &MpegConfig::i_factor, &MpegConfig::p_factor,
+                    &MpegConfig::b_factor, &MpegConfig::jitter_stddev, &MpegConfig::spin_threshold,
+                    &MpegConfig::pacing, &MpegConfig::elastic, &MpegConfig::video_profile,
+                    &MpegConfig::audio_profile, &MpegConfig::frame_tolerance,
+                    &MpegConfig::audio_period, &MpegConfig::audio_refill_ms_at_top,
+                    &MpegConfig::av_sync_tolerance};
+}
+static_assert(ListsEveryField<MpegConfig>());
 
 // Video decode/pace/display loop.  Reports "video_frame" and "av_sync"
 // deadlines.

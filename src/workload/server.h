@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/kernel/workload_api.h"
+#include "src/sim/fields.h"
 #include "src/sim/ring.h"
 #include "src/workload/admission.h"
 #include "src/workload/deadline_monitor.h"
@@ -57,6 +58,13 @@ struct ServerStreamClass {
   double value = 1.0;   // shedding priority: lowest value shed first
   double weight = 1.0;  // relative share of requests assigned here
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const ServerStreamClass*) {
+  return std::tuple{&ServerStreamClass::name, &ServerStreamClass::value,
+                    &ServerStreamClass::weight};
+}
+static_assert(ListsEveryField<ServerStreamClass>());
 
 struct ServerConfig {
   ArrivalProcess arrivals = ArrivalProcess::kPoisson;
@@ -98,6 +106,19 @@ struct ServerConfig {
   // simulation untouched, byte for byte.
   AdmissionConfig admission;
 };
+
+// Every member, in declaration order (src/sim/fields.h).
+constexpr auto Fields(const ServerConfig*) {
+  return std::tuple{&ServerConfig::arrivals, &ServerConfig::rate_rps, &ServerConfig::duration,
+                    &ServerConfig::slo, &ServerConfig::service_ms_at_top,
+                    &ServerConfig::max_service_factor, &ServerConfig::profile,
+                    &ServerConfig::burst_rate_factor, &ServerConfig::calm_dwell_mean,
+                    &ServerConfig::burst_dwell_mean, &ServerConfig::onoff_sources,
+                    &ServerConfig::pareto_shape, &ServerConfig::pareto_on_min,
+                    &ServerConfig::pareto_off_min, &ServerConfig::streams,
+                    &ServerConfig::admission};
+}
+static_assert(ListsEveryField<ServerConfig>());
 
 // Rejects a nonsensical scenario up front with std::invalid_argument
 // (non-positive rate/SLO/service mean, bad MMPP/Pareto parameters,

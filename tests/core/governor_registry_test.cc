@@ -106,6 +106,17 @@ TEST(GovernorRegistryTest, CyclesSpecs) {
   EXPECT_EQ(MakeGovernor("cyclesx", &error), nullptr);
 }
 
+TEST(GovernorRegistryTest, NonFiniteNumbersRejected) {
+  // nan fails every comparison, so it slipped past each range check.
+  for (const char* spec : {"flat-nan", "flat-inf", "deadline-nan", "PAST-peg-peg-nan-98",
+                           "PAST-peg-peg-93-nan", "pid-inf-0-0", "pid-0-nan-0", "adaptive-nan",
+                           "adaptive-inf", "fixed-nan", "fixed-inf@1.23"}) {
+    std::string error;
+    EXPECT_EQ(MakeGovernor(spec, &error), nullptr) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
 TEST(GovernorRegistryTest, ModernGovernors) {
   std::string error;
   EXPECT_NE(MakeGovernor("ondemand", &error), nullptr);

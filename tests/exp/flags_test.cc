@@ -145,14 +145,20 @@ TEST(FlagSetTest, StrictModeRejectsTypos) {
   EXPECT_EQ(error, "unknown flag '--thread'");
 }
 
-TEST(FlagSetTest, AllowUnknownSkipsForeignFlags) {
-  int threads = 0;
+TEST(FlagSetTest, IntOutsideItsRangeIsAnError) {
+  int n = 7;
   FlagSet flags;
-  flags.Int("threads", &threads);
-  Argv a({"--quick", "--threads=3", "positional"});
+  flags.Int("n", &n, 0, 4);
   std::string error;
-  ASSERT_TRUE(flags.Parse(a.argc(), a.argv(), &error, /*allow_unknown=*/true)) << error;
-  EXPECT_EQ(threads, 3);
+  Argv low({"--n=-1"});
+  EXPECT_FALSE(flags.Parse(low.argc(), low.argv(), &error));
+  EXPECT_EQ(error, "'--n' needs an integer in [0, 4], got '-1'");
+  Argv high({"--n=5"});
+  EXPECT_FALSE(flags.Parse(high.argc(), high.argv(), &error));
+  EXPECT_EQ(n, 7);
+  Argv edge({"--n=4"});
+  ASSERT_TRUE(flags.Parse(edge.argc(), edge.argv(), &error)) << error;
+  EXPECT_EQ(n, 4);
 }
 
 TEST(FlagSetTest, ReparseClearsSeenState) {
@@ -202,6 +208,67 @@ TEST(RegisterSweepFlagsTest, CoversSharedSweepSurface) {
   EXPECT_EQ(options.campaign.max_retries, 3);
   EXPECT_EQ(options.campaign.quarantine_out, "q.json");
   EXPECT_EQ(options.trace_out, "t.json");
+}
+
+// Parses `args` through the shared sweep flags into fresh options.
+SweepOptions ParseSweepFlags(std::vector<std::string> args) {
+  SweepOptions options;
+  FlagSet flags;
+  RegisterSweepFlags(flags, &options);
+  Argv a(std::move(args));
+  std::string error;
+  EXPECT_TRUE(flags.Parse(a.argc(), a.argv(), &error)) << error;
+  return options;
+}
+
+TEST(RegisterSweepFlagsTest, ParsesThreadsAndProgress) {
+  SweepOptions options = ParseSweepFlags({"--threads=6", "--progress"});
+  EXPECT_EQ(options.threads, 6);
+  EXPECT_TRUE(options.progress);
+
+  options = ParseSweepFlags({"--threads", "4"});
+  EXPECT_EQ(options.threads, 4);
+  EXPECT_FALSE(options.progress);
+
+  options = ParseSweepFlags({});
+  EXPECT_EQ(options.threads, 0);
+}
+
+TEST(RegisterSweepFlagsTest, ParsesCampaignFlags) {
+  SweepOptions options = ParseSweepFlags({"--resume=run.journal", "--job-timeout=2.5",
+                                          "--max-retries=5", "--quarantine-out=bad.json"});
+  EXPECT_EQ(options.campaign.resume, "run.journal");
+  EXPECT_DOUBLE_EQ(options.campaign.job_timeout, 2.5);
+  EXPECT_EQ(options.campaign.max_retries, 5);
+  EXPECT_EQ(options.campaign.quarantine_out, "bad.json");
+  EXPECT_EQ(options.campaign.QuarantinePath(), "bad.json");
+
+  // Space-separated form; the report defaults to sit beside the journal.
+  options = ParseSweepFlags({"--resume", "j.bin"});
+  EXPECT_EQ(options.campaign.resume, "j.bin");
+  EXPECT_EQ(options.campaign.QuarantinePath(), "j.bin.quarantine.json");
+
+  options = ParseSweepFlags({});
+  EXPECT_EQ(options.campaign.resume, "");
+  EXPECT_EQ(options.campaign.job_timeout, 0.0);
+  EXPECT_EQ(options.campaign.QuarantinePath(), "");
+  EXPECT_EQ(options.campaign.max_retries, 2);
+}
+
+TEST(RegisterSweepFlagsTest, MaxRetriesOutsideItsRangeFails) {
+  // -1 would run no attempt and quarantine every job with an empty error;
+  // past the cap the backoff's shift would overflow.
+  for (const char* bad : {"-1", "17", "40"}) {
+    SweepOptions options;
+    FlagSet flags;
+    RegisterSweepFlags(flags, &options);
+    Argv a({std::string("--max-retries=") + bad});
+    std::string error;
+    EXPECT_FALSE(flags.Parse(a.argc(), a.argv(), &error)) << bad;
+    EXPECT_EQ(error, std::string("'--max-retries' needs an integer in [0, 16], got '") + bad + "'");
+  }
+  EXPECT_EQ(ParseSweepFlags({"--max-retries=0"}).campaign.max_retries, 0);
+  EXPECT_EQ(ParseSweepFlags({"--max-retries=16"}).campaign.max_retries, 16);
 }
 
 TEST(RegisterSweepFlagsTest, DuplicateThreadsAcrossSpellingsFails) {

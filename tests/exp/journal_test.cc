@@ -8,10 +8,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "src/sim/fields.h"
 #include "tests/fault/fingerprint.h"
 
 namespace dcs {
@@ -219,6 +226,84 @@ TEST(ConfigFingerprintTest, SensitiveToEverySection) {
 TEST(ConfigFingerprintTest, SectionFingerprintsArePinned) {
   EXPECT_EQ(Hex(ConfigFingerprint(MpegSection())), "7c8058ced741c0c8");
   EXPECT_EQ(Hex(ConfigFingerprint(ServerAdmissionSection())), "8429a594096682af");
+}
+
+template <typename T>
+concept HasFields = requires(const T* t) { Fields(t); };
+
+// One edit of a config, named by its path through the field lists.
+struct FieldEdit {
+  std::string path;
+  std::function<void(ExperimentConfig&)> apply;
+};
+
+template <typename V>
+void Nudge(V& v) {
+  if constexpr (std::is_same_v<V, bool>) {
+    v = !v;
+  } else if constexpr (std::is_enum_v<V>) {
+    v = static_cast<V>(static_cast<int>(v) + 1);
+  } else if constexpr (std::is_same_v<V, SimTime>) {
+    v = v + SimTime::Nanos(1);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    v += "x";
+  } else {
+    v = v + 1;
+  }
+}
+
+// Appends an edit for every field reachable from the value `at` selects, by
+// the same field lists ConfigFingerprint walks: one nudge per scalar, plus a
+// reset per (present) optional and a new element per vector.
+template <typename V, typename At>
+void CollectEdits(std::vector<FieldEdit>& edits, const std::string& path, At at) {
+  if constexpr (HasFields<V>) {
+    constexpr auto fields = Fields(static_cast<const V*>(nullptr));
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (CollectEdits<std::remove_reference_t<decltype(std::declval<V&>().*std::get<I>(fields))>>(
+           edits, path + "." + std::to_string(I),
+           [at, fields](ExperimentConfig& c) -> auto& { return at(c).*std::get<I>(fields); }),
+       ...);
+    }(std::make_index_sequence<std::tuple_size_v<decltype(fields)>>{});
+  } else if constexpr (OptionalField<V>) {
+    edits.push_back({path + " presence", [at](ExperimentConfig& c) { at(c).reset(); }});
+    CollectEdits<typename V::value_type>(edits, path,
+                                         [at](ExperimentConfig& c) -> auto& { return *at(c); });
+  } else if constexpr (VectorField<V>) {
+    edits.push_back({path + " count", [at](ExperimentConfig& c) { at(c).emplace_back(); }});
+    CollectEdits<typename V::value_type>(
+        edits, path + "[0]", [at](ExperimentConfig& c) -> auto& { return at(c).front(); });
+  } else {
+    edits.push_back({path, [at](ExperimentConfig& c) { Nudge(at(c)); }});
+  }
+}
+
+TEST(ConfigFingerprintTest, EveryListedFieldIsHashed) {
+  // Every optional present and every vector non-empty, so the walk reaches
+  // every field of every list.
+  ExperimentConfig base = ServerAdmissionSection();
+  base.mpeg.emplace();
+  ASSERT_FALSE(base.server->streams.empty());
+  ASSERT_TRUE(base.itsy.battery.has_value());
+
+  std::vector<FieldEdit> edits;
+  CollectEdits<std::optional<MpegConfig>>(
+      edits, "mpeg", [](ExperimentConfig& c) -> auto& { return c.mpeg; });
+  CollectEdits<std::optional<ServerConfig>>(
+      edits, "server", [](ExperimentConfig& c) -> auto& { return c.server; });
+  CollectEdits<ItsyConfig>(edits, "itsy", [](ExperimentConfig& c) -> auto& { return c.itsy; });
+  CollectEdits<KernelConfig>(edits, "kernel",
+                             [](ExperimentConfig& c) -> auto& { return c.kernel; });
+  CollectEdits<DaqConfig>(edits, "daq", [](ExperimentConfig& c) -> auto& { return c.daq; });
+  // 80 scalar fields, 3 optionals and 1 vector.
+  EXPECT_EQ(edits.size(), 84u);
+
+  const std::uint64_t fingerprint = ConfigFingerprint(base);
+  for (const FieldEdit& edit : edits) {
+    ExperimentConfig changed = base;
+    edit.apply(changed);
+    EXPECT_NE(ConfigFingerprint(changed), fingerprint) << edit.path;
+  }
 }
 
 TEST(ConfigFingerprintTest, IgnoresHowNotWhatFields) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,57 +155,15 @@ TEST(SweepRunnerTest, ThreadsResolveToHardwareWhenUnset) {
   EXPECT_EQ(SweepRunner(options).threads(), 3);
 }
 
-TEST(SweepOptionsFromArgsTest, ParsesThreadsAndProgress) {
-  char prog[] = "bench";
-  char threads_eq[] = "--threads=6";
-  char progress[] = "--progress";
-  char* argv1[] = {prog, threads_eq, progress};
-  SweepOptions options = SweepOptionsFromArgs(3, argv1);
-  EXPECT_EQ(options.threads, 6);
-  EXPECT_TRUE(options.progress);
-
-  char threads_flag[] = "--threads";
-  char four[] = "4";
-  char* argv2[] = {prog, threads_flag, four};
-  options = SweepOptionsFromArgs(3, argv2);
-  EXPECT_EQ(options.threads, 4);
-  EXPECT_FALSE(options.progress);
-
-  char* argv3[] = {prog};
-  options = SweepOptionsFromArgs(1, argv3);
-  EXPECT_EQ(options.threads, 0);
-}
-
-TEST(SweepOptionsFromArgsTest, ParsesCampaignFlags) {
-  char prog[] = "bench";
-  char resume[] = "--resume=run.journal";
-  char timeout[] = "--job-timeout=2.5";
-  char retries[] = "--max-retries=5";
-  char quarantine[] = "--quarantine-out=bad.json";
-  char* argv1[] = {prog, resume, timeout, retries, quarantine};
-  SweepOptions options = SweepOptionsFromArgs(5, argv1);
-  EXPECT_EQ(options.campaign.resume, "run.journal");
-  EXPECT_DOUBLE_EQ(options.campaign.job_timeout, 2.5);
-  EXPECT_EQ(options.campaign.max_retries, 5);
-  EXPECT_EQ(options.campaign.quarantine_out, "bad.json");
-  EXPECT_EQ(options.campaign.QuarantinePath(), "bad.json");
-
-  // Space-separated form, negative values clamped, defaults otherwise.
-  char resume_flag[] = "--resume";
-  char journal[] = "j.bin";
-  char bad_timeout[] = "--job-timeout=-1";
-  char* argv2[] = {prog, resume_flag, journal, bad_timeout};
-  options = SweepOptionsFromArgs(4, argv2);
-  EXPECT_EQ(options.campaign.resume, "j.bin");
-  EXPECT_EQ(options.campaign.job_timeout, 0.0);
-  EXPECT_EQ(options.campaign.QuarantinePath(), "j.bin.quarantine.json");
-
-  char* argv3[] = {prog};
-  options = SweepOptionsFromArgs(1, argv3);
-  EXPECT_EQ(options.campaign.resume, "");
-  EXPECT_EQ(options.campaign.job_timeout, 0.0);
-  EXPECT_EQ(options.campaign.QuarantinePath(), "");
-  EXPECT_EQ(options.campaign.max_retries, 2);
+TEST(SweepRunnerTest, RejectsMaxRetriesOutsideItsRange) {
+  for (const int bad : {-1, CampaignOptions::kMaxRetries + 1}) {
+    SweepOptions options;
+    options.campaign.max_retries = bad;
+    EXPECT_THROW(SweepRunner{options}, std::invalid_argument) << bad;
+  }
+  SweepOptions options;
+  options.campaign.max_retries = CampaignOptions::kMaxRetries;
+  EXPECT_NO_THROW(SweepRunner{options});
 }
 
 TEST(RunRepeatedParallelTest, BitIdenticalToSerial) {

@@ -109,6 +109,18 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultPlanTest, RejectsNonFiniteProbabilities) {
+  // nan passes both range checks of a probability, and parsed as a plan
+  // that silently injects nothing.
+  for (const char* spec : {"storm=nan", "storm=inf", "tick-jitter=nan", "daq-drop=nan%",
+                           "clock-fail=-inf"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(FaultPlan::Parse(spec, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
 TEST(FaultPlanTest, DescribeRoundTrips) {
   FaultPlan plan;
   ASSERT_TRUE(FaultPlan::Parse("storm=0.7,clock-fail=2%,seed=19", &plan));

@@ -10,6 +10,7 @@
 #include "src/hw/itsy.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/fixtures.h"
 
 namespace dcs {
 namespace {
@@ -233,7 +234,7 @@ TEST_F(KernelTest, ExitedTaskFreesCpu) {
   kernel.AddTask(std::move(workload));
   kernel.Start();
   sim.RunUntil(SimTime::Seconds(1));
-  EXPECT_EQ(kernel.LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(kernel), 0u);
   EXPECT_EQ(itsy.exec_state(), ExecState::kNap);
 }
 

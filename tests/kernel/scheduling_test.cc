@@ -12,6 +12,7 @@
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/fixtures.h"
 
 namespace dcs {
 namespace {
@@ -71,7 +72,7 @@ TEST(SchedulingTest, WakeDuringStallGapIsDeferredNotLost) {
   kernel.Start();
   sim.RunUntil(SimTime::Millis(100));
   EXPECT_TRUE(raw->spun_);
-  EXPECT_EQ(kernel.LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(kernel), 0u);
 }
 
 TEST(SchedulingTest, InstallPolicyMidRun) {
@@ -211,7 +212,7 @@ TEST(SchedulingTest, ManyTasksAllMakeProgress) {
   for (const ComputeOnceWorkload* w : raw) {
     EXPECT_TRUE(w->done());
   }
-  EXPECT_EQ(kernel.LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(kernel), 0u);
 }
 
 TEST(SchedulingTest, LateAddedTaskGetsScheduledPromptly) {

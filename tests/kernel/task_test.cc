@@ -13,6 +13,7 @@
 #include "src/workload/apps.h"
 #include "src/workload/server.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/fixtures.h"
 
 namespace dcs {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/sweep.h"
 
 namespace dcs {
@@ -141,8 +142,12 @@ TEST(ObsExportTest, ExportIsNoOpWithoutFlagsAndFailsOnBadPath) {
 TEST(ObsExportTest, SweepOptionsParseObsFlags) {
   const char* argv[] = {"bench", "--trace-out=/tmp/t.json", "--metrics-out", "/tmp/m.json",
                         "--threads=2"};
-  const SweepOptions options =
-      SweepOptionsFromArgs(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  SweepOptions options;
+  FlagSet flags;
+  RegisterSweepFlags(flags, &options);
+  std::string error;
+  ASSERT_TRUE(flags.Parse(static_cast<int>(std::size(argv)), const_cast<char**>(argv), &error))
+      << error;
   EXPECT_EQ(options.trace_out, "/tmp/t.json");
   EXPECT_EQ(options.metrics_out, "/tmp/m.json");
   EXPECT_EQ(options.threads, 2);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/workload/apps.h"
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -77,7 +78,7 @@ TEST(AnnouncementTest, RegistryEmptiesWhenAppsExit) {
     h.Add(std::move(task));
   }
   h.Run(SimTime::Seconds(5));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
   EXPECT_TRUE(h.kernel->PendingDeadlines().empty());
 }
 

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {

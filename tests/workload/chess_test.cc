@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -28,7 +29,7 @@ TEST(ChessWorkloadTest, CompletesGameAtTopSpeed) {
   h.Add(std::make_unique<ChessWorkload>(std::move(trace), ChessConfig{}, &h.deadlines));
   h.Run(SimTime::Seconds(230));
   EXPECT_EQ(h.deadlines.Stats("interactive").total, static_cast<std::int64_t>(moves));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
 }
 
 TEST(ChessWorkloadTest, SearchSaturatesCpu) {

@@ -93,6 +93,10 @@ TEST(InputTraceTest, ReadCsvRejectsMalformedRows) {
     std::stringstream ss("time_us,kind,magnitude\n-5,tap,1.0\n");
     EXPECT_THROW(InputTrace::ReadCsv(ss), std::invalid_argument);
   }
+  for (const char* magnitude : {"nan", "inf", "-inf"}) {  // non-finite magnitude
+    std::stringstream ss(std::string("time_us,kind,magnitude\n1000,tap,") + magnitude + "\n");
+    EXPECT_THROW(InputTrace::ReadCsv(ss), std::invalid_argument) << magnitude;
+  }
 }
 
 TEST(InputTraceTest, ReadCsvRejectsOutOfOrderTimestamps) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -28,7 +29,7 @@ TEST(JavaPollWorkloadTest, RunsForever) {
   WorkloadHarness h;
   h.Add(std::make_unique<JavaPollWorkload>());
   h.Run(SimTime::Seconds(10));
-  EXPECT_EQ(h.kernel->LiveTasks(), 1u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 1u);
 }
 
 TEST(JavaPollWorkloadTest, PeriodicityVisibleInUtilizationTrace) {

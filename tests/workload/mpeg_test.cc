@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -80,7 +81,7 @@ TEST(MpegVideoTest, WorksWithoutDeadlineMonitor) {
   WorkloadHarness h;
   h.Add(std::make_unique<MpegVideoWorkload>(ShortClip(2.0), nullptr));
   h.Run(SimTime::Seconds(4));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
 }
 
 TEST(MpegAudioTest, RefillsOnSchedule) {

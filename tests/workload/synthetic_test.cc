@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/workload/demand.h"
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -37,7 +38,7 @@ TEST(RectangleWaveWorkloadTest, FiniteCyclesExit) {
   WorkloadHarness h;
   h.Add(std::make_unique<RectangleWaveWorkload>(2, 1, SimTime::Millis(10), 3));
   h.Run(SimTime::Seconds(2));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
 }
 
 TEST(RectangleWaveWorkloadTest, UtilizationIndependentOfClockStep) {
@@ -67,7 +68,7 @@ TEST(ComputeOnceWorkloadTest, CompletesAndExits) {
   h.Add(std::move(workload));
   h.Run(SimTime::Seconds(1));
   EXPECT_TRUE(raw->done());
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
 }
 
 TEST(ComputeOnceWorkloadTest, MemoryProfileSlowsExecution) {

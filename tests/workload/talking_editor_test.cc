@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -33,7 +34,7 @@ TEST(TalkingEditorTest, CompletesSessionAtTopSpeed) {
   h.Add(std::make_unique<TalkingEditorWorkload>(MakeTalkingEditorTrace(3),
                                                 TalkingEditorConfig{}, &h.deadlines));
   h.Run(SimTime::Seconds(120));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
   // 10 + 7 sentences reported on the speech stream.
   EXPECT_EQ(h.deadlines.Stats("speech").total, 17);
   EXPECT_EQ(h.deadlines.Stats("speech").missed, 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/fixtures.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -43,7 +44,7 @@ TEST(WebWorkloadTest, AllEventsHandledAtTopSpeed) {
   h.Run(SimTime::Seconds(200));
   EXPECT_EQ(h.deadlines.Stats("interactive").total, static_cast<std::int64_t>(events));
   EXPECT_EQ(h.deadlines.Stats("interactive").missed, 0);
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
 }
 
 TEST(WebWorkloadTest, MeetsDeadlinesAt132MHz) {
@@ -88,7 +89,7 @@ TEST(WebWorkloadTest, EmptyTraceExitsImmediately) {
   WorkloadHarness h;
   h.Add(std::make_unique<WebWorkload>(InputTrace{}, WebConfig{}, &h.deadlines));
   h.Run(SimTime::Seconds(1));
-  EXPECT_EQ(h.kernel->LiveTasks(), 0u);
+  EXPECT_EQ(LiveTasks(*h.kernel), 0u);
   EXPECT_EQ(h.deadlines.TotalEvents(), 0);
 }
 
