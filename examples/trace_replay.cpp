@@ -69,7 +69,7 @@ int main() {
     DaqConfig daq_config;
     daq_config.seed = 7000 + static_cast<std::uint64_t>(run);
     Daq daq(daq_config);
-    const double joules = daq.MeasureEnergyJoules(itsy.tape(), SimTime::Zero(), end);
+    const double joules = daq.EnergyJoules(daq.SampleWindow(itsy.tape(), SimTime::Zero(), end));
     energies.push_back(joules);
     runs.AddRow({std::to_string(run + 1), TextTable::Fixed(joules, 2),
                  std::to_string(deadlines.Stats("interactive").missed)});

@@ -22,9 +22,9 @@ the cmake command line, and prints two lists:
 
 Each list is diffed against scripts/reach_allowlist.json, which gives a
 one-line reason per entry.  The script exits 1 when either list holds an
-entry the allowlist does not, and names allowlisted entries that no longer
-appear, so the allowlist can shrink with the code.  It also prints the
-line coverage of each src/ directory.
+entry the allowlist does not, or the allowlist holds an entry its list no
+longer does (a stale entry: the allowlist shrinks with the code).  It also
+prints the line coverage of each src/ directory.
 """
 
 import argparse
@@ -158,7 +158,8 @@ def tier1_coverage(source, work, jobs):
 
 
 def diff(title, found, allowed):
-    """Prints `found` against the allowlist; returns the unlisted entries."""
+    """Prints `found` against the allowlist; returns the entries that fail
+    it: those not allowlisted, then allowlisted ones no longer found."""
     unlisted = [e for e in found if e not in allowed]
     stale = sorted(set(allowed) - set(found))
     print(f"\n{title}: {len(found)} ({len(found) - len(unlisted)} allowlisted, "
@@ -168,8 +169,8 @@ def diff(title, found, allowed):
         if entry in allowed:
             print(f"      {allowed[entry]}")
     for entry in stale:
-        print(f"  allowlisted but no longer listed (remove it): {entry}")
-    return unlisted
+        print(f"! allowlisted but no longer listed (remove it): {entry}")
+    return unlisted + stale
 
 
 def main():
@@ -198,9 +199,9 @@ def main():
     bad = diff("unreached by production", unreached, allow["reach"])
     bad += diff("never run by tier-1", never, allow["coverage"])
     if bad:
-        print(f"\nFAIL: {len(bad)} entries are not in {os.path.relpath(ALLOWLIST, ROOT)}: "
+        print(f"\nFAIL: {len(bad)} entries differ from {os.path.relpath(ALLOWLIST, ROOT)}: "
               "call them from a program, run them from a test, delete them, "
-              "or allowlist them with a reason")
+              "or allowlist them with a reason; remove stale allowlist entries")
         return 1
     print("\nOK: every entry is allowlisted")
     return 0

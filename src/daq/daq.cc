@@ -244,12 +244,6 @@ std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
   return {samples_.data(), samples_.size()};
 }
 
-std::vector<double> Daq::SamplePowerWatts(const PowerTape& tape, SimTime begin,
-                                          SimTime end) {
-  const std::span<const double> window = SampleWindow(tape, begin, end);
-  return std::vector<double>(window.begin(), window.end());
-}
-
 void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
                         double period_s) {
   // Structure-of-arrays pipeline.  Every pass below either (a) performs,
@@ -378,10 +372,6 @@ double Daq::AverageWatts(std::span<const double> samples) const {
     sum += p;
   }
   return sum / static_cast<double>(samples.size());
-}
-
-double Daq::MeasureEnergyJoules(const PowerTape& tape, SimTime begin, SimTime end) {
-  return EnergyJoules(SampleWindow(tape, begin, end));
 }
 
 void GpioTrigger::Attach(Gpio& gpio) {

@@ -98,12 +98,8 @@ class Daq {
   // and tests/daq/block_variant_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
-  // next SampleWindow/SamplePowerWatts/MeasureEnergyJoules call.
+  // next SampleWindow call.
   std::span<const double> SampleWindow(const PowerTape& tape, SimTime begin, SimTime end);
-
-  // Compatibility wrapper around SampleWindow: same samples, copied into a
-  // fresh heap vector.
-  std::vector<double> SamplePowerWatts(const PowerTape& tape, SimTime begin, SimTime end);
 
   // Binds the fault injector (non-owning; null unbinds).  Unbound, sampling
   // is byte-identical to the pre-fault DAQ.
@@ -115,9 +111,6 @@ class Daq {
   // Rectangle-rule energy: sum(p_i * 0.0002 s), exactly as in section 4.1.
   double EnergyJoules(std::span<const double> samples) const;
   double AverageWatts(std::span<const double> samples) const;
-
-  // Convenience: sample + integrate in one call.
-  double MeasureEnergyJoules(const PowerTape& tape, SimTime begin, SimTime end);
 
   // The ISA variant of the batched element-wise passes this process runs:
   // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.

@@ -136,10 +136,8 @@ void DeviceSim::CheckTick() {
   ArmCheckTick();
 }
 
-void DeviceSim::ArmCheckTick() { ArmCheckAt(sim_.Now() + kernel_config_.quantum); }
-
-void DeviceSim::ArmCheckAt(SimTime at) {
-  check_event_ = sim_.At(at, [this] { CheckTick(); });
+void DeviceSim::ArmCheckTick() {
+  check_event_ = sim_.At<&DeviceSim::CheckTick>(sim_.Now() + kernel_config_.quantum, this);
 }
 
 ExperimentResult DeviceSim::Run() {
@@ -328,7 +326,7 @@ void DeviceSim::LoadState(SnapshotReader* r) {
   SnapshotIo io(r, &rearm);
   Snapshot(io);
   if (r->ok()) {
-    rearm.FireInOrder();
+    rearm.FireInOrder(sim_);
   }
 }
 
@@ -363,7 +361,7 @@ void DeviceSim::Snapshot(SnapshotIo& io) {
   if (injector_) {
     injector_->Snapshot(io);
     checker_->Snapshot(io);
-    io.Pending<&DeviceSim::ArmCheckAt>(check_event_, this);
+    io.Pending<&DeviceSim::CheckTick>(check_event_, this);
   }
   trigger_.Snapshot(io);
   deadlines_->Snapshot(io);

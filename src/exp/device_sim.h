@@ -153,7 +153,6 @@ class DeviceSim {
   // quantum later (the old RunExperiment check_tick closure).
   void CheckTick();
   void ArmCheckTick();
-  void ArmCheckAt(SimTime at);
 
   ExperimentConfig config_;
   Recording recording_;

@@ -267,8 +267,7 @@ std::vector<SweepJobResult> SweepRunner::Run(const std::vector<ExperimentConfig>
 
   // 2-4. Workers claim the next unstarted slot; the slot a job writes is
   // fixed by its index, so the schedule (who ran what, in which order) never
-  // shows in the output.  Journal appends, on_result and progress share one
-  // mutex.
+  // shows in the output.  Journal appends and progress share one mutex.
   std::atomic<int> next_job{0};
   std::mutex mutex;
   int done = metrics_.replayed;
@@ -297,9 +296,6 @@ std::vector<SweepJobResult> SweepRunner::Run(const std::vector<ExperimentConfig>
         journal_failed = true;
         Note("cannot " + io_error + "; continuing without checkpointing");
       }
-    }
-    if (hooks.on_result) {
-      hooks.on_result(i, slot);
     }
     ++done;
     if (options_.progress) {

@@ -131,10 +131,6 @@ struct SweepJobHooks {
   // back recorded results without calling it.  The fleet layer uses this to
   // make one job simulate a whole shard of devices (src/exp/fleet.h).
   std::function<SweepJobResult(const ExperimentConfig&, int index)> execute;
-  // Observes each executed slot in completion order (not slot order), after
-  // its journal record is written.  Calls are serialized by the runner.
-  // Replayed slots are not observed.
-  std::function<void(int index, const SweepJobResult&)> on_result;
 };
 
 // One quarantined config, as written to the quarantine report.

@@ -76,7 +76,7 @@ bool Itsy::SetVoltage(CoreVoltage v) {
       if (faults_->BrownoutDuringSettle()) {
         // The rail undershoots hard enough mid-settle to brown the core out;
         // model it as a forced step-down halfway through the interval.
-        ArmBrownout(sim_.Now() + settle / 2);
+        brownout_event_ = sim_.At<&Itsy::OnBrownout>(sim_.Now() + settle / 2, this);
       }
     } else {
       regulator_.Request(v, sim_.Now());
@@ -94,10 +94,6 @@ void Itsy::CancelBrownout() {
     sim_.Cancel(brownout_event_);
     brownout_event_ = kInvalidEventId;
   }
-}
-
-void Itsy::ArmBrownout(SimTime at) {
-  brownout_event_ = sim_.At(at, [this] { OnBrownout(); });
 }
 
 void Itsy::OnBrownout() {
@@ -177,7 +173,7 @@ void Itsy::Snapshot(SnapshotIo& io) {
   }
   io(last_battery_update_, last_clock_change_failed_);
   io.As<std::uint32_t>(brownouts_);
-  io.Pending<&Itsy::ArmBrownout>(brownout_event_, this);
+  io.Pending<&Itsy::OnBrownout>(brownout_event_, this);
 }
 
 void Itsy::RefreshPower() {

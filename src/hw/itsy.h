@@ -135,7 +135,6 @@ class Itsy {
   // this the stale event would fire after the rail is back at 1.5 V and
   // wrongly drop the clock step.
   void CancelBrownout();
-  void ArmBrownout(SimTime at);
   void OnBrownout();
 
   Simulator& sim_;

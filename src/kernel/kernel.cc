@@ -75,7 +75,7 @@ void Kernel::Start() {
     series_freq_mhz_->Append(start_time_, itsy_.frequency_mhz());
     series_core_volts_->Append(start_time_, VoltageVolts(itsy_.voltage()));
   }
-  ArmTick(start_time_ + config_.quantum);
+  tick_event_ = sim_.At<&Kernel::Tick>(start_time_ + config_.quantum, this);
   Dispatch();
 }
 
@@ -186,10 +186,10 @@ void Kernel::Tick() {
   if (faults_ != nullptr) {
     // The next interrupt may be jittered or missed entirely; the memory
     // subsystem may spike for the quantum now starting.
-    ArmTick(now + faults_->TickDelay(config_.quantum));
+    tick_event_ = sim_.At<&Kernel::Tick>(now + faults_->TickDelay(config_.quantum), this);
     mem_spike_factor_ = faults_->QuantumMemSpikeFactor();
   } else {
-    ArmTick(now + config_.quantum);
+    tick_event_ = sim_.At<&Kernel::Tick>(now + config_.quantum, this);
   }
 
   // Policy runs in the clock interrupt; the forced reschedule costs
@@ -250,26 +250,21 @@ void Kernel::Tick() {
 
   // A clock-change stall can outlast the quantum, in which case the previous
   // tick's dispatch is still pending; replace it rather than double-dispatch.
+  ArmDispatch(dispatch_at);
+}
+
+void Kernel::ArmDispatch(SimTime at) {
   if (dispatch_event_ != kInvalidEventId) {
     sim_.Cancel(dispatch_event_);
   }
   dispatch_pending_ = true;
-  ArmDispatch(dispatch_at);
+  dispatch_event_ = sim_.At<&Kernel::OnDispatch>(at, this);
 }
 
-// The arm sites run for every tick, dispatch, completion and sleep; they are
-// forced inline so that sharing them with the snapshot re-arm costs the
-// event loop no call.
-[[gnu::always_inline]] inline void Kernel::ArmTick(SimTime at) {
-  tick_event_ = sim_.At(at, [this] { Tick(); });
-}
-
-[[gnu::always_inline]] inline void Kernel::ArmDispatch(SimTime at) {
-  dispatch_event_ = sim_.At(at, [this] {
-    dispatch_pending_ = false;
-    dispatch_event_ = kInvalidEventId;
-    Dispatch();
-  });
+void Kernel::OnDispatch() {
+  dispatch_pending_ = false;
+  dispatch_event_ = kInvalidEventId;
+  Dispatch();
 }
 
 SimTime Kernel::RetryTransition(SimTime dispatch_at) {
@@ -392,11 +387,7 @@ void Kernel::ArmCompletion() {
       assert(false && "ArmCompletion on a non-running action");
       return;
   }
-  ArmCompletionAt(at);
-}
-
-[[gnu::always_inline]] inline void Kernel::ArmCompletionAt(SimTime at) {
-  completion_event_ = sim_.At(at, [this] { OnCompletion(); });
+  completion_event_ = sim_.At<&Kernel::OnCompletion>(at, this);
 }
 
 void Kernel::CancelCompletion() {
@@ -442,7 +433,7 @@ void Kernel::ProcessNextActions() {
         if (ctr_sleeps_ != nullptr) {
           ctr_sleeps_->Inc();
         }
-        ArmWake(task, wake);
+        task->set_wake_event(sim_.At<&Kernel::WakeTask>(wake, this, task->pid()));
         current_ = nullptr;
         Dispatch();
         return;
@@ -466,10 +457,6 @@ void Kernel::ProcessNextActions() {
         total_busy_ += config_.yield_cost;
         step_residency_[static_cast<std::size_t>(itsy_.step())] += config_.yield_cost;
         segment_start_ = resume;
-        if (dispatch_event_ != kInvalidEventId) {
-          sim_.Cancel(dispatch_event_);
-        }
-        dispatch_pending_ = true;
         ArmDispatch(resume);
         return;
       }
@@ -487,15 +474,6 @@ void Kernel::ProcessNextActions() {
   // A workload that never lets time advance would otherwise re-enter this
   // loop every quantum forever; fail the run in every build type.
   throw std::runtime_error("workload produced too many instantaneous actions");
-}
-
-[[gnu::always_inline]] inline void Kernel::ArmWake(Task* task, SimTime at) {
-  const Pid pid = task->pid();
-  task->set_wake_event(sim_.At(at, [this, pid] { WakeTask(pid); }));
-}
-
-void Kernel::RearmWake(SimTime at, std::int64_t pid) {
-  ArmWake(FindTask(static_cast<Pid>(pid)), at);
 }
 
 void Kernel::WakeTask(Pid pid) {
@@ -530,7 +508,7 @@ void Kernel::Snapshot(SnapshotIo& io) {
       return;
     }
     task->Snapshot(io, this);
-    io.Pending<&Kernel::RearmWake>(task->wake_event(), this, pid);
+    io.Pending<&Kernel::WakeTask>(task->wake_event(), this, pid);
   }
   run_queue_.Snapshot(io);
   Pid current_pid = current_ != nullptr ? current_->pid() : -1;
@@ -548,10 +526,10 @@ void Kernel::Snapshot(SnapshotIo& io) {
   if (io.loading()) {
     ResolveSeries();
   }
-  io.Pending<&Kernel::ArmTick>(tick_event_, this);
-  io.Pending<&Kernel::ArmDispatch>(dispatch_event_, this);
+  io.Pending<&Kernel::Tick>(tick_event_, this);
+  io.Pending<&Kernel::OnDispatch>(dispatch_event_, this);
   io(dispatch_pending_);
-  io.Pending<&Kernel::ArmCompletionAt>(completion_event_, this);
+  io.Pending<&Kernel::OnCompletion>(completion_event_, this);
   io(quantum_start_, busy_in_quantum_, work_in_quantum_us_, quantum_index_, last_utilization_,
      total_busy_, total_idle_, step_residency_);
 }

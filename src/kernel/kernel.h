@@ -234,13 +234,10 @@ class Kernel {
   void Dispatch();
   void ArmCompletion();
   void CancelCompletion();
-  // Arm sites for the kernel's events; a restored image re-arms through
-  // them too (a sleeping task's wake by pid, through RearmWake).
-  void ArmTick(SimTime at);
+  // Replaces any pending dispatch with one at `at`.
   void ArmDispatch(SimTime at);
-  void ArmCompletionAt(SimTime at);
-  void ArmWake(Task* task, SimTime at);
-  void RearmWake(SimTime at, std::int64_t pid);
+  // The dispatch event: the forced reschedule after a tick or a yield.
+  void OnDispatch();
   // The current task finished its action: pull next actions from the
   // workload until it blocks, yields, exits, or starts real work.
   void OnCompletion();

@@ -82,8 +82,8 @@ class ClockPolicy {
 // every job of every sweep; with 20 registered governor types the virtual
 // call is a guaranteed indirect branch plus a vtable load per quantum.  A
 // PolicyDispatch pairs the policy pointer with a function pointer built
-// once, from the policy's *concrete* type (in the spirit of
-// src/sim/inline_function.h): the thunk's qualified call compiles to a
+// once, from the policy's *concrete* type (as EventFn does for event
+// handlers, src/sim/event_queue.h): the thunk's qualified call compiles to a
 // direct, inlinable call into the final class.  Requiring P to be final
 // makes "P is the object's dynamic type" a compile-time fact, so the thunk
 // calls exactly the member function the vtable would.

@@ -1,9 +1,11 @@
 // Cancellable priority queue of timed events for the discrete-event engine.
 //
-// Layout: callbacks live in a slot pool (free-listed vector, no hashing, no
-// per-event allocation thanks to InlineFunction's small-buffer storage); the
-// order lives in one array of 24-byte {time, seq, slot} entries holding only
-// live events, kept sorted latest-first so the next event to fire is at the
+// An event is a call to its owner: a 24-byte EventFn record {handler, owner,
+// aux} naming a member function, the object it runs on and one integer
+// argument (a sleeping task's pid).  Records live in a slot pool (free-listed
+// vector, no hashing, 32-byte slots, nothing allocated per event); the order
+// lives in one array of 24-byte {time, seq, slot} entries holding only live
+// events, kept sorted latest-first so the next event to fire is at the
 // back.  Pop and NextTime read back() in O(1); Push inserts by shifting
 // later-firing entries from the back; Cancel finds its entry by slot and
 // erases it on the spot.  No cancelled event is ever left behind.
@@ -35,11 +37,9 @@
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/sim/arena.h"
-#include "src/sim/inline_function.h"
 #include "src/sim/time.h"
 
 namespace dcs {
@@ -50,9 +50,35 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
-// Event callback type.  48 inline bytes covers every capture list in the
-// tree ([this] plus a few words) without touching the heap.
-using EventFn = InlineFunction<void(), 48>;
+// What an event does when it fires: fire(owner, aux).  Of<&C::Handler>
+// builds the record for a member `void Handler()` or `void Handler(Arg)`,
+// Arg an integer taken from `aux`.  Plain data, so the queue copies it with
+// its slot and the snapshot re-arm (src/sim/snapshot.h) keeps it as it is;
+// the owner must outlive every event it arms, as a component's events do.
+struct EventFn {
+  void (*fire)(void* owner, std::int64_t aux);
+  void* owner;
+  std::int64_t aux;
+
+  void operator()() const { fire(owner, aux); }
+
+  template <auto Handler, typename C>
+  static EventFn Of(C* owner, std::int64_t aux = 0) {
+    return EventFn{&Call<Handler, C>, owner, aux};
+  }
+
+ private:
+  template <auto Handler, typename C>
+  static void Call(void* owner, std::int64_t aux) {
+    C* self = static_cast<C*>(owner);
+    if constexpr (std::is_invocable_v<decltype(Handler), C*>) {
+      (self->*Handler)();
+    } else {
+      (self->*Handler)(aux);
+    }
+  }
+};
+static_assert(std::is_trivially_copyable_v<EventFn> && sizeof(EventFn) == 24);
 
 class EventQueue {
  public:
@@ -63,21 +89,17 @@ class EventQueue {
   explicit EventQueue(Arena* arena)
       : slots_(ArenaAllocator<Slot>(arena)), pending_(ArenaAllocator<Pending>(arena)) {}
 
-  // Non-copyable: callbacks frequently capture raw pointers to simulator
-  // state, so an accidental copy would double-fire events.
+  // Non-copyable: events point at their owners, so an accidental copy
+  // would double-fire them.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
   // Push / Cancel / Pop are defined inline below: they run once per
-  // simulated event.  Push's one caller, Simulator::At, takes its callback
-  // as a by-value EventFn and is defined out of line, so a kernel event's
-  // callback is built on the caller's stack and then moved into its slot.
+  // simulated event.
 
   // Schedules `fn` at absolute time `at`.  Events that tie on time fire in
-  // insertion order.  Accepts any callable (built directly in its slot) or
-  // a ready-made EventFn (moved in).
-  template <typename F>
-  EventId Push(SimTime at, F&& fn);
+  // insertion order.
+  EventId Push(SimTime at, EventFn fn);
 
   // Cancels a previously scheduled event.  Returns true if the event was
   // still pending (i.e. had not fired and had not already been cancelled).
@@ -118,8 +140,10 @@ class EventQueue {
     std::uint32_t generation = 1;
     // While free: index of the next free slot (kNoSlot ends the list).
     std::uint32_t next_free = kNoSlot;
+    // Meaningful only while the slot is live.
     EventFn fn;
   };
+  static_assert(sizeof(Slot) == 32);
   struct Pending {
     SimTime at;
     std::uint64_t seq;
@@ -148,11 +172,9 @@ class EventQueue {
     return slot < slots_.size() && slots_[slot].generation == static_cast<std::uint32_t>(id >> 32);
   }
 
-  // Frees `slot` (destroys its callback, stales its id) and returns it to
-  // the free list.
+  // Frees `slot` (stales its id) and returns it to the free list.
   void ReleaseSlot(std::uint32_t slot) {
     Slot& s = slots_[slot];
-    s.fn = nullptr;
     ++s.generation;
     s.next_free = free_head_;
     free_head_ = slot;
@@ -165,8 +187,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-template <typename F>
-inline EventId EventQueue::Push(SimTime at, F&& fn) {
+inline EventId EventQueue::Push(SimTime at, EventFn fn) {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
@@ -176,12 +197,7 @@ inline EventId EventQueue::Push(SimTime at, F&& fn) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  Slot& s = slots_[slot];
-  if constexpr (std::is_same_v<std::remove_cvref_t<F>, EventFn>) {
-    s.fn = std::forward<F>(fn);  // rvalue required: EventFn is move-only
-  } else {
-    s.fn.Emplace(std::forward<F>(fn));
-  }
+  slots_[slot].fn = fn;
   // The new entry has the largest seq, so it sorts in front of (fires after)
   // every entry at the same time: FIFO ties.
   const Pending entry{at, next_seq_++, slot};
@@ -215,7 +231,7 @@ inline EventQueue::Entry EventQueue::Pop() {
   assert(!pending_.empty() && "Pop() on empty queue");
   const Pending next = pending_.back();
   pending_.pop_back();
-  Entry entry{next.at, IdOf(next.slot), std::move(slots_[next.slot].fn)};
+  const Entry entry{next.at, IdOf(next.slot), slots_[next.slot].fn};
   ReleaseSlot(next.slot);
   return entry;
 }

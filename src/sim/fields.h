@@ -8,11 +8,14 @@
 //   constexpr auto Fields(const T*) { return std::tuple{&T::a, &T::b}; }
 //   static_assert(ListsEveryField<T>());
 //
-// The assert lays the listed member types out in order, as the compiler lays
-// out T, and compares the size with sizeof(T).  A member added to T without
-// being listed changes sizeof(T), so the build breaks until it is listed;
-// only a member small enough to fit in T's padding (a bool after a bool)
-// slips past.
+// The assert checks two things, so that a member added to T without being
+// listed breaks the build until it is listed:
+//   * the list is as long as T's member count, which a brace-init probe
+//     reads off the aggregate (the most AnyField initialisers T{...} takes),
+//     so an unlisted member hidden in T's padding (a bool after a bool) is
+//     caught;
+//   * the listed member types, laid out in order as the compiler lays out T,
+//     fill sizeof(T), so a list naming the wrong member is caught too.
 //
 // A field is a scalar, a std::string, a std::optional or std::vector of
 // fields, or a struct with its own field list.
@@ -48,14 +51,37 @@ constexpr std::size_t LaidOutSize() {
   return (size + align - 1) / align * align;
 }
 
+// Converts to any member type, so T{AnyField{}, ...} initialises one member
+// per initialiser.  Declared only: it is named in unevaluated probes.
+struct AnyField {
+  template <typename U>
+  operator U() const;  // NOLINT(google-explicit-constructor)
+};
+
+// The number of members of the aggregate T: the most initialisers T{...}
+// accepts.
+template <typename T, std::size_t N = 0>
+constexpr std::size_t MemberCount() {
+  constexpr bool takes_one_more = []<std::size_t... I>(std::index_sequence<I...>) {
+    return requires { T{(static_cast<void>(I), AnyField{})...}; };
+  }(std::make_index_sequence<N + 1>{});
+  if constexpr (takes_one_more) {
+    return MemberCount<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
 template <typename T>
 constexpr bool ListsEveryField() {
-  return std::apply(
+  constexpr auto fields = Fields(static_cast<const T*>(nullptr));
+  return std::tuple_size_v<decltype(fields)> == MemberCount<T>() &&
+         std::apply(
              [](auto... member) {
                return LaidOutSize<
                    std::remove_reference_t<decltype(std::declval<T&>().*member)>...>();
              },
-             Fields(static_cast<const T*>(nullptr))) == sizeof(T);
+             fields) == sizeof(T);
 }
 
 }  // namespace dcs

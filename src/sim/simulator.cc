@@ -1,18 +1,12 @@
 #include "src/sim/simulator.h"
 
-#include <utility>
-
 namespace dcs {
 
 EventId Simulator::At(SimTime at, EventFn fn) {
   if (at < now_) {
     at = now_;
   }
-  return queue_.Push(at, std::move(fn));
-}
-
-EventId Simulator::After(SimTime delay, EventFn fn) {
-  return At(now_ + delay, std::move(fn));
+  return queue_.Push(at, fn);
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -27,7 +21,7 @@ bool Simulator::Step() {
   if (queue_.Empty()) {
     return false;
   }
-  EventQueue::Entry entry = queue_.Pop();
+  const EventQueue::Entry entry = queue_.Pop();
   now_ = entry.at;
   ++events_executed_;
   entry.fn();

@@ -1,8 +1,9 @@
 // The discrete-event simulator loop.
 //
 // All substrates (kernel timer ticks, workload wakeups, regulator settle
-// completions, DAQ windows) are driven by events scheduled here.  Time only
-// advances between events; callbacks run at a single logical instant.
+// completions, DAQ windows) are driven by events scheduled here.  Each event
+// is a call to a member of the component that armed it (EventFn).  Time only
+// advances between events; handlers run at a single logical instant.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -38,12 +39,15 @@ class Simulator {
 
   // Schedules `fn` at absolute time `at`.  Scheduling in the past (at < Now())
   // fires the event at Now(); this mirrors hardware timers that raise an
-  // already-expired deadline immediately.  Any callable converts to EventFn;
-  // captures up to 48 bytes are stored without allocating.
+  // already-expired deadline immediately.
   EventId At(SimTime at, EventFn fn);
 
-  // Schedules `fn` `delay` after Now().
-  EventId After(SimTime delay, EventFn fn);
+  // Schedules owner->Handler() (or owner->Handler(aux)) at `at`: the form
+  // every component arms its events in.
+  template <auto Handler, typename C>
+  EventId At(SimTime at, C* owner, std::int64_t aux = 0) {
+    return At(at, EventFn::Of<Handler>(owner, aux));
+  }
 
   // Cancels a pending event.  Returns true if it was still pending.
   bool Cancel(EventId id);

@@ -20,7 +20,8 @@
 //     original queue sequence number, both read off the queue at save time
 //     (Simulator::EventAt, EventSeq).
 //   * Order-preserving re-arm.  On load each owner registers its pending
-//     events on a RearmList; FireInOrder() re-schedules them in ascending
+//     events on a RearmList as (handler, owner, aux) records, the same
+//     records it arms them with; FireInOrder() re-pushes them in ascending
 //     original-sequence order.  Re-armed events therefore keep their FIFO
 //     tie-break order relative to each other, and every event created after
 //     the restore point sorts behind them — exactly as in the uninterrupted
@@ -213,30 +214,28 @@ class SnapshotReader {
   bool ok_ = true;
 };
 
-// Deferred re-arm of the pending events recorded in a snapshot.  Components
-// Add() one entry per pending event during a load; the device harness
-// calls FireInOrder() once, which sorts by the original sequence number and
-// invokes each `fire` callback to schedule the event.  Fixed capacity — the
-// full stack has at most a dozen pending events at a quiescent point — so
-// re-arming never allocates.
+// Deferred re-arm of the pending events recorded in a snapshot.  During a
+// load each owner Add()s one entry per pending event: its saved fire time
+// and sequence, the event record to push, and the owner's id field.  The
+// device harness then calls FireInOrder(sim) once, which re-pushes the
+// records in ascending original-sequence order and writes each new id back.
+// Fixed capacity — the full stack has at most a dozen pending events at a
+// quiescent point — so re-arming never allocates; an image holding more
+// fails its load.
 class RearmList {
  public:
   static constexpr int kCapacity = 32;
 
-  using FireFn = void (*)(void* ctx, SimTime at, std::int64_t aux);
-
-  void Clear() { count_ = 0; }
-
-  void Add(std::uint64_t seq, SimTime at, FireFn fire, void* ctx, std::int64_t aux = 0) {
+  // False (and nothing added) once the list is full.
+  bool Add(std::uint64_t seq, SimTime at, EventFn fn, EventId* id) {
     if (count_ >= kCapacity) {
-      overflowed_ = true;
-      return;
+      return false;
     }
-    entries_[count_++] = Entry{seq, at, fire, ctx, aux};
+    entries_[count_++] = Entry{seq, at, fn, id};
+    return true;
   }
 
-  // Schedules every entry in ascending original-sequence order.
-  void FireInOrder() {
+  void FireInOrder(Simulator& sim) {
     // Insertion sort: the list is tiny and almost sorted (components save in
     // arm order).
     for (int i = 1; i < count_; ++i) {
@@ -249,25 +248,20 @@ class RearmList {
       entries_[j + 1] = e;
     }
     for (int i = 0; i < count_; ++i) {
-      entries_[i].fire(entries_[i].ctx, entries_[i].at, entries_[i].aux);
+      *entries_[i].id = sim.At(entries_[i].at, entries_[i].fn);
     }
     count_ = 0;
   }
-
-  int count() const { return count_; }
-  bool overflowed() const { return overflowed_; }
 
  private:
   struct Entry {
     std::uint64_t seq;
     SimTime at;
-    FireFn fire;
-    void* ctx;
-    std::int64_t aux;
+    EventFn fn;
+    EventId* id;
   };
   Entry entries_[kCapacity];
   int count_ = 0;
-  bool overflowed_ = false;
 };
 
 // One description of a component's image, read in both directions.
@@ -293,11 +287,12 @@ class RearmList {
 //   io.Keyed(map)       a map whose key set the live stack fixes, entry by
 //                       entry, each checked by its name's hash;
 //   io.Optional<Wire>(o) a presence flag, then the value;
-//   io.Pending<Arm>(id, self)
-//                       a pending event: on save its fire time and queue
-//                       sequence come from the simulator; on load the
-//                       component's own arm function is registered on the
-//                       RearmList, which re-schedules it at that time.
+//   io.Pending<&C::Handler>(id, owner, aux)
+//                       a pending event that calls owner->Handler (with
+//                       `aux`): on save its fire time and queue sequence
+//                       come from the simulator; on load its record and
+//                       &id go on the RearmList, which re-pushes it at that
+//                       time.
 //
 // Every load-side failure latches the reader's ok() false and leaves a
 // value that is safe to use.  A fleet worker saves once per warmup image and
@@ -487,11 +482,9 @@ class SnapshotIo {
     }
   }
 
-  // A pending event armed by `self` (see the class comment).  `Arm` is a
-  // member function taking the fire time, and `aux` when it takes two
-  // arguments (e.g. the pid of a sleeping task).
-  template <auto Arm, typename C>
-  void Pending(EventId& id, C* self, std::int64_t aux = 0) {
+  // A pending event that calls owner->Handler (see the class comment).
+  template <auto Handler, typename C>
+  void Pending(EventId& id, C* owner, std::int64_t aux = 0) {
     bool armed = id != kInvalidEventId;
     Field(armed);
     if (w_ != nullptr) [[unlikely]] {
@@ -509,21 +502,9 @@ class SnapshotIo {
     SimTime at;
     std::uint64_t seq = 0;
     (*this)(at, seq);
-    if (rearm_ == nullptr) {
+    if (rearm_ == nullptr || !rearm_->Add(seq, at, EventFn::Of<Handler>(owner, aux), &id)) {
       r_->Fail();
-      return;
     }
-    rearm_->Add(
-        seq, at,
-        [](void* ctx, SimTime fire_at, std::int64_t arg) {
-          C* owner = static_cast<C*>(ctx);
-          if constexpr (std::is_invocable_v<decltype(Arm), C*, SimTime, std::int64_t>) {
-            (owner->*Arm)(fire_at, arg);
-          } else {
-            (owner->*Arm)(fire_at);
-          }
-        },
-        self, aux);
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "src/workload/input_trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <cstdio>
 #include <istream>
@@ -151,8 +150,15 @@ bool ParseTimeMicros(const std::string& s, SimTime* out) {
 }  // namespace
 
 void InputTrace::Record(SimTime at, std::string kind, double magnitude) {
-  assert((events_.empty() || at >= events_.back().at) &&
-         "input events must be time-ordered");
+  // ReadCsv refuses negative and out-of-order times, so a trace holding one
+  // could not be written and read back.
+  if (at < SimTime::Zero()) {
+    throw std::invalid_argument("InputTrace::Record: negative time " + at.ToString());
+  }
+  if (!events_.empty() && at < events_.back().at) {
+    throw std::invalid_argument("InputTrace::Record: time " + at.ToString() +
+                                " before the previous event's");
+  }
   events_.push_back(InputEvent{at, std::move(kind), magnitude});
 }
 

@@ -36,7 +36,8 @@ class InputTrace {
  public:
   InputTrace() = default;
 
-  // Appends an event; events must be added in non-decreasing time order.
+  // Appends an event.  Throws std::invalid_argument for a negative time or
+  // one before the previous event's.
   void Record(SimTime at, std::string kind, double magnitude = 1.0);
 
   const std::vector<InputEvent>& events() const { return events_; }

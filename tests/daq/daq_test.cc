@@ -20,7 +20,7 @@ PowerTape ConstantTape(double watts) {
 TEST(DaqTest, SampleCountMatchesRateAndWindow) {
   Daq daq;
   const PowerTape tape = ConstantTape(1.0);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), SimTime::Seconds(2));
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(2));
   EXPECT_EQ(samples.size(), 10000u);  // 5000 Hz * 2 s
 }
 
@@ -32,7 +32,7 @@ TEST(DaqTest, SamplePeriodIs200Microseconds) {
 TEST(DaqTest, MeasuresConstantPowerAccurately) {
   Daq daq;
   const PowerTape tape = ConstantTape(1.4);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), SimTime::Seconds(1));
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(1));
   const double avg = daq.AverageWatts(samples);
   // ADC quantisation + noise keep the error well under 1%.
   EXPECT_NEAR(avg, 1.4, 0.014);
@@ -41,7 +41,7 @@ TEST(DaqTest, MeasuresConstantPowerAccurately) {
 TEST(DaqTest, EnergyIsRectangleRule) {
   Daq daq;
   const PowerTape tape = ConstantTape(2.0);
-  const double joules = daq.MeasureEnergyJoules(tape, SimTime::Zero(), SimTime::Seconds(3));
+  const double joules = daq.EnergyJoules(daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(3)));
   EXPECT_NEAR(joules, 6.0, 0.06);
 }
 
@@ -50,7 +50,7 @@ TEST(DaqTest, EnergyTracksStepChanges) {
   PowerTape tape;
   tape.Set(SimTime::Zero(), 1.0);
   tape.Set(SimTime::Seconds(1), 3.0);
-  const double joules = daq.MeasureEnergyJoules(tape, SimTime::Zero(), SimTime::Seconds(2));
+  const double joules = daq.EnergyJoules(daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(2)));
   EXPECT_NEAR(joules, 4.0, 0.05);
 }
 
@@ -62,7 +62,7 @@ TEST(DaqTest, MeasurementCloseToGroundTruthOnRealisticTape) {
     tape.Set(SimTime::Millis(20 * i), i % 2 == 0 ? 1.43 : 0.74);
   }
   const SimTime end = SimTime::Millis(2000);
-  const double measured = daq.MeasureEnergyJoules(tape, SimTime::Zero(), end);
+  const double measured = daq.EnergyJoules(daq.SampleWindow(tape, SimTime::Zero(), end));
   const double exact = tape.EnergyJoules(SimTime::Zero(), end);
   EXPECT_NEAR(measured, exact, exact * 0.01);
 }
@@ -70,8 +70,8 @@ TEST(DaqTest, MeasurementCloseToGroundTruthOnRealisticTape) {
 TEST(DaqTest, EmptyWindowYieldsNothing) {
   Daq daq;
   const PowerTape tape = ConstantTape(1.0);
-  EXPECT_TRUE(daq.SamplePowerWatts(tape, SimTime::Seconds(1), SimTime::Seconds(1)).empty());
-  EXPECT_TRUE(daq.SamplePowerWatts(tape, SimTime::Seconds(2), SimTime::Seconds(1)).empty());
+  EXPECT_TRUE(daq.SampleWindow(tape, SimTime::Seconds(1), SimTime::Seconds(1)).empty());
+  EXPECT_TRUE(daq.SampleWindow(tape, SimTime::Seconds(2), SimTime::Seconds(1)).empty());
   EXPECT_EQ(daq.AverageWatts({}), 0.0);
 }
 
@@ -80,7 +80,7 @@ TEST(DaqTest, NoiseDisabledGivesQuantisationOnlyError) {
   config.noise_lsb = 0.0;
   Daq daq(config);
   const PowerTape tape = ConstantTape(1.0);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), SimTime::Millis(100));
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Millis(100));
   // All samples identical (pure quantisation).
   for (const double s : samples) {
     EXPECT_DOUBLE_EQ(s, samples[0]);
@@ -95,9 +95,9 @@ TEST(DaqTest, SixteenBitQuantisationVisible) {
   // Shunt LSB = 2*0.1/65536 V -> current LSB ~152.6 uA -> power LSB ~0.47 mW.
   const PowerTape a = ConstantTape(1.0);
   const PowerTape b = ConstantTape(1.0001);  // less than one LSB away
-  const auto sa = daq.SamplePowerWatts(a, SimTime::Zero(), SimTime::Millis(1));
-  const auto sb = daq.SamplePowerWatts(b, SimTime::Zero(), SimTime::Millis(1));
-  EXPECT_DOUBLE_EQ(sa[0], sb[0]);
+  const double sa = daq.SampleWindow(a, SimTime::Zero(), SimTime::Millis(1))[0];
+  const double sb = daq.SampleWindow(b, SimTime::Zero(), SimTime::Millis(1))[0];
+  EXPECT_DOUBLE_EQ(sa, sb);
 }
 
 TEST(DaqTest, RepeatedRunsTightConfidenceInterval) {
@@ -112,7 +112,7 @@ TEST(DaqTest, RepeatedRunsTightConfidenceInterval) {
     DaqConfig config;
     config.seed = 1000 + static_cast<std::uint64_t>(run);
     Daq daq(config);
-    energies.push_back(daq.MeasureEnergyJoules(tape, SimTime::Zero(), SimTime::Seconds(2)));
+    energies.push_back(daq.EnergyJoules(daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(2))));
   }
   const Summary s = Summarize(energies);
   EXPECT_LT(s.ci_percent(), 0.7);
@@ -130,7 +130,7 @@ TEST_P(DaqNoisePropertyTest, AverageErrorBounded) {
   Daq daq(config);
   PowerTape tape;
   tape.Set(SimTime::Zero(), 1.3);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), SimTime::Seconds(1));
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(1));
   const double avg = daq.AverageWatts(samples);
   // Single-sample noise sigma: noise_lsb LSBs on the shunt channel; one LSB
   // of shunt voltage is ~0.47 mW of power.  Averaged over 5000 samples, even
@@ -146,7 +146,7 @@ TEST_P(DaqNoisePropertyTest, EnergyMatchesAverageTimesTime) {
   Daq daq(config);
   PowerTape tape;
   tape.Set(SimTime::Zero(), 0.9);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), SimTime::Seconds(2));
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(2));
   EXPECT_NEAR(daq.EnergyJoules(samples), daq.AverageWatts(samples) * 2.0, 1e-9);
 }
 
@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(NoiseSweep, DaqNoisePropertyTest,
                          ::testing::Values(0.0, 0.5, 1.0, 2.0, 4.0));
 
 TEST(DaqTest, FastPathMatchesFaultPathWhenNothingDrops) {
-  // SamplePowerWatts takes a branch-free fast path when no fault injector is
+  // SampleWindow takes a branch-free fast path when no fault injector is
   // bound.  A bound injector whose drop probability is zero must produce the
   // exact same bytes — the fast path is an optimisation, not a behaviour.
   Rng rng(0xFA57);
@@ -169,8 +169,8 @@ TEST(DaqTest, FastPathMatchesFaultPathWhenNothingDrops) {
   FaultInjector injector(plan);
   Daq faulted;
   faulted.BindFaults(&injector);
-  const auto a = fast.SamplePowerWatts(tape, SimTime::Zero(), t);
-  const auto b = faulted.SamplePowerWatts(tape, SimTime::Zero(), t);
+  const auto a = fast.SampleWindow(tape, SimTime::Zero(), t);
+  const auto b = faulted.SampleWindow(tape, SimTime::Zero(), t);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "sample " << i;
@@ -192,7 +192,7 @@ TEST(DaqTest, ZeroNoiseSamplingMatchesQuantisedTape) {
   DaqConfig config;
   config.noise_lsb = 0.0;
   Daq daq(config);
-  const auto samples = daq.SamplePowerWatts(tape, SimTime::Zero(), t);
+  const auto samples = daq.SampleWindow(tape, SimTime::Zero(), t);
   const double steps = std::pow(2.0, config.adc_bits);
   const double shunt_lsb = 2.0 * config.shunt_range_volts / steps;
   const double supply_lsb = config.supply_range_volts / steps;

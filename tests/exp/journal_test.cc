@@ -231,6 +231,20 @@ TEST(ConfigFingerprintTest, SectionFingerprintsArePinned) {
 template <typename T>
 concept HasFields = requires(const T* t) { Fields(t); };
 
+// An unlisted member that hides in the struct's padding leaves the sizes
+// equal, so only the member count catches it.
+struct PaddingProbe {
+  double a = 0.0;
+  bool b = false;
+  bool hidden = false;
+};
+constexpr auto Fields(const PaddingProbe*) {
+  return std::tuple{&PaddingProbe::a, &PaddingProbe::b};
+}
+static_assert(LaidOutSize<double, bool>() == sizeof(PaddingProbe));
+static_assert(MemberCount<PaddingProbe>() == 3);
+static_assert(!ListsEveryField<PaddingProbe>());
+
 // One edit of a config, named by its path through the field lists.
 struct FieldEdit {
   std::string path;

@@ -14,6 +14,7 @@
 #include <ios>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -74,8 +75,7 @@ std::string RunStack(bool bind_zero_injector) {
   if (injector) {
     daq.BindFaults(&*injector);
   }
-  const std::vector<double> samples =
-      daq.SamplePowerWatts(itsy.tape(), SimTime::Zero(), sim.Now());
+  const std::span<const double> samples = daq.SampleWindow(itsy.tape(), SimTime::Zero(), sim.Now());
 
   if (injector) {
     EXPECT_EQ(injector->injected_total(), 0u);

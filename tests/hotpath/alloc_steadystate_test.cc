@@ -93,11 +93,16 @@ TEST(AllocSteadyStateTest, SweepWorkerReachesAllocationSteadyState) {
   options.threads = 1;  // jobs run on this thread, so the counters see them
   SweepRunner runner(options);
 
+  // The count as each job's simulation ends; the stretch from one reading to
+  // the next is the runner's bookkeeping for a job plus the next job's run.
   std::vector<std::uint64_t> counts;
   counts.reserve(8);
   SweepJobHooks hooks;
-  hooks.on_result = [&](int, const SweepJobResult&) {
+  hooks.execute = [&](const ExperimentConfig& job, int) {
+    SweepJobResult slot;
+    slot.result = RunExperiment(job);
     counts.push_back(testing::ThreadAllocCount());
+    return slot;
   };
 
   const std::uint64_t base = testing::ThreadAllocCount();

@@ -266,14 +266,6 @@ TEST(DaqSoaPropertyTest, WrapperAndArenaBindingPreserveSamples) {
   const std::span<const double> window = window_daq.SampleWindow(tape, begin, end);
   const std::vector<double> window_copy(window.begin(), window.end());
 
-  // SamplePowerWatts is the compatibility wrapper over the same pipeline.
-  Daq wrapper_daq(config);
-  const std::vector<double> wrapped = wrapper_daq.SamplePowerWatts(tape, begin, end);
-  ASSERT_EQ(wrapped.size(), window_copy.size());
-  EXPECT_EQ(std::memcmp(wrapped.data(), window_copy.data(),
-                        wrapped.size() * sizeof(double)),
-            0);
-
   // Arena-backed sampling is byte-identical to heap-backed sampling.
   Arena arena;
   Daq arena_daq(config, &arena);
@@ -282,11 +274,6 @@ TEST(DaqSoaPropertyTest, WrapperAndArenaBindingPreserveSamples) {
   EXPECT_EQ(std::memcmp(arena_samples.data(), window_copy.data(),
                         arena_samples.size() * sizeof(double)),
             0);
-
-  // MeasureEnergyJoules integrates the same samples.
-  Daq energy_daq(config);
-  EXPECT_EQ(energy_daq.MeasureEnergyJoules(tape, begin, end),
-            window_daq.EnergyJoules(window_copy));
 }
 
 }  // namespace

@@ -294,7 +294,7 @@ TEST(PowerTapePropertyTest, DaqSamplingConvergesOnAnalyticEnergy) {
       config.sample_hz = hz;
       config.noise_lsb = 0.0;  // isolate the sampling error from ADC noise
       Daq daq(config);
-      const double measured = daq.MeasureEnergyJoules(tape, begin, end);
+      const double measured = daq.EnergyJoules(daq.SampleWindow(tape, begin, end));
       const double error = std::abs(measured - exact) / exact;
       if (first) {
         // The paper's 5 kHz rig lands within a few percent on quantum-scale

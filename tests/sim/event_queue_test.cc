@@ -8,9 +8,15 @@
 
 #include "src/sim/arena.h"
 #include "src/sim/rng.h"
+#include "tests/support/lambda_events.h"
 
 namespace dcs {
 namespace {
+
+using testing::LambdaEvents;
+
+// An event that does nothing.
+constexpr EventFn kNop{[](void*, std::int64_t) {}, nullptr, 0};
 
 TEST(EventQueueTest, StartsEmpty) {
   EventQueue q;
@@ -20,8 +26,9 @@ TEST(EventQueueTest, StartsEmpty) {
 
 TEST(EventQueueTest, PushPopSingle) {
   EventQueue q;
+  LambdaEvents ev;
   bool fired = false;
-  q.Push(SimTime::Millis(5), [&] { fired = true; });
+  q.Push(SimTime::Millis(5), ev.Make([&] { fired = true; }));
   ASSERT_FALSE(q.Empty());
   EXPECT_EQ(q.NextTime(), SimTime::Millis(5));
   auto entry = q.Pop();
@@ -31,11 +38,33 @@ TEST(EventQueueTest, PushPopSingle) {
   EXPECT_TRUE(q.Empty());
 }
 
+struct Counter {
+  std::int64_t total = 0;
+  void Add(std::int64_t n) { total += n; }
+  void Bump() { ++total; }
+};
+
+TEST(EventQueueTest, EventCallsItsOwnersHandler) {
+  // A record names a member and the object it runs on; a handler that takes
+  // an argument gets the record's aux word.
+  EventQueue q;
+  Counter a;
+  Counter b;
+  q.Push(SimTime::Millis(1), EventFn::Of<&Counter::Add>(&a, 40));
+  q.Push(SimTime::Millis(2), EventFn::Of<&Counter::Bump>(&b));
+  q.Push(SimTime::Millis(3), EventFn::Of<&Counter::Add>(&a, 2));
+  while (!q.Empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(a.total, 42);
+  EXPECT_EQ(b.total, 1);
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
-  q.Push(SimTime::Millis(30), [] {});
-  q.Push(SimTime::Millis(10), [] {});
-  q.Push(SimTime::Millis(20), [] {});
+  q.Push(SimTime::Millis(30), kNop);
+  q.Push(SimTime::Millis(10), kNop);
+  q.Push(SimTime::Millis(20), kNop);
   EXPECT_EQ(q.Pop().at, SimTime::Millis(10));
   EXPECT_EQ(q.Pop().at, SimTime::Millis(20));
   EXPECT_EQ(q.Pop().at, SimTime::Millis(30));
@@ -43,11 +72,12 @@ TEST(EventQueueTest, PopsInTimeOrder) {
 
 TEST(EventQueueTest, SimultaneousEventsFifo) {
   EventQueue q;
+  LambdaEvents ev;
   std::vector<int> order;
   const SimTime t = SimTime::Millis(1);
-  q.Push(t, [&] { order.push_back(1); });
-  q.Push(t, [&] { order.push_back(2); });
-  q.Push(t, [&] { order.push_back(3); });
+  q.Push(t, ev.Make([&] { order.push_back(1); }));
+  q.Push(t, ev.Make([&] { order.push_back(2); }));
+  q.Push(t, ev.Make([&] { order.push_back(3); }));
   while (!q.Empty()) {
     q.Pop().fn();
   }
@@ -56,7 +86,7 @@ TEST(EventQueueTest, SimultaneousEventsFifo) {
 
 TEST(EventQueueTest, CancelPendingEvent) {
   EventQueue q;
-  const EventId id = q.Push(SimTime::Millis(1), [] {});
+  const EventId id = q.Push(SimTime::Millis(1), kNop);
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_TRUE(q.Empty());
   // Double-cancel reports false.
@@ -65,10 +95,11 @@ TEST(EventQueueTest, CancelPendingEvent) {
 
 TEST(EventQueueTest, CancelledEventSkippedByPop) {
   EventQueue q;
+  LambdaEvents ev;
   bool fired_a = false;
   bool fired_b = false;
-  const EventId a = q.Push(SimTime::Millis(1), [&] { fired_a = true; });
-  q.Push(SimTime::Millis(2), [&] { fired_b = true; });
+  const EventId a = q.Push(SimTime::Millis(1), ev.Make([&] { fired_a = true; }));
+  q.Push(SimTime::Millis(2), ev.Make([&] { fired_b = true; }));
   q.Cancel(a);
   ASSERT_EQ(q.Size(), 1u);
   EXPECT_EQ(q.NextTime(), SimTime::Millis(2));
@@ -85,16 +116,16 @@ TEST(EventQueueTest, CancelUnknownIdReturnsFalse) {
 
 TEST(EventQueueTest, IdsAreUniqueAndNeverReused) {
   EventQueue q;
-  const EventId a = q.Push(SimTime::Millis(1), [] {});
+  const EventId a = q.Push(SimTime::Millis(1), kNop);
   q.Pop();
-  const EventId b = q.Push(SimTime::Millis(1), [] {});
+  const EventId b = q.Push(SimTime::Millis(1), kNop);
   EXPECT_NE(a, b);
 }
 
 TEST(EventQueueTest, SizeCountsOnlyLiveEvents) {
   EventQueue q;
-  const EventId a = q.Push(SimTime::Millis(1), [] {});
-  q.Push(SimTime::Millis(2), [] {});
+  const EventId a = q.Push(SimTime::Millis(1), kNop);
+  q.Push(SimTime::Millis(2), kNop);
   EXPECT_EQ(q.Size(), 2u);
   q.Cancel(a);
   EXPECT_EQ(q.Size(), 1u);
@@ -103,7 +134,7 @@ TEST(EventQueueTest, SizeCountsOnlyLiveEvents) {
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   EventQueue q;
   for (int i = 999; i >= 0; --i) {
-    q.Push(SimTime::Micros(i * 7 % 500), [] {});
+    q.Push(SimTime::Micros(i * 7 % 500), kNop);
   }
   SimTime last;
   while (!q.Empty()) {
@@ -129,7 +160,7 @@ TEST(EventQueueTest, MillionCancelsKeepQueueStorageBounded) {
     // Keep ~64 live events and cancel everything else before it fires.
     while (pending.size() < 64) {
       pending.push_back(
-          q.Push(SimTime::Micros(rng.UniformInt(0, 1'000'000)), [] {}));
+          q.Push(SimTime::Micros(rng.UniformInt(0, 1'000'000)), kNop));
     }
     (void)q.NextTime();
     for (int i = 0; i < 48; ++i) {
@@ -195,6 +226,7 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
   // live, popped and cancelled ids.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     EventQueue q;
+    LambdaEvents ev;
     RefModel ref;
     Rng rng(seed);
     std::vector<EventId> stale;  // ids no longer live: must all Cancel()==false
@@ -206,7 +238,7 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstSortedVector) {
         const SimTime at = SimTime::Micros(rng.UniformInt(0, 15));
         const int payload = next_payload++;
         const EventId id =
-            q.Push(at, [&fired, payload] { fired.push_back(payload); });
+            q.Push(at, ev.Make([&fired, payload] { fired.push_back(payload); }));
         ref.Push(at, id, payload);
       } else if (r < 70) {
         const std::size_t victim = static_cast<std::size_t>(
@@ -256,11 +288,11 @@ TEST(EventQueueTest, CancelThenReuseSlot) {
   // Cancelled events free their slots at once; the next push reuses one.
   // The stale ids must keep failing even though the slot is live again.
   EventQueue q;
-  const EventId a = q.Push(SimTime::Millis(1), [] {});
-  const EventId b = q.Push(SimTime::Millis(2), [] {});
+  const EventId a = q.Push(SimTime::Millis(1), kNop);
+  const EventId b = q.Push(SimTime::Millis(2), kNop);
   ASSERT_TRUE(q.Cancel(b));
   ASSERT_TRUE(q.Cancel(a));
-  const EventId c = q.Push(SimTime::Millis(3), [] {});
+  const EventId c = q.Push(SimTime::Millis(3), kNop);
   EXPECT_FALSE(q.Cancel(a));
   EXPECT_FALSE(q.Cancel(b));
   EXPECT_EQ(q.Size(), 1u);

@@ -9,9 +9,13 @@
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "src/sim/snapshot.h"
+#include "tests/support/lambda_events.h"
 
 namespace dcs {
 namespace {
+
+using testing::LambdaEvents;
 
 TEST(SimulatorTest, TimeStartsAtZero) {
   Simulator sim;
@@ -20,29 +24,21 @@ TEST(SimulatorTest, TimeStartsAtZero) {
 
 TEST(SimulatorTest, RunAdvancesTimeToEventInstants) {
   Simulator sim;
+  LambdaEvents ev;
   std::vector<std::int64_t> seen;
-  sim.At(SimTime::Millis(10), [&] { seen.push_back(sim.Now().millis()); });
-  sim.At(SimTime::Millis(5), [&] { seen.push_back(sim.Now().millis()); });
+  ev.At(sim, SimTime::Millis(10), [&] { seen.push_back(sim.Now().millis()); });
+  ev.At(sim, SimTime::Millis(5), [&] { seen.push_back(sim.Now().millis()); });
   sim.Run();
   EXPECT_EQ(seen, (std::vector<std::int64_t>{5, 10}));
   EXPECT_EQ(sim.Now(), SimTime::Millis(10));
 }
 
-TEST(SimulatorTest, AfterSchedulesRelativeToNow) {
-  Simulator sim;
-  SimTime fired;
-  sim.At(SimTime::Millis(3), [&] {
-    sim.After(SimTime::Millis(4), [&] { fired = sim.Now(); });
-  });
-  sim.Run();
-  EXPECT_EQ(fired, SimTime::Millis(7));
-}
-
 TEST(SimulatorTest, SchedulingInThePastFiresAtNow) {
   Simulator sim;
+  LambdaEvents ev;
   SimTime fired;
-  sim.At(SimTime::Millis(10), [&] {
-    sim.At(SimTime::Millis(2), [&] { fired = sim.Now(); });
+  ev.At(sim, SimTime::Millis(10), [&] {
+    ev.At(sim, SimTime::Millis(2), [&] { fired = sim.Now(); });
   });
   sim.Run();
   EXPECT_EQ(fired, SimTime::Millis(10));
@@ -50,9 +46,10 @@ TEST(SimulatorTest, SchedulingInThePastFiresAtNow) {
 
 TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   Simulator sim;
+  LambdaEvents ev;
   int fired = 0;
-  sim.At(SimTime::Millis(5), [&] { ++fired; });
-  sim.At(SimTime::Millis(15), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(5), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(15), [&] { ++fired; });
   sim.RunUntil(SimTime::Millis(10));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.Now(), SimTime::Millis(10));
@@ -61,17 +58,19 @@ TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
 
 TEST(SimulatorTest, RunUntilIncludesEventsExactlyAtDeadline) {
   Simulator sim;
+  LambdaEvents ev;
   bool fired = false;
-  sim.At(SimTime::Millis(10), [&] { fired = true; });
+  ev.At(sim, SimTime::Millis(10), [&] { fired = true; });
   sim.RunUntil(SimTime::Millis(10));
   EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
   Simulator sim;
+  LambdaEvents ev;
   int fired = 0;
-  sim.At(SimTime::Millis(1), [&] { ++fired; });
-  sim.At(SimTime::Millis(2), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(1), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(2), [&] { ++fired; });
   EXPECT_TRUE(sim.Step());
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.Step());
@@ -81,8 +80,9 @@ TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
+  LambdaEvents ev;
   bool fired = false;
-  const EventId id = sim.At(SimTime::Millis(1), [&] { fired = true; });
+  const EventId id = ev.At(sim, SimTime::Millis(1), [&] { fired = true; });
   EXPECT_TRUE(sim.Cancel(id));
   sim.Run();
   EXPECT_FALSE(fired);
@@ -91,13 +91,14 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 TEST(SimulatorTest, CancelEndsRunAfterTheCurrentCallback) {
   std::atomic<bool> cancel{false};
   Simulator sim;
+  LambdaEvents ev;
   sim.BindCancel(&cancel);
   int fired = 0;
-  sim.At(SimTime::Millis(1), [&] {
+  ev.At(sim, SimTime::Millis(1), [&] {
     ++fired;
     cancel = true;
   });
-  sim.At(SimTime::Millis(2), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(2), [&] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.PendingEvents(), 1u);
@@ -108,13 +109,14 @@ TEST(SimulatorTest, CancelEndsRunAfterTheCurrentCallback) {
 TEST(SimulatorTest, CancelledRunUntilHoldsTheClock) {
   std::atomic<bool> cancel{false};
   Simulator sim;
+  LambdaEvents ev;
   sim.BindCancel(&cancel);
   int fired = 0;
-  sim.At(SimTime::Millis(5), [&] {
+  ev.At(sim, SimTime::Millis(5), [&] {
     ++fired;
     cancel = true;
   });
-  sim.At(SimTime::Millis(6), [&] { ++fired; });
+  ev.At(sim, SimTime::Millis(6), [&] { ++fired; });
   sim.RunUntil(SimTime::Millis(10));
   EXPECT_EQ(fired, 1);
   // The run did not reach the deadline, so the clock stays where it stopped.
@@ -123,8 +125,9 @@ TEST(SimulatorTest, CancelledRunUntilHoldsTheClock) {
 
 TEST(SimulatorTest, EventsExecutedCounter) {
   Simulator sim;
+  LambdaEvents ev;
   for (int i = 0; i < 5; ++i) {
-    sim.At(SimTime::Millis(i), [] {});
+    ev.At(sim, SimTime::Millis(i), [] {});
   }
   sim.Run();
   EXPECT_EQ(sim.events_executed(), 5u);
@@ -132,13 +135,14 @@ TEST(SimulatorTest, EventsExecutedCounter) {
 
 TEST(SimulatorTest, CascadingEventsRunToCompletion) {
   Simulator sim;
+  LambdaEvents ev;
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) {
-      sim.After(SimTime::Micros(1), chain);
+      ev.At(sim, sim.Now() + SimTime::Micros(1), chain);
     }
   };
-  sim.After(SimTime::Micros(1), chain);
+  ev.At(sim, SimTime::Micros(1), chain);
   sim.Run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.Now(), SimTime::Micros(100));
@@ -159,6 +163,7 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   // restore must sort behind them on ties, and nothing the previous
   // occupant armed may fire.
   Simulator sim;
+  LambdaEvents ev;
   Rng rng(17);
   std::vector<int> fired;
   struct Armed {
@@ -168,7 +173,7 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   };
   std::vector<Armed> armed;
   auto arm = [&](SimTime at, int label) {
-    armed.push_back(Armed{sim.At(at, [&fired, label] { fired.push_back(label); }), at, label});
+    armed.push_back(Armed{ev.At(sim, at, [&fired, label] { fired.push_back(label); }), at, label});
   };
   // Times from a narrow range so ties are common; pushed in random order.
   for (int label = 0; label < 64; ++label) {
@@ -210,7 +215,7 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   fired.clear();
   for (const Saved& s : image) {
     const int label = s.label;
-    sim.At(s.at, [&fired, label] { fired.push_back(label); });
+    ev.At(sim, s.at, [&fired, label] { fired.push_back(label); });
   }
   std::vector<Saved> want = image;
   std::sort(want.begin(), want.end(), [](const Saved& a, const Saved& b) {
@@ -222,13 +227,85 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   }
   // Created after the restore, tied with the last re-armed event: fires
   // after it.
-  sim.At(want.back().at, [&fired] { fired.push_back(-1); });
+  ev.At(sim, want.back().at, [&fired] { fired.push_back(-1); });
   want_labels.push_back(-1);
 
   sim.Run();
   EXPECT_EQ(fired, want_labels);
   EXPECT_EQ(sim.events_executed(), executed + want_labels.size());
   EXPECT_EQ(sim.events_cancelled(), cancelled);
+}
+
+// An event owner as components are: it keeps its pending event's id and
+// clears it when the event fires.
+struct Owner {
+  std::vector<std::int64_t>* log;
+  EventId id = kInvalidEventId;
+  void Fire(std::int64_t tag) {
+    log->push_back(tag);
+    id = kInvalidEventId;
+  }
+};
+
+TEST(SimulatorTest, AtArmsAMemberOfItsOwner) {
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  owner.id = sim.At<&Owner::Fire>(SimTime::Millis(4), &owner, 11);
+  EXPECT_EQ(sim.EventAt(owner.id), SimTime::Millis(4));
+  sim.Run();
+  EXPECT_EQ(log, std::vector<std::int64_t>{11});
+  EXPECT_EQ(owner.id, kInvalidEventId);
+}
+
+TEST(SimulatorTest, RearmListPushesInSavedSeqOrderAndWritesEachIdBack) {
+  // A load registers pending events in the order components describe them;
+  // FireInOrder must push them in saved-seq order, so that events tied on
+  // time keep their original FIFO order, and leave each owner holding the
+  // live id of its event.
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owners[4] = {{&log}, {&log}, {&log}, {&log}};
+  const std::uint64_t seqs[4] = {7, 2, 9, 5};
+  RearmList rearm;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(rearm.Add(seqs[i], SimTime::Millis(3), EventFn::Of<&Owner::Fire>(&owners[i], i),
+                          &owners[i].id));
+  }
+  rearm.FireInOrder(sim);
+  for (const Owner& o : owners) {
+    EXPECT_EQ(sim.EventAt(o.id), SimTime::Millis(3));
+  }
+  EXPECT_TRUE(sim.Cancel(owners[2].id));
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 3, 0}));
+}
+
+TEST(SimulatorTest, PendingFailsALoadWithMoreEventsThanTheRearmListHolds) {
+  // The list has a fixed capacity so that re-arming never allocates; an
+  // image holding more pending events than it takes must fail its load
+  // rather than drop the rest.
+  for (const int n : {RearmList::kCapacity, RearmList::kCapacity + 1}) {
+    Simulator sim;
+    std::vector<std::int64_t> log;
+    Owner owner{&log};
+    std::vector<EventId> ids;
+    for (int i = 0; i < n; ++i) {
+      ids.push_back(sim.At<&Owner::Fire>(SimTime::Millis(1 + i), &owner, i));
+    }
+    SnapshotWriter w;
+    SnapshotIo save(&w, &sim);
+    for (EventId& id : ids) {
+      save.Pending<&Owner::Fire>(id, &owner);
+    }
+    SnapshotReader r(w);
+    RearmList rearm;
+    SnapshotIo load(&r, &rearm);
+    for (EventId& id : ids) {
+      load.Pending<&Owner::Fire>(id, &owner);
+    }
+    EXPECT_EQ(r.ok(), n <= RearmList::kCapacity) << n << " events";
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "src/workload/apps.h"
 #include "tests/support/fixtures.h"
+#include "tests/support/lambda_events.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -29,8 +30,9 @@ RegistryProbe ProbeApp(const std::string& app, double seconds, int step = 10) {
   RegistryProbe probe;
   // Poll the registry at 10 ms intervals via simulator events.
   const int polls = static_cast<int>(seconds * 100.0);
+  testing::LambdaEvents events;
   for (int i = 1; i <= polls; ++i) {
-    h.sim.At(SimTime::Millis(10 * i), [&probe, &h] {
+    events.At(h.sim, SimTime::Millis(10 * i), [&probe, &h] {
       const auto pending = h.kernel->PendingDeadlines();
       ++probe.samples;
       if (!pending.empty()) {

@@ -104,6 +104,21 @@ TEST(InputTraceTest, ReadCsvRejectsOutOfOrderTimestamps) {
   EXPECT_THROW(InputTrace::ReadCsv(ss), std::invalid_argument);
 }
 
+TEST(InputTraceTest, RecordRejectsTimesTheCsvCannotHold) {
+  // ReadCsv refuses negative and out-of-order times, so they are refused
+  // where they enter the trace, in every build type.
+  InputTrace trace;
+  EXPECT_THROW(trace.Record(SimTime::Nanos(-1500), "key"), std::invalid_argument);
+  EXPECT_TRUE(trace.empty());
+  trace.Record(SimTime::Millis(5), "key");
+  EXPECT_THROW(trace.Record(SimTime::Millis(1), "key"), std::invalid_argument);
+  EXPECT_EQ(trace.size(), 1u);
+  trace.Record(SimTime::Millis(5), "key");
+  std::stringstream csv;
+  trace.WriteCsv(csv);
+  EXPECT_EQ(InputTrace::ReadCsv(csv).events(), trace.events());
+}
+
 TEST(InputTraceTest, ReadCsvRequiresHeader) {
   std::stringstream ss("1000,tap,1.0\n");
   EXPECT_THROW(InputTrace::ReadCsv(ss), std::invalid_argument);
