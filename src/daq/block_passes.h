@@ -1,29 +1,62 @@
-// ISA variants of the batched DAQ's element-wise block passes.
+// The batched DAQ pipeline and the ISA variants of its vector work.
 //
-// Daq::SampleBatched runs the serial passes of each block itself (the tape
-// walked by runs into raw shunt volts, the uniform draws) and hands the rest
-// to one function: the two channel kernels (noise_kernel.h), and measured
-// current times measured rail to power.
-// daq.cc compiles that function at three x86-64 ISA levels, and the process
-// runs the widest one its CPU supports, chosen once on first use.  Nothing
-// else selects it.
+// Sample() runs one window.  It splits the window into eight contiguous
+// lanes, one per generator of an RngLanes set: lane j starts at draw
+// j * (count / 8) * draws_per_sample of the DAQ's stream, placed by
+// Rng::Jump, and reads the tape through its own run cursor.  Blocks of 256
+// steps of all eight lanes then go through two functions, both
+// lane-interleaved (element s * 8 + j is lane j's step s):
 //
-// Every variant returns the same bits.  daq.cc is built with
-// -ffp-contract=off, so the AVX2 and AVX-512 variants cannot fuse a multiply
-// and an add into an FMA: each variant performs the same correctly rounded
-// IEEE-754 operations per element, only more of them per instruction.
+//   * the lane step draws each lane's uniforms, eight generators stepped
+//     together in one vector-register set;
+//   * the passes run the two channel kernels (noise_kernel.h) and measured
+//     current times measured rail to power.
+//
+// The last count % 8 samples are drawn serially from lane 7's end state,
+// which then becomes the DAQ's generator.  So every sample, and the stream
+// position after the window, is the serial pipeline's.
+//
+// daq.cc compiles the lane step and the passes at three x86-64 ISA levels,
+// and the process runs the widest one its CPU supports, chosen once on first
+// use.  Nothing else selects it.  Every variant returns the same bits.
+// daq.cc is built with -ffp-contract=off, so the AVX2 and AVX-512 variants
+// cannot fuse a multiply and an add into an FMA: each variant performs the
+// same correctly rounded IEEE-754 operations per element, only more of them
+// per instruction.  The lane step's integer arithmetic is exact everywhere.
 // tests/daq/block_variant_test.cc checks every variant the host can run
 // against the scalar reference pipeline (tests/support/reference_daq.h).
 //
-// This header is private to src/daq/daq.cc and its tests.
+// This header is private to src/daq and its tests.
 
 #ifndef SRC_DAQ_BLOCK_PASSES_H_
 #define SRC_DAQ_BLOCK_PASSES_H_
 
+#include <array>
+#include <cstdint>
+#include <iterator>
+
 #include "src/daq/noise_kernel.h"
+#include "src/hw/power_tape.h"
+#include "src/sim/rng.h"
+#include "src/sim/time.h"
 
 namespace dcs {
 namespace block_passes {
+
+inline constexpr int kLanes = RngLanes::kLanes;
+// Steps per block: big enough to amortise loop overhead and fill vector
+// lanes, small enough that the scratch arrays stay cache-resident.
+inline constexpr int kSteps = 256;
+inline constexpr int kBatch = kSteps * kLanes;
+
+// The pipeline's constants (PipelineFor in daq.h derives them from a
+// DaqConfig).
+struct Pipeline {
+  double supply_volts;
+  double shunt_ohms;
+  noise_kernel::AdcChannel shunt;
+  noise_kernel::AdcChannel supply_rail;
+};
 
 // One block of n samples.  The arrays must not overlap one another.
 struct Block {
@@ -35,15 +68,22 @@ struct Block {
   double* u3;         // supply-channel draws; then the quantised shunt volts
   const double* u4;
   int n;
-  double supply_volts;
-  double shunt_ohms;
-  noise_kernel::AdcChannel shunt;
-  noise_kernel::AdcChannel supply_rail;
+  const Pipeline* pipeline;
 };
 
 // Runs the element-wise passes over one block.  Returns how many readings
 // took the kernel's exact recompute.
 using PassesFn = int (*)(const Block& block);
+
+// Steps every lane `steps` times.  At step s, lane j's draws, in its
+// stream's order, land in dst[0][s * kLanes + j], ..., dst[draws - 1][...];
+// `draws` is 2 or 4.
+using LaneStepFn = void (*)(RngLanes& lanes, int steps, int draws, double* const* dst);
+
+struct Variant {
+  PassesFn passes;
+  LaneStepFn lane_step;
+};
 
 enum class Isa { kBaseline, kX86_64_V3, kX86_64_V4 };
 inline constexpr Isa kAllIsas[] = {Isa::kBaseline, Isa::kX86_64_V3, Isa::kX86_64_V4};
@@ -51,16 +91,33 @@ inline constexpr Isa kAllIsas[] = {Isa::kBaseline, Isa::kX86_64_V3, Isa::kX86_64
 // "baseline", "x86-64-v3" or "x86-64-v4".
 const char* IsaName(Isa isa);
 
-// The passes compiled for `isa`, or null when this build has no such
-// variant (non-x86 targets and compilers without the ISA-level builtins
-// compile only the baseline).
-PassesFn PassesFor(Isa isa);
+// The ISA table, indexed by Isa: the functions compiled for each ISA, or
+// nulls when this build has no such variant (non-x86 targets and compilers
+// without the ISA-level builtins compile only the baseline).
+extern const Variant kVariants[std::size(kAllIsas)];
+inline const Variant& VariantFor(Isa isa) { return kVariants[static_cast<int>(isa)]; }
 
 // Whether this build has `isa`'s variant and the CPU can run it.
 bool Runnable(Isa isa);
 
 // The widest runnable variant; decided on the first call.
 Isa Chosen();
+
+// Per-block scratch.  Fixed arrays: sampling never allocates for them.
+struct Scratch {
+  alignas(64) std::array<double, kBatch> vals;    // the block, lane-interleaved
+  alignas(64) std::array<double, kBatch> supply;  // quantised supply channel volts
+  alignas(64) std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
+  alignas(64) std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3
+                                                  // then holds the quantised shunt volts
+};
+
+// Samples `count` readings of `tape`, reading k taken at
+// begin + FromSecondsF(k * period_s), into out[0, count) with `isa`'s
+// variant, which must be runnable.  `rng` ends count * draws_per_sample
+// draws on.  Returns how many readings took the kernel's exact recompute.
+int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime begin,
+           double period_s, std::int64_t count, Rng& rng, Scratch& scratch, double* out);
 
 }  // namespace block_passes
 }  // namespace dcs

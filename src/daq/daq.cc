@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/daq/block_passes.h"
@@ -11,60 +12,48 @@
 namespace dcs {
 namespace {
 
-// The uniform draws of one block, in the reference pipeline's stream order:
-// per sample the shunt pair, then the supply pair, each pair only when its
-// channel is noisy.  `rng` is the caller's local copy of the DAQ generator,
-// so its state stays in registers for the whole loop.
-template <bool kShuntNoise, bool kSupplyNoise>
-inline void DrawUniforms(Rng& rng, int n, double* u1, double* u2, double* u3, double* u4) {
-  for (int i = 0; i < n; ++i) {
-    if constexpr (kShuntNoise) {
-      u1[i] = rng.NextDouble();
-      u2[i] = rng.NextDouble();
-    }
-    if constexpr (kSupplyNoise) {
-      u3[i] = rng.NextDouble();
-      u4[i] = rng.NextDouble();
-    }
-  }
-}
-
 // The tape as runs of sample indices.  Sample k is taken at
 // begin + FromSecondsF(k * period_s), which never decreases as k grows, so
 // each power segment covers a contiguous run of indices, possibly empty.
-// FillTo writes the raw shunt volts of every sample up to `stop` into
-// `window`, continuing where the previous call stopped: one volts expression
-// per run, and each run's end is estimated, then corrected against that
-// exact instant.
+// A cursor starts at sample `first`; Fill writes the raw shunt volts of its
+// next samples, continuing where the previous call stopped: one volts
+// expression per run, and each run's end is estimated, then corrected
+// against that exact instant.
 class TapeRuns {
  public:
+  TapeRuns() = default;
   TapeRuns(const PowerTape& tape, SimTime begin, double period_s, std::int64_t count,
-           double supply_volts, double shunt_ohms)
-      : segs_(tape.segments()), begin_(begin), period_s_(period_s), count_(count),
-        supply_volts_(supply_volts), shunt_ohms_(shunt_ohms) {
+           const block_passes::Pipeline& pipeline, std::int64_t first)
+      : segs_(&tape.segments()), begin_(begin), period_s_(period_s), count_(count),
+        supply_volts_(pipeline.supply_volts), shunt_ohms_(pipeline.shunt_ohms), k_(first) {
     if (!tape.keeps_history()) {
       throw std::logic_error("Daq: sampling a tape without history");
     }
-    // One binary search finds the segment in force at sample 0, so a window
-    // that opens deep into a long tape does not walk its head.  A sample
-    // before the first segment reads 0 W.
+    // One binary search finds the segment in force at sample `first`, so a
+    // cursor that starts deep into a long tape does not walk its head.  A
+    // sample before the first segment reads 0 W.
     next_ = static_cast<std::size_t>(
-        std::upper_bound(segs_.begin(), segs_.end(), At(0),
+        std::upper_bound(segs_->begin(), segs_->end(), At(first),
                          [](SimTime x, const PowerTape::Segment& s) { return x < s.start; }) -
-        segs_.begin());
-    StartRun(next_ == 0 ? 0.0 : segs_[next_ - 1].watts);
+        segs_->begin());
+    StartRun(next_ == 0 ? 0.0 : (*segs_)[next_ - 1].watts);
   }
 
-  void FillTo(double* window, std::int64_t stop) {
+  // The next n samples' raw shunt volts, to dst[0], dst[stride], ...
+  void Fill(double* dst, int stride, std::int64_t n) {
+    const std::int64_t first = k_;
+    const std::int64_t stop = k_ + n;
     while (k_ < stop) {
       if (k_ == run_end_) {
         // The run ended where segment next_ starts (run_end_ < count_, so
         // there is one); its own run may be empty.
-        StartRun(segs_[next_++].watts);
+        StartRun((*segs_)[next_++].watts);
         continue;
       }
       const std::int64_t fill_end = std::min(run_end_, stop);
-      std::fill(window + k_, window + fill_end, volts_);
+      for (std::int64_t k = k_; k < fill_end; ++k) {
+        dst[(k - first) * stride] = volts_;
+      }
       k_ = fill_end;
     }
   }
@@ -77,7 +66,7 @@ class TapeRuns {
   // starts.
   void StartRun(double watts) {
     volts_ = (watts / supply_volts_) * shunt_ohms_;
-    run_end_ = next_ < segs_.size() ? FirstAtOrAfter(segs_[next_].start, k_) : count_;
+    run_end_ = next_ < segs_->size() ? FirstAtOrAfter((*segs_)[next_].start, k_) : count_;
   }
 
   // The first index in [lo, count_] whose instant is at or after `t`, given
@@ -100,17 +89,42 @@ class TapeRuns {
     return k;
   }
 
-  const PowerTape::SegmentVector& segs_;
+  const PowerTape::SegmentVector* segs_ = nullptr;
   SimTime begin_;
-  double period_s_;
-  std::int64_t count_;
-  double supply_volts_;
-  double shunt_ohms_;
+  double period_s_ = 0.0;
+  std::int64_t count_ = 0;
+  double supply_volts_ = 0.0;
+  double shunt_ohms_ = 0.0;
   std::int64_t k_ = 0;        // the next sample to fill
   std::int64_t run_end_ = 0;  // one past the current run's last sample
   std::size_t next_ = 0;      // the segment starting where the current run ends
   double volts_ = 0.0;        // the current run's raw shunt volts
 };
+
+// n samples' draws from one generator, in its stream's order: sample i's
+// draws go to dst[0][i * stride], ..., dst[kDraws - 1][i * stride].  The
+// serial lane step passes a local copy of each lane's generator, so its
+// state stays in registers for the whole loop.
+template <int kDraws>
+inline void DrawSerial(Rng& rng, int n, double* const* dst, int stride) {
+  double* out[kDraws] = {};
+  for (int q = 0; q < kDraws; ++q) {
+    out[q] = dst[q];
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int q = 0; q < kDraws; ++q) {
+      out[q][i * stride] = rng.NextDouble();
+    }
+  }
+}
+
+inline void DrawSerial(Rng& rng, int n, int draws, double* const* dst, int stride) {
+  if (draws == 4) {
+    DrawSerial<4>(rng, n, dst, stride);
+  } else if (draws == 2) {
+    DrawSerial<2>(rng, n, dst, stride);
+  }
+}
 
 }  // namespace
 
@@ -123,14 +137,15 @@ inline int RunPasses(const Block& b) {
   double* const supply = b.supply;
   double* const u3 = b.u3;
   const int n = b.n;
-  const double supply_volts = b.supply_volts;
-  const double shunt_ohms = b.shunt_ohms;
+  const double supply_volts = b.pipeline->supply_volts;
+  const double shunt_ohms = b.pipeline->shunt_ohms;
   // The supply channel (a constant rail) into `supply`, then the shunt
   // channel into u3, whose draws are spent.
   int recomputed = noise_kernel::QuantiseChannel(
-      [supply_volts](int) { return supply_volts; }, u3, b.u4, supply, n, b.supply_rail);
+      [supply_volts](int) { return supply_volts; }, u3, b.u4, supply, n,
+      b.pipeline->supply_rail);
   recomputed += noise_kernel::QuantiseChannel([vals](int i) { return vals[i]; }, b.u1, b.u2,
-                                              u3, n, b.shunt);
+                                              u3, n, b.pipeline->shunt);
   // Measured current x measured rail -> power.
   for (int i = 0; i < n; ++i) {
     vals[i] = (u3[i] / shunt_ohms) * supply[i];
@@ -138,10 +153,112 @@ inline int RunPasses(const Block& b) {
   return recomputed;
 }
 
-// `flatten` inlines the channel kernel into each variant.  Without it GCC
-// may keep a QuantiseChannel instance out of line, where it runs at the
-// baseline ISA whatever its caller's.
+// The serial lane step: each lane in turn, its generator in registers.  The
+// baseline runs it: SSE2 holds two lanes per register, and stepping them two
+// at a time measured no faster.
+inline void StepLanesSerial(RngLanes& lanes, int steps, int draws, double* const* dst) {
+  for (int j = 0; j < kLanes; ++j) {
+    double* lane_dst[4] = {};
+    for (int q = 0; q < draws; ++q) {
+      lane_dst[q] = dst[q] + j;
+    }
+    Rng rng = lanes.Get(j);
+    DrawSerial(rng, steps, draws, lane_dst, kLanes);
+    lanes.Set(j, rng);
+  }
+}
+
+// kWidth lanes of 64-bit words and of doubles, as GCC vector types.
+template <int kWidth>
+struct LaneVectors;
+template <>
+struct LaneVectors<4> {
+  using U = std::uint64_t __attribute__((vector_size(32)));
+  using F = double __attribute__((vector_size(32)));
+};
+template <>
+struct LaneVectors<8> {
+  using U = std::uint64_t __attribute__((vector_size(64)));
+  using F = double __attribute__((vector_size(64)));
+};
+
+// The vector lane step: Rng::Next and Rng::NextDouble on kWidth lanes at a
+// time, a group's state held in four vectors.  x86-64-v4 steps all eight
+// lanes in four registers.  x86-64-v3 steps two groups of four in turn:
+// eight lanes would take two ymm registers per word, and with the
+// temporaries they spill (measured slower).  Nothing here takes or returns a
+// vector by value, so no function's ABI depends on the ISA it is compiled
+// for.
+//
+// NextDouble is (result >> 11) * 2^-53, an exact conversion of a 53-bit
+// integer.  kConvert uses the ISA's 64-bit integer conversion (AVX-512DQ has
+// one).  Otherwise the integer converts as two halves, each placed in the
+// mantissa of a power of two that is then subtracted, and their sum is exact
+// too.
+template <int kWidth, bool kConvert, int kDraws>
+inline void StepLanesVector(RngLanes& lanes, int steps, double* const* dst) {
+  using U = typename LaneVectors<kWidth>::U;
+  using F = typename LaneVectors<kWidth>::F;
+  constexpr std::uint64_t kLow32 = 0xffffffff;
+  constexpr std::uint64_t kTwo52Bits = 0x4330000000000000;  // 2^52, ulp 1
+  constexpr std::uint64_t kTwo84Bits = 0x4530000000000000;  // 2^84, ulp 2^32
+  double* out[kDraws] = {};
+  for (int q = 0; q < kDraws; ++q) {
+    out[q] = dst[q];
+  }
+  for (int g = 0; g < kLanes; g += kWidth) {
+    U s0{}, s1{}, s2{}, s3{};
+    std::memcpy(&s0, &lanes.s[0][g], sizeof s0);
+    std::memcpy(&s1, &lanes.s[1][g], sizeof s1);
+    std::memcpy(&s2, &lanes.s[2][g], sizeof s2);
+    std::memcpy(&s3, &lanes.s[3][g], sizeof s3);
+    for (int i = 0; i < steps; ++i) {
+      for (int q = 0; q < kDraws; ++q) {
+        const U sum = s0 + s3;
+        const U result = ((sum << 23) | (sum >> 41)) + s0;
+        const U t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = (s3 << 45) | (s3 >> 19);
+        const U m = result >> 11;
+        F draw{};
+        if constexpr (kConvert) {
+          draw = __builtin_convertvector(m, F) * 0x1p-53;
+        } else {
+          const F lo = (F)((m & kLow32) | kTwo52Bits) - 0x1p52;
+          const F hi = (F)((m >> 32) | kTwo84Bits) - 0x1p84;
+          draw = (hi + lo) * 0x1p-53;
+        }
+        std::memcpy(out[q] + i * kLanes + g, &draw, sizeof draw);
+      }
+    }
+    std::memcpy(&lanes.s[0][g], &s0, sizeof s0);
+    std::memcpy(&lanes.s[1][g], &s1, sizeof s1);
+    std::memcpy(&lanes.s[2][g], &s2, sizeof s2);
+    std::memcpy(&lanes.s[3][g], &s3, sizeof s3);
+  }
+}
+
+template <int kWidth, bool kConvert>
+inline void StepLanesVector(RngLanes& lanes, int steps, int draws, double* const* dst) {
+  if (draws == 4) {
+    StepLanesVector<kWidth, kConvert, 4>(lanes, steps, dst);
+  } else {
+    StepLanesVector<kWidth, kConvert, 2>(lanes, steps, dst);
+  }
+}
+
+// `flatten` inlines the channel kernel and the lane step into each variant.
+// Without it GCC may keep a QuantiseChannel instance out of line, where it
+// runs at the baseline ISA whatever its caller's.
 [[gnu::flatten]] int PassesBaseline(const Block& b) { return RunPasses(b); }
+[[gnu::flatten]] void LaneStepBaseline(RngLanes& lanes, int steps, int draws,
+                                       double* const* dst) {
+  StepLanesSerial(lanes, steps, draws, dst);
+}
 
 // The ISA-level names in target attributes and __builtin_cpu_supports need
 // GCC 12 or Clang 18.
@@ -151,8 +268,16 @@ inline int RunPasses(const Block& b) {
 [[gnu::flatten, gnu::target("arch=x86-64-v3")]] int PassesV3(const Block& b) {
   return RunPasses(b);
 }
+[[gnu::flatten, gnu::target("arch=x86-64-v3")]] void LaneStepV3(RngLanes& lanes, int steps,
+                                                                 int draws, double* const* dst) {
+  StepLanesVector<4, false>(lanes, steps, draws, dst);
+}
 [[gnu::flatten, gnu::target("arch=x86-64-v4")]] int PassesV4(const Block& b) {
   return RunPasses(b);
+}
+[[gnu::flatten, gnu::target("arch=x86-64-v4")]] void LaneStepV4(RngLanes& lanes, int steps,
+                                                                 int draws, double* const* dst) {
+  StepLanesVector<8, true>(lanes, steps, draws, dst);
 }
 #endif
 
@@ -170,23 +295,16 @@ const char* IsaName(Isa isa) {
   return "unknown";
 }
 
-PassesFn PassesFor(Isa isa) {
-  switch (isa) {
-    case Isa::kBaseline:
-      return &PassesBaseline;
 #ifdef DCS_DAQ_ISA_LEVELS
-    case Isa::kX86_64_V3:
-      return &PassesV3;
-    case Isa::kX86_64_V4:
-      return &PassesV4;
+const Variant kVariants[] = {{&PassesBaseline, &LaneStepBaseline},
+                             {&PassesV3, &LaneStepV3},
+                             {&PassesV4, &LaneStepV4}};
+#else
+const Variant kVariants[] = {{&PassesBaseline, &LaneStepBaseline}, {}, {}};
 #endif
-    default:
-      return nullptr;
-  }
-}
 
 bool Runnable(Isa isa) {
-  if (PassesFor(isa) == nullptr) {
+  if (VariantFor(isa).passes == nullptr) {
     return false;
   }
 #ifdef DCS_DAQ_ISA_LEVELS
@@ -215,19 +333,130 @@ Isa Chosen() {
   return chosen;
 }
 
+int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime begin,
+           double period_s, std::int64_t count, Rng& rng, Scratch& scratch, double* out) {
+  // Every pass below either (a) performs, per element, exactly the
+  // operations the scalar reference pipeline (tests/support/reference_daq.h)
+  // performs in exactly the same order — divide/multiply/clamp/round, all
+  // correctly rounded per IEEE-754, so reordering *across* elements cannot
+  // change any bit — (b) draws a generator's stream in its order, each lane
+  // from its own place in the DAQ's one stream, or (c) is the channel kernel
+  // (src/daq/noise_kernel.h), which approximates the noise and recomputes
+  // exactly every reading whose ADC code the approximation could have moved.
+  const Variant variant = VariantFor(isa);
+  Block block{};
+  block.supply = scratch.supply.data();
+  block.u1 = scratch.u1.data();
+  block.u2 = scratch.u2.data();
+  block.u3 = scratch.u3.data();
+  block.u4 = scratch.u4.data();
+  block.pipeline = &pipeline;
+  // Each sample's draws in the reference's stream order: the shunt pair,
+  // then the supply pair, each only when its channel is noisy.
+  double* dst[4] = {};
+  int draws = 0;
+  if (pipeline.shunt.sigma != 0.0) {
+    dst[draws++] = scratch.u1.data();
+    dst[draws++] = scratch.u2.data();
+  }
+  if (pipeline.supply_rail.sigma != 0.0) {
+    dst[draws++] = scratch.u3.data();
+    dst[draws++] = scratch.u4.data();
+  }
+
+  // Place the lanes: lane j at sample j * per_lane, with its generator
+  // j * per_lane * draws draws into the stream.
+  const std::int64_t per_lane = count / kLanes;
+  RngLanes lanes;
+  TapeRuns cursors[kLanes];
+  {
+    const auto lane_draws = static_cast<std::uint64_t>(per_lane * draws);
+    const Rng::JumpPoly jump = Rng::JumpOf(lane_draws);
+    Rng lane = rng;
+    for (int j = 0; j < kLanes; ++j) {
+      if (j > 0 && lane_draws > 0) {
+        lane.Jump(jump);
+      }
+      lanes.Set(j, lane);
+      cursors[j] = TapeRuns(tape, begin, period_s, count, pipeline, j * per_lane);
+    }
+  }
+
+  int recomputed = 0;
+  double* const vals = scratch.vals.data();
+  for (std::int64_t step = 0; step < per_lane; step += kSteps) {
+    const int steps = static_cast<int>(std::min<std::int64_t>(kSteps, per_lane - step));
+    // Pass 1 (per lane, per run): each power segment's raw shunt volts, once
+    // per run of samples it covers, into the lane's interleaved slots.
+    for (int j = 0; j < kLanes; ++j) {
+      cursors[j].Fill(vals + j, kLanes, steps);
+    }
+    // Pass 2: every lane's draws, the lanes stepped together.
+    if (draws > 0) {
+      variant.lane_step(lanes, steps, draws, dst);
+    }
+    // Pass 3 (element-wise): both channel kernels, then measured current x
+    // measured rail -> power.
+    block.vals = vals;
+    block.n = steps * kLanes;
+    recomputed += variant.passes(block);
+    // Each lane's samples to its eighth of the window.
+    for (int j = 0; j < kLanes; ++j) {
+      double* const lane_out = out + j * per_lane + step;
+      for (int s = 0; s < steps; ++s) {
+        lane_out[s] = vals[s * kLanes + j];
+      }
+    }
+  }
+
+  // The tail: lane 7 carries on serially, in place, and its generator is
+  // where the serial pipeline's would be.
+  rng = lanes.Get(kLanes - 1);
+  const auto tail = static_cast<int>(count - kLanes * per_lane);
+  if (tail > 0) {
+    block.vals = out + kLanes * per_lane;
+    block.n = tail;
+    cursors[kLanes - 1].Fill(block.vals, 1, tail);
+    DrawSerial(rng, tail, draws, dst, 1);
+    recomputed += variant.passes(block);
+  }
+  return recomputed;
+}
+
 }  // namespace block_passes
 
 const char* Daq::IsaVariant() { return block_passes::IsaName(block_passes::Chosen()); }
 
-Daq::Daq(const DaqConfig& config, Arena* arena)
-    : config_(config), rng_(config.seed),
-      samples_(ArenaAllocator<double>(arena)),
-      dropped_(ArenaAllocator<std::size_t>(arena)) {
-  const double steps = std::pow(2.0, config_.adc_bits);
-  // Shunt channel is bipolar (+/- range); supply channel unipolar.
-  shunt_lsb_ = 2.0 * config_.shunt_range_volts / steps;
-  supply_lsb_ = config_.supply_range_volts / steps;
+namespace {
+
+// The config Daq can sample, or std::invalid_argument.
+const DaqConfig& Checked(const DaqConfig& config) {
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(config.sample_hz)) {
+    throw std::invalid_argument("Daq: sample_hz must be finite and positive");
+  }
+  if (config.adc_bits < 1) {
+    throw std::invalid_argument("Daq: adc_bits must be at least 1");
+  }
+  if (!positive(config.shunt_range_volts) || !positive(config.supply_range_volts)) {
+    throw std::invalid_argument("Daq: ADC ranges must be finite and positive");
+  }
+  if (!positive(config.shunt_ohms) || !positive(config.supply_volts)) {
+    throw std::invalid_argument("Daq: shunt_ohms and supply_volts must be finite and positive");
+  }
+  if (!std::isfinite(config.noise_lsb) || config.noise_lsb < 0.0) {
+    throw std::invalid_argument("Daq: noise_lsb must be finite and non-negative");
+  }
+  return config;
 }
+
+}  // namespace
+
+Daq::Daq(const DaqConfig& config, Arena* arena)
+    : config_(Checked(config)), rng_(config.seed),
+      pipeline_(block_passes::PipelineFor(config_)),
+      samples_(NoInitArenaAllocator<double>(arena)),
+      dropped_(ArenaAllocator<std::size_t>(arena)) {}
 
 std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
                                           SimTime end) {
@@ -238,74 +467,11 @@ std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
   const double period_s = 1.0 / config_.sample_hz;
   const std::int64_t count = static_cast<std::int64_t>(
       std::floor((end - begin).ToSeconds() / period_s));
-  samples_.reserve(static_cast<std::size_t>(count));
-  SampleBatched(tape, begin, count, period_s);
+  samples_.resize(static_cast<std::size_t>(count));
+  block_passes::Sample(block_passes::Chosen(), pipeline_, tape, begin, period_s, count, rng_,
+                       scratch_, samples_.data());
   ApplyDrops();
   return {samples_.data(), samples_.size()};
-}
-
-void Daq::SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
-                        double period_s) {
-  // Structure-of-arrays pipeline.  Every pass below either (a) performs,
-  // per element, exactly the operations the scalar reference pipeline
-  // (tests/support/reference_daq.h) performs in exactly the same order —
-  // divide/multiply/clamp/round, all correctly rounded per IEEE-754, so
-  // reordering *across* elements cannot change any bit — (b) is a serial
-  // pass whose cross-element order matters (the RNG stream) and is kept in
-  // stream order, or (c) is the channel kernel (src/daq/noise_kernel.h),
-  // which approximates the noise and recomputes exactly every reading whose
-  // ADC code the approximation could have moved.  The element-wise passes
-  // run through the ISA variant this CPU supports (src/daq/block_passes.h);
-  // all variants give the same bits.
-  TapeRuns runs(tape, begin, period_s, count, config_.supply_volts, config_.shunt_ohms);
-  const block_passes::PassesFn run_passes =
-      block_passes::PassesFor(block_passes::Chosen());
-  block_passes::Block block{};
-  block.supply = scratch_.supply.data();
-  block.u1 = scratch_.u1.data();
-  block.u2 = scratch_.u2.data();
-  block.u3 = scratch_.u3.data();
-  block.u4 = scratch_.u4.data();
-  block.supply_volts = config_.supply_volts;
-  block.shunt_ohms = config_.shunt_ohms;
-  block.shunt = {config_.noise_lsb * shunt_lsb_, -config_.shunt_range_volts,
-                 config_.shunt_range_volts, shunt_lsb_};
-  block.supply_rail = {config_.noise_lsb * supply_lsb_, 0.0, config_.supply_range_volts,
-                       supply_lsb_};
-  const bool shunt_noise = block.shunt.sigma != 0.0;
-  const bool supply_noise = block.supply_rail.sigma != 0.0;
-
-  double* const u1 = scratch_.u1.data();
-  double* const u2 = scratch_.u2.data();
-  double* const u3 = scratch_.u3.data();
-  double* const u4 = scratch_.u4.data();
-
-  // The batches compute straight into the output vector (reserved to `count`
-  // by SampleWindow), so finished values are never copied out of scratch.
-  samples_.resize(static_cast<std::size_t>(count));
-  double* const out = samples_.data();
-
-  Rng rng = rng_;
-  for (std::int64_t base = 0; base < count; base += kBatch) {
-    const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
-    block.vals = out + base;
-    block.n = n;
-    // Pass 1 (serial, per run): each power segment's raw shunt volts, once
-    // per run of samples it covers.
-    runs.FillTo(out, base + n);
-    // Pass 2 (serial): uniform draws in the reference's stream order.
-    if (shunt_noise && supply_noise) {
-      DrawUniforms<true, true>(rng, n, u1, u2, u3, u4);
-    } else if (shunt_noise) {
-      DrawUniforms<true, false>(rng, n, u1, u2, u3, u4);
-    } else if (supply_noise) {
-      DrawUniforms<false, true>(rng, n, u1, u2, u3, u4);
-    }
-    // Pass 3 (element-wise): both channel kernels, then measured current x
-    // measured rail -> power.
-    run_passes(block);
-  }
-  rng_ = rng;
 }
 
 void Daq::ApplyDrops() {
@@ -354,24 +520,15 @@ void Daq::InterpolateDropped(double* samples, std::size_t n,
   }
 }
 
-double Daq::EnergyJoules(std::span<const double> samples) const {
-  double joules = 0.0;
+Daq::Totals Daq::Fold(std::span<const double> samples) const {
   const double dt = 1.0 / config_.sample_hz;
+  double joules = 0.0;
+  double watts = 0.0;
   for (const double p : samples) {
     joules += p * dt;
+    watts += p;
   }
-  return joules;
-}
-
-double Daq::AverageWatts(std::span<const double> samples) const {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (const double p : samples) {
-    sum += p;
-  }
-  return sum / static_cast<double>(samples.size());
+  return {joules, samples.empty() ? 0.0 : watts / static_cast<double>(samples.size())};
 }
 
 void GpioTrigger::Attach(Gpio& gpio) {

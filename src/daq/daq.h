@@ -15,13 +15,14 @@
 #ifndef SRC_DAQ_DAQ_H_
 #define SRC_DAQ_DAQ_H_
 
-#include <array>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "src/daq/block_passes.h"
 #include "src/hw/gpio.h"
 #include "src/hw/power_tape.h"
 #include "src/sim/arena.h"
@@ -55,10 +56,30 @@ constexpr auto Fields(const DaqConfig*) {
 }
 static_assert(ListsEveryField<DaqConfig>());
 
+namespace block_passes {
+
+// `config`'s pipeline: each channel's range, step and noise.
+inline Pipeline PipelineFor(const DaqConfig& config) {
+  const double steps = std::pow(2.0, config.adc_bits);
+  // Shunt channel is bipolar (+/- range); supply channel unipolar.
+  const double shunt_lsb = 2.0 * config.shunt_range_volts / steps;
+  const double supply_lsb = config.supply_range_volts / steps;
+  return {config.supply_volts, config.shunt_ohms,
+          {config.noise_lsb * shunt_lsb, -config.shunt_range_volts, config.shunt_range_volts,
+           shunt_lsb},
+          {config.noise_lsb * supply_lsb, 0.0, config.supply_range_volts, supply_lsb}};
+}
+
+}  // namespace block_passes
+
 class Daq {
  public:
   // `arena`, when bound, backs the internal sample buffer so steady-state
   // sampling performs no heap allocation; it must outlive the Daq.
+  // Throws std::invalid_argument for a config it cannot sample: a
+  // sample_hz, range, shunt_ohms or supply_volts that is not finite and
+  // positive, adc_bits below 1, or a noise_lsb that is not finite and
+  // non-negative.
   explicit Daq(const DaqConfig& config = {}, Arena* arena = nullptr);
 
   const DaqConfig& config() const { return config_; }
@@ -69,7 +90,7 @@ class Daq {
   // begin + FromSecondsF(i * (1 / sample_hz)), an instant that never
   // decreases as i grows, so each power segment covers a contiguous run of
   // sample indices.  The tape is read by runs: one
-  // binary search places sample 0, each run's end is estimated and then
+  // binary search places a cursor, each run's end is estimated and then
   // corrected against that exact instant expression, and the run's raw shunt
   // volts are computed once and filled in.  A sample before the first
   // segment reads 0 W; a tape without history throws std::logic_error.
@@ -78,23 +99,27 @@ class Daq {
   // nearest survivor); without a bound injector the drop bookkeeping is
   // never materialised.
   //
-  // Per 2048-sample block, the shunt volts and the ADC channel values each
-  // live in a contiguous array, and each pass is a tight loop.  The uniform
-  // draws stay serial, in the reference pipeline's exact stream order, from
-  // a local copy of the generator so its state stays in registers.  The
-  // noise pass approximates, then verifies: each channel's Box-Muller noise
-  // comes from vectorised polynomial log/cos (src/daq/noise_kernel.h), which
-  // can only matter through the integer ADC code it rounds to.  A reading
-  // whose pre-round value lies within the polynomials' error margin of a
-  // rounding boundary is recomputed with the scalar std::log/std::sqrt/
-  // std::cos expression.  The element-wise passes (both channel kernels,
-  // current times rail) are compiled at the baseline, x86-64-v3 (AVX2) and
-  // x86-64-v4 (AVX-512) ISA levels; the process runs the widest its CPU
-  // supports (IsaVariant()), and all three return the same bits
-  // (src/daq/block_passes.h).  So the result is bit-for-bit that of the
-  // one-reading-at-a-time scalar pipeline the tests keep as the reference
-  // (tests/support/reference_daq.h; see
-  // tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
+  // The window is sampled in eight contiguous lanes (src/daq/block_passes.h).
+  // Lane j starts j * (count / 8) * draws_per_sample draws into the DAQ's
+  // stream, placed by Rng::Jump, and has its own tape cursor; the eight
+  // generators step together in one vector-register set, so the draws are no
+  // longer a serial pass.  The last count % 8 samples are drawn serially from
+  // lane 7's end state, which the DAQ keeps.  Per block of 256 steps of all
+  // eight lanes, the shunt volts, the draws and the ADC channel values each
+  // live in a contiguous lane-interleaved array, and each pass is a tight
+  // loop.  The noise pass approximates, then verifies: each channel's
+  // Box-Muller noise comes from vectorised polynomial log/cos
+  // (src/daq/noise_kernel.h), which can only matter through the integer ADC
+  // code it rounds to.  A reading whose pre-round value lies within the
+  // polynomials' error margin of a rounding boundary is recomputed with the
+  // scalar std::log/std::sqrt/std::cos expression.  The lane step and the
+  // element-wise passes (both channel kernels, current times rail) are
+  // compiled at the baseline, x86-64-v3 (AVX2) and x86-64-v4 (AVX-512) ISA
+  // levels; the process runs the widest its CPU supports (IsaVariant()), and
+  // all three return the same bits.  So the result, and the stream position
+  // after it, is bit-for-bit that of the one-reading-at-a-time scalar
+  // pipeline the tests keep as the reference (tests/support/reference_daq.h;
+  // see tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
   // and tests/daq/block_variant_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
@@ -108,11 +133,17 @@ class Daq {
   // Samples lost to injected drops so far.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
 
-  // Rectangle-rule energy: sum(p_i * 0.0002 s), exactly as in section 4.1.
-  double EnergyJoules(std::span<const double> samples) const;
-  double AverageWatts(std::span<const double> samples) const;
+  // One pass over a window's samples: the rectangle-rule energy,
+  // sum(p_i * 0.0002 s) exactly as in section 4.1, and the mean power
+  // (0 for no samples).  Each sum runs in sample order.
+  struct Totals {
+    double joules;
+    double average_watts;
+  };
+  Totals Fold(std::span<const double> samples) const;
+  double EnergyJoules(std::span<const double> samples) const { return Fold(samples).joules; }
 
-  // The ISA variant of the batched element-wise passes this process runs:
+  // The ISA variant of the batched lane step and passes this process runs:
   // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.
   static const char* IsaVariant();
 
@@ -122,13 +153,6 @@ class Daq {
                                  const std::size_t* dropped, std::size_t dropped_n);
 
  private:
-  // SoA block size: big enough to amortise loop overhead and fill vector
-  // lanes, small enough that the scratch arrays stay cache-resident.
-  static constexpr int kBatch = 2048;
-
-  // The batched SoA pipeline (no drop handling; see ApplyDrops).
-  void SampleBatched(const PowerTape& tape, SimTime begin, std::int64_t count,
-                     double period_s);
   // Drops overlaid after sampling.  The injector's drop stream is isolated
   // from the DAQ noise stream, so deciding drops after the batch (instead of
   // interleaved per sample, as the reference does) reads both streams in the
@@ -137,24 +161,15 @@ class Daq {
 
   DaqConfig config_;
   Rng rng_;
-  double shunt_lsb_;
-  double supply_lsb_;
+  block_passes::Pipeline pipeline_;
   FaultInjector* faults_ = nullptr;
   std::uint64_t dropped_samples_ = 0;
 
   // Sample window output (reused across calls; arena-backed when bound).
-  ArenaVector<double> samples_;
+  // Sized without zero-filling: the lanes write every sample.
+  std::vector<double, NoInitArenaAllocator<double>> samples_;
   ArenaVector<std::size_t> dropped_;
-  // Per-block SoA scratch.  Fixed arrays: sampling never allocates for them.
-  // The shunt-volts column lives directly in samples_ (batches write in
-  // place), so only the channel temporaries need scratch.
-  struct Scratch {
-    std::array<double, kBatch> supply;  // quantised supply channel volts
-    std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
-    std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3 then
-                                        // holds the quantised shunt volts
-  };
-  Scratch scratch_;
+  block_passes::Scratch scratch_;
 };
 
 // Latches a measurement window from GPIO edges, as the paper's trigger wire

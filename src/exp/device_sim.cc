@@ -173,9 +173,10 @@ ExperimentResult DeviceSim::Finish() {
     daq.BindFaults(&*injector_);
   }
   const std::span<const double> samples = daq.SampleWindow(itsy_.tape(), begin, end);
-  result.energy_joules = daq.EnergyJoules(samples);
+  const Daq::Totals totals = daq.Fold(samples);
+  result.energy_joules = totals.joules;
   result.exact_energy_joules = itsy_.tape().EnergyJoules(begin, end);
-  result.average_watts = daq.AverageWatts(samples);
+  result.average_watts = totals.average_watts;
 
   result.quanta = kernel_.quanta_elapsed();
   const TraceSeries* util = kernel_.sink().Find("utilization");

@@ -161,6 +161,27 @@ class ArenaAllocator {
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
+// An ArenaAllocator whose value-initialising construct default-initialises,
+// so resize() leaves new trivial elements unwritten: for a buffer its owner
+// writes whole before reading (the DAQ's sample window), which then costs no
+// fill pass.
+template <typename T>
+class NoInitArenaAllocator : public ArenaAllocator<T> {
+ public:
+  using ArenaAllocator<T>::ArenaAllocator;
+
+  NoInitArenaAllocator select_on_container_copy_construction() const {
+    return NoInitArenaAllocator();
+  }
+
+  // Only the no-argument form: std::allocator_traits constructs from
+  // arguments with placement new when the allocator has no matching member.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 }  // namespace dcs
 
 #endif  // SRC_SIM_ARENA_H_

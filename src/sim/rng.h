@@ -9,6 +9,7 @@
 #ifndef SRC_SIM_RNG_H_
 #define SRC_SIM_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -20,6 +21,20 @@ namespace dcs {
 // a small, fast generator with good statistical quality for simulation.
 class Rng {
  public:
+  // The characteristic polynomial of the generator's state transition, a
+  // linear map on 256 bits: x^256 plus the terms below, coefficient i being
+  // bit i % 64 of word i / 64.  Berlekamp-Massey over the state sequence
+  // re-derives it (tests/sim/rng_test.cc).
+  static constexpr std::array<std::uint64_t, 4> kCharPoly = {
+      0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL, 0x04b4edcf26259f85ULL,
+      0x0003c03c3f3ecb19ULL};
+
+  // x^n modulo kCharPoly, in kCharPoly's layout: applied to the state, it
+  // moves a generator n draws ahead.
+  struct JumpPoly {
+    std::array<std::uint64_t, 4> coeffs;
+  };
+
   // Seeds the four 64-bit state words from `seed` using splitmix64, so that
   // any seed (including 0) yields a well-mixed state.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -107,16 +122,49 @@ class Rng {
     return Rng(s_[0] ^ 0x9e3779b97f4a7c15ULL * (stream + 1));
   }
 
+  // The jump of n draws, in O(log n): square-and-multiply of x modulo
+  // kCharPoly, each square reduced a byte at a time through a table the
+  // compiler derives from kCharPoly.
+  static JumpPoly JumpOf(std::uint64_t n);
+
+  // Moves the generator to where JumpOf(n)'s n Next() calls would leave it:
+  // the polynomial applied to the state, 256 steps whatever n is.
+  void Jump(const JumpPoly& jump);
+
   // Device-snapshot image (src/sim/snapshot.h): the four xoshiro words, so
   // a restored generator continues its stream exactly.
   void Snapshot(SnapshotIo& io) { io(s_); }
 
  private:
+  friend struct RngLanes;
+
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
   std::uint64_t s_[4];
+};
+
+// Eight generators laid out word-major, s[w][j] being word w of lane j's
+// state, so that each state word of all eight lanes fills one vector-register
+// set.  The DAQ steps them together (src/daq/block_passes.h).
+struct RngLanes {
+  static constexpr int kLanes = 8;
+
+  void Set(int lane, const Rng& rng) {
+    for (int w = 0; w < 4; ++w) {
+      s[w][lane] = rng.s_[w];
+    }
+  }
+  Rng Get(int lane) const {
+    Rng rng;
+    for (int w = 0; w < 4; ++w) {
+      rng.s_[w] = s[w][lane];
+    }
+    return rng;
+  }
+
+  alignas(64) std::uint64_t s[4][kLanes] = {};
 };
 
 }  // namespace dcs

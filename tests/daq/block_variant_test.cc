@@ -1,15 +1,15 @@
-// Every ISA variant of the batched DAQ's element-wise passes
+// Every ISA variant of the batched DAQ's lane step and element-wise passes
 // (src/daq/block_passes.h) against the scalar reference pipeline, bit for
 // bit.
 //
 // The process only ever runs one variant, the widest its CPU supports, so
 // the SoA property suite covers that one alone.  Here each variant the host
-// can run is driven directly: the test computes each sample's raw shunt
-// volts from a tape cursor, draws the uniforms in stream order as
-// Daq::SampleBatched does, hands the blocks to the variant, and compares the
-// samples with the scalar reference pipeline (tests/support/reference_daq.h).
-// A variant the host cannot run is skipped by name, so the log shows what
-// was covered.
+// can run samples whole windows through block_passes::Sample, the function
+// Daq::SampleWindow calls with the chosen variant, and the samples and the
+// generator's end state are compared with the scalar reference pipeline
+// (tests/support/reference_daq.h).  The lane step is also checked on its own
+// against serial draws.  A variant the host cannot run is skipped by name,
+// so the log shows what was covered.
 
 #include "src/daq/block_passes.h"
 
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,65 +36,25 @@ namespace dcs {
 namespace block_passes {
 namespace {
 
-// Daq::SampleBatched's block size.
-constexpr int kBatch = 2048;
-
 struct VariantRun {
   std::vector<double> samples;
   int recomputed = 0;
+  std::uint64_t next_draw = 0;  // the generator's next draw after the window
 };
 
-// The batched pipeline over [begin, end) with `passes` as its element-wise
-// passes.  The block comes in as raw shunt volts, one cursor read per
-// sample; the draws are Daq::SampleBatched's, in stream order.
-VariantRun SampleWithVariant(PassesFn passes, const DaqConfig& config, const PowerTape& tape,
+// The batched pipeline over [begin, end) through `isa`'s variant.
+VariantRun SampleWithVariant(Isa isa, const DaqConfig& config, const PowerTape& tape,
                              SimTime begin, SimTime end) {
   const double period_s = 1.0 / config.sample_hz;
   const std::int64_t count =
       static_cast<std::int64_t>(std::floor((end - begin).ToSeconds() / period_s));
-  const double steps = std::pow(2.0, config.adc_bits);
-  const double shunt_lsb = 2.0 * config.shunt_range_volts / steps;
-  const double supply_lsb = config.supply_range_volts / steps;
-
-  std::vector<double> supply(kBatch), u1(kBatch), u2(kBatch), u3(kBatch), u4(kBatch);
-  Block block{};
-  block.supply = supply.data();
-  block.u1 = u1.data();
-  block.u2 = u2.data();
-  block.u3 = u3.data();
-  block.u4 = u4.data();
-  block.supply_volts = config.supply_volts;
-  block.shunt_ohms = config.shunt_ohms;
-  block.shunt = {config.noise_lsb * shunt_lsb, -config.shunt_range_volts,
-                 config.shunt_range_volts, shunt_lsb};
-  block.supply_rail = {config.noise_lsb * supply_lsb, 0.0, config.supply_range_volts,
-                       supply_lsb};
-  const bool shunt_noise = block.shunt.sigma != 0.0;
-  const bool supply_noise = block.supply_rail.sigma != 0.0;
-
+  const auto scratch = std::make_unique<Scratch>();
   VariantRun run;
   run.samples.resize(static_cast<std::size_t>(std::max<std::int64_t>(count, 0)));
   Rng rng(config.seed);
-  for (std::int64_t base = 0; base < count; base += kBatch) {
-    const int n = static_cast<int>(std::min<std::int64_t>(kBatch, count - base));
-    block.vals = run.samples.data() + base;
-    block.n = n;
-    for (int i = 0; i < n; ++i) {
-      const double watts = tape.WattsAt(begin + SimTime::FromSecondsF((base + i) * period_s));
-      block.vals[i] = (watts / config.supply_volts) * config.shunt_ohms;
-    }
-    for (int i = 0; i < n; ++i) {
-      if (shunt_noise) {
-        u1[i] = rng.NextDouble();
-        u2[i] = rng.NextDouble();
-      }
-      if (supply_noise) {
-        u3[i] = rng.NextDouble();
-        u4[i] = rng.NextDouble();
-      }
-    }
-    run.recomputed += passes(block);
-  }
+  run.recomputed = Sample(isa, PipelineFor(config), tape, begin, period_s, count, rng, *scratch,
+                          run.samples.data());
+  run.next_draw = rng.Next();
   return run;
 }
 
@@ -103,6 +64,16 @@ std::vector<double> ReferenceSamples(const DaqConfig& config, const PowerTape& t
   testing::ReferenceDaq daq(config);
   const std::span<const double> window = daq.SampleWindow(tape, begin, end);
   return std::vector<double>(window.begin(), window.end());
+}
+
+// The draw after `n` samples of `config`'s stream, four draws per sample
+// when both channels are noisy.
+std::uint64_t SerialNextDraw(const DaqConfig& config, std::size_t n, int draws_per_sample) {
+  Rng rng(config.seed);
+  for (std::size_t i = 0; i < n * static_cast<std::size_t>(draws_per_sample); ++i) {
+    rng.Next();
+  }
+  return rng.Next();
 }
 
 PowerTape RandomTape(std::uint64_t seed, int segments) {
@@ -126,13 +97,13 @@ class BlockVariantTest : public ::testing::TestWithParam<Isa> {
   }
 
   // Runs the variant under test and the baseline over one window; asserts
-  // the variant's samples equal the scalar reference's bit for bit and its
-  // recompute count equals the baseline's.  Returns the recompute count.
+  // the variant's samples equal the scalar reference's bit for bit, its
+  // generator ends where the serial stream does, and its recompute count
+  // equals the baseline's.  Returns the recompute count.
   int ExpectMatchesReference(const DaqConfig& config, const PowerTape& tape, SimTime begin,
                              SimTime end, const std::string& label) {
-    const VariantRun run = SampleWithVariant(PassesFor(GetParam()), config, tape, begin, end);
-    const VariantRun baseline =
-        SampleWithVariant(PassesFor(Isa::kBaseline), config, tape, begin, end);
+    const VariantRun run = SampleWithVariant(GetParam(), config, tape, begin, end);
+    const VariantRun baseline = SampleWithVariant(Isa::kBaseline, config, tape, begin, end);
     const std::vector<double> expected = ReferenceSamples(config, tape, begin, end);
     EXPECT_EQ(run.samples.size(), expected.size()) << label;
     if (run.samples.size() == expected.size() && !expected.empty()) {
@@ -142,10 +113,47 @@ class BlockVariantTest : public ::testing::TestWithParam<Isa> {
                 0)
           << label << ": " << IsaName(GetParam()) << " diverged from the scalar reference";
     }
+    const int draws = config.noise_lsb == 0.0 ? 0 : 4;
+    EXPECT_EQ(run.next_draw, SerialNextDraw(config, expected.size(), draws)) << label;
     EXPECT_EQ(run.recomputed, baseline.recomputed) << label;
     return run.recomputed;
   }
 };
+
+// The lane step alone: eight generators at unrelated states, stepped
+// together, against each one's serial NextDouble draws and end state.
+TEST_P(BlockVariantTest, LaneStepMatchesSerialDraws) {
+  const LaneStepFn lane_step = VariantFor(GetParam()).lane_step;
+  for (const int draws : {2, 4}) {
+    for (const int steps : {1, 7, kSteps}) {
+      RngLanes lanes;
+      std::vector<Rng> serial;
+      for (int j = 0; j < kLanes; ++j) {
+        serial.emplace_back(0x1A4E0000ULL + static_cast<std::uint64_t>(17 * j + draws));
+        lanes.Set(j, serial.back());
+      }
+      std::vector<std::vector<double>> out(4, std::vector<double>(kBatch, -1.0));
+      double* dst[4] = {out[0].data(), out[1].data(), out[2].data(), out[3].data()};
+      lane_step(lanes, steps, draws, dst);
+      std::vector<std::vector<double>> expected(4, std::vector<double>(kBatch, -1.0));
+      for (int s = 0; s < steps; ++s) {
+        for (int j = 0; j < kLanes; ++j) {
+          for (int q = 0; q < draws; ++q) {
+            expected[q][static_cast<std::size_t>(s * kLanes + j)] = serial[j].NextDouble();
+          }
+        }
+      }
+      for (int q = 0; q < 4; ++q) {
+        EXPECT_EQ(std::memcmp(out[q].data(), expected[q].data(), kBatch * sizeof(double)), 0)
+            << IsaName(GetParam()) << " draws " << draws << " steps " << steps << " dst " << q;
+      }
+      for (int j = 0; j < kLanes; ++j) {
+        EXPECT_EQ(lanes.Get(j).Next(), serial[j].Next())
+            << IsaName(GetParam()) << " lane " << j << " end state";
+      }
+    }
+  }
+}
 
 TEST_P(BlockVariantTest, MatchesScalarReferenceOnRandomTapes) {
   int trial = 0;

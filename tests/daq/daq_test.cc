@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/daq/stats.h"
 #include "src/fault/fault_injector.h"
@@ -33,7 +38,7 @@ TEST(DaqTest, MeasuresConstantPowerAccurately) {
   Daq daq;
   const PowerTape tape = ConstantTape(1.4);
   const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(1));
-  const double avg = daq.AverageWatts(samples);
+  const double avg = daq.Fold(samples).average_watts;
   // ADC quantisation + noise keep the error well under 1%.
   EXPECT_NEAR(avg, 1.4, 0.014);
 }
@@ -72,7 +77,42 @@ TEST(DaqTest, EmptyWindowYieldsNothing) {
   const PowerTape tape = ConstantTape(1.0);
   EXPECT_TRUE(daq.SampleWindow(tape, SimTime::Seconds(1), SimTime::Seconds(1)).empty());
   EXPECT_TRUE(daq.SampleWindow(tape, SimTime::Seconds(2), SimTime::Seconds(1)).empty());
-  EXPECT_EQ(daq.AverageWatts({}), 0.0);
+  EXPECT_EQ(daq.Fold({}).average_watts, 0.0);
+}
+
+TEST(DaqTest, RejectsConfigsItCannotSample) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, DaqConfig>> bad;
+  const auto with = [&bad](const std::string& label, auto field, auto value) {
+    DaqConfig config;
+    config.*field = value;
+    bad.emplace_back(label, config);
+  };
+  for (const double v : {nan, inf, -inf, 0.0, -5000.0}) {
+    const std::string at = " = " + std::to_string(v);
+    with("sample_hz" + at, &DaqConfig::sample_hz, v);
+    with("shunt_range_volts" + at, &DaqConfig::shunt_range_volts, v);
+    with("supply_range_volts" + at, &DaqConfig::supply_range_volts, v);
+    with("shunt_ohms" + at, &DaqConfig::shunt_ohms, v);
+    with("supply_volts" + at, &DaqConfig::supply_volts, v);
+  }
+  for (const double v : {nan, inf, -1.0, -1e-300}) {
+    with("noise_lsb = " + std::to_string(v), &DaqConfig::noise_lsb, v);
+  }
+  for (const int bits : {0, -1, -16}) {
+    with("adc_bits = " + std::to_string(bits), &DaqConfig::adc_bits, bits);
+  }
+  for (const auto& [label, config] : bad) {
+    EXPECT_THROW(Daq{config}, std::invalid_argument) << label;
+  }
+  // The edges that remain samplable: no noise, one-bit ADC, tiny positives.
+  DaqConfig edge;
+  edge.noise_lsb = 0.0;
+  edge.adc_bits = 1;
+  edge.sample_hz = 1e-3;
+  edge.shunt_range_volts = std::numeric_limits<double>::denorm_min();
+  EXPECT_NO_THROW(Daq{edge});
 }
 
 TEST(DaqTest, NoiseDisabledGivesQuantisationOnlyError) {
@@ -131,7 +171,7 @@ TEST_P(DaqNoisePropertyTest, AverageErrorBounded) {
   PowerTape tape;
   tape.Set(SimTime::Zero(), 1.3);
   const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(1));
-  const double avg = daq.AverageWatts(samples);
+  const double avg = daq.Fold(samples).average_watts;
   // Single-sample noise sigma: noise_lsb LSBs on the shunt channel; one LSB
   // of shunt voltage is ~0.47 mW of power.  Averaged over 5000 samples, even
   // a generous 6-sigma bound is tiny; add one LSB for quantisation bias.
@@ -147,7 +187,7 @@ TEST_P(DaqNoisePropertyTest, EnergyMatchesAverageTimesTime) {
   PowerTape tape;
   tape.Set(SimTime::Zero(), 0.9);
   const auto samples = daq.SampleWindow(tape, SimTime::Zero(), SimTime::Seconds(2));
-  EXPECT_NEAR(daq.EnergyJoules(samples), daq.AverageWatts(samples) * 2.0, 1e-9);
+  EXPECT_NEAR(daq.EnergyJoules(samples), daq.Fold(samples).average_watts * 2.0, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(NoiseSweep, DaqNoisePropertyTest,

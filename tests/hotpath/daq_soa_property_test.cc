@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -40,6 +42,22 @@ PowerTape RandomTape(std::uint64_t seed, int segments) {
     t = t + SimTime::Micros(rng.UniformInt(1, 4000));
   }
   return tape;
+}
+
+// A config with one noisy channel, so each sample draws 2 uniforms, not 4.
+// A channel's noise is noise_lsb times its LSB.  The quiet channel's range
+// makes its LSB one denormal step, 2^-1074, and half of that rounds to zero
+// (a tie, to even).
+DaqConfig OneChannelNoisy(bool shunt_noisy) {
+  DaqConfig config;
+  config.noise_lsb = 0.5;
+  const double one_step_range = std::ldexp(1.0, -1074 + config.adc_bits);
+  if (shunt_noisy) {
+    config.supply_range_volts = one_step_range;
+  } else {
+    config.shunt_range_volts = one_step_range / 2.0;  // bipolar: 2 * range / 2^bits
+  }
+  return config;
 }
 
 // Runs both pipelines over the same window and asserts bitwise equality.
@@ -115,15 +133,11 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
                      SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 2049.5),
                      "batch + 1");
-  // Zero-noise and zero-range (sigma==0 on one channel only) variants.
-  DaqConfig no_shunt_noise;
-  no_shunt_noise.shunt_range_volts = 0.0;
-  ExpectBitwiseEqual(no_shunt_noise, tape, SimTime::Millis(1), SimTime::Millis(200),
-                     "shunt sigma 0");
-  DaqConfig no_supply_noise;
-  no_supply_noise.supply_range_volts = 0.0;
-  ExpectBitwiseEqual(no_supply_noise, tape, SimTime::Millis(1), SimTime::Millis(200),
-                     "supply sigma 0");
+  // sigma == 0 on one channel only.
+  ExpectBitwiseEqual(OneChannelNoisy(/*shunt_noisy=*/false), tape, SimTime::Millis(1),
+                     SimTime::Millis(200), "shunt sigma 0");
+  ExpectBitwiseEqual(OneChannelNoisy(/*shunt_noisy=*/true), tape, SimTime::Millis(1),
+                     SimTime::Millis(200), "supply sigma 0");
   // A tape without history cannot be sampled: both pipelines throw, even
   // for a window shorter than one period, and an empty window reads nothing.
   PowerTape lean = RandomTape(7, 50);
@@ -220,6 +234,106 @@ TEST(DaqSoaPropertyTest, RunWalkBoundariesMatchReference) {
       tape.Set(at(700) - SimTime::Nanos(1), 1.3);
       check(tape, begin, end, "one segment, window before it");
       check(tape, at(900), end, "one segment, window inside it");
+    }
+  }
+}
+
+// The lane split: lane j covers samples [j * (count / 8), (j + 1) * (count / 8))
+// and the last count % 8 come from lane 7's generator.  Window counts below,
+// on and around multiples of 8 and of the 2048-sample block, with four, two
+// and no draws per sample.
+TEST(DaqSoaPropertyTest, LaneSplitMatchesReferenceAtEveryCount) {
+  const PowerTape tape = RandomTape(0x1A4E, 400);
+  const SimTime begin = SimTime::Micros(700);
+  DaqConfig quiet;
+  quiet.noise_lsb = 0.0;
+  const DaqConfig configs[] = {DaqConfig{}, OneChannelNoisy(true), OneChannelNoisy(false),
+                               quiet};
+  const char* const names[] = {"4 draws", "2 draws (shunt)", "2 draws (supply)", "0 draws"};
+  std::vector<std::int64_t> counts = {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65};
+  for (const std::int64_t k : {std::int64_t{256}, std::int64_t{257}, std::int64_t{600}}) {
+    counts.push_back(8 * k - 1);
+    counts.push_back(8 * k);
+    counts.push_back(8 * k + 1);
+  }
+  // The quiet channel's noise really is zero: half a denormal step rounds
+  // to zero.
+  ASSERT_EQ(0.5 * std::numeric_limits<double>::denorm_min(), 0.0);
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    const double period_s = 1.0 / configs[c].sample_hz;
+    for (const std::int64_t count : counts) {
+      // Half a period past the last instant: exactly `count` samples.
+      const SimTime end = begin + SimTime::FromSecondsF((count + 0.5) * period_s);
+      ASSERT_EQ(static_cast<std::int64_t>(Daq(configs[c]).SampleWindow(tape, begin, end).size()),
+                count);
+      ExpectBitwiseEqual(configs[c], tape, begin, end,
+                         std::string(names[c]) + " count " + std::to_string(count));
+    }
+  }
+}
+
+// Segments that start exactly on a lane's first sample, or one nanosecond
+// to either side, so a lane cursor placed one sample off reads the wrong
+// level; and windows that open deep into a long tape, where every cursor
+// starts by binary search.
+TEST(DaqSoaPropertyTest, LaneCursorsMatchReference) {
+  for (const double hz : {5000.0, 44100.0}) {
+    DaqConfig config;
+    config.sample_hz = hz;
+    const double period_s = 1.0 / hz;
+    const SimTime begin = SimTime::Micros(1300);
+    const auto at = [&](std::int64_t k) { return begin + SimTime::FromSecondsF(k * period_s); };
+    for (const std::int64_t count : {std::int64_t{8 * 700}, std::int64_t{8 * 700 + 5}}) {
+      const std::int64_t per_lane = count / 8;
+      const SimTime end = at(count - 1) + SimTime::Nanos(1);
+      for (const std::int64_t offset_ns : {-1, 0, 1}) {
+        PowerTape tape;
+        tape.Set(SimTime::Zero(), 0.3);
+        for (std::int64_t j = 1; j <= 8; ++j) {
+          tape.Set(at(j * per_lane) + SimTime::Nanos(offset_ns), 0.4 + 0.29 * static_cast<double>(j));
+        }
+        ExpectBitwiseEqual(config, tape, begin, end,
+                           "lane starts, hz " + std::to_string(hz) + " count " +
+                               std::to_string(count) + " offset " + std::to_string(offset_ns));
+      }
+    }
+    // 20,000 segments; windows from the 15,000th and from 0.1 s before the
+    // last.
+    const PowerTape tape = RandomTape(0xDEE9, 20000);
+    const SimTime last = tape.segments().back().start;
+    for (const SimTime from : {tape.segments()[15000].start + SimTime::Nanos(3),
+                               last - SimTime::Millis(100)}) {
+      ExpectBitwiseEqual(config, tape, from, from + SimTime::Millis(1500),
+                         "deep window, hz " + std::to_string(hz) + " from " + from.ToString());
+    }
+  }
+}
+
+// Two windows back to back on one Daq: the second starts where lane 7 and
+// the serial tail left the generator, so any slip in the hand-off shows in
+// its samples.
+TEST(DaqSoaPropertyTest, BackToBackWindowsContinueTheStream) {
+  const PowerTape tape = RandomTape(0xBAC4, 300);
+  DaqConfig quiet;
+  quiet.noise_lsb = 0.0;
+  for (const DaqConfig& config : {DaqConfig{}, OneChannelNoisy(true), quiet}) {
+    testing::ReferenceDaq scalar(config);
+    Daq batched(config);
+    const double period_s = 1.0 / config.sample_hz;
+    SimTime from = SimTime::Millis(3);
+    // 8k + 5 samples, then 8k + 3, then 6, then 8k.
+    for (const std::int64_t count : {8 * 300 + 5, 8 * 211 + 3, 6, 8 * 64}) {
+      const SimTime to = from + SimTime::FromSecondsF((count + 0.5) * period_s);
+      const std::vector<double> a = [&] {
+        const std::span<const double> w = scalar.SampleWindow(tape, from, to);
+        return std::vector<double>(w.begin(), w.end());
+      }();
+      const std::span<const double> b = batched.SampleWindow(tape, from, to);
+      ASSERT_EQ(a.size(), b.size()) << "count " << count;
+      ASSERT_EQ(static_cast<std::int64_t>(b.size()), count);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+          << "count " << count << " noise " << config.noise_lsb;
+      from = to;
     }
   }
 }

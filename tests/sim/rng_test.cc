@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cmath>
@@ -242,6 +243,107 @@ TEST(RngForkTest, ForkedStreamDivergesFromParentSequence) {
     }
   }
   EXPECT_GT(differing, 60);
+}
+
+// Rng::Jump(JumpOf(n)) leaves the generator where n Next() calls do: at the
+// edges of one 256-coefficient polynomial (255, 256, 257) and far past it.
+TEST(RngTest, JumpEqualsSerialSteps) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 255ULL, 256ULL, 257ULL, 1000000ULL}) {
+    Rng jumped(0x5EED0000ULL + n);
+    Rng stepped = jumped;
+    jumped.Jump(Rng::JumpOf(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      stepped.Next();
+    }
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(jumped.Next(), stepped.Next()) << "n " << n << " draw " << i;
+    }
+  }
+}
+
+// Jumps compose as the powers of x they are, including lengths no serial
+// check could reach: 2^40 twice is 2^41, and a + b is a then b.
+TEST(RngTest, JumpsCompose) {
+  const std::uint64_t a = (std::uint64_t{1} << 40) + 12345;
+  const std::uint64_t b = 987654321;
+  Rng one(42);
+  Rng two = one;
+  one.Jump(Rng::JumpOf(a + b));
+  two.Jump(Rng::JumpOf(a));
+  two.Jump(Rng::JumpOf(b));
+  EXPECT_EQ(one.Next(), two.Next());
+  Rng twice(43);
+  Rng once = twice;
+  const Rng::JumpPoly half = Rng::JumpOf(std::uint64_t{1} << 40);
+  twice.Jump(half);
+  twice.Jump(half);
+  once.Jump(Rng::JumpOf(std::uint64_t{1} << 41));
+  EXPECT_EQ(once.Next(), twice.Next());
+}
+
+// Berlekamp-Massey over GF(2): the shortest linear recurrence of `bits`, as
+// the characteristic polynomial x^L + sum c_i x^i, c_i in kCharPoly's layout.
+// Returns L and fills `poly` (L <= 256).
+int BerlekampMassey(const std::vector<int>& bits, std::array<std::uint64_t, 4>* poly) {
+  const std::size_t n = bits.size();
+  std::vector<int> c(n + 1, 0);  // connection polynomial 1 + c_1 x + ...
+  std::vector<int> b(n + 1, 0);
+  c[0] = b[0] = 1;
+  int length = 0;
+  std::size_t shift = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    int discrepancy = bits[i];
+    for (int k = 1; k <= length; ++k) {
+      discrepancy ^= c[static_cast<std::size_t>(k)] & bits[i - static_cast<std::size_t>(k)];
+    }
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> previous = c;
+    for (std::size_t k = 0; k + shift <= n; ++k) {
+      c[k + shift] ^= b[k];
+    }
+    if (2 * static_cast<std::size_t>(length) <= i) {
+      length = static_cast<int>(i + 1) - length;
+      b = previous;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  // s_{t+L} = sum_k c_{L-k} s_{t+k}: coefficient k is c_{L-k}.
+  *poly = {0, 0, 0, 0};
+  for (int k = 0; k < length && k < 256; ++k) {
+    if (c[static_cast<std::size_t>(length - k)] != 0) {
+      (*poly)[static_cast<std::size_t>(k / 64)] |= std::uint64_t{1} << (k % 64);
+    }
+  }
+  return length;
+}
+
+// The pinned characteristic polynomial is the state sequence's own: the
+// shortest recurrence of single state bits has degree 256 and is kCharPoly,
+// for bits of different words and seeds.
+TEST(RngTest, BerlekampMasseyRederivesCharPoly) {
+  struct Probe {
+    std::uint64_t seed;
+    int word;
+    int bit;
+  };
+  for (const Probe probe : {Probe{1, 0, 0}, Probe{0xDEADBEEF, 2, 37}, Probe{99, 3, 63}}) {
+    Rng rng(probe.seed);
+    std::vector<int> bits;
+    for (int i = 0; i < 1024; ++i) {
+      RngLanes lanes;
+      lanes.Set(0, rng);
+      bits.push_back(static_cast<int>((lanes.s[probe.word][0] >> probe.bit) & 1));
+      rng.Next();
+    }
+    std::array<std::uint64_t, 4> poly{};
+    EXPECT_EQ(BerlekampMassey(bits, &poly), 256) << "seed " << probe.seed;
+    EXPECT_EQ(poly, Rng::kCharPoly) << "seed " << probe.seed;
+  }
 }
 
 }  // namespace
