@@ -20,15 +20,6 @@ namespace dcs {
 // is W after consuming input[0..i].
 std::vector<double> AvgNFilter(std::span<const double> input, int n, double initial = 0.0);
 
-// The explicit AVG_N convolution weights w_k = (1/(N+1)) * (N/(N+1))^k for
-// k = 0..length-1 (most recent sample first).
-std::vector<double> AvgNKernel(int n, int length);
-
-// Full discrete convolution of `signal` with `kernel` (causal: output[i]
-// uses signal[i], signal[i-1], ...).  Output has signal.size() samples.
-std::vector<double> ConvolveCausal(std::span<const double> signal,
-                                   std::span<const double> kernel);
-
 // Samples of the continuous decaying exponential x(t) = e^{-lambda t} u(t)
 // at unit spacing (Figure 6's time-domain kernel).
 std::vector<double> DecayingExponential(double lambda, int length);

@@ -39,21 +39,6 @@ void FftInPlace(std::vector<std::complex<double>>& a) {
 
 }  // namespace
 
-std::vector<std::complex<double>> Dft(std::span<const double> input) {
-  const std::size_t n = input.size();
-  std::vector<std::complex<double>> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    std::complex<double> acc(0.0, 0.0);
-    for (std::size_t t = 0; t < n; ++t) {
-      const double angle = -2.0 * M_PI * static_cast<double>(k) * static_cast<double>(t) /
-                           static_cast<double>(n);
-      acc += input[t] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-    out[k] = acc;
-  }
-  return out;
-}
-
 std::vector<std::complex<double>> Fft(std::span<const double> input) {
   std::vector<std::complex<double>> a(input.begin(), input.end());
   FftInPlace(a);

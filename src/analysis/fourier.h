@@ -16,9 +16,6 @@
 
 namespace dcs {
 
-// O(n^2) reference DFT: X[k] = sum_t x[t] e^{-2 pi i k t / n}.
-std::vector<std::complex<double>> Dft(std::span<const double> input);
-
 // Iterative radix-2 FFT; input length must be a power of two.
 std::vector<std::complex<double>> Fft(std::span<const double> input);
 

@@ -48,6 +48,9 @@ inline constexpr int kLanes = RngLanes::kLanes;
 // lanes, small enough that the scratch arrays stay cache-resident.
 inline constexpr int kSteps = 256;
 inline constexpr int kBatch = kSteps * kLanes;
+// Uniforms a sample of a noisy pipeline draws: a Box-Muller pair for each
+// of its two channels.
+inline constexpr int kDraws = 4;
 
 // The pipeline's constants (PipelineFor in daq.h derives them from a
 // DaqConfig).
@@ -76,9 +79,8 @@ struct Block {
 using PassesFn = int (*)(const Block& block);
 
 // Steps every lane `steps` times.  At step s, lane j's draws, in its
-// stream's order, land in dst[0][s * kLanes + j], ..., dst[draws - 1][...];
-// `draws` is 2 or 4.
-using LaneStepFn = void (*)(RngLanes& lanes, int steps, int draws, double* const* dst);
+// stream's order, land in dst[0][s * kLanes + j], ..., dst[kDraws - 1][...].
+using LaneStepFn = void (*)(RngLanes& lanes, int steps, double* const* dst);
 
 struct Variant {
   PassesFn passes;
@@ -87,9 +89,6 @@ struct Variant {
 
 enum class Isa { kBaseline, kX86_64_V3, kX86_64_V4 };
 inline constexpr Isa kAllIsas[] = {Isa::kBaseline, Isa::kX86_64_V3, Isa::kX86_64_V4};
-
-// "baseline", "x86-64-v3" or "x86-64-v4".
-const char* IsaName(Isa isa);
 
 // The ISA table, indexed by Isa: the functions compiled for each ISA, or
 // nulls when this build has no such variant (non-x86 targets and compilers

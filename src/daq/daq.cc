@@ -1,6 +1,7 @@
 #include "src/daq/daq.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -105,8 +106,8 @@ class TapeRuns {
 // draws go to dst[0][i * stride], ..., dst[kDraws - 1][i * stride].  The
 // serial lane step passes a local copy of each lane's generator, so its
 // state stays in registers for the whole loop.
-template <int kDraws>
 inline void DrawSerial(Rng& rng, int n, double* const* dst, int stride) {
+  using block_passes::kDraws;
   double* out[kDraws] = {};
   for (int q = 0; q < kDraws; ++q) {
     out[q] = dst[q];
@@ -115,14 +116,6 @@ inline void DrawSerial(Rng& rng, int n, double* const* dst, int stride) {
     for (int q = 0; q < kDraws; ++q) {
       out[q][i * stride] = rng.NextDouble();
     }
-  }
-}
-
-inline void DrawSerial(Rng& rng, int n, int draws, double* const* dst, int stride) {
-  if (draws == 4) {
-    DrawSerial<4>(rng, n, dst, stride);
-  } else if (draws == 2) {
-    DrawSerial<2>(rng, n, dst, stride);
   }
 }
 
@@ -156,14 +149,14 @@ inline int RunPasses(const Block& b) {
 // The serial lane step: each lane in turn, its generator in registers.  The
 // baseline runs it: SSE2 holds two lanes per register, and stepping them two
 // at a time measured no faster.
-inline void StepLanesSerial(RngLanes& lanes, int steps, int draws, double* const* dst) {
+inline void StepLanesSerial(RngLanes& lanes, int steps, double* const* dst) {
   for (int j = 0; j < kLanes; ++j) {
-    double* lane_dst[4] = {};
-    for (int q = 0; q < draws; ++q) {
+    double* lane_dst[kDraws] = {};
+    for (int q = 0; q < kDraws; ++q) {
       lane_dst[q] = dst[q] + j;
     }
     Rng rng = lanes.Get(j);
-    DrawSerial(rng, steps, draws, lane_dst, kLanes);
+    DrawSerial(rng, steps, lane_dst, kLanes);
     lanes.Set(j, rng);
   }
 }
@@ -195,7 +188,7 @@ struct LaneVectors<8> {
 // one).  Otherwise the integer converts as two halves, each placed in the
 // mantissa of a power of two that is then subtracted, and their sum is exact
 // too.
-template <int kWidth, bool kConvert, int kDraws>
+template <int kWidth, bool kConvert>
 inline void StepLanesVector(RngLanes& lanes, int steps, double* const* dst) {
   using U = typename LaneVectors<kWidth>::U;
   using F = typename LaneVectors<kWidth>::F;
@@ -242,22 +235,12 @@ inline void StepLanesVector(RngLanes& lanes, int steps, double* const* dst) {
   }
 }
 
-template <int kWidth, bool kConvert>
-inline void StepLanesVector(RngLanes& lanes, int steps, int draws, double* const* dst) {
-  if (draws == 4) {
-    StepLanesVector<kWidth, kConvert, 4>(lanes, steps, dst);
-  } else {
-    StepLanesVector<kWidth, kConvert, 2>(lanes, steps, dst);
-  }
-}
-
 // `flatten` inlines the channel kernel and the lane step into each variant.
 // Without it GCC may keep a QuantiseChannel instance out of line, where it
 // runs at the baseline ISA whatever its caller's.
 [[gnu::flatten]] int PassesBaseline(const Block& b) { return RunPasses(b); }
-[[gnu::flatten]] void LaneStepBaseline(RngLanes& lanes, int steps, int draws,
-                                       double* const* dst) {
-  StepLanesSerial(lanes, steps, draws, dst);
+[[gnu::flatten]] void LaneStepBaseline(RngLanes& lanes, int steps, double* const* dst) {
+  StepLanesSerial(lanes, steps, dst);
 }
 
 // The ISA-level names in target attributes and __builtin_cpu_supports need
@@ -269,31 +252,19 @@ inline void StepLanesVector(RngLanes& lanes, int steps, int draws, double* const
   return RunPasses(b);
 }
 [[gnu::flatten, gnu::target("arch=x86-64-v3")]] void LaneStepV3(RngLanes& lanes, int steps,
-                                                                 int draws, double* const* dst) {
-  StepLanesVector<4, false>(lanes, steps, draws, dst);
+                                                                 double* const* dst) {
+  StepLanesVector<4, false>(lanes, steps, dst);
 }
 [[gnu::flatten, gnu::target("arch=x86-64-v4")]] int PassesV4(const Block& b) {
   return RunPasses(b);
 }
 [[gnu::flatten, gnu::target("arch=x86-64-v4")]] void LaneStepV4(RngLanes& lanes, int steps,
-                                                                 int draws, double* const* dst) {
-  StepLanesVector<8, true>(lanes, steps, draws, dst);
+                                                                 double* const* dst) {
+  StepLanesVector<8, true>(lanes, steps, dst);
 }
 #endif
 
 }  // namespace
-
-const char* IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kBaseline:
-      return "baseline";
-    case Isa::kX86_64_V3:
-      return "x86-64-v3";
-    case Isa::kX86_64_V4:
-      return "x86-64-v4";
-  }
-  return "unknown";
-}
 
 #ifdef DCS_DAQ_ISA_LEVELS
 const Variant kVariants[] = {{&PassesBaseline, &LaneStepBaseline},
@@ -351,18 +322,13 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
   block.u3 = scratch.u3.data();
   block.u4 = scratch.u4.data();
   block.pipeline = &pipeline;
-  // Each sample's draws in the reference's stream order: the shunt pair,
-  // then the supply pair, each only when its channel is noisy.
-  double* dst[4] = {};
-  int draws = 0;
-  if (pipeline.shunt.sigma != 0.0) {
-    dst[draws++] = scratch.u1.data();
-    dst[draws++] = scratch.u2.data();
-  }
-  if (pipeline.supply_rail.sigma != 0.0) {
-    dst[draws++] = scratch.u3.data();
-    dst[draws++] = scratch.u4.data();
-  }
+  // A noisy pipeline's draws in the reference's stream order: the shunt
+  // pair, then the supply pair.  Both channels are noisy or neither is (the
+  // Daq constructor rejects the rest).
+  assert((pipeline.shunt.sigma != 0.0) == (pipeline.supply_rail.sigma != 0.0));
+  double* const dst[kDraws] = {scratch.u1.data(), scratch.u2.data(), scratch.u3.data(),
+                               scratch.u4.data()};
+  const int draws = pipeline.shunt.sigma != 0.0 ? kDraws : 0;
 
   // Place the lanes: lane j at sample j * per_lane, with its generator
   // j * per_lane * draws draws into the stream.
@@ -393,7 +359,7 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
     }
     // Pass 2: every lane's draws, the lanes stepped together.
     if (draws > 0) {
-      variant.lane_step(lanes, steps, draws, dst);
+      variant.lane_step(lanes, steps, dst);
     }
     // Pass 3 (element-wise): both channel kernels, then measured current x
     // measured rail -> power.
@@ -417,7 +383,9 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
     block.vals = out + kLanes * per_lane;
     block.n = tail;
     cursors[kLanes - 1].Fill(block.vals, 1, tail);
-    DrawSerial(rng, tail, draws, dst, 1);
+    if (draws > 0) {
+      DrawSerial(rng, tail, dst, 1);
+    }
     recomputed += variant.passes(block);
   }
   return recomputed;
@@ -425,12 +393,10 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
 
 }  // namespace block_passes
 
-const char* Daq::IsaVariant() { return block_passes::IsaName(block_passes::Chosen()); }
-
 namespace {
 
-// The config Daq can sample, or std::invalid_argument.
-const DaqConfig& Checked(const DaqConfig& config) {
+// The pipeline of a config Daq can sample, or std::invalid_argument.
+block_passes::Pipeline CheckedPipeline(const DaqConfig& config) {
   const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
   if (!positive(config.sample_hz)) {
     throw std::invalid_argument("Daq: sample_hz must be finite and positive");
@@ -447,14 +413,24 @@ const DaqConfig& Checked(const DaqConfig& config) {
   if (!std::isfinite(config.noise_lsb) || config.noise_lsb < 0.0) {
     throw std::invalid_argument("Daq: noise_lsb must be finite and non-negative");
   }
-  return config;
+  const block_passes::Pipeline pipeline = block_passes::PipelineFor(config);
+  for (const noise_kernel::AdcChannel& channel : {pipeline.shunt, pipeline.supply_rail}) {
+    // 2^adc_bits overflows from 1024 bits on, and range / 2^adc_bits can
+    // underflow; either leaves no step to quantise to.
+    if (!std::isnormal(channel.lsb)) {
+      throw std::invalid_argument("Daq: an ADC range over 2^adc_bits must be a normal number");
+    }
+    if (config.noise_lsb > 0.0 && channel.sigma == 0.0) {
+      throw std::invalid_argument("Daq: noise_lsb rounds to no noise on a channel");
+    }
+  }
+  return pipeline;
 }
 
 }  // namespace
 
 Daq::Daq(const DaqConfig& config, Arena* arena)
-    : config_(Checked(config)), rng_(config.seed),
-      pipeline_(block_passes::PipelineFor(config_)),
+    : config_(config), rng_(config.seed), pipeline_(CheckedPipeline(config)),
       samples_(NoInitArenaAllocator<double>(arena)),
       dropped_(ArenaAllocator<std::size_t>(arena)) {}
 

@@ -78,8 +78,10 @@ class Daq {
   // sampling performs no heap allocation; it must outlive the Daq.
   // Throws std::invalid_argument for a config it cannot sample: a
   // sample_hz, range, shunt_ohms or supply_volts that is not finite and
-  // positive, adc_bits below 1, or a noise_lsb that is not finite and
-  // non-negative.
+  // positive, adc_bits below 1, a noise_lsb that is not finite and
+  // non-negative, a channel whose LSB (range / 2^adc_bits) is not a normal
+  // number, or a positive noise_lsb whose noise rounds to 0 on a channel.
+  // So a sample draws four uniforms (both channels noisy) or none.
   explicit Daq(const DaqConfig& config = {}, Arena* arena = nullptr);
 
   const DaqConfig& config() const { return config_; }
@@ -115,11 +117,12 @@ class Daq {
   // scalar std::log/std::sqrt/std::cos expression.  The lane step and the
   // element-wise passes (both channel kernels, current times rail) are
   // compiled at the baseline, x86-64-v3 (AVX2) and x86-64-v4 (AVX-512) ISA
-  // levels; the process runs the widest its CPU supports (IsaVariant()), and
-  // all three return the same bits.  So the result, and the stream position
-  // after it, is bit-for-bit that of the one-reading-at-a-time scalar
-  // pipeline the tests keep as the reference (tests/support/reference_daq.h;
-  // see tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
+  // levels; the process runs the widest its CPU supports
+  // (block_passes::Chosen()), and all three return the same bits.  So the
+  // result, and the stream position after it, is bit-for-bit that of the
+  // one-reading-at-a-time scalar pipeline the tests keep as the reference
+  // (tests/support/reference_daq.h; see
+  // tests/hotpath/daq_soa_property_test.cc, tests/daq/noise_kernel_test.cc
   // and tests/daq/block_variant_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
@@ -142,10 +145,6 @@ class Daq {
   };
   Totals Fold(std::span<const double> samples) const;
   double EnergyJoules(std::span<const double> samples) const { return Fold(samples).joules; }
-
-  // The ISA variant of the batched lane step and passes this process runs:
-  // "baseline", "x86-64-v3" or "x86-64-v4", chosen once from the CPU.
-  static const char* IsaVariant();
 
   // Reconstructs the samples at `dropped` (sorted indices) in place.  The
   // test reference pipeline (tests/support/reference_daq.h) shares it.

@@ -1,24 +1,16 @@
 #include "src/exp/experiment.h"
 
-#include <utility>
-
 #include "src/exp/device_sim.h"
 
 namespace dcs {
 
-// Both entry points are thin wrappers over DeviceSim (src/exp/device_sim.h),
-// which is the old RunExperiment body split at its phase boundaries so fleet
-// workers can snapshot/restore mid-run.  Run() preserves the original
-// statement order exactly; the golden suite holds the results byte-identical.
+// A thin wrapper over DeviceSim (src/exp/device_sim.h), which is the old
+// RunExperiment body split at its phase boundaries so fleet workers can
+// snapshot/restore mid-run.  Run() preserves the original statement order
+// exactly; the golden suite holds the results byte-identical.
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   DeviceSim device(config);
-  return device.Run();
-}
-
-ExperimentResult RunExperiment(const ExperimentConfig& config, AppBundle bundle,
-                               DeadlineMonitor& deadlines) {
-  DeviceSim device(config, std::move(bundle), &deadlines);
   return device.Run();
 }
 

@@ -158,13 +158,6 @@ struct ExperimentResult {
 // engine that fails the offending job while the rest of the grid completes.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
-// Same, but with a caller-built application bundle (`config.app` / `.mpeg`
-// are ignored).  The bundle may be empty: the kernel then idles for the
-// configured duration.  `deadlines` is the monitor the bundle's workloads
-// report to and must outlive the call.
-ExperimentResult RunExperiment(const ExperimentConfig& config, AppBundle bundle,
-                               DeadlineMonitor& deadlines);
-
 }  // namespace dcs
 
 #endif  // SRC_EXP_EXPERIMENT_H_

@@ -28,11 +28,6 @@ bool Simulator::Step() {
   return true;
 }
 
-void Simulator::Run() {
-  while (!CancelRequested() && Step()) {
-  }
-}
-
 void Simulator::RunUntil(SimTime deadline) {
   while (!CancelRequested() && !queue_.Empty() && queue_.NextTime() <= deadline) {
     Step();

@@ -52,9 +52,6 @@ class Simulator {
   // Cancels a pending event.  Returns true if it was still pending.
   bool Cancel(EventId id);
 
-  // Runs events until the queue is empty or the run is cancelled.
-  void Run();
-
   // Runs events with time <= deadline; afterwards Now() == deadline unless
   // the run was cancelled.  Events scheduled exactly at the deadline do fire.
   void RunUntil(SimTime deadline);

@@ -48,7 +48,6 @@ class SimTime {
   constexpr double ToSeconds() const { return static_cast<double>(ns_) * 1e-9; }
   constexpr double ToMicrosF() const { return static_cast<double>(ns_) * 1e-3; }
 
-  constexpr bool IsZero() const { return ns_ == 0; }
   constexpr bool IsNegative() const { return ns_ < 0; }
 
   // Arithmetic.

@@ -9,9 +9,13 @@
 
 #include "src/core/predictor.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/analysis_reference.h"
 
 namespace dcs {
 namespace {
+
+using testing::AvgNKernel;
+using testing::ConvolveCausal;
 
 TEST(AvgNFilterTest, MatchesPredictorExactly) {
   const auto wave = RectangleWaveSamples(9, 1, 100);

@@ -8,9 +8,12 @@
 #include "src/analysis/filters.h"
 #include "src/sim/rng.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/analysis_reference.h"
 
 namespace dcs {
 namespace {
+
+using testing::Dft;
 
 TEST(DftTest, ConstantSignalIsDcOnly) {
   const std::vector<double> input(8, 1.0);

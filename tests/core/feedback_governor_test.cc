@@ -12,7 +12,6 @@
 #include "src/hw/itsy.h"
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
-#include "src/workload/synthetic.h"
 #include "tests/support/image_copy.h"
 
 namespace dcs {

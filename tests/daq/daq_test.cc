@@ -12,6 +12,7 @@
 #include "src/daq/stats.h"
 #include "src/fault/fault_injector.h"
 #include "src/sim/rng.h"
+#include "src/sim/snapshot.h"
 
 namespace dcs {
 namespace {
@@ -100,19 +101,47 @@ TEST(DaqTest, RejectsConfigsItCannotSample) {
   for (const double v : {nan, inf, -1.0, -1e-300}) {
     with("noise_lsb = " + std::to_string(v), &DaqConfig::noise_lsb, v);
   }
-  for (const int bits : {0, -1, -16}) {
+  // 2^1024 overflows to infinity, so every LSB is 0 and every sample NaN;
+  // from 1020 bits on, the default shunt range's LSB (0.2 V / 2^bits) is
+  // subnormal.
+  for (const int bits : {0, -1, -16, 1020, 1024, 1100}) {
     with("adc_bits = " + std::to_string(bits), &DaqConfig::adc_bits, bits);
+  }
+  // An LSB that underflows to a subnormal step or to 0.
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  with("shunt_range_volts = denorm_min", &DaqConfig::shunt_range_volts, denorm_min);
+  with("supply_range_volts = 1e-305", &DaqConfig::supply_range_volts, 1e-305);
+  // Noise that rounds to 0: on both channels, and on one channel only.
+  // One noisy channel would draw two uniforms per sample, a stream the
+  // pipeline does not have.  A channel's noise is noise_lsb times its LSB;
+  // a range whose LSB is one subnormal step, 2^-1074, makes half an LSB of
+  // noise round to 0 (a tie, to even).
+  with("noise_lsb = denorm_min", &DaqConfig::noise_lsb, denorm_min);
+  for (const bool shunt_noisy : {false, true}) {
+    DaqConfig config;
+    config.noise_lsb = 0.5;
+    const double one_step_range = std::ldexp(1.0, -1074 + config.adc_bits);
+    if (shunt_noisy) {
+      config.supply_range_volts = one_step_range;
+    } else {
+      config.shunt_range_volts = one_step_range / 2.0;  // bipolar: 2 * range / 2^bits
+    }
+    bad.emplace_back(shunt_noisy ? "supply noise 0" : "shunt noise 0", config);
   }
   for (const auto& [label, config] : bad) {
     EXPECT_THROW(Daq{config}, std::invalid_argument) << label;
   }
-  // The edges that remain samplable: no noise, one-bit ADC, tiny positives.
+  // The edges that remain samplable: no noise, one-bit ADC, tiny positives,
+  // and the widest ADC whose steps are normal at the default ranges.
   DaqConfig edge;
   edge.noise_lsb = 0.0;
   edge.adc_bits = 1;
   edge.sample_hz = 1e-3;
-  edge.shunt_range_volts = std::numeric_limits<double>::denorm_min();
+  edge.shunt_range_volts = std::numeric_limits<double>::min();  // LSB: the least normal
   EXPECT_NO_THROW(Daq{edge});
+  DaqConfig wide;
+  wide.adc_bits = 1019;
+  EXPECT_NO_THROW(Daq{wide});
 }
 
 TEST(DaqTest, NoiseDisabledGivesQuantisationOnlyError) {
@@ -277,6 +306,44 @@ TEST(GpioTriggerTest, MultipleWindows) {
     gpio.Toggle(5, SimTime::Seconds(i));
   }
   EXPECT_EQ(trigger.windows().size(), 3u);
+}
+
+// A trigger imaged while it holds two completed windows and an open one:
+// a fresh trigger loaded from the image holds the same windows and closes
+// the open one on the next edge, and every truncated copy of the image
+// fails the load.
+TEST(GpioTriggerTest, ImageCarriesCompletedAndOpenWindows) {
+  Gpio gpio;
+  GpioTrigger trigger(5);
+  trigger.Attach(gpio);
+  for (int i = 1; i <= 5; ++i) {
+    gpio.Toggle(5, SimTime::Millis(100 * i));
+  }
+  ASSERT_EQ(trigger.windows().size(), 2u);
+  ASSERT_EQ(trigger.open_window_start(), SimTime::Millis(500));
+  SnapshotWriter image;
+  SaveSnapshot(trigger, &image);
+
+  Gpio fresh_gpio;
+  GpioTrigger loaded(5);
+  loaded.Attach(fresh_gpio);
+  SnapshotReader r(image);
+  LoadSnapshot(loaded, &r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(loaded.windows(), trigger.windows());
+  EXPECT_EQ(loaded.open_window_start(), trigger.open_window_start());
+  fresh_gpio.Toggle(5, SimTime::Millis(600));
+  ASSERT_EQ(loaded.windows().size(), 3u);
+  EXPECT_EQ(loaded.windows()[2], std::make_pair(SimTime::Millis(500), SimTime::Millis(600)));
+  EXPECT_FALSE(loaded.open_window_start().has_value());
+
+  for (std::size_t n = 0; n < image.size(); ++n) {
+    GpioTrigger truncated(5);
+    SnapshotReader cut(image.data(), n);
+    LoadSnapshot(truncated, &cut);
+    EXPECT_FALSE(cut.ok()) << "an image cut to " << n << " of " << image.size() << " bytes";
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
@@ -47,7 +48,7 @@ TEST(FaultEdgesTest, EmptyBundleIdlesForTheDuration) {
   ExperimentConfig config;
   config.governor = "PAST-peg-peg-93-98";
   DeadlineMonitor deadlines;
-  const ExperimentResult result = RunExperiment(config, AppBundle{}, deadlines);
+  const ExperimentResult result = DeviceSim(config, AppBundle{}, &deadlines).Run();
   // bundle.duration is zero, so the run lasts the experiment's 2 s pad.
   EXPECT_EQ(result.duration, SimTime::Seconds(2));
   EXPECT_GT(result.quanta, 0u);
@@ -62,7 +63,7 @@ TEST(FaultEdgesTest, EmptyBundleSurvivesAFaultStorm) {
   config.governor = "PAST-peg-peg-93-98-vs";
   config.faults = "storm=1,seed=5";
   DeadlineMonitor deadlines;
-  const ExperimentResult result = RunExperiment(config, AppBundle{}, deadlines);
+  const ExperimentResult result = DeviceSim(config, AppBundle{}, &deadlines).Run();
   EXPECT_TRUE(result.faults.enabled);
   EXPECT_GT(result.faults.injected_total, 0u);
   EXPECT_EQ(result.faults.invariant_violations, 0u) << result.faults.violations.front();

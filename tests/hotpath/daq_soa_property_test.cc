@@ -12,10 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -42,22 +40,6 @@ PowerTape RandomTape(std::uint64_t seed, int segments) {
     t = t + SimTime::Micros(rng.UniformInt(1, 4000));
   }
   return tape;
-}
-
-// A config with one noisy channel, so each sample draws 2 uniforms, not 4.
-// A channel's noise is noise_lsb times its LSB.  The quiet channel's range
-// makes its LSB one denormal step, 2^-1074, and half of that rounds to zero
-// (a tie, to even).
-DaqConfig OneChannelNoisy(bool shunt_noisy) {
-  DaqConfig config;
-  config.noise_lsb = 0.5;
-  const double one_step_range = std::ldexp(1.0, -1074 + config.adc_bits);
-  if (shunt_noisy) {
-    config.supply_range_volts = one_step_range;
-  } else {
-    config.shunt_range_volts = one_step_range / 2.0;  // bipolar: 2 * range / 2^bits
-  }
-  return config;
 }
 
 // Runs both pipelines over the same window and asserts bitwise equality.
@@ -133,11 +115,6 @@ TEST(DaqSoaPropertyTest, WindowEdgeCases) {
   ExpectBitwiseEqual(config, tape, SimTime::Millis(1),
                      SimTime::Millis(1) + SimTime::FromMicrosF(period_us * 2049.5),
                      "batch + 1");
-  // sigma == 0 on one channel only.
-  ExpectBitwiseEqual(OneChannelNoisy(/*shunt_noisy=*/false), tape, SimTime::Millis(1),
-                     SimTime::Millis(200), "shunt sigma 0");
-  ExpectBitwiseEqual(OneChannelNoisy(/*shunt_noisy=*/true), tape, SimTime::Millis(1),
-                     SimTime::Millis(200), "supply sigma 0");
   // A tape without history cannot be sampled: both pipelines throw, even
   // for a window shorter than one period, and an empty window reads nothing.
   PowerTape lean = RandomTape(7, 50);
@@ -240,25 +217,21 @@ TEST(DaqSoaPropertyTest, RunWalkBoundariesMatchReference) {
 
 // The lane split: lane j covers samples [j * (count / 8), (j + 1) * (count / 8))
 // and the last count % 8 come from lane 7's generator.  Window counts below,
-// on and around multiples of 8 and of the 2048-sample block, with four, two
-// and no draws per sample.
+// on and around multiples of 8 and of the 2048-sample block, with four and
+// no draws per sample.
 TEST(DaqSoaPropertyTest, LaneSplitMatchesReferenceAtEveryCount) {
   const PowerTape tape = RandomTape(0x1A4E, 400);
   const SimTime begin = SimTime::Micros(700);
   DaqConfig quiet;
   quiet.noise_lsb = 0.0;
-  const DaqConfig configs[] = {DaqConfig{}, OneChannelNoisy(true), OneChannelNoisy(false),
-                               quiet};
-  const char* const names[] = {"4 draws", "2 draws (shunt)", "2 draws (supply)", "0 draws"};
+  const DaqConfig configs[] = {DaqConfig{}, quiet};
+  const char* const names[] = {"4 draws", "0 draws"};
   std::vector<std::int64_t> counts = {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65};
   for (const std::int64_t k : {std::int64_t{256}, std::int64_t{257}, std::int64_t{600}}) {
     counts.push_back(8 * k - 1);
     counts.push_back(8 * k);
     counts.push_back(8 * k + 1);
   }
-  // The quiet channel's noise really is zero: half a denormal step rounds
-  // to zero.
-  ASSERT_EQ(0.5 * std::numeric_limits<double>::denorm_min(), 0.0);
   for (std::size_t c = 0; c < std::size(configs); ++c) {
     const double period_s = 1.0 / configs[c].sample_hz;
     for (const std::int64_t count : counts) {
@@ -316,7 +289,7 @@ TEST(DaqSoaPropertyTest, BackToBackWindowsContinueTheStream) {
   const PowerTape tape = RandomTape(0xBAC4, 300);
   DaqConfig quiet;
   quiet.noise_lsb = 0.0;
-  for (const DaqConfig& config : {DaqConfig{}, OneChannelNoisy(true), quiet}) {
+  for (const DaqConfig& config : {DaqConfig{}, quiet}) {
     testing::ReferenceDaq scalar(config);
     Daq batched(config);
     const double period_s = 1.0 / config.sample_hz;

@@ -14,6 +14,7 @@
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
+#include "tests/support/synthetic_workloads.h"
 
 namespace dcs {
 namespace {

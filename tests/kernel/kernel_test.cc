@@ -9,8 +9,10 @@
 
 #include "src/hw/itsy.h"
 #include "src/sim/simulator.h"
+#include "src/sim/snapshot.h"
 #include "src/workload/synthetic.h"
 #include "tests/support/fixtures.h"
+#include "tests/support/synthetic_workloads.h"
 
 namespace dcs {
 namespace {
@@ -182,14 +184,12 @@ TEST_F(KernelTest, JiffyAlignRoundsUpToTickBoundary) {
 }
 
 TEST_F(KernelTest, JiffyRoundedSleepWakesOnTickBoundary) {
-  // A 9-busy/1-idle rectangle wave sleeps with jiffy=false; instead test the
-  // Java poller which uses jiffy-rounded sleeps: every wake lands on a 10 ms
-  // boundary.  We detect wake times through the scheduler log.
-  kernel.AddTask(std::make_unique<RectangleWaveWorkload>(1, 2));
+  // A constant one-third load sleeps with jiffy=false, so its wakes fall
+  // between ticks; the kernel still accounts each quantum's busy time.
+  kernel.AddTask(std::make_unique<ConstantUtilizationWorkload>(1.0 / 3.0));
   kernel.Start();
   sim.RunUntil(SimTime::Millis(200));
-  // The task alternates 10 ms spinning / 20 ms sleeping; utilization over
-  // any 30 ms window is ~1/3.
+  // The task spins a third of every 10 ms quantum.
   const TraceSeries* util = kernel.sink().Find("utilization");
   ASSERT_NE(util, nullptr);
   double sum = 0.0;
@@ -339,6 +339,88 @@ TEST_F(KernelTest, EndlessInstantActionsFailTheRun) {
       std::runtime_error);
   // It gave up inside the first quantum's spin, not after 50 ms of them.
   EXPECT_LE(raw->calls, 100'000u);
+}
+
+// Busy for the first 4 ms of every 10 ms, asleep for the rest.  Its next
+// action follows from the clock alone, so it keeps no state and its image
+// is Workload::Snapshot's default: nothing.
+class ClockedSpinner final : public Workload {
+ public:
+  const char* Name() const override { return "clocked_spinner"; }
+  Action Next(const WorkloadContext& ctx) override {
+    const SimTime into = ctx.now % SimTime::Millis(10);
+    if (into < SimTime::Millis(4)) {
+      return Action::SpinUntil(ctx.now - into + SimTime::Millis(4));
+    }
+    return Action::SleepUntil(ctx.now - into + SimTime::Millis(10), /*jiffy=*/false);
+  }
+};
+
+// The kernel and the hardware under it, imaged as DeviceSim images them:
+// the clock, then the Itsy, then the kernel.
+struct Stack {
+  Simulator sim;
+  Itsy itsy{sim};
+  Kernel kernel{sim, itsy};
+
+  void Image(SnapshotIo& io) {
+    if (io.loading()) {
+      kernel.CancelPendingEvents();
+      itsy.CancelPendingEvents();
+    }
+    SimTime now = sim.Now();
+    std::uint64_t executed = sim.events_executed();
+    std::uint64_t cancelled = sim.events_cancelled();
+    io(now, executed, cancelled);
+    if (io.loading()) {
+      sim.RestoreClock(now, executed, cancelled);
+    }
+    itsy.Snapshot(io);
+    kernel.Snapshot(io);
+  }
+};
+
+TEST(KernelImageTest, StatelessTaskCarriesOnFromAnImage) {
+  Stack original;
+  original.kernel.AddTask(std::make_unique<ClockedSpinner>());
+  original.kernel.Start();
+  // Mid-sleep, with the task's wake and the next tick pending.
+  original.sim.RunUntil(SimTime::Millis(255));
+  SnapshotWriter image;
+  {
+    SnapshotIo save(&image, &original.sim);
+    original.Image(save);
+  }
+  original.sim.RunUntil(SimTime::Millis(500));
+
+  // Built and started as the original was; the load then replaces what
+  // the start armed.
+  Stack restored;
+  restored.kernel.AddTask(std::make_unique<ClockedSpinner>());
+  restored.kernel.Start();
+  SnapshotReader r(image);
+  RearmList rearm;
+  {
+    SnapshotIo load(&r, &rearm);
+    restored.Image(load);
+  }
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.AtEnd());
+  rearm.FireInOrder(restored.sim);
+  restored.sim.RunUntil(SimTime::Millis(500));
+
+  EXPECT_EQ(restored.kernel.quanta_elapsed(), original.kernel.quanta_elapsed());
+  EXPECT_EQ(restored.sim.events_executed(), original.sim.events_executed());
+  const TraceSeries* want = original.kernel.sink().Find("utilization");
+  const TraceSeries* got = restored.kernel.sink().Find("utilization");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  ASSERT_EQ(got->size(), want->size());
+  for (std::size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ(got->points()[i].at, want->points()[i].at) << i;
+    EXPECT_EQ(got->points()[i].value, want->points()[i].value) << i;
+  }
+  EXPECT_NEAR(want->points().back().value, 0.4, 0.01);
 }
 
 }  // namespace

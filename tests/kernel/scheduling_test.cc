@@ -13,6 +13,7 @@
 #include "src/sim/simulator.h"
 #include "src/workload/synthetic.h"
 #include "tests/support/fixtures.h"
+#include "tests/support/synthetic_workloads.h"
 
 namespace dcs {
 namespace {

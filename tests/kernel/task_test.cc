@@ -12,8 +12,8 @@
 #include "src/hw/memory_model.h"
 #include "src/workload/apps.h"
 #include "src/workload/server.h"
-#include "src/workload/synthetic.h"
 #include "tests/support/fixtures.h"
+#include "tests/support/synthetic_workloads.h"
 
 namespace dcs {
 namespace {

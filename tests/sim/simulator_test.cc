@@ -28,7 +28,8 @@ TEST(SimulatorTest, RunAdvancesTimeToEventInstants) {
   std::vector<std::int64_t> seen;
   ev.At(sim, SimTime::Millis(10), [&] { seen.push_back(sim.Now().millis()); });
   ev.At(sim, SimTime::Millis(5), [&] { seen.push_back(sim.Now().millis()); });
-  sim.Run();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(seen, (std::vector<std::int64_t>{5, 10}));
   EXPECT_EQ(sim.Now(), SimTime::Millis(10));
 }
@@ -40,7 +41,8 @@ TEST(SimulatorTest, SchedulingInThePastFiresAtNow) {
   ev.At(sim, SimTime::Millis(10), [&] {
     ev.At(sim, SimTime::Millis(2), [&] { fired = sim.Now(); });
   });
-  sim.Run();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(fired, SimTime::Millis(10));
 }
 
@@ -84,7 +86,7 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   bool fired = false;
   const EventId id = ev.At(sim, SimTime::Millis(1), [&] { fired = true; });
   EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
+  sim.RunUntil(SimTime::Millis(1));
   EXPECT_FALSE(fired);
 }
 
@@ -99,10 +101,10 @@ TEST(SimulatorTest, CancelEndsRunAfterTheCurrentCallback) {
     cancel = true;
   });
   ev.At(sim, SimTime::Millis(2), [&] { ++fired; });
-  sim.Run();
+  sim.RunUntil(SimTime::Millis(10));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.PendingEvents(), 1u);
-  sim.Run();  // a cancellation is never consumed
+  sim.RunUntil(SimTime::Millis(10));  // a cancellation is never consumed
   EXPECT_EQ(fired, 1);
 }
 
@@ -129,7 +131,7 @@ TEST(SimulatorTest, EventsExecutedCounter) {
   for (int i = 0; i < 5; ++i) {
     ev.At(sim, SimTime::Millis(i), [] {});
   }
-  sim.Run();
+  sim.RunUntil(SimTime::Millis(4));
   EXPECT_EQ(sim.events_executed(), 5u);
 }
 
@@ -143,7 +145,8 @@ TEST(SimulatorTest, CascadingEventsRunToCompletion) {
     }
   };
   ev.At(sim, SimTime::Micros(1), chain);
-  sim.Run();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.Now(), SimTime::Micros(100));
 }
@@ -230,7 +233,8 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   ev.At(sim, want.back().at, [&fired] { fired.push_back(-1); });
   want_labels.push_back(-1);
 
-  sim.Run();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(fired, want_labels);
   EXPECT_EQ(sim.events_executed(), executed + want_labels.size());
   EXPECT_EQ(sim.events_cancelled(), cancelled);
@@ -253,7 +257,7 @@ TEST(SimulatorTest, AtArmsAMemberOfItsOwner) {
   Owner owner{&log};
   owner.id = sim.At<&Owner::Fire>(SimTime::Millis(4), &owner, 11);
   EXPECT_EQ(sim.EventAt(owner.id), SimTime::Millis(4));
-  sim.Run();
+  sim.RunUntil(SimTime::Millis(4));
   EXPECT_EQ(log, std::vector<std::int64_t>{11});
   EXPECT_EQ(owner.id, kInvalidEventId);
 }
@@ -277,7 +281,7 @@ TEST(SimulatorTest, RearmListPushesInSavedSeqOrderAndWritesEachIdBack) {
     EXPECT_EQ(sim.EventAt(o.id), SimTime::Millis(3));
   }
   EXPECT_TRUE(sim.Cancel(owners[2].id));
-  sim.Run();
+  sim.RunUntil(SimTime::Millis(3));
   EXPECT_EQ(log, (std::vector<std::int64_t>{1, 3, 0}));
 }
 

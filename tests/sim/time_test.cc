@@ -8,7 +8,7 @@ namespace {
 TEST(SimTimeTest, DefaultIsZero) {
   SimTime t;
   EXPECT_EQ(t.nanos(), 0);
-  EXPECT_TRUE(t.IsZero());
+  EXPECT_EQ(t, SimTime::Zero());
   EXPECT_FALSE(t.IsNegative());
 }
 

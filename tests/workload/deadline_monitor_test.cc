@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
 #include "src/sim/snapshot.h"
 #include "src/workload/apps.h"
@@ -341,7 +342,7 @@ TEST(DeadlineMonitorTest, InternedButUnreportedStreamStaysOutOfTheResult) {
   DeadlineMonitor monitor;
   monitor.Intern("ghost");
   AppBundle bundle = MakeMpegApp(&monitor, 1);
-  const ExperimentResult result = RunExperiment(config, std::move(bundle), monitor);
+  const ExperimentResult result = DeviceSim(config, std::move(bundle), &monitor).Run();
   ASSERT_FALSE(result.streams.empty());
   EXPECT_EQ(result.streams.count("ghost"), 0u);
   std::vector<std::string> names;

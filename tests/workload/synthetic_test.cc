@@ -4,6 +4,8 @@
 
 #include "src/workload/demand.h"
 #include "tests/support/fixtures.h"
+#include "tests/support/image_copy.h"
+#include "tests/support/synthetic_workloads.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
@@ -59,6 +61,23 @@ TEST(ConstantUtilizationWorkloadTest, MatchesTarget) {
     h.Run(SimTime::Seconds(1));
     EXPECT_NEAR(h.MeanUtilization(5), target, 0.05) << "target " << target;
   }
+}
+
+// Imaged between its spin and its sleep, a copy loaded from the image
+// sleeps next, as the original does.
+TEST(ConstantUtilizationWorkloadTest, ImageCarriesThePhaseOfItsQuantum) {
+  ConstantUtilizationWorkload original(0.25);
+  const Workload& as_task = original;  // named as the kernel names it
+  EXPECT_STREQ(as_task.Name(), "const_util");
+  ASSERT_EQ(original.Next({SimTime::Millis(30)}).kind, Action::Kind::kSpinUntil);
+  ConstantUtilizationWorkload copy(0.25);
+  ASSERT_TRUE(testing::CopyThroughImage(original, copy));
+  const WorkloadContext at_spin_end{SimTime::Micros(32500)};
+  const Action want = original.Next(at_spin_end);
+  const Action got = copy.Next(at_spin_end);
+  EXPECT_EQ(want.kind, Action::Kind::kSleepUntil);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.until, want.until);
 }
 
 TEST(ComputeOnceWorkloadTest, CompletesAndExits) {
