@@ -9,8 +9,11 @@
 //
 //   * the lane step draws each lane's uniforms, eight generators stepped
 //     together in one vector-register set;
-//   * the passes run the two channel kernels (noise_kernel.h) and measured
-//     current times measured rail to power.
+//   * the passes run the two channel kernels (noise_kernel.h: float screens
+//     of the Box-Muller noise, verified per reading) and measured current
+//     times measured rail to power, which they write straight to each lane's
+//     eighth of the window, eight steps of the eight lanes at a time through
+//     an 8x8 transpose.
 //
 // The last count % 8 samples are drawn serially from lane 7's end state,
 // which then becomes the DAQ's generator.  So every sample, and the stream
@@ -61,16 +64,18 @@ struct Pipeline {
   noise_kernel::AdcChannel supply_rail;
 };
 
-// One block of n samples.  The arrays must not overlap one another.
+// One block of n samples, in `lanes` lanes: element s * lanes + j is lane
+// j's step s.  The arrays must not overlap one another.
 struct Block {
-  double* vals;       // in: raw shunt volts, (watts / supply_volts) * shunt_ohms;
-                      // out: measured watts
-  double* supply;     // scratch: the quantised supply volts
-  const double* u1;   // shunt-channel draws (read only when the channel is noisy)
+  const double* vals;   // raw shunt volts, (watts / supply_volts) * shunt_ohms
+  double* supply;       // scratch: the quantised supply volts
+  const double* u1;     // shunt-channel draws (read only when the channel is noisy)
   const double* u2;
-  double* u3;         // supply-channel draws; then the quantised shunt volts
+  double* u3;           // supply-channel draws; then the quantised shunt volts
   const double* u4;
   int n;
+  int lanes;            // kLanes, or 1 for the serial tail
+  double* out[kLanes];  // measured watts: lane j's step s to out[j][s]
   const Pipeline* pipeline;
 };
 
@@ -104,7 +109,7 @@ Isa Chosen();
 
 // Per-block scratch.  Fixed arrays: sampling never allocates for them.
 struct Scratch {
-  alignas(64) std::array<double, kBatch> vals;    // the block, lane-interleaved
+  alignas(64) std::array<double, kBatch> vals;    // raw shunt volts, lane-interleaved
   alignas(64) std::array<double, kBatch> supply;  // quantised supply channel volts
   alignas(64) std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
   alignas(64) std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3

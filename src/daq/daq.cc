@@ -124,9 +124,37 @@ inline void DrawSerial(Rng& rng, int n, double* const* dst, int stride) {
 namespace block_passes {
 namespace {
 
+// Eight doubles and their shuffle masks, as GCC vector types: one step of
+// every lane.
+static_assert(kLanes == 8);
+using F8 = double __attribute__((vector_size(64)));
+using M8 = std::int64_t __attribute__((vector_size(64)));
+
+// Transposes an 8x8 tile in three rounds of two-input shuffles: pairs of
+// elements, then of pairs, then of quads.  Before, rows[r][c]; after,
+// rows[c][r].
+inline void Transpose8(F8* rows) {
+  F8 t[8];
+  for (int r = 0; r < 8; r += 2) {
+    t[r] = __builtin_shuffle(rows[r], rows[r + 1], M8{0, 8, 2, 10, 4, 12, 6, 14});
+    t[r + 1] = __builtin_shuffle(rows[r], rows[r + 1], M8{1, 9, 3, 11, 5, 13, 7, 15});
+  }
+  for (const int r : {0, 1, 4, 5}) {
+    rows[r] = __builtin_shuffle(t[r], t[r + 2], M8{0, 1, 8, 9, 4, 5, 12, 13});
+    rows[r + 2] = __builtin_shuffle(t[r], t[r + 2], M8{2, 3, 10, 11, 6, 7, 14, 15});
+  }
+  for (int r = 0; r < 4; ++r) {
+    t[r] = __builtin_shuffle(rows[r], rows[r + 4], M8{0, 1, 2, 3, 8, 9, 10, 11});
+    t[r + 4] = __builtin_shuffle(rows[r], rows[r + 4], M8{4, 5, 6, 7, 12, 13, 14, 15});
+  }
+  for (int r = 0; r < 8; ++r) {
+    rows[r] = t[r];
+  }
+}
+
 // The element-wise passes of one block, the body of every ISA variant.
 inline int RunPasses(const Block& b) {
-  double* const vals = b.vals;
+  const double* const vals = b.vals;
   double* const supply = b.supply;
   double* const u3 = b.u3;
   const int n = b.n;
@@ -139,9 +167,32 @@ inline int RunPasses(const Block& b) {
       b.pipeline->supply_rail);
   recomputed += noise_kernel::QuantiseChannel([vals](int i) { return vals[i]; }, b.u1, b.u2,
                                               u3, n, b.pipeline->shunt);
-  // Measured current x measured rail -> power.
-  for (int i = 0; i < n; ++i) {
-    vals[i] = (u3[i] / shunt_ohms) * supply[i];
+  // Measured current x measured rail -> power, into each lane's slot of the
+  // window: eight steps of the eight lanes at a time, transposed so that
+  // each lane's eight land as one contiguous store.
+  const int steps = n / b.lanes;
+  int s = 0;
+  if (b.lanes == kLanes) {
+    for (; s + 8 <= steps; s += 8) {
+      F8 rows[8];
+      for (int r = 0; r < 8; ++r) {
+        F8 shunt_v{};
+        F8 rail{};
+        std::memcpy(&shunt_v, u3 + (s + r) * kLanes, sizeof shunt_v);
+        std::memcpy(&rail, supply + (s + r) * kLanes, sizeof rail);
+        rows[r] = (shunt_v / shunt_ohms) * rail;
+      }
+      Transpose8(rows);
+      for (int j = 0; j < kLanes; ++j) {
+        std::memcpy(b.out[j] + s, &rows[j], sizeof rows[j]);
+      }
+    }
+  }
+  for (; s < steps; ++s) {
+    for (int j = 0; j < b.lanes; ++j) {
+      const int i = s * b.lanes + j;
+      b.out[j][s] = (u3[i] / shunt_ohms) * supply[i];
+    }
   }
   return recomputed;
 }
@@ -312,8 +363,9 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
   // correctly rounded per IEEE-754, so reordering *across* elements cannot
   // change any bit — (b) draws a generator's stream in its order, each lane
   // from its own place in the DAQ's one stream, or (c) is the channel kernel
-  // (src/daq/noise_kernel.h), which approximates the noise and recomputes
-  // exactly every reading whose ADC code the approximation could have moved.
+  // (src/daq/noise_kernel.h), which screens the noise and recomputes
+  // exactly every reading whose ADC code the screen could have moved, or (d)
+  // moves values without arithmetic (the transpose).
   const Variant variant = VariantFor(isa);
   Block block{};
   block.supply = scratch.supply.data();
@@ -350,6 +402,8 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
 
   int recomputed = 0;
   double* const vals = scratch.vals.data();
+  block.vals = vals;
+  block.lanes = kLanes;
   for (std::int64_t step = 0; step < per_lane; step += kSteps) {
     const int steps = static_cast<int>(std::min<std::int64_t>(kSteps, per_lane - step));
     // Pass 1 (per lane, per run): each power segment's raw shunt volts, once
@@ -362,27 +416,23 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
       variant.lane_step(lanes, steps, dst);
     }
     // Pass 3 (element-wise): both channel kernels, then measured current x
-    // measured rail -> power.
-    block.vals = vals;
+    // measured rail -> power, straight to each lane's eighth of the window.
     block.n = steps * kLanes;
-    recomputed += variant.passes(block);
-    // Each lane's samples to its eighth of the window.
     for (int j = 0; j < kLanes; ++j) {
-      double* const lane_out = out + j * per_lane + step;
-      for (int s = 0; s < steps; ++s) {
-        lane_out[s] = vals[s * kLanes + j];
-      }
+      block.out[j] = out + j * per_lane + step;
     }
+    recomputed += variant.passes(block);
   }
 
-  // The tail: lane 7 carries on serially, in place, and its generator is
-  // where the serial pipeline's would be.
+  // The tail: lane 7 carries on serially, and its generator is where the
+  // serial pipeline's would be.
   rng = lanes.Get(kLanes - 1);
   const auto tail = static_cast<int>(count - kLanes * per_lane);
   if (tail > 0) {
-    block.vals = out + kLanes * per_lane;
     block.n = tail;
-    cursors[kLanes - 1].Fill(block.vals, 1, tail);
+    block.lanes = 1;
+    block.out[0] = out + kLanes * per_lane;
+    cursors[kLanes - 1].Fill(vals, 1, tail);
     if (draws > 0) {
       DrawSerial(rng, tail, dst, 1);
     }

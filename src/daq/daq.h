@@ -109,12 +109,14 @@ class Daq {
   // lane 7's end state, which the DAQ keeps.  Per block of 256 steps of all
   // eight lanes, the shunt volts, the draws and the ADC channel values each
   // live in a contiguous lane-interleaved array, and each pass is a tight
-  // loop.  The noise pass approximates, then verifies: each channel's
-  // Box-Muller noise comes from vectorised polynomial log/cos
+  // loop; the last one writes the measured watts straight into each lane's
+  // eighth of the window.  The noise pass screens, then verifies: each
+  // channel's Box-Muller noise comes from float screens of ln and cos
   // (src/daq/noise_kernel.h), which can only matter through the integer ADC
-  // code it rounds to.  A reading whose pre-round value lies within the
-  // polynomials' error margin of a rounding boundary is recomputed with the
-  // scalar std::log/std::sqrt/std::cos expression.  The lane step and the
+  // code it rounds to.  A reading whose pre-round value lies within its own
+  // margin (the screens' error bound times the reading's magnitude) of a
+  // rounding boundary is recomputed with the scalar
+  // std::log/std::sqrt/std::cos expression.  The lane step and the
   // element-wise passes (both channel kernels, current times rail) are
   // compiled at the baseline, x86-64-v3 (AVX2) and x86-64-v4 (AVX-512) ISA
   // levels; the process runs the widest its CPU supports

@@ -6,21 +6,25 @@
 // then quantises.  Those calls do not vectorise, and they cost most of a
 // sampled run.  The kernel here
 // relies on one fact: noise reaches the output only through the integer ADC
-// code round(clamp(v) / lsb).  So the noise can come from polynomials whose
-// error is bounded:
+// code round(clamp(v) / lsb).  So the noise can come from a cheap screen
+// whose error is bounded:
 //
-//   * LnKernel: exponent split onto [sqrt(1/2), sqrt(2)), then the fdlibm
-//     2*atanh series (log(1+f) = 2s + s*R(s^2), s = f/(2+f)).
-//   * Cos2PiKernel: cos(2*pi*u) by quadrant split of 4u, then the fdlibm
-//     sin/cos polynomials on [-pi/4, pi/4].
+//   * LnScreen: the exact double exponent split onto [sqrt(1/2), sqrt(2)),
+//     then, in float, the fdlibm 2*atanh series cut at four terms
+//     (log(1+f) = 2s + s*R(s^2), s = f/(2+f)).
+//   * Cos2PiScreen: cos(2*pi*u) = sin(2*pi*(1/4 - w)) with
+//     w = |u - round(u)|, both exact in double, then one odd float
+//     polynomial on [-1/4, 1/4].
 //
-// The kernel then measures the distance from the pre-round value t to the
-// nearest half-LSB rounding boundary.  When that distance exceeds the
-// worst-case shift the polynomials can cause (the margin, derived below),
-// the approximate code is the exact code.  The few samples inside the
-// margin are recomputed with the scalar expression itself (std::log,
-// std::sqrt, std::cos in the same order), so every output bit equals the
-// reference.
+// The screened noise z = sqrtf(-2 ln) * cos is widened to double, and the
+// rest of the chain (raw + sigma*z, the clamp, the scaling, the code) runs in
+// double.  The kernel then measures the distance from the pre-round value t
+// to the nearest half-LSB rounding boundary.  When that distance exceeds the
+// worst-case shift the screen can cause in this reading (the margin, derived
+// below from the reading's own magnitude), the screened code is the exact
+// code.  The few readings inside the margin are recomputed with the scalar
+// expression itself (std::log, std::sqrt, std::cos in the same order), so
+// every output bit equals the reference.
 //
 // This header is private to src/daq/daq.cc and its tests.
 
@@ -38,28 +42,35 @@ namespace noise_kernel {
 // Error bounds the margin assumes, measured against glibc's log and cos
 // (tests/daq/noise_kernel_test.cc asserts the measured maxima sit at least
 // 100x below them).
-//   |LnKernel(u) / std::log(u) - 1|            <= kLnRelErr
-//   |Cos2PiKernel(u) - std::cos(2*M_PI*u)|     <= kCosAbsErr
-inline constexpr double kLnRelErr = 0x1p-40;
-inline constexpr double kCosAbsErr = 0x1p-40;
+//   |LnScreen(u) / std::log(u) - 1|            <= kLnRelErr
+//   |Cos2PiScreen(u) - std::cos(2*M_PI*u)|     <= kCosAbsErr
+inline constexpr double kLnRelErr = 0x1p-16;
+inline constexpr double kCosAbsErr = 0x1.8p-16;
 
-// The largest Box-Muller magnitude: u1 is clamped to >= 1e-300, and
-// sqrt(-2 ln 1e-300) = 37.169...
-inline constexpr double kMagMax = 37.17;
+// Bound on the shift, in units of sigma * mag, between the kernel's noise
+// term fl(sigma * z) and the reference's fl(fl(sigma * M) * C), where
+// mag = sqrtf(-2 l) is the kernel's magnitude, l = LnScreen(u),
+// M = sqrt(-2 std::log(u)) the reference's and C its cosine:
+//   * -2x is exact in both precisions, so mag = M * rho with
+//     |rho - 1| <= R = kLnRelErr / 2 + 2^-23: the sqrt halves the relative
+//     ln error, sqrtf rounds by 2^-24, and the reference's sqrt by 2^-53
+//     (the square terms are below 2^-33).
+//   * |mag * c - M * C| <= M * (R * (1 + kCosAbsErr) + kCosAbsErr), with c the
+//     screened cosine, |c| <= 1 + kCosAbsErr and |C| <= 1.
+//   * z = fl(mag * c) rounds by 2^-24 in float (mag >= 2^-26 and
+//     |c| >= 2^-53 or c = 0, so no product is subnormal), sigma * z by 2^-53,
+//     and the reference's two products by 2^-53 each.
+//   * M <= mag * (1 + 2R), and 2R < 2^-15.
+// Summed, with every term beyond kLnRelErr / 2 + kCosAbsErr inside 2^-22
+// (they take under 2^-23 + 2^-24 + 2^-31), whose spare 2^-24 also covers the
+// roundings in forming the margin:
+inline constexpr double kNoiseErrPerMag =
+    (1.0 + 0x1p-15) * (kLnRelErr / 2.0 + kCosAbsErr + 0x1p-22);
 
-// Bound on the shift, in units of sigma, between the kernel's noise term
-// fl(fl(sigma * mag) * c) and the reference's:
-//   * mag = sqrt(-2 ln u): the ln error is relative and -2x is exact, so the
-//     sqrt halves it: |dmag| <= mag * (kLnRelErr / 2 + 2^-52), the 2^-52
-//     being the two sqrt roundings.
-//   * c: |dc| <= kCosAbsErr, and |c| <= 1.
-//   * the two products round twice in each chain: 4 * 2^-53 * mag.
-// Summed with mag <= kMagMax:
-inline constexpr double kNoiseErrPerSigma =
-    kMagMax * (kLnRelErr / 2.0 + 0x1p-52 + kCosAbsErr + 0x1p-51);
-
-// The margin, in LSBs, is kNoiseErrPerSigma times the noise in LSBs,
-// |sigma / lsb|.
+// The margin of a reading, in LSBs, is |sigma / lsb| * kNoiseErrPerMag * mag.
+// The mean magnitude is sqrt(pi / 2) = 1.25, against 37.17 at the 1e-300
+// clamp, so a margin sized per reading recomputes about 30x less than one
+// sized for the largest magnitude.
 //
 // The rest of the chain rounds too.  The reference computes
 // t = fl(fl(raw + n) / lsb); the kernel computes fl(fl(raw + n) * fl(1 / lsb)),
@@ -83,17 +94,18 @@ inline double RoundHalfAway(double x) {
   return std::copysign(r, x);
 }
 
-// ln u for normal positive u (the Box-Muller draw after its 1e-300 clamp).
-inline double LnKernel(double u) {
-  constexpr double kLn2Hi = 0x1.62e42feep-1;  // trailing zeros: k * kLn2Hi is exact
-  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-  constexpr double kLg1 = 0x1.5555555555593p-1;
-  constexpr double kLg2 = 0x1.999999997fa04p-2;
-  constexpr double kLg3 = 0x1.2492494229359p-2;
-  constexpr double kLg4 = 0x1.c71c51d8e78afp-3;
-  constexpr double kLg5 = 0x1.7466496cb03dep-3;
-  constexpr double kLg6 = 0x1.39a09d078c69fp-3;
-  constexpr double kLg7 = 0x1.2f112df3e5244p-3;
+// ln u for normal positive u (the Box-Muller draw after its 1e-300 clamp),
+// to kLnRelErr.  Strictly negative for every u < 1, so the magnitude
+// sqrtf(-2 ln u) is never zero there.
+inline float LnScreen(double u) {
+  // fdlibm's float ln 2, split so that k * kLn2Hi is exact for |k| < 128.
+  constexpr float kLn2Hi = 0x1.62e3p-1f;
+  constexpr float kLn2Lo = 0x1.2fefa2p-17f;
+  // The four-term float series of fdlibm's logf.
+  constexpr float kLg1 = 0x1.555554p-1f;
+  constexpr float kLg2 = 0x1.999c26p-2f;
+  constexpr float kLg3 = 0x1.23d3dcp-2f;
+  constexpr float kLg4 = 0x1.f13c4cp-3f;
   // u = 2^k * m with m in [sqrt(1/2), sqrt(2)): offsetting the bits by
   // (1 - sqrt(1/2))'s exponent/mantissa pattern carries into the exponent
   // exactly when the mantissa is at or above sqrt(2)'s.
@@ -105,52 +117,38 @@ inline double LnKernel(double u) {
   const double m = std::bit_cast<double>(ix);
   // k as a double without an int64 conversion (none exists in SSE2): place
   // the biased exponent in the low mantissa bits of 2^52, then subtract.
-  const double k =
-      std::bit_cast<double>(0x4330000000000000ULL | biased_k) - (0x1p52 + 1023.0);
-  const double f = m - 1.0;  // exact (Sterbenz)
-  const double hfsq = 0.5 * f * f;
-  const double s = f / (2.0 + f);
-  const double z = s * s;
-  const double w = z * z;
-  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
-  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
-  const double r = t2 + t1;
+  // It is an integer of at most 1075 in magnitude, so exact in float too.
+  const float k = static_cast<float>(
+      std::bit_cast<double>(0x4330000000000000ULL | biased_k) - (0x1p52 + 1023.0));
+  // m - 1 is exact (Sterbenz); as a float it is nonzero whenever m is not 1.
+  const float f = static_cast<float>(m - 1.0);
+  const float hfsq = 0.5f * f * f;
+  const float s = f / (2.0f + f);
+  const float z = s * s;
+  const float w = z * z;
+  const float r = z * (kLg1 + w * kLg3) + w * (kLg2 + w * kLg4);
+  // For k = 0 and f < 0 every term below adds to -f's magnitude, so the
+  // result is below zero; for k < 0, k * ln 2 outweighs the rest.
   return k * kLn2Hi - ((hfsq - (s * (hfsq + r) + k * kLn2Lo)) - f);
 }
 
-// cos(2*pi*u) for u in [0, 1).
-inline double Cos2PiKernel(double u) {
-  constexpr double kPiOver2 = 0x1.921fb54442d18p0;
-  constexpr double kS1 = -0x1.5555555555549p-3;
-  constexpr double kS2 = 0x1.111111110f8a6p-7;
-  constexpr double kS3 = -0x1.a01a019c161d5p-13;
-  constexpr double kS4 = 0x1.71de357b1fe7dp-19;
-  constexpr double kS5 = -0x1.ae5e68a2b9cebp-26;
-  constexpr double kS6 = 0x1.5d93a5acfd57cp-33;
-  constexpr double kC1 = 0x1.555555555554cp-5;
-  constexpr double kC2 = -0x1.6c16c16c15177p-10;
-  constexpr double kC3 = 0x1.a01a019cb1590p-16;
-  constexpr double kC4 = -0x1.27e4f809c52adp-22;
-  constexpr double kC5 = 0x1.1ee9ebdb4b1c4p-29;
-  constexpr double kC6 = -0x1.8fae9be8838d4p-37;
-  const double x4 = 4.0 * u;  // exact; the angle is x4 quarter turns
-  // Adding 1.5 * 2^52 rounds x4 to the nearest integer q, left in the low
-  // mantissa bits (2^51 is a multiple of 4, so the low two bits are q mod 4).
-  const double shifted = x4 + 0x1.8p52;
-  const std::uint64_t quadrant = std::bit_cast<std::uint64_t>(shifted);
-  const double q = shifted - 0x1.8p52;
-  const double th = (x4 - q) * kPiOver2;  // x4 - q exact; |th| <= pi/4
-  const double z = th * th;
-  const double sin_th =
-      th + th * z * (kS1 + z * (kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)))));
-  const double cos_th =
-      1.0 - 0.5 * z + z * z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
-  // cos(q*pi/2 + th) is cos th, -sin th, -cos th, sin th for q mod 4 = 0..3.
-  const std::uint64_t odd = std::uint64_t{0} - (quadrant & 1);
-  const std::uint64_t sign = ((quadrant + 1) & 2) << 62;
-  const std::uint64_t bits = (std::bit_cast<std::uint64_t>(sin_th) & odd) |
-                             (std::bit_cast<std::uint64_t>(cos_th) & ~odd);
-  return std::bit_cast<double>(bits ^ sign);
+// cos(2*pi*u) for u in [0, 1), to kCosAbsErr.
+inline float Cos2PiScreen(double u) {
+  // sin(2*pi*x) ~ x * P(x^2) on [-1/4, 1/4]: a weighted minimax fit, each
+  // coefficient rounded to float before the next ones were refitted.
+  constexpr float kS1 = 0x1.921fb4p+2f;
+  constexpr float kS3 = -0x1.4abba2p+5f;
+  constexpr float kS5 = 0x1.466504p+6f;
+  constexpr float kS7 = -0x1.31fbeep+6f;
+  constexpr float kS9 = 0x1.3911b2p+5f;
+  // cos(2*pi*u) = cos(2*pi*w) = sin(2*pi*(1/4 - w)) for w = |u - round(u)|,
+  // which is min(u, 1 - u) on [0, 1).  For every draw (a multiple of 2^-53)
+  // both are exact: 1 - u is (Sterbenz) whenever it is the smaller, and
+  // 1/4 - w is a multiple of 2^-53 no larger than 1/4.
+  const double w = u < 1.0 - u ? u : 1.0 - u;
+  const float x = static_cast<float>(0.25 - w);
+  const float y = x * x;
+  return x * (kS1 + y * (kS3 + y * (kS5 + y * (kS7 + y * kS9))));
 }
 
 // One ADC channel: clamp range, step, and Gaussian noise.
@@ -201,7 +199,8 @@ inline int QuantiseChannel(RawAt raw_at, const double* __restrict u1,
     }
     return 0;
   }
-  const double margin = std::fabs(sigma / lsb) * kNoiseErrPerSigma;
+  // The margin per unit of screened magnitude, in LSBs.
+  const double noise_margin = std::fabs(sigma / lsb) * kNoiseErrPerMag;
   const double inv_lsb = 1.0 / lsb;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   // Uncertain readings are written as NaN.  Bit 63 of nan_probe ends up set
@@ -212,8 +211,11 @@ inline int QuantiseChannel(RawAt raw_at, const double* __restrict u1,
   for (int i = 0; i < n; ++i) {
     double u = u1[i];
     u = u < 1e-300 ? 1e-300 : u;
-    const double mag = std::sqrt(-2.0 * LnKernel(u));
-    double v = raw_at(i) + (0.0 + sigma * mag * Cos2PiKernel(u2[i]));
+    // A screened ln at or above zero (u >= 1, which no draw is) makes mag,
+    // and so t, NaN: the reading falls through to the recompute.
+    const float mag = std::sqrt(-2.0f * LnScreen(u));
+    const float z = mag * Cos2PiScreen(u2[i]);
+    double v = raw_at(i) + (0.0 + sigma * static_cast<double>(z));
     v = v < lo ? lo : v;
     v = v > hi ? hi : v;
     const double t = v * inv_lsb;
@@ -222,7 +224,7 @@ inline int QuantiseChannel(RawAt raw_at, const double* __restrict u1,
     // 1.5 * 2^52 rounds to an integer, wherever the slack is under 0.5.
     const double code = std::copysign((t + 0x1.8p52) - 0x1.8p52, t);
     const double abs_t = std::fabs(t);
-    const double slack = margin + abs_t * kTRelSlack;
+    const double slack = noise_margin * static_cast<double>(mag) + abs_t * kTRelSlack;
     // The code is certain when t is farther than the slack from every
     // half-integer, and from zero: a zero code carries the sign of t.  (A
     // NaN or infinite t makes room NaN, so it is recomputed.)

@@ -187,7 +187,7 @@ TEST_P(BlockVariantTest, MatchesScalarReferenceOnRandomTapes) {
 
 // The half-LSB ties of tests/daq/noise_kernel_test.cc, sample by sample
 // through whole windows: each sample's true power is placed where the
-// polynomial noise on its own draws lands the shunt reading exactly on a
+// screened noise on its own draws lands the shunt reading exactly on a
 // rounding boundary, so every sample takes the exact recompute.  With a
 // 2 V rail and a 0.5 ohm shunt, watts -> volts is w / 4, exact, so the
 // placement survives the pipeline.
@@ -213,10 +213,9 @@ TEST_P(BlockVariantTest, HalfLsbTiesTakeTheExactRecompute) {
         const double u2 = draws.NextDouble();
         draws.NextDouble();
         draws.NextDouble();
-        const double noise = 0.0 + sigma *
-                                       std::sqrt(-2.0 * noise_kernel::LnKernel(
-                                                            std::max(u1, 1e-300))) *
-                                       noise_kernel::Cos2PiKernel(u2);
+        const float mag = std::sqrt(-2.0f * noise_kernel::LnScreen(std::max(u1, 1e-300)));
+        const double noise =
+            0.0 + sigma * static_cast<double>(mag * noise_kernel::Cos2PiScreen(u2));
         const double k = static_cast<double>(i % 61 - 30);
         const double raw = (k + 0.5) * lsb - noise;
         tape.Set(begin + SimTime::FromSecondsF(i * period_s), 4.0 * raw);
