@@ -1,9 +1,11 @@
 // The batched DAQ pipeline and the ISA variants of its vector work.
 //
-// Sample() runs one window.  It splits the window into eight contiguous
-// lanes, one per generator of an RngLanes set: lane j starts at draw
-// j * (count / 8) * draws_per_sample of the DAQ's stream, placed by
-// Rng::Jump, and reads the tape through its own run cursor.  Blocks of 256
+// Sample() runs one stretch of a window: the whole window for
+// Daq::SampleWindow, one fixed-size chunk of it at a time for Daq::Measure.
+// It splits the stretch into eight contiguous lanes, one per generator of an
+// RngLanes set: lane j starts at draw j * (count / 8) * draws_per_sample of
+// the stretch's part of the DAQ's stream, placed by Rng::Jump, and reads the
+// tape through its own run cursor.  Blocks of 256
 // steps of all eight lanes then go through two functions, both
 // lane-interleaved (element s * 8 + j is lane j's step s):
 //
@@ -17,7 +19,8 @@
 //
 // The last count % 8 samples are drawn serially from lane 7's end state,
 // which then becomes the DAQ's generator.  So every sample, and the stream
-// position after the window, is the serial pipeline's.
+// position after the stretch, is the serial pipeline's, however the window
+// is cut into stretches.
 //
 // daq.cc compiles the lane step and the passes at three x86-64 ISA levels,
 // and the process runs the widest one its CPU supports, chosen once on first
@@ -107,21 +110,28 @@ bool Runnable(Isa isa);
 // The widest runnable variant; decided on the first call.
 Isa Chosen();
 
-// Per-block scratch.  Fixed arrays: sampling never allocates for them.
+// Per-block scratch, and the lane jump of the last stretch's size.  Fixed
+// arrays: sampling never allocates for them.
 struct Scratch {
   alignas(64) std::array<double, kBatch> vals;    // raw shunt volts, lane-interleaved
   alignas(64) std::array<double, kBatch> supply;  // quantised supply channel volts
   alignas(64) std::array<double, kBatch> u1, u2;  // shunt-channel uniform draws
   alignas(64) std::array<double, kBatch> u3, u4;  // supply-channel uniform draws; u3
                                                   // then holds the quantised shunt volts
+  // Rng::JumpOf(jump_draws), kept because Daq::Measure samples every chunk
+  // but its last at one size; 0 draws is never jumped.
+  std::uint64_t jump_draws = 0;
+  Rng::JumpPoly jump{};
 };
 
-// Samples `count` readings of `tape`, reading k taken at
-// begin + FromSecondsF(k * period_s), into out[0, count) with `isa`'s
-// variant, which must be runnable.  `rng` ends count * draws_per_sample
-// draws on.  Returns how many readings took the kernel's exact recompute.
+// Samples the `count` readings first, ..., first + count - 1 of `tape`,
+// reading k taken at begin + FromSecondsF(k * period_s), into out[0, count)
+// with `isa`'s variant, which must be runnable.  `rng` is the generator at
+// reading `first` and ends count * draws_per_sample draws on.  Returns how
+// many readings took the kernel's exact recompute.
 int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime begin,
-           double period_s, std::int64_t count, Rng& rng, Scratch& scratch, double* out);
+           double period_s, std::int64_t first, std::int64_t count, Rng& rng, Scratch& scratch,
+           double* out);
 
 }  // namespace block_passes
 }  // namespace dcs

@@ -16,16 +16,16 @@ namespace {
 // The tape as runs of sample indices.  Sample k is taken at
 // begin + FromSecondsF(k * period_s), which never decreases as k grows, so
 // each power segment covers a contiguous run of indices, possibly empty.
-// A cursor starts at sample `first`; Fill writes the raw shunt volts of its
+// A cursor reads samples [first, end); Fill writes the raw shunt volts of its
 // next samples, continuing where the previous call stopped: one volts
 // expression per run, and each run's end is estimated, then corrected
 // against that exact instant.
 class TapeRuns {
  public:
   TapeRuns() = default;
-  TapeRuns(const PowerTape& tape, SimTime begin, double period_s, std::int64_t count,
+  TapeRuns(const PowerTape& tape, SimTime begin, double period_s, std::int64_t end,
            const block_passes::Pipeline& pipeline, std::int64_t first)
-      : segs_(&tape.segments()), begin_(begin), period_s_(period_s), count_(count),
+      : segs_(&tape.segments()), begin_(begin), period_s_(period_s), end_(end),
         supply_volts_(pipeline.supply_volts), shunt_ohms_(pipeline.shunt_ohms), k_(first) {
     if (!tape.keeps_history()) {
       throw std::logic_error("Daq: sampling a tape without history");
@@ -46,7 +46,7 @@ class TapeRuns {
     const std::int64_t stop = k_ + n;
     while (k_ < stop) {
       if (k_ == run_end_) {
-        // The run ended where segment next_ starts (run_end_ < count_, so
+        // The run ended where segment next_ starts (run_end_ < end_, so
         // there is one); its own run may be empty.
         StartRun((*segs_)[next_++].watts);
         continue;
@@ -67,24 +67,24 @@ class TapeRuns {
   // starts.
   void StartRun(double watts) {
     volts_ = (watts / supply_volts_) * shunt_ohms_;
-    run_end_ = next_ < segs_->size() ? FirstAtOrAfter((*segs_)[next_].start, k_) : count_;
+    run_end_ = next_ < segs_->size() ? FirstAtOrAfter((*segs_)[next_].start, k_) : end_;
   }
 
-  // The first index in [lo, count_] whose instant is at or after `t`, given
+  // The first index in [lo, end_] whose instant is at or after `t`, given
   // that every instant below lo is before it.  The estimate comes from the
   // real-valued quotient; At() is non-decreasing, so stepping down while the
   // previous instant is not before `t`, then up while this one is, lands on
   // the exact answer.
   std::int64_t FirstAtOrAfter(SimTime t, std::int64_t lo) const {
     const double estimate = std::ceil((t - begin_).ToSeconds() / period_s_);
-    std::int64_t k = count_;
-    if (estimate < static_cast<double>(count_)) {
+    std::int64_t k = end_;
+    if (estimate < static_cast<double>(end_)) {
       k = estimate > static_cast<double>(lo) ? static_cast<std::int64_t>(estimate) : lo;
     }
     while (k > lo && At(k - 1) >= t) {
       --k;
     }
-    while (k < count_ && At(k) < t) {
+    while (k < end_ && At(k) < t) {
       ++k;
     }
     return k;
@@ -93,7 +93,7 @@ class TapeRuns {
   const PowerTape::SegmentVector* segs_ = nullptr;
   SimTime begin_;
   double period_s_ = 0.0;
-  std::int64_t count_ = 0;
+  std::int64_t end_ = 0;
   double supply_volts_ = 0.0;
   double shunt_ohms_ = 0.0;
   std::int64_t k_ = 0;        // the next sample to fill
@@ -356,7 +356,8 @@ Isa Chosen() {
 }
 
 int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime begin,
-           double period_s, std::int64_t count, Rng& rng, Scratch& scratch, double* out) {
+           double period_s, std::int64_t first, std::int64_t count, Rng& rng, Scratch& scratch,
+           double* out) {
   // Every pass below either (a) performs, per element, exactly the
   // operations the scalar reference pipeline (tests/support/reference_daq.h)
   // performs in exactly the same order — divide/multiply/clamp/round, all
@@ -382,21 +383,25 @@ int Sample(Isa isa, const Pipeline& pipeline, const PowerTape& tape, SimTime beg
                                scratch.u4.data()};
   const int draws = pipeline.shunt.sigma != 0.0 ? kDraws : 0;
 
-  // Place the lanes: lane j at sample j * per_lane, with its generator
-  // j * per_lane * draws draws into the stream.
+  // Place the lanes: lane j at reading first + j * per_lane, with its
+  // generator j * per_lane * draws draws on from `rng`.
   const std::int64_t per_lane = count / kLanes;
+  const std::int64_t end = first + count;
   RngLanes lanes;
   TapeRuns cursors[kLanes];
   {
     const auto lane_draws = static_cast<std::uint64_t>(per_lane * draws);
-    const Rng::JumpPoly jump = Rng::JumpOf(lane_draws);
+    if (lane_draws != scratch.jump_draws) {
+      scratch.jump = Rng::JumpOf(lane_draws);
+      scratch.jump_draws = lane_draws;
+    }
     Rng lane = rng;
     for (int j = 0; j < kLanes; ++j) {
       if (j > 0 && lane_draws > 0) {
-        lane.Jump(jump);
+        lane.Jump(scratch.jump);
       }
       lanes.Set(j, lane);
-      cursors[j] = TapeRuns(tape, begin, period_s, count, pipeline, j * per_lane);
+      cursors[j] = TapeRuns(tape, begin, period_s, end, pipeline, first + j * per_lane);
     }
   }
 
@@ -477,12 +482,32 @@ block_passes::Pipeline CheckedPipeline(const DaqConfig& config) {
   return pipeline;
 }
 
+// The reading count of [begin, end) at `sample_hz`.
+std::int64_t ReadingsIn(SimTime begin, SimTime end, double sample_hz) {
+  const double period_s = 1.0 / sample_hz;
+  return static_cast<std::int64_t>(std::floor((end - begin).ToSeconds() / period_s));
+}
+
 }  // namespace
 
 Daq::Daq(const DaqConfig& config, Arena* arena)
     : config_(config), rng_(config.seed), pipeline_(CheckedPipeline(config)),
-      samples_(NoInitArenaAllocator<double>(arena)),
-      dropped_(ArenaAllocator<std::size_t>(arena)) {}
+      samples_(NoInitArenaAllocator<double>(arena)) {}
+
+// The two running sums of a fold, in sample order.
+struct Daq::Sums {
+  double dt;
+  double joules = 0.0;
+  double watts = 0.0;
+
+  void Add(double p) {
+    joules += p * dt;
+    watts += p;
+  }
+  Totals Over(std::int64_t n) const {
+    return {joules, n == 0 ? 0.0 : watts / static_cast<double>(n)};
+  }
+};
 
 std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
                                           SimTime end) {
@@ -490,71 +515,94 @@ std::span<const double> Daq::SampleWindow(const PowerTape& tape, SimTime begin,
   if (end <= begin) {
     return {};
   }
-  const double period_s = 1.0 / config_.sample_hz;
-  const std::int64_t count = static_cast<std::int64_t>(
-      std::floor((end - begin).ToSeconds() / period_s));
+  const std::int64_t count = ReadingsIn(begin, end, config_.sample_hz);
   samples_.resize(static_cast<std::size_t>(count));
-  block_passes::Sample(block_passes::Chosen(), pipeline_, tape, begin, period_s, count, rng_,
-                       scratch_, samples_.data());
-  ApplyDrops();
+  recomputed_ += block_passes::Sample(block_passes::Chosen(), pipeline_, tape, begin,
+                                      1.0 / config_.sample_hz, 0, count, rng_, scratch_,
+                                      samples_.data());
+  DropCarry carry;
+  ApplyDrops(samples_.data(), count, /*last=*/true, carry, nullptr);
   return {samples_.data(), samples_.size()};
 }
 
-void Daq::ApplyDrops() {
-  if (faults_ == nullptr) {
-    return;
+Daq::Totals Daq::Measure(const PowerTape& tape, SimTime begin, SimTime end) {
+  const double period_s = 1.0 / config_.sample_hz;
+  Sums sums{period_s};
+  if (end <= begin) {
+    return sums.Over(0);
   }
-  dropped_.clear();
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    if (faults_->DropSample()) {
-      dropped_.push_back(i);
-      samples_[i] = 0.0;
+  const std::int64_t count = ReadingsIn(begin, end, config_.sample_hz);
+  samples_.resize(static_cast<std::size_t>(std::min(count, kChunkSamples)));
+  DropCarry carry;
+  // At least one chunk, so that a window too short for a reading still
+  // rejects a tape without history, as SampleWindow does.
+  std::int64_t first = 0;
+  do {
+    const std::int64_t n = std::min(kChunkSamples, count - first);
+    recomputed_ += block_passes::Sample(block_passes::Chosen(), pipeline_, tape, begin, period_s,
+                                        first, n, rng_, scratch_, samples_.data());
+    first += n;
+    const std::int64_t final_n = ApplyDrops(samples_.data(), n, first == count, carry, &sums);
+    for (std::int64_t i = 0; i < final_n; ++i) {
+      sums.Add(samples_[static_cast<std::size_t>(i)]);
     }
-  }
-  if (!dropped_.empty()) {
-    dropped_samples_ += dropped_.size();
-    InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(),
-                       dropped_.size());
-  }
+  } while (first < count);
+  return sums.Over(count);
 }
 
-void Daq::InterpolateDropped(double* samples, std::size_t n,
-                             const std::size_t* dropped, std::size_t dropped_n) {
-  for (std::size_t d = 0; d < dropped_n;) {
-    // Maximal run of consecutive dropped indices [a, b].
-    const std::size_t a = dropped[d];
-    std::size_t e = d;
-    while (e + 1 < dropped_n && dropped[e + 1] == dropped[e] + 1) {
-      ++e;
-    }
-    const std::size_t b = dropped[e];
-    const bool has_left = a > 0;
-    const bool has_right = b + 1 < n;
-    for (std::size_t i = a; i <= b; ++i) {
-      if (has_left && has_right) {
-        const double frac = static_cast<double>(i - a + 1) / static_cast<double>(b - a + 2);
-        samples[i] = samples[a - 1] + (samples[b + 1] - samples[a - 1]) * frac;
-      } else if (has_left) {
-        samples[i] = samples[a - 1];
-      } else if (has_right) {
-        samples[i] = samples[b + 1];
-      }
-      // A window with every sample dropped stays zero: there is nothing to
-      // reconstruct from.
-    }
-    d = e + 1;
+std::int64_t Daq::ApplyDrops(double* s, std::int64_t n, bool last, DropCarry& carry,
+                             Sums* earlier) {
+  if (faults_ == nullptr) {
+    return n;
   }
+  // Writes the open run's values, its right survivor being s[i] (none at
+  // the window's end).  Its last min(open, i) samples are s's.
+  const auto close = [&](std::int64_t i, const double* right) {
+    const std::int64_t run = carry.open;
+    const std::int64_t before = run - std::min(run, i);
+    assert(before == 0 || earlier != nullptr);
+    for (std::int64_t r = 0; r < run; ++r) {
+      double v = 0.0;
+      if (carry.has_left && right != nullptr) {
+        const double frac = static_cast<double>(r + 1) / static_cast<double>(run + 1);
+        v = carry.left + (*right - carry.left) * frac;
+      } else if (carry.has_left) {
+        v = carry.left;
+      } else if (right != nullptr) {
+        v = *right;
+      }
+      if (r < before) {
+        earlier->Add(v);
+      } else {
+        s[i - run + r] = v;
+      }
+    }
+    carry.open = 0;
+  };
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (faults_->DropSample()) {
+      ++carry.open;
+      ++dropped_samples_;
+      continue;
+    }
+    if (carry.open > 0) {
+      close(i, &s[i]);
+    }
+    carry.has_left = true;
+    carry.left = s[i];
+  }
+  if (last && carry.open > 0) {
+    close(n, nullptr);
+  }
+  return n - std::min(carry.open, n);
 }
 
 Daq::Totals Daq::Fold(std::span<const double> samples) const {
-  const double dt = 1.0 / config_.sample_hz;
-  double joules = 0.0;
-  double watts = 0.0;
+  Sums sums{1.0 / config_.sample_hz};
   for (const double p : samples) {
-    joules += p * dt;
-    watts += p;
+    sums.Add(p);
   }
-  return {joules, samples.empty() ? 0.0 : watts / static_cast<double>(samples.size())};
+  return sums.Over(static_cast<std::int64_t>(samples.size()));
 }
 
 void GpioTrigger::Attach(Gpio& gpio) {

@@ -128,7 +128,7 @@ class Daq {
   // and tests/daq/block_variant_test.cc).
   //
   // Returns a view into an internal buffer that remains valid until the
-  // next SampleWindow call.
+  // next SampleWindow or Measure call.
   std::span<const double> SampleWindow(const PowerTape& tape, SimTime begin, SimTime end);
 
   // Binds the fault injector (non-owning; null unbinds).  Unbound, sampling
@@ -137,6 +137,10 @@ class Daq {
 
   // Samples lost to injected drops so far.
   std::uint64_t dropped_samples() const { return dropped_samples_; }
+
+  // Readings so far whose noise screen could have moved their ADC code and
+  // that took the exact recompute (src/daq/noise_kernel.h).
+  std::uint64_t recomputed() const { return recomputed_; }
 
   // One pass over a window's samples: the rectangle-rule energy,
   // sum(p_i * 0.0002 s) exactly as in section 4.1, and the mean power
@@ -148,28 +152,57 @@ class Daq {
   Totals Fold(std::span<const double> samples) const;
   double EnergyJoules(std::span<const double> samples) const { return Fold(samples).joules; }
 
-  // Reconstructs the samples at `dropped` (sorted indices) in place.  The
-  // test reference pipeline (tests/support/reference_daq.h) shares it.
-  static void InterpolateDropped(double* samples, std::size_t n,
-                                 const std::size_t* dropped, std::size_t dropped_n);
+  // Fold(SampleWindow(tape, begin, end)) without a window-sized buffer: the
+  // same bits, and the generator, dropped_samples() and recomputed() end
+  // where that call would leave them.  The window is sampled in chunks of
+  // kChunkSamples readings (the last one shorter), each through the same
+  // eight-lane pipeline with its first reading's index, so reading k is
+  // still taken at begin + FromSecondsF(k / sample_hz) and draws the same
+  // place in the stream.  Each chunk's drops are reconstructed and its
+  // samples folded into the two running sums in sample order.  A dropped
+  // run still open at a chunk's end is carried: its left survivor and length
+  // wait for the next chunk's first survivor, or the window's end.
+  Totals Measure(const PowerTape& tape, SimTime begin, SimTime end);
+
+  // Measure's chunk: eight lanes of 16384 readings, 1 MiB of samples.
+  static constexpr std::int64_t kChunkSamples = std::int64_t{block_passes::kLanes} * 16384;
 
  private:
-  // Drops overlaid after sampling.  The injector's drop stream is isolated
-  // from the DAQ noise stream, so deciding drops after the batch (instead of
-  // interleaved per sample, as the reference does) reads both streams in the
-  // same per-stream order and yields identical values.
-  void ApplyDrops();
+  // A dropped run not yet closed by a survivor: its left survivor, if any,
+  // and how many samples it holds so far.
+  struct DropCarry {
+    bool has_left = false;
+    double left = 0.0;
+    std::int64_t open = 0;
+  };
+  struct Sums;
+
+  // Overlays the bound injector's drops on s[0, n), the window's next n
+  // samples, in sample order, and reconstructs each dropped run by linear
+  // interpolation between its surviving neighbours; a run at the window's
+  // start copies its right one, a run at its end (`last`) its left one, and
+  // a window with every sample dropped stays zero.  A run still open at
+  // s[n - 1] stays in `carry` unless `last`.  The values of a run's samples
+  // that lie before s (earlier chunks) go to `earlier`, in order, before any
+  // of s is final.  Returns how many leading samples of s are final.  The
+  // injector's drop stream is isolated from the DAQ noise stream, so
+  // deciding drops after the samples (instead of interleaved per sample, as
+  // the reference does) reads both streams in the same per-stream order and
+  // yields identical values.
+  std::int64_t ApplyDrops(double* s, std::int64_t n, bool last, DropCarry& carry,
+                          Sums* earlier);
 
   DaqConfig config_;
   Rng rng_;
   block_passes::Pipeline pipeline_;
   FaultInjector* faults_ = nullptr;
   std::uint64_t dropped_samples_ = 0;
+  std::uint64_t recomputed_ = 0;
 
-  // Sample window output (reused across calls; arena-backed when bound).
-  // Sized without zero-filling: the lanes write every sample.
+  // The sample window, or Measure's chunk (reused across calls;
+  // arena-backed when bound).  Sized without zero-filling: the lanes write
+  // every sample.
   std::vector<double, NoInitArenaAllocator<double>> samples_;
-  ArenaVector<std::size_t> dropped_;
   block_passes::Scratch scratch_;
 };
 

@@ -172,8 +172,7 @@ ExperimentResult DeviceSim::Finish() {
   if (injector_) {
     daq.BindFaults(&*injector_);
   }
-  const std::span<const double> samples = daq.SampleWindow(itsy_.tape(), begin, end);
-  const Daq::Totals totals = daq.Fold(samples);
+  const Daq::Totals totals = daq.Measure(itsy_.tape(), begin, end);
   result.energy_joules = totals.joules;
   result.exact_energy_joules = itsy_.tape().EnergyJoules(begin, end);
   result.average_watts = totals.average_watts;
@@ -308,7 +307,9 @@ ExperimentResult DeviceSim::Finish() {
     metrics_.Counter("fault.invariant_violations").Inc(report.invariant_violations);
   }
 
+  // The result keeps the points, not the run's worst-case reservation.
   result.sink = std::move(kernel_.sink());
+  result.sink.Trim();
   // Unbind before the registry moves into the result: the kernel's and the
   // Itsy's cached instrument handles would otherwise dangle.
   kernel_.BindMetrics(nullptr);

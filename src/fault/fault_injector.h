@@ -14,9 +14,9 @@
 //   * Itsy::SetVoltage asks SettleTime()/BrownoutDuringSettle() and arms the
 //     settle/brownout events;
 //   * Kernel::Tick asks TickDelay()/QuantumMemSpikeFactor();
-//   * Daq::SampleWindow asks DropSample() (in ApplyDrops on the batched
-//     path, per sample on the scalar reference path) and interpolates the
-//     holes.
+//   * Daq::SampleWindow and Daq::Measure ask DropSample() (in ApplyDrops,
+//     per sample after sampling; the scalar reference asks it right after
+//     each reading) and interpolate the holes.
 
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
@@ -66,7 +66,7 @@ class FaultInjector {
   // Memory-latency multiplier for the quantum now starting (1.0 = no spike).
   double QuantumMemSpikeFactor();
 
-  // --- DAQ (Daq::SampleWindow -> ApplyDrops) ------------------------------
+  // --- DAQ (Daq::SampleWindow, Daq::Measure -> ApplyDrops) ----------------
   // True when this sample is lost and must be interpolated.
   bool DropSample() { return Draw(FaultClass::kDaqDrop); }
 

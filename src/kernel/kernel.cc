@@ -23,7 +23,8 @@ Kernel::Kernel(Simulator& sim, Itsy& itsy, const KernelConfig& config, Arena* ar
 void Kernel::ReserveTraces(std::size_t quanta) {
   // All four per-run series: utilization/work get one point per quantum,
   // freq/volts at most one per quantum (policies decide at tick boundaries)
-  // plus the Start() seed point.
+  // plus the Start() seed point.  freq/volts record only clock and rail
+  // changes, so they mostly fill a sliver of this worst case.
   sink_.Series("utilization").Reserve(quanta + 1);
   sink_.Series("work_fs_us").Reserve(quanta + 1);
   sink_.Series("freq_mhz").Reserve(quanta + 2);

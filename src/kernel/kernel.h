@@ -148,7 +148,9 @@ class Kernel {
 
   // Pre-sizes the recorded series for an expected number of quanta so the
   // per-tick Appends never reallocate mid-run.  Capacity only; call before
-  // Start().
+  // Start().  The change series reserve the worst case, one point per
+  // quantum; whoever keeps the sink after the run trims it
+  // (TraceSink::Trim, as DeviceSim::Finish does).
   void ReserveTraces(std::size_t quanta);
 
   // Binds the observability registry (non-owning; may be null to unbind).

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -91,14 +92,21 @@ class LogHistogram {
   // observations.  Coarse by design — within a factor of two.
   double ApproxQuantile(double q) const;
 
-  // Bucket index for a value; negatives and sub-1 values land in bucket 0.
+  // Bucket index for a value: i for v in [2^(i-1), 2^i), the last bucket
+  // for everything from 2^62 up.  Negatives, sub-1 values, NaN and the
+  // infinities land in bucket 0 (+inf there because glibc's frexp reports
+  // its exponent as 0, which the buckets have always followed).  The
+  // exponent comes from v's bits: frexp's exp is the biased exponent less
+  // 1022 for a v >= 1, which is normal.
   static int BucketOf(double v) {
     if (!(v >= 1.0)) {
       return 0;
     }
-    int exp = 0;
-    std::frexp(v, &exp);  // v = m * 2^exp with m in [0.5, 1)
-    return std::min(exp, kBuckets - 1);
+    const int biased = static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52);
+    if (biased == 0x7ff) {
+      return 0;
+    }
+    return std::min(biased - 1022, kBuckets - 1);
   }
   // Exclusive upper bound of bucket i (2^i; bucket 0 is [.., 1)).
   static double BucketUpperBound(int i) { return std::ldexp(1.0, i); }

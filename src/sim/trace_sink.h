@@ -43,6 +43,15 @@ class TraceSeries {
   // never reallocates mid-run.
   void Reserve(std::size_t points) { points_.reserve(points); }
 
+  // Releases a reservation the series did not fill: one less than half full
+  // is copied to an exact fit, and a fuller one, whose spare capacity is
+  // less than its points, stays where it is (no semantic effect).
+  void Trim() {
+    if (points_.capacity() > 2 * points_.size()) {
+      points_.shrink_to_fit();
+    }
+  }
+
   // Device-snapshot image (src/sim/snapshot.h): the points as one raw POD
   // span.  A load restores in place — shrinking back to the snapshot length
   // reuses the reserved capacity, so fleet device cycling never reallocates
@@ -72,6 +81,14 @@ class TraceSink {
 
   // Writes one series as two-column CSV ("time_us,value").
   void WriteCsv(const std::string& name, std::ostream& os) const;
+
+  // Trims every series (TraceSeries::Trim).  A finished run's sink keeps its
+  // points, not the tick path's worst-case reservation.
+  void Trim() {
+    for (auto& [name, series] : series_) {
+      series.Trim();
+    }
+  }
 
   // Device-snapshot image: positional over the sorted series map, each
   // entry verified by name hash (the series set is fixed once the kernel

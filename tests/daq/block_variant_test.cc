@@ -64,8 +64,8 @@ VariantRun SampleWithVariant(Isa isa, const DaqConfig& config, const PowerTape& 
   VariantRun run;
   run.samples.resize(static_cast<std::size_t>(std::max<std::int64_t>(count, 0)));
   Rng rng(config.seed);
-  run.recomputed = Sample(isa, PipelineFor(config), tape, begin, period_s, count, rng, *scratch,
-                          run.samples.data());
+  run.recomputed = Sample(isa, PipelineFor(config), tape, begin, period_s, 0, count, rng,
+                          *scratch, run.samples.data());
   run.next_draw = rng.Next();
   return run;
 }

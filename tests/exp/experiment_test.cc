@@ -77,6 +77,30 @@ TEST(ExperimentTest, RecordsUtilizationAndFrequencySeries) {
   EXPECT_GT(freq->size(), 10u);  // peg-peg flaps
 }
 
+// The run reserves every series for one point per quantum so the tick path
+// never reallocates; the result keeps what was recorded.  The change series
+// (clock and rail) are trimmed to their points.  The per-quantum series
+// fill their reservation and keep it, uncopied.
+TEST(ExperimentTest, ResultSeriesHoldOnlyTheirPoints) {
+  ExperimentConfig config = ShortMpeg("PAST-peg-peg-93-98");
+  config.app = "chess";
+  const ExperimentResult result = RunExperiment(config);
+  ASSERT_EQ(result.quanta, 1000u);
+  for (const char* name : {"freq_mhz", "core_volts"}) {
+    const TraceSeries* series = result.sink.Find(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_LT(series->size(), result.quanta / 2) << name << " is not sparse here";
+    EXPECT_EQ(series->points().capacity(), series->size()) << name;
+  }
+  for (const char* name : {"utilization", "work_fs_us"}) {
+    const TraceSeries* series = result.sink.Find(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_EQ(series->size(), result.quanta) << name;
+    EXPECT_EQ(series->points().capacity(), result.quanta + 1)
+        << name << ": the reservation was copied or regrown";
+  }
+}
+
 TEST(ExperimentTest, DeadlineStreamsExposed) {
   const ExperimentResult result = RunExperiment(ShortMpeg("fixed-206.4"));
   ASSERT_TRUE(result.streams.contains("video_frame"));

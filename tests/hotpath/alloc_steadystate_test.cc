@@ -4,8 +4,8 @@
 //
 //  1. A strict zero-allocation check over the core stack (Simulator, Itsy,
 //     Kernel, Daq) built directly against an arena: from kernel start
-//     through the run and the DAQ sampling pass, jobs after the first
-//     perform literally zero heap allocations.
+//     through the run, the DAQ's window and its chunked Measure, jobs after
+//     the first perform literally zero heap allocations.
 //  2. A sweep-level check through the production SweepRunner path: per-job
 //     heap allocations drop after the first job and are *identical* between
 //     later jobs (the remaining allocations are result bookkeeping, which
@@ -66,10 +66,14 @@ TEST(AllocSteadyStateTest, WarmCoreStackRunsHeapFree) {
     const std::span<const double> samples =
         daq.SampleWindow(itsy.tape(), SimTime::Nanos(0), duration);
     const double joules = daq.EnergyJoules(samples);
+    // Measure over three chunks' worth (the tape's last level holds past
+    // the run's end), reusing the window's buffer.
+    const Daq::Totals measured = daq.Measure(itsy.tape(), SimTime::Nanos(0), SimTime::Seconds(60));
     delta[job] = testing::ThreadAllocCount() - before;
 
     EXPECT_GT(kernel.quanta_elapsed(), 0u) << "job " << job << " never ticked";
     EXPECT_GT(joules, 0.0) << "job " << job << " measured no energy";
+    EXPECT_GT(measured.joules, joules) << "job " << job;
   }
 
   // Job 0 may allocate (arena blocks come from the heap); warmed jobs not.
@@ -121,6 +125,23 @@ TEST(AllocSteadyStateTest, SweepWorkerReachesAllocationSteadyState) {
   // result-bookkeeping allocations, which identical configs repeat exactly.
   EXPECT_LT(second, first) << "arena warm-up did not reduce per-job allocations";
   EXPECT_EQ(third, second) << "steady-state jobs differ in allocation count";
+}
+
+// A full-result job's arena holds the run's buffers and the DAQ's 1 MiB
+// chunk, not a sample buffer for the whole window: a 227 s chess job's
+// window is 1.13 million readings, 9 MB as one buffer.  On a fresh arena the
+// job's capacity was 11.10 MB when Finish sampled the window whole, and is
+// 4.13 MB since it measures the window in chunks.
+TEST(AllocSteadyStateTest, ChessJobArenaStaysSmall) {
+  Arena arena;
+  ExperimentConfig config;
+  config.app = "chess";
+  config.governor = "PAST-peg-peg-93-98";
+  config.seed = 1;
+  config.arena = &arena;
+  const ExperimentResult result = RunExperiment(config);
+  EXPECT_GT(result.duration, SimTime::Seconds(200));
+  EXPECT_LT(arena.capacity_bytes(), std::size_t{6} << 20);
 }
 
 // The fleet worker's inner loop: one DeviceSim cycled through many devices

@@ -1,9 +1,12 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -40,6 +43,52 @@ TEST(MetricsGaugeTest, MergeAverages) {
   MetricsGauge empty;
   a.MergeFrom(empty);
   EXPECT_DOUBLE_EQ(a.value(), 15.0);
+}
+
+// BucketOf reads the exponent bits; these are the buckets std::frexp gave
+// it before, at every edge of the encoding.
+TEST(LogHistogramTest, BucketOfMatchesFrexpAtEveryEdge) {
+  const auto frexp_bucket = [](double v) {
+    if (!(v >= 1.0)) {
+      return 0;
+    }
+    int exp = 0;
+    std::frexp(v, &exp);
+    return std::min(exp, LogHistogram::kBuckets - 1);
+  };
+  using Limits = std::numeric_limits<double>;
+  const double inf = Limits::infinity();
+  std::vector<std::pair<double, int>> pinned = {
+      {0.0, 0},
+      {-0.0, 0},
+      {Limits::denorm_min(), 0},
+      {Limits::min() / 2, 0},
+      {Limits::min(), 0},
+      {std::nextafter(1.0, 0.0), 0},
+      {1.0, 1},
+      {std::ldexp(1.0, 62), 63},
+      {std::nextafter(std::ldexp(1.0, 62), 0.0), 62},
+      {std::ldexp(1.0, 63), 63},
+      {std::ldexp(1.0, 64), 63},
+      {Limits::max(), 63},
+      {inf, 0},
+      {-inf, 0},
+      {Limits::quiet_NaN(), 0},
+      {-Limits::quiet_NaN(), 0},
+      {-1.0, 0},
+      {-std::ldexp(1.0, 40), 0},
+      {-Limits::max(), 0},
+  };
+  for (int k = 1; k < 70; ++k) {
+    const double p = std::ldexp(1.0, k);
+    pinned.emplace_back(std::nextafter(p, 0.0), std::min(k, 63));
+    pinned.emplace_back(p, std::min(k + 1, 63));
+    pinned.emplace_back(std::nextafter(p, inf), std::min(k + 1, 63));
+  }
+  for (const auto& [v, bucket] : pinned) {
+    EXPECT_EQ(LogHistogram::BucketOf(v), bucket) << v;
+    EXPECT_EQ(LogHistogram::BucketOf(v), frexp_bucket(v)) << v;
+  }
 }
 
 TEST(LogHistogramTest, BucketBoundaries) {

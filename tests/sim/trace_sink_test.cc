@@ -16,6 +16,36 @@ TEST(TraceSeriesTest, AppendAndRead) {
   EXPECT_EQ(s.points()[1].at, SimTime::Millis(2));
 }
 
+// Trim releases a reservation less than half used and keeps a fuller one
+// where it is.
+TEST(TraceSeriesTest, TrimReleasesOnlyAMostlyUnusedReservation) {
+  TraceSeries sparse("sparse");
+  sparse.Reserve(1000);
+  for (int i = 0; i < 3; ++i) {
+    sparse.Append(SimTime::Millis(i), 0.5);
+  }
+  sparse.Trim();
+  EXPECT_EQ(sparse.points().capacity(), 3u);
+  EXPECT_EQ(sparse.size(), 3u);
+  EXPECT_EQ(sparse.points()[2].at, SimTime::Millis(2));
+
+  TraceSeries full("full");
+  full.Reserve(1001);
+  for (int i = 0; i < 1000; ++i) {
+    full.Append(SimTime::Millis(i), 0.5);
+  }
+  const TracePoint* data = full.points().data();
+  full.Trim();
+  EXPECT_EQ(full.points().data(), data) << "a full series was copied";
+  EXPECT_EQ(full.points().capacity(), 1001u);
+
+  TraceSink sink;
+  sink.Series("a").Reserve(64);
+  sink.Series("a").Append(SimTime::Millis(1), 1.0);
+  sink.Trim();
+  EXPECT_EQ(sink.Find("a")->points().capacity(), 1u);
+}
+
 TEST(TraceSinkTest, SeriesCreatedOnFirstUse) {
   TraceSink sink;
   EXPECT_EQ(sink.Find("util"), nullptr);

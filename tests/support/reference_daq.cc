@@ -19,6 +19,35 @@ double Quantise(double volts, double lsb, double lo, double hi) {
   return std::round(volts / lsb) * lsb;
 }
 
+// Reconstructs the samples at `dropped` (sorted indices) in place: each
+// maximal run of dropped indices [a, b] by linear interpolation between
+// samples a - 1 and b + 1; a run at an edge copies its one survivor, and a
+// window with every sample dropped stays zero.
+void InterpolateDropped(double* samples, std::size_t n, const std::size_t* dropped,
+                        std::size_t dropped_n) {
+  for (std::size_t d = 0; d < dropped_n;) {
+    const std::size_t a = dropped[d];
+    std::size_t e = d;
+    while (e + 1 < dropped_n && dropped[e + 1] == dropped[e] + 1) {
+      ++e;
+    }
+    const std::size_t b = dropped[e];
+    const bool has_left = a > 0;
+    const bool has_right = b + 1 < n;
+    for (std::size_t i = a; i <= b; ++i) {
+      if (has_left && has_right) {
+        const double frac = static_cast<double>(i - a + 1) / static_cast<double>(b - a + 2);
+        samples[i] = samples[a - 1] + (samples[b + 1] - samples[a - 1]) * frac;
+      } else if (has_left) {
+        samples[i] = samples[a - 1];
+      } else if (has_right) {
+        samples[i] = samples[b + 1];
+      }
+    }
+    d = e + 1;
+  }
+}
+
 }  // namespace
 
 ReferenceDaq::ReferenceDaq(const DaqConfig& config) : config_(config), rng_(config.seed) {
@@ -83,8 +112,7 @@ std::span<const double> ReferenceDaq::SampleWindow(const PowerTape& tape, SimTim
   }
   if (!dropped_.empty()) {
     dropped_samples_ += dropped_.size();
-    Daq::InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(),
-                            dropped_.size());
+    InterpolateDropped(samples_.data(), samples_.size(), dropped_.data(), dropped_.size());
   }
   return {samples_.data(), samples_.size()};
 }
