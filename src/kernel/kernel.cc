@@ -519,7 +519,8 @@ void Kernel::Snapshot(SnapshotIo& io) {
   }
   io(mem_spike_factor_);
   io.Optional<std::int64_t>(retry_step_);
-  io.As<std::int64_t>(retry_attempts_);
+  // RetryTransition shifts by the count, so only a count it can reach loads.
+  io.Index(retry_attempts_, kMaxTransitionRetries);
   io(retry_due_quantum_, transition_retries_);
   sched_log_.Snapshot(io);
   sink_.Snapshot(io);

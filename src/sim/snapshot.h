@@ -277,7 +277,8 @@ class RearmList {
 //   io.As<Wire>(x)      a field stored at another width (an int as I64);
 //   io.Tag(t)           a section marker;
 //   io.Enum(e, last)    an enum saved as U8 whose values run 0..last;
-//   io.Index(i, limit)  a position saved as U64 that may be at most `limit`;
+//   io.Index(i, limit)  a position or count saved as U64 that may be at
+//                       most `limit` (so never negative);
 //   io.Expect(n)        structure the live stack fixes (a task count, a pid,
 //                       whether a battery is fitted): the image must hold
 //                       the same value;

@@ -215,13 +215,16 @@ constexpr std::uint32_t kAdmissionTag = 0x41444D54u;  // "ADMT"
 void AdmissionController::Snapshot(SnapshotIo& io) {
   io.Tag(kAdmissionTag);
   io(demand_ewma_us_, interarrival_ewma_us_, have_arrival_, last_arrival_, speed_ewma_);
-  io.As<std::int64_t>(max_step_);
+  // Consider indexes step_ratio_ with the max step, and the shed level and
+  // window counts only grow by increments, so each loads within the range
+  // the controller keeps it in.
+  io.Index(max_step_, ClockTable::MaxStep());
   io(degraded_);
-  io.As<std::int64_t>(shed_level_);
+  io.Index(shed_level_, std::max(1, distinct_values_ - 1));
   io.As<std::int64_t>(last_brownouts_);
   io(shed_until_, battery_sagging_, bound_);
-  io.As<std::int64_t>(window_outcomes_);
-  io.As<std::int64_t>(window_violations_);
+  io.Index(window_outcomes_, std::max(0, config_.feedback_window - 1));
+  io.Index(window_violations_, window_outcomes_);
   io(considered_, admitted_, rejected_overload_, rejected_shed_, rejected_work_fs_us_);
 }
 

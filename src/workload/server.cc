@@ -82,9 +82,6 @@ std::vector<double> BurstyArrivalTimes(Rng& rng, const ServerConfig& config) {
 std::vector<double> SelfSimilarArrivalTimes(Rng& rng, const ServerConfig& config) {
   const int sources = std::max(1, config.onoff_sources);
   const double alpha = config.pareto_shape;
-  if (!(alpha > 1.0)) {
-    throw std::invalid_argument("ServerConfig: pareto_shape must be > 1");
-  }
   const double mean_on = config.pareto_on_min.ToSeconds() * alpha / (alpha - 1.0);
   const double mean_off = config.pareto_off_min.ToSeconds() * alpha / (alpha - 1.0);
   const double duty = mean_on / (mean_on + mean_off);
@@ -231,39 +228,62 @@ double MmppCalmRateRps(const ServerConfig& config) {
   return config.rate_rps / (f_calm + f_burst * config.burst_rate_factor);
 }
 
-InputTrace MakeServerRequestTrace(const ServerConfig& config, std::uint64_t seed) {
+ServerRequests MakeServerRequests(const ServerConfig& config, std::uint64_t seed) {
   ValidateServerConfig(config);
   Rng rng(seed);
-  std::vector<double> arrivals;
+  std::vector<double> seconds;
   switch (config.arrivals) {
     case ArrivalProcess::kPoisson:
-      arrivals = PoissonArrivalTimes(rng, config);
+      seconds = PoissonArrivalTimes(rng, config);
       break;
     case ArrivalProcess::kBursty:
-      arrivals = BurstyArrivalTimes(rng, config);
+      seconds = BurstyArrivalTimes(rng, config);
       break;
     case ArrivalProcess::kSelfSimilar:
-      arrivals = SelfSimilarArrivalTimes(rng, config);
+      seconds = SelfSimilarArrivalTimes(rng, config);
       break;
+  }
+  ServerRequests requests;
+  requests.at.reserve(seconds.size());
+  for (const double at : seconds) {
+    requests.at.push_back(SimTime::FromSecondsF(at));
   }
   // Demands are drawn after the full arrival pattern so the two streams stay
   // independent (the self-similar merge would otherwise interleave them).
-  InputTrace trace;
-  for (const double at : arrivals) {
-    trace.Record(SimTime::FromSecondsF(at), "service_us", DrawServiceUs(rng, config));
+  // Each overwrites its arrival's slot, which is no longer needed.
+  for (double& slot : seconds) {
+    slot = DrawServiceUs(rng, config);
   }
-  return trace;
+  requests.service_us = std::move(seconds);
+  return requests;
 }
 
-ServerWorkload::ServerWorkload(InputTrace trace, const ServerConfig& config,
-                               DeadlineMonitor* deadlines)
-    : trace_(std::move(trace)), config_(config), deadlines_(deadlines) {
-  ValidateServerConfig(config_);
-  for (const InputEvent& event : trace_.events()) {
-    if (event.kind != "service_us" && event.kind != "arrival") {
-      throw std::invalid_argument("ServerWorkload: unsupported event kind '" + event.kind +
-                                  "' (expected service_us|arrival)");
+ServerRequests ServerRequestsFromTrace(const InputTrace& trace, const ServerConfig& config) {
+  ServerRequests requests;
+  requests.at.reserve(trace.size());
+  requests.service_us.reserve(trace.size());
+  for (const InputEvent& event : trace.events()) {
+    double service_us = event.magnitude;
+    if (event.kind == "arrival") {
+      service_us = event.magnitude * config.service_ms_at_top * 1e3;
+    } else if (event.kind != "service_us") {
+      throw std::invalid_argument("ServerRequestsFromTrace: unsupported event kind '" +
+                                  event.kind + "' (expected service_us|arrival)");
     }
+    requests.at.push_back(event.at);
+    requests.service_us.push_back(service_us);
+  }
+  return requests;
+}
+
+ServerWorkload::ServerWorkload(ServerRequests requests, const ServerConfig& config,
+                               DeadlineMonitor* deadlines)
+    : requests_(std::move(requests)), config_(config), deadlines_(deadlines) {
+  ValidateServerConfig(config_);
+  if (requests_.at.size() != requests_.service_us.size()) {
+    throw std::invalid_argument("ServerWorkload: " + std::to_string(requests_.at.size()) +
+                                " arrival times but " +
+                                std::to_string(requests_.service_us.size()) + " demands");
   }
   classes_ = config_.streams;
   if (classes_.empty()) {
@@ -331,15 +351,12 @@ Action ServerWorkload::Next(const WorkloadContext& ctx) {
     }
   }
   // Gate everything that arrived while the worker was busy.
-  while (next_arrival_ < trace_.events().size()) {
-    const InputEvent& event = trace_.events()[next_arrival_];
-    const SimTime at = origin_ + event.at;
+  while (next_arrival_ < requests_.size()) {
+    const SimTime at = origin_ + requests_.at[next_arrival_];
     if (at > ctx.now) {
       break;
     }
-    const double service_us = event.kind == "service_us"
-                                  ? event.magnitude
-                                  : event.magnitude * config_.service_ms_at_top * 1e3;
+    const double service_us = requests_.service_us[next_arrival_];
     // The class assignment advances for every arrival, admitted or not, so
     // the class sequence is a pure function of the arrival index.
     const std::size_t cls = PickClass();
@@ -369,10 +386,10 @@ Action ServerWorkload::Next(const WorkloadContext& ctx) {
     return Action::ComputeBy(BaseCyclesForMsAtTop(current_.service_us * 1e-3, config_.profile),
                              current_.arrival + config_.slo);
   }
-  if (next_arrival_ < trace_.events().size()) {
+  if (next_arrival_ < requests_.size()) {
     // Idle until the next request hits the NIC; the wake-up is an interrupt,
     // not a jiffy-rounded usleep.
-    return Action::SleepUntil(origin_ + trace_.events()[next_arrival_].at, /*jiffy=*/false);
+    return Action::SleepUntil(origin_ + requests_.at[next_arrival_], /*jiffy=*/false);
   }
   return Action::Exit();
 }
@@ -392,9 +409,9 @@ void ServerWorkload::Snapshot(SnapshotIo& io) {
     admission_->Snapshot(io);
   }
   io(supply_bound_);
-  io.Index(next_arrival_, trace_.events().size());
+  io.Index(next_arrival_, requests_.size());
   const std::size_t last_class = classes_.size() - 1;
-  io.Window(queue_, trace_.events().size(), sizeof(Request), [&](Request& request) {
+  io.Window(queue_, requests_.size(), sizeof(Request), [&](Request& request) {
     io(request.arrival, request.service_us);
     io.Index(request.cls, last_class);
   });
@@ -413,25 +430,34 @@ void ServerWorkload::LoadState(SnapshotReader* r, Kernel* kernel) {
   }
 }
 
+namespace {
+
+AppBundle ServerBundle(ServerRequests requests, const ServerConfig& config,
+                       DeadlineMonitor* deadlines) {
+  AppBundle bundle;
+  bundle.name = "server";
+  // Leave room past the last arrival for the queue to drain.
+  const SimTime last = requests.at.empty() ? SimTime::Zero() : requests.at.back();
+  bundle.duration = std::max(config.duration, last) + SimTime::Seconds(2);
+  bundle.tasks.push_back(
+      std::make_unique<ServerWorkload>(std::move(requests), config, deadlines));
+  return bundle;
+}
+
+}  // namespace
+
 AppBundle MakeServerApp(DeadlineMonitor* deadlines, std::uint64_t seed) {
   return MakeServerApp(ServerConfig{}, deadlines, seed);
 }
 
 AppBundle MakeServerApp(const ServerConfig& config, DeadlineMonitor* deadlines,
                         std::uint64_t seed) {
-  return MakeServerAppFromTrace(MakeServerRequestTrace(config, seed), config, deadlines);
+  return ServerBundle(MakeServerRequests(config, seed), config, deadlines);
 }
 
-AppBundle MakeServerAppFromTrace(InputTrace trace, const ServerConfig& config,
+AppBundle MakeServerAppFromTrace(const InputTrace& trace, const ServerConfig& config,
                                  DeadlineMonitor* deadlines) {
-  AppBundle bundle;
-  bundle.name = "server";
-  // Leave room past the last arrival for the queue to drain.
-  bundle.duration =
-      std::max(config.duration, trace.Duration()) + SimTime::Seconds(2);
-  bundle.tasks.push_back(
-      std::make_unique<ServerWorkload>(std::move(trace), config, deadlines));
-  return bundle;
+  return ServerBundle(ServerRequestsFromTrace(trace, config), config, deadlines);
 }
 
 }  // namespace dcs

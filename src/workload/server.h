@@ -20,11 +20,12 @@
 //                on/off periods, shape < 2), the classic construction for
 //                long-range-dependent traffic
 //
-// The generator bakes every arrival and its service demand into an
-// InputTrace of "service_us" events (time = arrival, magnitude = demand in
-// microseconds at the top clock step), so a scenario can be saved to CSV,
-// replayed, or substituted with a recorded production trace ("arrival"
-// events scale the configured mean demand instead).
+// The generator draws every arrival time and its service demand up front
+// into ServerRequests, two parallel arrays the workload walks by index.  A
+// recorded or saved request set comes in through InputTrace's CSV as
+// "service_us" events (time = arrival, magnitude = demand in microseconds
+// at the top clock step) or "arrival" events (magnitude scales the
+// configured mean demand), converted once by ServerRequestsFromTrace.
 
 #ifndef SRC_WORKLOAD_SERVER_H_
 #define SRC_WORKLOAD_SERVER_H_
@@ -124,7 +125,7 @@ static_assert(ListsEveryField<ServerConfig>());
 // (non-positive rate/SLO/service mean, bad MMPP/Pareto parameters,
 // malformed stream classes or admission bounds), in the strict InputTrace
 // v2 style: fail loudly at construction instead of silently simulating
-// garbage.  Called by ServerWorkload's constructor and the trace generator.
+// garbage.  Called by ServerWorkload's constructor and MakeServerRequests.
 void ValidateServerConfig(const ServerConfig& config);
 
 // Calm-state arrival rate of the bursty (MMPP) grammar: solved from the
@@ -134,20 +135,37 @@ void ValidateServerConfig(const ServerConfig& config);
 // Exposed so the arrival-rate property test can check the solve analytically.
 double MmppCalmRateRps(const ServerConfig& config);
 
-// Generates the open-loop request trace for `config`: one "service_us"
-// event per request, in arrival order.
-InputTrace MakeServerRequestTrace(const ServerConfig& config, std::uint64_t seed);
+// An open-loop request set in arrival order: request i arrives at `at[i]`
+// (non-decreasing, from the workload's start) and needs `service_us[i]`
+// microseconds of compute at the top clock step.
+struct ServerRequests {
+  std::vector<SimTime> at;
+  std::vector<double> service_us;
 
-// Single-worker FIFO request server.  Replays a request trace: arrivals
-// enter a queue, the worker serves head-of-line, and every completion is
-// reported via DeadlineMonitor::ReportRequest on stream "requests" (miss if
-// completion > arrival + slo; latency histogram in microseconds).  Accepts
+  std::size_t size() const { return at.size(); }
+  bool operator==(const ServerRequests&) const = default;
+};
+
+// Generates the open-loop requests for `config`: every arrival of the
+// grammar first, then one service demand per arrival, in arrival order.
+// Throws std::invalid_argument on a config ValidateServerConfig rejects.
+ServerRequests MakeServerRequests(const ServerConfig& config, std::uint64_t seed);
+
+// Converts a recorded trace (e.g. loaded via InputTrace::ReadCsv).  Accepts
 // "service_us" events (magnitude = demand in µs at the top step) and
 // "arrival" events (magnitude = multiplier on config.service_ms_at_top);
-// anything else throws std::invalid_argument up front.
+// anything else throws std::invalid_argument.
+ServerRequests ServerRequestsFromTrace(const InputTrace& trace, const ServerConfig& config);
+
+// Single-worker FIFO request server.  Replays a request set: arrivals enter
+// a queue, the worker serves head-of-line, and every completion is reported
+// via DeadlineMonitor::ReportRequest on stream "requests" (miss if
+// completion > arrival + slo; latency histogram in microseconds).  Throws
+// std::invalid_argument on a bad config or arrays of unequal length.
 class ServerWorkload final : public Workload {
  public:
-  ServerWorkload(InputTrace trace, const ServerConfig& config, DeadlineMonitor* deadlines);
+  ServerWorkload(ServerRequests requests, const ServerConfig& config,
+                 DeadlineMonitor* deadlines);
 
   const char* Name() const override { return "server"; }
   Action Next(const WorkloadContext& ctx) override;
@@ -175,7 +193,7 @@ class ServerWorkload final : public Workload {
 
   std::size_t PickClass();
 
-  InputTrace trace_;
+  ServerRequests requests_;
   ServerConfig config_;
   DeadlineMonitor* deadlines_;
   // Resolved request classes (config_.streams, or the single default).
@@ -202,13 +220,13 @@ struct AppBundle;
 
 // Default server scenario (Poisson, ServerConfig{} rates/SLO).
 AppBundle MakeServerApp(DeadlineMonitor* deadlines, std::uint64_t seed);
-// Custom scenario; the trace is generated from `config` and `seed`.
+// Custom scenario; the requests are generated from `config` and `seed`.
 AppBundle MakeServerApp(const ServerConfig& config, DeadlineMonitor* deadlines,
                         std::uint64_t seed);
-// Replay of a recorded request trace (e.g. loaded via InputTrace::ReadCsv);
+// Replay of a recorded request trace through ServerRequestsFromTrace;
 // `config` still supplies the SLO, memory profile and mean demand for
 // "arrival" events.
-AppBundle MakeServerAppFromTrace(InputTrace trace, const ServerConfig& config,
+AppBundle MakeServerAppFromTrace(const InputTrace& trace, const ServerConfig& config,
                                  DeadlineMonitor* deadlines);
 
 }  // namespace dcs

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
-
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "src/core/governor_registry.h"
 #include "src/core/replay_policy.h"
@@ -15,14 +17,17 @@
 #include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
 #include "src/hw/cpu.h"
+#include "src/hw/itsy.h"
 #include "src/hw/power_tape.h"
 #include "src/hw/voltage_regulator.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/run_queue.h"
 #include "src/kernel/sched_log.h"
 #include "src/kernel/task.h"
 #include "src/sim/rng.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/trace_sink.h"
+#include "src/workload/admission.h"
 #include "src/workload/chess.h"
 #include "src/workload/input_trace.h"
 #include "src/workload/mpeg.h"
@@ -328,7 +333,8 @@ TEST(SnapshotHostileTest, ServerRejectsAnArrivalOrClassIndexOutOfRange) {
     bool valid;
   };
   for (const auto& [next_arrival, cls, valid] : {Case{3, 0, true}, {4, 0, false}, {0, 1, false}}) {
-    ServerWorkload server(ThreeEventTrace("arrival"), ServerConfig{}, nullptr);
+    ServerWorkload server(ServerRequestsFromTrace(ThreeEventTrace("arrival"), ServerConfig{}),
+                          ServerConfig{}, nullptr);
     SnapshotWriter w;
     w.Tag(0x53525652u);  // "SRVR"
     w.F64(0.0);          // the class's credit
@@ -346,6 +352,107 @@ TEST(SnapshotHostileTest, ServerRejectsAnArrivalOrClassIndexOutOfRange) {
     SnapshotReader r(w);
     server.LoadState(&r, nullptr);
     EXPECT_EQ(r.ok(), valid) << "arrival " << next_arrival << " class " << cls;
+  }
+}
+
+// A saved image with the I64 at `offset` overwritten.
+std::vector<char> PatchI64(const SnapshotWriter& w, std::size_t offset, std::int64_t v) {
+  std::vector<char> image(w.data(), w.data() + w.size());
+  std::memcpy(image.data() + offset, &v, sizeof v);
+  return image;
+}
+
+TEST(SnapshotHostileTest, AdmissionRejectsAStepOrCountOutOfRange) {
+  AdmissionConfig config;
+  config.policy = AdmissionPolicy::kFeedback;
+  const auto make = [&config] {
+    return AdmissionController(config, SimTime::Millis(100), 100.0, MemoryProfile{12.0, 4.0},
+                               {1.0});
+  };
+  // Byte offsets in the image: the tag, the demand and inter-arrival EWMAs,
+  // have_arrival, the last arrival and the speed EWMA come before max_step_;
+  // then degraded_, shed_level_, last_brownouts_, shed_until_,
+  // battery_sagging_, bound_, window_outcomes_ and window_violations_.
+  constexpr std::size_t kMaxStep = 4 + 8 + 8 + 1 + 8 + 8;
+  constexpr std::size_t kShedLevel = kMaxStep + 8 + 1;
+  constexpr std::size_t kWindowOutcomes = kShedLevel + 8 + 8 + 8 + 1 + 8;
+  constexpr std::size_t kWindowViolations = kWindowOutcomes + 8;
+  const std::int64_t last_window = config.feedback_window - 1;
+  struct Case {
+    const char* field;
+    std::size_t offset;
+    std::int64_t value;
+    bool valid;
+  };
+  const Case cases[] = {
+      {"max_step", kMaxStep, ClockTable::MaxStep(), true},
+      {"max_step", kMaxStep, ClockTable::MinStep(), true},
+      {"max_step", kMaxStep, ClockTable::MaxStep() + 1, false},
+      {"max_step", kMaxStep, -1, false},
+      {"max_step", kMaxStep, std::int64_t{1} << 28, false},
+      {"max_step", kMaxStep, (std::int64_t{1} << 32) + ClockTable::MinStep(), false},
+      // One class: the shed level stays at most 1.
+      {"shed_level", kShedLevel, 1, true},
+      {"shed_level", kShedLevel, 2, false},
+      {"shed_level", kShedLevel, -1, false},
+      {"window_outcomes", kWindowOutcomes, last_window, true},
+      {"window_outcomes", kWindowOutcomes, last_window + 1, false},
+      {"window_outcomes", kWindowOutcomes, INT_MAX, false},
+      {"window_outcomes", kWindowOutcomes, -1, false},
+      // No outcome yet in the window, so no violation either.
+      {"window_violations", kWindowViolations, 1, false},
+  };
+  for (const Case& c : cases) {
+    AdmissionController saved = make();
+    SnapshotWriter w;
+    SnapshotIo save(&w);
+    saved.Snapshot(save);
+    const std::vector<char> image = PatchI64(w, c.offset, c.value);
+    AdmissionController loaded = make();
+    SnapshotReader r(image.data(), image.size());
+    SnapshotIo io(&r);
+    loaded.Snapshot(io);
+    EXPECT_EQ(r.ok(), c.valid) << c.field << " " << c.value;
+    // A refused value never indexes the step table or overflows a count.
+    loaded.Consider(SimTime::Seconds(1), SimTime::Seconds(1), 100.0, 0.0, 0);
+    loaded.ObserveOutcome(true);
+  }
+}
+
+TEST(SnapshotHostileTest, KernelRejectsARetryCountOutOfRange) {
+  // A fresh kernel's image before retry_attempts_: the tag, the Rng state,
+  // the next pid, the task count, the empty run queue's count, the current
+  // pid, the memory spike factor and the absent retry step (flag + value).
+  SnapshotWriter rng_image;
+  SnapshotIo rng_io(&rng_image);
+  Rng rng(1);
+  rng.Snapshot(rng_io);
+  const std::size_t offset = 4 + rng_image.size() + 8 + 8 + 8 + 8 + 8 + 1 + 8;
+  struct Case {
+    std::int64_t attempts;
+    bool valid;
+  };
+  for (const auto& [attempts, valid] :
+       {Case{0, true},
+        {Kernel::kMaxTransitionRetries, true},
+        {Kernel::kMaxTransitionRetries + 1, false},
+        {-1, false},
+        {std::int64_t{-1} << 20, false},
+        {(std::int64_t{1} << 32) + 1, false}}) {
+    Simulator sim;
+    Itsy itsy(sim);
+    Kernel saved(sim, itsy);
+    SnapshotWriter w;
+    SnapshotIo save(&w, &sim);
+    saved.Snapshot(save);
+    const std::vector<char> image = PatchI64(w, offset, attempts);
+    Simulator fresh_sim;
+    Itsy fresh_itsy(fresh_sim);
+    Kernel loaded(fresh_sim, fresh_itsy);
+    SnapshotReader r(image.data(), image.size());
+    SnapshotIo io(&r);
+    loaded.Snapshot(io);
+    EXPECT_EQ(r.ok(), valid) << "retry_attempts " << attempts;
   }
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/workload/input_trace.h"
 
 namespace dcs {
 namespace {
@@ -22,8 +21,8 @@ constexpr int kSeeds = 32;
 
 // Realized arrival rate over the configured window for one seed.
 double RealizedRate(const ServerConfig& config, std::uint64_t seed) {
-  const InputTrace trace = MakeServerRequestTrace(config, seed);
-  return static_cast<double>(trace.size()) / config.duration.ToSeconds();
+  const ServerRequests requests = MakeServerRequests(config, seed);
+  return static_cast<double>(requests.size()) / config.duration.ToSeconds();
 }
 
 struct GrammarTolerance {

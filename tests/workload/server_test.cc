@@ -2,15 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "src/workload/apps.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
 namespace {
+
+// The requests as a "service_us" trace, the CSV form a replay reads back.
+InputTrace ServiceUsTrace(const ServerRequests& requests) {
+  InputTrace trace;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    trace.Record(requests.at[i], "service_us", requests.service_us[i]);
+  }
+  return trace;
+}
 
 ServerConfig QuickConfig() {
   ServerConfig config;
@@ -22,12 +35,12 @@ ServerConfig QuickConfig() {
 
 TEST(ServerTraceTest, TraceIsSeededDeterministic) {
   const ServerConfig config = QuickConfig();
-  const InputTrace a = MakeServerRequestTrace(config, 7);
-  const InputTrace b = MakeServerRequestTrace(config, 7);
-  const InputTrace c = MakeServerRequestTrace(config, 8);
+  const ServerRequests a = MakeServerRequests(config, 7);
+  const ServerRequests b = MakeServerRequests(config, 7);
+  const ServerRequests c = MakeServerRequests(config, 8);
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.events(), b.events());
-  EXPECT_NE(a.events(), c.events());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
 }
 
 // Differential test against queueing theory: Poisson arrivals at rate λ have
@@ -37,13 +50,13 @@ TEST(ServerTraceTest, PoissonInterArrivalsMatchAnalyticMean) {
   ServerConfig config;
   config.rate_rps = 200.0;
   config.duration = SimTime::Seconds(60);
-  const InputTrace trace = MakeServerRequestTrace(config, 11);
-  ASSERT_GT(trace.size(), 10000u);
+  const ServerRequests requests = MakeServerRequests(config, 11);
+  ASSERT_GT(requests.size(), 10000u);
   double sum_gap_s = 0.0;
-  for (std::size_t i = 1; i < trace.size(); ++i) {
-    sum_gap_s += (trace.events()[i].at - trace.events()[i - 1].at).ToSeconds();
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    sum_gap_s += (requests.at[i] - requests.at[i - 1]).ToSeconds();
   }
-  const double mean_gap = sum_gap_s / static_cast<double>(trace.size() - 1);
+  const double mean_gap = sum_gap_s / static_cast<double>(requests.size() - 1);
   const double analytic = 1.0 / config.rate_rps;
   EXPECT_NEAR(mean_gap, analytic, 0.05 * analytic);
 }
@@ -55,9 +68,9 @@ TEST(ServerTraceTest, AllProcessesHoldTheConfiguredMeanRate) {
     config.arrivals = process;
     config.rate_rps = 100.0;
     config.duration = SimTime::Seconds(120);
-    const InputTrace trace = MakeServerRequestTrace(config, 13);
+    const ServerRequests requests = MakeServerRequests(config, 13);
     const double realized =
-        static_cast<double>(trace.size()) / config.duration.ToSeconds();
+        static_cast<double>(requests.size()) / config.duration.ToSeconds();
     // Bursty/self-similar traffic has far higher count variance than
     // Poisson; 20% is loose enough for the heavy-tailed construction while
     // still catching a mis-solved per-state rate (those come out 2x off).
@@ -69,12 +82,12 @@ TEST(ServerTraceTest, AllProcessesHoldTheConfiguredMeanRate) {
 TEST(ServerTraceTest, BurstyTraceIsBurstier) {
   // Coefficient of variation of inter-arrival gaps: 1 for Poisson,
   // noticeably above 1 for the MMPP.
-  auto gap_cv = [](const InputTrace& trace) {
+  auto gap_cv = [](const ServerRequests& requests) {
     double sum = 0.0;
     double sum_sq = 0.0;
-    const auto n = static_cast<double>(trace.size() - 1);
-    for (std::size_t i = 1; i < trace.size(); ++i) {
-      const double gap = (trace.events()[i].at - trace.events()[i - 1].at).ToSeconds();
+    const auto n = static_cast<double>(requests.size() - 1);
+    for (std::size_t i = 1; i < requests.size(); ++i) {
+      const double gap = (requests.at[i] - requests.at[i - 1]).ToSeconds();
       sum += gap;
       sum_sq += gap * gap;
     }
@@ -84,33 +97,74 @@ TEST(ServerTraceTest, BurstyTraceIsBurstier) {
   ServerConfig config;
   config.rate_rps = 100.0;
   config.duration = SimTime::Seconds(120);
-  const double poisson_cv = gap_cv(MakeServerRequestTrace(config, 17));
+  const double poisson_cv = gap_cv(MakeServerRequests(config, 17));
   config.arrivals = ArrivalProcess::kBursty;
-  const double bursty_cv = gap_cv(MakeServerRequestTrace(config, 17));
+  const double bursty_cv = gap_cv(MakeServerRequests(config, 17));
   EXPECT_NEAR(poisson_cv, 1.0, 0.1);
   EXPECT_GT(bursty_cv, poisson_cv + 0.2);
 }
 
+// FNV-1a 64 over every (arrival nanoseconds, demand bits) pair, per grammar
+// and rate over seeds 1-3 of the default 40 s window, recorded from the
+// InputTrace-based generator that MakeServerRequests replaced.  Any change
+// to a draw, its order or its rounding moves it.
+TEST(ServerTraceTest, ValuesMatchThePinnedHash) {
+  struct Case {
+    ArrivalProcess process;
+    double rate_rps;
+    const char* fnv;
+  };
+  const Case cases[] = {
+      {ArrivalProcess::kPoisson, 80.0, "229938f08f2163c1"},
+      {ArrivalProcess::kPoisson, 320.0, "9a56e85266d644b3"},
+      {ArrivalProcess::kBursty, 80.0, "3a6174c4c7a5edcd"},
+      {ArrivalProcess::kBursty, 320.0, "a80de79b68ca8933"},
+      {ArrivalProcess::kSelfSimilar, 80.0, "76b591329a3d8b0a"},
+      {ArrivalProcess::kSelfSimilar, 320.0, "3341c1322cb61a89"},
+  };
+  for (const Case& c : cases) {
+    ServerConfig config;
+    config.arrivals = c.process;
+    config.rate_rps = c.rate_rps;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t word) {
+      for (int i = 0; i < 8; ++i) {
+        h = (h ^ ((word >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+      }
+    };
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const ServerRequests requests = MakeServerRequests(config, seed);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        mix(static_cast<std::uint64_t>(requests.at[i].nanos()));
+        mix(std::bit_cast<std::uint64_t>(requests.service_us[i]));
+      }
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+    EXPECT_STREQ(hex, c.fnv) << ArrivalProcessName(c.process) << " " << c.rate_rps;
+  }
+}
+
 TEST(ServerTraceTest, RequestTraceSurvivesCsvRoundTrip) {
-  const InputTrace trace = MakeServerRequestTrace(QuickConfig(), 7);
+  const ServerRequests requests = MakeServerRequests(QuickConfig(), 7);
   std::stringstream ss;
-  trace.WriteCsv(ss);
-  const InputTrace loaded = InputTrace::ReadCsv(ss);
-  ASSERT_EQ(loaded.size(), trace.size());
-  EXPECT_EQ(loaded.events(), trace.events());
+  ServiceUsTrace(requests).WriteCsv(ss);
+  const ServerRequests loaded = ServerRequestsFromTrace(InputTrace::ReadCsv(ss), QuickConfig());
+  ASSERT_EQ(loaded.size(), requests.size());
+  EXPECT_EQ(loaded, requests);
 }
 
 TEST(ServerWorkloadTest, ServesEveryRequestWithinSloAtFullSpeed) {
   const ServerConfig config = QuickConfig();
-  const InputTrace trace = MakeServerRequestTrace(config, 7);
+  const ServerRequests requests = MakeServerRequests(config, 7);
   WorkloadHarness h(ClockTable::MaxStep(), 7);
-  h.Add(std::make_unique<ServerWorkload>(trace, config, &h.deadlines));
+  h.Add(std::make_unique<ServerWorkload>(requests, config, &h.deadlines));
   h.Run(config.duration + SimTime::Seconds(2));
   const auto stats = h.deadlines.Stats("requests");
-  EXPECT_EQ(stats.total, static_cast<std::int64_t>(trace.size()));
+  EXPECT_EQ(stats.total, static_cast<std::int64_t>(requests.size()));
   EXPECT_EQ(stats.missed, 0);
   // Every completion lands in the latency histogram.
-  EXPECT_EQ(stats.latency_us.count(), trace.size());
+  EXPECT_EQ(stats.latency_us.count(), requests.size());
   EXPECT_GT(stats.latency_us.mean(), 0.0);
 }
 
@@ -118,13 +172,13 @@ TEST(ServerWorkloadTest, ReplayedCsvTraceProducesIdenticalOutcome) {
   // The trace-ingestion path: write the generated trace to CSV, read it
   // back, and replay — stats must match the direct run exactly.
   const ServerConfig config = QuickConfig();
-  const InputTrace trace = MakeServerRequestTrace(config, 7);
+  const ServerRequests requests = MakeServerRequests(config, 7);
   std::stringstream ss;
-  trace.WriteCsv(ss);
-  const InputTrace replay = InputTrace::ReadCsv(ss);
+  ServiceUsTrace(requests).WriteCsv(ss);
+  const ServerRequests replay = ServerRequestsFromTrace(InputTrace::ReadCsv(ss), config);
 
   WorkloadHarness direct(5, 7);
-  direct.Add(std::make_unique<ServerWorkload>(trace, config, &direct.deadlines));
+  direct.Add(std::make_unique<ServerWorkload>(requests, config, &direct.deadlines));
   direct.Run(config.duration + SimTime::Seconds(2));
   WorkloadHarness replayed(5, 7);
   replayed.Add(std::make_unique<ServerWorkload>(replay, config, &replayed.deadlines));
@@ -145,7 +199,8 @@ TEST(ServerWorkloadTest, ArrivalKindScalesConfiguredMeanDemand) {
   InputTrace trace;
   trace.Record(SimTime::Millis(100), "arrival", 2.0);  // 8 ms at top
   WorkloadHarness h(ClockTable::MaxStep(), 7);
-  h.Add(std::make_unique<ServerWorkload>(trace, config, &h.deadlines));
+  h.Add(std::make_unique<ServerWorkload>(ServerRequestsFromTrace(trace, config), config,
+                                         &h.deadlines));
   h.Run(SimTime::Seconds(1));
   const auto stats = h.deadlines.Stats("requests");
   ASSERT_EQ(stats.total, 1);
@@ -156,7 +211,27 @@ TEST(ServerWorkloadTest, ArrivalKindScalesConfiguredMeanDemand) {
 TEST(ServerWorkloadTest, RejectsForeignEventKinds) {
   InputTrace trace;
   trace.Record(SimTime::Millis(1), "scroll", 1.0);
-  EXPECT_THROW(ServerWorkload(trace, ServerConfig{}, nullptr), std::invalid_argument);
+  EXPECT_THROW(ServerRequestsFromTrace(trace, ServerConfig{}), std::invalid_argument);
+}
+
+TEST(ServerWorkloadTest, ArrivalEventsScaleByTheConfiguredMeanExactly) {
+  ServerConfig config = QuickConfig();
+  config.service_ms_at_top = 0.3;
+  InputTrace trace;
+  trace.Record(SimTime::Millis(1), "arrival", 0.7);
+  trace.Record(SimTime::Millis(2), "service_us", 123.25);
+  const ServerRequests requests = ServerRequestsFromTrace(trace, config);
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests.at, (std::vector<SimTime>{SimTime::Millis(1), SimTime::Millis(2)}));
+  EXPECT_EQ(requests.service_us[0], 0.7 * config.service_ms_at_top * 1e3);
+  EXPECT_EQ(requests.service_us[1], 123.25);
+}
+
+TEST(ServerWorkloadTest, RejectsArraysOfUnequalLength) {
+  ServerRequests requests;
+  requests.at = {SimTime::Millis(1), SimTime::Millis(2)};
+  requests.service_us = {100.0};
+  EXPECT_THROW(ServerWorkload(requests, ServerConfig{}, nullptr), std::invalid_argument);
 }
 
 TEST(ServerAppTest, BundleDrainsQueueAfterArrivalWindow) {
@@ -218,10 +293,11 @@ TEST(ServerConfigValidationTest, RejectsBadAdmissionParameters) {
 TEST(ServerConfigValidationTest, ConstructorsValidate) {
   ServerConfig config = QuickConfig();
   config.rate_rps = -3.0;
-  EXPECT_THROW(MakeServerRequestTrace(config, 7), std::invalid_argument);
+  EXPECT_THROW(MakeServerRequests(config, 7), std::invalid_argument);
   InputTrace trace;
   trace.Record(SimTime::Millis(1), "arrival", 1.0);
-  EXPECT_THROW(ServerWorkload(trace, config, nullptr), std::invalid_argument);
+  EXPECT_THROW(ServerWorkload(ServerRequestsFromTrace(trace, config), config, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace
