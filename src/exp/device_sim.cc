@@ -319,31 +319,17 @@ ExperimentResult DeviceSim::Finish() {
 }
 
 void DeviceSim::SaveState(SnapshotWriter* w) const {
-  SnapshotIo io(w, &sim_);
-  const_cast<DeviceSim*>(this)->Snapshot(io);
+  DeviceSim* self = const_cast<DeviceSim*>(this);
+  SnapshotIo io(w, &self->sim_);
+  self->Snapshot(io);
 }
 
 void DeviceSim::LoadState(SnapshotReader* r) {
-  RearmList rearm;
-  SnapshotIo io(r, &rearm);
+  SnapshotIo io(r, &sim_);
   Snapshot(io);
-  if (r->ok()) {
-    rearm.FireInOrder(sim_);
-  }
 }
 
 void DeviceSim::Snapshot(SnapshotIo& io) {
-  if (io.loading()) {
-    // Protocol step 1: empty the queue of whatever the previous occupant
-    // (the fresh build, or the device that just finished on this stack)
-    // left armed.
-    kernel_.CancelPendingEvents();
-    itsy_.CancelPendingEvents();
-    if (check_event_ != kInvalidEventId) {
-      sim_.Cancel(check_event_);
-      check_event_ = kInvalidEventId;
-    }
-  }
   io.Tag(kDeviceTag);
   SimTime now = sim_.Now();
   std::uint64_t executed = sim_.events_executed();

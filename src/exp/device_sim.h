@@ -26,10 +26,11 @@
 //
 // Snapshots follow the src/sim/snapshot.h contract: save only at quiescent
 // points (immediately after RunUntil returns), restore onto a stack built
-// from the *same* ExperimentConfig.  LoadState cancels whatever the previous
-// occupant left pending, rewinds the clock, restores every component and
-// re-arms pending events in original order — so one DeviceSim instance can
-// cycle through thousands of fleet devices with no steady-state allocation
+// from the *same* ExperimentConfig.  LoadState is one pass over the image:
+// rewinding the clock drops whatever the previous occupant left pending, and
+// every component then loads and re-arms its pending events at their saved
+// time and sequence — so one DeviceSim instance can cycle through thousands
+// of fleet devices with no steady-state allocation
 // (tests/hotpath/alloc_steadystate_test.cc locks the cycle down).
 //
 // Finish() is destructive (it moves the trace sink and metrics registry into
@@ -114,12 +115,13 @@ class DeviceSim {
   // kernel (tasks, workloads, pending events), governor, fault machinery,
   // measurement trigger, deadline monitor and metrics registry — less
   // whatever the declared Reads leave unrecorded.  Snapshot is the one
-  // description; SaveState and LoadState run it.  A load restores in place:
-  // it cancels pending events, rewinds the clock, loads every component
-  // (metrics last — workload re-binds touch gauges) and re-arms pending
-  // events in original-sequence order.  The target must be built from the
-  // same config and Reads as the image's source; reader ok() reports
-  // image/stack mismatches.
+  // description; SaveState and LoadState run it.  A load restores in place,
+  // in one pass: it rewinds the clock, which drops every pending event, then
+  // loads every component (metrics last — workload re-binds touch gauges),
+  // each re-arming its pending events at their saved time and sequence.  A
+  // save right after a load writes the image loaded.  The target must be
+  // built from the same config and Reads as the image's source; reader ok()
+  // reports image/stack mismatches.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
   void Snapshot(SnapshotIo& io);

@@ -122,10 +122,6 @@ class Itsy {
   // when the image and the stack disagree on whether a battery is fitted.
   void Snapshot(SnapshotIo& io);
 
-  // Restore protocol step 1 (see snapshot.h): cancels the armed brownout
-  // event so the device harness can empty the queue before RestoreClock.
-  void CancelPendingEvents() { CancelBrownout(); }
-
  private:
   // Re-derives the instantaneous power and appends it to the tape; also
   // integrates the battery over the segment that just ended.

@@ -58,7 +58,7 @@ Pid Kernel::AddTask(std::unique_ptr<Workload> workload) {
   auto task = std::make_unique<Task>(pid, std::move(workload), rng_.Fork());
   run_queue_.Push(pid);
   tasks_.emplace(pid, std::move(task));
-  if (started_ && current_ == nullptr && !dispatch_pending_) {
+  if (started_ && current_ == nullptr && dispatch_event_ == kInvalidEventId) {
     AccountSegment();
     Dispatch();
   }
@@ -258,12 +258,10 @@ void Kernel::ArmDispatch(SimTime at) {
   if (dispatch_event_ != kInvalidEventId) {
     sim_.Cancel(dispatch_event_);
   }
-  dispatch_pending_ = true;
   dispatch_event_ = sim_.At<&Kernel::OnDispatch>(at, this);
 }
 
 void Kernel::OnDispatch() {
-  dispatch_pending_ = false;
   dispatch_event_ = kInvalidEventId;
   Dispatch();
 }
@@ -486,7 +484,7 @@ void Kernel::WakeTask(Pid pid) {
   if (ctr_wakeups_ != nullptr) {
     ctr_wakeups_->Inc();
   }
-  if (current_ == nullptr && !dispatch_pending_) {
+  if (current_ == nullptr && dispatch_event_ == kInvalidEventId) {
     // CPU was idle: dispatch immediately (idle wake-up path).
     AccountSegment();
     Dispatch();
@@ -530,29 +528,10 @@ void Kernel::Snapshot(SnapshotIo& io) {
   }
   io.Pending<&Kernel::Tick>(tick_event_, this);
   io.Pending<&Kernel::OnDispatch>(dispatch_event_, this);
-  io(dispatch_pending_);
+  io.Expect<bool>(dispatch_event_ != kInvalidEventId);
   io.Pending<&Kernel::OnCompletion>(completion_event_, this);
   io(quantum_start_, busy_in_quantum_, work_in_quantum_us_, quantum_index_, last_utilization_,
      total_busy_, total_idle_, step_residency_);
-}
-
-void Kernel::CancelPendingEvents() {
-  CancelCompletion();
-  if (dispatch_event_ != kInvalidEventId) {
-    sim_.Cancel(dispatch_event_);
-    dispatch_event_ = kInvalidEventId;
-    dispatch_pending_ = false;
-  }
-  if (tick_event_ != kInvalidEventId) {
-    sim_.Cancel(tick_event_);
-    tick_event_ = kInvalidEventId;
-  }
-  for (auto& [pid, task] : tasks_) {
-    if (task->wake_event() != kInvalidEventId) {
-      sim_.Cancel(task->wake_event());
-      task->set_wake_event(kInvalidEventId);
-    }
-  }
 }
 
 }  // namespace dcs

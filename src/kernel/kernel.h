@@ -190,14 +190,10 @@ class Kernel {
   // accounting, retry state, and the pending tick / dispatch / completion /
   // wake events.  Save only at a quiescent point (immediately after
   // Simulator::RunUntil).  Loads onto a structurally identical kernel (same
-  // tasks added in the same order, metrics bound, traces reserved); pending
-  // events register on the io's RearmList, which the caller fires once after
-  // every component has loaded.  Call CancelPendingEvents() on all
-  // components and then Simulator::RestoreClock() before a load.
+  // tasks added in the same order, metrics bound, traces reserved), after
+  // Simulator::RestoreClock() has dropped whatever the previous occupant
+  // armed; each pending event is re-armed at its saved time and sequence.
   void Snapshot(SnapshotIo& io);
-  // Cancels every event this kernel has armed (tick, dispatch, completion,
-  // task wakes) so the simulator queue can be emptied before a restore.
-  void CancelPendingEvents();
 
   // Fleet device divergence: forks the scheduler RNG and every task's
   // workload-jitter RNG into the substream family selected by `stream` (the
@@ -298,7 +294,6 @@ class Kernel {
   SimTime segment_start_;
   EventId completion_event_ = kInvalidEventId;
   EventId dispatch_event_ = kInvalidEventId;
-  bool dispatch_pending_ = false;
   EventId tick_event_ = kInvalidEventId;
 
   SimTime quantum_start_;

@@ -2,6 +2,14 @@
 
 namespace dcs {
 
+void EventQueue::Clear() {
+  for (const Pending& entry : pending_) {
+    ReleaseSlot(entry.slot);
+  }
+  pending_.clear();
+  next_seq_ = 0;
+}
+
 const EventQueue::Pending* EventQueue::Find(EventId id) const {
   if (!IsLive(id)) {
     return nullptr;

@@ -18,13 +18,13 @@
 // on fleet_clone, 3.0 on paper_sweep, 2.1 on server_openloop), so the linear
 // shifts touch one or two cache lines.  A lazily-deleting heap carried 32.6
 // entries per pop on fleet_clone, most of them cancelled, because every
-// fleet device restore cancels all armed events.  Push and Cancel are O(n)
-// in live events: a workload holding thousands of timers at once would want
-// a heap again.
+// fleet device restore then cancelled all armed events.  Push and Cancel
+// are O(n) in live events: a workload holding thousands of timers at once
+// would want a heap again.
 //
 // EventId encoding: bits [63:32] hold the slot's generation, bits [31:0] the
 // slot index.  Generations start at 1 and advance every time a slot is freed
-// (cancel or pop), so an id is live iff its generation matches its
+// (cancel, pop or clear), so an id is live iff its generation matches its
 // slot's current one — stale ids from any earlier lifetime of the slot fail
 // the match, and kInvalidEventId (0) can never collide because no issued id
 // has generation 0.  A single slot would need 2^32 free transitions for its
@@ -94,8 +94,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Push / Cancel / Pop are defined inline below: they run once per
-  // simulated event.
+  // Push / Restore / Cancel / Pop are defined inline below: they run once
+  // per simulated event.
 
   // Schedules `fn` at absolute time `at`.  Events that tie on time fire in
   // insertion order.
@@ -104,6 +104,15 @@ class EventQueue {
   // Cancels a previously scheduled event.  Returns true if the event was
   // still pending (i.e. had not fired and had not already been cancelled).
   bool Cancel(EventId id);
+
+  // Drops every live event: their slots are freed, so their ids go stale,
+  // and the sequence counter starts again from 0.
+  void Clear();
+
+  // Schedules `fn` at `at` under a sequence number saved from an earlier
+  // run (SeqOf), so it keeps its place among events tied on time.  Raises
+  // the counter past `seq`: every later Push sorts behind it.
+  EventId Restore(SimTime at, std::uint64_t seq, EventFn fn);
 
   // True if no live events remain.
   bool Empty() const { return pending_.empty(); }
@@ -126,9 +135,9 @@ class EventQueue {
   Entry Pop();
 
   // Original insertion sequence number of a live event.  The snapshot layer
-  // records it at save time so restored events can be re-armed in their
-  // original FIFO tie-break order (src/sim/snapshot.h).  Returns 0 for ids
-  // that are no longer live.
+  // records it at save time and Restore()s the event under it, so it keeps
+  // its FIFO tie-break order (src/sim/snapshot.h).  Returns 0 for ids that
+  // are no longer live.
   std::uint64_t SeqOf(EventId id) const;
   // Fire time of a live event (zero for ids that are no longer live).
   SimTime TimeOf(EventId id) const;
@@ -188,6 +197,15 @@ class EventQueue {
 };
 
 inline EventId EventQueue::Push(SimTime at, EventFn fn) {
+  // The new entry has the largest seq, so it sorts in front of (fires after)
+  // every entry at the same time: FIFO ties.
+  return Restore(at, next_seq_, fn);
+}
+
+inline EventId EventQueue::Restore(SimTime at, std::uint64_t seq, EventFn fn) {
+  if (seq >= next_seq_) {
+    next_seq_ = seq + 1;
+  }
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
@@ -198,9 +216,7 @@ inline EventId EventQueue::Push(SimTime at, EventFn fn) {
     slots_.emplace_back();
   }
   slots_[slot].fn = fn;
-  // The new entry has the largest seq, so it sorts in front of (fires after)
-  // every entry at the same time: FIFO ties.
-  const Pending entry{at, next_seq_++, slot};
+  const Pending entry{at, seq, slot};
   pending_.push_back(entry);
   std::size_t i = pending_.size() - 1;
   while (i > 0 && Earlier(pending_[i - 1], entry)) {

@@ -87,15 +87,22 @@ class Simulator {
   // no component keeps its own copy of when its events fire.
   SimTime EventAt(EventId id) const { return queue_.TimeOf(id); }
 
-  // Restores the clock and the sim.* counters from a snapshot.  Only legal
-  // when no events are pending: a device being recycled cancels all its
-  // tracked events first, so moving the clock backwards cannot reorder
-  // anything.  Asserted rather than silently tolerated.
+  // Starts a load: drops every pending event, whoever armed it (their ids go
+  // stale, so an owner's old id cancels nothing), then sets the clock and
+  // the sim.* counters to the image's.
   void RestoreClock(SimTime now, std::uint64_t executed, std::uint64_t cancelled) {
-    assert(queue_.Empty() && "RestoreClock with pending events");
+    queue_.Clear();
     now_ = now;
     events_executed_ = executed;
     events_cancelled_ = cancelled;
+  }
+
+  // Re-arms a saved event at its saved fire time and sequence number, so it
+  // fires where it did in the saved run among events tied on time; every
+  // later At() sorts behind it.  A time before Now() fires at Now(), as in
+  // At().
+  EventId Rearm(SimTime at, std::uint64_t seq, EventFn fn) {
+    return queue_.Restore(at < now_ ? now_ : at, seq, fn);
   }
 
  private:

@@ -19,13 +19,15 @@
 //     component, whose image holds the event's absolute fire time plus its
 //     original queue sequence number, both read off the queue at save time
 //     (Simulator::EventAt, EventSeq).
-//   * Order-preserving re-arm.  On load each owner registers its pending
-//     events on a RearmList as (handler, owner, aux) records, the same
-//     records it arms them with; FireInOrder() re-pushes them in ascending
-//     original-sequence order.  Re-armed events therefore keep their FIFO
-//     tie-break order relative to each other, and every event created after
-//     the restore point sorts behind them — exactly as in the uninterrupted
-//     run.
+//   * Re-arm at the saved (time, seq).  A device image starts with the
+//     clock, and loading it (Simulator::RestoreClock) drops every event the
+//     previous occupant left pending.  Each owner's Pending then puts its
+//     saved events straight back into the queue under their saved sequence
+//     numbers (Simulator::Rearm), and the queue raises its counter past
+//     them.  The queue's (time, seq) order is therefore the uninterrupted
+//     run's: re-armed events keep their FIFO tie-break order, and every
+//     event created after the restore point sorts behind them.  A save
+//     taken right after a load writes the image that was loaded.
 //
 // One description per component: each writes its image down once, as a
 // Snapshot(SnapshotIo&) body that both saves and loads (SnapshotIo below),
@@ -214,56 +216,6 @@ class SnapshotReader {
   bool ok_ = true;
 };
 
-// Deferred re-arm of the pending events recorded in a snapshot.  During a
-// load each owner Add()s one entry per pending event: its saved fire time
-// and sequence, the event record to push, and the owner's id field.  The
-// device harness then calls FireInOrder(sim) once, which re-pushes the
-// records in ascending original-sequence order and writes each new id back.
-// Fixed capacity — the full stack has at most a dozen pending events at a
-// quiescent point — so re-arming never allocates; an image holding more
-// fails its load.
-class RearmList {
- public:
-  static constexpr int kCapacity = 32;
-
-  // False (and nothing added) once the list is full.
-  bool Add(std::uint64_t seq, SimTime at, EventFn fn, EventId* id) {
-    if (count_ >= kCapacity) {
-      return false;
-    }
-    entries_[count_++] = Entry{seq, at, fn, id};
-    return true;
-  }
-
-  void FireInOrder(Simulator& sim) {
-    // Insertion sort: the list is tiny and almost sorted (components save in
-    // arm order).
-    for (int i = 1; i < count_; ++i) {
-      Entry e = entries_[i];
-      int j = i - 1;
-      while (j >= 0 && entries_[j].seq > e.seq) {
-        entries_[j + 1] = entries_[j];
-        --j;
-      }
-      entries_[j + 1] = e;
-    }
-    for (int i = 0; i < count_; ++i) {
-      *entries_[i].id = sim.At(entries_[i].at, entries_[i].fn);
-    }
-    count_ = 0;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t seq;
-    SimTime at;
-    EventFn fn;
-    EventId* id;
-  };
-  Entry entries_[kCapacity];
-  int count_ = 0;
-};
-
 // One description of a component's image, read in both directions.
 //
 // A component writes its image down once, as a Snapshot(SnapshotIo&) body
@@ -291,9 +243,10 @@ class RearmList {
 //   io.Pending<&C::Handler>(id, owner, aux)
 //                       a pending event that calls owner->Handler (with
 //                       `aux`): on save its fire time and queue sequence
-//                       come from the simulator; on load its record and
-//                       &id go on the RearmList, which re-pushes it at that
-//                       time.
+//                       come from the simulator; on load it is re-armed at
+//                       that time and sequence (Simulator::Rearm) and `id`
+//                       names it again.  No body arms an event any other
+//                       way.
 //
 // Every load-side failure latches the reader's ok() false and leaves a
 // value that is safe to use.  A fleet worker saves once per warmup image and
@@ -304,9 +257,13 @@ class RearmList {
 class SnapshotIo {
  public:
   static constexpr std::size_t kNoBound = ~std::size_t{0};
+  // Pending rejects a saved sequence number at or above this.
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 63;
 
-  explicit SnapshotIo(SnapshotWriter* w, const Simulator* sim = nullptr) : w_(w), sim_(sim) {}
-  explicit SnapshotIo(SnapshotReader* r, RearmList* rearm = nullptr) : r_(r), rearm_(rearm) {}
+  // `sim` is where pending events are read from (save) and re-armed in
+  // (load); an io without one fails any load that meets a pending event.
+  explicit SnapshotIo(SnapshotWriter* w, Simulator* sim = nullptr) : w_(w), sim_(sim) {}
+  explicit SnapshotIo(SnapshotReader* r, Simulator* sim = nullptr) : r_(r), sim_(sim) {}
 
   bool saving() const { return w_ != nullptr; }
   bool loading() const { return r_ != nullptr; }
@@ -503,8 +460,10 @@ class SnapshotIo {
     SimTime at;
     std::uint64_t seq = 0;
     (*this)(at, seq);
-    if (rearm_ == nullptr || !rearm_->Add(seq, at, EventFn::Of<Handler>(owner, aux), &id)) {
-      r_->Fail();
+    // No run reaches 2^63 events, and a seq below it cannot wrap the queue's
+    // counter.
+    if (Check(sim_ != nullptr && seq < kSeqLimit) && r_->ok()) {
+      id = sim_->Rearm(at, seq, EventFn::Of<Handler>(owner, aux));
     }
   }
 
@@ -564,8 +523,7 @@ class SnapshotIo {
 
   SnapshotWriter* w_ = nullptr;
   SnapshotReader* r_ = nullptr;
-  const Simulator* sim_ = nullptr;
-  RearmList* rearm_ = nullptr;
+  Simulator* sim_ = nullptr;
 };
 
 // Entry points that run a component's one description.

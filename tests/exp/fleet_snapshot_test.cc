@@ -19,6 +19,7 @@
 
 #include <cctype>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/governor_registry.h"
@@ -134,6 +135,79 @@ TEST(FleetSnapshotServerTest, FeedbackAdmissionSurvivesSnapshotRoundTrip) {
   config.server->admission.policy = AdmissionPolicy::kFeedback;
   config.itsy.battery = BatteryParams{};
   ExpectSnapshotPathsIdentical(config);
+}
+
+// A load is the inverse of a save: an image saved straight after loading
+// one, with nothing run in between, is the image that was loaded, byte for
+// byte.  Every pending event goes back at its saved (time, seq), so the
+// re-saved events carry the same numbers.  Checked on a dirty stack (the
+// source, run to its horizon first) and on a fresh one, for each fleet_clone
+// governor and the history-window governors, on every fleet_clone app, for
+// both what a fleet device and what a sweep device records.
+using RoundTripCase = std::tuple<std::string, std::string, DeviceSim::Reads>;
+
+class ImageRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
+
+void ExpectReloadedImageUnchanged(const ExperimentConfig& config, DeviceSim::Reads reads) {
+  DeviceSim source(config, reads);
+  source.Start();
+  source.RunUntil(SimTime::Millis(500));
+  SnapshotWriter image;
+  source.SaveState(&image);
+  const std::string want(image.data(), image.size());
+
+  source.RunUntil(source.duration());
+  DeviceSim fresh(config, reads);
+  for (DeviceSim* target : {&source, &fresh}) {
+    SnapshotReader r(image);
+    target->LoadState(&r);
+    ASSERT_TRUE(r.ok());
+    SnapshotWriter again;
+    target->SaveState(&again);
+    EXPECT_EQ(std::string(again.data(), again.size()), want)
+        << (target == &source ? "dirty stack" : "fresh stack");
+  }
+}
+
+TEST_P(ImageRoundTripTest, ImageSavedAfterALoadEqualsTheImageLoaded) {
+  ExperimentConfig config;
+  config.governor = std::get<0>(GetParam());
+  config.app = std::get<1>(GetParam());
+  config.seed = 3;
+  config.duration = SimTime::Seconds(1);
+  config.itsy.battery = BatteryParams{};
+  if (config.app == "server") {
+    config.server.emplace();
+    config.server->duration = *config.duration;
+  }
+  ExpectReloadedImageUnchanged(config, std::get<2>(GetParam()));
+}
+
+std::string RoundTripName(const ::testing::TestParamInfo<RoundTripCase>& info) {
+  std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param) +
+                     (std::get<2>(info.param) == DeviceSim::Reads::kFleetTotals ? "_fleet"
+                                                                                : "_full");
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FleetGovernors, ImageRoundTripTest,
+    ::testing::Combine(::testing::Values("fixed-132.7", "pid-vs", "adaptive-vs", "deadline-vs",
+                                         "LS-peg-peg-93-98", "CYCLE10-peg-peg-93-98"),
+                       ::testing::Values("mpeg", "web", "server"),
+                       ::testing::Values(DeviceSim::Reads::kFleetTotals,
+                                         DeviceSim::Reads::kFullResult)),
+    RoundTripName);
+
+// A faulted image adds the invariant checker's armed sweep and any armed
+// brownout settle.
+TEST(FaultedImageRoundTripTest, ImageSavedAfterALoadEqualsTheImageLoaded) {
+  ExpectReloadedImageUnchanged(BaseConfig("pid-vs", "storm=0.3"), DeviceSim::Reads::kFullResult);
 }
 
 }  // namespace

@@ -456,6 +456,61 @@ TEST(SnapshotHostileTest, KernelRejectsARetryCountOutOfRange) {
   }
 }
 
+// The kernel saves whether a dispatch is armed twice: as the dispatch
+// event's armed flag and as the byte after it.  An image where the two
+// disagree describes a kernel no run reaches, so it must not load.
+TEST(SnapshotHostileTest, KernelRejectsADispatchByteThatDisagreesWithItsEvent) {
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "dispatch armed" : "nothing armed");
+    Simulator sim;
+    Itsy itsy(sim);
+    Kernel saved(sim, itsy);
+    if (armed) {
+      // The first tick arms a dispatch one context switch later.
+      saved.Start();
+      sim.RunUntil(SimTime::Millis(10));
+    }
+    SnapshotWriter w;
+    SnapshotIo save(&w, &sim);
+    saved.Snapshot(save);
+
+    // The image up to the byte: everything up to the retry step (as in
+    // KernelRejectsARetryCountOutOfRange), the three retry counters, the
+    // sched log and trace sink, the start flag and two times, then the tick
+    // and dispatch events (armed flag, and time and seq when armed).
+    SnapshotWriter rng_image;
+    SnapshotIo rng_io(&rng_image);
+    Rng rng(1);
+    rng.Snapshot(rng_io);
+    SnapshotWriter log_image;
+    SaveSnapshot(saved.sched_log(), &log_image);
+    SnapshotWriter sink_image;
+    SaveSnapshot(saved.sink(), &sink_image);
+    const std::size_t event = armed ? 1 + 8 + 8 : 1;
+    const std::size_t offset = 4 + rng_image.size() + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 +
+                               log_image.size() + sink_image.size() + 1 + 8 + 8 + event + event;
+    ASSERT_LT(offset, w.size());
+    ASSERT_EQ(w.data()[offset], armed ? 1 : 0);
+
+    for (const bool flip : {false, true}) {
+      std::vector<char> image(w.data(), w.data() + w.size());
+      if (flip) {
+        image[offset] = armed ? 0 : 1;
+      }
+      Simulator fresh_sim;
+      Itsy fresh_itsy(fresh_sim);
+      Kernel loaded(fresh_sim, fresh_itsy);
+      if (armed) {
+        loaded.Start();
+      }
+      SnapshotReader r(image.data(), image.size());
+      SnapshotIo io(&r, &fresh_sim);
+      loaded.Snapshot(io);
+      EXPECT_EQ(r.ok(), !flip) << (flip ? "flipped" : "as saved");
+    }
+  }
+}
+
 // A faulted server device carries every listed count: power tape, sched log,
 // trace series, run queue, server request queue, invariant-checker history
 // and the DAQ trigger's windows.

@@ -364,10 +364,6 @@ struct Stack {
   Kernel kernel{sim, itsy};
 
   void Image(SnapshotIo& io) {
-    if (io.loading()) {
-      kernel.CancelPendingEvents();
-      itsy.CancelPendingEvents();
-    }
     SimTime now = sim.Now();
     std::uint64_t executed = sim.events_executed();
     std::uint64_t cancelled = sim.events_cancelled();
@@ -399,14 +395,12 @@ TEST(KernelImageTest, StatelessTaskCarriesOnFromAnImage) {
   restored.kernel.AddTask(std::make_unique<ClockedSpinner>());
   restored.kernel.Start();
   SnapshotReader r(image);
-  RearmList rearm;
   {
-    SnapshotIo load(&r, &rearm);
+    SnapshotIo load(&r, &restored.sim);
     restored.Image(load);
   }
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
-  rearm.FireInOrder(restored.sim);
   restored.sim.RunUntil(SimTime::Millis(500));
 
   EXPECT_EQ(restored.kernel.quanta_elapsed(), original.kernel.quanta_elapsed());

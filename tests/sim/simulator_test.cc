@@ -160,11 +160,12 @@ TEST(SimulatorTest, RunUntilWithEmptyQueueJustAdvancesTime) {
 TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   // The fleet's device-recycling protocol (DeviceSim::LoadState): save the
   // pending events of a quiescent run as (time, original seq), let another
-  // occupant run on, cancel everything it left armed, rewind the clock and
-  // re-arm the saved events in ascending seq order.  The re-armed events
-  // must fire in their original (time, seq) order, events created after the
-  // restore must sort behind them on ties, and nothing the previous
-  // occupant armed may fire.
+  // occupant run on, rewind the clock (which drops everything it left armed)
+  // and re-arm the saved events at their saved (time, seq), in whatever
+  // order the components describe them.  The re-armed events must fire in
+  // their original (time, seq) order, events created after the restore must
+  // sort behind them on ties, and nothing the previous occupant armed may
+  // fire.
   Simulator sim;
   LambdaEvents ev;
   Rng rng(17);
@@ -175,8 +176,9 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
     int label;
   };
   std::vector<Armed> armed;
+  auto record = [&fired](int label) { return [&fired, label] { fired.push_back(label); }; };
   auto arm = [&](SimTime at, int label) {
-    armed.push_back(Armed{ev.At(sim, at, [&fired, label] { fired.push_back(label); }), at, label});
+    armed.push_back(Armed{ev.At(sim, at, record(label)), at, label});
   };
   // Times from a narrow range so ties are common; pushed in random order.
   for (int label = 0; label < 64; ++label) {
@@ -206,19 +208,19 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   for (int label = 1000; label < 1032; ++label) {
     arm(SimTime::Millis(rng.UniformInt(25, 60)), label);
   }
+  ASSERT_GT(sim.PendingEvents(), 0u);
 
-  // Restore: cancel everything armed, rewind, re-arm in saved-seq order.
-  for (const Armed& a : armed) {
-    sim.Cancel(a.id);
-  }
-  ASSERT_EQ(sim.PendingEvents(), 0u);
+  // Restore: rewind, then re-arm in shuffled order.
   sim.RestoreClock(save_at, executed, cancelled);
-  std::sort(image.begin(), image.end(),
-            [](const Saved& a, const Saved& b) { return a.seq < b.seq; });
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  std::vector<Saved> shuffled = image;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[static_cast<std::size_t>(
+                                   rng.UniformInt(0, static_cast<std::int64_t>(i) - 1))]);
+  }
   fired.clear();
-  for (const Saved& s : image) {
-    const int label = s.label;
-    ev.At(sim, s.at, [&fired, label] { fired.push_back(label); });
+  for (const Saved& s : shuffled) {
+    sim.Rearm(s.at, s.seq, ev.Make(record(s.label)));
   }
   std::vector<Saved> want = image;
   std::sort(want.begin(), want.end(), [](const Saved& a, const Saved& b) {
@@ -230,7 +232,7 @@ TEST(SimulatorTest, FleetRestoreRearmsInSavedOrderAndDropsThePreviousOccupant) {
   }
   // Created after the restore, tied with the last re-armed event: fires
   // after it.
-  ev.At(sim, want.back().at, [&fired] { fired.push_back(-1); });
+  ev.At(sim, want.back().at, record(-1));
   want_labels.push_back(-1);
 
   while (sim.Step()) {
@@ -262,54 +264,117 @@ TEST(SimulatorTest, AtArmsAMemberOfItsOwner) {
   EXPECT_EQ(owner.id, kInvalidEventId);
 }
 
-TEST(SimulatorTest, RearmListPushesInSavedSeqOrderAndWritesEachIdBack) {
-  // A load registers pending events in the order components describe them;
-  // FireInOrder must push them in saved-seq order, so that events tied on
-  // time keep their original FIFO order, and leave each owner holding the
-  // live id of its event.
+TEST(SimulatorTest, RearmPlacesTiedEventsInSavedSeqOrder) {
+  // A load re-arms pending events in the order components describe them,
+  // not in saved-seq order.  Events tied on time must still fire in saved
+  // seq order, each owner must hold the live id of its event, and an event
+  // armed afterwards must fire behind all of them.
   Simulator sim;
   std::vector<std::int64_t> log;
-  Owner owners[4] = {{&log}, {&log}, {&log}, {&log}};
+  Owner owners[5] = {{&log}, {&log}, {&log}, {&log}, {&log}};
   const std::uint64_t seqs[4] = {7, 2, 9, 5};
-  RearmList rearm;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(rearm.Add(seqs[i], SimTime::Millis(3), EventFn::Of<&Owner::Fire>(&owners[i], i),
-                          &owners[i].id));
+    owners[i].id = sim.Rearm(SimTime::Millis(3), seqs[i], EventFn::Of<&Owner::Fire>(&owners[i], i));
   }
-  rearm.FireInOrder(sim);
+  owners[4].id = sim.At<&Owner::Fire>(SimTime::Millis(3), &owners[4], 4);
   for (const Owner& o : owners) {
     EXPECT_EQ(sim.EventAt(o.id), SimTime::Millis(3));
   }
+  EXPECT_EQ(sim.EventSeq(owners[0].id), 7u);
+  EXPECT_EQ(sim.EventSeq(owners[4].id), 10u);
   EXPECT_TRUE(sim.Cancel(owners[2].id));
   sim.RunUntil(SimTime::Millis(3));
-  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 3, 0}));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 3, 0, 4}));
 }
 
-TEST(SimulatorTest, PendingFailsALoadWithMoreEventsThanTheRearmListHolds) {
-  // The list has a fixed capacity so that re-arming never allocates; an
-  // image holding more pending events than it takes must fail its load
-  // rather than drop the rest.
-  for (const int n : {RearmList::kCapacity, RearmList::kCapacity + 1}) {
+TEST(SimulatorTest, RearmBeforeNowFiresAtNow) {
+  // As At() does: a saved time already past fires at Now(), not in the past.
+  Simulator sim;
+  sim.RestoreClock(SimTime::Millis(10), 0, 0);
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  owner.id = sim.Rearm(SimTime::Millis(4), 0, EventFn::Of<&Owner::Fire>(&owner, 1));
+  EXPECT_EQ(sim.EventAt(owner.id), SimTime::Millis(10));
+  sim.RunUntil(SimTime::Millis(10));
+  EXPECT_EQ(log, std::vector<std::int64_t>{1});
+  EXPECT_EQ(sim.Now(), SimTime::Millis(10));
+}
+
+TEST(SimulatorTest, RestoreClockStalesEveryPendingId) {
+  // A restore drops the previous occupant's events without asking their
+  // owners.  An owner that still holds an old id must not be able to cancel
+  // the event re-armed into the slot that id named.
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner old_owners[3] = {{&log}, {&log}, {&log}};
+  for (int i = 0; i < 3; ++i) {
+    old_owners[i].id = sim.At<&Owner::Fire>(SimTime::Millis(5 + i), &old_owners[i], i);
+  }
+  sim.RestoreClock(SimTime::Millis(1), 0, 0);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+
+  Owner new_owners[3] = {{&log}, {&log}, {&log}};
+  for (int i = 0; i < 3; ++i) {
+    new_owners[i].id =
+        sim.Rearm(SimTime::Millis(2), static_cast<std::uint64_t>(i),
+                  EventFn::Of<&Owner::Fire>(&new_owners[i], 10 + i));
+  }
+  // The new events reuse the old slots, under a new generation.
+  std::vector<std::uint32_t> old_slots;
+  std::vector<std::uint32_t> new_slots;
+  for (int i = 0; i < 3; ++i) {
+    old_slots.push_back(static_cast<std::uint32_t>(old_owners[i].id));
+    new_slots.push_back(static_cast<std::uint32_t>(new_owners[i].id));
+  }
+  std::sort(old_slots.begin(), old_slots.end());
+  std::sort(new_slots.begin(), new_slots.end());
+  ASSERT_EQ(new_slots, old_slots);
+  for (const Owner& o : old_owners) {
+    EXPECT_EQ(sim.EventAt(o.id), SimTime::Zero());
+    EXPECT_FALSE(sim.Cancel(o.id));
+  }
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  sim.RunUntil(SimTime::Millis(10));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{10, 11, 12}));
+}
+
+TEST(SimulatorTest, PendingFailsALoadWithASeqAtOrAbove2To63) {
+  // No run reaches 2^63 events.  A saved seq at or above it can only come
+  // from a hostile image, and re-arming it could wrap the queue's counter
+  // so that later events sort ahead of earlier ones.
+  const std::uint64_t limit = SnapshotIo::kSeqLimit;
+  for (const std::uint64_t seq : {std::uint64_t{0}, limit - 1, limit, ~std::uint64_t{0}}) {
+    SnapshotWriter w;
+    w.Bool(true);
+    w.Time(SimTime::Millis(3));
+    w.U64(seq);
     Simulator sim;
     std::vector<std::int64_t> log;
     Owner owner{&log};
-    std::vector<EventId> ids;
-    for (int i = 0; i < n; ++i) {
-      ids.push_back(sim.At<&Owner::Fire>(SimTime::Millis(1 + i), &owner, i));
-    }
-    SnapshotWriter w;
-    SnapshotIo save(&w, &sim);
-    for (EventId& id : ids) {
-      save.Pending<&Owner::Fire>(id, &owner);
-    }
     SnapshotReader r(w);
-    RearmList rearm;
-    SnapshotIo load(&r, &rearm);
-    for (EventId& id : ids) {
-      load.Pending<&Owner::Fire>(id, &owner);
-    }
-    EXPECT_EQ(r.ok(), n <= RearmList::kCapacity) << n << " events";
+    SnapshotIo load(&r, &sim);
+    load.Pending<&Owner::Fire>(owner.id, &owner);
+    const bool valid = seq < limit;
+    EXPECT_EQ(r.ok(), valid) << seq;
+    EXPECT_EQ(sim.PendingEvents(), valid ? 1u : 0u) << seq;
+    EXPECT_EQ(owner.id != kInvalidEventId, valid) << seq;
   }
+}
+
+TEST(SimulatorTest, PendingFailsALoadWithoutASimulator) {
+  // An io built without a simulator has nowhere to re-arm an event.
+  SnapshotWriter w;
+  w.Bool(true);
+  w.Time(SimTime::Millis(3));
+  w.U64(0);
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  SnapshotReader r(w);
+  SnapshotIo load(&r);
+  load.Pending<&Owner::Fire>(owner.id, &owner);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(owner.id, kInvalidEventId);
 }
 
 }  // namespace
