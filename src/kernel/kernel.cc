@@ -58,7 +58,7 @@ Pid Kernel::AddTask(std::unique_ptr<Workload> workload) {
   auto task = std::make_unique<Task>(pid, std::move(workload), rng_.Fork());
   run_queue_.Push(pid);
   tasks_.emplace(pid, std::move(task));
-  if (started_ && current_ == nullptr && dispatch_event_ == kInvalidEventId) {
+  if (started_ && current_ == nullptr && !sim_.TimerArmed(kDispatchTimer)) {
     AccountSegment();
     Dispatch();
   }
@@ -76,7 +76,7 @@ void Kernel::Start() {
     series_freq_mhz_->Append(start_time_, itsy_.frequency_mhz());
     series_core_volts_->Append(start_time_, VoltageVolts(itsy_.voltage()));
   }
-  tick_event_ = sim_.At<&Kernel::Tick>(start_time_ + config_.quantum, this);
+  sim_.ArmTimer<&Kernel::Tick>(kTickTimer, start_time_ + config_.quantum, this);
   Dispatch();
 }
 
@@ -153,10 +153,9 @@ void Kernel::AccountSegment() {
 }
 
 void Kernel::Tick() {
-  tick_event_ = kInvalidEventId;
   const SimTime now = sim_.Now();
   AccountSegment();
-  CancelCompletion();
+  sim_.CancelTimer(kCompletionTimer);
 
   // Utilization of the quantum that just ended.
   const double quantum_seconds = config_.quantum.ToSeconds();
@@ -187,10 +186,10 @@ void Kernel::Tick() {
   if (faults_ != nullptr) {
     // The next interrupt may be jittered or missed entirely; the memory
     // subsystem may spike for the quantum now starting.
-    tick_event_ = sim_.At<&Kernel::Tick>(now + faults_->TickDelay(config_.quantum), this);
+    sim_.ArmTimer<&Kernel::Tick>(kTickTimer, now + faults_->TickDelay(config_.quantum), this);
     mem_spike_factor_ = faults_->QuantumMemSpikeFactor();
   } else {
-    tick_event_ = sim_.At<&Kernel::Tick>(now + config_.quantum, this);
+    sim_.ArmTimer<&Kernel::Tick>(kTickTimer, now + config_.quantum, this);
   }
 
   // Policy runs in the clock interrupt; the forced reschedule costs
@@ -255,15 +254,8 @@ void Kernel::Tick() {
 }
 
 void Kernel::ArmDispatch(SimTime at) {
-  if (dispatch_event_ != kInvalidEventId) {
-    sim_.Cancel(dispatch_event_);
-  }
-  dispatch_event_ = sim_.At<&Kernel::OnDispatch>(at, this);
-}
-
-void Kernel::OnDispatch() {
-  dispatch_event_ = kInvalidEventId;
-  Dispatch();
+  sim_.CancelTimer(kDispatchTimer);
+  sim_.ArmTimer<&Kernel::Dispatch>(kDispatchTimer, at, this);
 }
 
 SimTime Kernel::RetryTransition(SimTime dispatch_at) {
@@ -386,18 +378,10 @@ void Kernel::ArmCompletion() {
       assert(false && "ArmCompletion on a non-running action");
       return;
   }
-  completion_event_ = sim_.At<&Kernel::OnCompletion>(at, this);
-}
-
-void Kernel::CancelCompletion() {
-  if (completion_event_ != kInvalidEventId) {
-    sim_.Cancel(completion_event_);
-    completion_event_ = kInvalidEventId;
-  }
+  sim_.ArmTimer<&Kernel::OnCompletion>(kCompletionTimer, at, this);
 }
 
 void Kernel::OnCompletion() {
-  completion_event_ = kInvalidEventId;
   AccountSegment();
   ProcessNextActions();
 }
@@ -484,7 +468,7 @@ void Kernel::WakeTask(Pid pid) {
   if (ctr_wakeups_ != nullptr) {
     ctr_wakeups_->Inc();
   }
-  if (current_ == nullptr && dispatch_event_ == kInvalidEventId) {
+  if (current_ == nullptr && !sim_.TimerArmed(kDispatchTimer)) {
     // CPU was idle: dispatch immediately (idle wake-up path).
     AccountSegment();
     Dispatch();
@@ -526,10 +510,10 @@ void Kernel::Snapshot(SnapshotIo& io) {
   if (io.loading()) {
     ResolveSeries();
   }
-  io.Pending<&Kernel::Tick>(tick_event_, this);
-  io.Pending<&Kernel::OnDispatch>(dispatch_event_, this);
-  io.Expect<bool>(dispatch_event_ != kInvalidEventId);
-  io.Pending<&Kernel::OnCompletion>(completion_event_, this);
+  io.Timer<&Kernel::Tick>(kTickTimer, this);
+  io.Timer<&Kernel::Dispatch>(kDispatchTimer, this);
+  io.Expect<bool>(sim_.TimerArmed(kDispatchTimer));
+  io.Timer<&Kernel::OnCompletion>(kCompletionTimer, this);
   io(quantum_start_, busy_in_quantum_, work_in_quantum_us_, quantum_index_, last_utilization_,
      total_busy_, total_idle_, step_residency_);
 }

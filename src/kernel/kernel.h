@@ -187,12 +187,13 @@ class Kernel {
   // --- Device-snapshot image (src/sim/snapshot.h) ----------------------------
   // The complete kernel state — tasks (including their workload machines and
   // RNG streams), run queue, scheduler log, recorded traces, quantum
-  // accounting, retry state, and the pending tick / dispatch / completion /
-  // wake events.  Save only at a quiescent point (immediately after
-  // Simulator::RunUntil).  Loads onto a structurally identical kernel (same
-  // tasks added in the same order, metrics bound, traces reserved), after
-  // Simulator::RestoreClock() has dropped whatever the previous occupant
-  // armed; each pending event is re-armed at its saved time and sequence.
+  // accounting, retry state, the pending wake events and the tick /
+  // dispatch / completion timer slots.  Save only at a quiescent point
+  // (immediately after Simulator::RunUntil).  Loads onto a structurally
+  // identical kernel (same tasks added in the same order, metrics bound,
+  // traces reserved), after Simulator::RestoreClock() has dropped whatever
+  // the previous occupant armed and cleared the slots; each wake and each
+  // armed slot is re-armed at its saved time and sequence.
   void Snapshot(SnapshotIo& io);
 
   // Fleet device divergence: forks the scheduler RNG and every task's
@@ -228,14 +229,12 @@ class Kernel {
   void AccountSegment();
   // Applies a policy request; returns when the CPU may execute again.
   SimTime ApplyRequest(const SpeedRequest& request, SimTime earliest_dispatch);
-  // Picks the next task (or idles) and arms its completion event.
+  // Picks the next task (or idles) and arms its completion event.  The
+  // dispatch timer calls it: the forced reschedule after a tick or a yield.
   void Dispatch();
   void ArmCompletion();
-  void CancelCompletion();
   // Replaces any pending dispatch with one at `at`.
   void ArmDispatch(SimTime at);
-  // The dispatch event: the forced reschedule after a tick or a yield.
-  void OnDispatch();
   // The current task finished its action: pull next actions from the
   // workload until it blocks, yields, exits, or starts real work.
   void OnCompletion();
@@ -292,9 +291,10 @@ class Kernel {
   bool started_ = false;
   SimTime start_time_;
   SimTime segment_start_;
-  EventId completion_event_ = kInvalidEventId;
-  EventId dispatch_event_ = kInvalidEventId;
-  EventId tick_event_ = kInvalidEventId;
+  // The kernel's three events live in the simulator's timer slots, not the
+  // queue: their times follow from the kernel's own state.
+  enum : std::size_t { kTickTimer, kDispatchTimer, kCompletionTimer };
+  static_assert(kCompletionTimer < Simulator::kTimerSlots);
 
   SimTime quantum_start_;
   SimTime busy_in_quantum_;

@@ -10,17 +10,20 @@
 // later-firing entries from the back; Cancel finds its entry by slot and
 // erases it on the spot.  No cancelled event is ever left behind.
 //
-// The bound this relies on: the queue stays short.  A simulated device's
-// pending work is a fixed handful — the 10 ms tick, one dispatch, one
-// completion, a brownout settle and an invariant sweep — plus one wake per
-// sleeping task, as in the paper's Linux 2.0.30 kernel.  Measured on the
-// perfbench workloads, no run ever held more than 4 live events (mean 2.6
-// on fleet_clone, 3.0 on paper_sweep, 2.1 on server_openloop), so the linear
-// shifts touch one or two cache lines.  A lazily-deleting heap carried 32.6
-// entries per pop on fleet_clone, most of them cancelled, because every
-// fleet device restore then cancelled all armed events.  Push and Cancel
-// are O(n) in live events: a workload holding thousands of timers at once
-// would want a heap again.
+// The bound this relies on: the queue stays short.  The kernel's tick,
+// dispatch and completion are not here: they sit in the Simulator's timer
+// slots (src/sim/simulator.h), which take their sequence numbers from this
+// queue's counter (TakeSeq, PassSeq) so both fire in one (time, seq) order.
+// What the queue holds is one wake per sleeping task, as in the paper's
+// Linux 2.0.30 kernel, plus a brownout settle and an invariant sweep when a
+// fault plan is active.  Measured on the perfbench workloads, which inject
+// no faults, so the queue holds wakes alone: at a pop it held 1.22 live
+// events on average on fleet_clone, 1.72 on paper_sweep and 1.00 on
+// server_openloop, never more than 2, and it carried 11–20% of all events,
+// so the linear shifts touch one cache line.  A lazily-deleting heap carried 32.6 entries per pop on fleet_clone, most
+// of them cancelled, because every fleet device restore then cancelled all
+// armed events.  Push and Cancel are O(n) in live events: a workload
+// holding thousands of timers at once would want a heap again.
 //
 // EventId encoding: bits [63:32] hold the slot's generation, bits [31:0] the
 // slot index.  Generations start at 1 and advance every time a slot is freed
@@ -114,6 +117,18 @@ class EventQueue {
   // the counter past `seq`: every later Push sorts behind it.
   EventId Restore(SimTime at, std::uint64_t seq, EventFn fn);
 
+  // The sequence number the next Push would take, consumed: for an event
+  // kept outside the queue (Simulator's timer slots) that must tie-break
+  // with queued ones as if it had been pushed.
+  std::uint64_t TakeSeq() { return next_seq_++; }
+
+  // Raises the counter past `seq`, as Restore does for a queued event.
+  void PassSeq(std::uint64_t seq) {
+    if (seq >= next_seq_) {
+      next_seq_ = seq + 1;
+    }
+  }
+
   // True if no live events remain.
   bool Empty() const { return pending_.empty(); }
 
@@ -124,6 +139,12 @@ class EventQueue {
   SimTime NextTime() const {
     assert(!pending_.empty() && "NextTime() on empty queue");
     return pending_.back().at;
+  }
+
+  // Sequence number of the earliest live event.  Requires !Empty().
+  std::uint64_t NextSeq() const {
+    assert(!pending_.empty() && "NextSeq() on empty queue");
+    return pending_.back().seq;
   }
 
   // Removes and returns the earliest live event.  Requires !Empty().
@@ -203,9 +224,7 @@ inline EventId EventQueue::Push(SimTime at, EventFn fn) {
 }
 
 inline EventId EventQueue::Restore(SimTime at, std::uint64_t seq, EventFn fn) {
-  if (seq >= next_seq_) {
-    next_seq_ = seq + 1;
-  }
+  PassSeq(seq);
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;

@@ -1,14 +1,22 @@
 // The discrete-event simulator loop.
 //
-// All substrates (kernel timer ticks, workload wakeups, regulator settle
-// completions, DAQ windows) are driven by events scheduled here.  Each event
-// is a call to a member of the component that armed it (EventFn).  Time only
-// advances between events; handlers run at a single logical instant.
+// Every timed step of the stack (the kernel's tick, dispatch and completion,
+// task wakes, the regulator's brownout settle, the invariant sweep) is an
+// event scheduled here: a call to a member of the component that armed it
+// (EventFn).  Events wait in one of two places.  The kernel's tick, dispatch
+// and completion, of which it keeps at most one each and re-arms every
+// quantum, sit in a fixed array of timer slots; every other event sits in
+// the EventQueue.  Both take their sequence number from the queue's counter,
+// and the loop fires whichever comes first by (time, seq), so events fire in
+// the order one queue holding all of them would give, ties included.  Time
+// only advances between events; handlers run at a single logical instant.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <array>
 #include <atomic>
+#include <cassert>
 #include <stdexcept>
 
 #include "src/sim/event_queue.h"
@@ -52,12 +60,47 @@ class Simulator {
   // Cancels a pending event.  Returns true if it was still pending.
   bool Cancel(EventId id);
 
+  // --- Timer slots ------------------------------------------------------------
+  // A fixed array of slots beside the queue, one per event an owner keeps
+  // at most one of and re-arms all the time (the kernel's tick, dispatch and
+  // completion).  A slot holds (at, seq, fn), its seq taken from the queue's
+  // counter, so a slot fires exactly where the same event would fire if it
+  // were queued, ties included.  Arming is a store and cancelling a clear:
+  // no slot pool, no sorted insert.
+  static constexpr std::size_t kTimerSlots = 3;
+
+  // Arms the empty `slot` to call `fn` at `at` (clamped to Now(), as in
+  // At()).
+  void ArmTimer(std::size_t slot, SimTime at, EventFn fn) {
+    Timer& timer = timers_[slot];
+    assert(!timer.armed() && "ArmTimer() on an armed slot");
+    timer = Timer{at < now_ ? now_ : at, queue_.TakeSeq(), fn};
+  }
+  template <auto Handler, typename C>
+  void ArmTimer(std::size_t slot, SimTime at, C* owner) {
+    ArmTimer(slot, at, EventFn::Of<Handler>(owner));
+  }
+
+  // Clears `slot`.  Returns true, and counts a cancel, if it was armed.
+  bool CancelTimer(std::size_t slot) {
+    Timer& timer = timers_[slot];
+    if (!timer.armed()) {
+      return false;
+    }
+    timer.fn.fire = nullptr;
+    ++events_cancelled_;
+    return true;
+  }
+
+  bool TimerArmed(std::size_t slot) const { return timers_[slot].armed(); }
+
   // Runs events with time <= deadline; afterwards Now() == deadline unless
   // the run was cancelled.  Events scheduled exactly at the deadline do fire.
   void RunUntil(SimTime deadline);
 
-  // Runs exactly one event if one is pending.  Returns false if idle.
-  bool Step();
+  // Runs exactly one event, the earliest pending one, queued or in a timer
+  // slot, if it is due by `deadline`.  Returns false if none is.
+  bool Step(SimTime deadline = SimTime::Max());
 
   // Binds a cooperative cancellation token (non-owning; null unbinds).  The
   // event loops check it between events: once another thread sets it, the
@@ -75,8 +118,14 @@ class Simulator {
   std::uint64_t events_executed() const { return events_executed_; }
   std::uint64_t events_cancelled() const { return events_cancelled_; }
 
-  // Live pending events.
-  std::size_t PendingEvents() const { return queue_.Size(); }
+  // Live pending events, queued or in an armed timer slot.
+  std::size_t PendingEvents() const {
+    std::size_t n = queue_.Size();
+    for (const Timer& timer : timers_) {
+      n += timer.armed() ? 1 : 0;
+    }
+    return n;
+  }
 
   // --- Snapshot support (src/sim/snapshot.h) --------------------------------
 
@@ -87,11 +136,16 @@ class Simulator {
   // no component keeps its own copy of when its events fire.
   SimTime EventAt(EventId id) const { return queue_.TimeOf(id); }
 
+  // Fire time and sequence number of an armed timer slot.
+  SimTime TimerAt(std::size_t slot) const { return timers_[slot].at; }
+  std::uint64_t TimerSeq(std::size_t slot) const { return timers_[slot].seq; }
+
   // Starts a load: drops every pending event, whoever armed it (their ids go
-  // stale, so an owner's old id cancels nothing), then sets the clock and
-  // the sim.* counters to the image's.
+  // stale, so an owner's old id cancels nothing, and every timer slot is
+  // cleared), then sets the clock and the sim.* counters to the image's.
   void RestoreClock(SimTime now, std::uint64_t executed, std::uint64_t cancelled) {
     queue_.Clear();
+    timers_ = {};
     now_ = now;
     events_executed_ = executed;
     events_cancelled_ = cancelled;
@@ -104,9 +158,28 @@ class Simulator {
   EventId Rearm(SimTime at, std::uint64_t seq, EventFn fn) {
     return queue_.Restore(at < now_ ? now_ : at, seq, fn);
   }
+  // Rearm for a timer slot: whatever `slot` held is replaced.
+  void RearmTimer(std::size_t slot, SimTime at, std::uint64_t seq, EventFn fn) {
+    queue_.PassSeq(seq);
+    timers_[slot] = Timer{at < now_ ? now_ : at, seq, fn};
+  }
 
  private:
+  struct Timer {
+    SimTime at;
+    std::uint64_t seq = 0;
+    // A null fire pointer marks an empty slot.
+    EventFn fn{};
+
+    bool armed() const { return fn.fire != nullptr; }
+    // True if this slot fires before an event at (`other_at`, `other_seq`).
+    bool Before(SimTime other_at, std::uint64_t other_seq) const {
+      return at != other_at ? at < other_at : seq < other_seq;
+    }
+  };
+
   EventQueue queue_;
+  std::array<Timer, kTimerSlots> timers_{};
   SimTime now_;
   const std::atomic<bool>* cancel_ = nullptr;
   std::uint64_t events_executed_ = 0;

@@ -456,8 +456,54 @@ TEST(SnapshotHostileTest, KernelRejectsARetryCountOutOfRange) {
   }
 }
 
+// Where the tick timer's record starts in `saved`'s image: everything up to
+// the retry step (as in KernelRejectsARetryCountOutOfRange), the three retry
+// counters, the sched log and trace sink, then the start flag and two times.
+std::size_t TickRecordOffset(Kernel& saved) {
+  SnapshotWriter rng_image;
+  SnapshotIo rng_io(&rng_image);
+  Rng rng(1);
+  rng.Snapshot(rng_io);
+  SnapshotWriter log_image;
+  SaveSnapshot(saved.sched_log(), &log_image);
+  SnapshotWriter sink_image;
+  SaveSnapshot(saved.sink(), &sink_image);
+  return 4 + rng_image.size() + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 + log_image.size() +
+         sink_image.size() + 1 + 8 + 8;
+}
+
+// The kernel's timer records carry a queue sequence number, as a queued
+// event's do, and the same bound holds: a seq at or above 2^63 could wrap
+// the queue's counter, so it fails the load.
+TEST(SnapshotHostileTest, KernelRejectsATimerSeqAtOrAbove2To63) {
+  Simulator sim;
+  Itsy itsy(sim);
+  Kernel saved(sim, itsy);
+  saved.Start();
+  sim.RunUntil(SimTime::Millis(10));
+  SnapshotWriter w;
+  SnapshotIo save(&w, &sim);
+  saved.Snapshot(save);
+  // The tick's record: armed flag, fire time, seq.
+  const std::size_t offset = TickRecordOffset(saved);
+  ASSERT_EQ(w.data()[offset], 1);
+  const std::uint64_t limit = SnapshotIo::kSeqLimit;
+  for (const std::uint64_t seq : {limit - 1, limit, ~std::uint64_t{0}}) {
+    const std::vector<char> image = PatchI64(w, offset + 1 + 8, static_cast<std::int64_t>(seq));
+    Simulator fresh_sim;
+    Itsy fresh_itsy(fresh_sim);
+    Kernel loaded(fresh_sim, fresh_itsy);
+    // Started as the saved kernel was, so its trace series match.
+    loaded.Start();
+    SnapshotReader r(image.data(), image.size());
+    SnapshotIo io(&r, &fresh_sim);
+    loaded.Snapshot(io);
+    EXPECT_EQ(r.ok(), seq < limit) << seq;
+  }
+}
+
 // The kernel saves whether a dispatch is armed twice: as the dispatch
-// event's armed flag and as the byte after it.  An image where the two
+// timer's armed flag and as the byte after it.  An image where the two
 // disagree describes a kernel no run reaches, so it must not load.
 TEST(SnapshotHostileTest, KernelRejectsADispatchByteThatDisagreesWithItsEvent) {
   for (const bool armed : {false, true}) {
@@ -474,21 +520,10 @@ TEST(SnapshotHostileTest, KernelRejectsADispatchByteThatDisagreesWithItsEvent) {
     SnapshotIo save(&w, &sim);
     saved.Snapshot(save);
 
-    // The image up to the byte: everything up to the retry step (as in
-    // KernelRejectsARetryCountOutOfRange), the three retry counters, the
-    // sched log and trace sink, the start flag and two times, then the tick
-    // and dispatch events (armed flag, and time and seq when armed).
-    SnapshotWriter rng_image;
-    SnapshotIo rng_io(&rng_image);
-    Rng rng(1);
-    rng.Snapshot(rng_io);
-    SnapshotWriter log_image;
-    SaveSnapshot(saved.sched_log(), &log_image);
-    SnapshotWriter sink_image;
-    SaveSnapshot(saved.sink(), &sink_image);
+    // The image up to the byte: the tick and dispatch timer records (armed
+    // flag, and time and seq when armed).
     const std::size_t event = armed ? 1 + 8 + 8 : 1;
-    const std::size_t offset = 4 + rng_image.size() + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 8 + 8 + 8 +
-                               log_image.size() + sink_image.size() + 1 + 8 + 8 + event + event;
+    const std::size_t offset = TickRecordOffset(saved) + event + event;
     ASSERT_LT(offset, w.size());
     ASSERT_EQ(w.data()[offset], armed ? 1 : 0);
 

@@ -339,6 +339,148 @@ TEST(SimulatorTest, RestoreClockStalesEveryPendingId) {
   EXPECT_EQ(log, (std::vector<std::int64_t>{10, 11, 12}));
 }
 
+// Timer slots.  Each test below meets a slot and a queued event tied on
+// time with the queued one armed first, so each fails if a slot won such a
+// tie without its seq being compared.
+
+TEST(SimulatorTest, TimerAndQueuedEventTiedOnTimeFireInSeqOrder) {
+  // A jiffy-rounded wake lands on a tick time: whichever was armed first
+  // fires first, in both arming orders.
+  for (const bool timer_first : {true, false}) {
+    SCOPED_TRACE(timer_first ? "timer armed first" : "queued event armed first");
+    Simulator sim;
+    std::vector<std::int64_t> log;
+    Owner timer{&log};
+    Owner queued{&log};
+    if (timer_first) {
+      sim.ArmTimer(0, SimTime::Millis(10), EventFn::Of<&Owner::Fire>(&timer, 1));
+      sim.At<&Owner::Fire>(SimTime::Millis(10), &queued, 2);
+    } else {
+      sim.At<&Owner::Fire>(SimTime::Millis(10), &queued, 2);
+      sim.ArmTimer(0, SimTime::Millis(10), EventFn::Of<&Owner::Fire>(&timer, 1));
+    }
+    sim.RunUntil(SimTime::Millis(10));
+    const std::vector<std::int64_t> want =
+        timer_first ? std::vector<std::int64_t>{1, 2} : std::vector<std::int64_t>{2, 1};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(sim.events_executed(), 2u);
+  }
+}
+
+TEST(SimulatorTest, CancelTimerOnAnEmptySlotCountsNothing) {
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  EXPECT_FALSE(sim.CancelTimer(1));
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+
+  sim.At<&Owner::Fire>(SimTime::Millis(5), &owner, 1);
+  sim.ArmTimer(1, SimTime::Millis(5), EventFn::Of<&Owner::Fire>(&owner, 2));
+  ASSERT_TRUE(sim.Step());
+  // The queued event, armed first, fired; the slot still waits.
+  EXPECT_EQ(log, std::vector<std::int64_t>{1});
+  EXPECT_TRUE(sim.TimerArmed(1));
+  ASSERT_TRUE(sim.Step());
+  // A slot that fired is empty: cancelling it is no cancel.
+  EXPECT_FALSE(sim.TimerArmed(1));
+  EXPECT_FALSE(sim.CancelTimer(1));
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+
+  sim.ArmTimer(1, SimTime::Millis(9), EventFn::Of<&Owner::Fire>(&owner, 3));
+  EXPECT_TRUE(sim.CancelTimer(1));
+  EXPECT_FALSE(sim.CancelTimer(1));
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+// A timer owner as the kernel's tick is: its handler re-arms its own slot.
+struct Ticker {
+  Simulator* sim;
+  std::vector<std::int64_t>* log;
+  int ticks_left;
+  void Tick() {
+    log->push_back(100 + sim->Now().millis());
+    if (--ticks_left > 0) {
+      sim->ArmTimer<&Ticker::Tick>(0, sim->Now() + SimTime::Millis(10), this);
+    }
+  }
+};
+
+TEST(SimulatorTest, HandlerRearmsItsOwnTimerWhileFiring) {
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Ticker ticker{&sim, &log, 3};
+  Owner wake{&log};
+  sim.ArmTimer<&Ticker::Tick>(0, SimTime::Zero(), &ticker);
+  // Armed before the tick that re-arms for 10 ms, so it fires first there.
+  sim.At<&Owner::Fire>(SimTime::Millis(10), &wake, 1);
+  sim.RunUntil(SimTime::Millis(100));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{100, 1, 110, 120}));
+  EXPECT_FALSE(sim.TimerArmed(0));
+  EXPECT_EQ(sim.events_executed(), 4u);
+}
+
+TEST(SimulatorTest, PendingEventsCountsArmedTimers) {
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  sim.At<&Owner::Fire>(SimTime::Millis(5), &owner, 1);
+  sim.ArmTimer(2, SimTime::Millis(5), EventFn::Of<&Owner::Fire>(&owner, 2));
+  sim.ArmTimer(0, SimTime::Millis(8), EventFn::Of<&Owner::Fire>(&owner, 3));
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  EXPECT_TRUE(sim.TimerArmed(2));
+  EXPECT_TRUE(sim.CancelTimer(0));
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_EQ(log, (std::vector<std::int64_t>{1, 2}));
+}
+
+TEST(SimulatorTest, RestoreClockClearsTheTimers) {
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  for (std::size_t slot = 0; slot < Simulator::kTimerSlots; ++slot) {
+    sim.ArmTimer(slot, SimTime::Millis(5), EventFn::Of<&Owner::Fire>(&owner, 1));
+  }
+  sim.RestoreClock(SimTime::Millis(2), 7, 3);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  for (std::size_t slot = 0; slot < Simulator::kTimerSlots; ++slot) {
+    EXPECT_FALSE(sim.TimerArmed(slot));
+  }
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.events_cancelled(), 3u);
+
+  // Armed afresh, a slot sorts by the restarted counter.
+  sim.At<&Owner::Fire>(SimTime::Millis(5), &owner, 2);
+  sim.ArmTimer(1, SimTime::Millis(5), EventFn::Of<&Owner::Fire>(&owner, 3));
+  sim.RunUntil(SimTime::Millis(5));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{2, 3}));
+  EXPECT_EQ(sim.events_executed(), 9u);
+}
+
+TEST(SimulatorTest, RearmedTimerRaisesTheCounter) {
+  // A load re-arms a slot at its saved (time, seq) among queued events
+  // re-armed the same way; an event armed afterwards sorts behind all of
+  // them.
+  Simulator sim;
+  std::vector<std::int64_t> log;
+  Owner owner{&log};
+  sim.RestoreClock(SimTime::Millis(1), 0, 0);
+  sim.RearmTimer(0, SimTime::Millis(3), 7, EventFn::Of<&Owner::Fire>(&owner, 7));
+  sim.Rearm(SimTime::Millis(3), 3, EventFn::Of<&Owner::Fire>(&owner, 3));
+  EXPECT_EQ(sim.TimerAt(0), SimTime::Millis(3));
+  EXPECT_EQ(sim.TimerSeq(0), 7u);
+  const EventId later = sim.At<&Owner::Fire>(SimTime::Millis(3), &owner, 8);
+  EXPECT_EQ(sim.EventSeq(later), 8u);
+  sim.RunUntil(SimTime::Millis(3));
+  EXPECT_EQ(log, (std::vector<std::int64_t>{3, 7, 8}));
+}
+
 TEST(SimulatorTest, PendingFailsALoadWithASeqAtOrAbove2To63) {
   // No run reaches 2^63 events.  A saved seq at or above it can only come
   // from a hostile image, and re-arming it could wrap the queue's counter
