@@ -25,8 +25,17 @@ set -eu
 build_dir="${1:-build}"
 golden_dir="$(cd "$(dirname "$0")" && pwd)"
 
+# Every paper bench.  Only the sweep-driven ones read --threads; the others
+# take no flags and ignore it.
 for bench in tab1_avg9_actions tab2_energy_summary fig9_utilization_vs_freq \
-             fig8_best_policy_trace server_slo competitive_ratio; do
+             fig8_best_policy_trace server_slo competitive_ratio \
+             fig3_utilization_10ms fig4_utilization_100ms fig5_simple_averaging \
+             fig6_fourier fig7_avg3_oscillation tab3_memory_latency \
+             switch_overhead battery_lifetime \
+             ablation_memory_model ablation_quantum ablation_spin_loop \
+             ablation_switch_cost \
+             govil_policies martin_bound oracle_bounds pering_elastic \
+             modern_governors deadline_governor deadline_sensitivity sweep_avgn; do
   binary="$build_dir/bench/$bench"
   if [ ! -x "$binary" ]; then
     echo "error: $binary not built (run: cmake --build $build_dir -j)" >&2

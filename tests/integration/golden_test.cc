@@ -163,6 +163,41 @@ TEST(GoldenTest, CompetitiveRatioQuickThreadInvariant) {
   ExpectGolden("competitive_ratio", "--quick --threads=4");
 }
 
+// The rest of the paper's figures and tables, the ablations and the related
+// work benches.  Most take no flags.  The two sweep-driven ones are re-run at
+// --threads=2 and --threads=4 against a capture taken at --threads=1.
+struct PaperBench {
+  std::string bench;
+  int threads;  // 0: the bench takes no flags
+};
+
+class PaperBenchGoldenTest : public ::testing::TestWithParam<PaperBench> {};
+
+TEST_P(PaperBenchGoldenTest, StdoutMatchesCapture) {
+  const PaperBench& p = GetParam();
+  ExpectGolden(p.bench, p.threads == 0 ? "" : "--threads=" + std::to_string(p.threads));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperBenches, PaperBenchGoldenTest,
+    ::testing::Values(PaperBench{"fig3_utilization_10ms", 0},
+                      PaperBench{"fig4_utilization_100ms", 0},
+                      PaperBench{"fig5_simple_averaging", 0}, PaperBench{"fig6_fourier", 0},
+                      PaperBench{"fig7_avg3_oscillation", 0}, PaperBench{"tab3_memory_latency", 0},
+                      PaperBench{"switch_overhead", 0}, PaperBench{"battery_lifetime", 0},
+                      PaperBench{"ablation_memory_model", 0}, PaperBench{"ablation_quantum", 0},
+                      PaperBench{"ablation_spin_loop", 0}, PaperBench{"ablation_switch_cost", 0},
+                      PaperBench{"govil_policies", 0}, PaperBench{"martin_bound", 0},
+                      PaperBench{"oracle_bounds", 0}, PaperBench{"pering_elastic", 0},
+                      PaperBench{"modern_governors", 0}, PaperBench{"deadline_governor", 0},
+                      PaperBench{"deadline_sensitivity", 2}, PaperBench{"deadline_sensitivity", 4},
+                      PaperBench{"sweep_avgn", 2}, PaperBench{"sweep_avgn", 4}),
+    [](const ::testing::TestParamInfo<PaperBench>& info) {
+      return info.param.threads == 0 ? info.param.bench
+                                     : info.param.bench + "_threads" +
+                                           std::to_string(info.param.threads);
+    });
+
 // ---------------------------------------------------------------------------
 // Artifact byte-identity: beyond stdout, the exported observability files
 // (--trace-out / --metrics-out) must be byte-for-byte reproducible.  The
