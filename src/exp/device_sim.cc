@@ -109,6 +109,7 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
     itsy_.BindFaults(&*injector_);
     kernel_.BindFaults(&*injector_);
     checker_.emplace(sim_, itsy_, kernel_);
+    check_timer_ = sim_.AddTimer();
     ArmCheckTick();
   }
 
@@ -131,13 +132,12 @@ DeviceSim::DeviceSim(const ExperimentConfig& config, AppBundle bundle,
 void DeviceSim::Start() { kernel_.Start(); }
 
 void DeviceSim::CheckTick() {
-  check_event_ = kInvalidEventId;
   checker_->Check();
   ArmCheckTick();
 }
 
 void DeviceSim::ArmCheckTick() {
-  check_event_ = sim_.At<&DeviceSim::CheckTick>(sim_.Now() + kernel_config_.quantum, this);
+  sim_.ArmTimer<&DeviceSim::CheckTick>(check_timer_, sim_.Now() + kernel_config_.quantum, this);
 }
 
 ExperimentResult DeviceSim::Run() {
@@ -349,7 +349,7 @@ void DeviceSim::Snapshot(SnapshotIo& io) {
   if (injector_) {
     injector_->Snapshot(io);
     checker_->Snapshot(io);
-    io.Pending<&DeviceSim::CheckTick>(check_event_, this);
+    io.Timer<&DeviceSim::CheckTick>(check_timer_, this);
   }
   trigger_.Snapshot(io);
   deadlines_->Snapshot(io);

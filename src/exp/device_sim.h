@@ -27,8 +27,8 @@
 // Snapshots follow the src/sim/snapshot.h contract: save only at quiescent
 // points (immediately after RunUntil returns), restore onto a stack built
 // from the *same* ExperimentConfig.  LoadState is one pass over the image:
-// rewinding the clock drops whatever the previous occupant left pending, and
-// every component then loads and re-arms its pending events at their saved
+// rewinding the clock clears every timer slot the previous occupant left
+// armed, and every component then loads and re-arms its slots at their saved
 // time and sequence — so one DeviceSim instance can cycle through thousands
 // of fleet devices with no steady-state allocation
 // (tests/hotpath/alloc_steadystate_test.cc locks the cycle down).
@@ -112,13 +112,13 @@ class DeviceSim {
 
   // --- Device snapshots ----------------------------------------------------
   // Complete device image at a quiescent point: simulator clock, hardware,
-  // kernel (tasks, workloads, pending events), governor, fault machinery,
+  // kernel (tasks, workloads, armed timer slots), governor, fault machinery,
   // measurement trigger, deadline monitor and metrics registry — less
   // whatever the declared Reads leave unrecorded.  Snapshot is the one
   // description; SaveState and LoadState run it.  A load restores in place,
-  // in one pass: it rewinds the clock, which drops every pending event, then
+  // in one pass: it rewinds the clock, which clears every timer slot, then
   // loads every component (metrics last — workload re-binds touch gauges),
-  // each re-arming its pending events at their saved time and sequence.  A
+  // each re-arming its slots at their saved time and sequence.  A
   // save right after a load writes the image loaded.  The target must be
   // built from the same config and Reads as the image's source; reader ok()
   // reports image/stack mismatches.
@@ -171,7 +171,8 @@ class DeviceSim {
   FaultPlan fault_plan_;
   std::optional<FaultInjector> injector_;
   std::optional<InvariantChecker> checker_;
-  EventId check_event_ = kInvalidEventId;
+  // The invariant sweep's timer slot, registered only with an active plan.
+  std::size_t check_timer_ = 0;
   GpioTrigger trigger_;
   SimTime duration_;
 };

@@ -91,7 +91,7 @@ SweepJobResult RunJobWithWatchdog(const ExperimentConfig& config, int index,
     // Worker-local arena, reused across every job and retry this thread
     // runs, and across Run() calls on the calling thread: block allocation
     // happens on the first job, after which the per-job simulation state
-    // (event queue, sched log, power tape, DAQ samples) recycles the same
+    // (timer slots, sched log, power tape, DAQ samples) recycles the same
     // memory.  Reset before the run, not after, so a thrown attempt — whose
     // arena-bound state has already unwound — still recycles its blocks.
     static thread_local Arena arena;

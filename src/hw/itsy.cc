@@ -8,7 +8,8 @@ namespace dcs {
 
 Itsy::Itsy(Simulator& sim, const ItsyConfig& config, Arena* arena)
     : sim_(sim), power_model_(config.power),
-      cpu_(config.initial_step, config.clock_switch_stall), tape_(arena) {
+      cpu_(config.initial_step, config.clock_switch_stall), tape_(arena),
+      brownout_timer_(sim.AddTimer()) {
   if (config.initial_voltage == CoreVoltage::kLow) {
     regulator_.Request(CoreVoltage::kLow, sim_.Now());
   }
@@ -41,7 +42,7 @@ SimTime Itsy::SetClockStep(int new_step) {
     // Raise the rail first; upward transitions are instantaneous.  This
     // supersedes any in-flight down-settle, so an armed brownout must die
     // with it.
-    CancelBrownout();
+    sim_.CancelTimer(brownout_timer_);
     regulator_.Request(CoreVoltage::kHigh, sim_.Now());
   }
   SimTime stall_end;
@@ -69,14 +70,14 @@ bool Itsy::SetVoltage(CoreVoltage v) {
     return false;
   }
   if (v != regulator_.target()) {
-    CancelBrownout();
+    sim_.CancelTimer(brownout_timer_);
     if (faults_ != nullptr && v == CoreVoltage::kLow) {
       const SimTime settle = faults_->SettleTime(kVoltageDownSettle);
       regulator_.Request(v, sim_.Now(), settle);
       if (faults_->BrownoutDuringSettle()) {
         // The rail undershoots hard enough mid-settle to brown the core out;
         // model it as a forced step-down halfway through the interval.
-        brownout_event_ = sim_.At<&Itsy::OnBrownout>(sim_.Now() + settle / 2, this);
+        sim_.ArmTimer<&Itsy::OnBrownout>(brownout_timer_, sim_.Now() + settle / 2, this);
       }
     } else {
       regulator_.Request(v, sim_.Now());
@@ -89,15 +90,7 @@ bool Itsy::SetVoltage(CoreVoltage v) {
   return true;
 }
 
-void Itsy::CancelBrownout() {
-  if (brownout_event_ != kInvalidEventId) {
-    sim_.Cancel(brownout_event_);
-    brownout_event_ = kInvalidEventId;
-  }
-}
-
 void Itsy::OnBrownout() {
-  brownout_event_ = kInvalidEventId;
   ++brownouts_;
   // The hardware dropped the divider on its own — no fail draw applies.  The
   // step lands kBrownoutStepDrop below the 1.23 V-safe position and the core
@@ -173,7 +166,7 @@ void Itsy::Snapshot(SnapshotIo& io) {
   }
   io(last_battery_update_, last_clock_change_failed_);
   io.As<std::uint32_t>(brownouts_);
-  io.Pending<&Itsy::OnBrownout>(brownout_event_, this);
+  io.Timer<&Itsy::OnBrownout>(brownout_timer_, this);
 }
 
 void Itsy::RefreshPower() {

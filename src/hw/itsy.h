@@ -113,12 +113,12 @@ class Itsy {
   void BindFaults(FaultInjector* faults) { faults_ = faults; }
 
   // Fault diagnostics: brownout-forced step-downs so far, and whether a
-  // brownout event is still armed for the in-flight down-settle.
+  // brownout is still armed for the in-flight down-settle.
   int brownouts() const { return brownouts_; }
-  bool brownout_pending() const { return brownout_event_ != kInvalidEventId; }
+  bool brownout_pending() const { return sim_.TimerArmed(brownout_timer_); }
 
   // Device-snapshot image (src/sim/snapshot.h): component state, battery
-  // charge, peripheral levels, and the armed brownout event.  A load fails
+  // charge, peripheral levels, and the brownout slot.  A load fails
   // when the image and the stack disagree on whether a battery is fitted.
   void Snapshot(SnapshotIo& io);
 
@@ -127,10 +127,6 @@ class Itsy {
   // integrates the battery over the segment that just ended.
   void RefreshPower();
 
-  // A superseding rail request aborts the armed mid-settle brownout; without
-  // this the stale event would fire after the rail is back at 1.5 V and
-  // wrongly drop the clock step.
-  void CancelBrownout();
   void OnBrownout();
 
   Simulator& sim_;
@@ -146,7 +142,10 @@ class Itsy {
   FaultInjector* faults_ = nullptr;
   bool last_clock_change_failed_ = false;
   int brownouts_ = 0;
-  EventId brownout_event_ = kInvalidEventId;
+  // The mid-settle brownout's timer slot, registered when the Itsy is built.
+  // A superseding rail request cancels it; otherwise the stale brownout would
+  // fire after the rail is back at 1.5 V and wrongly drop the clock step.
+  const std::size_t brownout_timer_;
 
   // Observability instruments (all null until BindMetrics).
   MetricsCounter* ctr_clock_changes_ = nullptr;

@@ -18,7 +18,10 @@ constexpr int kMaxInstantActions = 100000;
 Kernel::Kernel(Simulator& sim, Itsy& itsy, const KernelConfig& config, Arena* arena)
     : sim_(sim), itsy_(itsy), config_(config),
       run_queue_(arena), sched_log_(config.sched_log_capacity, arena),
-      rng_(config.rng_seed) {}
+      rng_(config.rng_seed),
+      tick_timer_(sim.AddTimer()),
+      dispatch_timer_(sim.AddTimer()),
+      completion_timer_(sim.AddTimer()) {}
 
 void Kernel::ReserveTraces(std::size_t quanta) {
   // All four per-run series: utilization/work get one point per quantum,
@@ -55,10 +58,10 @@ void Kernel::BindMetrics(MetricsRegistry* metrics) {
 
 Pid Kernel::AddTask(std::unique_ptr<Workload> workload) {
   const Pid pid = next_pid_++;
-  auto task = std::make_unique<Task>(pid, std::move(workload), rng_.Fork());
+  auto task = std::make_unique<Task>(pid, std::move(workload), rng_.Fork(), sim_.AddTimer());
   run_queue_.Push(pid);
   tasks_.emplace(pid, std::move(task));
-  if (started_ && current_ == nullptr && !sim_.TimerArmed(kDispatchTimer)) {
+  if (started_ && current_ == nullptr && !sim_.TimerArmed(dispatch_timer_)) {
     AccountSegment();
     Dispatch();
   }
@@ -76,7 +79,7 @@ void Kernel::Start() {
     series_freq_mhz_->Append(start_time_, itsy_.frequency_mhz());
     series_core_volts_->Append(start_time_, VoltageVolts(itsy_.voltage()));
   }
-  sim_.ArmTimer<&Kernel::Tick>(kTickTimer, start_time_ + config_.quantum, this);
+  sim_.ArmTimer<&Kernel::Tick>(tick_timer_, start_time_ + config_.quantum, this);
   Dispatch();
 }
 
@@ -155,7 +158,7 @@ void Kernel::AccountSegment() {
 void Kernel::Tick() {
   const SimTime now = sim_.Now();
   AccountSegment();
-  sim_.CancelTimer(kCompletionTimer);
+  sim_.CancelTimer(completion_timer_);
 
   // Utilization of the quantum that just ended.
   const double quantum_seconds = config_.quantum.ToSeconds();
@@ -186,10 +189,10 @@ void Kernel::Tick() {
   if (faults_ != nullptr) {
     // The next interrupt may be jittered or missed entirely; the memory
     // subsystem may spike for the quantum now starting.
-    sim_.ArmTimer<&Kernel::Tick>(kTickTimer, now + faults_->TickDelay(config_.quantum), this);
+    sim_.ArmTimer<&Kernel::Tick>(tick_timer_, now + faults_->TickDelay(config_.quantum), this);
     mem_spike_factor_ = faults_->QuantumMemSpikeFactor();
   } else {
-    sim_.ArmTimer<&Kernel::Tick>(kTickTimer, now + config_.quantum, this);
+    sim_.ArmTimer<&Kernel::Tick>(tick_timer_, now + config_.quantum, this);
   }
 
   // Policy runs in the clock interrupt; the forced reschedule costs
@@ -254,8 +257,8 @@ void Kernel::Tick() {
 }
 
 void Kernel::ArmDispatch(SimTime at) {
-  sim_.CancelTimer(kDispatchTimer);
-  sim_.ArmTimer<&Kernel::Dispatch>(kDispatchTimer, at, this);
+  sim_.CancelTimer(dispatch_timer_);
+  sim_.ArmTimer<&Kernel::Dispatch>(dispatch_timer_, at, this);
 }
 
 SimTime Kernel::RetryTransition(SimTime dispatch_at) {
@@ -378,7 +381,7 @@ void Kernel::ArmCompletion() {
       assert(false && "ArmCompletion on a non-running action");
       return;
   }
-  sim_.ArmTimer<&Kernel::OnCompletion>(kCompletionTimer, at, this);
+  sim_.ArmTimer<&Kernel::OnCompletion>(completion_timer_, at, this);
 }
 
 void Kernel::OnCompletion() {
@@ -416,7 +419,7 @@ void Kernel::ProcessNextActions() {
         if (ctr_sleeps_ != nullptr) {
           ctr_sleeps_->Inc();
         }
-        task->set_wake_event(sim_.At<&Kernel::WakeTask>(wake, this, task->pid()));
+        sim_.ArmTimer<&Kernel::WakeTask>(task->wake_timer(), wake, this, task->pid());
         current_ = nullptr;
         Dispatch();
         return;
@@ -463,12 +466,11 @@ void Kernel::WakeTask(Pid pid) {
   Task* task = FindTask(pid);
   assert(task != nullptr && task->state() == TaskState::kSleeping);
   task->set_state(TaskState::kRunnable);
-  task->set_wake_event(kInvalidEventId);
   run_queue_.Push(pid);
   if (ctr_wakeups_ != nullptr) {
     ctr_wakeups_->Inc();
   }
-  if (current_ == nullptr && !sim_.TimerArmed(kDispatchTimer)) {
+  if (current_ == nullptr && !sim_.TimerArmed(dispatch_timer_)) {
     // CPU was idle: dispatch immediately (idle wake-up path).
     AccountSegment();
     Dispatch();
@@ -491,7 +493,7 @@ void Kernel::Snapshot(SnapshotIo& io) {
       return;
     }
     task->Snapshot(io, this);
-    io.Pending<&Kernel::WakeTask>(task->wake_event(), this, pid);
+    io.Timer<&Kernel::WakeTask>(task->wake_timer(), this, pid);
   }
   run_queue_.Snapshot(io);
   Pid current_pid = current_ != nullptr ? current_->pid() : -1;
@@ -510,10 +512,10 @@ void Kernel::Snapshot(SnapshotIo& io) {
   if (io.loading()) {
     ResolveSeries();
   }
-  io.Timer<&Kernel::Tick>(kTickTimer, this);
-  io.Timer<&Kernel::Dispatch>(kDispatchTimer, this);
-  io.Expect<bool>(sim_.TimerArmed(kDispatchTimer));
-  io.Timer<&Kernel::OnCompletion>(kCompletionTimer, this);
+  io.Timer<&Kernel::Tick>(tick_timer_, this);
+  io.Timer<&Kernel::Dispatch>(dispatch_timer_, this);
+  io.Expect<bool>(sim_.TimerArmed(dispatch_timer_));
+  io.Timer<&Kernel::OnCompletion>(completion_timer_, this);
   io(quantum_start_, busy_in_quantum_, work_in_quantum_us_, quantum_index_, last_utilization_,
      total_busy_, total_idle_, step_residency_);
 }

@@ -79,8 +79,8 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   // --- Setup ----------------------------------------------------------------
-  // Adds a task; tasks added before Start() begin at time zero.  Returns the
-  // pid (1, 2, ...).
+  // Adds a task and registers its wake slot with the simulator; tasks added
+  // before Start() begin at time zero.  Returns the pid (1, 2, ...).
   Pid AddTask(std::unique_ptr<Workload> workload);
 
   // Installs / removes the clock-scaling policy module (non-owning).  Either
@@ -187,13 +187,13 @@ class Kernel {
   // --- Device-snapshot image (src/sim/snapshot.h) ----------------------------
   // The complete kernel state — tasks (including their workload machines and
   // RNG streams), run queue, scheduler log, recorded traces, quantum
-  // accounting, retry state, the pending wake events and the tick /
-  // dispatch / completion timer slots.  Save only at a quiescent point
+  // accounting, retry state, and its timer slots: each task's wake and the
+  // tick, dispatch and completion.  Save only at a quiescent point
   // (immediately after Simulator::RunUntil).  Loads onto a structurally
   // identical kernel (same tasks added in the same order, metrics bound,
-  // traces reserved), after Simulator::RestoreClock() has dropped whatever
-  // the previous occupant armed and cleared the slots; each wake and each
-  // armed slot is re-armed at its saved time and sequence.
+  // traces reserved), after Simulator::RestoreClock() has cleared whatever
+  // slots the previous occupant armed; each armed slot is re-armed at its
+  // saved time and sequence.
   void Snapshot(SnapshotIo& io);
 
   // Fleet device divergence: forks the scheduler RNG and every task's
@@ -291,10 +291,11 @@ class Kernel {
   bool started_ = false;
   SimTime start_time_;
   SimTime segment_start_;
-  // The kernel's three events live in the simulator's timer slots, not the
-  // queue: their times follow from the kernel's own state.
-  enum : std::size_t { kTickTimer, kDispatchTimer, kCompletionTimer };
-  static_assert(kCompletionTimer < Simulator::kTimerSlots);
+  // The kernel's own timer slots, registered when it is built; each task
+  // holds its wake slot.
+  const std::size_t tick_timer_;
+  const std::size_t dispatch_timer_;
+  const std::size_t completion_timer_;
 
   SimTime quantum_start_;
   SimTime busy_in_quantum_;

@@ -83,7 +83,7 @@ class ClockPolicy {
 // call is a guaranteed indirect branch plus a vtable load per quantum.  A
 // PolicyDispatch pairs the policy pointer with a function pointer built
 // once, from the policy's *concrete* type (as EventFn does for event
-// handlers, src/sim/event_queue.h): the thunk's qualified call compiles to a
+// handlers, src/sim/simulator.h): the thunk's qualified call compiles to a
 // direct, inlinable call into the final class.  Requiring P to be final
 // makes "P is the object's dynamic type" a compile-time fact, so the thunk
 // calls exactly the member function the vtable would.

@@ -3,12 +3,12 @@
 #ifndef SRC_KERNEL_TASK_H_
 #define SRC_KERNEL_TASK_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
 #include "src/hw/memory_model.h"
 #include "src/kernel/workload_api.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -27,7 +27,9 @@ enum class TaskState {
 // One schedulable entity.  Owned by the kernel.
 class Task {
  public:
-  Task(Pid pid, std::unique_ptr<Workload> workload, Rng rng);
+  // `wake_timer` is the simulator timer slot the kernel registered for the
+  // task's wake.
+  Task(Pid pid, std::unique_ptr<Workload> workload, Rng rng, std::size_t wake_timer);
 
   Pid pid() const { return pid_; }
   const char* name() const { return workload_->Name(); }
@@ -55,10 +57,9 @@ class Task {
     }
   }
 
-  // Pending wake event while sleeping (so exits can cancel it).
-  EventId wake_event() const { return wake_event_; }
-  EventId& wake_event() { return wake_event_; }
-  void set_wake_event(EventId id) { wake_event_ = id; }
+  // The task's own timer slot (src/sim/simulator.h): armed with its wake
+  // while it sleeps, empty otherwise.
+  std::size_t wake_timer() const { return wake_timer_; }
 
   // --- Statistics ----------------------------------------------------------
   void AddCpuTime(SimTime t) { cpu_time_ += t; }
@@ -67,8 +68,8 @@ class Task {
   std::uint64_t dispatches() const { return dispatches_; }
 
   // --- Device-snapshot image (src/sim/snapshot.h) --------------------------
-  // Everything but the wake *event* (the kernel re-arms it, because the
-  // wake closure lives there).  remaining_cycles_ is restored verbatim, not
+  // Everything but the wake slot (the kernel saves and re-arms it, because
+  // the wake handler is the kernel's).  remaining_cycles_ is restored verbatim, not
   // recomputed via set_action, so mid-compute progress survives.  The
   // workload goes through its SaveState/LoadState entry points, which a
   // wrapping workload may forward; `kernel` is passed on to LoadState.
@@ -94,7 +95,7 @@ class Task {
   TaskState state_ = TaskState::kRunnable;
   Action action_{};
   double remaining_cycles_ = 0.0;
-  EventId wake_event_ = kInvalidEventId;
+  std::size_t wake_timer_;
   SimTime cpu_time_;
   std::uint64_t dispatches_ = 0;
 };

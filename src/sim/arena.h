@@ -1,7 +1,7 @@
 // Per-run bump allocator with scoped reset.
 //
 // A sweep worker runs thousands of jobs; each job builds a Simulator, an
-// Itsy, a Kernel and a Daq, fills their transient buffers (event-queue
+// Itsy, a Kernel and a Daq, fills their transient buffers (simulator timer
 // slots, power-tape segments, sched-log ring, DAQ sample window) and tears
 // everything down again.  Under the global heap that is a malloc/free storm
 // with identical shape every job.  An Arena turns the whole cycle into

@@ -2,49 +2,43 @@
 
 namespace dcs {
 
-EventId Simulator::At(SimTime at, EventFn fn) {
-  if (at < now_) {
-    at = now_;
-  }
-  return queue_.Push(at, fn);
+namespace {
+
+// (at, seq) as one unsigned 128-bit key in the same order: `at` above `seq`,
+// with its sign bit flipped so that signed order becomes unsigned order.
+unsigned __int128 OrderKey(SimTime at, std::uint64_t seq) {
+  const std::uint64_t biased = static_cast<std::uint64_t>(at.nanos()) ^ (std::uint64_t{1} << 63);
+  return (static_cast<unsigned __int128>(biased) << 64) | seq;
 }
 
-bool Simulator::Cancel(EventId id) {
-  const bool cancelled = queue_.Cancel(id);
-  if (cancelled) {
-    ++events_cancelled_;
-  }
-  return cancelled;
-}
+}  // namespace
 
 bool Simulator::Step(SimTime deadline) {
-  // The armed slot that fires first.
-  Timer* first = nullptr;
-  for (Timer& timer : timers_) {
-    if (timer.armed() && (first == nullptr || timer.Before(first->at, first->seq))) {
-      first = &timer;
-    }
-  }
-  // Sequence numbers are unique, so the queue head fires first unless the
-  // slot is before it.
-  if (!queue_.Empty() &&
-      (first == nullptr || !first->Before(queue_.NextTime(), queue_.NextSeq()))) {
-    if (queue_.NextTime() > deadline) {
-      return false;
-    }
-    const EventQueue::Entry entry = queue_.Pop();
-    now_ = entry.at;
-    ++events_executed_;
-    entry.fn();
-    return true;
-  }
-  if (first == nullptr || first->at > deadline) {
+  if (timers_.empty()) {
     return false;
   }
-  // Cleared before the call, so the handler may re-arm its own slot.
-  const EventFn fn = first->fn;
-  first->fn.fire = nullptr;
-  now_ = first->at;
+  // The earliest slot by (at, seq).  Empty slots sort last, so the scan has
+  // no armed test, and its compare is branch-free (one 128-bit compare and
+  // conditional moves): which slot wins changes from one event to the next,
+  // so a branch there would often mispredict.
+  std::size_t first = 0;
+  unsigned __int128 best = OrderKey(timers_[0].at, timers_[0].seq);
+  for (std::size_t i = 1; i < timers_.size(); ++i) {
+    const unsigned __int128 key = OrderKey(timers_[i].at, timers_[i].seq);
+    const bool before = key < best;
+    best = before ? key : best;
+    first = before ? i : first;
+  }
+  Timer& timer = timers_[first];
+  if (!timer.armed() || timer.at > deadline) {
+    return false;
+  }
+  // Cleared before the call, so the handler may re-arm its own slot.  No
+  // reference into timers_ survives the call: a handler that adds a task
+  // registers a slot, which may move the array.
+  const EventFn fn = timer.fn;
+  now_ = timer.at;
+  timer = Timer{};
   ++events_executed_;
   fn();
   return true;

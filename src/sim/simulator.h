@@ -1,28 +1,72 @@
 // The discrete-event simulator loop.
 //
-// Every timed step of the stack (the kernel's tick, dispatch and completion,
-// task wakes, the regulator's brownout settle, the invariant sweep) is an
-// event scheduled here: a call to a member of the component that armed it
-// (EventFn).  Events wait in one of two places.  The kernel's tick, dispatch
-// and completion, of which it keeps at most one each and re-arms every
-// quantum, sit in a fixed array of timer slots; every other event sits in
-// the EventQueue.  Both take their sequence number from the queue's counter,
-// and the loop fires whichever comes first by (time, seq), so events fire in
-// the order one queue holding all of them would give, ties included.  Time
-// only advances between events; handlers run at a single logical instant.
+// Every timed step of the stack is an event: a call to a member of the
+// component that armed it (EventFn).  Each event lives in a timer slot of its
+// owner.  An owner registers its slots once, when it is built (AddTimer), and
+// keeps at most one pending event in each; arming is a store into the slot
+// and cancelling a clear.  These registrations are all there are:
+//   * the kernel's tick, dispatch and completion (Kernel's constructor);
+//   * one wake per task, as in the paper's Linux 2.0.30 kernel, where a
+//     sleeping process waits on one timer of its own (Kernel::AddTask);
+//   * Itsy's brownout settle (Itsy's constructor);
+//   * DeviceSim's invariant sweep, only when a fault plan is active.
+// Every arm takes the next number from one sequence counter, and the loop
+// fires the earliest armed slot by (time, seq): events tied on time fire in
+// the order they were armed, whichever slots they sit in.  Time only
+// advances between events; handlers run at a single logical instant.
+//
+// The bound this relies on: a device has few slots.  With the perfbench apps
+// it has 6 (three kernel slots, the brownout and two task wakes) for mpeg,
+// web, chess and the editor, and 5 for the server; a fault plan adds one.
+// No test adds more than 16 tasks.  Step scans every slot, so an event costs
+// time linear in the slots: a workload with thousands of sleeping tasks would
+// want a heap again.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <array>
 #include <atomic>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/arena.h"
 #include "src/sim/time.h"
 
 namespace dcs {
+
+// What an event does when it fires: fire(owner, aux).  Of<&C::Handler>
+// builds the record for a member `void Handler()` or `void Handler(Arg)`,
+// Arg an integer taken from `aux` (a sleeping task's pid).  Plain data, so a
+// slot holds it as it is and the snapshot re-arm (src/sim/snapshot.h)
+// rebuilds it from the live owner; the owner must outlive every event it
+// arms, as a component's events do.
+struct EventFn {
+  void (*fire)(void* owner, std::int64_t aux);
+  void* owner;
+  std::int64_t aux;
+
+  void operator()() const { fire(owner, aux); }
+
+  template <auto Handler, typename C>
+  static EventFn Of(C* owner, std::int64_t aux = 0) {
+    return EventFn{&Call<Handler, C>, owner, aux};
+  }
+
+ private:
+  template <auto Handler, typename C>
+  static void Call(void* owner, std::int64_t aux) {
+    C* self = static_cast<C*>(owner);
+    if constexpr (std::is_invocable_v<decltype(Handler), C*>) {
+      (self->*Handler)();
+    } else {
+      (self->*Handler)(aux);
+    }
+  }
+};
+static_assert(std::is_trivially_copyable_v<EventFn> && sizeof(EventFn) == 24);
 
 // Thrown by RunExperiment when its run was cancelled through the cooperative
 // token (see Simulator::BindCancel) — e.g. by the campaign watchdog killing
@@ -35,50 +79,37 @@ class CancelledError : public std::runtime_error {
 
 class Simulator {
  public:
-  // Heap-backed by default; an Arena-bound simulator routes the event
-  // queue's slot and pending-event storage through the arena (see src/sim/arena.h).
+  // Heap-backed by default; an Arena-bound simulator keeps its slots in the
+  // arena (see src/sim/arena.h).
   Simulator() = default;
-  explicit Simulator(Arena* arena) : queue_(arena) {}
+  explicit Simulator(Arena* arena) : timers_(ArenaAllocator<Timer>(arena)) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   // Current simulated time.  Monotone non-decreasing.
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` at absolute time `at`.  Scheduling in the past (at < Now())
-  // fires the event at Now(); this mirrors hardware timers that raise an
-  // already-expired deadline immediately.
-  EventId At(SimTime at, EventFn fn);
-
-  // Schedules owner->Handler() (or owner->Handler(aux)) at `at`: the form
-  // every component arms its events in.
-  template <auto Handler, typename C>
-  EventId At(SimTime at, C* owner, std::int64_t aux = 0) {
-    return At(at, EventFn::Of<Handler>(owner, aux));
+  // Registers an empty timer slot and returns its index, which stays valid
+  // for the simulator's life.  Owners call it once per slot, when they are
+  // built; a task added mid-run registers its wake slot then.
+  std::size_t AddTimer() {
+    timers_.emplace_back();
+    return timers_.size() - 1;
   }
 
-  // Cancels a pending event.  Returns true if it was still pending.
-  bool Cancel(EventId id);
-
-  // --- Timer slots ------------------------------------------------------------
-  // A fixed array of slots beside the queue, one per event an owner keeps
-  // at most one of and re-arms all the time (the kernel's tick, dispatch and
-  // completion).  A slot holds (at, seq, fn), its seq taken from the queue's
-  // counter, so a slot fires exactly where the same event would fire if it
-  // were queued, ties included.  Arming is a store and cancelling a clear:
-  // no slot pool, no sorted insert.
-  static constexpr std::size_t kTimerSlots = 3;
-
-  // Arms the empty `slot` to call `fn` at `at` (clamped to Now(), as in
-  // At()).
+  // Arms the empty `slot` to call `fn` at `at`.  A time in the past
+  // (at < Now()) fires at Now(), as a hardware timer raises an already
+  // expired deadline at once.
   void ArmTimer(std::size_t slot, SimTime at, EventFn fn) {
     Timer& timer = timers_[slot];
     assert(!timer.armed() && "ArmTimer() on an armed slot");
-    timer = Timer{at < now_ ? now_ : at, queue_.TakeSeq(), fn};
+    timer = Timer{at < now_ ? now_ : at, next_seq_++, fn};
   }
+  // Arms owner->Handler() (or owner->Handler(aux)): the form every component
+  // arms its events in.
   template <auto Handler, typename C>
-  void ArmTimer(std::size_t slot, SimTime at, C* owner) {
-    ArmTimer(slot, at, EventFn::Of<Handler>(owner));
+  void ArmTimer(std::size_t slot, SimTime at, C* owner, std::int64_t aux = 0) {
+    ArmTimer(slot, at, EventFn::Of<Handler>(owner, aux));
   }
 
   // Clears `slot`.  Returns true, and counts a cancel, if it was armed.
@@ -87,7 +118,7 @@ class Simulator {
     if (!timer.armed()) {
       return false;
     }
-    timer.fn.fire = nullptr;
+    timer = Timer{};
     ++events_cancelled_;
     return true;
   }
@@ -98,8 +129,8 @@ class Simulator {
   // the run was cancelled.  Events scheduled exactly at the deadline do fire.
   void RunUntil(SimTime deadline);
 
-  // Runs exactly one event, the earliest pending one, queued or in a timer
-  // slot, if it is due by `deadline`.  Returns false if none is.
+  // Runs exactly one event, the earliest armed slot, if it is due by
+  // `deadline`.  Returns false if none is.
   bool Step(SimTime deadline = SimTime::Max());
 
   // Binds a cooperative cancellation token (non-owning; null unbinds).  The
@@ -118,9 +149,9 @@ class Simulator {
   std::uint64_t events_executed() const { return events_executed_; }
   std::uint64_t events_cancelled() const { return events_cancelled_; }
 
-  // Live pending events, queued or in an armed timer slot.
+  // Armed slots.
   std::size_t PendingEvents() const {
-    std::size_t n = queue_.Size();
+    std::size_t n = 0;
     for (const Timer& timer : timers_) {
       n += timer.armed() ? 1 : 0;
     }
@@ -129,57 +160,51 @@ class Simulator {
 
   // --- Snapshot support (src/sim/snapshot.h) --------------------------------
 
-  // Original insertion sequence of a live event; components record it at
-  // save time so restored events re-arm in their original tie-break order.
-  std::uint64_t EventSeq(EventId id) const { return queue_.SeqOf(id); }
-  // Absolute fire time of a live event, read off the queue at save time, so
-  // no component keeps its own copy of when its events fire.
-  SimTime EventAt(EventId id) const { return queue_.TimeOf(id); }
-
-  // Fire time and sequence number of an armed timer slot.
+  // Fire time and sequence number of an armed slot, read at save time, so no
+  // owner keeps its own copy of when its events fire.
   SimTime TimerAt(std::size_t slot) const { return timers_[slot].at; }
   std::uint64_t TimerSeq(std::size_t slot) const { return timers_[slot].seq; }
 
-  // Starts a load: drops every pending event, whoever armed it (their ids go
-  // stale, so an owner's old id cancels nothing, and every timer slot is
-  // cleared), then sets the clock and the sim.* counters to the image's.
+  // Starts a load: clears every slot, whoever armed it (the registrations
+  // stay), restarts the sequence counter, then sets the clock and the sim.*
+  // counters to the image's.
   void RestoreClock(SimTime now, std::uint64_t executed, std::uint64_t cancelled) {
-    queue_.Clear();
-    timers_ = {};
+    for (Timer& timer : timers_) {
+      timer = Timer{};
+    }
+    next_seq_ = 0;
     now_ = now;
     events_executed_ = executed;
     events_cancelled_ = cancelled;
   }
 
-  // Re-arms a saved event at its saved fire time and sequence number, so it
-  // fires where it did in the saved run among events tied on time; every
-  // later At() sorts behind it.  A time before Now() fires at Now(), as in
-  // At().
-  EventId Rearm(SimTime at, std::uint64_t seq, EventFn fn) {
-    return queue_.Restore(at < now_ ? now_ : at, seq, fn);
-  }
-  // Rearm for a timer slot: whatever `slot` held is replaced.
+  // Re-arms `slot` with a saved event at its saved fire time and sequence
+  // number, so it fires where it did in the saved run among events tied on
+  // time, and raises the counter past `seq`: every later arm sorts behind
+  // it.  Whatever the slot held is replaced.  A time before Now() fires at
+  // Now(), as in ArmTimer().
   void RearmTimer(std::size_t slot, SimTime at, std::uint64_t seq, EventFn fn) {
-    queue_.PassSeq(seq);
+    if (seq >= next_seq_) {
+      next_seq_ = seq + 1;
+    }
     timers_[slot] = Timer{at < now_ ? now_ : at, seq, fn};
   }
 
  private:
   struct Timer {
-    SimTime at;
-    std::uint64_t seq = 0;
+    // An empty slot sorts after every armed one, at the end of time and
+    // under the largest seq, so the loop's scan needs no armed test.
+    SimTime at = SimTime::Max();
+    std::uint64_t seq = ~std::uint64_t{0};
     // A null fire pointer marks an empty slot.
     EventFn fn{};
 
     bool armed() const { return fn.fire != nullptr; }
-    // True if this slot fires before an event at (`other_at`, `other_seq`).
-    bool Before(SimTime other_at, std::uint64_t other_seq) const {
-      return at != other_at ? at < other_at : seq < other_seq;
-    }
   };
 
-  EventQueue queue_;
-  std::array<Timer, kTimerSlots> timers_{};
+  // Every registered slot, by index.
+  ArenaVector<Timer> timers_;
+  std::uint64_t next_seq_ = 0;
   SimTime now_;
   const std::atomic<bool>* cancel_ = nullptr;
   std::uint64_t events_executed_ = 0;

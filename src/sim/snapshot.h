@@ -13,23 +13,21 @@
 // snapshot-at-T → restore → continue.  Two rules make that hold:
 //
 //   * Quiescent save points only.  Callers snapshot immediately after
-//     Simulator::RunUntil(T), when every event with at <= T has fired.  The
-//     still-pending events are each owned by exactly one component: the
-//     kernel's tick, dispatch and completion timer slots, and the queued
-//     task wakes, brownout settles and invariant sweeps.  The owner's image
-//     holds each event's absolute fire time plus its original sequence
-//     number, both read off the simulator at save time (Simulator::TimerAt,
-//     TimerSeq for a slot; EventAt, EventSeq for a queued event).
+//     Simulator::RunUntil(T), when every event with at <= T has fired.  Each
+//     still-pending event sits in a timer slot of exactly one component: the
+//     kernel's tick, dispatch and completion, a task's wake, the brownout
+//     settle and the invariant sweep.  The owner's image holds each armed
+//     slot's absolute fire time plus its sequence number, both read off the
+//     simulator at save time (Simulator::TimerAt, TimerSeq).
 //   * Re-arm at the saved (time, seq).  A device image starts with the
-//     clock, and loading it (Simulator::RestoreClock) drops every event the
-//     previous occupant left pending and clears the timer slots.  Each
-//     owner's Pending and Timer then put its saved events straight back,
-//     into the queue or their slots, under their saved sequence numbers
-//     (Simulator::Rearm, RearmTimer), and the queue raises its counter past
-//     them.  The (time, seq) order is therefore the uninterrupted run's:
+//     clock, and loading it (Simulator::RestoreClock) clears every slot the
+//     previous occupant left armed.  Each owner's Timer then puts its saved
+//     events straight back into their slots under their saved sequence
+//     numbers (Simulator::RearmTimer), and the simulator raises its counter
+//     past them.  The (time, seq) order is therefore the uninterrupted run's:
 //     re-armed events keep their FIFO tie-break order, and every event
-//     created after the restore point sorts behind them.  A save taken
-//     right after a load writes the image that was loaded.
+//     armed after the restore point sorts behind them.  A save taken right
+//     after a load writes the image that was loaded.
 //
 // One description per component: each writes its image down once, as a
 // Snapshot(SnapshotIo&) body that both saves and loads (SnapshotIo below),
@@ -242,34 +240,29 @@ class SnapshotReader {
 //   io.Keyed(map)       a map whose key set the live stack fixes, entry by
 //                       entry, each checked by its name's hash;
 //   io.Optional<Wire>(o) a presence flag, then the value;
-//   io.Pending<&C::Handler>(id, owner, aux)
-//                       a queued event that calls owner->Handler (with
-//                       `aux`): on save its fire time and queue sequence
-//                       come from the simulator; on load it is re-armed at
-//                       that time and sequence (Simulator::Rearm) and `id`
-//                       names it again;
-//   io.Timer<&C::Handler>(slot, owner)
-//                       a timer slot that calls owner->Handler, in the same
-//                       bytes as Pending: on load it is re-armed at its saved
-//                       time and sequence (Simulator::RearmTimer), or left
-//                       clear, as Simulator::RestoreClock left it.
+//   io.Timer<&C::Handler>(slot, owner, aux)
+//                       a timer slot that calls owner->Handler (with `aux`):
+//                       the armed flag, then the fire time and sequence
+//                       number the simulator holds; on load it is re-armed
+//                       at that time and sequence (Simulator::RearmTimer),
+//                       or left clear, as Simulator::RestoreClock left it.
 //                       No body arms an event any other way.
 //
 // Every load-side failure latches the reader's ok() false and leaves a
 // value that is safe to use.  A fleet worker saves once per warmup image and
 // loads once per device, so the save branches are marked unlikely: that
-// keeps each body's load path in one straight run of code.  Bodies take the component non-const: a save
-// never writes to it, so the const SaveState-style entry points may call
-// them through const_cast.
+// keeps each body's load path in one straight run of code.  Bodies take the
+// component non-const: a save never writes to it, so the const
+// SaveState-style entry points may call them through const_cast.
 class SnapshotIo {
  public:
   static constexpr std::size_t kNoBound = ~std::size_t{0};
-  // Pending and Timer reject a saved sequence number at or above this.
+  // Timer rejects a saved sequence number at or above this.
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 63;
 
-  // `sim` is where pending events are read from (save) and re-armed in
-  // (load).  A save that meets a pending event or a timer slot needs one;
-  // an io without one fails any load that meets a pending event.
+  // `sim` is where timer slots are read from (save) and re-armed in (load).
+  // A save that meets a timer slot needs one; an io without one fails any
+  // load that meets an armed slot.
   explicit SnapshotIo(SnapshotWriter* w, Simulator* sim = nullptr) : w_(w), sim_(sim) {}
   explicit SnapshotIo(SnapshotReader* r, Simulator* sim = nullptr) : r_(r), sim_(sim) {}
 
@@ -448,27 +441,9 @@ class SnapshotIo {
     }
   }
 
-  // A pending event that calls owner->Handler (see the class comment).
-  template <auto Handler, typename C>
-  void Pending(EventId& id, C* owner, std::int64_t aux = 0) {
-    const bool armed = id != kInvalidEventId;
-    SimTime at;
-    std::uint64_t seq = 0;
-    if (w_ != nullptr && armed) [[unlikely]] {
-      at = sim_->EventAt(id);
-      seq = sim_->EventSeq(id);
-    }
-    if (r_ != nullptr) {
-      id = kInvalidEventId;
-    }
-    if (EventRecord(armed, at, seq)) {
-      id = sim_->Rearm(at, seq, EventFn::Of<Handler>(owner, aux));
-    }
-  }
-
   // A timer slot that calls owner->Handler (see the class comment).
   template <auto Handler, typename C>
-  void Timer(std::size_t slot, C* owner) {
+  void Timer(std::size_t slot, C* owner, std::int64_t aux = 0) {
     const bool armed = w_ != nullptr && sim_->TimerArmed(slot);
     SimTime at;
     std::uint64_t seq = 0;
@@ -477,7 +452,7 @@ class SnapshotIo {
       seq = sim_->TimerSeq(slot);
     }
     if (EventRecord(armed, at, seq)) {
-      sim_->RearmTimer(slot, at, seq, EventFn::Of<Handler>(owner));
+      sim_->RearmTimer(slot, at, seq, EventFn::Of<Handler>(owner, aux));
     }
   }
 
@@ -523,10 +498,10 @@ class SnapshotIo {
     }
   }
 
-  // The wire record of a pending event, queued or in a timer slot: the
-  // armed flag, then its fire time and queue sequence when armed.  Returns
-  // true on a load that is to re-arm it.  No run reaches 2^63 events, and a
-  // seq below that cannot wrap the queue's counter.
+  // The wire record of a timer slot: the armed flag, then its fire time and
+  // sequence number when armed.  Returns true on a load that is to re-arm
+  // it.  No run reaches 2^63 events, and a seq below that cannot wrap the
+  // simulator's counter.
   bool EventRecord(bool armed, SimTime& at, std::uint64_t& seq) {
     Field(armed);
     if (!armed) {

@@ -272,7 +272,7 @@ TEST(SnapshotHostileTest, MpegRejectsAStatePastTheLastEnumerator) {
 
 TEST(SnapshotHostileTest, TaskRejectsABadStateOrActionKind) {
   for (const auto& [state, kind] : {std::pair<std::uint8_t, std::uint8_t>{3, 0}, {0, 5}}) {
-    Task task(1, std::make_unique<MpegAudioWorkload>(MpegConfig{}, nullptr), Rng(1));
+    Task task(1, std::make_unique<MpegAudioWorkload>(MpegConfig{}, nullptr), Rng(1), 0);
     SnapshotWriter w;
     SaveSnapshot(Rng(2), &w);
     w.U8(state);

@@ -9,7 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/hw/itsy.h"
 #include "src/hw/memory_model.h"
+#include "src/kernel/kernel.h"
 #include "src/workload/apps.h"
 #include "src/workload/server.h"
 #include "tests/support/fixtures.h"
@@ -18,19 +20,44 @@
 namespace dcs {
 namespace {
 
-std::unique_ptr<Task> MakeTask(Pid pid = 1) {
-  return std::make_unique<Task>(pid, std::make_unique<ComputeOnceWorkload>(1000.0),
-                                Rng(1));
+std::unique_ptr<Task> MakeTask(Pid pid = 1, std::size_t wake_timer = 0) {
+  return std::make_unique<Task>(pid, std::make_unique<ComputeOnceWorkload>(1000.0), Rng(1),
+                                wake_timer);
 }
 
 TEST(TaskTest, InitialState) {
-  auto task = MakeTask(3);
+  auto task = MakeTask(3, 7);
   EXPECT_EQ(task->pid(), 3);
   EXPECT_EQ(task->state(), TaskState::kRunnable);
   EXPECT_STREQ(task->name(), "compute_once");
   EXPECT_EQ(task->cpu_time(), SimTime::Zero());
   EXPECT_EQ(task->dispatches(), 0u);
-  EXPECT_EQ(task->wake_event(), kInvalidEventId);
+  EXPECT_EQ(task->wake_timer(), 7u);
+}
+
+TEST(TaskTest, WakeSlotIsArmedExactlyWhileSleeping) {
+  // Kernel::AddTask registers one timer slot per task.  It holds the task's
+  // wake, at a time still to come, exactly while the task sleeps.
+  Simulator sim;
+  Itsy itsy(sim);
+  Kernel kernel(sim, itsy);
+  Task* a = kernel.FindTask(kernel.AddTask(std::make_unique<RectangleWaveWorkload>(1, 2)));
+  Task* b = kernel.FindTask(kernel.AddTask(std::make_unique<RectangleWaveWorkload>(2, 1)));
+  EXPECT_NE(a->wake_timer(), b->wake_timer());
+  kernel.Start();
+  int sleeping = 0;
+  for (int ms = 1; ms <= 200; ++ms) {
+    sim.RunUntil(SimTime::Millis(ms));
+    for (const Task* task : {a, b}) {
+      const bool asleep = task->state() == TaskState::kSleeping;
+      ASSERT_EQ(sim.TimerArmed(task->wake_timer()), asleep) << task->pid() << " at " << ms;
+      if (asleep) {
+        ++sleeping;
+        EXPECT_GT(sim.TimerAt(task->wake_timer()), sim.Now());
+      }
+    }
+  }
+  EXPECT_GT(sleeping, 0);
 }
 
 TEST(TaskTest, SetActionTracksRemainingCycles) {
@@ -67,7 +94,7 @@ TEST(TaskTest, StateTransitions) {
 
 TEST(TaskTest, ProfileComesFromWorkload) {
   auto task = std::make_unique<Task>(
-      1, std::make_unique<ComputeOnceWorkload>(1.0, MemoryProfile{12.0, 3.0}), Rng(1));
+      1, std::make_unique<ComputeOnceWorkload>(1.0, MemoryProfile{12.0, 3.0}), Rng(1), 0);
   EXPECT_DOUBLE_EQ(task->profile().word_refs_per_kilocycle, 12.0);
   EXPECT_DOUBLE_EQ(task->profile().line_fills_per_kilocycle, 3.0);
 
@@ -86,7 +113,7 @@ TEST(TaskTest, ProfileComesFromWorkload) {
   tasks.push_back(std::move(task));
   for (AppBundle& bundle : bundles) {
     for (std::unique_ptr<Workload>& workload : bundle.tasks) {
-      tasks.push_back(std::make_unique<Task>(2, std::move(workload), Rng(1)));
+      tasks.push_back(std::make_unique<Task>(2, std::move(workload), Rng(1), 0));
     }
   }
   ASSERT_GE(tasks.size(), 10u);

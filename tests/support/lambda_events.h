@@ -1,10 +1,10 @@
 // Lambdas as simulator events, for tests.
 //
 // Production code arms events as calls to a member of their owner
-// (Simulator::At<&C::Handler>).  A test that wants an ad-hoc callback keeps
-// it here instead: each callable is stored in this object, and its event is a
-// call to Fire with the callable's index as the aux word.  The object must
-// outlive every event it made.
+// (Simulator::ArmTimer<&C::Handler>).  A test that wants an ad-hoc callback
+// keeps it here instead: each callable is stored in this object, and its
+// event is a call to Fire with the callable's index as the aux word.  The
+// object must outlive every event it made.
 
 #ifndef TESTS_SUPPORT_LAMBDA_EVENTS_H_
 #define TESTS_SUPPORT_LAMBDA_EVENTS_H_
@@ -26,15 +26,11 @@ class LambdaEvents {
   LambdaEvents(const LambdaEvents&) = delete;
   LambdaEvents& operator=(const LambdaEvents&) = delete;
 
-  // An event record that runs `fn` (for a bare EventQueue).
+  // An event record that runs `fn`, to arm in a timer slot
+  // (Simulator::ArmTimer).
   EventFn Make(std::function<void()> fn) {
     fns_.push_back(std::move(fn));
     return EventFn::Of<&LambdaEvents::Fire>(this, static_cast<std::int64_t>(fns_.size() - 1));
-  }
-
-  // Schedules `fn` on `sim` at `at`.
-  EventId At(Simulator& sim, SimTime at, std::function<void()> fn) {
-    return sim.At(at, Make(std::move(fn)));
   }
 
  private:

@@ -7,18 +7,39 @@
 
 #include "src/workload/apps.h"
 #include "tests/support/fixtures.h"
-#include "tests/support/lambda_events.h"
 #include "tests/workload/harness.h"
 
 namespace dcs {
 namespace {
 
-// Samples the kernel's deadline registry every quantum while the app runs.
+// Samples the kernel's deadline registry every quantum while the app runs:
+// one timer slot that re-arms itself 10 ms on, as the kernel's tick does.
 struct RegistryProbe {
+  Kernel* kernel;
+  Simulator* sim;
+  int polls_left;
+  std::size_t slot = sim->AddTimer();
   int samples = 0;
   int samples_with_pending = 0;
   int future_deadlines = 0;
   int total_pending = 0;
+
+  void Poll() {
+    ++samples;
+    const auto& pending = kernel->PendingDeadlines();
+    if (!pending.empty()) {
+      ++samples_with_pending;
+    }
+    for (const auto& item : pending) {
+      ++total_pending;
+      if (item.deadline > sim->Now()) {
+        ++future_deadlines;
+      }
+    }
+    if (--polls_left > 0) {
+      sim->ArmTimer<&RegistryProbe::Poll>(slot, sim->Now() + SimTime::Millis(10), this);
+    }
+  }
 };
 
 RegistryProbe ProbeApp(const std::string& app, double seconds, int step = 10) {
@@ -27,26 +48,10 @@ RegistryProbe ProbeApp(const std::string& app, double seconds, int step = 10) {
   for (auto& task : bundle.tasks) {
     h.Add(std::move(task));
   }
-  RegistryProbe probe;
-  // Poll the registry at 10 ms intervals via simulator events.
-  const int polls = static_cast<int>(seconds * 100.0);
-  testing::LambdaEvents events;
-  for (int i = 1; i <= polls; ++i) {
-    events.At(h.sim, SimTime::Millis(10 * i), [&probe, &h] {
-      const auto pending = h.kernel->PendingDeadlines();
-      ++probe.samples;
-      if (!pending.empty()) {
-        ++probe.samples_with_pending;
-      }
-      for (const auto& item : pending) {
-        ++probe.total_pending;
-        if (item.deadline > h.sim.Now()) {
-          ++probe.future_deadlines;
-        }
-      }
-    });
-  }
+  RegistryProbe probe{h.kernel.get(), &h.sim, static_cast<int>(seconds * 100.0)};
+  h.sim.ArmTimer<&RegistryProbe::Poll>(probe.slot, SimTime::Millis(10), &probe);
   h.Run(SimTime::FromSecondsF(seconds + 0.5));
+  EXPECT_EQ(probe.samples, static_cast<int>(seconds * 100.0));
   return probe;
 }
 
