@@ -502,6 +502,10 @@ void Kernel::Snapshot(SnapshotIo& io) {
     current_ = current_pid < 0 ? nullptr : FindTask(current_pid);
   }
   io(mem_spike_factor_);
+  // QuantumMemSpikeFactor returns only these two.
+  if (!io.Check(mem_spike_factor_ == 1.0 || mem_spike_factor_ == FaultInjector::kMemSpikeFactor)) {
+    mem_spike_factor_ = 1.0;
+  }
   io.Optional<std::int64_t>(retry_step_);
   // RetryTransition shifts by the count, so only a count it can reach loads.
   io.Index(retry_attempts_, kMaxTransitionRetries);

@@ -3,6 +3,7 @@
 #ifndef SRC_KERNEL_TASK_H_
 #define SRC_KERNEL_TASK_H_
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -69,16 +70,21 @@ class Task {
 
   // --- Device-snapshot image (src/sim/snapshot.h) --------------------------
   // Everything but the wake slot (the kernel saves and re-arms it, because
-  // the wake handler is the kernel's).  remaining_cycles_ is restored verbatim, not
-  // recomputed via set_action, so mid-compute progress survives.  The
-  // workload goes through its SaveState/LoadState entry points, which a
-  // wrapping workload may forward; `kernel` is passed on to LoadState.
+  // the wake handler is the kernel's).  remaining_cycles_ is restored
+  // verbatim, not recomputed via set_action, so mid-compute progress
+  // survives.  A load fails unless the cycles are work the kernel can turn
+  // into a wall time (CyclesFit).  The workload goes through its
+  // SaveState/LoadState entry points, which a wrapping workload may forward;
+  // `kernel` is passed on to LoadState.
   void Snapshot(SnapshotIo& io, Kernel* kernel) {
     rng_.Snapshot(io);
     io.Enum(state_, TaskState::kExited);
     io.Enum(action_.kind, Action::Kind::kExit);
     io(action_.base_cycles, action_.until, action_.jiffy_rounded, action_.has_deadline,
        action_.deadline, remaining_cycles_, cpu_time_, dispatches_);
+    if (io.loading() && !io.Check(CyclesFit())) {
+      action_.base_cycles = remaining_cycles_ = 0.0;
+    }
     if (io.saving()) {
       workload_->SaveState(io.writer());
     } else {
@@ -87,6 +93,24 @@ class Task {
   }
 
  private:
+  // True if the cycles are finite, 0 <= remaining <= base, and the base
+  // takes at most a quarter of SimTime's range at every step.  That leaves
+  // room for a memory spike's stretch and for the clock when ArmCompletion
+  // converts the work to a time.
+  bool CyclesFit() const {
+    constexpr double kMaxWallSeconds = SimTime::Max().ToSeconds() / 4;
+    const double base = action_.base_cycles;
+    if (!(std::isfinite(base) && remaining_cycles_ >= 0.0 && remaining_cycles_ <= base)) {
+      return false;
+    }
+    for (int step = 0; step < kNumClockSteps; ++step) {
+      if (!(base / rates_.Hz(step) <= kMaxWallSeconds)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   Pid pid_;
   std::unique_ptr<Workload> workload_;
   MemoryProfile profile_;

@@ -8,6 +8,7 @@
 #include <climits>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/daq/daq.h"
 #include "src/exp/device_sim.h"
 #include "src/exp/experiment.h"
+#include "src/fault/fault_injector.h"
 #include "src/hw/cpu.h"
 #include "src/hw/itsy.h"
 #include "src/hw/power_tape.h"
@@ -34,6 +36,7 @@
 #include "src/workload/server.h"
 #include "src/workload/talking_editor.h"
 #include "src/workload/web.h"
+#include "tests/support/synthetic_workloads.h"
 
 namespace dcs {
 namespace {
@@ -472,9 +475,8 @@ std::size_t TickRecordOffset(Kernel& saved) {
          sink_image.size() + 1 + 8 + 8;
 }
 
-// The kernel's timer records carry a queue sequence number, as a queued
-// event's do, and the same bound holds: a seq at or above 2^63 could wrap
-// the queue's counter, so it fails the load.
+// The kernel's timer records carry a sequence number: a seq at or above
+// 2^63 could wrap the simulator's counter, so it fails the load.
 TEST(SnapshotHostileTest, KernelRejectsATimerSeqAtOrAbove2To63) {
   Simulator sim;
   Itsy itsy(sim);
@@ -543,6 +545,130 @@ TEST(SnapshotHostileTest, KernelRejectsADispatchByteThatDisagreesWithItsEvent) {
       loaded.Snapshot(io);
       EXPECT_EQ(r.ok(), !flip) << (flip ? "flipped" : "as saved");
     }
+  }
+}
+
+// A kernel with one long compute task, one quantum in: the task is mid-
+// compute, so the run after a load arms its completion from the loaded
+// cycles and memory spike factor.
+struct ComputeStack {
+  Simulator sim;
+  Itsy itsy{sim};
+  Kernel kernel{sim, itsy};
+  ComputeStack() {
+    kernel.AddTask(std::make_unique<ComputeOnceWorkload>(1e9));
+    kernel.Start();
+  }
+};
+
+// Offsets of three doubles in a ComputeStack kernel's image.  The tag, the
+// Rng state, the next pid, the task count and the task's pid come before the
+// task's image, which starts with its own Rng state and its state and
+// action-kind bytes; then base_cycles, the action's until, jiffy and
+// deadline fields, and remaining_cycles.  The task's wake slot, the run
+// queue and the current pid come before the spike factor.
+struct DoubleOffsets {
+  std::size_t base_cycles;
+  std::size_t remaining_cycles;
+  std::size_t spike_factor;
+};
+
+DoubleOffsets OffsetsIn(ComputeStack& stack) {
+  SnapshotWriter rng_image;
+  SnapshotIo rng_io(&rng_image);
+  Rng rng(1);
+  rng.Snapshot(rng_io);
+  Task* task = stack.kernel.FindTask(1);
+  SnapshotWriter task_image;
+  SnapshotIo task_io(&task_image, &stack.sim);
+  task->Snapshot(task_io, &stack.kernel);
+  SnapshotWriter queue_image;
+  SaveSnapshot(stack.kernel.run_queue(), &queue_image);
+  const std::size_t task_at = 4 + rng_image.size() + 8 + 8 + 8;
+  const std::size_t wake = stack.sim.TimerArmed(task->wake_timer()) ? 1 + 8 + 8 : 1;
+  DoubleOffsets o;
+  o.base_cycles = task_at + rng_image.size() + 1 + 1;
+  o.remaining_cycles = o.base_cycles + 8 + 8 + 1 + 1 + 8;
+  o.spike_factor = task_at + task_image.size() + wake + queue_image.size() + 8;
+  return o;
+}
+
+double DoubleAt(const SnapshotWriter& w, std::size_t offset) {
+  double v = 0.0;
+  std::memcpy(&v, w.data() + offset, sizeof v);
+  return v;
+}
+
+// Saves a ComputeStack one quantum in, writes `value` over the double at
+// the offset `field` picks, loads the image onto a fresh stack as a device
+// load does, and runs it a while.  Returns whether the load succeeded.
+bool LoadsWithDouble(std::size_t DoubleOffsets::*field, double value) {
+  ComputeStack saved;
+  saved.sim.RunUntil(SimTime::Millis(15));
+  SnapshotWriter w;
+  SnapshotIo save(&w, &saved.sim);
+  saved.kernel.Snapshot(save);
+  const DoubleOffsets offsets = OffsetsIn(saved);
+  // The offsets find the fields they name.
+  EXPECT_EQ(DoubleAt(w, offsets.base_cycles), 1e9);
+  EXPECT_EQ(DoubleAt(w, offsets.remaining_cycles), saved.kernel.FindTask(1)->remaining_cycles());
+  EXPECT_EQ(DoubleAt(w, offsets.spike_factor), 1.0);
+
+  std::vector<char> image(w.data(), w.data() + w.size());
+  std::memcpy(image.data() + offsets.*field, &value, sizeof value);
+  ComputeStack loaded;
+  loaded.sim.RestoreClock(saved.sim.Now(), saved.sim.events_executed(),
+                          saved.sim.events_cancelled());
+  SnapshotReader r(image.data(), image.size());
+  SnapshotIo io(&r, &loaded.sim);
+  loaded.kernel.Snapshot(io);
+  // A refused value leaves one that is safe to run on.
+  loaded.sim.RunUntil(SimTime::Millis(200));
+  EXPECT_EQ(loaded.sim.Now(), SimTime::Millis(200));
+  return r.ok();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Kernel::ArmCompletion stretches a compute time by the memory spike factor
+// and converts it to a SimTime.  QuantumMemSpikeFactor returns only 1.0 or
+// kMemSpikeFactor, and without faults nothing resets the loaded value, so a
+// NaN would reach a float-to-integer conversion out of range.
+TEST(SnapshotHostileTest, KernelRejectsAMemSpikeFactorNoFaultDraws) {
+  for (const double factor : {1.0, FaultInjector::kMemSpikeFactor}) {
+    EXPECT_TRUE(LoadsWithDouble(&DoubleOffsets::spike_factor, factor)) << factor;
+  }
+  for (const double factor : {kNaN, kInf, -kInf, 0.0, -1.0, 2.0, 1e300}) {
+    EXPECT_FALSE(LoadsWithDouble(&DoubleOffsets::spike_factor, factor)) << factor;
+  }
+}
+
+// A compute action's base cycles must be finite, at least the remaining
+// cycles, and small enough that its wall time at the slowest step fits a
+// SimTime.
+TEST(SnapshotHostileTest, TaskRejectsBaseCyclesThatAreNotWorkItCanTime) {
+  const double remaining = [] {
+    ComputeStack stack;
+    stack.sim.RunUntil(SimTime::Millis(15));
+    return stack.kernel.FindTask(1)->remaining_cycles();
+  }();
+  for (const double base : {1e9, remaining, 1e15}) {
+    EXPECT_TRUE(LoadsWithDouble(&DoubleOffsets::base_cycles, base)) << base;
+  }
+  for (const double base : {kNaN, kInf, -1.0, 0.0, remaining - 1.0, 1e300}) {
+    EXPECT_FALSE(LoadsWithDouble(&DoubleOffsets::base_cycles, base)) << base;
+  }
+}
+
+// Remaining cycles run from the base down to 0: ArmCompletion turns them
+// into a wall time.
+TEST(SnapshotHostileTest, TaskRejectsRemainingCyclesOutsideZeroToBase) {
+  for (const double remaining : {0.0, 1.0, 5e8, 1e9}) {
+    EXPECT_TRUE(LoadsWithDouble(&DoubleOffsets::remaining_cycles, remaining)) << remaining;
+  }
+  for (const double remaining : {kNaN, kInf, -kInf, -1.0, 1e9 + 1.0, 1e300}) {
+    EXPECT_FALSE(LoadsWithDouble(&DoubleOffsets::remaining_cycles, remaining)) << remaining;
   }
 }
 
