@@ -2,32 +2,26 @@
 
 namespace dcs {
 
-namespace {
-
-// (at, seq) as one unsigned 128-bit key in the same order: `at` above `seq`,
-// with its sign bit flipped so that signed order becomes unsigned order.
-unsigned __int128 OrderKey(SimTime at, std::uint64_t seq) {
-  const std::uint64_t biased = static_cast<std::uint64_t>(at.nanos()) ^ (std::uint64_t{1} << 63);
-  return (static_cast<unsigned __int128>(biased) << 64) | seq;
-}
-
-}  // namespace
-
 bool Simulator::Step(SimTime deadline) {
   if (timers_.empty()) {
     return false;
   }
   // The earliest slot by (at, seq).  Empty slots sort last, so the scan has
-  // no armed test, and its compare is branch-free (one 128-bit compare and
-  // conditional moves): which slot wins changes from one event to the next,
-  // so a branch there would often mispredict.
+  // no armed test; only the winner is checked for being armed.  The compare
+  // branches on `at` and reads `seq` only on a tie.  A branch-free compare
+  // (one 128-bit key, conditional moves) ran fleet_clone slower: it chains
+  // every slot through the running minimum, while these branches mostly
+  // predict, since an empty slot never wins.
   std::size_t first = 0;
-  unsigned __int128 best = OrderKey(timers_[0].at, timers_[0].seq);
+  SimTime at = timers_[0].at;
+  std::uint64_t seq = timers_[0].seq;
   for (std::size_t i = 1; i < timers_.size(); ++i) {
-    const unsigned __int128 key = OrderKey(timers_[i].at, timers_[i].seq);
-    const bool before = key < best;
-    best = before ? key : best;
-    first = before ? i : first;
+    const Timer& candidate = timers_[i];
+    if (candidate.at < at || (candidate.at == at && candidate.seq < seq)) {
+      at = candidate.at;
+      seq = candidate.seq;
+      first = i;
+    }
   }
   Timer& timer = timers_[first];
   if (!timer.armed() || timer.at > deadline) {
