@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/memory_model.h"
 
@@ -71,7 +72,8 @@ void Run() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Ablation — Figure 9 with and without the EDO-DRAM model");
   dcs::Run();
   return 0;

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -42,7 +43,8 @@ void SweepApp(const char* app, double seconds) {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Ablation — scheduling quantum sweep (Weiser/Govil's 10-50 ms claim)");
   dcs::SweepApp("mpeg", 30.0);

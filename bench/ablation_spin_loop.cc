@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -79,7 +80,8 @@ void Sweep() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Ablation — the MPEG player's spin/sleep pacing");
   dcs::Sweep();
   return 0;

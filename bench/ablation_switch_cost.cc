@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -57,7 +58,8 @@ void Run() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Ablation — clock-change stall cost sweep (30 s MPEG)");
   dcs::Run();
   return 0;

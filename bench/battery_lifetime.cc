@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/battery.h"
 #include "src/hw/power_model.h"
@@ -102,7 +103,8 @@ void PulsedDischargeDemo() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Section 2.1 — Battery lifetime vs clock frequency");
   dcs::LifetimeTable();
   dcs::SimulatedDrainCrossCheck();

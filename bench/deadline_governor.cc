@@ -19,6 +19,7 @@
 #include <string>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -57,7 +58,8 @@ void RunApp(const char* app, const char* optimal_fixed) {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Section 6 future work — deadline-informed voltage scheduling");
   dcs::RunApp("mpeg", "fixed-132.7");

@@ -12,6 +12,7 @@
 #include "src/exp/artifacts.h"
 #include "src/exp/ascii_plot.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -23,7 +24,7 @@ void PlotApp(const char* app, double window_seconds) {
   config.governor = "fixed-206.4";
   config.seed = 42;
   config.duration = SimTime::FromSecondsF(window_seconds);
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   MaybeWriteArtifacts(std::string("fig3_") + app, result);
 
   const TraceSeries* util = result.sink.Find("utilization");
@@ -68,7 +69,8 @@ void PlotApp(const char* app, double window_seconds) {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Figure 3 — Utilization using 10ms quanta @ 206.4 MHz");
   dcs::PlotApp("mpeg", 30.0);
   dcs::PlotApp("web", 35.0);

@@ -10,6 +10,7 @@
 #include "src/analysis/utilization.h"
 #include "src/exp/ascii_plot.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -21,7 +22,7 @@ void PlotApp(const char* app, double window_seconds) {
   config.governor = "fixed-206.4";
   config.seed = 42;
   config.duration = SimTime::FromSecondsF(window_seconds);
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const TraceSeries* util = result.sink.Find("utilization");
   if (util == nullptr || util->empty()) {
     return;
@@ -54,7 +55,8 @@ void PlotApp(const char* app, double window_seconds) {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Figure 4 — Utilization using 100ms moving average");
   dcs::PlotApp("mpeg", 30.0);
   dcs::PlotApp("web", 35.0);

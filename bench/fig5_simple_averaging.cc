@@ -15,6 +15,7 @@
 
 #include "src/core/cycle_count_governor.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/clock_table.h"
 
@@ -73,7 +74,8 @@ void LiveDemo() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   using namespace dcs;
   // (a) Going to idle: primed busy at 206.4 MHz, then idle quanta.
   const double going_idle[] = {0.0, 0.0, 0.0, 0.0};

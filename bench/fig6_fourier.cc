@@ -16,6 +16,7 @@
 #include "src/analysis/filters.h"
 #include "src/analysis/fourier.h"
 #include "src/exp/ascii_plot.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -79,7 +80,8 @@ void AttenuationByN() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Figure 6 — Fourier Transform of a Decaying Exponential");
   dcs::PlotAnalyticCurve(3.33);  // DC value ~0.3, matching the paper's y-axis
   dcs::CrossCheckAgainstFft(0.05);

@@ -13,6 +13,7 @@
 #include "src/analysis/filters.h"
 #include "src/analysis/utilization.h"
 #include "src/exp/ascii_plot.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/workload/synthetic.h"
 
@@ -62,7 +63,8 @@ void SweepN() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Figure 7 — AVG3 filtering of a periodic workload");
   dcs::PlotFiltered();
   dcs::SweepN();

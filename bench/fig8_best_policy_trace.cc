@@ -31,7 +31,7 @@ void Run(const SweepOptions& options) {
   config.duration = SimTime::Seconds(40);
   config.capture_obs = options.WantsObsCapture();
   config.faults = options.faults;
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   MaybeWriteArtifacts("fig8_past_peg_peg", result);
 
   const TraceSeries* freq = result.sink.Find("freq_mhz");
@@ -59,7 +59,7 @@ void Run(const SweepOptions& options) {
 
   ExperimentConfig baseline = config;
   baseline.governor = "fixed-206.4";
-  const ExperimentResult base = RunExperiment(baseline);
+  const ExperimentResult base = RunExperiment(baseline, ExperimentReads::kFullResult);
   std::printf("  vs constant 206.4 MHz: %.2f J (saving %.1f%%)\n", base.energy_joules,
               100.0 * (1.0 - result.energy_joules / base.energy_joules));
   std::cout << "\nPaper shape check: the policy bangs between the extreme settings many\n"

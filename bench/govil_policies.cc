@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -55,7 +56,8 @@ void RunApp(const char* app) {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Related work — Govil et al.'s policy families on the simulated Itsy");
   for (const char* app : {"mpeg", "web", "chess", "editor"}) {

@@ -16,6 +16,7 @@
 #include "src/core/interval_governor.h"
 #include "src/core/martin_bound.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/hw/itsy.h"
 #include "src/kernel/kernel.h"
 #include "src/sim/simulator.h"
@@ -107,7 +108,8 @@ void MeasureClampEffect() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Martin (1999) — computations per battery discharge vs clock step");
   dcs::PrintCurve("compute-bound workload", dcs::MemoryProfile{});

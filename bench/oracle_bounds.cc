@@ -17,6 +17,7 @@
 #include "src/core/oracle.h"
 #include "src/core/replay_policy.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/clock_table.h"
 #include "src/hw/itsy.h"
@@ -33,7 +34,7 @@ std::vector<double> RecordTrace(const char* app, double seconds) {
   config.governor = "fixed-206.4";
   config.seed = 31;
   config.duration = SimTime::FromSecondsF(seconds);
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const TraceSeries* util = result.sink.Find("utilization");
   return util != nullptr ? SeriesValues(*util) : std::vector<double>{};
 }
@@ -85,7 +86,7 @@ void ReplayOnRealHardware() {
   record.governor = "fixed-206.4";
   record.seed = 51;
   record.duration = SimTime::Seconds(30);
-  const ExperimentResult recorded = RunExperiment(record);
+  const ExperimentResult recorded = RunExperiment(record, ExperimentReads::kFullResult);
   const std::vector<double> trace = SeriesValues(*recorded.sink.Find("utilization"));
 
   // 100 ms oracle intervals, as the early studies favoured.
@@ -142,7 +143,8 @@ void ReplayOnRealHardware() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Related work — Weiser-style trace-replay oracles on our app traces");
   dcs::Run();

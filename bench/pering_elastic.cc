@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -66,7 +67,8 @@ void Run() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout,
                     "Related work — Pering-style elastic MPEG: energy vs frame rate");
   dcs::Run();

@@ -15,6 +15,7 @@
 
 #include "src/exp/ascii_plot.h"
 #include "src/exp/experiment.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/itsy.h"
 #include "src/hw/voltage_regulator.h"
@@ -111,7 +112,8 @@ void OverheadBound() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Section 5.4 — Cost of clock and voltage scaling");
   dcs::MeasureClockSwitches();
   dcs::VoltageSettleCurve();

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "src/core/interval_governor.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 
 namespace dcs {
@@ -72,7 +73,8 @@ void Run() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Table 1 — Scheduling Actions for the AVG9 Policy");
   dcs::Run();
   return 0;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
 #include "src/hw/memory_model.h"
 
@@ -48,7 +49,8 @@ void Run() {
 }  // namespace
 }  // namespace dcs
 
-int main() {
+int main(int argc, char** argv) {
+  dcs::FlagSet().ParseOrExit(argc, argv);  // takes no flags: any argument is an error
   dcs::PrintHeading(std::cout, "Table 3 — EDO-DRAM access cycles vs clock frequency");
   dcs::Run();
   return 0;

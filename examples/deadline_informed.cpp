@@ -58,7 +58,7 @@ int main() {
   config.governor = "deadline-vs";
   config.seed = 42;
   config.duration = SimTime::Seconds(10);
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const TraceSeries* freq = result.sink.Find("freq_mhz");
   if (freq != nullptr) {
     PlotOptions options;

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   // Honour DCS_ARTIFACTS like the benches do.
   MaybeWriteArtifacts("playground_" + config.app + "_" + config.governor, result);
 

@@ -34,16 +34,18 @@ AppBundle MakeBundle(const ExperimentConfig& config, DeadlineMonitor* deadlines)
 
 }  // namespace
 
-// The full result reads everything.  Fleet totals read none of the
-// recordings, but an active fault plan's invariant checker walks the tape's
-// segments (CheckTape) and attributes energy through the sched log, so it
-// keeps both whatever the caller reads.
+// The full result reads everything; a summary reads the tape (the DAQ
+// samples it) and, for capture_obs, the sched log.  Fleet totals read none
+// of the recordings, but an active fault plan's invariant checker walks the
+// tape's segments (CheckTape) and attributes energy through the sched log,
+// so it keeps both whatever the caller reads.
 DeviceSim::Recording DeviceSim::RecordingFor(Reads reads, const ExperimentConfig& config) {
   FaultPlan plan;
   std::string error;
   const bool checked = FaultPlan::Parse(config.faults, &plan, &error) && plan.Active();
-  const bool full = reads == Reads::kFullResult;
-  return Recording{full || checked, (full && config.capture_obs) || checked, full};
+  const bool result = reads != Reads::kFleetTotals;
+  return Recording{result || checked, (result && config.capture_obs) || checked, result,
+                   reads == Reads::kFullResult};
 }
 
 DeviceSim::DeviceSim(const ExperimentConfig& config, Reads reads)
@@ -147,7 +149,7 @@ ExperimentResult DeviceSim::Run() {
 }
 
 ExperimentResult DeviceSim::Finish() {
-  if (!recording_.full_result) {
+  if (!recording_.result) {
     throw std::logic_error("DeviceSim::Finish on a fleet-totals device, which records no result");
   }
   if (sim_.CancelRequested()) {
@@ -178,13 +180,18 @@ ExperimentResult DeviceSim::Finish() {
   result.average_watts = totals.average_watts;
 
   result.quanta = kernel_.quanta_elapsed();
-  const TraceSeries* util = kernel_.sink().Find("utilization");
-  if (util != nullptr && !util->empty()) {
-    double sum = 0.0;
-    for (const TracePoint& p : util->points()) {
-      sum += p.value;
+  // A full result averages its recorded series; a summary, the kernel's
+  // running sum of the same values added in the same order.
+  if (const TraceSeries* util = kernel_.sink().Find("utilization"); util != nullptr) {
+    if (!util->empty()) {
+      double sum = 0.0;
+      for (const TracePoint& p : util->points()) {
+        sum += p.value;
+      }
+      result.avg_utilization = sum / static_cast<double>(util->size());
     }
-    result.avg_utilization = sum / static_cast<double>(util->size());
+  } else if (result.quanta > 0) {
+    result.avg_utilization = kernel_.utilization_sum() / static_cast<double>(result.quanta);
   }
   result.clock_changes = itsy_.clock_changes();
   result.voltage_transitions = itsy_.voltage_transitions();
@@ -208,55 +215,7 @@ ExperimentResult DeviceSim::Finish() {
   result.worst_overrun = deadlines.WorstOverrun();
   for (const std::string& stream : deadlines.Streams()) {
     result.streams.emplace(stream, deadlines.Stats(stream));
-    // Streams with response-time tracking (ReportRequest) surface their
-    // latency distribution through the metrics pipeline, so --metrics-out
-    // carries p50/p95/p99/p999 without per-request artifacts.
-    const DeadlineMonitor::StreamStats& stats = result.streams.at(stream);
-    if (stats.latency_us.count() > 0) {
-      metrics_.Histogram("latency_us." + stream).MergeFrom(stats.latency_us);
-    }
-    // Admission-gate outcomes, per stream.  Only touched when the gate
-    // actually rejected something, so admission-free runs (every pre-existing
-    // bench) render byte-identical metrics reports.
-    if (stats.rejected > 0) {
-      metrics_.Gauge("admission.reject_pct." + stream).Set(stats.RejectRate() * 100.0);
-      if (stats.shed > 0) {
-        metrics_.Gauge("admission.shed_pct." + stream)
-            .Set(static_cast<double>(stats.shed) /
-                 static_cast<double>(stats.total + stats.rejected) * 100.0);
-      }
-    }
   }
-  const std::int64_t total_rejected = deadlines.TotalRejected();
-  if (total_rejected > 0) {
-    metrics_.Counter("exp.rejected_requests").Inc(static_cast<std::uint64_t>(total_rejected));
-    metrics_.Counter("exp.shed_requests").Inc(static_cast<std::uint64_t>(deadlines.TotalShed()));
-    // Energy-ledger attribution of the rejected work: it consumed zero
-    // joules (conservation over executed work is untouched), so what the
-    // gate bought is the *avoided* burn — the rejected full-speed-equivalent
-    // microseconds priced at busy top-step/1.5 V processor power.
-    const MetricsGauge* rejected_work = metrics_.FindGauge("admission.rejected_work_fs_us");
-    if (rejected_work != nullptr) {
-      const double watts = itsy_.power_model().ProcessorWatts(
-          ExecState::kBusy, ClockTable::MaxStep(),
-          VoltageVolts(CoreVoltage::kHigh));
-      metrics_.Gauge("admission.rejected_energy_est_joules")
-          .Set(rejected_work->value() * 1e-6 * watts);
-    }
-  }
-
-  // Experiment- and simulator-level readings into the registry (simulated
-  // state only — never wall-clock — to keep reports thread-count invariant).
-  metrics_.Gauge("exp.energy_joules").Set(result.energy_joules);
-  metrics_.Gauge("exp.exact_energy_joules").Set(result.exact_energy_joules);
-  metrics_.Gauge("exp.average_watts").Set(result.average_watts);
-  metrics_.Gauge("exp.avg_utilization").Set(result.avg_utilization);
-  metrics_.Counter("exp.deadline_events").Inc(static_cast<std::uint64_t>(result.deadline_events));
-  metrics_.Counter("exp.deadline_misses").Inc(static_cast<std::uint64_t>(result.deadline_misses));
-  metrics_.Gauge("exp.worst_lateness_us").Set(result.worst_lateness.ToMicrosF());
-  metrics_.Gauge("exp.total_stall_us").Set(result.total_stall.ToMicrosF());
-  metrics_.Counter("sim.events_executed").Inc(sim_.events_executed());
-  metrics_.Counter("sim.events_cancelled").Inc(sim_.events_cancelled());
 
   if (config_.capture_obs) {
     result.obs.captured = true;
@@ -269,11 +228,6 @@ ExperimentResult DeviceSim::Finish() {
       result.obs.task_names.emplace(pid, task->name());
     }
     result.obs.energy = EnergyLedger::Attribute(result.obs.power, result.obs.sched, begin, end);
-    for (const auto& [pid, joules] : result.obs.energy.joules_by_pid) {
-      metrics_.Gauge("energy.pid." + std::to_string(pid) + "." +
-                     result.obs.task_names[pid] + "_joules")
-          .Set(joules);
-    }
   }
 
   if (checker_) {
@@ -298,7 +252,80 @@ ExperimentResult DeviceSim::Finish() {
     report.invariant_checks = checker_->checks();
     report.invariant_violations = checker_->violation_count();
     report.violations = checker_->violations();
+  }
 
+  if (recording_.full_result) {
+    WriteMetrics(result);
+    // The result keeps the points, not the run's worst-case reservation.
+    result.sink = std::move(kernel_.sink());
+    result.sink.Trim();
+    // Unbind before the registry moves into the result: the kernel's and
+    // the Itsy's cached instrument handles would otherwise dangle.
+    kernel_.BindMetrics(nullptr);
+    itsy_.BindMetrics(nullptr);
+    result.metrics = std::move(metrics_);
+  }
+  return result;
+}
+
+// Simulated state only — never wall-clock — to keep reports thread-count
+// invariant.
+void DeviceSim::WriteMetrics(const ExperimentResult& result) {
+  for (const auto& [stream, stats] : result.streams) {
+    // Streams with response-time tracking (ReportRequest) surface their
+    // latency distribution through the metrics pipeline, so --metrics-out
+    // carries p50/p95/p99/p999 without per-request artifacts.
+    if (stats.latency_us.count() > 0) {
+      metrics_.Histogram("latency_us." + stream).MergeFrom(stats.latency_us);
+    }
+    // Admission-gate outcomes, per stream.  Only touched when the gate
+    // actually rejected something, so admission-free runs (every pre-existing
+    // bench) render byte-identical metrics reports.
+    if (stats.rejected > 0) {
+      metrics_.Gauge("admission.reject_pct." + stream).Set(stats.RejectRate() * 100.0);
+      if (stats.shed > 0) {
+        metrics_.Gauge("admission.shed_pct." + stream)
+            .Set(static_cast<double>(stats.shed) /
+                 static_cast<double>(stats.total + stats.rejected) * 100.0);
+      }
+    }
+  }
+  const std::int64_t total_rejected = deadlines_->TotalRejected();
+  if (total_rejected > 0) {
+    metrics_.Counter("exp.rejected_requests").Inc(static_cast<std::uint64_t>(total_rejected));
+    metrics_.Counter("exp.shed_requests").Inc(static_cast<std::uint64_t>(deadlines_->TotalShed()));
+    // Energy-ledger attribution of the rejected work: it consumed zero
+    // joules (conservation over executed work is untouched), so what the
+    // gate bought is the *avoided* burn — the rejected full-speed-equivalent
+    // microseconds priced at busy top-step/1.5 V processor power.
+    const MetricsGauge* rejected_work = metrics_.FindGauge("admission.rejected_work_fs_us");
+    if (rejected_work != nullptr) {
+      const double watts = itsy_.power_model().ProcessorWatts(
+          ExecState::kBusy, ClockTable::MaxStep(),
+          VoltageVolts(CoreVoltage::kHigh));
+      metrics_.Gauge("admission.rejected_energy_est_joules")
+          .Set(rejected_work->value() * 1e-6 * watts);
+    }
+  }
+
+  metrics_.Gauge("exp.energy_joules").Set(result.energy_joules);
+  metrics_.Gauge("exp.exact_energy_joules").Set(result.exact_energy_joules);
+  metrics_.Gauge("exp.average_watts").Set(result.average_watts);
+  metrics_.Gauge("exp.avg_utilization").Set(result.avg_utilization);
+  metrics_.Counter("exp.deadline_events").Inc(static_cast<std::uint64_t>(result.deadline_events));
+  metrics_.Counter("exp.deadline_misses").Inc(static_cast<std::uint64_t>(result.deadline_misses));
+  metrics_.Gauge("exp.worst_lateness_us").Set(result.worst_lateness.ToMicrosF());
+  metrics_.Gauge("exp.total_stall_us").Set(result.total_stall.ToMicrosF());
+  metrics_.Counter("sim.events_executed").Inc(sim_.events_executed());
+  metrics_.Counter("sim.events_cancelled").Inc(sim_.events_cancelled());
+
+  for (const auto& [pid, joules] : result.obs.energy.joules_by_pid) {
+    metrics_.Gauge("energy.pid." + std::to_string(pid) + "." + result.obs.task_names.at(pid) +
+                   "_joules")
+        .Set(joules);
+  }
+
+  if (const FaultReport& report = result.faults; report.enabled) {
     metrics_.Counter("fault.injected_total").Inc(report.injected_total);
     metrics_.Counter("fault.transition_retries").Inc(report.transition_retries);
     metrics_.Counter("fault.brownouts").Inc(static_cast<std::uint64_t>(report.brownouts));
@@ -306,16 +333,6 @@ ExperimentResult DeviceSim::Finish() {
     metrics_.Counter("fault.invariant_checks").Inc(report.invariant_checks);
     metrics_.Counter("fault.invariant_violations").Inc(report.invariant_violations);
   }
-
-  // The result keeps the points, not the run's worst-case reservation.
-  result.sink = std::move(kernel_.sink());
-  result.sink.Trim();
-  // Unbind before the registry moves into the result: the kernel's and the
-  // Itsy's cached instrument handles would otherwise dangle.
-  kernel_.BindMetrics(nullptr);
-  itsy_.BindMetrics(nullptr);
-  result.metrics = std::move(metrics_);
-  return result;
 }
 
 void DeviceSim::SaveState(SnapshotWriter* w) const {
@@ -358,6 +375,8 @@ void DeviceSim::Snapshot(SnapshotIo& io) {
   // registry afterwards makes the final gauge values exactly the image's.
   if (recording_.full_result) {
     metrics_.Snapshot(io);
+  } else if (recording_.result) {
+    kernel_.SnapshotUtilizationSum(io);
   }
 }
 

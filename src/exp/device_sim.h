@@ -14,15 +14,18 @@
 //     dev.Finish();              // measure + build the ExperimentResult
 //
 // The caller declares what it will read (Reads), and the device records
-// only that.  The default, kFullResult, records everything Finish() reports.
-// A fleet worker declares kFleetTotals: it reads a handful of totals
-// straight off the components, so its devices keep no power-tape history,
-// sched log, trace series or metrics registry, and their images shrink to
-// the state that drives the simulation (DESIGN §8).
+// only that (DESIGN §8).  kFullResult records everything Finish() reports;
+// it is the constructor's default.  kSummary, what RunExperiment(config)
+// runs, builds the same result less its trace series and metrics registry:
+// the device keeps neither, reserves nothing per quantum, and averages
+// utilization from the kernel's running sum.  A fleet worker declares
+// kFleetTotals: it reads a handful of totals straight off the components,
+// so its devices keep no power-tape history, sched log, trace series or
+// metrics registry, and their images shrink to the state that drives the
+// simulation.
 //
-// Run() stitches the phases back together and is what RunExperiment() now
-// wraps — statement for statement the old body, so results are byte-
-// identical (the golden suite holds this).
+// Run() stitches the phases back together and is what RunExperiment()
+// wraps.
 //
 // Snapshots follow the src/sim/snapshot.h contract: save only at quiescent
 // points (immediately after RunUntil returns), restore onto a stack built
@@ -33,8 +36,8 @@
 // of fleet devices with no steady-state allocation
 // (tests/hotpath/alloc_steadystate_test.cc locks the cycle down).
 //
-// Finish() is destructive (it moves the trace sink and metrics registry into
-// the result) and may be called once; a kFleetTotals device has no result to
+// Finish() is destructive (a full result takes the trace sink and metrics
+// registry) and may be called once; a kFleetTotals device has no result to
 // build, so its Finish() throws.
 
 #ifndef SRC_EXP_DEVICE_SIM_H_
@@ -65,17 +68,14 @@ class DeviceSim {
   // The paper's measurement-window trigger wire.
   static constexpr int kTriggerPin = 5;
 
-  // What the caller reads from the device.
-  enum class Reads {
-    // Finish()'s ExperimentResult: RunExperiment, sweeps, tests and traced
-    // benchmark passes.
-    kFullResult,
-    // FleetRunner's per-device totals, read off the components after
-    // RunUntil: tape().EnergyJoules(0, now), the deadline monitor's totals,
-    // quanta, clock changes and the battery's death.  A fault plan's
-    // invariant checker still gets the tape history and sched log it walks.
-    kFleetTotals,
-  };
+  // What the caller reads from the device (src/exp/experiment.h).
+  // kSummary: Finish()'s result without series or registry (RunExperiment).
+  // kFullResult: all of it (sweeps, tests and traced benchmark passes).
+  // kFleetTotals: FleetRunner's per-device totals, read off the components
+  // after RunUntil: tape().EnergyJoules(0, now), the deadline monitor's
+  // totals, quanta, clock changes and the battery's death.  A fault plan's
+  // invariant checker still gets the tape history and sched log it walks.
+  using Reads = ExperimentReads;
 
   // Builds the device from `config`, constructing the application bundle the
   // way RunExperiment(config) did (app/mpeg/server selection) with an owned
@@ -100,11 +100,10 @@ class DeviceSim {
   void RunUntil(SimTime t) { sim_.RunUntil(t); }
 
   // Closes the measurement window, runs the DAQ pipeline and assembles the
-  // ExperimentResult — the second half of the old RunExperiment body.
-  // Destructive (moves the sink and metrics into the result); call at most
-  // once, and don't snapshot afterwards.  Throws CancelledError when the
-  // cancellation token was pulled mid-run, and std::logic_error on a
-  // kFleetTotals device.
+  // ExperimentResult.  Destructive (a full result takes the sink and
+  // metrics); call at most once, and don't snapshot afterwards.  Throws
+  // CancelledError when the cancellation token was pulled mid-run, and
+  // std::logic_error on a kFleetTotals device.
   ExperimentResult Finish();
 
   // Start + RunUntil(duration()) + Finish: the full RunExperiment sequence.
@@ -114,14 +113,15 @@ class DeviceSim {
   // Complete device image at a quiescent point: simulator clock, hardware,
   // kernel (tasks, workloads, armed timer slots), governor, fault machinery,
   // measurement trigger, deadline monitor and metrics registry — less
-  // whatever the declared Reads leave unrecorded.  Snapshot is the one
-  // description; SaveState and LoadState run it.  A load restores in place,
-  // in one pass: it rewinds the clock, which clears every timer slot, then
-  // loads every component (metrics last — workload re-binds touch gauges),
-  // each re-arming its slots at their saved time and sequence.  A
-  // save right after a load writes the image loaded.  The target must be
-  // built from the same config and Reads as the image's source; reader ok()
-  // reports image/stack mismatches.
+  // whatever the declared Reads leave unrecorded; a summary image ends with
+  // the kernel's utilization sum where a full one ends with the registry.
+  // Snapshot is the one description; SaveState and LoadState run it.  A load
+  // restores in place, in one pass: it rewinds the clock, which clears every
+  // timer slot, then loads every component (metrics last — workload re-binds
+  // touch gauges), each re-arming its slots at their saved time and
+  // sequence.  A save right after a load writes the image loaded.  The
+  // target must be built from the same config and Reads as the image's
+  // source; reader ok() reports image/stack mismatches.
   void SaveState(SnapshotWriter* w) const;
   void LoadState(SnapshotReader* r);
   void Snapshot(SnapshotIo& io);
@@ -144,9 +144,13 @@ class DeviceSim {
   struct Recording {
     bool tape_history;  // every power-tape segment, not just the last two
     bool sched_log;     // the kernel's scheduler activity ring
+    bool result;        // Finish() builds an ExperimentResult
     bool full_result;   // trace series and metrics registry
   };
   static Recording RecordingFor(Reads reads, const ExperimentConfig& config);
+
+  // Finish()'s readings into the metrics registry of a full result.
+  void WriteMetrics(const ExperimentResult& result);
 
   DeviceSim(const ExperimentConfig& config, AppBundle bundle, DeadlineMonitor* deadlines,
             bool own_deadlines, Reads reads);

@@ -9,8 +9,8 @@ namespace dcs {
 // snapshot/restore mid-run.  Run() preserves the original statement order
 // exactly; the golden suite holds the results byte-identical.
 
-ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  DeviceSim device(config);
+ExperimentResult RunExperiment(const ExperimentConfig& config, ExperimentReads reads) {
+  DeviceSim device(config, reads);
   return device.Run();
 }
 

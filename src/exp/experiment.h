@@ -137,11 +137,13 @@ struct ExperimentResult {
   SimTime worst_overrun;
   std::map<std::string, DeadlineMonitor::StreamStats> streams;
 
-  // Recorded series ("utilization", "freq_mhz", "core_volts") for plotting.
+  // Recorded series ("utilization", "work_fs_us", "freq_mhz", "core_volts")
+  // for plotting; empty unless the run was declared kFullResult.
   TraceSink sink;
 
-  // Kernel/hardware/governor instruments for this run (always collected;
-  // wall-clock free, so deterministic across thread counts).
+  // Kernel/hardware/governor instruments for this run (wall-clock free, so
+  // deterministic across thread counts); empty unless the run was declared
+  // kFullResult.
   MetricsRegistry metrics;
 
   // Raw capture for Chrome trace export (see ExperimentConfig::capture_obs).
@@ -153,10 +155,25 @@ struct ExperimentResult {
   bool MetAllDeadlines() const { return deadline_misses == 0; }
 };
 
-// Runs one experiment.  Throws std::invalid_argument on an invalid governor
-// spec, an invalid fault spec, or an unknown app name; under the sweep
-// engine that fails the offending job while the rest of the grid completes.
-ExperimentResult RunExperiment(const ExperimentConfig& config);
+// What the caller of a run reads, and so what the device records (DeviceSim
+// names it DeviceSim::Reads; DESIGN §8 tabulates what each one records).
+enum class ExperimentReads {
+  // Every ExperimentResult field except `sink` and `metrics`, which stay
+  // empty: the device keeps no trace series and binds no registry.
+  kSummary,
+  // The whole ExperimentResult, trace series and metrics registry included.
+  kFullResult,
+  // FleetRunner's per-device totals, read off the device's components; a
+  // run declared this way has no result to return (Finish() throws).
+  kFleetTotals,
+};
+
+// Runs one experiment, recording what `reads` declares.  Throws
+// std::invalid_argument on an invalid governor spec, an invalid fault spec,
+// or an unknown app name; under the sweep engine that fails the offending
+// job while the rest of the grid completes.
+ExperimentResult RunExperiment(const ExperimentConfig& config,
+                               ExperimentReads reads = ExperimentReads::kSummary);
 
 }  // namespace dcs
 

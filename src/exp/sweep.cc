@@ -104,7 +104,9 @@ SweepJobResult RunJobWithWatchdog(const ExperimentConfig& config, int index,
       if (hooks.execute) {
         slot = hooks.execute(job, index);
       } else {
-        slot.result = RunExperiment(job);
+        // The journal, --trace-out, --metrics-out and the competitive
+        // ratio read the whole result, series and registry included.
+        slot.result = RunExperiment(job, ExperimentReads::kFullResult);
       }
     } catch (const CancelledError& e) {
       slot.error = "watchdog timeout after " + std::to_string(campaign.job_timeout) +

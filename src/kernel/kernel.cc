@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "src/fault/fault_injector.h"
@@ -165,6 +166,7 @@ void Kernel::Tick() {
   double utilization = busy_in_quantum_.ToSeconds() / quantum_seconds;
   utilization = std::clamp(utilization, 0.0, 1.0);
   last_utilization_ = utilization;
+  utilization_sum_ += utilization;
   if (series_utilization_ != nullptr) {
     series_utilization_->Append(quantum_start_, utilization);
     series_work_fs_us_->Append(quantum_start_, work_in_quantum_us_);
@@ -522,6 +524,14 @@ void Kernel::Snapshot(SnapshotIo& io) {
   io.Timer<&Kernel::OnCompletion>(completion_timer_, this);
   io(quantum_start_, busy_in_quantum_, work_in_quantum_us_, quantum_index_, last_utilization_,
      total_busy_, total_idle_, step_residency_);
+}
+
+void Kernel::SnapshotUtilizationSum(SnapshotIo& io) {
+  io(utilization_sum_);
+  if (!io.Check(std::isfinite(utilization_sum_) && utilization_sum_ >= 0.0 &&
+                utilization_sum_ <= static_cast<double>(quantum_index_))) {
+    utilization_sum_ = 0.0;
+  }
 }
 
 }  // namespace dcs

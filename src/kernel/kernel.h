@@ -208,9 +208,19 @@ class Kernel {
     }
   }
 
+  // The running sum's image, for a caller that reads utilization_sum() in
+  // place of the "utilization" series (DeviceSim's summary); Snapshot leaves
+  // it out.  Call after Snapshot: a load refuses a sum outside
+  // [0, quanta_elapsed()], which no run reaches.
+  void SnapshotUtilizationSum(SnapshotIo& io);
+
   // --- Aggregate statistics ---------------------------------------------------
   std::uint64_t quanta_elapsed() const { return quantum_index_; }
   double last_utilization() const { return last_utilization_; }
+  // Each quantum's utilization, added in tick order: the sum of the
+  // "utilization" series, bit for bit, whether or not it is recorded.  Only
+  // an image that carries it (SnapshotUtilizationSum) restores it.
+  double utilization_sum() const { return utilization_sum_; }
   SimTime total_busy() const { return total_busy_; }
   SimTime total_idle() const { return total_idle_; }
   // Wall time spent at each clock step.
@@ -304,6 +314,7 @@ class Kernel {
   double work_in_quantum_us_ = 0.0;
   std::uint64_t quantum_index_ = 0;
   double last_utilization_ = 0.0;
+  double utilization_sum_ = 0.0;
   SimTime total_busy_;
   SimTime total_idle_;
   std::array<SimTime, kNumClockSteps> step_residency_{};

@@ -81,7 +81,7 @@ TEST(OracleReplayTest, TraceDerivedScheduleBreaksUnderJitter) {
   record.governor = "fixed-206.4";
   record.seed = 51;
   record.duration = SimTime::Seconds(20);
-  const ExperimentResult recorded = RunExperiment(record);
+  const ExperimentResult recorded = RunExperiment(record, ExperimentReads::kFullResult);
   const TraceSeries* util = recorded.sink.Find("utilization");
   ASSERT_NE(util, nullptr);
   const std::vector<double> trace = SeriesValues(*util);

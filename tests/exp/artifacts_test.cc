@@ -19,7 +19,7 @@ ExperimentResult ShortRun() {
   config.governor = "PAST-peg-peg-93-98";
   config.seed = 3;
   config.duration = SimTime::Seconds(3);
-  return RunExperiment(config);
+  return RunExperiment(config, ExperimentReads::kFullResult);
 }
 
 class ArtifactsTest : public ::testing::Test {

@@ -145,7 +145,8 @@ TEST_F(CampaignTest, FingerprintMismatchForcesAFreshRun) {
   EXPECT_TRUE(second.metrics().journal_mismatch);
   EXPECT_EQ(second.metrics().executed(), 2);
   ASSERT_TRUE(jobs[0].ok());
-  EXPECT_EQ(Fingerprint(*jobs[0].result), Fingerprint(RunExperiment(other[0])));
+  EXPECT_EQ(Fingerprint(*jobs[0].result),
+            Fingerprint(RunExperiment(other[0], ExperimentReads::kFullResult)));
 }
 
 // The watchdog's token reaches the simulation: a job whose token is set
@@ -267,7 +268,7 @@ TEST_F(CampaignTest, TransientFailureIsRetriedInAPlainSweep) {
       throw std::runtime_error("transient");
     }
     SweepJobResult slot;
-    slot.result = RunExperiment(config);
+    slot.result = RunExperiment(config, ExperimentReads::kFullResult);
     return slot;
   };
   SweepOptions options;
@@ -279,7 +280,8 @@ TEST_F(CampaignTest, TransientFailureIsRetriedInAPlainSweep) {
   EXPECT_EQ(calls, (std::vector<int>{1, 2}));
   EXPECT_EQ(runner.metrics().retries, 1u);
   EXPECT_TRUE(runner.metrics().quarantined.empty());
-  EXPECT_EQ(Fingerprint(*jobs[1].result), Fingerprint(RunExperiment(grid[1])));
+  EXPECT_EQ(Fingerprint(*jobs[1].result),
+            Fingerprint(RunExperiment(grid[1], ExperimentReads::kFullResult)));
 }
 
 TEST_F(CampaignTest, QuarantinedSlotReplaysAsQuarantinedOnResume) {

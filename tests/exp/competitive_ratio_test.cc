@@ -41,7 +41,8 @@ TEST_P(CompetitiveRatioTest, RatioAtLeastOneOnEveryAppAndWindow) {
   const EnergyModel model = MakeItsyEnergyModel(ItsyConfig{}.power);
   const double quantum_seconds = KernelConfig{}.quantum.ToSeconds();
   for (const char* app : {"mpeg", "server"}) {
-    const ExperimentResult result = RunExperiment(SmallConfig(app, GetParam()));
+    const ExperimentResult result =
+        RunExperiment(SmallConfig(app, GetParam()), ExperimentReads::kFullResult);
     const std::vector<double> work = WorkTraceFromResult(result);
     ASSERT_FALSE(work.empty()) << app;
     double prev_opt = 1e300;
@@ -75,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(AllGovernors, CompetitiveRatioTest,
                          ::testing::ValuesIn(AllGovernorSpecs()), SpecName);
 
 TEST(CompetitiveScoreTest, WorkTraceMatchesRecordedQuantaAndFitsTheQuantum) {
-  const ExperimentResult result = RunExperiment(SmallConfig("mpeg", "PAST-peg-peg-93-98"));
+  const ExperimentResult result =
+      RunExperiment(SmallConfig("mpeg", "PAST-peg-peg-93-98"), ExperimentReads::kFullResult);
   const std::vector<double> work = WorkTraceFromResult(result);
   ASSERT_FALSE(work.empty());
   const double quantum_seconds = KernelConfig{}.quantum.ToSeconds();
@@ -90,7 +92,8 @@ TEST(CompetitiveScoreTest, WorkTraceMatchesRecordedQuantaAndFitsTheQuantum) {
 }
 
 TEST(CompetitiveScoreTest, ScoringIsAPureFunctionOfTheResult) {
-  const ExperimentResult result = RunExperiment(SmallConfig("mpeg", "deadline"));
+  const ExperimentResult result =
+      RunExperiment(SmallConfig("mpeg", "deadline"), ExperimentReads::kFullResult);
   const EnergyModel model = MakeItsyEnergyModel(ItsyConfig{}.power);
   const double quantum_seconds = KernelConfig{}.quantum.ToSeconds();
   const CompetitiveScore a = ScoreCompetitive(result, 5, model, quantum_seconds);
@@ -101,7 +104,8 @@ TEST(CompetitiveScoreTest, ScoringIsAPureFunctionOfTheResult) {
 }
 
 TEST(CompetitiveScoreTest, StampWritesTheMetricsGauges) {
-  ExperimentResult result = RunExperiment(SmallConfig("mpeg", "ondemand"));
+  ExperimentResult result =
+      RunExperiment(SmallConfig("mpeg", "ondemand"), ExperimentReads::kFullResult);
   const EnergyModel model = MakeItsyEnergyModel(ItsyConfig{}.power);
   const CompetitiveScore score =
       ScoreCompetitive(result, 5, model, KernelConfig{}.quantum.ToSeconds());
@@ -117,7 +121,7 @@ TEST(CompetitiveScoreTest, FaultedRunsStillScoreAtLeastOne) {
   // the recorded work stay consistent, so the bound must still hold.
   ExperimentConfig config = SmallConfig("mpeg", "pid-vs");
   config.faults = "storm=0.35,seed=11";
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const EnergyModel model = MakeItsyEnergyModel(ItsyConfig{}.power);
   const CompetitiveScore score =
       ScoreCompetitive(result, 5, model, KernelConfig{}.quantum.ToSeconds());

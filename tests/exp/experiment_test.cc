@@ -68,7 +68,8 @@ TEST(ExperimentTest, SeedChangesOutcomeSlightly) {
 }
 
 TEST(ExperimentTest, RecordsUtilizationAndFrequencySeries) {
-  const ExperimentResult result = RunExperiment(ShortMpeg("PAST-peg-peg-93-98"));
+  const ExperimentResult result =
+      RunExperiment(ShortMpeg("PAST-peg-peg-93-98"), ExperimentReads::kFullResult);
   const TraceSeries* util = result.sink.Find("utilization");
   ASSERT_NE(util, nullptr);
   EXPECT_NEAR(static_cast<double>(util->size()), 1000.0, 5.0);  // 10 s of 10 ms quanta
@@ -84,7 +85,7 @@ TEST(ExperimentTest, RecordsUtilizationAndFrequencySeries) {
 TEST(ExperimentTest, ResultSeriesHoldOnlyTheirPoints) {
   ExperimentConfig config = ShortMpeg("PAST-peg-peg-93-98");
   config.app = "chess";
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   ASSERT_EQ(result.quanta, 1000u);
   for (const char* name : {"freq_mhz", "core_volts"}) {
     const TraceSeries* series = result.sink.Find(name);

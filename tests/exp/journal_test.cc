@@ -63,7 +63,7 @@ class JournalTest : public ::testing::Test {
   // Writes one header + two records (slot 0 ok with a real result, slot 2
   // failed/quarantined) and returns the serialized result's fingerprint.
   std::string WriteSampleJournal(const std::vector<ExperimentConfig>& grid) {
-    const ExperimentResult result = RunExperiment(grid[0]);
+    const ExperimentResult result = RunExperiment(grid[0], ExperimentReads::kFullResult);
     std::string error;
     auto writer = JournalWriter::Create(path_, &error);
     EXPECT_NE(writer, nullptr) << error;
@@ -349,7 +349,7 @@ std::string SerializedBytes(const ExperimentResult& result) {
 TEST(ResultSerializationTest, RoundTripsByteIdentically) {
   ExperimentConfig config = ShortMpeg(5, "PAST-peg-peg-93-98");
   config.faults = "storm=0.3,seed=11";  // exercises the FaultReport fields too
-  const ExperimentResult original = RunExperiment(config);
+  const ExperimentResult original = RunExperiment(config, ExperimentReads::kFullResult);
 
   const std::string bytes = SerializedBytes(original);
   SnapshotReader r(bytes.data(), bytes.size());
@@ -365,7 +365,7 @@ TEST(ResultSerializationTest, RoundTripsByteIdentically) {
 }
 
 TEST(ResultSerializationTest, RejectsTruncatedPayload) {
-  const ExperimentResult original = RunExperiment(ShortMpeg(1));
+  const ExperimentResult original = RunExperiment(ShortMpeg(1), ExperimentReads::kFullResult);
   const std::string whole = SerializedBytes(original);
   const std::string torn = whole.substr(0, whole.size() / 2);
   SnapshotReader r(torn.data(), torn.size());
@@ -380,7 +380,7 @@ TEST(ResultSerializationTest, RejectsEveryStrictPrefix) {
   ExperimentConfig config = ShortMpeg(3, "PAST-peg-peg-93-98");
   config.duration = SimTime::Millis(200);
   config.faults = "storm=0.3,seed=11";
-  const std::string whole = SerializedBytes(RunExperiment(config));
+  const std::string whole = SerializedBytes(RunExperiment(config, ExperimentReads::kFullResult));
   ASSERT_GT(whole.size(), 100u);
   for (std::size_t len = 0; len < whole.size(); ++len) {
     // A heap copy of exactly `len` bytes, so an over-read is a real
@@ -395,7 +395,7 @@ TEST(ResultSerializationTest, RejectsEveryStrictPrefix) {
 
 TEST(ResultSerializationTest, RejectsAnAllOnesStringLength) {
   // The app name is the first field; its length field claims 4 GiB.
-  std::string bytes = SerializedBytes(RunExperiment(ShortMpeg(1)));
+  std::string bytes = SerializedBytes(RunExperiment(ShortMpeg(1), ExperimentReads::kFullResult));
   const std::uint32_t hostile = 0xFFFFFFFFu;
   std::memcpy(bytes.data(), &hostile, sizeof(hostile));
   SnapshotReader r(bytes.data(), bytes.size());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -738,6 +739,56 @@ TEST(SnapshotHostileTest, EveryTruncationOfAFleetTotalsImageFails) {
   DeviceSim target(config, DeviceSim::Reads::kFleetTotals);
   ASSERT_FALSE(source.itsy().tape().keeps_history());
   ExpectEveryTruncationFails(source, target);
+}
+
+// A summary image keeps the tape's history but no sched log, trace series
+// or metrics registry, and ends with the kernel's utilization sum.
+TEST(SnapshotHostileTest, EveryTruncationOfASummaryImageFails) {
+  ExperimentConfig config = ServerConfig();
+  config.faults = "";
+  DeviceSim source(config, DeviceSim::Reads::kSummary);
+  DeviceSim target(config, DeviceSim::Reads::kSummary);
+  ExpectEveryTruncationFails(source, target);
+}
+
+// Each quantum adds a utilization in [0, 1] to the running sum a summary
+// image ends with, so a load refuses a sum that is not finite or lies
+// outside [0, quanta elapsed].
+TEST(SnapshotHostileTest, SummaryImageRejectsAUtilizationSumNoRunReaches) {
+  ExperimentConfig config = ServerConfig();
+  config.faults = "";
+  DeviceSim source(config, DeviceSim::Reads::kSummary);
+  source.Start();
+  source.RunUntil(SimTime::Millis(150));
+  SnapshotWriter w;
+  source.SaveState(&w);
+  const std::size_t offset = w.size() - sizeof(double);
+  const double sum = source.kernel().utilization_sum();
+  const double quanta = static_cast<double>(source.kernel().quanta_elapsed());
+  ASSERT_GT(sum, 0.0);
+  ASSERT_EQ(DoubleAt(w, offset), sum);
+  struct Case {
+    double sum;
+    bool valid;
+  };
+  for (const auto& [patched, valid] :
+       {Case{sum, true},
+        {0.0, true},
+        {quanta, true},
+        {kNaN, false},
+        {kInf, false},
+        {-kInf, false},
+        {-1e-300, false},
+        {-1.0, false},
+        {std::nextafter(quanta, kInf), false},
+        {1e300, false}}) {
+    std::vector<char> image(w.data(), w.data() + w.size());
+    std::memcpy(image.data() + offset, &patched, sizeof patched);
+    DeviceSim target(config, DeviceSim::Reads::kSummary);
+    SnapshotReader r(image.data(), image.size());
+    target.LoadState(&r);
+    EXPECT_EQ(r.ok(), valid) << patched;
+  }
 }
 
 // Every registered governor describes its own state, so every governor's

@@ -149,7 +149,7 @@ TEST(SnapshotImageTest, JournalFileIsPinned) {
     ok.config_fingerprint = ConfigFingerprint(config);
     ok.ok = true;
     ok.attempts = 1;
-    ok.result = RunExperiment(config);
+    ok.result = RunExperiment(config, ExperimentReads::kFullResult);
     ASSERT_TRUE(writer->AppendRecord(ok, &error)) << error;
     JournalRecord quarantined;
     quarantined.slot = 1;

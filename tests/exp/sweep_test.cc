@@ -91,7 +91,7 @@ TEST(SweepRunnerTest, ResultsAreIndexedByJobOrder) {
   // so a swapped slot would show up immediately).
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(jobs[i].ok()) << jobs[i].error;
-    ExpectIdentical(*jobs[i].result, RunExperiment(configs[i]));
+    ExpectIdentical(*jobs[i].result, RunExperiment(configs[i], ExperimentReads::kFullResult));
   }
 }
 

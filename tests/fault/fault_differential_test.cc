@@ -124,17 +124,17 @@ TEST(FaultDifferentialTest, InactiveFaultSpecsAreEquivalentAcrossApps) {
     config.duration = SimTime::Seconds(2);
 
     config.faults = "";
-    const std::string unset = Fingerprint(RunExperiment(config));
+    const std::string unset = Fingerprint(RunExperiment(config, ExperimentReads::kFullResult));
     config.faults = "none";
-    const std::string none = Fingerprint(RunExperiment(config));
+    const std::string none = Fingerprint(RunExperiment(config, ExperimentReads::kFullResult));
     // A seed alone sets no probabilities: still an inactive plan.
     config.faults = "seed=123";
-    const std::string seed_only = Fingerprint(RunExperiment(config));
+    const std::string seed_only = Fingerprint(RunExperiment(config, ExperimentReads::kFullResult));
 
     EXPECT_EQ(unset, none) << app;
     EXPECT_EQ(unset, seed_only) << app;
 
-    const ExperimentResult probe = RunExperiment(config);
+    const ExperimentResult probe = RunExperiment(config, ExperimentReads::kFullResult);
     EXPECT_FALSE(probe.faults.enabled) << app;
     EXPECT_EQ(probe.faults.injected_total, 0u) << app;
     // No fault.* or invariant metrics may appear on the unfaulted path.

@@ -25,8 +25,8 @@ set -eu
 build_dir="${1:-build}"
 golden_dir="$(cd "$(dirname "$0")" && pwd)"
 
-# Every paper bench.  Only the sweep-driven ones read --threads; the others
-# take no flags and ignore it.
+# Every paper bench.  Only the sweep-driven ones take --threads; the others
+# take no flags and refuse any, so they run without arguments.
 for bench in tab1_avg9_actions tab2_energy_summary fig9_utilization_vs_freq \
              fig8_best_policy_trace server_slo competitive_ratio \
              fig3_utilization_10ms fig4_utilization_100ms fig5_simple_averaging \
@@ -41,12 +41,14 @@ for bench in tab1_avg9_actions tab2_energy_summary fig9_utilization_vs_freq \
     echo "error: $binary not built (run: cmake --build $build_dir -j)" >&2
     exit 1
   fi
-  extra_args=""
+  args=""
   case "$bench" in
-    server_slo|competitive_ratio) extra_args="--quick" ;;
+    server_slo|competitive_ratio) args="--threads=1 --quick" ;;
+    tab2_energy_summary|fig9_utilization_vs_freq|fig8_best_policy_trace) args="--threads=1" ;;
+    deadline_sensitivity|sweep_avgn) args="--threads=1" ;;
   esac
   echo "regenerating $bench.txt" >&2
-  "$binary" --threads=1 $extra_args > "$golden_dir/$bench.txt"
+  "$binary" $args > "$golden_dir/$bench.txt"
 done
 
 # Observability artifacts: commit the metrics JSON verbatim; the Chrome

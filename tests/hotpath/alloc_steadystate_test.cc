@@ -194,13 +194,14 @@ TEST(AllocSteadyStateTest, FleetDeviceCycleRunsHeapFree) {
   ExpectDeviceCycleHeapFree(config, DeviceSim::Reads::kFullResult);
 }
 
-// Every fleet_clone governor on every fleet_clone app, for both what a
-// fleet device records (fleet totals) and what a sweep device records (the
-// full result), plus the governors whose history windows a restore clears
-// and refills (LS, CYCLE, cycles<N>, satrate<N>).  Deadline-aware governors
-// read the kernel's pending-deadline list every quantum; the sliding-window
-// experts of adaptive-vs, those history windows and the server's request
-// queue drain and refill: each used to allocate per cycle.  The names are
+// Every fleet_clone governor on every fleet_clone app, for what a fleet
+// device records (fleet totals), what a sweep device records (the full
+// result) and what RunExperiment(config) records (the summary), plus the
+// governors whose history windows a restore clears and refills (LS, CYCLE,
+// cycles<N>, satrate<N>).  Deadline-aware governors read the kernel's
+// pending-deadline list every quantum; the sliding-window experts of
+// adaptive-vs, those history windows and the server's request queue drain
+// and refill: each used to allocate per cycle.  The names are
 // std::string so a case prints as its text, not as a load address: the
 // discovered test names stay the same from one build to the next.
 using DeviceCycleCase = std::tuple<std::string, std::string, DeviceSim::Reads>;
@@ -218,9 +219,11 @@ TEST_P(DeviceCycleHeapFreeTest, WarmCyclesNeverAllocate) {
 }
 
 std::string DeviceCycleName(const ::testing::TestParamInfo<DeviceCycleCase>& info) {
+  const DeviceSim::Reads reads = std::get<2>(info.param);
   std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param) +
-                     (std::get<2>(info.param) == DeviceSim::Reads::kFleetTotals ? "_fleet"
-                                                                                : "_full");
+                     (reads == DeviceSim::Reads::kFleetTotals ? "_fleet"
+                      : reads == DeviceSim::Reads::kFullResult ? "_full"
+                                                               : "_summary");
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) {
       c = '_';
@@ -236,7 +239,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          "satrate4"),
                        ::testing::Values("mpeg", "web", "server"),
                        ::testing::Values(DeviceSim::Reads::kFleetTotals,
-                                         DeviceSim::Reads::kFullResult)),
+                                         DeviceSim::Reads::kFullResult,
+                                         DeviceSim::Reads::kSummary)),
     DeviceCycleName);
 
 }  // namespace

@@ -24,8 +24,8 @@ TEST_P(DeterminismTest, IdenticalRunsProduceIdenticalResults) {
   config.seed = 19;
   config.duration = SimTime::Seconds(8);
 
-  const ExperimentResult a = RunExperiment(config);
-  const ExperimentResult b = RunExperiment(config);
+  const ExperimentResult a = RunExperiment(config, ExperimentReads::kFullResult);
+  const ExperimentResult b = RunExperiment(config, ExperimentReads::kFullResult);
 
   EXPECT_EQ(a.energy_joules, b.energy_joules);
   EXPECT_EQ(a.exact_energy_joules, b.exact_energy_joules);

@@ -53,7 +53,7 @@ TEST(ObsExportTest, CapturedRunRendersSchedulerPowerAndGovernorTracks) {
   config.seed = 3;
   config.duration = SimTime::Seconds(2);
   config.capture_obs = true;
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   ASSERT_TRUE(result.obs.captured);
 
   ChromeTraceWriter writer;
@@ -79,7 +79,7 @@ TEST(ObsExportTest, UncapturedRunStillRendersSeriesCounters) {
   config.governor = "PAST-peg-peg-93-98";
   config.seed = 3;
   config.duration = SimTime::Seconds(2);
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   EXPECT_FALSE(result.obs.captured);
   ChromeTraceWriter writer;
   AppendExperimentTrace(writer, 1, result);

@@ -192,7 +192,7 @@ TEST(AdmissionEndToEndTest, NonePolicyLeavesNoFootprint) {
   config.server = OverloadScenario();
   config.governor = "deadline-vs";
   config.seed = 7;
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const auto it = result.streams.find("requests");
   ASSERT_NE(it, result.streams.end());
   EXPECT_EQ(it->second.rejected, 0);
@@ -216,7 +216,7 @@ TEST(AdmissionEndToEndTest, FeedbackRescuesDeadlineGovernorAtOverload) {
   config.server = scenario;
   config.governor = "deadline-vs";
   config.seed = 7;
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   const auto it = result.streams.find("requests");
   ASSERT_NE(it, result.streams.end());
   const DeadlineMonitor::StreamStats& stats = it->second;
@@ -283,7 +283,7 @@ TEST(AdmissionEndToEndTest, SheddingIsByteIdenticalAcrossThreadCounts) {
 TEST(AdmissionEndToEndTest, EnergyLedgerConservesWithRejectedWorkAttributed) {
   ExperimentConfig config = BrownoutSheddingCell("PAST-peg-peg-93-98-vs");
   config.capture_obs = true;
-  const ExperimentResult result = RunExperiment(config);
+  const ExperimentResult result = RunExperiment(config, ExperimentReads::kFullResult);
   ASSERT_TRUE(result.obs.captured);
   EXPECT_TRUE(result.faults.enabled);
   EXPECT_EQ(result.faults.invariant_violations, 0u);
